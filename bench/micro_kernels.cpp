@@ -1,16 +1,21 @@
 // micro_kernels: the performance ledger of the compute substrate. Measures
 //  (1) the ml::gemm micro-kernel against the naive triple loop (GFLOP/s),
-//  (2) Conv2d / Dense / Lstm forward+backward at the paper's MNIST/HPNews
-//      shapes, GEMM path vs the FMORE_NAIVE_KERNELS reference loops,
-//  (3) end-to-end round time of the `paper/fig04` scenario: the pre-PR
-//      baseline (naive kernels, serial round) vs the GEMM path at 1/2/4/8
-//      round threads,
+//  (2) Conv2d / Dense / Lstm forward+backward at the paper's MNIST/CIFAR/
+//      HPNews shapes, fast path vs the FMORE_NAIVE_KERNELS reference loops,
+//  (3) one training step (forward + loss + backward + SGD) of the deep CNN
+//      on a CIFAR-shaped minibatch, fast vs naive, with the sparse
+//      gradients ReLU and Dropout really produce,
+//  (4) end-to-end round time of the `paper/fig04` scenario: the naive
+//      kernels in a serial round vs the fast path at 1/2/4/8 round threads,
 // and writes everything to a machine-readable BENCH_kernels.json so future
 // PRs have a perf trajectory to regress against.
 //
 //   micro_kernels [--smoke] [--out path.json]
 //
-// --smoke shrinks repetitions (CI); the JSON is written either way.
+// --smoke shrinks repetitions (CI); the JSON is written either way. Exits 1
+// when a `layers` row or the training step has a fast path slower than its
+// naive loop (the elementwise row compares two APIs, not two kernels, and
+// is not gated).
 
 #include <chrono>
 #include <cstdio>
@@ -29,8 +34,11 @@
 #include "fmore/ml/dense.hpp"
 #include "fmore/ml/dropout.hpp"
 #include "fmore/ml/gemm.hpp"
+#include "fmore/ml/loss.hpp"
 #include "fmore/ml/lstm.hpp"
+#include "fmore/ml/model_zoo.hpp"
 #include "fmore/ml/pooling.hpp"
+#include "fmore/ml/synthetic.hpp"
 #include "fmore/ml/tensor.hpp"
 #include "fmore/stats/rng.hpp"
 
@@ -197,6 +205,44 @@ ElementwiseResult bench_elementwise(std::size_t reps) {
     return out;
 }
 
+struct TrainStepResult {
+    std::string shape;
+    double naive_us = 0.0;
+    double fast_us = 0.0;
+};
+
+/// One minibatch step of the fl_cifar model (`make_cnn_deep`, 3x14x14):
+/// zero_grad, forward, loss, backward, SGD. Each kernel path trains its own
+/// copy from the same seed on the same batch, so ReLU and Dropout hand the
+/// convolutions the sparse gradients of real training.
+TrainStepResult bench_train_step(std::size_t reps) {
+    stats::Rng data_rng(13);
+    const ml::Dataset data = ml::make_synthetic_images(ml::cifar10_spec(16), data_rng);
+    std::vector<std::size_t> idx(data.size());
+    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+    const ml::Tensor batch = data.gather(idx);
+    const std::vector<int> labels = data.gather_labels(idx);
+
+    TrainStepResult out;
+    out.shape = "cnn_deep B16 3x14x14";
+    for (const bool naive : {true, false}) {
+        ml::set_naive_kernels(naive ? 1 : 0);
+        ml::Model model =
+            ml::make_cnn_deep(ml::ImageSpec{3, 14, 14, data.num_classes}, 17);
+        ml::SoftmaxCrossEntropy loss;
+        const double t = best_seconds(reps, [&] {
+            model.zero_grad();
+            const ml::Tensor& logits = model.forward(batch, /*training=*/true);
+            (void)loss.forward(logits, labels);
+            model.backward(loss.backward());
+            model.sgd_step(0.01);
+        });
+        (naive ? out.naive_us : out.fast_us) = t * 1e6;
+    }
+    ml::set_naive_kernels(-1);
+    return out;
+}
+
 struct RoundResult {
     double naive_serial_ms = 0.0; ///< the pre-PR configuration
     double gemm_serial_ms = 0.0;
@@ -272,6 +318,10 @@ int main(int argc, char** argv) {
         [] { return std::make_unique<ml::Conv2d>(1, 8, 3); },
         {16, 1, 12, 12}, reps * 5));
     layers.push_back(bench_layer(
+        "conv2d_cifar", "B16 3x14x14 -> 8@3x3",
+        [] { return std::make_unique<ml::Conv2d>(3, 8, 3); },
+        {16, 3, 14, 14}, reps * 5));
+    layers.push_back(bench_layer(
         "conv2d_deep", "B16 8x6x6 -> 16@3x3",
         [] { return std::make_unique<ml::Conv2d>(8, 16, 3); },
         {16, 8, 6, 6}, reps * 5));
@@ -298,7 +348,14 @@ int main(int argc, char** argv) {
                 elementwise.alloc_us, elementwise.arena_us,
                 elementwise.alloc_us / elementwise.arena_us);
 
-    // (3) End-to-end rounds: pre-PR baseline vs the new path at 1/2/4/8
+    // (3) One training step of the fl_cifar model.
+    const TrainStepResult step = bench_train_step(reps * 5);
+    std::printf("\ntraining step (%s, fwd+loss+bwd+sgd):\n"
+                "  naive %8.1f us   fast %8.1f us   (%.2fx)\n",
+                step.shape.c_str(), step.naive_us, step.fast_us,
+                step.naive_us / step.fast_us);
+
+    // (4) End-to-end rounds: pre-PR baseline vs the new path at 1/2/4/8
     // round threads.
     std::cout << "\npaper/fig04 round time (ms/round, 1 trial):\n";
     const RoundResult round = bench_round(smoke);
@@ -350,6 +407,11 @@ int main(int argc, char** argv) {
                  "\"arena_us\": %.4g, \"speedup\": %.4g},\n",
                  elementwise.shape.c_str(), elementwise.alloc_us, elementwise.arena_us,
                  elementwise.alloc_us / elementwise.arena_us);
+    std::fprintf(f,
+                 "  \"train_step\": {\"shape\": \"%s\", \"naive_us\": %.4g, "
+                 "\"fast_us\": %.4g, \"speedup\": %.4g},\n",
+                 step.shape.c_str(), step.naive_us, step.fast_us,
+                 step.naive_us / step.fast_us);
     std::fprintf(f, "  \"round\": {\n    \"scenario\": \"paper/fig04\",\n");
     std::fprintf(f, "    \"baseline_naive_serial_ms\": %.4g,\n", round.naive_serial_ms);
     std::fprintf(f, "    \"gemm_serial_ms\": %.4g,\n", round.gemm_serial_ms);
@@ -368,5 +430,16 @@ int main(int argc, char** argv) {
                  round.naive_serial_ms / best_parallel);
     std::fclose(f);
     std::cout << "\nwrote " << out_path << '\n';
-    return 0;
+
+    // Gate: every fast path must beat the loop it replaces.
+    std::vector<std::string> slower;
+    for (const LayerResult& l : layers) {
+        if (l.fwd_gemm_us > l.fwd_naive_us) slower.push_back(l.name + " fwd");
+        if (l.bwd_gemm_us > l.bwd_naive_us) slower.push_back(l.name + " bwd");
+    }
+    if (step.fast_us > step.naive_us) slower.push_back("train_step");
+    for (const std::string& name : slower) {
+        std::cerr << "micro_kernels: FAIL " << name << ": fast path slower than naive\n";
+    }
+    return slower.empty() ? 0 : 1;
 }

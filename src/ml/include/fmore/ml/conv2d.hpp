@@ -5,16 +5,20 @@
 namespace fmore::ml {
 
 /// 2-D convolution, stride 1, valid padding. Input [B, C, H, W], kernel
-/// [OC, C, KH, KW], output [B, OC, H-KH+1, W-KW+1]. The default path
-/// lowers each image through im2col onto the `ml::gemm` micro-kernel
-/// (gemm.hpp); `FMORE_NAIVE_KERNELS=1` selects the original direct loops,
-/// which the fast path matches bit-for-bit.
+/// [OC, C, KH, KW], output [B, OC, H-KH+1, W-KW+1]. The default forward
+/// lowers each image through im2col onto the `ml::gemm` micro-kernel, and
+/// backward runs the register-tiled `conv2d_weight_grad` and
+/// `conv2d_input_grad` kernels (gemm.hpp); `FMORE_NAIVE_KERNELS=1` selects
+/// the original direct loops, which the fast path matches bit-for-bit.
 class Conv2d final : public Layer {
 public:
     Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel);
 
     [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
     [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
+    /// Fast path: parameter gradients only, no input gradient (the model
+    /// input needs none when this is the first layer).
+    void backward_params(const Tensor& grad_output) override;
     std::vector<ParamBlock> parameters() override;
     void initialize(stats::Rng& rng) override;
     [[nodiscard]] std::unique_ptr<Layer> clone() const override {
@@ -32,6 +36,8 @@ private:
     std::vector<float> bias_grad_;
     Tensor cached_input_;
     std::vector<float> col_;         // im2col scratch, reused across batches
+    std::vector<float> gy_t_;        // transposed output gradient (weight grad)
+    std::vector<float> gy_pad_;      // zero-padded output gradient (input grad)
 };
 
 } // namespace fmore::ml

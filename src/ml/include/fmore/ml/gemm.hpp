@@ -2,11 +2,12 @@
 
 /// @file gemm.hpp
 /// The micro-kernel substrate of the ml layer: a register-blocked,
-/// cache-friendly float GEMM plus the im2col/col2im lowering that turns
-/// convolutions into matrix multiplies. `Conv2d`, `Dense` and `Lstm`'s gate
-/// matmuls are all built on these kernels; `FMORE_NAIVE_KERNELS=1` (or
-/// `set_naive_kernels`) switches every layer back to the original textbook
-/// loops, which stay compiled as the reference implementation.
+/// cache-friendly float GEMM, the im2col lowering that turns a convolution's
+/// forward pass into a matrix multiply, and two register-tiled convolution
+/// gradient kernels. `Conv2d`, `Dense` and `Lstm`'s gate matmuls are all
+/// built on these kernels; `FMORE_NAIVE_KERNELS=1` (or `set_naive_kernels`)
+/// switches every layer back to the original textbook loops, which stay
+/// compiled as the reference implementation.
 ///
 /// ## Bit-exactness contract
 ///
@@ -15,13 +16,34 @@
 /// the exact summation order of the reference loops (ascending k, single
 /// running accumulator seeded from C), and vectorization is only applied
 /// across *independent* accumulators (the unit-stride j dimension), which
-/// never reassociates any single element's sum. Fused-multiply-add
-/// contraction, when the compiler applies it, applies to the identical
-/// `acc += a * b` operation in both paths. This is what lets the naive
-/// escape hatch double as an exact equivalence oracle in tests, and keeps
-/// every experiment's metrics unchanged by the kernel rewrite.
+/// never reassociates any single element's sum. The build pins
+/// `-ffp-contract=off`, so every `acc += a * b` is a separate multiply and
+/// add in both paths, whichever loop the compiler vectorized. This is what
+/// lets the naive escape hatch double as an exact equivalence oracle in
+/// tests, and keeps every experiment's metrics unchanged by the kernels.
+///
+/// The two convolution gradient kernels add terms the reference loops do
+/// not: the reference skips output-gradient entries equal to zero, and the
+/// input-gradient kernel also reads a zero-padded copy of the output
+/// gradient. Every such extra term is a product with an exact zero: +0 or
+/// -0 for finite operands. Adding ±0 to a nonzero value leaves it
+/// unchanged, and adding ±0 to +0 gives +0. A running sum that starts at
+/// +0 never becomes -0 under round-to-nearest (x + y is -0 only when both
+/// are -0). So any sum that does not start at -0 ends on the same bits
+/// with or without the extra zero terms. The input-gradient accumulators
+/// therefore start at +0, and parameter gradients start from
+/// `Model::zero_grad`'s +0 or from sums built on it.
+///
+/// The weight-gradient kernel keeps one register tile of (taps x output
+/// channels) live across the whole minibatch. Each element of the tile is
+/// still one running sum over (image, output pixel) in ascending order —
+/// the reference's image loop is outermost, so walking the batch inside
+/// the tile visits that element's terms in exactly the reference order.
+/// Only the interleaving *between* elements changes, which no element's
+/// sum can observe.
 
 #include <cstddef>
+#include <vector>
 
 namespace fmore::ml {
 
@@ -47,19 +69,10 @@ void gemm_acc(std::size_t m, std::size_t n, std::size_t kk,
               const float* b, std::ptrdiff_t b_row,
               float* c, std::ptrdiff_t c_row);
 
-/// `gemm_acc` with the k dimension processed in consecutive groups of
-/// `group` terms: each group is summed in a fresh accumulator that is then
-/// added to the running C value. Matches reference loops that keep a local
-/// per-block accumulator (Conv2d's per-input-channel partial sums).
-/// `group` == 0 or >= kk degenerates to `gemm_acc`.
-void gemm_acc_grouped(std::size_t m, std::size_t n, std::size_t kk,
-                      const float* a, std::ptrdiff_t a_row, std::ptrdiff_t a_col,
-                      const float* b, std::ptrdiff_t b_row,
-                      float* c, std::ptrdiff_t c_row, std::size_t group);
-
 /// Geometry of one 2-D convolution (single image). `Conv2d` itself is
-/// stride-1/valid; the stride/pad generality is exercised by the generic
-/// helpers and their tests so future layers can reuse the lowering.
+/// stride-1/valid; `im2col` and `conv2d_forward_gemm` keep the stride/pad
+/// generality (and its tests) so future layers can reuse the lowering. The
+/// gradient kernels accept exactly `Conv2d`'s geometry.
 struct ConvShape {
     std::size_t in_c = 1;
     std::size_t h = 0, w = 0;      ///< input spatial dims
@@ -84,14 +97,6 @@ struct ConvShape {
 /// (padding) contribute 0.
 void im2col(const float* x, const ConvShape& s, float* col);
 
-/// Transposed layout: colt[col_cols][col_rows] — the B operand for the
-/// weight-gradient GEMM, where the patch dimension must be unit stride.
-void im2col_t(const float* x, const ConvShape& s, float* colt);
-
-/// Adjoint of im2col: scatter-add col[col_rows][col_cols] back into
-/// gx[in_c][h][w] (gx is accumulated into, not overwritten).
-void col2im_add(const float* col, const ConvShape& s, float* gx);
-
 /// Convolution forward for one image via im2col + grouped GEMM:
 /// y[oc][p] = bias[oc] + sum over the patch of weight[oc][ic][ky][kx] *
 /// x-tap, with a per-input-channel partial accumulator (`group = kh*kw`) so
@@ -100,12 +105,30 @@ void col2im_add(const float* col, const ConvShape& s, float* gx);
 void conv2d_forward_gemm(const float* x, const float* weight, const float* bias,
                          std::size_t out_c, const ConvShape& s, float* col, float* y);
 
-/// Convolution input-gradient for one image, bit-identical to the direct
-/// scatter loops: per (oc, ic) the kernel taps are walked in descending
-/// (ky, kx) order — which is exactly the ascending output-pixel order of
-/// the reference — with a vectorized saxpy over each output row.
-/// Stride-1 only (what Conv2d uses); gx is accumulated into.
+/// Convolution input gradient for a minibatch: gy[batch][out_c][oh][ow]
+/// and weight[out_c][in_c][kh][kw] give gx[batch][in_c][h][w], which is
+/// overwritten. Each output channel's gradient plane is copied into
+/// `scratch` with zero padding, at the input's row width, so every
+/// (oc, tap) pair is one contiguous multiply-add over the whole h*w input
+/// plane. A register tile of (input channels x input pixels) starts at +0
+/// and walks oc ascending, then taps in descending (ky, kx) order — the
+/// ascending output-pixel order of the reference scatter loops. `scratch`
+/// is resized as needed. Stride 1 and no padding only; anything else
+/// throws std::invalid_argument.
 void conv2d_input_grad(const float* gy, const float* weight, std::size_t out_c,
-                       const ConvShape& s, float* gx);
+                       const ConvShape& s, std::size_t batch,
+                       std::vector<float>& scratch, float* gx);
+
+/// Convolution parameter gradients for a minibatch, accumulated into
+/// weight_grad[out_c][in_c][kh][kw] and bias_grad[out_c]: for every
+/// element, a running sum seeded from its current value over (image,
+/// output pixel) ascending, the reference loops' order. gy is transposed
+/// once into `scratch` (pixel-major, output channels unit stride) and x is
+/// read in place. `scratch` is resized as needed. Stride 1 and no padding
+/// only; anything else throws std::invalid_argument.
+void conv2d_weight_grad(const float* x, const float* gy, std::size_t out_c,
+                        const ConvShape& s, std::size_t batch,
+                        std::vector<float>& scratch, float* weight_grad,
+                        float* bias_grad);
 
 } // namespace fmore::ml

@@ -45,6 +45,17 @@ public:
         grad_input = backward(grad_output);
     }
 
+    /// Backward for a layer whose input gradient nobody reads: accumulate
+    /// the parameter gradients exactly as `backward` would, bit for bit,
+    /// and skip what only the input gradient needs. `Model::backward` calls
+    /// it on the first layer, since the model's input is data. The default
+    /// runs `backward_into` into a discarded tensor; `Conv2d` overrides it
+    /// to skip its input-gradient kernel.
+    virtual void backward_params(const Tensor& grad_output) {
+        Tensor discarded;
+        backward_into(grad_output, discarded);
+    }
+
     /// Deep copy (parameters, gradients and caches). The copy still points
     /// at the source's RNG until the owning model re-attaches its own —
     /// `Model::clone()` does; manual callers must `attach_rng` themselves.

@@ -65,6 +65,9 @@ public:
     /// scratch arena of the in-place elementwise layers) and is valid
     /// until the next forward call; copy it to keep it.
     [[nodiscard]] const Tensor& forward(const Tensor& input, bool training);
+    /// Accumulate every layer's parameter gradients for the last forward.
+    /// The first layer runs `Layer::backward_params`: the gradient w.r.t.
+    /// the model input is never computed.
     void backward(const Tensor& grad_loss);
     void zero_grad();
     /// Vanilla SGD update: w -= lr * grad (paper Eq. 2, eta = step size).
@@ -101,9 +104,10 @@ private:
     std::vector<std::unique_ptr<Layer>> layers_;
     stats::Rng rng_;
     SoftmaxCrossEntropy loss_;
-    /// Persistent activation/gradient slots (one per layer), reused across
-    /// forward/backward calls so in-place layers never allocate. Pure
-    /// scratch: moves carry them along, clones start fresh.
+    /// Persistent activation slots (one per layer) and input-gradient slots
+    /// (one per layer after the first), reused across forward/backward
+    /// calls so in-place layers never allocate. Pure scratch: moves carry
+    /// them along, clones start fresh.
     std::vector<Tensor> acts_;
     std::vector<Tensor> grads_;
 };

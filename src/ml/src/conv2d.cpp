@@ -7,6 +7,31 @@
 
 namespace fmore::ml {
 
+namespace {
+
+/// Geometry of one image of `input` ([B, C, H, W]) under a k x k kernel.
+ConvShape image_shape(const Tensor& input, std::size_t k) {
+    ConvShape shape;
+    shape.in_c = input.dim(1);
+    shape.h = input.dim(2);
+    shape.w = input.dim(3);
+    shape.kh = k;
+    shape.kw = k;
+    return shape;
+}
+
+/// The geometry backward runs on, after checking that `grad_output`
+/// matches the output of the cached forward input.
+ConvShape backward_shape(const Tensor& cached_input, std::size_t out_c, std::size_t k,
+                         const Tensor& grad_output) {
+    const ConvShape shape = image_shape(cached_input, k);
+    if (grad_output.size() != cached_input.dim(0) * out_c * shape.col_cols())
+        throw std::invalid_argument("Conv2d::backward: grad shape mismatch");
+    return shape;
+}
+
+} // namespace
+
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel)
     : in_c_(in_channels),
       out_c_(out_channels),
@@ -43,12 +68,7 @@ Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
     float* y = out.data();
 
     if (!use_naive_kernels()) {
-        ConvShape shape;
-        shape.in_c = in_c_;
-        shape.h = h;
-        shape.w = w;
-        shape.kh = k_;
-        shape.kw = k_;
+        const ConvShape shape = image_shape(input, k_);
         const std::size_t p = oh * ow;
         col_.resize(shape.col_rows() * p);
         for (std::size_t b = 0; b < batch; ++b) {
@@ -83,14 +103,25 @@ Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
     return out;
 }
 
+void Conv2d::backward_params(const Tensor& grad_output) {
+    if (use_naive_kernels()) {
+        // The reference loops compute both gradients in one sweep.
+        Layer::backward_params(grad_output);
+        return;
+    }
+    conv2d_weight_grad(cached_input_.data(), grad_output.data(), out_c_,
+                       backward_shape(cached_input_, out_c_, k_, grad_output),
+                       cached_input_.dim(0), gy_t_, weight_grad_.data(),
+                       bias_grad_.data());
+}
+
 Tensor Conv2d::backward(const Tensor& grad_output) {
+    const ConvShape shape = backward_shape(cached_input_, out_c_, k_, grad_output);
     const std::size_t batch = cached_input_.dim(0);
-    const std::size_t h = cached_input_.dim(2);
-    const std::size_t w = cached_input_.dim(3);
-    const std::size_t oh = h - k_ + 1;
-    const std::size_t ow = w - k_ + 1;
-    if (grad_output.size() != batch * out_c_ * oh * ow)
-        throw std::invalid_argument("Conv2d::backward: grad shape mismatch");
+    const std::size_t h = shape.h;
+    const std::size_t w = shape.w;
+    const std::size_t oh = shape.out_h();
+    const std::size_t ow = shape.out_w();
 
     Tensor grad_input(cached_input_.shape());
     const float* x = cached_input_.data();
@@ -98,31 +129,9 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     float* gx = grad_input.data();
 
     if (!use_naive_kernels()) {
-        ConvShape shape;
-        shape.in_c = in_c_;
-        shape.h = h;
-        shape.w = w;
-        shape.kh = k_;
-        shape.kw = k_;
-        const std::size_t p = oh * ow;
-        const std::size_t rows = shape.col_rows();
-        col_.resize(p * rows); // transposed layout for the weight-grad GEMM
-        for (std::size_t b = 0; b < batch; ++b) {
-            const float* gymap = gy + b * out_c_ * p;
-            for (std::size_t oc = 0; oc < out_c_; ++oc) {
-                const float* row = gymap + oc * p;
-                for (std::size_t i = 0; i < p; ++i) bias_grad_[oc] += row[i];
-            }
-            // dW[oc][kk] += sum_p gy[oc][p] * patch[p][kk]; patch-major colT
-            // keeps kk unit-stride for the kernel.
-            im2col_t(x + b * in_c_ * h * w, shape, col_.data());
-            gemm_acc(out_c_, rows, p,
-                     gymap, static_cast<std::ptrdiff_t>(p), 1,
-                     col_.data(), static_cast<std::ptrdiff_t>(rows),
-                     weight_grad_.data(), static_cast<std::ptrdiff_t>(rows));
-            conv2d_input_grad(gymap, weight_.data(), out_c_, shape,
-                              gx + b * in_c_ * h * w);
-        }
+        conv2d_weight_grad(x, gy, out_c_, shape, batch, gy_t_, weight_grad_.data(),
+                           bias_grad_.data());
+        conv2d_input_grad(gy, weight_.data(), out_c_, shape, batch, gy_pad_, gx);
         return grad_input;
     }
 

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 
 // Vectorization hint for the unit-stride j loops. Independent accumulators
 // only — never a reduction — so the hint cannot reassociate any single
@@ -72,21 +74,6 @@ inline float dot_from(float seed, const float* a, diff a_col, const float* b,
     return acc;
 }
 
-/// Scalar grouped element: seed + sum over groups of (fresh per-group sum).
-inline float dot_from_grouped(float seed, const float* a, diff a_col, const float* b,
-                              diff b_row, std::size_t kk, std::size_t group) {
-    float acc = seed;
-    for (std::size_t k0 = 0; k0 < kk; k0 += group) {
-        const std::size_t kend = std::min(kk, k0 + group);
-        float part = 0.0F;
-        for (std::size_t k = k0; k < kend; ++k) {
-            part += a[static_cast<diff>(k) * a_col] * b[static_cast<diff>(k) * b_row];
-        }
-        acc += part;
-    }
-    return acc;
-}
-
 /// One kMR x NR register tile of gemm_acc (NR = 16, 8 or 4). Four rows in
 /// flight keep enough independent FMA chains to hide latency even when the
 /// j extent is narrow (e.g. conv weight-gradients, where n = kh*kw).
@@ -138,38 +125,12 @@ inline void tile_1_w(std::size_t kk, const float* a, diff a_col, const float* b,
     for (std::size_t jj = 0; jj < NR; ++jj) c[jj] = acc[jj];
 }
 
-/// One 1 x NR tile of gemm_acc_grouped (NR = 16, 8 or 4).
-template <std::size_t NR>
-inline void tile_1_w_grouped(std::size_t kk, const float* a, diff a_col,
-                             const float* b, diff b_row, float* c,
-                             std::size_t group) {
-    float acc[NR];
-    FMORE_SIMD
-    for (std::size_t jj = 0; jj < NR; ++jj) acc[jj] = c[jj];
-    for (std::size_t k0 = 0; k0 < kk; k0 += group) {
-        const std::size_t kend = std::min(kk, k0 + group);
-        float part[NR];
-        FMORE_SIMD
-        for (std::size_t jj = 0; jj < NR; ++jj) part[jj] = 0.0F;
-        for (std::size_t k = k0; k < kend; ++k) {
-            const float* brow = b + static_cast<diff>(k) * b_row;
-            const float av = a[static_cast<diff>(k) * a_col];
-            FMORE_SIMD
-            for (std::size_t jj = 0; jj < NR; ++jj) part[jj] += av * brow[jj];
-        }
-        FMORE_SIMD
-        for (std::size_t jj = 0; jj < NR; ++jj) acc[jj] += part[jj];
-    }
-    FMORE_SIMD
-    for (std::size_t jj = 0; jj < NR; ++jj) c[jj] = acc[jj];
-}
-
 // --- "part" tiles: the per-group unit of the bias-seeded grouped GEMM. ---
 // Each tile sums its K-slice in fresh registers, then stores either
 // `bias + part` (First slice — matches `y = bias; y += group_sum`) or
 // `c + part` (later slices). The full kMR x kNR register blocking applies,
-// which the running-accumulator grouped tile cannot afford (it would need
-// twice the accumulator registers).
+// which a tile holding both a running and a per-group accumulator cannot
+// afford (it would need twice the accumulator registers).
 
 template <std::size_t NR, bool First>
 inline void tile_mr_w_part(std::size_t kk, const float* a, diff a_row, diff a_col,
@@ -330,27 +291,6 @@ void gemm_acc(std::size_t m, std::size_t n, std::size_t kk,
     }
 }
 
-void gemm_acc_grouped(std::size_t m, std::size_t n, std::size_t kk,
-                      const float* a, diff a_row, diff a_col,
-                      const float* b, diff b_row,
-                      float* c, diff c_row, std::size_t group) {
-    if (group == 0 || group >= kk) {
-        gemm_acc(m, n, kk, a, a_row, a_col, b, b_row, c, c_row);
-        return;
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-        const float* arow = a + static_cast<diff>(i) * a_row;
-        float* crow = c + static_cast<diff>(i) * c_row;
-        std::size_t j = 0;
-        for (; j + kNR <= n; j += kNR) {
-            tile_1_w_grouped<kNR>(kk, arow, a_col, b + j, b_row, crow + j, group);
-        }
-        for (; j < n; ++j) {
-            crow[j] = dot_from_grouped(crow[j], arow, a_col, b + j, b_row, kk, group);
-        }
-    }
-}
-
 /// Bias-seeded grouped GEMM: C = bias (broadcast per row) + per-group
 /// partial sums — one `gemm_part_pass` per K-slice, so every slice gets the
 /// full register blocking.
@@ -376,7 +316,7 @@ static void gemm_bias_grouped(std::size_t m, std::size_t n, std::size_t kk,
 }
 
 // ---------------------------------------------------------------------------
-// im2col / col2im
+// im2col
 // ---------------------------------------------------------------------------
 
 void im2col(const float* x, const ConvShape& s, float* col) {
@@ -435,83 +375,6 @@ void im2col(const float* x, const ConvShape& s, float* col) {
     }
 }
 
-void im2col_t(const float* x, const ConvShape& s, float* colt) {
-    const std::size_t oh = s.out_h();
-    const std::size_t ow = s.out_w();
-    const std::size_t rows = s.col_rows();
-    std::size_t row = 0;
-    for (std::size_t ic = 0; ic < s.in_c; ++ic) {
-        const float* xmap = x + ic * s.h * s.w;
-        for (std::size_t ky = 0; ky < s.kh; ++ky) {
-            for (std::size_t kx = 0; kx < s.kw; ++kx, ++row) {
-                for (std::size_t oy = 0; oy < oh; ++oy) {
-                    const diff iy = static_cast<diff>(oy * s.stride_h + ky)
-                                    - static_cast<diff>(s.pad_h);
-                    const bool valid_row = iy >= 0 && iy < static_cast<diff>(s.h);
-                    const float* xrow =
-                        valid_row ? xmap + static_cast<std::size_t>(iy) * s.w : nullptr;
-                    float* orow = colt + oy * ow * rows + row;
-                    if (valid_row && s.stride_w == 1) {
-                        // Branch-free middle span (strided stores; the
-                        // source is contiguous).
-                        const diff shift =
-                            static_cast<diff>(kx) - static_cast<diff>(s.pad_w);
-                        const std::size_t lo = std::min<std::size_t>(
-                            ow, shift < 0 ? static_cast<std::size_t>(-shift) : 0);
-                        const std::size_t hi = std::max<std::size_t>(
-                            lo, std::min<std::size_t>(
-                                    ow, static_cast<std::size_t>(std::max<diff>(
-                                            0, static_cast<diff>(s.w) - shift))));
-                        for (std::size_t ox = 0; ox < lo; ++ox) orow[ox * rows] = 0.0F;
-                        const float* src = xrow + static_cast<std::size_t>(
-                                               static_cast<diff>(lo) + shift);
-                        for (std::size_t t = 0; t < hi - lo; ++t) {
-                            orow[(lo + t) * rows] = src[t];
-                        }
-                        for (std::size_t ox = hi; ox < ow; ++ox) orow[ox * rows] = 0.0F;
-                        continue;
-                    }
-                    for (std::size_t ox = 0; ox < ow; ++ox) {
-                        const diff ix = static_cast<diff>(ox * s.stride_w + kx)
-                                        - static_cast<diff>(s.pad_w);
-                        const bool valid =
-                            valid_row && ix >= 0 && ix < static_cast<diff>(s.w);
-                        orow[ox * rows] =
-                            valid ? xrow[static_cast<std::size_t>(ix)] : 0.0F;
-                    }
-                }
-            }
-        }
-    }
-}
-
-void col2im_add(const float* col, const ConvShape& s, float* gx) {
-    const std::size_t oh = s.out_h();
-    const std::size_t ow = s.out_w();
-    const float* in = col;
-    for (std::size_t ic = 0; ic < s.in_c; ++ic) {
-        float* gxmap = gx + ic * s.h * s.w;
-        for (std::size_t ky = 0; ky < s.kh; ++ky) {
-            for (std::size_t kx = 0; kx < s.kw; ++kx) {
-                for (std::size_t oy = 0; oy < oh; ++oy) {
-                    const diff iy = static_cast<diff>(oy * s.stride_h + ky)
-                                    - static_cast<diff>(s.pad_h);
-                    if (iy < 0 || iy >= static_cast<diff>(s.h)) continue;
-                    float* gxrow = gxmap + static_cast<std::size_t>(iy) * s.w;
-                    const float* irow = in + oy * ow;
-                    for (std::size_t ox = 0; ox < ow; ++ox) {
-                        const diff ix = static_cast<diff>(ox * s.stride_w + kx)
-                                        - static_cast<diff>(s.pad_w);
-                        if (ix < 0 || ix >= static_cast<diff>(s.w)) continue;
-                        gxrow[static_cast<std::size_t>(ix)] += irow[ox];
-                    }
-                }
-                in += oh * ow;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Convolution on top of the kernels
 // ---------------------------------------------------------------------------
@@ -527,70 +390,211 @@ void conv2d_forward_gemm(const float* x, const float* weight, const float* bias,
                       y, static_cast<diff>(cols), s.kh * s.kw, bias);
 }
 
-void conv2d_input_grad(const float* gy, const float* weight, std::size_t out_c,
-                       const ConvShape& s, float* gx) {
-    const std::size_t oh = s.out_h();
-    const std::size_t ow = s.out_w();
-    if (s.pad_h == 0 && s.pad_w == 0) {
-        // Unpadded fast path (what Conv2d runs): every tap's span is the
-        // full output row, so all bounds math hoists out of the loops.
-        for (std::size_t oc = 0; oc < out_c; ++oc) {
-            const float* gymap = gy + oc * oh * ow;
-            for (std::size_t ic = 0; ic < s.in_c; ++ic) {
-                const float* ker = weight + (oc * s.in_c + ic) * s.kh * s.kw;
-                float* gxmap = gx + ic * s.h * s.w;
-                for (std::size_t ky = s.kh; ky-- > 0;) {
-                    for (std::size_t kx = s.kw; kx-- > 0;) {
-                        const float wv = ker[ky * s.kw + kx];
-                        for (std::size_t oy = 0; oy < oh; ++oy) {
-                            float* gxrow = gxmap + (oy + ky) * s.w + kx;
-                            const float* gyrow = gymap + oy * ow;
-                            FMORE_SIMD
-                            for (std::size_t t = 0; t < ow; ++t) {
-                                gxrow[t] += gyrow[t] * wv;
-                            }
-                        }
-                    }
+// ---------------------------------------------------------------------------
+// Convolution gradients
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Output channels per weight-gradient register tile (one 8-float vector).
+constexpr std::size_t kOcBlock = 8;
+/// Most kernel taps per weight-gradient register tile.
+constexpr std::size_t kTapBlock = 8;
+/// Input pixels per input-gradient register tile (one 8-float vector).
+constexpr std::size_t kPixBlock = 8;
+/// Most input channels per input-gradient register tile.
+constexpr std::size_t kIcBlock = 8;
+
+void require_conv2d_geometry(const ConvShape& s, const char* who) {
+    if (s.stride_h != 1 || s.stride_w != 1 || s.pad_h != 0 || s.pad_w != 0) {
+        throw std::invalid_argument(std::string(who)
+                                    + ": only stride 1 without padding is supported");
+    }
+    if (s.in_c == 0 || s.kh == 0 || s.kw == 0 || s.h < s.kh || s.w < s.kw) {
+        throw std::invalid_argument(std::string(who)
+                                    + ": empty kernel or input smaller than kernel");
+    }
+}
+
+static_assert(kTapBlock <= 8 && kIcBlock <= 8, "with_block_size covers 1..8");
+
+/// Calls fn(std::integral_constant<std::size_t, n>{}) for a runtime n in
+/// [1, 8]: picks the register-tile instantiation for a block tail.
+template <typename Fn>
+void with_block_size(std::size_t n, Fn&& fn) {
+    switch (n) {
+    case 1: fn(std::integral_constant<std::size_t, 1>{}); break;
+    case 2: fn(std::integral_constant<std::size_t, 2>{}); break;
+    case 3: fn(std::integral_constant<std::size_t, 3>{}); break;
+    case 4: fn(std::integral_constant<std::size_t, 4>{}); break;
+    case 5: fn(std::integral_constant<std::size_t, 5>{}); break;
+    case 6: fn(std::integral_constant<std::size_t, 6>{}); break;
+    case 7: fn(std::integral_constant<std::size_t, 7>{}); break;
+    default: fn(std::integral_constant<std::size_t, 8>{}); break;
+    }
+}
+
+/// One (NIC input channels x kPixBlock input pixels) tile of the input
+/// gradient. `pad` points at the tile's first pixel inside output channel
+/// 0's padded plane (planes are `plane` floats apart); `ker` points at
+/// weight[0][ic0][0][0]. Writes the first `len` pixels of each row to
+/// dst[r * dst_row].
+template <std::size_t NIC>
+void input_grad_tile(const float* pad, std::size_t plane, std::size_t out_c,
+                     const float* ker, const ConvShape& s, float* dst,
+                     std::size_t dst_row, std::size_t len) {
+    const std::size_t taps = s.kh * s.kw;
+    const std::size_t oc_stride = s.in_c * taps;
+    float acc[NIC][kPixBlock];
+    for (auto& row : acc) {
+        FMORE_SIMD
+        for (std::size_t v = 0; v < kPixBlock; ++v) row[v] = 0.0F;
+    }
+    for (std::size_t oc = 0; oc < out_c; ++oc) {
+        const float* src_oc = pad + oc * plane;
+        const float* ker_oc = ker + oc * oc_stride;
+        for (std::size_t ky = s.kh; ky-- > 0;) {
+            for (std::size_t kx = s.kw; kx-- > 0;) {
+                const float* src = src_oc - (ky * s.w + kx);
+                const float* wt = ker_oc + ky * s.kw + kx;
+                for (std::size_t r = 0; r < NIC; ++r) {
+                    const float wv = wt[r * taps];
+                    FMORE_SIMD
+                    for (std::size_t v = 0; v < kPixBlock; ++v) acc[r][v] += src[v] * wv;
                 }
             }
         }
-        return;
     }
-    for (std::size_t oc = 0; oc < out_c; ++oc) {
-        const float* gymap = gy + oc * oh * ow;
-        for (std::size_t ic = 0; ic < s.in_c; ++ic) {
-            const float* ker = weight + (oc * s.in_c + ic) * s.kh * s.kw;
-            float* gxmap = gx + ic * s.h * s.w;
-            // Descending (ky, kx) is the reference loops' ascending
-            // output-pixel order per input pixel — see the header note.
-            for (std::size_t ky = s.kh; ky-- > 0;) {
-                for (std::size_t kx = s.kw; kx-- > 0;) {
-                    const float wv = ker[ky * s.kw + kx];
-                    for (std::size_t oy = 0; oy < oh; ++oy) {
-                        const diff iy = static_cast<diff>(oy + ky)
-                                        - static_cast<diff>(s.pad_h);
-                        if (iy < 0 || iy >= static_cast<diff>(s.h)) continue;
-                        // Valid ox range: ix = ox + kx - pad_w in [0, w).
-                        const diff shift =
-                            static_cast<diff>(kx) - static_cast<diff>(s.pad_w);
-                        const std::size_t ox_lo =
-                            shift < 0 ? static_cast<std::size_t>(-shift) : 0;
-                        const std::size_t ox_hi = std::min<std::size_t>(
-                            ow, static_cast<std::size_t>(std::max<diff>(
-                                    0, static_cast<diff>(s.w) - shift)));
-                        if (ox_lo >= ox_hi) continue;
-                        float* gxrow = gxmap + static_cast<std::size_t>(iy) * s.w
-                                       + static_cast<std::size_t>(
-                                           static_cast<diff>(ox_lo) + shift);
-                        const float* gyrow = gymap + oy * ow + ox_lo;
-                        const std::size_t span = ox_hi - ox_lo;
-                        FMORE_SIMD
-                        for (std::size_t t = 0; t < span; ++t) {
-                            gxrow[t] += gyrow[t] * wv;
-                        }
-                    }
+    for (std::size_t r = 0; r < NIC; ++r) {
+        for (std::size_t v = 0; v < len; ++v) dst[r * dst_row + v] = acc[r][v];
+    }
+}
+
+/// One (NT taps x kOcBlock output channels) tile of the weight gradient,
+/// accumulated over the whole batch. Taps are flat (ic, ky, kx) indices
+/// starting at t0; `gyt` points at lane oc0 of the transposed gradient
+/// ([batch][pixel][ocp]); `wg` at weight_grad[oc0][t0]. Only the first
+/// `oc_n` lanes are real channels.
+template <std::size_t NT>
+void weight_grad_tile(const float* x, const float* gyt, std::size_t ocp,
+                      std::size_t batch, const ConvShape& s, std::size_t t0,
+                      float* wg, std::size_t oc_n) {
+    const std::size_t oh = s.out_h();
+    const std::size_t ow = s.out_w();
+    const std::size_t taps = s.col_rows();
+    const std::size_t ktaps = s.kh * s.kw;
+    std::size_t off[NT]; // each tap's offset inside an image
+    float acc[NT][kOcBlock];
+    for (std::size_t t = 0; t < NT; ++t) {
+        const std::size_t tap = t0 + t;
+        const std::size_t ic = tap / ktaps;
+        const std::size_t ky = tap % ktaps / s.kw;
+        const std::size_t kx = tap % s.kw;
+        off[t] = (ic * s.h + ky) * s.w + kx;
+        for (std::size_t o = 0; o < kOcBlock; ++o) {
+            acc[t][o] = o < oc_n ? wg[o * taps + t] : 0.0F;
+        }
+    }
+    for (std::size_t b = 0; b < batch; ++b) {
+        const float* xb = x + b * s.in_c * s.h * s.w;
+        const float* g = gyt + b * oh * ow * ocp;
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+            const float* xrow = xb + oy * s.w;
+            for (std::size_t ox = 0; ox < ow; ++ox, g += ocp) {
+                for (std::size_t t = 0; t < NT; ++t) {
+                    const float xv = xrow[off[t] + ox];
+                    FMORE_SIMD
+                    for (std::size_t o = 0; o < kOcBlock; ++o) acc[t][o] += g[o] * xv;
                 }
             }
+        }
+    }
+    for (std::size_t t = 0; t < NT; ++t) {
+        for (std::size_t o = 0; o < oc_n; ++o) wg[o * taps + t] = acc[t][o];
+    }
+}
+
+} // namespace
+
+void conv2d_input_grad(const float* gy, const float* weight, std::size_t out_c,
+                       const ConvShape& s, std::size_t batch,
+                       std::vector<float>& scratch, float* gx) {
+    require_conv2d_geometry(s, "conv2d_input_grad");
+    const std::size_t oh = s.out_h();
+    const std::size_t ow = s.out_w();
+    const std::size_t hw = s.h * s.w;
+    const std::size_t blocks = (hw + kPixBlock - 1) / kPixBlock;
+    // Input pixel i reads padded position lead + i - (ky*w + kx): up to
+    // `lead` before the plane, and the last tile runs past h*w. Output
+    // rows sit at the input's row width, so a tap that falls off a row's
+    // left edge wraps onto the previous row's zero columns [ow, w).
+    const std::size_t lead = (s.kh - 1) * s.w + (s.kw - 1);
+    const std::size_t plane = lead + blocks * kPixBlock;
+    scratch.assign(out_c * plane, 0.0F);
+    const std::size_t taps = s.kh * s.kw;
+    for (std::size_t b = 0; b < batch; ++b) {
+        const float* gyb = gy + b * out_c * oh * ow;
+        for (std::size_t oc = 0; oc < out_c; ++oc) {
+            for (std::size_t oy = 0; oy < oh; ++oy) {
+                const float* src = gyb + (oc * oh + oy) * ow;
+                float* dst = scratch.data() + oc * plane + lead + oy * s.w;
+                FMORE_SIMD
+                for (std::size_t ox = 0; ox < ow; ++ox) dst[ox] = src[ox];
+            }
+        }
+        float* gxb = gx + b * s.in_c * hw;
+        for (std::size_t ic0 = 0; ic0 < s.in_c; ic0 += kIcBlock) {
+            with_block_size(std::min(kIcBlock, s.in_c - ic0), [&](auto nic) {
+                for (std::size_t i0 = 0; i0 < hw; i0 += kPixBlock) {
+                    input_grad_tile<decltype(nic)::value>(
+                        scratch.data() + lead + i0, plane, out_c, weight + ic0 * taps, s,
+                        gxb + ic0 * hw + i0, hw, std::min(kPixBlock, hw - i0));
+                }
+            });
+        }
+    }
+}
+
+void conv2d_weight_grad(const float* x, const float* gy, std::size_t out_c,
+                        const ConvShape& s, std::size_t batch,
+                        std::vector<float>& scratch, float* weight_grad,
+                        float* bias_grad) {
+    require_conv2d_geometry(s, "conv2d_weight_grad");
+    const std::size_t p = s.out_h() * s.out_w();
+    const std::size_t ocp = (out_c + kOcBlock - 1) / kOcBlock * kOcBlock;
+    // gy transposed to [image][pixel][ocp]: a tile reads its output
+    // channels as one vector per pixel. Padding lanes are zero.
+    scratch.resize(batch * p * ocp);
+    for (std::size_t b = 0; b < batch; ++b) {
+        const float* gyb = gy + b * out_c * p;
+        float* dst = scratch.data() + b * p * ocp;
+        for (std::size_t o = 0; o < ocp; ++o) {
+            for (std::size_t px = 0; px < p; ++px) {
+                dst[px * ocp + o] = o < out_c ? gyb[o * p + px] : 0.0F;
+            }
+        }
+    }
+    const std::size_t taps = s.col_rows();
+    for (std::size_t oc0 = 0; oc0 < out_c; oc0 += kOcBlock) {
+        const std::size_t oc_n = std::min(kOcBlock, out_c - oc0);
+        const float* gyt = scratch.data() + oc0;
+        // Bias: one running sum per channel over (image, pixel).
+        float bacc[kOcBlock];
+        for (std::size_t o = 0; o < kOcBlock; ++o) {
+            bacc[o] = o < oc_n ? bias_grad[oc0 + o] : 0.0F;
+        }
+        for (std::size_t i = 0; i < batch * p; ++i) {
+            const float* g = gyt + i * ocp;
+            FMORE_SIMD
+            for (std::size_t o = 0; o < kOcBlock; ++o) bacc[o] += g[o];
+        }
+        for (std::size_t o = 0; o < oc_n; ++o) bias_grad[oc0 + o] = bacc[o];
+        for (std::size_t t0 = 0; t0 < taps; t0 += kTapBlock) {
+            with_block_size(std::min(kTapBlock, taps - t0), [&](auto nt) {
+                weight_grad_tile<decltype(nt)::value>(x, gyt, ocp, batch, s, t0,
+                                                      weight_grad + oc0 * taps + t0,
+                                                      oc_n);
+            });
         }
     }
 }

@@ -65,12 +65,17 @@ const Tensor& Model::forward(const Tensor& input, bool training) {
 }
 
 void Model::backward(const Tensor& grad_loss) {
-    grads_.resize(layers_.size());
+    if (layers_.empty()) return;
+    // grads_[i - 1] holds the gradient w.r.t. layer i's input. Nothing
+    // reads the gradient w.r.t. the model input, so the first layer only
+    // accumulates its parameter gradients.
+    grads_.resize(layers_.size() - 1);
     const Tensor* current = &grad_loss;
-    for (std::size_t i = layers_.size(); i-- > 0;) {
-        layers_[i]->backward_into(*current, grads_[i]);
-        current = &grads_[i];
+    for (std::size_t i = layers_.size(); i-- > 1;) {
+        layers_[i]->backward_into(*current, grads_[i - 1]);
+        current = &grads_[i - 1];
     }
+    layers_[0]->backward_params(*current);
 }
 
 std::vector<ParamBlock> Model::all_parameters() {

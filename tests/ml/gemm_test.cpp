@@ -1,15 +1,19 @@
 // Kernel-equivalence suite: the GEMM-backed fast paths must match the
-// naive reference loops to <= 1e-10 (they are in fact designed to be
-// bit-identical — see gemm.hpp's order contract), across random shapes
-// including non-square inputs, non-square kernels, and the stride/pad
-// generality of the im2col/col2im helpers.
+// naive reference loops bit for bit (gemm.hpp's order contract), across
+// random shapes including non-square inputs, non-square kernels, every
+// register-tile tail of the convolution gradient kernels, and the
+// stride/pad generality of the im2col lowering.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fmore/ml/conv2d.hpp"
@@ -39,19 +43,29 @@ Tensor random_tensor(std::vector<std::size_t> shape, stats::Rng& rng) {
     return t;
 }
 
-void expect_close(const Tensor& a, const Tensor& b, const std::string& what) {
-    ASSERT_EQ(a.shape(), b.shape()) << what;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_NEAR(a[i], b[i], kTol) << what << " element " << i;
-    }
-}
-
 void expect_close(const std::vector<float>& a, const std::vector<float>& b,
                   const std::string& what) {
     ASSERT_EQ(a.size(), b.size()) << what;
     for (std::size_t i = 0; i < a.size(); ++i) {
         ASSERT_NEAR(a[i], b[i], kTol) << what << " element " << i;
     }
+}
+
+/// Byte-for-byte equality (so +0 vs -0 and NaN payloads count), naming the
+/// first differing element on failure.
+void expect_bit_identical(const std::vector<float>& a, const std::vector<float>& b,
+                          const std::string& what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    if (std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0) return;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(std::memcmp(&a[i], &b[i], sizeof(float)), 0)
+            << what << " element " << i << ": " << a[i] << " vs " << b[i];
+    }
+}
+
+void expect_bit_identical(const Tensor& a, const Tensor& b, const std::string& what) {
+    ASSERT_EQ(a.shape(), b.shape()) << what;
+    expect_bit_identical(a.storage(), b.storage(), what);
 }
 
 // ---------------------------------------------------------------------------
@@ -115,37 +129,8 @@ TEST(GemmKernelTest, StridedATransposeMatchesMaterializedTranspose) {
     expect_close(c_fast, c_ref, "strided-A gemm");
 }
 
-TEST(GemmKernelTest, GroupedAccumulationMatchesGroupedReference) {
-    stats::Rng rng(33);
-    const std::size_t m = 5, n = 19, k = 18, group = 6;
-    std::vector<float> a(m * k);
-    std::vector<float> b(k * n);
-    std::vector<float> c_ref(m * n, 1.0F);
-    for (float& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    for (float& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    std::vector<float> c_fast = c_ref;
-
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            float acc = c_ref[i * n + j];
-            for (std::size_t g0 = 0; g0 < k; g0 += group) {
-                float part = 0.0F;
-                for (std::size_t kk = g0; kk < std::min(k, g0 + group); ++kk) {
-                    part += a[i * k + kk] * b[kk * n + j];
-                }
-                acc += part;
-            }
-            c_ref[i * n + j] = acc;
-        }
-    }
-    gemm_acc_grouped(m, n, k, a.data(), static_cast<std::ptrdiff_t>(k), 1, b.data(),
-                     static_cast<std::ptrdiff_t>(n), c_fast.data(),
-                     static_cast<std::ptrdiff_t>(n), group);
-    expect_close(c_fast, c_ref, "grouped gemm");
-}
-
 // ---------------------------------------------------------------------------
-// im2col / col2im
+// im2col
 // ---------------------------------------------------------------------------
 
 ConvShape make_shape(std::size_t in_c, std::size_t h, std::size_t w, std::size_t kh,
@@ -210,43 +195,6 @@ TEST(Im2ColTest, MatchesReferenceAcrossStridePadAndNonSquareShapes) {
         std::vector<float> col(s.col_rows() * s.col_cols(), -7.0F);
         im2col(x.data(), s, col.data());
         expect_close(col, expected, "im2col");
-
-        // im2col_t is the same matrix, transposed.
-        std::vector<float> colt(s.col_rows() * s.col_cols(), -7.0F);
-        im2col_t(x.data(), s, colt.data());
-        const std::size_t rows = s.col_rows();
-        const std::size_t cols = s.col_cols();
-        for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t p = 0; p < cols; ++p) {
-                ASSERT_NEAR(colt[p * rows + r], expected[r * cols + p], kTol)
-                    << "im2col_t at (" << r << ", " << p << ")";
-            }
-        }
-    }
-}
-
-TEST(Im2ColTest, Col2ImIsTheAdjointOfIm2Col) {
-    // <im2col(x), y> == <x, col2im(y)> for random x, y — the defining
-    // property of the adjoint, which is exactly what backward needs.
-    stats::Rng rng(35);
-    for (const ConvShape& s :
-         {make_shape(2, 7, 9, 3, 3, 1, 1), make_shape(1, 10, 6, 4, 2, 2, 1)}) {
-        std::vector<float> x(s.in_c * s.h * s.w);
-        std::vector<float> y(s.col_rows() * s.col_cols());
-        for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-        for (float& v : y) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-
-        std::vector<float> col(y.size());
-        im2col(x.data(), s, col.data());
-        std::vector<float> back(x.size(), 0.0F);
-        col2im_add(y.data(), s, back.data());
-
-        double lhs = 0.0, rhs = 0.0;
-        for (std::size_t i = 0; i < y.size(); ++i)
-            lhs += static_cast<double>(col[i]) * static_cast<double>(y[i]);
-        for (std::size_t i = 0; i < x.size(); ++i)
-            rhs += static_cast<double>(x[i]) * static_cast<double>(back[i]);
-        ASSERT_NEAR(lhs, rhs, 1e-4) << "adjoint identity";
     }
 }
 
@@ -255,7 +203,9 @@ TEST(Im2ColTest, Col2ImIsTheAdjointOfIm2Col) {
 // ---------------------------------------------------------------------------
 
 /// Run forward+backward under one kernel mode, returning outputs, input
-/// gradients and parameter gradients.
+/// gradients and parameter gradients. Parameter gradients start at zero,
+/// or, when `seeded`, at a fixed nonzero pattern that backward must
+/// accumulate onto.
 struct LayerPass {
     Tensor output;
     Tensor grad_input;
@@ -263,10 +213,13 @@ struct LayerPass {
 };
 
 LayerPass run_layer(Layer& layer, const Tensor& input, const Tensor& grad_out,
-                    int mode) {
+                    int mode, bool seeded = false) {
     const KernelMode guard(mode);
     for (const ParamBlock& block : layer.parameters()) {
-        for (float& g : *block.grads) g = 0.0F;
+        for (std::size_t i = 0; i < block.grads->size(); ++i) {
+            (*block.grads)[i] =
+                seeded ? static_cast<float>(i % 13) * 0.375F - 2.125F : 0.0F;
+        }
     }
     LayerPass pass;
     pass.output = layer.forward(input, /*training=*/true);
@@ -277,8 +230,13 @@ LayerPass run_layer(Layer& layer, const Tensor& input, const Tensor& grad_out,
     return pass;
 }
 
-void expect_layer_equivalence(Layer& layer, const Tensor& input,
-                              const std::string& what, stats::Rng& rng) {
+/// An output gradient for `layer` at `input`: uniform in [-0.5, 0.5) with
+/// every 7th entry zeroed, or, when `mostly_zero`, with about 80% of the
+/// entries zeroed (what ReLU and Dropout hand a conv layer). The naive
+/// loops short-circuit g == 0, the fast paths do not, and the results must
+/// still agree.
+Tensor random_grad(Layer& layer, const Tensor& input, stats::Rng& rng,
+                   bool mostly_zero) {
     Tensor probe;
     {
         const KernelMode guard(1);
@@ -287,18 +245,27 @@ void expect_layer_equivalence(Layer& layer, const Tensor& input,
     Tensor grad_out(probe.shape());
     for (std::size_t i = 0; i < grad_out.size(); ++i)
         grad_out[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
-    // Zero some gradient entries: the naive loops short-circuit g == 0, the
-    // GEMM path does not, and the results must still agree.
     for (std::size_t i = 0; i < grad_out.size(); i += 7) grad_out[i] = 0.0F;
+    if (mostly_zero) {
+        for (std::size_t i = 0; i < grad_out.size(); ++i) {
+            if (rng.uniform(0.0, 1.0) < 0.8) grad_out[i] = 0.0F;
+        }
+    }
+    return grad_out;
+}
 
-    const LayerPass naive = run_layer(layer, input, grad_out, 1);
-    const LayerPass fast = run_layer(layer, input, grad_out, 0);
-    expect_close(fast.output, naive.output, what + " forward");
-    expect_close(fast.grad_input, naive.grad_input, what + " grad_input");
+void expect_layer_equivalence(Layer& layer, const Tensor& input,
+                              const std::string& what, stats::Rng& rng,
+                              bool mostly_zero = false, bool seeded = false) {
+    const Tensor grad_out = random_grad(layer, input, rng, mostly_zero);
+    const LayerPass naive = run_layer(layer, input, grad_out, 1, seeded);
+    const LayerPass fast = run_layer(layer, input, grad_out, 0, seeded);
+    expect_bit_identical(fast.output, naive.output, what + " forward");
+    expect_bit_identical(fast.grad_input, naive.grad_input, what + " grad_input");
     ASSERT_EQ(fast.param_grads.size(), naive.param_grads.size());
     for (std::size_t p = 0; p < fast.param_grads.size(); ++p) {
-        expect_close(fast.param_grads[p], naive.param_grads[p],
-                     what + " param_grad " + std::to_string(p));
+        expect_bit_identical(fast.param_grads[p], naive.param_grads[p],
+                             what + " param_grad " + std::to_string(p));
     }
 }
 
@@ -306,25 +273,138 @@ TEST(KernelEquivalenceTest, Conv2dMatchesNaiveOnRandomShapes) {
     stats::Rng rng(41);
     struct Case {
         std::size_t batch, in_c, out_c, k, h, w;
+        bool mostly_zero = false;
     };
+    // The gradient kernels tile 8 output channels x up to 8 taps (weight
+    // gradient) and up to 8 input channels x 8 input pixels (input
+    // gradient); the cases below reach every tail of both.
     const std::vector<Case> cases = {
-        {16, 1, 8, 3, 12, 12},  // MNIST layer
-        {4, 3, 8, 3, 14, 14},   // CIFAR layer
-        {2, 8, 16, 3, 6, 6},    // deep CIFAR layer
-        {3, 2, 5, 3, 9, 13},    // non-square input
-        {1, 1, 3, 5, 7, 11},    // big kernel, odd dims
-        {2, 4, 4, 1, 5, 6},     // 1x1 kernel
+        {16, 1, 8, 3, 12, 12},         // MNIST layer
+        {4, 3, 8, 3, 14, 14},          // CIFAR layer, 27 taps
+        {2, 8, 16, 3, 6, 6},           // deep CIFAR layer, h*w = 36
+        {3, 2, 5, 3, 9, 13},           // non-square input
+        {1, 1, 3, 5, 7, 11},           // big kernel, odd dims
+        {2, 4, 4, 1, 5, 6},            // 1x1 kernel
+        {2, 3, 1, 3, 7, 9},            // one output channel
+        {3, 2, 9, 3, 8, 8},            // 9 output channels: 8 + 1
+        {2, 5, 17, 3, 6, 7},           // 17 output channels: 8 + 8 + 1
+        {3, 4, 6, 2, 5, 7},            // k = 2, h*w = 35
+        {2, 11, 4, 3, 6, 5},           // 11 input channels: 8 + 3, 99 taps
+        {1, 6, 10, 3, 9, 9},           // batch 1, h*w = 81
+        {1, 2, 3, 2, 4, 2},            // output one pixel wide
+        {4, 8, 16, 3, 6, 6, true},     // deep CIFAR layer, mostly-zero gradient
+        {5, 3, 8, 3, 14, 14, true},    // CIFAR layer, mostly-zero gradient
     };
     for (const Case& c : cases) {
         Conv2d layer(c.in_c, c.out_c, c.k);
         layer.initialize(rng);
         const Tensor input = random_tensor({c.batch, c.in_c, c.h, c.w}, rng);
-        expect_layer_equivalence(layer, input,
-                                 "conv2d " + std::to_string(c.in_c) + "->"
-                                     + std::to_string(c.out_c) + " k"
-                                     + std::to_string(c.k),
-                                 rng);
+        const std::string what = "conv2d B" + std::to_string(c.batch) + " "
+                                 + std::to_string(c.in_c) + "->"
+                                 + std::to_string(c.out_c) + " k"
+                                 + std::to_string(c.k) + " " + std::to_string(c.h)
+                                 + "x" + std::to_string(c.w);
+        expect_layer_equivalence(layer, input, what, rng, c.mostly_zero);
+        // Gradients accumulate onto what is already there, in order.
+        expect_layer_equivalence(layer, input, what + " seeded", rng, c.mostly_zero,
+                                 /*seeded=*/true);
     }
+}
+
+TEST(KernelEquivalenceTest, Conv2dZeroGradientKeepsPositiveZeros) {
+    // The fast kernels add g * w terms the naive loops skip (g == 0) and
+    // padding zeros. With every weight and input negative, each such term
+    // is -0, so only sums that start at +0 still end on +0 as the naive
+    // loops do.
+    stats::Rng rng(47);
+    Conv2d layer(8, 16, 3);
+    for (const ParamBlock& block : layer.parameters()) {
+        for (float& v : *block.values) v = -static_cast<float>(rng.uniform(0.1, 1.0));
+    }
+    Tensor input = random_tensor({2, 8, 6, 6}, rng);
+    for (std::size_t i = 0; i < input.size(); ++i) input[i] = -std::fabs(input[i]) - 0.1F;
+    const Tensor grad_out({2, 16, 4, 4});
+    const LayerPass naive = run_layer(layer, input, grad_out, 1);
+    const LayerPass fast = run_layer(layer, input, grad_out, 0);
+    expect_bit_identical(fast.grad_input, naive.grad_input, "zero-gradient grad_input");
+    for (std::size_t p = 0; p < fast.param_grads.size(); ++p) {
+        expect_bit_identical(fast.param_grads[p], naive.param_grads[p],
+                             "zero-gradient param_grad " + std::to_string(p));
+    }
+    EXPECT_FALSE(std::signbit(fast.grad_input[0]));
+}
+
+TEST(KernelEquivalenceTest, BackwardParamsMatchesBackwardParameterGradients) {
+    // backward_params must leave every parameter gradient byte-identical to
+    // a full backward: Conv2d's override (fast path, and the naive path's
+    // fallback to the default) and the default on a layer without one.
+    stats::Rng rng(46);
+    const auto check = [&](Layer& layer, const Tensor& input, int mode,
+                           const std::string& what) {
+        const Tensor grad_out = random_grad(layer, input, rng, /*mostly_zero=*/true);
+        const LayerPass full = run_layer(layer, input, grad_out, mode);
+        const KernelMode guard(mode);
+        for (const ParamBlock& block : layer.parameters()) {
+            std::fill(block.grads->begin(), block.grads->end(), 0.0F);
+        }
+        (void)layer.forward(input, /*training=*/true);
+        layer.backward_params(grad_out);
+        const std::vector<ParamBlock> blocks = layer.parameters();
+        ASSERT_EQ(blocks.size(), full.param_grads.size()) << what;
+        for (std::size_t p = 0; p < blocks.size(); ++p) {
+            expect_bit_identical(*blocks[p].grads, full.param_grads[p],
+                                 what + " param_grad " + std::to_string(p));
+        }
+    };
+    for (const int mode : {0, 1}) {
+        const std::string tag = mode == 0 ? " fast" : " naive";
+        Conv2d first(3, 8, 3);
+        first.initialize(rng);
+        check(first, random_tensor({16, 3, 14, 14}, rng), mode, "conv2d" + tag);
+        Conv2d odd(5, 9, 2);
+        odd.initialize(rng);
+        check(odd, random_tensor({3, 5, 7, 6}, rng), mode, "conv2d odd" + tag);
+        Dense dense(33, 17);
+        dense.initialize(rng);
+        check(dense, random_tensor({5, 33}, rng), mode, "dense" + tag);
+    }
+}
+
+TEST(KernelEquivalenceTest, ConvGradKernelsRejectStridedAndPaddedShapes) {
+    // The gradient kernels implement Conv2d's geometry only. A strided or
+    // padded shape would otherwise map output pixels to the wrong inputs
+    // and return wrong gradients without an error.
+    ConvShape strided = make_shape(2, 9, 9, 3, 3, 2, 0);
+    ConvShape padded = make_shape(2, 9, 9, 3, 3, 1, 1);
+    ConvShape tall_stride = make_shape(2, 9, 9, 3, 3, 1, 0);
+    tall_stride.stride_h = 2;
+    ConvShape side_pad = make_shape(2, 9, 9, 3, 3, 1, 0);
+    side_pad.pad_w = 1;
+    const std::size_t out_c = 4;
+    std::vector<float> x(2 * 9 * 9, 0.5F);
+    std::vector<float> gy(out_c * 11 * 11, 0.25F); // covers every shape's output
+    std::vector<float> weight(out_c * 2 * 9, 0.1F);
+    std::vector<float> wgrad(weight.size(), 0.0F);
+    std::vector<float> bgrad(out_c, 0.0F);
+    std::vector<float> gx(x.size(), 0.0F);
+    std::vector<float> scratch;
+    for (const ConvShape& s : {strided, padded, tall_stride, side_pad}) {
+        EXPECT_THROW(conv2d_input_grad(gy.data(), weight.data(), out_c, s, 1, scratch,
+                                       gx.data()),
+                     std::invalid_argument);
+        EXPECT_THROW(conv2d_weight_grad(x.data(), gy.data(), out_c, s, 1, scratch,
+                                        wgrad.data(), bgrad.data()),
+                     std::invalid_argument);
+    }
+    // Nothing was written before the rejection.
+    EXPECT_TRUE(std::all_of(gx.begin(), gx.end(), [](float v) { return v == 0.0F; }));
+    EXPECT_TRUE(std::all_of(wgrad.begin(), wgrad.end(), [](float v) { return v == 0.0F; }));
+    // The accepted geometry runs.
+    const ConvShape plain = make_shape(2, 9, 9, 3, 3, 1, 0);
+    EXPECT_NO_THROW(conv2d_input_grad(gy.data(), weight.data(), out_c, plain, 1, scratch,
+                                      gx.data()));
+    EXPECT_NO_THROW(conv2d_weight_grad(x.data(), gy.data(), out_c, plain, 1, scratch,
+                                       wgrad.data(), bgrad.data()));
 }
 
 TEST(KernelEquivalenceTest, GemmConvHelpersMatchDirectStridePadReference) {
@@ -426,25 +506,38 @@ TEST(KernelEquivalenceTest, LstmMatchesNaiveOnRandomShapes) {
 }
 
 TEST(KernelEquivalenceTest, WholeModelTrainingStepBitIdentical) {
-    // End-to-end: one SGD epoch of the paper's CNN under both kernel paths
-    // from identical starting parameters must land on parameters that agree
-    // to <= 1e-10 (the layers are bit-identical, so this guards the glue).
-    stats::Rng data_rng(45);
-    ml::ImageDatasetSpec spec;
-    spec.samples = 64;
-    const Dataset data = make_synthetic_images(spec, data_rng);
-    std::vector<std::size_t> indices(data.size());
-    for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-
-    auto run_epoch = [&](int mode) {
-        const KernelMode guard(mode);
-        Model model = make_cnn(ImageSpec{1, 12, 12, data.num_classes}, 99);
-        (void)model.train_epoch(data, indices, 16, 0.05);
-        return model.get_parameters();
+    // End-to-end: one SGD epoch under both kernel paths from identical
+    // starting parameters must land on byte-identical parameters. The
+    // paper's CNN on 1x12x12 and the deep CNN on 3x14x14 (the fl_cifar
+    // model) cover ReLU/Dropout-sparse gradients reaching both conv
+    // layers and the first layer's parameter-only backward.
+    struct Case {
+        const char* name;
+        Model (*make)(const ImageSpec&, std::uint64_t);
+        std::size_t channels, side;
     };
-    const std::vector<float> naive = run_epoch(1);
-    const std::vector<float> fast = run_epoch(0);
-    expect_close(fast, naive, "model parameters after one epoch");
+    for (const Case& c : {Case{"cnn", &make_cnn, 1, 12}, Case{"cnn_deep", &make_cnn_deep, 3, 14}}) {
+        stats::Rng data_rng(45);
+        ml::ImageDatasetSpec spec;
+        spec.samples = 64;
+        spec.channels = c.channels;
+        spec.height = c.side;
+        spec.width = c.side;
+        const Dataset data = make_synthetic_images(spec, data_rng);
+        std::vector<std::size_t> indices(data.size());
+        for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+
+        auto run_epoch = [&](int mode) {
+            const KernelMode guard(mode);
+            Model model = c.make(ImageSpec{c.channels, c.side, c.side, data.num_classes}, 99);
+            (void)model.train_epoch(data, indices, 16, 0.05);
+            return model.get_parameters();
+        };
+        const std::vector<float> naive = run_epoch(1);
+        const std::vector<float> fast = run_epoch(0);
+        expect_bit_identical(fast, naive,
+                             std::string(c.name) + " parameters after one epoch");
+    }
 }
 
 TEST(KernelEquivalenceTest, NaiveKernelEnvDefaultIsOff) {
