@@ -4,7 +4,8 @@
 //      HPNews shapes, fast path vs the FMORE_NAIVE_KERNELS reference loops,
 //  (3) one training step (forward + loss + backward + SGD) of the deep CNN
 //      on a CIFAR-shaped minibatch, fast vs naive, with the sparse
-//      gradients ReLU and Dropout really produce,
+//      gradients ReLU and Dropout really produce, and one evaluation
+//      forward of the same model on a B128 batch (the evaluation batch),
 //  (4) end-to-end round time of the `paper/fig04` scenario: the naive
 //      kernels in a serial round vs the fast path at 1/2/4/8 round threads,
 // and writes everything to a machine-readable BENCH_kernels.json so future
@@ -13,9 +14,14 @@
 //   micro_kernels [--smoke] [--out path.json]
 //
 // --smoke shrinks repetitions (CI); the JSON is written either way. Exits 1
-// when a `layers` row or the training step has a fast path slower than its
-// naive loop (the elementwise row compares two APIs, not two kernels, and
-// is not gated).
+// when a `layers` row, the training step or the evaluation forward has a
+// fast path slower than its naive loop (the elementwise row compares two
+// APIs, not two kernels, and is not gated).
+//
+// The elementwise and evaluation rows cycle through 8 distinct inputs: on
+// one fixed input the branch predictor learns a data-dependent pattern
+// (MaxPool2d's window winners, Dropout's mask) and the row under-reports
+// what a fresh minibatch costs.
 
 #include <chrono>
 #include <cstdio>
@@ -162,6 +168,23 @@ struct ElementwiseResult {
     double arena_us = 0.0;  ///< forward_into/backward_into over reused slots
 };
 
+/// Distinct inputs a row cycles through, so no branch predictor can learn
+/// one input's data-dependent pattern.
+constexpr std::size_t kDistinctInputs = 8;
+
+/// kDistinctInputs tensors of `shape`, uniform in [-1, 1).
+std::vector<ml::Tensor> random_inputs(const std::vector<std::size_t>& shape,
+                                      stats::Rng& rng) {
+    std::vector<ml::Tensor> inputs;
+    for (std::size_t k = 0; k < kDistinctInputs; ++k) {
+        ml::Tensor t(shape);
+        for (std::size_t i = 0; i < t.size(); ++i)
+            t[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+        inputs.push_back(std::move(t));
+    }
+    return inputs;
+}
+
 /// The elementwise stack of the paper's CNN blocks (ReLU -> MaxPool ->
 /// Dropout), fwd+bwd, via the allocating Layer API versus the in-place
 /// protocol over persistent output slots — the "scratch arena" follow-up
@@ -175,14 +198,14 @@ ElementwiseResult bench_elementwise(std::size_t reps) {
     stats::Rng dropout_rng(12);
     dropout.attach_rng(&dropout_rng);
 
-    ml::Tensor input({16, 8, 12, 12});
-    for (std::size_t i = 0; i < input.size(); ++i)
-        input[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const std::vector<ml::Tensor> inputs = random_inputs({16, 8, 12, 12}, rng);
+    std::size_t next = 0;
 
     ElementwiseResult out;
     out.shape = "B16 8x12x12, ReLU+pool2x2+drop.25";
 
     const double t_alloc = best_seconds(reps, [&] {
+        const ml::Tensor& input = inputs[next++ % kDistinctInputs];
         const ml::Tensor a = relu.forward(input, true);
         const ml::Tensor b = pool.forward(a, true);
         const ml::Tensor c = dropout.forward(b, true);
@@ -193,7 +216,7 @@ ElementwiseResult bench_elementwise(std::size_t reps) {
 
     ml::Tensor a, b, c, gc, gb, ga; // persistent slots: the arena
     const double t_arena = best_seconds(reps, [&] {
-        relu.forward_into(input, a, true);
+        relu.forward_into(inputs[next++ % kDistinctInputs], a, true);
         pool.forward_into(a, b, true);
         dropout.forward_into(b, c, true);
         dropout.backward_into(c, gc);
@@ -205,7 +228,7 @@ ElementwiseResult bench_elementwise(std::size_t reps) {
     return out;
 }
 
-struct TrainStepResult {
+struct ModelPassResult {
     std::string shape;
     double naive_us = 0.0;
     double fast_us = 0.0;
@@ -215,7 +238,7 @@ struct TrainStepResult {
 /// zero_grad, forward, loss, backward, SGD. Each kernel path trains its own
 /// copy from the same seed on the same batch, so ReLU and Dropout hand the
 /// convolutions the sparse gradients of real training.
-TrainStepResult bench_train_step(std::size_t reps) {
+ModelPassResult bench_train_step(std::size_t reps) {
     stats::Rng data_rng(13);
     const ml::Dataset data = ml::make_synthetic_images(ml::cifar10_spec(16), data_rng);
     std::vector<std::size_t> idx(data.size());
@@ -223,7 +246,7 @@ TrainStepResult bench_train_step(std::size_t reps) {
     const ml::Tensor batch = data.gather(idx);
     const std::vector<int> labels = data.gather_labels(idx);
 
-    TrainStepResult out;
+    ModelPassResult out;
     out.shape = "cnn_deep B16 3x14x14";
     for (const bool naive : {true, false}) {
         ml::set_naive_kernels(naive ? 1 : 0);
@@ -236,6 +259,29 @@ TrainStepResult bench_train_step(std::size_t reps) {
             (void)loss.forward(logits, labels);
             model.backward(loss.backward());
             model.sgd_step(0.01);
+        });
+        (naive ? out.naive_us : out.fast_us) = t * 1e6;
+    }
+    ml::set_naive_kernels(-1);
+    return out;
+}
+
+/// One evaluation forward (`training=false`) of the fl_cifar model on a
+/// B128 batch, the evaluation batch size, naive vs fast: conv, ReLU,
+/// MaxPool2d and Dense forward with no backward, as in every round's
+/// evaluation.
+ModelPassResult bench_eval_forward(std::size_t reps) {
+    stats::Rng rng(14);
+    const std::vector<ml::Tensor> inputs = random_inputs({ml::kEvalBatch, 3, 14, 14}, rng);
+    std::size_t next = 0;
+
+    ModelPassResult out;
+    out.shape = "cnn_deep B128 3x14x14 eval";
+    for (const bool naive : {true, false}) {
+        ml::set_naive_kernels(naive ? 1 : 0);
+        ml::Model model = ml::make_cnn_deep(ml::ImageSpec{3, 14, 14, 10}, 17);
+        const double t = best_seconds(reps, [&] {
+            (void)model.forward(inputs[next++ % kDistinctInputs], /*training=*/false);
         });
         (naive ? out.naive_us : out.fast_us) = t * 1e6;
     }
@@ -296,8 +342,9 @@ int main(int argc, char** argv) {
     std::cout << "micro_kernels: GEMM-backed ml kernels vs the naive reference"
               << (smoke ? " (smoke)" : "") << "\n\n";
 
-    // (1) Raw GEMM across representative shapes: the tiny conv-lowered
-    // matmuls the CNNs actually run, plus square sizes for the trajectory.
+    // (1) Raw GEMM across representative shapes: small skinny matmuls (the
+    // CNN convolutions' per-image shapes in GEMM form, the MNIST dense
+    // layer), plus square sizes for the trajectory.
     std::vector<GemmResult> gemms;
     gemms.push_back(bench_gemm(8, 100, 9, reps * 50));    // MNIST conv1 per image
     gemms.push_back(bench_gemm(16, 25, 72, reps * 50));   // CIFAR conv2 per image
@@ -349,11 +396,16 @@ int main(int argc, char** argv) {
                 elementwise.alloc_us / elementwise.arena_us);
 
     // (3) One training step of the fl_cifar model.
-    const TrainStepResult step = bench_train_step(reps * 5);
+    const ModelPassResult step = bench_train_step(reps * 5);
     std::printf("\ntraining step (%s, fwd+loss+bwd+sgd):\n"
                 "  naive %8.1f us   fast %8.1f us   (%.2fx)\n",
                 step.shape.c_str(), step.naive_us, step.fast_us,
                 step.naive_us / step.fast_us);
+    const ModelPassResult eval = bench_eval_forward(reps);
+    std::printf("\nevaluation forward (%s):\n"
+                "  naive %8.1f us   fast %8.1f us   (%.2fx)\n",
+                eval.shape.c_str(), eval.naive_us, eval.fast_us,
+                eval.naive_us / eval.fast_us);
 
     // (4) End-to-end rounds: pre-PR baseline vs the new path at 1/2/4/8
     // round threads.
@@ -412,6 +464,11 @@ int main(int argc, char** argv) {
                  "\"fast_us\": %.4g, \"speedup\": %.4g},\n",
                  step.shape.c_str(), step.naive_us, step.fast_us,
                  step.naive_us / step.fast_us);
+    std::fprintf(f,
+                 "  \"eval_forward\": {\"shape\": \"%s\", \"naive_us\": %.4g, "
+                 "\"fast_us\": %.4g, \"speedup\": %.4g},\n",
+                 eval.shape.c_str(), eval.naive_us, eval.fast_us,
+                 eval.naive_us / eval.fast_us);
     std::fprintf(f, "  \"round\": {\n    \"scenario\": \"paper/fig04\",\n");
     std::fprintf(f, "    \"baseline_naive_serial_ms\": %.4g,\n", round.naive_serial_ms);
     std::fprintf(f, "    \"gemm_serial_ms\": %.4g,\n", round.gemm_serial_ms);
@@ -438,6 +495,7 @@ int main(int argc, char** argv) {
         if (l.bwd_gemm_us > l.bwd_naive_us) slower.push_back(l.name + " bwd");
     }
     if (step.fast_us > step.naive_us) slower.push_back("train_step");
+    if (eval.fast_us > eval.naive_us) slower.push_back("eval_forward");
     for (const std::string& name : slower) {
         std::cerr << "micro_kernels: FAIL " << name << ": fast path slower than naive\n";
     }

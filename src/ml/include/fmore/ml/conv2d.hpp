@@ -5,11 +5,13 @@
 namespace fmore::ml {
 
 /// 2-D convolution, stride 1, valid padding. Input [B, C, H, W], kernel
-/// [OC, C, KH, KW], output [B, OC, H-KH+1, W-KW+1]. The default forward
-/// lowers each image through im2col onto the `ml::gemm` micro-kernel, and
-/// backward runs the register-tiled `conv2d_weight_grad` and
-/// `conv2d_input_grad` kernels (gemm.hpp); `FMORE_NAIVE_KERNELS=1` selects
-/// the original direct loops, which the fast path matches bit-for-bit.
+/// [OC, C, KH, KW], output [B, OC, H-KH+1, W-KW+1]. The default path runs
+/// three register-tiled kernels over the whole minibatch (gemm.hpp):
+/// `conv2d_forward` reads the input in place against weights re-laid out
+/// once per call, and backward runs `conv2d_weight_grad` and
+/// `conv2d_input_grad`. `FMORE_NAIVE_KERNELS=1` selects the original
+/// direct loops, which the fast path matches bit-for-bit. Each kernel's
+/// scratch is a member, so every model clone owns its own.
 class Conv2d final : public Layer {
 public:
     Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel);
@@ -35,7 +37,7 @@ private:
     std::vector<float> weight_grad_;
     std::vector<float> bias_grad_;
     Tensor cached_input_;
-    std::vector<float> col_;         // im2col scratch, reused across batches
+    std::vector<float> w_blocks_;    // re-laid-out weights and bias (forward)
     std::vector<float> gy_t_;        // transposed output gradient (weight grad)
     std::vector<float> gy_pad_;      // zero-padded output gradient (input grad)
 };

@@ -2,12 +2,12 @@
 
 /// @file gemm.hpp
 /// The micro-kernel substrate of the ml layer: a register-blocked,
-/// cache-friendly float GEMM, the im2col lowering that turns a convolution's
-/// forward pass into a matrix multiply, and two register-tiled convolution
-/// gradient kernels. `Conv2d`, `Dense` and `Lstm`'s gate matmuls are all
-/// built on these kernels; `FMORE_NAIVE_KERNELS=1` (or `set_naive_kernels`)
-/// switches every layer back to the original textbook loops, which stay
-/// compiled as the reference implementation.
+/// cache-friendly float GEMM and three register-tiled convolution kernels
+/// (forward, weight gradient, input gradient). `Conv2d`, `Dense` and
+/// `Lstm`'s gate matmuls are all built on these kernels;
+/// `FMORE_NAIVE_KERNELS=1` (or `set_naive_kernels`) switches every layer
+/// back to the original textbook loops, which stay compiled as the
+/// reference implementation.
 ///
 /// ## Bit-exactness contract
 ///
@@ -21,6 +21,15 @@
 /// add in both paths, whichever loop the compiler vectorized. This is what
 /// lets the naive escape hatch double as an exact equivalence oracle in
 /// tests, and keeps every experiment's metrics unchanged by the kernels.
+///
+/// The forward kernel reproduces the reference loops' two-level sum. Each
+/// output starts as its bias; for each input channel in ascending order a
+/// partial sum starts at +0 and adds weight * input over the taps in
+/// ascending (ky, kx) order, then is added to the output. A register tile
+/// holds up to 8 output pixels x 8 output channels, one output channel per
+/// vector lane, so every lane is its own element and no sum is split or
+/// reordered. The partial must start at +0, not at its first product: with
+/// a -0 bias and products that are all -0, the reference ends on +0.
 ///
 /// The two convolution gradient kernels add terms the reference loops do
 /// not: the reference skips output-gradient entries equal to zero, and the
@@ -48,7 +57,7 @@
 namespace fmore::ml {
 
 /// True when the original textbook loops should be used instead of the
-/// GEMM-backed kernels. Defaults to the `FMORE_NAIVE_KERNELS` environment
+/// fast kernels. Defaults to the `FMORE_NAIVE_KERNELS` environment
 /// variable ("1"/"true" enables); `set_naive_kernels` overrides at runtime.
 [[nodiscard]] bool use_naive_kernels();
 
@@ -69,41 +78,34 @@ void gemm_acc(std::size_t m, std::size_t n, std::size_t kk,
               const float* b, std::ptrdiff_t b_row,
               float* c, std::ptrdiff_t c_row);
 
-/// Geometry of one 2-D convolution (single image). `Conv2d` itself is
-/// stride-1/valid; `im2col` and `conv2d_forward_gemm` keep the stride/pad
-/// generality (and its tests) so future layers can reuse the lowering. The
-/// gradient kernels accept exactly `Conv2d`'s geometry.
+/// Geometry of one 2-D convolution of one image: stride 1, no padding
+/// ("valid"), the only geometry `Conv2d` and the kernels below implement.
+/// Every kernel throws std::invalid_argument on an empty kernel or an input
+/// smaller than the kernel.
 struct ConvShape {
     std::size_t in_c = 1;
     std::size_t h = 0, w = 0;      ///< input spatial dims
     std::size_t kh = 0, kw = 0;    ///< kernel dims
-    std::size_t stride_h = 1, stride_w = 1;
-    std::size_t pad_h = 0, pad_w = 0;
 
-    [[nodiscard]] std::size_t out_h() const {
-        return (h + 2 * pad_h - kh) / stride_h + 1;
-    }
-    [[nodiscard]] std::size_t out_w() const {
-        return (w + 2 * pad_w - kw) / stride_w + 1;
-    }
-    /// Rows of the column matrix: in_c * kh * kw.
-    [[nodiscard]] std::size_t col_rows() const { return in_c * kh * kw; }
-    /// Columns of the column matrix: out_h * out_w.
-    [[nodiscard]] std::size_t col_cols() const { return out_h() * out_w(); }
+    [[nodiscard]] std::size_t out_h() const { return h - kh + 1; }
+    [[nodiscard]] std::size_t out_w() const { return w - kw + 1; }
+    /// Weights per output channel: in_c * kh * kw.
+    [[nodiscard]] std::size_t taps() const { return in_c * kh * kw; }
+    /// Output pixels per channel: out_h * out_w.
+    [[nodiscard]] std::size_t out_pixels() const { return out_h() * out_w(); }
 };
 
-/// Lower one image x[in_c][h][w] to col[col_rows][col_cols] (row index
-/// (ic*kh + ky)*kw + kx, column index oy*out_w + ox). Out-of-bounds taps
-/// (padding) contribute 0.
-void im2col(const float* x, const ConvShape& s, float* col);
-
-/// Convolution forward for one image via im2col + grouped GEMM:
-/// y[oc][p] = bias[oc] + sum over the patch of weight[oc][ic][ky][kx] *
-/// x-tap, with a per-input-channel partial accumulator (`group = kh*kw`) so
-/// the result is bit-identical to the direct per-channel loops. `col` is
-/// caller scratch of size col_rows()*col_cols(); y is overwritten.
-void conv2d_forward_gemm(const float* x, const float* weight, const float* bias,
-                         std::size_t out_c, const ConvShape& s, float* col, float* y);
+/// Convolution forward for a minibatch: x[batch][in_c][h][w],
+/// weight[out_c][in_c][kh][kw] and bias[out_c] give
+/// y[batch][out_c][oh][ow], which is overwritten. The weights and bias are
+/// re-laid out into `scratch` once per call as [oc block of 8][ic][ky][kx]
+/// [lane] with zero lanes past out_c; x is read in place. A register tile
+/// of (up to 8 output pixels x 8 output channels) follows the reference
+/// order above: bias, then per input channel a +0-seeded partial over the
+/// taps ascending. `scratch` is resized as needed.
+void conv2d_forward(const float* x, const float* weight, const float* bias,
+                    std::size_t out_c, const ConvShape& s, std::size_t batch,
+                    std::vector<float>& scratch, float* y);
 
 /// Convolution input gradient for a minibatch: gy[batch][out_c][oh][ow]
 /// and weight[out_c][in_c][kh][kw] give gx[batch][in_c][h][w], which is
@@ -113,8 +115,7 @@ void conv2d_forward_gemm(const float* x, const float* weight, const float* bias,
 /// plane. A register tile of (input channels x input pixels) starts at +0
 /// and walks oc ascending, then taps in descending (ky, kx) order — the
 /// ascending output-pixel order of the reference scatter loops. `scratch`
-/// is resized as needed. Stride 1 and no padding only; anything else
-/// throws std::invalid_argument.
+/// is resized as needed.
 void conv2d_input_grad(const float* gy, const float* weight, std::size_t out_c,
                        const ConvShape& s, std::size_t batch,
                        std::vector<float>& scratch, float* gx);
@@ -124,8 +125,7 @@ void conv2d_input_grad(const float* gy, const float* weight, std::size_t out_c,
 /// element, a running sum seeded from its current value over (image,
 /// output pixel) ascending, the reference loops' order. gy is transposed
 /// once into `scratch` (pixel-major, output channels unit stride) and x is
-/// read in place. `scratch` is resized as needed. Stride 1 and no padding
-/// only; anything else throws std::invalid_argument.
+/// read in place. `scratch` is resized as needed.
 void conv2d_weight_grad(const float* x, const float* gy, std::size_t out_c,
                         const ConvShape& s, std::size_t batch,
                         std::vector<float>& scratch, float* weight_grad,

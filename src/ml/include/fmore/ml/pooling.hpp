@@ -6,7 +6,11 @@ namespace fmore::ml {
 
 /// 2x2 max pooling with stride 2 over [B, C, H, W]; odd trailing rows or
 /// columns are dropped (floor semantics, as in the paper's Keras-style
-/// models).
+/// models). Each window is scanned top-left, top-right, bottom-left,
+/// bottom-right, and a slot wins only when strictly greater than the best
+/// so far: ties keep the first slot, a NaN never replaces the best, and a
+/// NaN in the first slot stays. The scan uses selects instead of branches,
+/// so fresh activations cost no mispredictions.
 class MaxPool2d final : public Layer {
 public:
     [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;

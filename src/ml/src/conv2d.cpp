@@ -25,7 +25,7 @@ ConvShape image_shape(const Tensor& input, std::size_t k) {
 ConvShape backward_shape(const Tensor& cached_input, std::size_t out_c, std::size_t k,
                          const Tensor& grad_output) {
     const ConvShape shape = image_shape(cached_input, k);
-    if (grad_output.size() != cached_input.dim(0) * out_c * shape.col_cols())
+    if (grad_output.size() != cached_input.dim(0) * out_c * shape.out_pixels())
         throw std::invalid_argument("Conv2d::backward: grad shape mismatch");
     return shape;
 }
@@ -68,13 +68,8 @@ Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
     float* y = out.data();
 
     if (!use_naive_kernels()) {
-        const ConvShape shape = image_shape(input, k_);
-        const std::size_t p = oh * ow;
-        col_.resize(shape.col_rows() * p);
-        for (std::size_t b = 0; b < batch; ++b) {
-            conv2d_forward_gemm(x + b * in_c_ * h * w, weight_.data(), bias_.data(),
-                                out_c_, shape, col_.data(), y + b * out_c_ * p);
-        }
+        conv2d_forward(x, weight_.data(), bias_.data(), out_c_, image_shape(input, k_),
+                       batch, w_blocks_, y);
         return out;
     }
 

@@ -20,34 +20,28 @@ void Dropout::forward_into(const Tensor& input, Tensor& out, bool training) {
     if (rng_ == nullptr)
         throw std::logic_error("Dropout: no RNG attached (layer must live in a Model)");
     const auto keep_scale = static_cast<float>(1.0 / (1.0 - rate_));
-    mask_.resize(input.size());
-    out = input;
 
-    // One engine draw yields four 16-bit lanes, each an independent
-    // Bernoulli trial against a fixed-point threshold — a quarter of the
-    // generator work of per-element draws, which profile as a major cost of
-    // a training batch. Rates that are multiples of 1/65536 (e.g. the 0.25
-    // the paper's models use) are represented exactly.
+    // One engine draw yields four 16-bit lanes, low lane first, each an
+    // independent Bernoulli trial against a fixed-point threshold — a
+    // quarter of the generator work of per-element draws. Rates that are
+    // multiples of 1/65536 (e.g. the 0.25 the paper's models use) are
+    // represented exactly. All ceil(n/4) draws are taken up front, then one
+    // loop without data-dependent branches writes the mask and the output.
     const auto threshold = static_cast<std::uint64_t>(
         std::llround(rate_ * 65536.0));
+    const std::size_t n = input.size();
+    draws_.resize((n + 3) / 4);
     auto& engine = rng_->engine();
-    std::uint64_t bits = 0;
-    std::size_t lanes = 0;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        if (lanes == 0) {
-            bits = engine();
-            lanes = 4;
-        }
-        const std::uint64_t lane = bits & 0xFFFFULL;
-        bits >>= 16;
-        --lanes;
-        if (lane < threshold) {
-            mask_[i] = 0.0F;
-            out[i] = 0.0F;
-        } else {
-            mask_[i] = keep_scale;
-            out[i] *= keep_scale;
-        }
+    for (std::uint64_t& word : draws_) word = engine();
+    mask_.resize(n);
+    out.reshape_to(input.shape());
+    const float* x = input.data();
+    float* y = out.data();
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t lane = (draws_[i / 4] >> (16 * (i % 4))) & 0xFFFFULL;
+        const bool keep = lane >= threshold;
+        mask_[i] = keep ? keep_scale : 0.0F;
+        y[i] = keep ? x[i] * keep_scale : 0.0F;
     }
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -125,121 +124,6 @@ inline void tile_1_w(std::size_t kk, const float* a, diff a_col, const float* b,
     for (std::size_t jj = 0; jj < NR; ++jj) c[jj] = acc[jj];
 }
 
-// --- "part" tiles: the per-group unit of the bias-seeded grouped GEMM. ---
-// Each tile sums its K-slice in fresh registers, then stores either
-// `bias + part` (First slice — matches `y = bias; y += group_sum`) or
-// `c + part` (later slices). The full kMR x kNR register blocking applies,
-// which a tile holding both a running and a per-group accumulator cannot
-// afford (it would need twice the accumulator registers).
-
-template <std::size_t NR, bool First>
-inline void tile_mr_w_part(std::size_t kk, const float* a, diff a_row, diff a_col,
-                           const float* b, diff b_row, float* c, diff c_row,
-                           const float* bias) {
-    float part[kMR][NR];
-    for (auto& row : part) {
-        FMORE_SIMD
-        for (std::size_t jj = 0; jj < NR; ++jj) row[jj] = 0.0F;
-    }
-    for (std::size_t k = 0; k < kk; ++k) {
-        const float* brow = b + static_cast<diff>(k) * b_row;
-        const float a0 = a[static_cast<diff>(k) * a_col];
-        const float a1 = a[a_row + static_cast<diff>(k) * a_col];
-        const float a2 = a[2 * a_row + static_cast<diff>(k) * a_col];
-        const float a3 = a[3 * a_row + static_cast<diff>(k) * a_col];
-        FMORE_SIMD
-        for (std::size_t jj = 0; jj < NR; ++jj) {
-            const float bv = brow[jj];
-            part[0][jj] += a0 * bv;
-            part[1][jj] += a1 * bv;
-            part[2][jj] += a2 * bv;
-            part[3][jj] += a3 * bv;
-        }
-    }
-    for (std::size_t r = 0; r < kMR; ++r) {
-        float* crow = c + static_cast<diff>(r) * c_row;
-        const float seed = First ? bias[r] : 0.0F;
-        FMORE_SIMD
-        for (std::size_t jj = 0; jj < NR; ++jj) {
-            crow[jj] = (First ? seed : crow[jj]) + part[r][jj];
-        }
-    }
-}
-
-template <std::size_t NR, bool First>
-inline void tile_1_w_part(std::size_t kk, const float* a, diff a_col, const float* b,
-                          diff b_row, float* c, float bias) {
-    float part[NR];
-    FMORE_SIMD
-    for (std::size_t jj = 0; jj < NR; ++jj) part[jj] = 0.0F;
-    for (std::size_t k = 0; k < kk; ++k) {
-        const float* brow = b + static_cast<diff>(k) * b_row;
-        const float av = a[static_cast<diff>(k) * a_col];
-        FMORE_SIMD
-        for (std::size_t jj = 0; jj < NR; ++jj) part[jj] += av * brow[jj];
-    }
-    FMORE_SIMD
-    for (std::size_t jj = 0; jj < NR; ++jj) {
-        c[jj] = (First ? bias : c[jj]) + part[jj];
-    }
-}
-
-/// One m x n pass over a K-slice of the bias-seeded grouped GEMM.
-template <bool First>
-void gemm_part_pass(std::size_t m, std::size_t n, std::size_t kk,
-                    const float* a, diff a_row, diff a_col,
-                    const float* b, diff b_row,
-                    float* c, diff c_row, const float* bias) {
-    std::size_t i = 0;
-    for (; i + kMR <= m; i += kMR) {
-        const float* arow = a + static_cast<diff>(i) * a_row;
-        float* crow = c + static_cast<diff>(i) * c_row;
-        std::size_t j = 0;
-        for (; j + kNR <= n; j += kNR) {
-            tile_mr_w_part<kNR, First>(kk, arow, a_row, a_col, b + j, b_row, crow + j,
-                                       c_row, bias + i);
-        }
-        if (j + 8 <= n) {
-            tile_mr_w_part<8, First>(kk, arow, a_row, a_col, b + j, b_row, crow + j,
-                                     c_row, bias + i);
-            j += 8;
-        }
-        if (j + 4 <= n) {
-            tile_mr_w_part<4, First>(kk, arow, a_row, a_col, b + j, b_row, crow + j,
-                                     c_row, bias + i);
-            j += 4;
-        }
-        for (; j < n; ++j) {
-            for (std::size_t r = 0; r < kMR; ++r) {
-                float* cel = crow + static_cast<diff>(r) * c_row + j;
-                *cel = (First ? bias[i + r] : *cel)
-                       + dot_from(0.0F, arow + static_cast<diff>(r) * a_row, a_col,
-                                  b + j, b_row, kk);
-            }
-        }
-    }
-    for (; i < m; ++i) {
-        const float* arow = a + static_cast<diff>(i) * a_row;
-        float* crow = c + static_cast<diff>(i) * c_row;
-        std::size_t j = 0;
-        for (; j + kNR <= n; j += kNR) {
-            tile_1_w_part<kNR, First>(kk, arow, a_col, b + j, b_row, crow + j, bias[i]);
-        }
-        if (j + 8 <= n) {
-            tile_1_w_part<8, First>(kk, arow, a_col, b + j, b_row, crow + j, bias[i]);
-            j += 8;
-        }
-        if (j + 4 <= n) {
-            tile_1_w_part<4, First>(kk, arow, a_col, b + j, b_row, crow + j, bias[i]);
-            j += 4;
-        }
-        for (; j < n; ++j) {
-            crow[j] = (First ? bias[i] : crow[j])
-                      + dot_from(0.0F, arow, a_col, b + j, b_row, kk);
-        }
-    }
-}
-
 } // namespace
 
 void gemm_acc(std::size_t m, std::size_t n, std::size_t kk,
@@ -291,132 +175,32 @@ void gemm_acc(std::size_t m, std::size_t n, std::size_t kk,
     }
 }
 
-/// Bias-seeded grouped GEMM: C = bias (broadcast per row) + per-group
-/// partial sums — one `gemm_part_pass` per K-slice, so every slice gets the
-/// full register blocking.
-static void gemm_bias_grouped(std::size_t m, std::size_t n, std::size_t kk,
-                              const float* a, diff a_row, diff a_col,
-                              const float* b, diff b_row,
-                              float* c, diff c_row, std::size_t group,
-                              const float* bias) {
-    if (group == 0 || group > kk) group = kk;
-    bool first = true;
-    for (std::size_t k0 = 0; k0 < kk; k0 += group, first = false) {
-        const std::size_t ks = std::min(group, kk - k0);
-        const float* a_g = a + static_cast<diff>(k0) * a_col;
-        const float* b_g = b + static_cast<diff>(k0) * b_row;
-        if (first) {
-            gemm_part_pass<true>(m, n, ks, a_g, a_row, a_col, b_g, b_row, c, c_row,
-                                 bias);
-        } else {
-            gemm_part_pass<false>(m, n, ks, a_g, a_row, a_col, b_g, b_row, c, c_row,
-                                  bias);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// im2col
-// ---------------------------------------------------------------------------
-
-void im2col(const float* x, const ConvShape& s, float* col) {
-    const std::size_t oh = s.out_h();
-    const std::size_t ow = s.out_w();
-    float* out = col;
-    for (std::size_t ic = 0; ic < s.in_c; ++ic) {
-        const float* xmap = x + ic * s.h * s.w;
-        for (std::size_t ky = 0; ky < s.kh; ++ky) {
-            for (std::size_t kx = 0; kx < s.kw; ++kx) {
-                for (std::size_t oy = 0; oy < oh; ++oy) {
-                    const diff iy = static_cast<diff>(oy * s.stride_h + ky)
-                                    - static_cast<diff>(s.pad_h);
-                    float* orow = out + oy * ow;
-                    if (iy < 0 || iy >= static_cast<diff>(s.h)) {
-                        std::memset(orow, 0, ow * sizeof(float));
-                        continue;
-                    }
-                    const float* xrow = xmap + static_cast<std::size_t>(iy) * s.w;
-                    if (s.stride_w == 1) {
-                        // Unit stride: the row is one contiguous span with
-                        // zero-padded edges.
-                        const diff shift =
-                            static_cast<diff>(kx) - static_cast<diff>(s.pad_w);
-                        const std::size_t lo = std::min<std::size_t>(
-                            ow, shift < 0 ? static_cast<std::size_t>(-shift) : 0);
-                        const std::size_t hi = std::max<std::size_t>(
-                            lo, std::min<std::size_t>(
-                                    ow, static_cast<std::size_t>(std::max<diff>(
-                                            0, static_cast<diff>(s.w) - shift))));
-                        for (std::size_t ox = 0; ox < lo; ++ox) orow[ox] = 0.0F;
-                        if (hi > lo) {
-                            // Inline vector copy: these spans are a few
-                            // dozen floats, below memcpy's call overhead.
-                            const float* src = xrow + static_cast<std::size_t>(
-                                                   static_cast<diff>(lo) + shift);
-                            float* dst = orow + lo;
-                            const std::size_t span = hi - lo;
-                            FMORE_SIMD
-                            for (std::size_t t = 0; t < span; ++t) dst[t] = src[t];
-                        }
-                        for (std::size_t ox = hi; ox < ow; ++ox) orow[ox] = 0.0F;
-                        continue;
-                    }
-                    for (std::size_t ox = 0; ox < ow; ++ox) {
-                        const diff ix = static_cast<diff>(ox * s.stride_w + kx)
-                                        - static_cast<diff>(s.pad_w);
-                        orow[ox] = (ix < 0 || ix >= static_cast<diff>(s.w))
-                                       ? 0.0F
-                                       : xrow[static_cast<std::size_t>(ix)];
-                    }
-                }
-                out += oh * ow;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Convolution on top of the kernels
-// ---------------------------------------------------------------------------
-
-void conv2d_forward_gemm(const float* x, const float* weight, const float* bias,
-                         std::size_t out_c, const ConvShape& s, float* col, float* y) {
-    im2col(x, s, col);
-    const std::size_t rows = s.col_rows();
-    const std::size_t cols = s.col_cols();
-    gemm_bias_grouped(out_c, cols, rows,
-                      weight, static_cast<diff>(rows), 1,
-                      col, static_cast<diff>(cols),
-                      y, static_cast<diff>(cols), s.kh * s.kw, bias);
-}
-
-// ---------------------------------------------------------------------------
-// Convolution gradients
+// Convolution kernels
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Output channels per weight-gradient register tile (one 8-float vector).
+/// Output channels per forward and weight-gradient register tile (one
+/// 8-float vector).
 constexpr std::size_t kOcBlock = 8;
 /// Most kernel taps per weight-gradient register tile.
 constexpr std::size_t kTapBlock = 8;
-/// Input pixels per input-gradient register tile (one 8-float vector).
+/// Output pixels per forward tile; input pixels per input-gradient tile
+/// (one 8-float vector).
 constexpr std::size_t kPixBlock = 8;
 /// Most input channels per input-gradient register tile.
 constexpr std::size_t kIcBlock = 8;
 
 void require_conv2d_geometry(const ConvShape& s, const char* who) {
-    if (s.stride_h != 1 || s.stride_w != 1 || s.pad_h != 0 || s.pad_w != 0) {
-        throw std::invalid_argument(std::string(who)
-                                    + ": only stride 1 without padding is supported");
-    }
     if (s.in_c == 0 || s.kh == 0 || s.kw == 0 || s.h < s.kh || s.w < s.kw) {
         throw std::invalid_argument(std::string(who)
                                     + ": empty kernel or input smaller than kernel");
     }
 }
 
-static_assert(kTapBlock <= 8 && kIcBlock <= 8, "with_block_size covers 1..8");
+static_assert(kTapBlock <= 8 && kIcBlock <= 8 && kPixBlock <= 8,
+              "with_block_size covers 1..8");
 
 /// Calls fn(std::integral_constant<std::size_t, n>{}) for a runtime n in
 /// [1, 8]: picks the register-tile instantiation for a block tail.
@@ -431,6 +215,59 @@ void with_block_size(std::size_t n, Fn&& fn) {
     case 6: fn(std::integral_constant<std::size_t, 6>{}); break;
     case 7: fn(std::integral_constant<std::size_t, 7>{}); break;
     default: fn(std::integral_constant<std::size_t, 8>{}); break;
+    }
+}
+
+/// One (NPIX output pixels x kOcBlock output channels) tile of the forward
+/// pass for one image. The pixels are consecutive in flat (oy, ox) order
+/// from p0, so a tile may span output rows. `wl` points at the block's
+/// re-laid-out weights ([ic][ky][kx][lane]) followed by its bias lanes.
+/// Writes the first `oc_n` lanes to y[o * out_pixels + p].
+template <std::size_t NPIX>
+void forward_tile(const float* xb, const float* wl, const ConvShape& s, std::size_t p0,
+                  float* y, std::size_t oc_n) {
+    const std::size_t ow = s.out_w();
+    const std::size_t pixels = s.out_pixels();
+    std::size_t off[NPIX]; // each pixel's top-left tap inside an input plane
+    std::size_t oy = p0 / ow;
+    std::size_t ox = p0 % ow;
+    for (std::size_t p = 0; p < NPIX; ++p) {
+        off[p] = oy * s.w + ox;
+        if (++ox == ow) {
+            ox = 0;
+            ++oy;
+        }
+    }
+    const float* bias = wl + s.taps() * kOcBlock;
+    float acc[NPIX][kOcBlock];
+    for (auto& row : acc) {
+        FMORE_SIMD
+        for (std::size_t o = 0; o < kOcBlock; ++o) row[o] = bias[o];
+    }
+    for (std::size_t ic = 0; ic < s.in_c; ++ic) {
+        const float* xc = xb + ic * s.h * s.w;
+        float part[NPIX][kOcBlock];
+        for (auto& row : part) {
+            FMORE_SIMD
+            for (std::size_t o = 0; o < kOcBlock; ++o) row[o] = 0.0F;
+        }
+        for (std::size_t ky = 0; ky < s.kh; ++ky) {
+            for (std::size_t kx = 0; kx < s.kw; ++kx, wl += kOcBlock) {
+                const float* xt = xc + ky * s.w + kx;
+                for (std::size_t p = 0; p < NPIX; ++p) {
+                    const float xv = xt[off[p]];
+                    FMORE_SIMD
+                    for (std::size_t o = 0; o < kOcBlock; ++o) part[p][o] += xv * wl[o];
+                }
+            }
+        }
+        for (std::size_t p = 0; p < NPIX; ++p) {
+            FMORE_SIMD
+            for (std::size_t o = 0; o < kOcBlock; ++o) acc[p][o] += part[p][o];
+        }
+    }
+    for (std::size_t o = 0; o < oc_n; ++o) {
+        for (std::size_t p = 0; p < NPIX; ++p) y[o * pixels + p0 + p] = acc[p][o];
     }
 }
 
@@ -481,7 +318,7 @@ void weight_grad_tile(const float* x, const float* gyt, std::size_t ocp,
                       float* wg, std::size_t oc_n) {
     const std::size_t oh = s.out_h();
     const std::size_t ow = s.out_w();
-    const std::size_t taps = s.col_rows();
+    const std::size_t taps = s.taps();
     const std::size_t ktaps = s.kh * s.kw;
     std::size_t off[NT]; // each tap's offset inside an image
     float acc[NT][kOcBlock];
@@ -515,6 +352,40 @@ void weight_grad_tile(const float* x, const float* gyt, std::size_t ocp,
 }
 
 } // namespace
+
+void conv2d_forward(const float* x, const float* weight, const float* bias,
+                    std::size_t out_c, const ConvShape& s, std::size_t batch,
+                    std::vector<float>& scratch, float* y) {
+    require_conv2d_geometry(s, "conv2d_forward");
+    // Weights per block of 8 output channels as [ic][ky][kx][lane], then
+    // the block's bias lanes. Lanes past out_c are zero and never stored.
+    const std::size_t taps = s.taps();
+    const std::size_t block = (taps + 1) * kOcBlock;
+    scratch.assign((out_c + kOcBlock - 1) / kOcBlock * block, 0.0F);
+    for (std::size_t oc = 0; oc < out_c; ++oc) {
+        float* dst = scratch.data() + oc / kOcBlock * block + oc % kOcBlock;
+        for (std::size_t t = 0; t < taps; ++t) dst[t * kOcBlock] = weight[oc * taps + t];
+        dst[taps * kOcBlock] = bias[oc];
+    }
+    const std::size_t pixels = s.out_pixels();
+    for (std::size_t b = 0; b < batch; ++b) {
+        const float* xb = x + b * s.in_c * s.h * s.w;
+        for (std::size_t oc0 = 0; oc0 < out_c; oc0 += kOcBlock) {
+            const float* wl = scratch.data() + oc0 / kOcBlock * block;
+            float* yb = y + (b * out_c + oc0) * pixels;
+            const std::size_t oc_n = std::min(kOcBlock, out_c - oc0);
+            std::size_t p0 = 0;
+            for (; p0 + kPixBlock <= pixels; p0 += kPixBlock) {
+                forward_tile<kPixBlock>(xb, wl, s, p0, yb, oc_n);
+            }
+            if (p0 < pixels) {
+                with_block_size(pixels - p0, [&](auto np) {
+                    forward_tile<decltype(np)::value>(xb, wl, s, p0, yb, oc_n);
+                });
+            }
+        }
+    }
+}
 
 void conv2d_input_grad(const float* gy, const float* weight, std::size_t out_c,
                        const ConvShape& s, std::size_t batch,
@@ -574,7 +445,7 @@ void conv2d_weight_grad(const float* x, const float* gy, std::size_t out_c,
             }
         }
     }
-    const std::size_t taps = s.col_rows();
+    const std::size_t taps = s.taps();
     for (std::size_t oc0 = 0; oc0 < out_c; oc0 += kOcBlock) {
         const std::size_t oc_n = std::min(kOcBlock, out_c - oc0);
         const float* gyt = scratch.data() + oc0;

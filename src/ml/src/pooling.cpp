@@ -18,29 +18,34 @@ void MaxPool2d::forward_into(const Tensor& input, Tensor& out, bool /*training*/
     cached_shape_ = input.shape();
 
     out.reshape_to({batch, c, oh, ow});
-    argmax_.assign(out.size(), 0);
+    argmax_.resize(out.size());
     const float* x = input.data();
     float* y = out.data();
-    std::size_t oi = 0;
-    for (std::size_t b = 0; b < batch; ++b) {
-        for (std::size_t ch = 0; ch < c; ++ch) {
-            const std::size_t plane = (b * c + ch) * h * w;
-            for (std::size_t oy = 0; oy < oh; ++oy) {
-                for (std::size_t ox = 0; ox < ow; ++ox, ++oi) {
-                    const std::size_t base = plane + (2 * oy) * w + 2 * ox;
-                    std::size_t best = base;
-                    float best_v = x[base];
-                    const std::size_t candidates[3] = {base + 1, base + w, base + w + 1};
-                    for (const std::size_t idx : candidates) {
-                        if (x[idx] > best_v) {
-                            best_v = x[idx];
-                            best = idx;
-                        }
-                    }
-                    y[oi] = best_v;
-                    argmax_[oi] = best;
+    std::size_t* arg = argmax_.data();
+    for (std::size_t plane = 0; plane < batch * c; ++plane) {
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+            const std::size_t row = (plane * h + 2 * oy) * w;
+            for (std::size_t ox = 0; ox < ow; ++ox) {
+                // Slots in order top-left, top-right, bottom-left,
+                // bottom-right; a slot replaces the best only when strictly
+                // greater. Selects, not jumps: the ties and orderings of
+                // fresh activations defeat any branch predictor. The value
+                // select compiles to a max instruction; the index select is
+                // a mask so the compiler cannot turn it back into a jump.
+                const std::size_t tl = row + 2 * ox;
+                float best = x[tl];
+                std::size_t at = tl;
+                for (const std::size_t idx : {tl + 1, tl + w, tl + w + 1}) {
+                    const float v = x[idx];
+                    const std::size_t take = 0 - static_cast<std::size_t>(v > best);
+                    best = v > best ? v : best;
+                    at ^= (at ^ idx) & take;
                 }
+                y[ox] = best;
+                arg[ox] = at;
             }
+            y += ow;
+            arg += ow;
         }
     }
 }

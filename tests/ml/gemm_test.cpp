@@ -1,8 +1,7 @@
 // Kernel-equivalence suite: the GEMM-backed fast paths must match the
 // naive reference loops bit for bit (gemm.hpp's order contract), across
-// random shapes including non-square inputs, non-square kernels, every
-// register-tile tail of the convolution gradient kernels, and the
-// stride/pad generality of the im2col lowering.
+// random shapes including non-square inputs, non-square kernels and every
+// register-tile tail of the three convolution kernels.
 
 #include <gtest/gtest.h>
 
@@ -130,75 +129,6 @@ TEST(GemmKernelTest, StridedATransposeMatchesMaterializedTranspose) {
 }
 
 // ---------------------------------------------------------------------------
-// im2col
-// ---------------------------------------------------------------------------
-
-ConvShape make_shape(std::size_t in_c, std::size_t h, std::size_t w, std::size_t kh,
-                     std::size_t kw, std::size_t stride, std::size_t pad) {
-    ConvShape s;
-    s.in_c = in_c;
-    s.h = h;
-    s.w = w;
-    s.kh = kh;
-    s.kw = kw;
-    s.stride_h = s.stride_w = stride;
-    s.pad_h = s.pad_w = pad;
-    return s;
-}
-
-/// Reference im2col: the textbook definition, no fast paths.
-std::vector<float> im2col_reference(const std::vector<float>& x, const ConvShape& s) {
-    const std::size_t oh = s.out_h();
-    const std::size_t ow = s.out_w();
-    std::vector<float> col(s.col_rows() * s.col_cols(), -1.0F);
-    std::size_t row = 0;
-    for (std::size_t ic = 0; ic < s.in_c; ++ic) {
-        for (std::size_t ky = 0; ky < s.kh; ++ky) {
-            for (std::size_t kx = 0; kx < s.kw; ++kx, ++row) {
-                for (std::size_t oy = 0; oy < oh; ++oy) {
-                    for (std::size_t ox = 0; ox < ow; ++ox) {
-                        const auto iy = static_cast<std::ptrdiff_t>(oy * s.stride_h + ky)
-                                        - static_cast<std::ptrdiff_t>(s.pad_h);
-                        const auto ix = static_cast<std::ptrdiff_t>(ox * s.stride_w + kx)
-                                        - static_cast<std::ptrdiff_t>(s.pad_w);
-                        const bool in =
-                            iy >= 0 && iy < static_cast<std::ptrdiff_t>(s.h) && ix >= 0
-                            && ix < static_cast<std::ptrdiff_t>(s.w);
-                        col[row * oh * ow + oy * ow + ox] =
-                            in ? x[(ic * s.h + static_cast<std::size_t>(iy)) * s.w
-                                   + static_cast<std::size_t>(ix)]
-                               : 0.0F;
-                    }
-                }
-            }
-        }
-    }
-    return col;
-}
-
-TEST(Im2ColTest, MatchesReferenceAcrossStridePadAndNonSquareShapes) {
-    stats::Rng rng(34);
-    const std::vector<ConvShape> shapes = {
-        make_shape(1, 12, 12, 3, 3, 1, 0),  // the MNIST layer
-        make_shape(3, 9, 14, 3, 3, 1, 0),   // non-square input
-        make_shape(2, 8, 8, 3, 5, 1, 0),    // non-square kernel
-        make_shape(2, 10, 10, 3, 3, 1, 1),  // padding
-        make_shape(1, 11, 13, 5, 3, 2, 0),  // stride 2
-        make_shape(2, 9, 7, 3, 3, 2, 2),    // stride + wide pad
-        make_shape(1, 4, 4, 4, 4, 1, 3),    // pad wider than the image edge
-    };
-    for (const ConvShape& s : shapes) {
-        std::vector<float> x(s.in_c * s.h * s.w);
-        for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-        const std::vector<float> expected = im2col_reference(x, s);
-
-        std::vector<float> col(s.col_rows() * s.col_cols(), -7.0F);
-        im2col(x.data(), s, col.data());
-        expect_close(col, expected, "im2col");
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Layer fast path vs naive reference
 // ---------------------------------------------------------------------------
 
@@ -275,9 +205,11 @@ TEST(KernelEquivalenceTest, Conv2dMatchesNaiveOnRandomShapes) {
         std::size_t batch, in_c, out_c, k, h, w;
         bool mostly_zero = false;
     };
-    // The gradient kernels tile 8 output channels x up to 8 taps (weight
-    // gradient) and up to 8 input channels x 8 input pixels (input
-    // gradient); the cases below reach every tail of both.
+    // The forward kernel tiles up to 8 output pixels (flat, across output
+    // rows) x 8 output channels; the gradient kernels tile 8 output
+    // channels x up to 8 taps (weight gradient) and up to 8 input channels
+    // x 8 input pixels (input gradient). The cases below reach every tail
+    // of all three.
     const std::vector<Case> cases = {
         {16, 1, 8, 3, 12, 12},         // MNIST layer
         {4, 3, 8, 3, 14, 14},          // CIFAR layer, 27 taps
@@ -294,10 +226,19 @@ TEST(KernelEquivalenceTest, Conv2dMatchesNaiveOnRandomShapes) {
         {1, 2, 3, 2, 4, 2},            // output one pixel wide
         {4, 8, 16, 3, 6, 6, true},     // deep CIFAR layer, mostly-zero gradient
         {5, 3, 8, 3, 14, 14, true},    // CIFAR layer, mostly-zero gradient
+        {128, 3, 8, 3, 14, 14},        // fl_cifar eval batch, conv1
+        {128, 8, 16, 3, 6, 6},         // fl_cifar eval batch, conv2
+        {2, 1, 8, 3, 28, 28},          // output row 26 wide: three tiles + 2
+        {3, 4, 24, 3, 7, 8},           // 24 output channels: three blocks
+        {1, 3, 1, 3, 5, 5},            // one output channel at batch 1
     };
     for (const Case& c : cases) {
         Conv2d layer(c.in_c, c.out_c, c.k);
         layer.initialize(rng);
+        // initialize() zeroes the bias; the forward kernel must seed each
+        // output from a real one.
+        for (float& b : *layer.parameters()[1].values)
+            b = static_cast<float>(rng.uniform(-0.5, 0.5));
         const Tensor input = random_tensor({c.batch, c.in_c, c.h, c.w}, rng);
         const std::string what = "conv2d B" + std::to_string(c.batch) + " "
                                  + std::to_string(c.in_c) + "->"
@@ -332,6 +273,32 @@ TEST(KernelEquivalenceTest, Conv2dZeroGradientKeepsPositiveZeros) {
                              "zero-gradient param_grad " + std::to_string(p));
     }
     EXPECT_FALSE(std::signbit(fast.grad_input[0]));
+}
+
+TEST(KernelEquivalenceTest, Conv2dForwardKeepsPositiveZeros) {
+    // Bias -0, inputs +0 and negative weights make every product -0. The
+    // naive loops add each input channel's partial, which starts at +0, to
+    // the bias: -0 + (+0) = +0. A partial seeded with its first product
+    // would stay -0 and leave -0 in the output.
+    Conv2d layer(3, 9, 3);
+    const std::vector<ParamBlock> blocks = layer.parameters();
+    std::fill(blocks[0].values->begin(), blocks[0].values->end(), -0.5F);
+    std::fill(blocks[1].values->begin(), blocks[1].values->end(), -0.0F);
+    const Tensor input({2, 3, 6, 11});
+    Tensor naive;
+    Tensor fast;
+    {
+        const KernelMode guard(1);
+        naive = layer.forward(input, /*training=*/false);
+    }
+    {
+        const KernelMode guard(0);
+        fast = layer.forward(input, /*training=*/false);
+    }
+    expect_bit_identical(fast, naive, "signed-zero forward");
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+        ASSERT_FALSE(std::signbit(fast[i])) << "element " << i;
+    }
 }
 
 TEST(KernelEquivalenceTest, BackwardParamsMatchesBackwardParameterGradients) {
@@ -370,25 +337,34 @@ TEST(KernelEquivalenceTest, BackwardParamsMatchesBackwardParameterGradients) {
     }
 }
 
-TEST(KernelEquivalenceTest, ConvGradKernelsRejectStridedAndPaddedShapes) {
-    // The gradient kernels implement Conv2d's geometry only. A strided or
-    // padded shape would otherwise map output pixels to the wrong inputs
-    // and return wrong gradients without an error.
-    ConvShape strided = make_shape(2, 9, 9, 3, 3, 2, 0);
-    ConvShape padded = make_shape(2, 9, 9, 3, 3, 1, 1);
-    ConvShape tall_stride = make_shape(2, 9, 9, 3, 3, 1, 0);
-    tall_stride.stride_h = 2;
-    ConvShape side_pad = make_shape(2, 9, 9, 3, 3, 1, 0);
-    side_pad.pad_w = 1;
+TEST(KernelEquivalenceTest, ConvKernelsRejectBadGeometry) {
+    // All three convolution kernels index the input by the kernel's extent.
+    // An input smaller than the kernel would underflow the output size, and
+    // a zero-size kernel has no taps; each must throw before writing.
+    const auto shape = [](std::size_t h, std::size_t w, std::size_t kh, std::size_t kw) {
+        ConvShape s;
+        s.in_c = 2;
+        s.h = h;
+        s.w = w;
+        s.kh = kh;
+        s.kw = kw;
+        return s;
+    };
     const std::size_t out_c = 4;
     std::vector<float> x(2 * 9 * 9, 0.5F);
-    std::vector<float> gy(out_c * 11 * 11, 0.25F); // covers every shape's output
+    std::vector<float> gy(out_c * 9 * 9, 0.25F); // covers every shape's output
     std::vector<float> weight(out_c * 2 * 9, 0.1F);
+    std::vector<float> bias(out_c, 0.1F);
+    std::vector<float> y(gy.size(), 0.0F);
     std::vector<float> wgrad(weight.size(), 0.0F);
     std::vector<float> bgrad(out_c, 0.0F);
     std::vector<float> gx(x.size(), 0.0F);
     std::vector<float> scratch;
-    for (const ConvShape& s : {strided, padded, tall_stride, side_pad}) {
+    for (const ConvShape& s : {shape(2, 9, 3, 3), shape(9, 2, 3, 3), shape(2, 2, 3, 3),
+                               shape(9, 9, 0, 3), shape(9, 9, 3, 0), shape(9, 9, 0, 0)}) {
+        EXPECT_THROW(conv2d_forward(x.data(), weight.data(), bias.data(), out_c, s, 1,
+                                    scratch, y.data()),
+                     std::invalid_argument);
         EXPECT_THROW(conv2d_input_grad(gy.data(), weight.data(), out_c, s, 1, scratch,
                                        gx.data()),
                      std::invalid_argument);
@@ -397,77 +373,21 @@ TEST(KernelEquivalenceTest, ConvGradKernelsRejectStridedAndPaddedShapes) {
                      std::invalid_argument);
     }
     // Nothing was written before the rejection.
-    EXPECT_TRUE(std::all_of(gx.begin(), gx.end(), [](float v) { return v == 0.0F; }));
-    EXPECT_TRUE(std::all_of(wgrad.begin(), wgrad.end(), [](float v) { return v == 0.0F; }));
-    // The accepted geometry runs.
-    const ConvShape plain = make_shape(2, 9, 9, 3, 3, 1, 0);
-    EXPECT_NO_THROW(conv2d_input_grad(gy.data(), weight.data(), out_c, plain, 1, scratch,
-                                      gx.data()));
-    EXPECT_NO_THROW(conv2d_weight_grad(x.data(), gy.data(), out_c, plain, 1, scratch,
-                                       wgrad.data(), bgrad.data()));
-}
-
-TEST(KernelEquivalenceTest, GemmConvHelpersMatchDirectStridePadReference) {
-    // The generic stride/pad lowering (im2col + grouped GEMM) against a
-    // direct convolution written independently here.
-    stats::Rng rng(42);
-    for (const ConvShape& s :
-         {make_shape(2, 9, 11, 3, 3, 1, 1), make_shape(3, 8, 8, 3, 5, 2, 2),
-          make_shape(1, 12, 7, 5, 3, 2, 0)}) {
-        const std::size_t out_c = 6;
-        const std::size_t oh = s.out_h();
-        const std::size_t ow = s.out_w();
-        std::vector<float> x(s.in_c * s.h * s.w);
-        std::vector<float> w(out_c * s.col_rows());
-        std::vector<float> bias(out_c);
-        for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-        for (float& v : w) v = static_cast<float>(rng.uniform(-0.5, 0.5));
-        for (float& v : bias) v = static_cast<float>(rng.uniform(-0.1, 0.1));
-
-        std::vector<float> expected(out_c * oh * ow);
-        for (std::size_t oc = 0; oc < out_c; ++oc) {
-            for (std::size_t oy = 0; oy < oh; ++oy) {
-                for (std::size_t ox = 0; ox < ow; ++ox) {
-                    double acc = bias[oc];
-                    for (std::size_t ic = 0; ic < s.in_c; ++ic) {
-                        for (std::size_t ky = 0; ky < s.kh; ++ky) {
-                            for (std::size_t kx = 0; kx < s.kw; ++kx) {
-                                const auto iy =
-                                    static_cast<std::ptrdiff_t>(oy * s.stride_h + ky)
-                                    - static_cast<std::ptrdiff_t>(s.pad_h);
-                                const auto ix =
-                                    static_cast<std::ptrdiff_t>(ox * s.stride_w + kx)
-                                    - static_cast<std::ptrdiff_t>(s.pad_w);
-                                if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(s.h)
-                                    || ix < 0
-                                    || ix >= static_cast<std::ptrdiff_t>(s.w)) {
-                                    continue;
-                                }
-                                acc += static_cast<double>(
-                                           w[(oc * s.in_c + ic) * s.kh * s.kw
-                                             + ky * s.kw + kx])
-                                       * static_cast<double>(
-                                           x[(ic * s.h + static_cast<std::size_t>(iy))
-                                                 * s.w
-                                             + static_cast<std::size_t>(ix)]);
-                            }
-                        }
-                    }
-                    expected[(oc * oh + oy) * ow + ox] = static_cast<float>(acc);
-                }
-            }
-        }
-
-        std::vector<float> col(s.col_rows() * s.col_cols());
-        std::vector<float> y(out_c * oh * ow, -9.0F);
-        conv2d_forward_gemm(x.data(), w.data(), bias.data(), out_c, s, col.data(),
-                            y.data());
-        // Double-accumulated reference vs float kernel: float-level
-        // agreement (the bit-exactness contract is vs the float loops,
-        // covered above).
-        for (std::size_t i = 0; i < y.size(); ++i) {
-            ASSERT_NEAR(y[i], expected[i], 1e-4) << "stride/pad conv element " << i;
-        }
+    const auto all_zero = [](const std::vector<float>& v) {
+        return std::all_of(v.begin(), v.end(), [](float e) { return e == 0.0F; });
+    };
+    EXPECT_TRUE(all_zero(y));
+    EXPECT_TRUE(all_zero(gx));
+    EXPECT_TRUE(all_zero(wgrad));
+    EXPECT_TRUE(all_zero(bgrad));
+    // The accepted geometry runs, down to an input exactly the kernel's size.
+    for (const ConvShape& s : {shape(9, 9, 3, 3), shape(3, 3, 3, 3)}) {
+        EXPECT_NO_THROW(conv2d_forward(x.data(), weight.data(), bias.data(), out_c, s, 1,
+                                       scratch, y.data()));
+        EXPECT_NO_THROW(conv2d_input_grad(gy.data(), weight.data(), out_c, s, 1, scratch,
+                                          gx.data()));
+        EXPECT_NO_THROW(conv2d_weight_grad(x.data(), gy.data(), out_c, s, 1, scratch,
+                                           wgrad.data(), bgrad.data()));
     }
 }
 
