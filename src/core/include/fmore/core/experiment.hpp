@@ -1,28 +1,42 @@
 #pragma once
 
 /// @file experiment.hpp
-/// The unified experiment surface: one `ExperimentSpec` composed of
-/// sub-specs (population, auction, training, timing) subsumes the legacy
-/// `SimulationConfig` / `RealWorldConfig` pair. Specs serialize to and
-/// parse from key=value text, validate with actionable messages, and drive
-/// trials through `ExperimentTrial` — the facade benches, examples and the
+/// The experiment surface: one `ExperimentSpec` composed of sub-specs
+/// (population, auction, training, timing) describes a whole run of either
+/// of the paper's two worlds, and both trial engines (simulation.hpp,
+/// realworld.hpp) read it directly. Specs serialize to and parse from
+/// key=value text, validate with actionable messages, and drive trials
+/// through `ExperimentTrial` — the facade benches, examples and the
 /// `run_scenario` CLI all share. Named presets live in scenarios.hpp.
 
 #include <cstdint>
-#include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "fmore/auction/types.hpp"
 #include "fmore/auction/win_probability.hpp"
-#include "fmore/core/config.hpp"
-#include "fmore/core/realworld.hpp"
-#include "fmore/core/simulation.hpp"
 #include "fmore/fl/metrics.hpp"
 #include "fmore/fl/round_mode.hpp"
+#include "fmore/mec/arrival_model.hpp"
+#include "fmore/ml/partition.hpp"
 
 namespace fmore::core {
 
 struct RunCheckpoint;  // run_checkpoint.hpp
+class SimulationTrial; // simulation.hpp
+class RealWorldTrial;  // realworld.hpp
+
+/// The paper's four workloads (Section V.A). The image datasets are the
+/// synthetic stand-ins documented in DESIGN.md.
+enum class DatasetKind : std::uint8_t {
+    mnist_o, ///< MNIST, CNN
+    mnist_f, ///< Fashion-MNIST, CNN
+    cifar10, ///< CIFAR-10, deeper CNN
+    hpnews,  ///< HuffPost news categories, LSTM
+};
+
+[[nodiscard]] std::string to_string(DatasetKind kind);
 
 /// Which of the paper's two worlds the spec assembles. The kind picks the
 /// scoring family and data split the paper ties to each setup: `simulation`
@@ -121,6 +135,10 @@ struct AuctionSpec {
 };
 
 /// The learning workload: dataset, split sizes and SGD hyperparameters.
+/// Sample counts are scaled down from the paper's datasets so a full
+/// 20-round x 3-policy x multi-trial sweep runs in seconds; the selection
+/// dynamics (what FMore buys versus what random selection gets) are
+/// unaffected by the global scale.
 struct TrainingSpec {
     DatasetKind dataset = DatasetKind::mnist_o;
     std::size_t train_samples = 9000;
@@ -232,23 +250,16 @@ struct ExperimentSpec {
 
 [[nodiscard]] std::string to_string(ExperimentKind kind);
 
-/// Simulator defaults for `dataset` with the per-dataset hyperparameters
-/// applied — spec-level twin of `default_simulation`.
+/// The paper's simulator (Section V.A): `ExperimentSpec{}` — N = 100 nodes,
+/// K = 20 winners, scoring alpha * q1 * q2 - p with alpha = 25, non-IID
+/// label shards — training `dataset`, with the per-dataset hyperparameters
+/// applied.
 [[nodiscard]] ExperimentSpec default_experiment(DatasetKind dataset);
-/// Testbed defaults — spec-level twin of `RealWorldConfig{}`.
+/// The paper's 32-machine testbed (Sections V.A/V.C): 31 edge nodes + one
+/// aggregator, three-dimensional resources (computing power, bandwidth,
+/// data size), scoring 0.4 q1 + 0.3 q2 + 0.3 q3 - p, and the wall-clock
+/// model of a switched 1 Gbps LAN.
 [[nodiscard]] ExperimentSpec default_testbed_experiment();
-
-// ---------------------------------------------------------------------------
-// Compatibility shims — the only sanctioned way to build the legacy config
-// structs. Everything outside src/core should hold an ExperimentSpec.
-// ---------------------------------------------------------------------------
-
-/// @throws std::invalid_argument when `spec.kind` is not `simulation`
-[[nodiscard]] SimulationConfig to_simulation_config(const ExperimentSpec& spec);
-/// @throws std::invalid_argument when `spec.kind` is not `testbed`
-[[nodiscard]] RealWorldConfig to_realworld_config(const ExperimentSpec& spec);
-[[nodiscard]] ExperimentSpec from_simulation_config(const SimulationConfig& config);
-[[nodiscard]] ExperimentSpec from_realworld_config(const RealWorldConfig& config);
 
 // ---------------------------------------------------------------------------
 // Validation
@@ -288,12 +299,14 @@ void apply_key_value(ExperimentSpec& spec, const std::string& key,
 // ---------------------------------------------------------------------------
 
 /// One fully-assembled trial of `spec` — the facade over the simulator and
-/// testbed engines. Construction validates the spec (throwing with every
-/// problem listed), builds the world for `trial_index` and reuses any
-/// cached equilibrium tabulation (equilibrium_cache.hpp).
+/// testbed engines, dispatching on `spec.kind`. Construction validates the
+/// spec (throwing with every problem listed), builds the world for
+/// `trial_index` and reuses any cached equilibrium tabulation
+/// (equilibrium_cache.hpp).
 class ExperimentTrial {
 public:
     ExperimentTrial(const ExperimentSpec& spec, std::size_t trial_index);
+    ~ExperimentTrial();
 
     /// Run the federated experiment under a named selection policy
     /// ("fmore", "psi_fmore", "randfl", "fixfl", or any PolicyRegistry
@@ -301,8 +314,6 @@ public:
     /// from the trial seed, so policies compared within a trial start from
     /// identical state.
     [[nodiscard]] fl::RunResult run(const std::string& policy);
-    /// Legacy-enum overload.
-    [[nodiscard]] fl::RunResult run(Strategy strategy);
 
     /// `run(policy)` with durable-run support: when `resume_from` is
     /// non-null the trial restores the checkpointed state and continues
@@ -325,8 +336,5 @@ private:
     std::unique_ptr<SimulationTrial> simulation_;
     std::unique_ptr<RealWorldTrial> testbed_;
 };
-
-/// Registry name of the selection policy a legacy Strategy maps to.
-[[nodiscard]] std::string to_policy_name(Strategy strategy);
 
 } // namespace fmore::core

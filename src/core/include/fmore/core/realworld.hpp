@@ -3,8 +3,8 @@
 #include <memory>
 #include <string>
 
-#include "fmore/core/config.hpp"
 #include "fmore/core/equilibrium_cache.hpp"
+#include "fmore/core/experiment.hpp"
 #include "fmore/fl/coordinator.hpp"
 #include "fmore/fl/metrics.hpp"
 #include "fmore/mec/cluster.hpp"
@@ -13,7 +13,6 @@
 
 namespace fmore::core {
 
-struct ExperimentSpec;
 struct RunCheckpoint;
 
 /// The testbed reproduction (Figs. 12-13): 31 heterogeneous nodes behind a
@@ -21,20 +20,17 @@ struct RunCheckpoint;
 /// runs report seconds as well as rounds.
 class RealWorldTrial {
 public:
-    RealWorldTrial(const RealWorldConfig& config, std::size_t trial_index);
-    /// Spec-first construction (validates, then converts through the
-    /// compat shim).
+    /// @throws std::invalid_argument when `spec` fails validation or is a
+    ///         simulation spec
     RealWorldTrial(const ExperimentSpec& spec, std::size_t trial_index);
 
     /// Run under a named selection policy (fl::PolicyRegistry); the paper's
     /// testbed section compares FMore and RandFL.
     [[nodiscard]] fl::RunResult run(const std::string& policy);
-    /// Legacy-enum overload.
-    [[nodiscard]] fl::RunResult run(Strategy strategy);
 
     /// `run`, optionally resuming from a loaded checkpoint and writing new
-    /// checkpoints on the config's `checkpoint_every` cadence — across the
-    /// sync, semi-sync/async, sharded and streaming lanes alike. A resumed
+    /// checkpoints on the spec's `timing.checkpoint_every` cadence — across
+    /// the sync, semi-sync/async, sharded and streaming lanes alike. A resumed
     /// run's tape is bit-identical to a never-interrupted one (see
     /// docs/ARCHITECTURE.md, "Durability model"). `run(policy)` is exactly
     /// `run_resumable(policy, nullptr)`.
@@ -47,7 +43,6 @@ public:
     }
 
     [[nodiscard]] const std::vector<ml::ClientShard>& shards() const { return shards_; }
-    [[nodiscard]] const RealWorldConfig& config() const { return config_; }
     [[nodiscard]] const auction::EquilibriumStrategy& equilibrium() const {
         return solved_->strategy;
     }
@@ -61,7 +56,7 @@ private:
     [[nodiscard]] std::vector<double> bid_latency_table() const;
     void rebuild_population();
 
-    RealWorldConfig config_;
+    ExperimentSpec spec_;
     std::size_t trial_index_;
     std::uint64_t trial_seed_;
     double data_cap_ = 1.0; ///< largest shard size (scoring/cost scale)

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "fmore/core/config.hpp"
 #include "fmore/core/experiment.hpp"
 #include "fmore/fl/metrics.hpp"
 
@@ -61,18 +60,12 @@ struct TrialRunnerOptions {
     /// the environment. A resolved count of 1 runs inline on the calling
     /// thread (no pool), which is exactly the old serial loop.
     std::size_t threads = 0;
-
-    /// Trials claimed per work-steal. 0 = auto (currently 1: a single trial
-    /// costs far more than one atomic fetch, so fine-grained claiming gives
-    /// the best load balance). Raise only if a future workload makes trials
-    /// sub-millisecond.
-    std::size_t batch = 0;
 };
 
 /// One unit of work: build and run trial `trial_index`, return its history.
 /// Must be safe to call concurrently from multiple threads with distinct
-/// indices (the SimulationTrial / RealWorldTrial factories are: each trial
-/// owns its dataset, population, model and RNG streams).
+/// indices (ExperimentTrial is: each trial owns its dataset, population,
+/// model and RNG streams).
 using TrialFn = std::function<fl::RunResult(std::size_t trial_index)>;
 
 /// Resolve the effective worker count `run_trials` will use for `trials`
@@ -92,26 +85,14 @@ using TrialFn = std::function<fl::RunResult(std::size_t trial_index)>;
 /// the output — and anything derived from it, e.g. `average_runs` — is
 /// bit-identical for a given root seed regardless of thread count or OS
 /// scheduling. Determinism rests on the repo-wide seeding discipline: every
-/// trial derives its own RNG streams from (config.seed, trial_index) alone,
-/// never from shared or global state.
+/// trial derives its own RNG streams from (spec.seed, trial_index) alone,
+/// never from shared or global state. Workers claim one trial index at a
+/// time: a trial costs far more than the atomic fetch that claims it.
 ///
 /// The first exception thrown by any trial is rethrown on the calling
 /// thread after the pool drains.
 std::vector<fl::RunResult> run_trials(std::size_t trials, const TrialFn& fn,
                                       const TrialRunnerOptions& options = {});
-
-/// `run_trials` over `SimulationTrial` — the paper's N=100 simulator
-/// (Figs. 4-11). Equivalent to the old serial loop
-/// `for t: SimulationTrial(config, t).run(strategy)` but parallel.
-std::vector<fl::RunResult> run_simulation_trials(const SimulationConfig& config,
-                                                 Strategy strategy, std::size_t trials,
-                                                 const TrialRunnerOptions& options = {});
-
-/// `run_trials` over `RealWorldTrial` — the 31-node testbed reproduction
-/// with the wall-clock model (Figs. 12-13).
-std::vector<fl::RunResult> run_realworld_trials(const RealWorldConfig& config,
-                                                Strategy strategy, std::size_t trials,
-                                                const TrialRunnerOptions& options = {});
 
 /// `run_trials` over `ExperimentTrial` — the unified entry point: builds
 /// the spec's world (simulator or testbed) per trial index and runs the
@@ -127,11 +108,5 @@ std::vector<fl::RunResult> run_experiment_trials(const ExperimentSpec& spec,
 AveragedSeries averaged_experiment(const ExperimentSpec& spec, const std::string& policy,
                                    std::size_t trials,
                                    const TrialRunnerOptions& options = {});
-AveragedSeries averaged_simulation(const SimulationConfig& config, Strategy strategy,
-                                   std::size_t trials,
-                                   const TrialRunnerOptions& options = {});
-AveragedSeries averaged_realworld(const RealWorldConfig& config, Strategy strategy,
-                                  std::size_t trials,
-                                  const TrialRunnerOptions& options = {});
 
 } // namespace fmore::core

@@ -3,9 +3,10 @@
 /// @file checkpoint_hooks.hpp (internal to fmore_core)
 /// Shared plumbing between SimulationTrial and RealWorldTrial for durable
 /// runs: RNG state (de)serialization, RunControl seeding from a loaded
-/// core::RunCheckpoint, and the on_round hook that writes checkpoints on
-/// the timing.checkpoint_every cadence — and fires the deterministic
-/// coordinator-kill faults of the crash-recovery harness.
+/// core::RunCheckpoint, the on_round hook that writes checkpoints on the
+/// timing.checkpoint_every cadence — and fires the deterministic
+/// coordinator-kill faults of the crash-recovery harness — and DurableRun,
+/// which wires all of it into one run.
 
 #include <csignal>
 #include <cstdint>
@@ -15,11 +16,13 @@
 #include <utility>
 #include <vector>
 
+#include "fmore/core/experiment.hpp"
 #include "fmore/core/run_checkpoint.hpp"
 #include "fmore/fl/run_state.hpp"
 #include "fmore/fl/selection.hpp"
 #include "fmore/mec/population.hpp"
 #include "fmore/stats/rng.hpp"
+#include "fmore/util/fault_injector.hpp"
 #include "fmore/util/snapshot.hpp"
 
 namespace fmore::core::detail {
@@ -121,6 +124,68 @@ struct CheckpointWriter {
         }
         if (kill_now) std::raise(SIGKILL);
     }
+};
+
+/// One run's durable-run wiring. Construct it right after the run's
+/// selector (and, on the testbed, its time model) is built: a resumed run
+/// restores the checkpointed population, selector, RNG and tape over state
+/// built exactly as a fresh run builds it, so restored state + identical
+/// construction = identical draws. Either way, checkpoints are written on
+/// the spec's cadence and record `to_text(spec)`, the spec that ran.
+///
+/// Not copyable: the control's on_round hook refers to the writer.
+class DurableRun {
+public:
+    DurableRun(const ExperimentSpec& spec, const std::string& policy,
+               std::size_t trial_index, const RunCheckpoint* resume_from,
+               stats::Rng& run_rng, mec::MecPopulation& population,
+               fl::ClientSelector& selector) {
+        if (resume_from) {
+            population.restore(resume_from->population);
+            selector.restore_checkpoint(make_selector_checkpoint(*resume_from));
+            restore_rng(run_rng, resume_from->rng_state);
+            control_ = make_resume_control(*resume_from);
+        }
+        // The coordinator-kill fault is one-shot: only a FRESH run arms it.
+        // A resumed run may re-execute the kill round (mid-write kills tear
+        // the checkpoint before it lands), so re-arming would crash-loop the
+        // recovery instead of converging on the uninterrupted twin's tape.
+        if (!resume_from && !spec.auction.fault_plan.empty()) {
+            const util::FaultInjector faults =
+                util::FaultInjector::from_spec(spec.auction.fault_plan);
+            writer_.ckill_round = faults.coordinator_kill_round();
+            writer_.ckill_mid_round = faults.coordinator_kill_mid_write_round();
+        }
+        const TimingSpec& timing = spec.timing;
+        const bool durable = timing.checkpoint_every > 0 || writer_.ckill_round > 0
+                             || writer_.ckill_mid_round > 0;
+        if (durable) {
+            writer_.every = timing.checkpoint_every;
+            writer_.dir = checkpoint_run_dir(timing.checkpoint_dir, policy, trial_index);
+            writer_.keep = timing.checkpoint_keep;
+            writer_.total_rounds = spec.training.rounds;
+            writer_.spec_text = to_text(spec);
+            writer_.policy = policy;
+            writer_.trial_index = trial_index;
+            writer_.run_rng = &run_rng;
+            writer_.population = &population;
+            writer_.selector = &selector;
+            control_.on_round = std::cref(writer_);
+        }
+        active_ = resume_from != nullptr || durable;
+    }
+    DurableRun(const DurableRun&) = delete;
+    DurableRun& operator=(const DurableRun&) = delete;
+
+    /// What the coordinator runs under; null for a plain run.
+    [[nodiscard]] const fl::RunControl* control() const {
+        return active_ ? &control_ : nullptr;
+    }
+
+private:
+    fl::RunControl control_;
+    CheckpointWriter writer_;
+    bool active_ = false;
 };
 
 } // namespace fmore::core::detail

@@ -9,9 +9,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "fmore/core/realworld.hpp"
 #include "fmore/core/report.hpp"
-#include "fmore/core/simulation.hpp"
 #include "fmore/util/thread_pool.hpp"
 
 namespace fmore::core {
@@ -129,7 +127,6 @@ std::vector<fl::RunResult> run_trials(std::size_t trials, const TrialFn& fn,
     // oversubscribes the machine.
     const util::ThreadLease lease(threads, /*exact=*/true);
 
-    const std::size_t batch = options.batch > 0 ? options.batch : 1;
     std::atomic<std::size_t> next{0};
     std::mutex error_mutex;
     std::exception_ptr first_error;
@@ -139,20 +136,17 @@ std::vector<fl::RunResult> run_trials(std::size_t trials, const TrialFn& fn,
         // round-level auto-sizing must not bill it a second slot.
         const util::CountedThreadScope counted;
         for (;;) {
-            const std::size_t begin = next.fetch_add(batch, std::memory_order_relaxed);
-            if (begin >= trials) return;
-            const std::size_t end = std::min(trials, begin + batch);
-            for (std::size_t t = begin; t < end; ++t) {
-                try {
-                    results[t] = fn(t);
-                } catch (...) {
-                    const std::lock_guard<std::mutex> lock(error_mutex);
-                    if (!first_error) first_error = std::current_exception();
-                    // Fail fast: exhaust the counter so other workers stop
-                    // claiming instead of finishing the whole sweep.
-                    next.store(trials, std::memory_order_relaxed);
-                    return;
-                }
+            const std::size_t t = next.fetch_add(1, std::memory_order_relaxed);
+            if (t >= trials) return;
+            try {
+                results[t] = fn(t);
+            } catch (...) {
+                const std::lock_guard<std::mutex> lock(error_mutex);
+                if (!first_error) first_error = std::current_exception();
+                // Fail fast: exhaust the counter so other workers stop
+                // claiming instead of finishing the whole sweep.
+                next.store(trials, std::memory_order_relaxed);
+                return;
             }
         }
     };
@@ -171,30 +165,6 @@ std::vector<fl::RunResult> run_trials(std::size_t trials, const TrialFn& fn,
     for (std::thread& th : pool) th.join();
     if (first_error) std::rethrow_exception(first_error);
     return results;
-}
-
-std::vector<fl::RunResult> run_simulation_trials(const SimulationConfig& config,
-                                                 Strategy strategy, std::size_t trials,
-                                                 const TrialRunnerOptions& options) {
-    return run_trials(
-        trials,
-        [&config, strategy](std::size_t t) {
-            SimulationTrial trial(config, t);
-            return trial.run(strategy);
-        },
-        options);
-}
-
-std::vector<fl::RunResult> run_realworld_trials(const RealWorldConfig& config,
-                                                Strategy strategy, std::size_t trials,
-                                                const TrialRunnerOptions& options) {
-    return run_trials(
-        trials,
-        [&config, strategy](std::size_t t) {
-            RealWorldTrial trial(config, t);
-            return trial.run(strategy);
-        },
-        options);
 }
 
 std::vector<fl::RunResult> run_experiment_trials(const ExperimentSpec& spec,
@@ -216,16 +186,6 @@ std::vector<fl::RunResult> run_experiment_trials(const ExperimentSpec& spec,
 AveragedSeries averaged_experiment(const ExperimentSpec& spec, const std::string& policy,
                                    std::size_t trials, const TrialRunnerOptions& options) {
     return average_runs(run_experiment_trials(spec, policy, trials, options));
-}
-
-AveragedSeries averaged_simulation(const SimulationConfig& config, Strategy strategy,
-                                   std::size_t trials, const TrialRunnerOptions& options) {
-    return average_runs(run_simulation_trials(config, strategy, trials, options));
-}
-
-AveragedSeries averaged_realworld(const RealWorldConfig& config, Strategy strategy,
-                                  std::size_t trials, const TrialRunnerOptions& options) {
-    return average_runs(run_realworld_trials(config, strategy, trials, options));
 }
 
 } // namespace fmore::core

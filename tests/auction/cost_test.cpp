@@ -34,12 +34,12 @@ TEST(PowerCost, GammaOneMatchesAdditive) {
 TEST(PowerCost, RejectsBadGammaAndNegativeQuality) {
     EXPECT_THROW(PowerCost({1.0}, 0.5), std::invalid_argument);
     const PowerCost p({1.0}, 2.0);
-    EXPECT_THROW(p.cost({-1.0}, 1.0), std::domain_error);
+    EXPECT_THROW((void)p.cost({-1.0}, 1.0), std::domain_error);
 }
 
 TEST(CostModels, RejectDimensionMismatch) {
     const AdditiveCost c({1.0, 1.0});
-    EXPECT_THROW(c.cost({1.0}, 1.0), std::invalid_argument);
+    EXPECT_THROW((void)c.cost({1.0}, 1.0), std::invalid_argument);
     EXPECT_THROW(AdditiveCost({}), std::invalid_argument);
     EXPECT_THROW(AdditiveCost({-1.0}), std::invalid_argument);
 }

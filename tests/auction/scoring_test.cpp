@@ -16,7 +16,7 @@ TEST(AdditiveScoring, WeightedSum) {
 
 TEST(AdditiveScoring, RejectsWrongDimension) {
     const AdditiveScoring s({1.0, 1.0});
-    EXPECT_THROW(s.quality_score({1.0}), std::invalid_argument);
+    EXPECT_THROW((void)s.quality_score({1.0}), std::invalid_argument);
     EXPECT_THROW(AdditiveScoring(std::vector<double>{}), std::invalid_argument);
 }
 
@@ -33,7 +33,7 @@ TEST(CobbDouglas, GeometricForm) {
 
 TEST(CobbDouglas, RejectsNegativeQuality) {
     const CobbDouglasScoring s({0.5, 0.5});
-    EXPECT_THROW(s.quality_score({-1.0, 1.0}), std::domain_error);
+    EXPECT_THROW((void)s.quality_score({-1.0, 1.0}), std::domain_error);
 }
 
 TEST(ScaledProduct, PaperSimulatorForm) {

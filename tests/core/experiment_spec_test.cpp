@@ -1,7 +1,7 @@
 // The unified ExperimentSpec surface: serialize -> parse round trips,
-// validation messages, compat shims against the legacy configs, named
-// scenarios, the ExperimentTrial facade (bit-identical to the engine it
-// wraps) and the equilibrium-solve cache.
+// validation messages, the engines' kind check, named scenarios, the
+// ExperimentTrial facade (bit-identical to the engine it wraps) and the
+// equilibrium-solve cache.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,9 @@
 #include "fmore/auction/mechanism.hpp"
 #include "fmore/core/equilibrium_cache.hpp"
 #include "fmore/core/experiment.hpp"
+#include "fmore/core/realworld.hpp"
 #include "fmore/core/scenarios.hpp"
+#include "fmore/core/simulation.hpp"
 #include "fmore/core/trials.hpp"
 #include "fmore/util/fault_injector.hpp"
 
@@ -333,14 +335,6 @@ TEST(ExperimentSpecText, FaultKnobsRoundTripExactly) {
     EXPECT_EQ(spec.auction.shard_max_respawns, 5u);
     EXPECT_EQ(spec.auction.shard_respawn_backoff_s, 0.125);
     EXPECT_EQ(spec.auction.shard_quorum, 3u);
-
-    // And the legacy-config shims carry them losslessly both ways.
-    const SimulationConfig config = to_simulation_config(spec);
-    EXPECT_EQ(config.fault_plan, spec.auction.fault_plan);
-    EXPECT_EQ(config.shard_respawn_backoff_s, 0.125);
-    EXPECT_EQ(config.shard_max_respawns, 5u);
-    EXPECT_EQ(config.shard_quorum, 3u);
-    EXPECT_TRUE(from_simulation_config(config) == spec);
 }
 
 TEST(ExperimentSpecValidate, FaultKnobRulesAreEnforced) {
@@ -413,49 +407,26 @@ TEST(ExperimentSpecValidate, RegisteredCustomMechanismPassesValidation) {
 }
 
 // ---------------------------------------------------------------------------
-// Compat shims
+// Engine kind check
 // ---------------------------------------------------------------------------
 
-TEST(ExperimentSpecCompat, SimulationShimsAreLossless) {
-    SimulationConfig config = default_simulation(DatasetKind::hpnews);
-    config.psi = 0.6;
-    config.budget = 12.0;
-    config.mechanism = "psi_fmore";
-    config.psi_per_node = {0.5, 0.75};
-    const ExperimentSpec spec = from_simulation_config(config);
-    const SimulationConfig back = to_simulation_config(spec);
-    EXPECT_EQ(back.dataset, config.dataset);
-    EXPECT_EQ(back.num_nodes, config.num_nodes);
-    EXPECT_EQ(back.winners, config.winners);
-    EXPECT_EQ(back.learning_rate, config.learning_rate);
-    EXPECT_EQ(back.local_epochs, config.local_epochs);
-    EXPECT_EQ(back.psi, config.psi);
-    EXPECT_EQ(back.psi_per_node, config.psi_per_node);
-    EXPECT_EQ(back.budget, config.budget);
-    EXPECT_EQ(back.mechanism, config.mechanism);
-    EXPECT_EQ(back.seed, config.seed);
-    // And the spec-level defaults agree with the config-level defaults.
-    EXPECT_TRUE(from_simulation_config(default_simulation(DatasetKind::mnist_f))
-                == default_experiment(DatasetKind::mnist_f));
-}
-
-TEST(ExperimentSpecCompat, TestbedShimsAreLossless) {
-    const RealWorldConfig config;
-    const ExperimentSpec spec = from_realworld_config(config);
-    EXPECT_TRUE(spec == default_testbed_experiment());
-    const RealWorldConfig back = to_realworld_config(spec);
-    EXPECT_EQ(back.num_nodes, config.num_nodes);
-    EXPECT_EQ(back.winners, config.winners);
-    EXPECT_EQ(back.cpu_hi, config.cpu_hi);
-    EXPECT_EQ(back.model_bytes, config.model_bytes);
-    EXPECT_EQ(back.seed, config.seed);
-}
-
 TEST(ExperimentSpecCompat, KindMismatchThrowsWithGuidance) {
-    EXPECT_THROW((void)to_realworld_config(default_experiment(DatasetKind::mnist_o)),
-                 std::invalid_argument);
-    EXPECT_THROW((void)to_simulation_config(default_testbed_experiment()),
-                 std::invalid_argument);
+    // Each engine runs one of the two worlds and names the other one when
+    // handed a spec of the wrong kind.
+    auto message = [](auto&& build) -> std::string {
+        try {
+            build();
+        } catch (const std::invalid_argument& error) {
+            return error.what();
+        }
+        return {};
+    };
+    const std::string sim_to_testbed = message(
+        [] { RealWorldTrial trial(default_experiment(DatasetKind::mnist_o), 0); });
+    EXPECT_NE(sim_to_testbed.find("SimulationTrial"), std::string::npos) << sim_to_testbed;
+    const std::string testbed_to_sim =
+        message([] { SimulationTrial trial(default_testbed_experiment(), 0); });
+    EXPECT_NE(testbed_to_sim.find("RealWorldTrial"), std::string::npos) << testbed_to_sim;
 }
 
 // ---------------------------------------------------------------------------
@@ -533,9 +504,9 @@ TEST(Scenarios, DownstreamRegistrationWorks) {
 TEST(ExperimentTrialTest, MatchesTheUnderlyingSimulationEngineBitForBit) {
     const ExperimentSpec spec = tiny_spec();
     ExperimentTrial facade(spec, /*trial_index=*/0);
-    SimulationTrial engine(to_simulation_config(spec), /*trial_index=*/0);
+    SimulationTrial engine(spec, /*trial_index=*/0);
     const fl::RunResult a = facade.run("fmore");
-    const fl::RunResult b = engine.run(Strategy::fmore);
+    const fl::RunResult b = engine.run("fmore");
     ASSERT_EQ(a.rounds.size(), b.rounds.size());
     for (std::size_t r = 0; r < a.rounds.size(); ++r) {
         EXPECT_EQ(a.rounds[r].test_accuracy, b.rounds[r].test_accuracy);
@@ -544,18 +515,6 @@ TEST(ExperimentTrialTest, MatchesTheUnderlyingSimulationEngineBitForBit) {
     }
     EXPECT_EQ(facade.last_all_scores(), engine.last_all_scores());
     EXPECT_EQ(facade.shards().size(), engine.shards().size());
-}
-
-TEST(ExperimentTrialTest, LegacyStrategyOverloadEqualsPolicyName) {
-    const ExperimentSpec spec = tiny_spec();
-    ExperimentTrial a(spec, 0);
-    ExperimentTrial b(spec, 0);
-    const fl::RunResult by_name = a.run("fixfl");
-    const fl::RunResult by_enum = b.run(Strategy::fixfl);
-    ASSERT_EQ(by_name.rounds.size(), by_enum.rounds.size());
-    for (std::size_t r = 0; r < by_name.rounds.size(); ++r) {
-        EXPECT_EQ(by_name.rounds[r].test_accuracy, by_enum.rounds[r].test_accuracy);
-    }
 }
 
 TEST(ExperimentTrialTest, ConstructionRejectsInvalidSpecs) {

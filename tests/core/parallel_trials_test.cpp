@@ -14,18 +14,18 @@
 namespace fmore::core {
 namespace {
 
-/// Tiny configuration so a trial runs in well under a second.
-SimulationConfig tiny_config() {
-    SimulationConfig config;
-    config.train_samples = 900;
-    config.test_samples = 300;
-    config.num_nodes = 20;
-    config.winners = 5;
-    config.rounds = 3;
-    config.data_lo = 10;
-    config.data_hi = 40;
-    config.eval_cap = 200;
-    return config;
+/// Tiny spec so a trial runs in well under a second.
+ExperimentSpec tiny_spec() {
+    ExperimentSpec spec = default_experiment(DatasetKind::mnist_o);
+    spec.training.train_samples = 900;
+    spec.training.test_samples = 300;
+    spec.population.num_nodes = 20;
+    spec.auction.winners = 5;
+    spec.training.rounds = 3;
+    spec.population.data_lo = 10;
+    spec.population.data_hi = 40;
+    spec.training.eval_cap = 200;
+    return spec;
 }
 
 fl::RunResult synthetic_run(std::size_t trial_index) {
@@ -58,7 +58,7 @@ TEST(RunTrials, EachIndexRunsExactlyOnce) {
             seen.insert(t);
             return synthetic_run(t);
         },
-        {.threads = 4, .batch = 3});
+        {.threads = 4});
     EXPECT_EQ(runs.size(), 17u);
     EXPECT_EQ(calls.load(), 17);
     EXPECT_EQ(seen.size(), 17u);
@@ -91,14 +91,14 @@ TEST(ResolveTrialThreads, CapsAndDefaults) {
 
 // The acceptance property: one root seed => bit-identical averaged series
 // no matter how many workers ran the trials.
-TEST(RunSimulationTrials, DeterministicAcrossThreadCounts) {
-    const SimulationConfig config = tiny_config();
+TEST(RunExperimentTrials, DeterministicAcrossThreadCounts) {
+    const ExperimentSpec spec = tiny_spec();
     constexpr std::size_t kTrials = 4;
     const AveragedSeries serial =
-        averaged_simulation(config, Strategy::fmore, kTrials, {.threads = 1});
+        averaged_experiment(spec, "fmore", kTrials, {.threads = 1});
     for (const std::size_t threads : {2ul, 4ul}) {
         const AveragedSeries parallel =
-            averaged_simulation(config, Strategy::fmore, kTrials, {.threads = threads});
+            averaged_experiment(spec, "fmore", kTrials, {.threads = threads});
         ASSERT_EQ(parallel.rounds(), serial.rounds());
         for (std::size_t r = 0; r < serial.rounds(); ++r) {
             // EXPECT_EQ, not NEAR: same trials, same slots, same floats.
@@ -113,16 +113,15 @@ TEST(RunSimulationTrials, DeterministicAcrossThreadCounts) {
 }
 
 // threads=1 must reproduce the pre-runner serial loop exactly.
-TEST(RunSimulationTrials, SingleThreadMatchesLegacySerialLoop) {
-    const SimulationConfig config = tiny_config();
+TEST(RunExperimentTrials, SingleThreadMatchesLegacySerialLoop) {
+    const ExperimentSpec spec = tiny_spec();
     constexpr std::size_t kTrials = 3;
     std::vector<fl::RunResult> legacy;
     for (std::size_t t = 0; t < kTrials; ++t) {
-        SimulationTrial trial(config, t);
-        legacy.push_back(trial.run(Strategy::randfl));
+        SimulationTrial trial(spec, t);
+        legacy.push_back(trial.run("randfl"));
     }
-    const auto pooled =
-        run_simulation_trials(config, Strategy::randfl, kTrials, {.threads = 1});
+    const auto pooled = run_experiment_trials(spec, "randfl", kTrials, {.threads = 1});
     ASSERT_EQ(pooled.size(), legacy.size());
     for (std::size_t t = 0; t < kTrials; ++t) {
         ASSERT_EQ(pooled[t].rounds.size(), legacy[t].rounds.size());

@@ -11,23 +11,23 @@
 namespace fmore::core {
 namespace {
 
-RealWorldConfig small() {
-    RealWorldConfig config;
-    config.train_samples = 2000;
-    config.test_samples = 400;
-    config.num_nodes = 16;
-    config.winners = 4;
-    config.rounds = 3;
-    config.data_lo = 25;
-    config.data_hi = 120;
-    config.eval_cap = 150;
-    return config;
+ExperimentSpec small() {
+    ExperimentSpec spec = default_testbed_experiment();
+    spec.training.train_samples = 2000;
+    spec.training.test_samples = 400;
+    spec.population.num_nodes = 16;
+    spec.auction.winners = 4;
+    spec.training.rounds = 3;
+    spec.population.data_lo = 25;
+    spec.population.data_hi = 120;
+    spec.training.eval_cap = 150;
+    return spec;
 }
 
 TEST(RealWorldAssembly, ShardSizesAreHeterogeneousWithinRange) {
     RealWorldTrial trial(small(), 0);
     // Through the FMore run we can see who holds what via train_samples.
-    const fl::RunResult run = trial.run(Strategy::fmore);
+    const fl::RunResult run = trial.run("fmore");
     std::set<std::size_t> sizes;
     for (const auto& round : run.rounds) {
         for (const auto& sel : round.selection.selected) {
@@ -41,18 +41,17 @@ TEST(RealWorldAssembly, ShardSizesAreHeterogeneousWithinRange) {
 
 TEST(RealWorldAssembly, AllStrategiesReportWallClock) {
     RealWorldTrial trial(small(), 0);
-    for (const Strategy s :
-         {Strategy::fmore, Strategy::psi_fmore, Strategy::randfl, Strategy::fixfl}) {
-        const fl::RunResult run = trial.run(s);
+    for (const char* policy : {"fmore", "psi_fmore", "randfl", "fixfl"}) {
+        const fl::RunResult run = trial.run(policy);
         for (const auto& round : run.rounds) {
-            EXPECT_GT(round.round_seconds, 0.0) << to_string(s);
+            EXPECT_GT(round.round_seconds, 0.0) << policy;
         }
     }
 }
 
 TEST(RealWorldAssembly, AuctionRoundsCarryPayments) {
     RealWorldTrial trial(small(), 0);
-    const fl::RunResult run = trial.run(Strategy::fmore);
+    const fl::RunResult run = trial.run("fmore");
     for (const auto& round : run.rounds) {
         EXPECT_GT(round.mean_winner_payment, 0.0);
         EXPECT_EQ(round.selection.selected.size(), 4u);
@@ -62,8 +61,8 @@ TEST(RealWorldAssembly, AuctionRoundsCarryPayments) {
 TEST(RealWorldAssembly, ReproducibleAcrossIdenticalTrials) {
     RealWorldTrial a(small(), 2);
     RealWorldTrial b(small(), 2);
-    const auto ra = a.run(Strategy::fmore);
-    const auto rb = b.run(Strategy::fmore);
+    const auto ra = a.run("fmore");
+    const auto rb = b.run("fmore");
     for (std::size_t r = 0; r < ra.rounds.size(); ++r) {
         EXPECT_DOUBLE_EQ(ra.rounds[r].test_accuracy, rb.rounds[r].test_accuracy);
         EXPECT_DOUBLE_EQ(ra.rounds[r].round_seconds, rb.rounds[r].round_seconds);

@@ -9,49 +9,49 @@
 namespace fmore::core {
 namespace {
 
-SimulationConfig tiny() {
-    SimulationConfig config;
-    config.train_samples = 900;
-    config.test_samples = 200;
-    config.num_nodes = 20;
-    config.winners = 5;
-    config.rounds = 3;
-    config.data_lo = 10;
-    config.data_hi = 40;
-    config.eval_cap = 100;
-    return config;
+ExperimentSpec tiny() {
+    ExperimentSpec spec = default_experiment(DatasetKind::mnist_o);
+    spec.training.train_samples = 900;
+    spec.training.test_samples = 200;
+    spec.population.num_nodes = 20;
+    spec.auction.winners = 5;
+    spec.training.rounds = 3;
+    spec.population.data_lo = 10;
+    spec.population.data_hi = 40;
+    spec.training.eval_cap = 100;
+    return spec;
 }
 
 TEST(AuctionPipeline, BudgetLimitsWinnersPerRound) {
-    SimulationConfig config = tiny();
+    ExperimentSpec spec = tiny();
     // First find the unconstrained per-round spend.
     double spend = 0.0;
     {
-        SimulationTrial probe(config, 0);
-        const auto run = probe.run(Strategy::fmore);
+        SimulationTrial probe(spec, 0);
+        const auto run = probe.run("fmore");
         for (const auto& sel : run.rounds.front().selection.selected) {
             spend += sel.payment;
         }
     }
-    config.budget = 0.5 * spend;
-    SimulationTrial trial(config, 0);
-    const auto run = trial.run(Strategy::fmore);
+    spec.auction.budget = 0.5 * spend;
+    SimulationTrial trial(spec, 0);
+    const auto run = trial.run("fmore");
     for (const auto& round : run.rounds) {
         EXPECT_LT(round.selection.selected.size(), 5u);
         EXPECT_GE(round.selection.selected.size(), 1u);
         double round_spend = 0.0;
         for (const auto& sel : round.selection.selected) round_spend += sel.payment;
-        EXPECT_LE(round_spend, config.budget + 1e-9);
+        EXPECT_LE(round_spend, spec.auction.budget + 1e-9);
     }
 }
 
 TEST(AuctionPipeline, GenerousBudgetChangesNothing) {
-    SimulationConfig config = tiny();
-    SimulationTrial base_trial(config, 0);
-    const auto base = base_trial.run(Strategy::fmore);
-    config.budget = 1e9;
-    SimulationTrial rich_trial(config, 0);
-    const auto rich = rich_trial.run(Strategy::fmore);
+    ExperimentSpec spec = tiny();
+    SimulationTrial base_trial(spec, 0);
+    const auto base = base_trial.run("fmore");
+    spec.auction.budget = 1e9;
+    SimulationTrial rich_trial(spec, 0);
+    const auto rich = rich_trial.run("fmore");
     ASSERT_EQ(base.rounds.size(), rich.rounds.size());
     for (std::size_t r = 0; r < base.rounds.size(); ++r) {
         EXPECT_EQ(base.rounds[r].selection.selected.size(),
@@ -61,10 +61,10 @@ TEST(AuctionPipeline, GenerousBudgetChangesNothing) {
 }
 
 TEST(AuctionPipeline, PsiRunsProduceFullWinnerSets) {
-    SimulationConfig config = tiny();
-    config.psi = 0.4;
-    SimulationTrial trial(config, 0);
-    const auto run = trial.run(Strategy::psi_fmore);
+    ExperimentSpec spec = tiny();
+    spec.auction.psi = 0.4;
+    SimulationTrial trial(spec, 0);
+    const auto run = trial.run("psi_fmore");
     for (const auto& round : run.rounds) {
         EXPECT_EQ(round.selection.selected.size(), 5u);
     }
@@ -72,7 +72,7 @@ TEST(AuctionPipeline, PsiRunsProduceFullWinnerSets) {
 
 TEST(AuctionPipeline, ScoresByNodeAlignWithAllScores) {
     SimulationTrial trial(tiny(), 0);
-    const auto run = trial.run(Strategy::fmore);
+    const auto run = trial.run("fmore");
     for (const auto& round : run.rounds) {
         const auto& by_node = round.selection.scores_by_node;
         ASSERT_EQ(by_node.size(), 20u);

@@ -26,8 +26,8 @@ TEST(RunResult, FinalsReadLastRound) {
 
 TEST(RunResult, EmptyRunThrows) {
     const RunResult run;
-    EXPECT_THROW(run.final_accuracy(), std::logic_error);
-    EXPECT_THROW(run.final_loss(), std::logic_error);
+    EXPECT_THROW((void)run.final_accuracy(), std::logic_error);
+    EXPECT_THROW((void)run.final_loss(), std::logic_error);
 }
 
 TEST(RunResult, RoundsToAccuracyFindsFirstCrossing) {

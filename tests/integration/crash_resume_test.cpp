@@ -371,6 +371,28 @@ TEST(CrashResume, ResumeRejectsForeignCheckpoints) {
                  std::invalid_argument);
 }
 
+TEST(CrashResume, SpecFieldsTheEngineIgnoresSurviveTheCheckpoint) {
+    // A checkpoint records the spec that ran, down to the fields its engine
+    // never reads; anything less and the resume guard above would refuse a
+    // checkpoint of this very experiment.
+    TempDir tmp;
+    ExperimentSpec sim = tiny_sim_spec(tmp.path("sim"));
+    sim.timing.staleness_alpha = 0.25;
+    sim.population.cpu_lo = 2.0;
+    ExperimentSpec testbed = tiny_testbed_spec(tmp.path("testbed"));
+    testbed.auction.alpha = 10.0;
+    testbed.population.shards_hi = 3;
+    for (const ExperimentSpec& spec : {sim, testbed}) {
+        SCOPED_TRACE(to_string(spec.kind));
+        ASSERT_TRUE(validate(spec).empty());
+        expect_in_process_resume_identity(spec, "fmore", /*resume_round=*/2);
+        const auto latest = find_latest_valid(
+            checkpoint_run_dir(spec.timing.checkpoint_dir, "fmore", 0));
+        ASSERT_TRUE(latest.has_value());
+        EXPECT_EQ(latest->spec_text, to_text(spec));
+    }
+}
+
 TEST(CrashResume, RetentionBoundsTheCheckpointDirectory) {
     TempDir tmp;
     ExperimentSpec spec = tiny_sim_spec(tmp.path("ckpt"));

@@ -12,17 +12,17 @@
 namespace fmore::core {
 namespace {
 
-SimulationConfig small_sim(DatasetKind dataset) {
-    SimulationConfig config = default_simulation(dataset);
-    config.train_samples = 3000;
-    config.test_samples = 600;
-    config.num_nodes = 50;
-    config.winners = 10;
-    config.rounds = 10;
-    config.data_lo = 15;
-    config.data_hi = 90;
-    config.eval_cap = 400;
-    return config;
+ExperimentSpec small_sim(DatasetKind dataset) {
+    ExperimentSpec spec = default_experiment(dataset);
+    spec.training.train_samples = 3000;
+    spec.training.test_samples = 600;
+    spec.population.num_nodes = 50;
+    spec.auction.winners = 10;
+    spec.training.rounds = 10;
+    spec.population.data_lo = 15;
+    spec.population.data_hi = 90;
+    spec.training.eval_cap = 400;
+    return spec;
 }
 
 TEST(EndToEnd, FMoreBeatsBaselinesOnAverage) {
@@ -33,9 +33,9 @@ TEST(EndToEnd, FMoreBeatsBaselinesOnAverage) {
     std::vector<fl::RunResult> fix_runs;
     for (std::size_t t = 0; t < 3; ++t) {
         SimulationTrial trial(small_sim(DatasetKind::mnist_o), t);
-        fmore_runs.push_back(trial.run(Strategy::fmore));
-        rand_runs.push_back(trial.run(Strategy::randfl));
-        fix_runs.push_back(trial.run(Strategy::fixfl));
+        fmore_runs.push_back(trial.run("fmore"));
+        rand_runs.push_back(trial.run("randfl"));
+        fix_runs.push_back(trial.run("fixfl"));
     }
     const auto fmore = average_runs(fmore_runs);
     const auto rand = average_runs(rand_runs);
@@ -50,7 +50,7 @@ TEST(EndToEnd, FMoreSelectsBetterNodesThanAverage) {
     // The causal channel of the paper: winners hold more data x diversity
     // than the population average.
     SimulationTrial trial(small_sim(DatasetKind::mnist_o), 0);
-    const fl::RunResult result = trial.run(Strategy::fmore);
+    const fl::RunResult result = trial.run("fmore");
     const auto& shards = trial.shards();
     double population_mass = 0.0;
     for (const auto& shard : shards) {
@@ -73,11 +73,11 @@ TEST(EndToEnd, FMoreSelectsBetterNodesThanAverage) {
 }
 
 TEST(EndToEnd, PsiFMoreTradesScoreForDiversity) {
-    SimulationConfig config = small_sim(DatasetKind::mnist_o);
-    config.psi = 0.4;
-    SimulationTrial trial(config, 0);
-    const fl::RunResult plain = trial.run(Strategy::fmore);
-    const fl::RunResult psi = trial.run(Strategy::psi_fmore);
+    ExperimentSpec spec = small_sim(DatasetKind::mnist_o);
+    spec.auction.psi = 0.4;
+    SimulationTrial trial(spec, 0);
+    const fl::RunResult plain = trial.run("fmore");
+    const fl::RunResult psi = trial.run("psi_fmore");
     // psi-FMore admits lower-scored winners on average.
     double plain_score = 0.0;
     double psi_score = 0.0;
@@ -93,17 +93,17 @@ TEST(EndToEnd, RealWorldFMoreFasterToAccuracy) {
     // data, so even when its rounds are not individually shorter it reaches
     // a given accuracy in less wall-clock time. Average two trials to tame
     // selection noise at this scale.
-    RealWorldConfig config;
-    config.train_samples = 3000;
-    config.test_samples = 500;
-    config.rounds = 12;
-    config.eval_cap = 400;
+    ExperimentSpec spec = default_testbed_experiment();
+    spec.training.train_samples = 3000;
+    spec.training.test_samples = 500;
+    spec.training.rounds = 12;
+    spec.training.eval_cap = 400;
     std::vector<fl::RunResult> fmore_runs;
     std::vector<fl::RunResult> rand_runs;
     for (std::size_t t = 0; t < 2; ++t) {
-        RealWorldTrial trial(config, t);
-        fmore_runs.push_back(trial.run(Strategy::fmore));
-        rand_runs.push_back(trial.run(Strategy::randfl));
+        RealWorldTrial trial(spec, t);
+        fmore_runs.push_back(trial.run("fmore"));
+        rand_runs.push_back(trial.run("randfl"));
     }
     const double target = 0.30;
     const double fmore_s = mean_seconds_to_accuracy(fmore_runs, target);

@@ -9,17 +9,17 @@
 namespace fmore::core {
 namespace {
 
-SimulationConfig tiny() {
-    SimulationConfig config;
-    config.train_samples = 900;
-    config.test_samples = 200;
-    config.num_nodes = 25;
-    config.winners = 6;
-    config.rounds = 2;
-    config.data_lo = 10;
-    config.data_hi = 50;
-    config.eval_cap = 100;
-    return config;
+ExperimentSpec tiny() {
+    ExperimentSpec spec = default_experiment(DatasetKind::mnist_o);
+    spec.training.train_samples = 900;
+    spec.training.test_samples = 200;
+    spec.population.num_nodes = 25;
+    spec.auction.winners = 6;
+    spec.training.rounds = 2;
+    spec.population.data_lo = 10;
+    spec.population.data_hi = 50;
+    spec.training.eval_cap = 100;
+    return spec;
 }
 
 TEST(IncentiveIntegration, EquilibriumIsIncentiveCompatibleInContext) {
@@ -44,14 +44,14 @@ TEST(IncentiveIntegration, EquilibriumIsIncentiveCompatibleInContext) {
 
 TEST(IncentiveIntegration, PaymentsDecreaseWithMoreNodes) {
     // Fig. 9(b) through the full stack: same workload, more bidders.
-    SimulationConfig small = tiny();
-    SimulationConfig large = tiny();
-    large.num_nodes = 60;
-    large.train_samples = 2000;
+    ExperimentSpec small = tiny();
+    ExperimentSpec large = tiny();
+    large.population.num_nodes = 60;
+    large.training.train_samples = 2000;
     SimulationTrial ts(small, 0);
     SimulationTrial tl(large, 0);
-    const auto rs = ts.run(Strategy::fmore);
-    const auto rl = tl.run(Strategy::fmore);
+    const auto rs = ts.run("fmore");
+    const auto rl = tl.run("fmore");
     double ps = 0.0;
     double pl = 0.0;
     for (const auto& r : rs.rounds) ps += r.mean_winner_payment;
@@ -63,7 +63,7 @@ TEST(IncentiveIntegration, PaymentsDecreaseWithMoreNodes) {
 
 TEST(IncentiveIntegration, WinnerScoresDominatePopulationMedian) {
     SimulationTrial trial(tiny(), 0);
-    const auto result = trial.run(Strategy::fmore);
+    const auto result = trial.run("fmore");
     for (const auto& round : result.rounds) {
         const auto& all = round.selection.all_scores; // descending
         ASSERT_FALSE(all.empty());
@@ -76,7 +76,7 @@ TEST(IncentiveIntegration, WinnerScoresDominatePopulationMedian) {
 
 TEST(IncentiveIntegration, PaymentsNeverBelowEquilibriumCost) {
     SimulationTrial trial(tiny(), 0);
-    const auto result = trial.run(Strategy::fmore);
+    const auto result = trial.run("fmore");
     for (const auto& round : result.rounds) {
         for (const auto& sel : round.selection.selected) {
             EXPECT_GT(sel.payment, 0.0);

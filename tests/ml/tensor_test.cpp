@@ -18,7 +18,7 @@ TEST(Tensor, ShapeAccessors) {
     const Tensor t({4, 1, 5});
     EXPECT_EQ(t.dim(0), 4u);
     EXPECT_EQ(t.dim(2), 5u);
-    EXPECT_THROW(t.dim(3), std::out_of_range);
+    EXPECT_THROW((void)t.dim(3), std::out_of_range);
 }
 
 TEST(Tensor, ConstructFromData) {

@@ -25,9 +25,9 @@ TEST(RunningSummary, SingleValue) {
 
 TEST(RunningSummary, EmptyThrows) {
     const RunningSummary s;
-    EXPECT_THROW(s.mean(), std::logic_error);
-    EXPECT_THROW(s.min(), std::logic_error);
-    EXPECT_THROW(s.max(), std::logic_error);
+    EXPECT_THROW((void)s.mean(), std::logic_error);
+    EXPECT_THROW((void)s.min(), std::logic_error);
+    EXPECT_THROW((void)s.max(), std::logic_error);
 }
 
 TEST(BatchStats, MeanAndStddev) {
