@@ -29,6 +29,7 @@
 #include "fmore/fl/metrics.hpp"
 #include "fmore/fl/run_state.hpp"
 #include "fmore/mec/population_store.hpp"
+#include "fmore/util/snapshot.hpp"
 
 namespace fmore::core {
 
@@ -59,6 +60,35 @@ struct RunCheckpoint {
 [[nodiscard]] std::string checkpoint_run_dir(const std::string& base,
                                              const std::string& policy,
                                              std::size_t trial_index);
+
+/// The metrics section of a checkpoint file, encoded incrementally: a u64
+/// round count followed by each round's bytes. `append` encodes only the
+/// rounds it has not seen and patches the count in place, so a run that
+/// checkpoints every round encodes each round once, not once per save.
+class MetricsTape {
+public:
+    /// An empty tape: a zero round count.
+    MetricsTape() { bytes_.put_u64(0); }
+
+    /// Encode the rounds of `rounds` not encoded yet and set the count to
+    /// `rounds.size()`. `rounds` must start with the rounds already encoded.
+    /// @throws util::SnapshotError when `rounds` is shorter than what is
+    ///         already encoded — a run's tape only grows
+    void append(const std::vector<fl::RoundMetrics>& rounds);
+
+    /// The section payload; valid until the next `append`.
+    [[nodiscard]] const std::vector<std::uint8_t>& payload() const { return bytes_.bytes(); }
+
+private:
+    util::ByteWriter bytes_;
+    std::size_t rounds_ = 0;
+};
+
+/// Every section of `ckpt`'s file, in file order. The metrics section is
+/// borrowed from `tape` (`ckpt.rounds` is not read), so `tape` must outlive
+/// the writer's writes and not change during them.
+[[nodiscard]] util::SnapshotWriter checkpoint_sections(const RunCheckpoint& ckpt,
+                                                       const MetricsTape& tape);
 
 /// Serialize + atomically write `ckpt` to `path`. `mid_write` is threaded
 /// to `SnapshotWriter::write_file` (the crash harness kills the process

@@ -11,6 +11,7 @@
 #include <csignal>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -68,13 +69,23 @@ inline fl::RunControl make_resume_control(const RunCheckpoint& ckpt) {
     return control;
 }
 
-/// The on_round hook: assemble and atomically write a checkpoint every
-/// `every` rounds (plus the final round, so a finished run always leaves a
-/// complete checkpoint), prune to the newest `keep`, then deliver any
-/// scheduled coordinator-kill fault. A kill round forces a save first —
-/// "SIGKILL right after round R's checkpoint saved" is the contract the
-/// crash harness tests — and `ckill_mid` kills from inside the write via
-/// the mid_write hook, leaving a torn `.tmp` behind.
+/// The on_round hook: write a checkpoint every `every` rounds (plus the
+/// final round, so a finished run always leaves a complete checkpoint),
+/// prune to the newest `keep`, then deliver any scheduled coordinator-kill
+/// fault. A kill round forces a save first — "SIGKILL right after round R's
+/// checkpoint saved" is the contract the crash harness tests — and
+/// `ckill_mid` kills from inside the write via the mid_write hook, leaving a
+/// torn `.tmp` behind.
+///
+/// The round thread only encodes: the rounds new since the last save (the
+/// metrics section is `tape_`, kept across saves) and the small sections.
+/// A background task then writes, fsyncs, renames and prunes. The next
+/// save joins it first, so at most one write is in flight, files land in
+/// round order, and a failed write rethrows there. Kill rounds and the
+/// final round write on the round thread: a kill lands after its
+/// checkpoint is durable, and the run returns with its last checkpoint on
+/// disk. The background thread is not drawn from `util::ThreadBudget`; it
+/// spends its time in fsync.
 ///
 /// Captures references owned by the enclosing run; must not outlive it.
 struct CheckpointWriter {
@@ -91,39 +102,66 @@ struct CheckpointWriter {
     mec::MecPopulation* population = nullptr;
     fl::ClientSelector* selector = nullptr;
 
+    /// A run that throws before its final save still waits for the write in
+    /// flight, which borrows `tape_`; that write's own error is dropped.
+    ~CheckpointWriter() {
+        if (pending_.valid()) pending_.wait();
+    }
+
     void operator()(std::size_t round, const std::vector<fl::RoundMetrics>& rounds,
                     const std::vector<float>& global,
                     const std::vector<fl::InFlightUpdate>& flight,
-                    std::uint64_t next_seq) const {
+                    std::uint64_t next_seq) {
         const bool kill_now = round == ckill_round && ckill_round > 0;
         const bool kill_mid = round == ckill_mid_round && ckill_mid_round > 0;
         const bool save_now =
             every > 0
             && (round % every == 0 || round == total_rounds || kill_now || kill_mid);
         if (save_now) {
-            RunCheckpoint ckpt;
-            ckpt.spec_text = spec_text;
-            ckpt.policy = policy;
-            ckpt.trial_index = trial_index;
-            ckpt.completed_rounds = round;
-            ckpt.rng_state = serialize_rng(*run_rng);
-            ckpt.model_params = global;
-            ckpt.population = population->snapshot();
+            // The previous write borrows tape_: it must land before tape_ grows.
+            if (pending_.valid()) pending_.get();
+            tape_.append(rounds);
+            RunCheckpoint state; // its tape is tape_, so `rounds` stays empty
+            state.spec_text = spec_text;
+            state.policy = policy;
+            state.trial_index = trial_index;
+            state.completed_rounds = round;
+            state.rng_state = serialize_rng(*run_rng);
+            state.model_params = global;
+            state.population = population->snapshot();
             fl::SelectorCheckpoint sel;
             selector->save_checkpoint(sel);
-            ckpt.banned_nodes = std::move(sel.banned_nodes);
-            ckpt.rounds = rounds;
-            ckpt.flight = flight;
-            ckpt.next_seq = next_seq;
-            ensure_checkpoint_dir(dir);
-            save_checkpoint(ckpt, dir + "/" + checkpoint_filename(round),
-                            kill_mid
-                                ? std::function<void()>([] { std::raise(SIGKILL); })
-                                : std::function<void()>());
-            prune_checkpoints(dir, keep);
+            state.banned_nodes = std::move(sel.banned_nodes);
+            state.flight = flight;
+            state.next_seq = next_seq;
+            util::SnapshotWriter file = checkpoint_sections(state, tape_);
+            std::string path = dir + "/" + checkpoint_filename(round);
+            if (kill_now || kill_mid || round == total_rounds) {
+                write_and_prune(file, dir, path, keep,
+                                kill_mid ? std::function<void()>([] { std::raise(SIGKILL); })
+                                         : std::function<void()>());
+            } else {
+                pending_ = std::async(std::launch::async,
+                                      [file = std::move(file), dir = dir,
+                                       path = std::move(path), keep = keep] {
+                                          write_and_prune(file, dir, path, keep, {});
+                                      });
+            }
         }
         if (kill_now) std::raise(SIGKILL);
     }
+
+private:
+    static void write_and_prune(const util::SnapshotWriter& file, const std::string& dir,
+                                const std::string& path, std::size_t keep,
+                                const std::function<void()>& mid_write) {
+        ensure_checkpoint_dir(dir);
+        file.write_file(path, mid_write);
+        prune_checkpoints(dir, keep);
+    }
+
+    MetricsTape tape_;
+    std::future<void> pending_; ///< the background write in flight, if any
 };
 
 /// One run's durable-run wiring. Construct it right after the run's
@@ -133,7 +171,8 @@ struct CheckpointWriter {
 /// construction = identical draws. Either way, checkpoints are written on
 /// the spec's cadence and record `to_text(spec)`, the spec that ran.
 ///
-/// Not copyable: the control's on_round hook refers to the writer.
+/// Not copyable: the control's on_round hook refers to the writer, which
+/// changes as it saves, so a run's DurableRun is not const.
 class DurableRun {
 public:
     DurableRun(const ExperimentSpec& spec, const std::string& policy,
@@ -170,7 +209,7 @@ public:
             writer_.run_rng = &run_rng;
             writer_.population = &population;
             writer_.selector = &selector;
-            control_.on_round = std::cref(writer_);
+            control_.on_round = std::ref(writer_);
         }
         active_ = resume_from != nullptr || durable;
     }

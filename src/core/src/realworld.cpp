@@ -200,8 +200,8 @@ fl::RunResult RealWorldTrial::run_resumable(const std::string& policy_name,
     const mec::ClusterTimeModel time_model(*population_, tc, is_auction, factor_rng);
 
     stats::Rng run_rng(trial_seed_ ^ 0xf00dULL);
-    const detail::DurableRun durable(spec_, policy_name, trial_index_, resume_from,
-                                     run_rng, *population_, *selector);
+    detail::DurableRun durable(spec_, policy_name, trial_index_, resume_from, run_rng,
+                               *population_, *selector);
 
     fl::RunResult result;
     if (timing.round_mode == fl::RoundMode::sync) {

@@ -172,8 +172,17 @@ void ensure_checkpoint_dir(const std::string& dir) {
                             + "': " + ec.message());
 }
 
-void save_checkpoint(const RunCheckpoint& ckpt, const std::string& path,
-                     const std::function<void()>& mid_write) {
+void MetricsTape::append(const std::vector<fl::RoundMetrics>& rounds) {
+    if (rounds.size() < rounds_)
+        throw SnapshotError("checkpoint: the metrics tape shrank from "
+                            + std::to_string(rounds_) + " to "
+                            + std::to_string(rounds.size()) + " rounds");
+    for (std::size_t i = rounds_; i < rounds.size(); ++i) put_round(bytes_, rounds[i]);
+    bytes_.patch_u64(0, rounds.size());
+    rounds_ = rounds.size();
+}
+
+SnapshotWriter checkpoint_sections(const RunCheckpoint& ckpt, const MetricsTape& tape) {
     SnapshotWriter writer;
     {
         ByteWriter w;
@@ -207,12 +216,7 @@ void save_checkpoint(const RunCheckpoint& ckpt, const std::string& path,
         w.put_u64_vec(ckpt.banned_nodes);
         writer.add_section(kSecBlacklist, w.take());
     }
-    {
-        ByteWriter w;
-        w.put_u64(ckpt.rounds.size());
-        for (const fl::RoundMetrics& m : ckpt.rounds) put_round(w, m);
-        writer.add_section(kSecMetrics, w.take());
-    }
+    writer.add_borrowed_section(kSecMetrics, tape.payload());
     {
         ByteWriter w;
         w.put_u64(ckpt.next_seq);
@@ -229,7 +233,14 @@ void save_checkpoint(const RunCheckpoint& ckpt, const std::string& path,
         }
         writer.add_section(kSecFlight, w.take());
     }
-    writer.write_file(path, mid_write);
+    return writer;
+}
+
+void save_checkpoint(const RunCheckpoint& ckpt, const std::string& path,
+                     const std::function<void()>& mid_write) {
+    MetricsTape tape;
+    tape.append(ckpt.rounds);
+    checkpoint_sections(ckpt, tape).write_file(path, mid_write);
 }
 
 RunCheckpoint load_checkpoint(const std::string& path) {

@@ -181,8 +181,8 @@ fl::RunResult SimulationTrial::run_resumable(const std::string& policy_name,
     const std::unique_ptr<fl::ClientSelector> selector = policy->make_selector(context);
 
     stats::Rng run_rng(trial_seed_ ^ 0xf00dULL);
-    const detail::DurableRun durable(spec_, policy_name, trial_index_, resume_from,
-                                     run_rng, *population_, *selector);
+    detail::DurableRun durable(spec_, policy_name, trial_index_, resume_from, run_rng,
+                               *population_, *selector);
 
     fl::RunResult result = coordinator.run(*selector, run_rng, nullptr, durable.control());
     if (!result.rounds.empty()

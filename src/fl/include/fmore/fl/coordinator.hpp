@@ -44,8 +44,9 @@ using RoundTimeModel =
 ///
 /// The K local trainings of a round are independent and run concurrently
 /// on the shared `util::ThreadPool`, each on a thread-local clone of the
-/// model seeded from a per-client stream drawn in selection order; results
-/// land in selection-order slots and are aggregated in that fixed order, so
+/// model seeded from a per-client stream drawn in selection order. The pool
+/// starts the clients with the most samples first, but results land in
+/// selection-order slots and are aggregated in that fixed order, so
 /// round metrics are bit-identical to the serial path for any thread count
 /// (the same guarantee the trial runner gives across trials). Evaluation
 /// splits its fixed 128-sample batches over the same workers and reduces

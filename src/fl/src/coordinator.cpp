@@ -1,6 +1,7 @@
 #include "fmore/fl/coordinator.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "fmore/fl/fedavg.hpp"
@@ -111,12 +112,21 @@ void Coordinator::train_clients(const std::vector<float>& global,
         return;
     }
 
+    // Longest first: the pool claims tasks in this order, so the last task
+    // to start is a short one and no long task sets the round's tail. Ties
+    // keep slot order; each update still lands in its slot.
+    std::vector<std::size_t> order(tasks.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&tasks](std::size_t a, std::size_t b) {
+        return tasks[a].local.size() > tasks[b].local.size();
+    });
+
     if (worker_models_.size() < workers) worker_models_.resize(workers);
     util::ThreadPool::shared().parallel_for(
         tasks.size(), workers - 1, [&](std::size_t slot, std::size_t i) {
             std::unique_ptr<ml::Model>& local = worker_models_[slot];
             if (!local) local = std::make_unique<ml::Model>(model_.clone());
-            train_one(*local, tasks[i]);
+            train_one(*local, tasks[order[i]]);
         });
 }
 

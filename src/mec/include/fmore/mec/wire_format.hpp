@@ -22,12 +22,13 @@
 #include <poll.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <vector>
+
+#include "fmore/util/snapshot.hpp"
 
 namespace fmore::mec::wire {
 
@@ -77,23 +78,10 @@ enum class ReadStatus {
     bad_payload,  ///< payload CRC mismatch — stream still framed
 };
 
-/// Software CRC32 (IEEE 802.3 polynomial, reflected) — no zlib dependency.
+/// CRC32 (IEEE 802.3 polynomial, reflected) — the checksum snapshot files
+/// use too, computed by one implementation.
 inline std::uint32_t crc32(const void* data, std::size_t size) {
-    static const auto table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int bit = 0; bit < 8; ++bit)
-                c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    std::uint32_t crc = 0xffffffffu;
-    for (std::size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
-    return crc ^ 0xffffffffu;
+    return util::snapshot_crc32(static_cast<const std::uint8_t*>(data), size);
 }
 
 /// Write exactly `size` bytes, looping over EINTR and short writes. With

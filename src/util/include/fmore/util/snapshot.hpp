@@ -7,18 +7,18 @@
 /// persists everything a run needs to continue — population columns, salt
 /// history, bans, model weights, the metrics tape — into a single file per
 /// checkpoint. The format is deliberately dumb: a fixed header followed by
-/// tagged sections, every byte of which is covered by a CRC32 (the same
-/// polynomial discipline as the shard wire protocol in
-/// `mec/wire_format.hpp`, restated here because util sits below mec in the
-/// layer order). A torn write, a truncated prefix, or a single flipped bit
-/// anywhere in the file fails a checksum or a bounds check and raises
-/// `SnapshotError` with the offending path and section — a checkpoint is
-/// either consumed whole or rejected whole, never half-loaded.
+/// tagged sections, every byte of which is covered by a CRC32 (the one the
+/// shard wire protocol in `mec/wire_format.hpp` also uses). A torn write, a
+/// truncated prefix, or a single flipped bit anywhere in the file fails a
+/// checksum or a bounds check and raises `SnapshotError` with the offending
+/// path and section — a checkpoint is either consumed whole or rejected
+/// whole, never half-loaded.
 ///
-/// Writes are atomic: the file is assembled in memory, written to
-/// `<path>.tmp`, fsync'd, renamed over `<path>`, and the directory is
-/// fsync'd. A crash at any point leaves either the previous file or a
-/// `.tmp` that readers never look at.
+/// Writes are atomic: the file header, each section header and each
+/// payload are written from their own buffers (a borrowed payload is never
+/// copied) to `<path>.tmp`, which is fsync'd and renamed over `<path>`, and
+/// the directory is fsync'd. A crash at any point leaves either the
+/// previous file or a `.tmp` that readers never look at.
 ///
 /// File layout (all integers little-endian):
 ///
@@ -49,14 +49,15 @@ public:
     explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// CRC-32 (IEEE 802.3, reflected) over a byte range. Matches the checksum
-/// the shard wire protocol uses, so the two subsystems share one notion of
-/// "this frame is intact".
+/// CRC-32 (IEEE 802.3, reflected) over a byte range — the one checksum of
+/// both snapshot files and shard wire frames. Table-driven, eight bytes per
+/// step (slicing-by-8); every output equals the byte-at-a-time definition.
 [[nodiscard]] std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size);
 
 /// Append-only little-endian encoder for section payloads. Strings and
-/// vectors are length-prefixed; floats go through memcpy so the bit
-/// pattern — not a decimal rendering — is what round-trips.
+/// vectors are length-prefixed; floats are stored as their bit pattern —
+/// not a decimal rendering — so they round-trip exactly. Vectors are
+/// appended with one memcpy each.
 class ByteWriter {
 public:
     void put_u32(std::uint32_t v);
@@ -67,6 +68,9 @@ public:
     void put_f32_vec(const std::vector<float>& v);
     void put_f64_vec(const std::vector<double>& v);
     void put_u64_vec(const std::vector<std::uint64_t>& v);
+    /// Overwrite the 8 bytes at `offset`, which an earlier put wrote — for a
+    /// count that is only known once the items after it are encoded.
+    void patch_u64(std::size_t offset, std::uint64_t v);
 
     [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return bytes_; }
     [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
@@ -106,17 +110,22 @@ private:
     std::string context_;
 };
 
-/// Assembles a snapshot file from tagged sections and writes it atomically.
+/// Collects a snapshot file's tagged sections and writes it atomically.
 class SnapshotWriter {
 public:
     /// Add one section. Tags must be unique within a file.
     void add_section(std::uint32_t tag, std::vector<std::uint8_t> payload);
+    /// Add a section whose payload stays with the caller: it must outlive
+    /// every `serialize`/`write_file` of this writer and not change during
+    /// one.
+    void add_borrowed_section(std::uint32_t tag, const std::vector<std::uint8_t>& payload);
 
-    /// Serialize the whole file to bytes (header + sections).
+    /// The whole file as one buffer (header + sections) — the reference
+    /// bytes `write_file` leaves on disk.
     [[nodiscard]] std::vector<std::uint8_t> serialize() const;
 
     /// Atomic write: `<path>.tmp` + fsync + rename + directory fsync.
-    /// `mid_write`, when set, runs after roughly half the bytes hit the
+    /// `mid_write`, when set, runs once, after half the file's bytes hit the
     /// temp file and before the rename — the crash-recovery harness uses it
     /// to SIGKILL the process mid-checkpoint and prove the torn `.tmp`
     /// never shadows the previous good checkpoint.
@@ -129,8 +138,22 @@ public:
 private:
     struct Section {
         std::uint32_t tag;
-        std::vector<std::uint8_t> payload;
+        std::vector<std::uint8_t> owned;
+        const std::vector<std::uint8_t>* borrowed = nullptr;
+        [[nodiscard]] const std::vector<std::uint8_t>& payload() const {
+            return borrowed ? *borrowed : owned;
+        }
     };
+    /// One contiguous byte range of the file.
+    struct Part {
+        const std::uint8_t* data;
+        std::size_t size;
+    };
+    void check_new_tag(std::uint32_t tag) const;
+    /// The file as byte ranges in order: the headers are built into
+    /// `headers`, the payloads are referenced where they live.
+    [[nodiscard]] std::vector<Part> layout(std::vector<std::uint8_t>& headers) const;
+
     std::vector<Section> sections_;
 };
 

@@ -3,37 +3,48 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
 namespace fmore::util {
 
+// The format is little-endian, and the bulk paths below copy native bytes.
+static_assert(std::endian::native == std::endian::little,
+              "snapshot encoding assumes a little-endian host");
+
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-    std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: row 0 is the byte-at-a-time table of the reflected
+/// IEEE polynomial; row k advances a byte's contribution by k more bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < t.size(); ++k)
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    return t;
 }
 
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
+/// Append `n` values of `T` in their native (= little-endian) bytes.
+template <class T>
+void append_raw(std::vector<std::uint8_t>& out, const T* data, std::size_t n) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(data);
+    out.insert(out.end(), p, p + n * sizeof(T));
 }
 
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) { append_raw(out, &v, 1); }
+void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) { append_raw(out, &v, 1); }
 
 std::uint32_t read_u32_at(const std::uint8_t* p) {
     return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -66,10 +77,18 @@ void write_all(int fd, const std::uint8_t* data, std::size_t size,
 } // namespace
 
 std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size) {
-    static const std::array<std::uint32_t, 256> table = make_crc_table();
+    static const CrcTables t = make_crc_tables();
     std::uint32_t crc = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+    for (; size >= 8; data += 8, size -= 8) {
+        std::uint64_t word;
+        std::memcpy(&word, data, sizeof word);
+        const auto lo = static_cast<std::uint32_t>(word) ^ crc;
+        const auto hi = static_cast<std::uint32_t>(word >> 32);
+        crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu]
+              ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu]
+              ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    }
+    for (; size > 0; ++data, --size) crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
     return crc ^ 0xFFFFFFFFu;
 }
 
@@ -77,37 +96,35 @@ std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size) {
 
 void ByteWriter::put_u32(std::uint32_t v) { append_u32(bytes_, v); }
 void ByteWriter::put_u64(std::uint64_t v) { append_u64(bytes_, v); }
-
-void ByteWriter::put_f32(float v) {
-    std::uint32_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    put_u32(bits);
-}
-
-void ByteWriter::put_f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    put_u64(bits);
-}
+void ByteWriter::put_f32(float v) { append_raw(bytes_, &v, 1); }
+void ByteWriter::put_f64(double v) { append_raw(bytes_, &v, 1); }
 
 void ByteWriter::put_str(const std::string& s) {
     put_u64(s.size());
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
+    append_raw(bytes_, s.data(), s.size());
 }
 
 void ByteWriter::put_f32_vec(const std::vector<float>& v) {
     put_u64(v.size());
-    for (float x : v) put_f32(x);
+    append_raw(bytes_, v.data(), v.size());
 }
 
 void ByteWriter::put_f64_vec(const std::vector<double>& v) {
     put_u64(v.size());
-    for (double x : v) put_f64(x);
+    append_raw(bytes_, v.data(), v.size());
 }
 
 void ByteWriter::put_u64_vec(const std::vector<std::uint64_t>& v) {
     put_u64(v.size());
-    for (std::uint64_t x : v) put_u64(x);
+    append_raw(bytes_, v.data(), v.size());
+}
+
+void ByteWriter::patch_u64(std::size_t offset, std::uint64_t v) {
+    if (offset > bytes_.size() || bytes_.size() - offset < sizeof v)
+        throw SnapshotError("snapshot: patch at byte " + std::to_string(offset)
+                            + " runs past the " + std::to_string(bytes_.size())
+                            + " bytes written");
+    std::memcpy(bytes_.data() + offset, &v, sizeof v);
 }
 
 // ---------------------------------------------------------------- ByteReader
@@ -188,34 +205,65 @@ void ByteReader::expect_end() const {
 
 // ------------------------------------------------------------ SnapshotWriter
 
-void SnapshotWriter::add_section(std::uint32_t tag, std::vector<std::uint8_t> payload) {
+void SnapshotWriter::check_new_tag(std::uint32_t tag) const {
     for (const Section& s : sections_)
         if (s.tag == tag)
             throw SnapshotError("snapshot: duplicate section tag " + std::to_string(tag));
-    sections_.push_back(Section{tag, std::move(payload)});
+}
+
+void SnapshotWriter::add_section(std::uint32_t tag, std::vector<std::uint8_t> payload) {
+    check_new_tag(tag);
+    sections_.push_back(Section{tag, std::move(payload), nullptr});
+}
+
+void SnapshotWriter::add_borrowed_section(std::uint32_t tag,
+                                          const std::vector<std::uint8_t>& payload) {
+    check_new_tag(tag);
+    sections_.push_back(Section{tag, {}, &payload});
+}
+
+std::vector<SnapshotWriter::Part>
+SnapshotWriter::layout(std::vector<std::uint8_t>& headers) const {
+    headers.clear();
+    headers.reserve(16 + 20 * sections_.size());
+    append_u32(headers, kMagic);
+    append_u32(headers, kVersion);
+    append_u32(headers, static_cast<std::uint32_t>(sections_.size()));
+    append_u32(headers, snapshot_crc32(headers.data(), headers.size()));
+    for (const Section& s : sections_) {
+        const std::vector<std::uint8_t>& payload = s.payload();
+        const std::size_t at = headers.size();
+        append_u32(headers, s.tag);
+        append_u64(headers, payload.size());
+        append_u32(headers, snapshot_crc32(payload.data(), payload.size()));
+        append_u32(headers, snapshot_crc32(headers.data() + at, 16));
+    }
+    // `headers` is complete, so pointers into it stay valid.
+    std::vector<Part> parts;
+    parts.reserve(1 + 2 * sections_.size());
+    parts.push_back(Part{headers.data(), 16});
+    for (std::size_t i = 0; i < sections_.size(); ++i) {
+        const std::vector<std::uint8_t>& payload = sections_[i].payload();
+        parts.push_back(Part{headers.data() + 16 + 20 * i, 20});
+        parts.push_back(Part{payload.data(), payload.size()});
+    }
+    return parts;
 }
 
 std::vector<std::uint8_t> SnapshotWriter::serialize() const {
+    std::vector<std::uint8_t> headers;
     std::vector<std::uint8_t> out;
-    append_u32(out, kMagic);
-    append_u32(out, kVersion);
-    append_u32(out, static_cast<std::uint32_t>(sections_.size()));
-    append_u32(out, snapshot_crc32(out.data(), out.size()));
-    for (const Section& s : sections_) {
-        std::vector<std::uint8_t> hdr;
-        append_u32(hdr, s.tag);
-        append_u64(hdr, s.payload.size());
-        append_u32(hdr, snapshot_crc32(s.payload.data(), s.payload.size()));
-        append_u32(hdr, snapshot_crc32(hdr.data(), hdr.size()));
-        out.insert(out.end(), hdr.begin(), hdr.end());
-        out.insert(out.end(), s.payload.begin(), s.payload.end());
-    }
+    for (const Part& part : layout(headers))
+        out.insert(out.end(), part.data, part.data + part.size);
     return out;
 }
 
 void SnapshotWriter::write_file(const std::string& path,
                                 const std::function<void()>& mid_write) const {
-    const std::vector<std::uint8_t> bytes = serialize();
+    std::vector<std::uint8_t> headers;
+    const std::vector<Part> parts = layout(headers);
+    std::size_t total = 0;
+    for (const Part& part : parts) total += part.size;
     const std::string tmp = path + ".tmp";
 
     int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
@@ -224,11 +272,20 @@ void SnapshotWriter::write_file(const std::string& path,
         throw SnapshotError("snapshot: cannot create '" + tmp +
                             "': " + std::strerror(err));
     }
+    // Write the file's bytes [from, to), each from the part that holds it.
+    const auto write_range = [&](std::size_t from, std::size_t to) {
+        std::size_t at = 0;
+        for (const Part& part : parts) {
+            const std::size_t lo = std::max(from, at);
+            const std::size_t hi = std::min(to, at + part.size);
+            if (lo < hi) write_all(fd, part.data + (lo - at), hi - lo, tmp);
+            at += part.size;
+        }
+    };
     try {
-        const std::size_t half = bytes.size() / 2;
-        write_all(fd, bytes.data(), half, tmp);
+        write_range(0, total / 2);
         if (mid_write) mid_write();
-        write_all(fd, bytes.data() + half, bytes.size() - half, tmp);
+        write_range(total / 2, total);
         if (::fsync(fd) != 0) {
             int err = errno;
             throw SnapshotError("snapshot: fsync '" + tmp +

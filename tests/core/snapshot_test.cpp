@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -229,6 +230,63 @@ TEST(Snapshot, ThrowingMidWriteNeverShadowsThePreviousFile) {
     EXPECT_EQ(r.get_str(), "alpha");
 }
 
+/// The whole file at `path`.
+std::vector<std::uint8_t> read_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// CRC-32 straight from its definition: one byte per step, one bit at a time.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t size) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= data[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Snapshot, Crc32MatchesBytewiseReference) {
+    // Every length crosses the 8-byte step at every alignment, tails included.
+    std::mt19937_64 gen(20261017);
+    std::vector<std::uint8_t> buf(1031 + 8);
+    for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(gen());
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t len = 0; len <= 1031; ++len)
+            ASSERT_EQ(util::snapshot_crc32(buf.data() + offset, len),
+                      reference_crc32(buf.data() + offset, len))
+                << "offset " << offset << ", length " << len;
+    const std::string check = "123456789";
+    EXPECT_EQ(util::snapshot_crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                                   check.size()),
+              0xCBF43926u);
+}
+
+TEST(Snapshot, WriteFileMatchesSerialize) {
+    TempDir tmp;
+    const std::string path = tmp.path("c.fmsnap");
+    std::vector<std::uint8_t> borrowed(1001);
+    for (std::size_t i = 0; i < borrowed.size(); ++i)
+        borrowed[i] = static_cast<std::uint8_t>(i * 7 + 3);
+    SnapshotWriter writer;
+    writer.add_section(4, {});
+    writer.add_section(9, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13});
+    writer.add_borrowed_section(2, borrowed);
+    const std::vector<std::uint8_t> expected = writer.serialize();
+
+    int calls = 0;
+    writer.write_file(path, [&] {
+        ++calls;
+        EXPECT_EQ(fs::file_size(path + ".tmp"), expected.size() / 2);
+    });
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(read_file(path), expected);
+    const SnapshotReader reader = SnapshotReader::from_file(path);
+    EXPECT_TRUE(reader.section(4).empty());
+    EXPECT_EQ(reader.section(2), borrowed);
+}
+
 // ---------------------------------------------------------------------------
 // RunCheckpoint save/load
 // ---------------------------------------------------------------------------
@@ -362,6 +420,36 @@ TEST(RunCheckpointIO, SaveLoadRoundTripsBitExactly) {
     save_checkpoint(ckpt, path);
     const RunCheckpoint loaded = load_checkpoint(path);
     expect_checkpoints_equal(ckpt, loaded);
+}
+
+/// FNV-1a, 64-bit.
+std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(RunCheckpointIO, FileBytesArePinned) {
+    // Any change to the checkpoint format, intended or not, fails here; an
+    // intended one also bumps SnapshotWriter::kVersion.
+    TempDir tmp;
+    const std::string path = tmp.path(checkpoint_filename(2));
+    save_checkpoint(sample_checkpoint(), path);
+    const std::vector<std::uint8_t> bytes = read_file(path);
+    EXPECT_EQ(bytes.size(), 1013u);
+    EXPECT_EQ(fnv1a64(bytes), 0x84c7ff2fd87a7e07ULL);
+}
+
+TEST(RunCheckpointIO, MetricsTapeRefusesToShrink) {
+    const RunCheckpoint ckpt = sample_checkpoint();
+    MetricsTape tape;
+    tape.append(ckpt.rounds);
+    const std::vector<fl::RoundMetrics> shorter(ckpt.rounds.begin(),
+                                                ckpt.rounds.begin() + 1);
+    EXPECT_THROW(tape.append(shorter), SnapshotError);
 }
 
 TEST(RunCheckpointIO, TapeLengthMismatchIsRejected) {

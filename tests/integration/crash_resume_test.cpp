@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "fmore/core/experiment.hpp"
 #include "fmore/core/run_checkpoint.hpp"
 #include "fmore/fl/metrics.hpp"
+#include "fmore/util/snapshot.hpp"
 
 namespace fmore::core {
 namespace {
@@ -390,6 +392,81 @@ TEST(CrashResume, SpecFieldsTheEngineIgnoresSurviveTheCheckpoint) {
             checkpoint_run_dir(spec.timing.checkpoint_dir, "fmore", 0));
         ASSERT_TRUE(latest.has_value());
         EXPECT_EQ(latest->spec_text, to_text(spec));
+    }
+}
+
+/// The whole file at `path`.
+std::vector<char> read_bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(CrashResume, ResumedRunRewritesByteIdenticalCheckpoints) {
+    // The per-round writer — background writes, an incrementally encoded
+    // tape, and on resume a tape restored from disk — leaves exactly the
+    // bytes the one-shot save_checkpoint writes for the same state.
+    TempDir tmp;
+    ExperimentSpec spec = tiny_sim_spec(tmp.path("ckpt"));
+    spec.timing.checkpoint_every = 1;
+    spec.timing.checkpoint_keep = spec.training.rounds;
+    ExperimentTrial full(spec, 0);
+    (void)full.run_resumable("fmore", nullptr);
+    const std::string run_dir =
+        checkpoint_run_dir(spec.timing.checkpoint_dir, "fmore", 0);
+    const auto file = [&](std::size_t round) {
+        return run_dir + "/" + checkpoint_filename(round);
+    };
+    std::vector<std::vector<char>> first(spec.training.rounds + 1);
+    for (std::size_t round = 1; round <= spec.training.rounds; ++round) {
+        first[round] = read_bytes(file(round));
+        ASSERT_FALSE(first[round].empty()) << "no checkpoint for round " << round;
+    }
+
+    // Resume from round 3 into the same directory: the spec text inside
+    // every file records it, so the run cannot move.
+    const RunCheckpoint mid = load_checkpoint(file(3));
+    for (std::size_t round = 4; round <= spec.training.rounds; ++round)
+        fs::remove(file(round));
+    ExperimentTrial resumed(spec, 0);
+    (void)resumed.run_resumable("fmore", &mid);
+
+    const std::string resaved = tmp.path("resaved.fmsnap");
+    for (std::size_t round = 1; round <= spec.training.rounds; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        EXPECT_EQ(read_bytes(file(round)), first[round]);
+        save_checkpoint(load_checkpoint(file(round)), resaved);
+        EXPECT_EQ(read_bytes(resaved), first[round]);
+    }
+}
+
+TEST(CrashResume, UnwritableCheckpointDirFailsTheRun) {
+    // A failed checkpoint write fails the run with a diagnosis naming the
+    // path. Nothing can create a directory below a regular file, whatever
+    // the process may write, so every save of the first run fails. In the
+    // second only round 1's file is blocked, by a directory of its name:
+    // that write runs in the background, and the next save must rethrow
+    // its error rather than let the run finish without it.
+    TempDir tmp;
+    { std::ofstream blocker(tmp.path("blocker")); }
+    ExperimentSpec below_file = tiny_sim_spec(tmp.path("blocker") + "/ckpt");
+    below_file.timing.checkpoint_every = 1;
+    ExperimentSpec one_blocked = tiny_sim_spec(tmp.path("ckpt"));
+    one_blocked.timing.checkpoint_every = 1;
+    const std::string blocked_file =
+        checkpoint_run_dir(one_blocked.timing.checkpoint_dir, "fmore", 0) + "/"
+        + checkpoint_filename(1);
+    fs::create_directories(blocked_file);
+
+    for (const auto& [spec, path] : {std::pair{below_file, below_file.timing.checkpoint_dir},
+                                     std::pair{one_blocked, blocked_file}}) {
+        SCOPED_TRACE(path);
+        ExperimentTrial trial(spec, 0);
+        try {
+            (void)trial.run_resumable("fmore", nullptr);
+            ADD_FAILURE() << "the run finished although a checkpoint was not written";
+        } catch (const util::SnapshotError& e) {
+            EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+        }
     }
 }
 
