@@ -6,7 +6,11 @@
 //      on a CIFAR-shaped minibatch, fast vs naive, with the sparse
 //      gradients ReLU and Dropout really produce, and one evaluation
 //      forward of the same model on a B128 batch (the evaluation batch),
-//  (4) end-to-end round time of the `paper/fig04` scenario: the naive
+//  (4) the market's shard pass on one 250k-row shard of the `wire_1m`
+//      world (N = 1M over 4 shards, alpha=25 scaled product over data and
+//      category, additive cost, theta ~ U[0.5, 1.5], K = 32): the drift,
+//      collect and head row kernels next to their per-row references,
+//  (5) end-to-end round time of the `paper/fig04` scenario: the naive
 //      kernels in a serial round vs the fast path at 1/2/4/8 round threads,
 // and writes everything to a machine-readable BENCH_kernels.json so future
 // PRs have a perf trajectory to regress against.
@@ -16,14 +20,20 @@
 // --smoke shrinks repetitions (CI); the JSON is written either way. Exits 1
 // when a `layers` row, the training step or the evaluation forward has a
 // fast path slower than its naive loop (the elementwise row compares two
-// APIs, not two kernels, and is not gated).
+// APIs, not two kernels, and is not gated), or when a `market` kernel's
+// output differs from its reference in any bit. Market speed is recorded,
+// not gated: without 64-bit vector multiplies (AVX2 and older) the drift
+// loop stays scalar and runs slower than its per-node reference.
 //
 // The elementwise and evaluation rows cycle through 8 distinct inputs: on
 // one fixed input the branch predictor learns a data-dependent pattern
 // (MaxPool2d's window winners, Dropout's mask) and the row under-reports
 // what a fresh minibatch costs.
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -32,9 +42,15 @@
 #include <thread>
 #include <vector>
 
+#include "fmore/auction/cost.hpp"
+#include "fmore/auction/equilibrium.hpp"
+#include "fmore/auction/scoring.hpp"
+#include "fmore/auction/shard_merge.hpp"
 #include "fmore/core/experiment.hpp"
 #include "fmore/core/scenarios.hpp"
 #include "fmore/fl/metrics.hpp"
+#include "fmore/mec/auction_selector.hpp"
+#include "fmore/mec/population_store.hpp"
 #include "fmore/ml/activations.hpp"
 #include "fmore/ml/conv2d.hpp"
 #include "fmore/ml/dense.hpp"
@@ -289,6 +305,201 @@ ModelPassResult bench_eval_forward(std::size_t reps) {
     return out;
 }
 
+/// One market row: a shard-pass kernel and its per-row reference, timed
+/// on the same shard, and whether their outputs agree in every bit.
+struct MarketRow {
+    std::string name;
+    std::string reference;
+    double kernel_ms = 0.0;
+    double reference_ms = 0.0;
+    bool identical = false;
+};
+
+bool same_bits(const double* a, const double* b, std::size_t n) {
+    return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_frames(const auction::BidFrame& a, const auction::BidFrame& b) {
+    if (a.rows() != b.rows() || a.dims() != b.dims()) return false;
+    for (std::size_t row = 0; row < a.rows(); ++row) {
+        if (a.active(row) != b.active(row)
+            || !same_bits(a.quality_row(row), b.quality_row(row), a.dims())
+            || !same_bits(a.payment(row), b.payment(row))
+            || !same_bits(a.score(row), b.score(row)))
+            return false;
+    }
+    return true;
+}
+
+/// The per-row quote `collect_bid_rows` replaced: quality_into, the cap
+/// clamp, then quote_span, one row at a time.
+void per_row_collect(const mec::PopulationStore& store, const mec::QualityLayout& layout,
+                     const auction::EquilibriumStrategy& strategy,
+                     const mec::Blacklist& banned, auction::BidFrame& frame) {
+    const std::size_t dims = layout.size();
+    for (std::size_t i = 0; i < store.size(); ++i) {
+        if (banned.contains(store.node_offset() + i)) {
+            frame.set_active(i, false);
+            continue;
+        }
+        double* q = frame.quality_row(i);
+        const double theta = store.theta(i);
+        strategy.quality_into(theta, q);
+        for (std::size_t d = 0; d < dims; ++d) {
+            const double cap = store.column(layout[d])[i];
+            if (q[d] > cap) q[d] = cap;
+        }
+        const auction::EquilibriumStrategy::SealedQuote quote =
+            strategy.quote_span(q, dims, theta, auction::PaymentMethod::integral);
+        frame.payment(i) = quote.payment;
+        frame.score(i) = quote.quality_score - quote.payment;
+    }
+}
+
+/// The shard head before tie keys went lazy: every active row derives its
+/// key before the heap comparison.
+void eager_key_head(const auction::BidFrame& frame, std::size_t node_offset,
+                    const auction::TieKeys& keys, std::size_t limit,
+                    auction::ShardHead& out) {
+    out.clear();
+    out.dims = frame.dims();
+    std::vector<auction::HeadRow>& heap = out.rows;
+    for (std::size_t row = 0; row < frame.rows(); ++row) {
+        if (!frame.active(row)) continue;
+        const std::size_t global = node_offset + row;
+        const auction::HeadRow cand{global, frame.score(row), keys.key(global),
+                                    frame.payment(row)};
+        if (heap.size() < limit) {
+            heap.push_back(cand);
+            std::push_heap(heap.begin(), heap.end(), auction::head_row_better);
+        } else if (auction::head_row_better(cand, heap.front())) {
+            std::pop_heap(heap.begin(), heap.end(), auction::head_row_better);
+            heap.back() = cand;
+            std::push_heap(heap.begin(), heap.end(), auction::head_row_better);
+        }
+    }
+    std::sort(heap.begin(), heap.end(), auction::head_row_better);
+    out.quality.resize(heap.size() * out.dims);
+    for (std::size_t r = 0; r < heap.size(); ++r) {
+        const double* q = frame.quality_row(heap[r].node - node_offset);
+        std::copy(q, q + out.dims, out.quality.begin() + r * out.dims);
+    }
+}
+
+bool same_heads(const auction::ShardHead& a, const auction::ShardHead& b) {
+    if (a.dims != b.dims || a.rows.size() != b.rows.size()
+        || !same_bits(a.quality.data(), b.quality.data(), a.quality.size()))
+        return false;
+    for (std::size_t r = 0; r < a.rows.size(); ++r) {
+        if (a.rows[r].node != b.rows[r].node || a.rows[r].key != b.rows[r].key
+            || !same_bits(a.rows[r].score, b.rows[r].score)
+            || !same_bits(a.rows[r].payment, b.rows[r].payment))
+            return false;
+    }
+    return true;
+}
+
+/// The shard pass of one `wire_1m` worker, on one core: drift, collect and
+/// head, each kernel against its reference. Kernel and reference run in
+/// alternation on twin stores, one round each per repetition, so both see
+/// the same drifted state; best-of over the repetitions.
+std::vector<MarketRow> bench_market(std::size_t reps, std::size_t& shard_rows) {
+    constexpr std::size_t kNodes = 1'000'000;
+    constexpr std::size_t kShards = 4;
+    constexpr std::size_t kWinners = 32;
+    constexpr double kDataHi = 150.0;
+    const std::vector<stats::MinMaxNormalizer> norms{stats::MinMaxNormalizer(0.0, kDataHi),
+                                                     stats::MinMaxNormalizer(0.0, 1.0)};
+    const auction::ScaledProductScoring scoring(25.0, 2, norms);
+    const auction::AdditiveCost cost({6.0 / kDataHi, 2.0});
+    const stats::UniformDistribution theta(0.5, 1.5);
+    auction::EquilibriumConfig eq;
+    eq.num_bidders = kNodes;
+    eq.num_winners = kWinners;
+    const auction::EquilibriumStrategy strategy =
+        auction::EquilibriumSolver(scoring, cost, theta, {1.0, 0.05}, {kDataHi, 1.0}, eq)
+            .solve();
+
+    mec::PopulationSpec spec;
+    spec.dynamics.resource_jitter = 0.08;
+    spec.dynamics.theta_jitter = 0.02;
+    mec::SyntheticDataSpec data;
+    data.data_hi = kDataHi;
+    stats::Rng world_rng(0x5ca1e001ULL);
+    mec::PopulationStore shard =
+        mec::PopulationStore(kNodes, data, theta, spec, world_rng).split_even(kShards)[1];
+    mec::PopulationStore reference = shard;
+    shard_rows = shard.size();
+
+    const mec::QualityLayout layout{mec::ResourceDim::data_size,
+                                    mec::ResourceDim::category_proportion};
+    const mec::Blacklist banned;
+    auction::BidFrame frame;
+    auction::BidFrame reference_frame;
+    std::vector<const double*> columns;
+    stats::Rng drift_rng(0xd41f7ULL);
+    stats::Rng reference_rng(0xd41f7ULL);
+
+    // The wire worker's configuration: one round thread per process.
+    set_env("FMORE_ROUND_THREADS", "1");
+    MarketRow drift{"drift", "evolve_serial: the per-node loop", 1e300, 1e300, true};
+    MarketRow collect{"collect", "quality_into, cap clamp, quote_span per row", 1e300,
+                      1e300, true};
+    for (std::size_t r = 0; r < reps; ++r) {
+        auto start = clock_type::now();
+        shard.evolve(drift_rng);
+        drift.kernel_ms = std::min(drift.kernel_ms, seconds_since(start) * 1e3);
+        start = clock_type::now();
+        reference.evolve_serial(reference_rng);
+        drift.reference_ms = std::min(drift.reference_ms, seconds_since(start) * 1e3);
+
+        start = clock_type::now();
+        frame.reset(shard.size(), layout.size());
+        mec::collect_bid_rows(shard, 0, shard.size(), layout, strategy, scoring, true,
+                              auction::PaymentMethod::integral, banned, frame, 0, columns,
+                              /*parallel=*/false);
+        collect.kernel_ms = std::min(collect.kernel_ms, seconds_since(start) * 1e3);
+        start = clock_type::now();
+        reference_frame.reset(reference.size(), layout.size());
+        per_row_collect(reference, layout, strategy, banned, reference_frame);
+        collect.reference_ms =
+            std::min(collect.reference_ms, seconds_since(start) * 1e3);
+        collect.identical = collect.identical && same_frames(frame, reference_frame);
+    }
+    set_env("FMORE_ROUND_THREADS", "0");
+    const mec::PopulationSnapshot a = shard.snapshot();
+    const mec::PopulationSnapshot b = reference.snapshot();
+    drift.identical = a.salt_history == b.salt_history;
+    for (std::size_t c = 0; c < a.columns.size(); ++c) {
+        drift.identical = drift.identical
+                          && same_bits(a.columns[c].data(), b.columns[c].data(),
+                                       a.columns[c].size());
+    }
+
+    frame.set_scored(true);
+    auction::TieKeys keys;
+    keys.salted = true;
+    keys.salt = 0x7e1eULL;
+    MarketRow head{"head", "every active row hashes its tie key", 1e300, 1e300, true};
+    auction::ShardHead kernel_head;
+    auction::ShardHead reference_head;
+    for (std::size_t r = 0; r < reps; ++r) {
+        auto start = clock_type::now();
+        auction::collect_shard_head(frame, shard.node_offset(), keys, kWinners,
+                                    kernel_head);
+        head.kernel_ms = std::min(head.kernel_ms, seconds_since(start) * 1e3);
+        start = clock_type::now();
+        eager_key_head(frame, shard.node_offset(), keys, kWinners, reference_head);
+        head.reference_ms = std::min(head.reference_ms, seconds_since(start) * 1e3);
+        head.identical = head.identical && same_heads(kernel_head, reference_head);
+    }
+    return {drift, collect, head};
+}
+
 struct RoundResult {
     double naive_serial_ms = 0.0; ///< the pre-PR configuration
     double gemm_serial_ms = 0.0;
@@ -407,8 +618,21 @@ int main(int argc, char** argv) {
                 eval.shape.c_str(), eval.naive_us, eval.fast_us,
                 eval.naive_us / eval.fast_us);
 
-    // (4) End-to-end rounds: pre-PR baseline vs the new path at 1/2/4/8
-    // round threads.
+    // (4) The market's shard pass.
+    std::size_t shard_rows = 0;
+    const std::vector<MarketRow> market = bench_market(smoke ? 5 : 40, shard_rows);
+    std::printf("\nmarket shard pass (%zu-row wire_1m shard, 1 thread, ms, "
+                "reference -> kernel):\n",
+                shard_rows);
+    for (const MarketRow& m : market) {
+        std::printf("  %-8s %8.3f -> %8.3f (%.2fx)  %s  [reference: %s]\n",
+                    m.name.c_str(), m.reference_ms, m.kernel_ms,
+                    m.reference_ms / m.kernel_ms,
+                    m.identical ? "bit-identical" : "MISMATCH", m.reference.c_str());
+    }
+
+    // (5) End-to-end rounds: the naive serial baseline vs the fast path at
+    // 1/2/4/8 round threads.
     std::cout << "\npaper/fig04 round time (ms/round, 1 trial):\n";
     const RoundResult round = bench_round(smoke);
     std::printf("  naive kernels, serial round (pre-PR baseline): %8.1f\n",
@@ -469,6 +693,19 @@ int main(int argc, char** argv) {
                  "\"fast_us\": %.4g, \"speedup\": %.4g},\n",
                  eval.shape.c_str(), eval.naive_us, eval.fast_us,
                  eval.naive_us / eval.fast_us);
+    std::fprintf(f, "  \"market\": {\"shard_rows\": %zu, \"threads\": 1, \"rows\": [\n",
+                 shard_rows);
+    for (std::size_t i = 0; i < market.size(); ++i) {
+        const MarketRow& m = market[i];
+        std::fprintf(f,
+                     "    {\"name\": \"%s\", \"reference\": \"%s\", "
+                     "\"reference_ms\": %.4g, \"kernel_ms\": %.4g, \"speedup\": %.4g, "
+                     "\"bit_identical\": %s}%s\n",
+                     m.name.c_str(), m.reference.c_str(), m.reference_ms, m.kernel_ms,
+                     m.reference_ms / m.kernel_ms, m.identical ? "true" : "false",
+                     i + 1 < market.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]},\n");
     std::fprintf(f, "  \"round\": {\n    \"scenario\": \"paper/fig04\",\n");
     std::fprintf(f, "    \"baseline_naive_serial_ms\": %.4g,\n", round.naive_serial_ms);
     std::fprintf(f, "    \"gemm_serial_ms\": %.4g,\n", round.gemm_serial_ms);
@@ -499,5 +736,13 @@ int main(int argc, char** argv) {
     for (const std::string& name : slower) {
         std::cerr << "micro_kernels: FAIL " << name << ": fast path slower than naive\n";
     }
-    return slower.empty() ? 0 : 1;
+    // Gate: every market kernel must reproduce its reference bit for bit.
+    bool market_identical = true;
+    for (const MarketRow& m : market) {
+        if (m.identical) continue;
+        market_identical = false;
+        std::cerr << "micro_kernels: FAIL market " << m.name
+                  << ": kernel output differs from its reference\n";
+    }
+    return slower.empty() && market_identical ? 0 : 1;
 }

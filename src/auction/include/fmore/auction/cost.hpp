@@ -28,6 +28,16 @@ public:
     [[nodiscard]] virtual double cost_span(const double* q, std::size_t n,
                                            double theta) const;
 
+    /// Row twin of cost_span over `n` rows held column by column
+    /// (dimension d of row r at q[d * n + r], dimensions() columns), row r
+    /// of type theta[r]: out[r] is bit-identical to cost_span on row r
+    /// (contract: equilibrium.hpp, "Row kernels"). The default gathers
+    /// each row into a reused thread-local scratch and makes one span
+    /// call; the additive family overrides it with a loop that vectorizes
+    /// across rows.
+    virtual void cost_rows(const double* q, std::size_t n, const double* theta,
+                           double* out) const;
+
     /// dc/dtheta at (q, theta); needed by Che's closed-form payments.
     [[nodiscard]] virtual double cost_theta_derivative(const QualityVector& q,
                                                        double theta) const = 0;
@@ -44,6 +54,8 @@ public:
     [[nodiscard]] double cost(const QualityVector& q, double theta) const override;
     [[nodiscard]] double cost_span(const double* q, std::size_t n,
                                    double theta) const override;
+    void cost_rows(const double* q, std::size_t n, const double* theta,
+                   double* out) const override;
     [[nodiscard]] double cost_theta_derivative(const QualityVector& q,
                                                double theta) const override;
     [[nodiscard]] std::size_t dimensions() const override { return betas_.size(); }

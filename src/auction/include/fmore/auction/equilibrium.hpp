@@ -114,6 +114,41 @@ public:
                                          PaymentMethod method
                                          = PaymentMethod::integral) const;
 
+    /// ## Row kernels
+    ///
+    /// `quality_rows` and `quote_rows` are the row twins of `quality_into`
+    /// and `quote_span`: they compute a block of bids at once, so the
+    /// per-row divisions (one lerp per quality dimension, one per scoring
+    /// normalizer, the markup lerp) run as vector instructions and the
+    /// scoring rule and cost model are each called once per block instead
+    /// of once per row. `mec::collect_bid_rows` quotes in blocks of
+    /// `numeric::kRowBlock` rows through them.
+    ///
+    /// Contract: bit-identical to the per-row calls, for any block size.
+    /// Vectorization runs only ACROSS rows. Each row's arithmetic is the
+    /// scalar sequence of the per-row call, in the same order: the same
+    /// segment, the same lerp, factors and sum terms in dimension order.
+    /// The build pins `-ffp-contract=off`, so every multiply and add stays
+    /// a separate rounding whichever loop the compiler vectorized. The row
+    /// hooks underneath keep the same contract:
+    /// `numeric::LinearInterpolator::segment_rows` / `eval_rows`, and the
+    /// virtual `ScoringRule::quality_score_rows` / `CostModel::cost_rows`,
+    /// whose base versions loop over the span calls so custom rules and
+    /// models need no change. Segment lookups are exact, the
+    /// `upper_bound` segment, clamped ends included; only the lerps
+    /// vectorize.
+    ///
+    /// Blocks are column-major: dimension d of row r sits at q[d * n + r].
+
+    /// Row twin of `quality_into`: q[d * n + r] = q^s(theta[r])_d.
+    void quality_rows(const double* theta, std::size_t n, double* q) const;
+
+    /// Row twin of `quote_span` over `n` rows of `dimensions()` columns:
+    /// payment[r] and quality_score[r] equal row r's quote.
+    void quote_rows(const double* q, std::size_t n, const double* theta,
+                    PaymentMethod method, double* payment,
+                    double* quality_score) const;
+
     /// The scoring rule this strategy was solved against (never null for a
     /// solver-produced strategy). Callers that maintain their own broadcast
     /// rule can check identity before reusing quote_span's s(q) as the

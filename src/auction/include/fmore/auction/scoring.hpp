@@ -61,6 +61,16 @@ public:
         return quality_score_span(q, n) - payment;
     }
 
+    /// Row twin of quality_score_span over `n` rows held column by column
+    /// (dimension d of row r at q[d * n + r], dimensions() columns):
+    /// out[r] is bit-identical to quality_score_span on row r (contract:
+    /// equilibrium.hpp, "Row kernels"). The default gathers each row into
+    /// a reused thread-local scratch and makes one span call, so custom
+    /// rules stay correct without overriding anything; the scaled-product
+    /// family, the one on the million-bidder path, overrides it with a
+    /// loop that vectorizes across rows.
+    virtual void quality_score_rows(const double* q, std::size_t n, double* out) const;
+
     /// Number of quality dimensions this rule expects.
     [[nodiscard]] virtual std::size_t dimensions() const = 0;
 };
@@ -128,6 +138,7 @@ public:
 
     [[nodiscard]] double quality_score(const QualityVector& q) const override;
     [[nodiscard]] double quality_score_span(const double* q, std::size_t n) const override;
+    void quality_score_rows(const double* q, std::size_t n, double* out) const override;
     [[nodiscard]] std::size_t dimensions() const override { return dims_; }
     [[nodiscard]] double alpha() const { return alpha_; }
 

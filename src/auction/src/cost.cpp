@@ -29,6 +29,19 @@ double CostModel::cost_span(const double* q, std::size_t n, double theta) const 
     return cost(scratch, theta);
 }
 
+void CostModel::cost_rows(const double* q, std::size_t n, const double* theta,
+                          double* out) const {
+    // Correct-by-default adapter for custom models: one span call per row,
+    // off a scratch that keeps its capacity across calls.
+    thread_local QualityVector row;
+    const std::size_t dims = dimensions();
+    row.resize(dims);
+    for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t d = 0; d < dims; ++d) row[d] = q[d * n + r];
+        out[r] = cost_span(row.data(), dims, theta[r]);
+    }
+}
+
 AdditiveCost::AdditiveCost(std::vector<double> betas) : betas_(std::move(betas)) {
     check_betas(betas_);
 }
@@ -46,6 +59,20 @@ double AdditiveCost::cost_span(const double* q, std::size_t n, double theta) con
     double total = 0.0;
     for (std::size_t d = 0; d < n; ++d) total += betas_[d] * q[d];
     return theta * total;
+}
+
+void AdditiveCost::cost_rows(const double* __restrict q, std::size_t n,
+                             const double* __restrict theta,
+                             double* __restrict out) const {
+    // cost_span per row, vectorized across rows: each row's sum starts at
+    // +0 and adds beta_d * q_d in dimension order, then takes theta.
+    for (std::size_t r = 0; r < n; ++r) out[r] = 0.0;
+    for (std::size_t d = 0; d < betas_.size(); ++d) {
+        const double beta = betas_[d];
+        const double* column = q + d * n;
+        for (std::size_t r = 0; r < n; ++r) out[r] += beta * column[r];
+    }
+    for (std::size_t r = 0; r < n; ++r) out[r] = theta[r] * out[r];
 }
 
 double AdditiveCost::cost_theta_derivative(const QualityVector& q, double) const {

@@ -108,6 +108,49 @@ EquilibriumStrategy::SealedQuote EquilibriumStrategy::quote_span(
     return {c + markup_at_score(u, method), s};
 }
 
+void EquilibriumStrategy::quality_rows(const double* theta, std::size_t n,
+                                       double* q) const {
+    // quality_into per row: one segment lookup on the shared theta grid
+    // serves every dimension's curve.
+    std::size_t hi[numeric::kRowBlock] = {};
+    const numeric::LinearInterpolator& first = *quality_curves_[0];
+    for (std::size_t r0 = 0; r0 < n; r0 += numeric::kRowBlock) {
+        const std::size_t rows = std::min(numeric::kRowBlock, n - r0);
+        first.segment_rows(theta + r0, rows, hi);
+        for (std::size_t d = 0; d < quality_curves_.size(); ++d) {
+            quality_curves_[d]->eval_rows(hi, theta + r0, rows, q + d * n + r0);
+        }
+    }
+}
+
+void EquilibriumStrategy::quote_rows(const double* q, std::size_t n,
+                                     const double* theta, PaymentMethod method,
+                                     double* payment, double* quality_score) const {
+    // quote_span per row: payment holds c(q, theta) until the markup
+    // lands on it.
+    cost_->cost_rows(q, n, theta, payment);
+    scoring_->quality_score_rows(q, n, quality_score);
+    if (degenerate_) {
+        for (std::size_t r = 0; r < n; ++r) payment[r] = payment[r] + 0.0;
+        return;
+    }
+    const numeric::LinearInterpolator& curve = markup_curve(method);
+    double u[numeric::kRowBlock] = {};
+    double markup[numeric::kRowBlock] = {};
+    std::size_t hi[numeric::kRowBlock] = {};
+    for (std::size_t r0 = 0; r0 < n; r0 += numeric::kRowBlock) {
+        const std::size_t rows = std::min(numeric::kRowBlock, n - r0);
+        for (std::size_t r = 0; r < rows; ++r) {
+            u[r] = std::clamp(quality_score[r0 + r] - payment[r0 + r], u_min_, u_max_);
+        }
+        curve.segment_rows(u, rows, hi);
+        curve.eval_rows(hi, u, rows, markup);
+        for (std::size_t r = 0; r < rows; ++r) {
+            payment[r0 + r] = payment[r0 + r] + markup[r];
+        }
+    }
+}
+
 const numeric::LinearInterpolator&
 EquilibriumStrategy::markup_curve(PaymentMethod method) const {
     switch (method) {

@@ -32,6 +32,18 @@ double ScoringRule::quality_score_span(const double* q, std::size_t n) const {
     return quality_score(scratch);
 }
 
+void ScoringRule::quality_score_rows(const double* q, std::size_t n, double* out) const {
+    // Correct-by-default adapter for custom rules: one span call per row,
+    // off a scratch that keeps its capacity across calls.
+    thread_local QualityVector row;
+    const std::size_t dims = dimensions();
+    row.resize(dims);
+    for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t d = 0; d < dims; ++d) row[d] = q[d * n + r];
+        out[r] = quality_score_span(row.data(), dims);
+    }
+}
+
 double AdditiveScoring::quality_score(const QualityVector& q) const {
     check_dims(q);
     double total = 0.0;
@@ -125,6 +137,22 @@ double ScaledProductScoring::quality_score_span(const double* q, std::size_t n) 
         product *= normalizers_.empty() ? q[d] : normalizers_[d].transform(q[d]);
     }
     return product;
+}
+
+void ScaledProductScoring::quality_score_rows(const double* __restrict q, std::size_t n,
+                                              double* __restrict out) const {
+    // quality_score_span per row, vectorized across rows: each row's
+    // product starts at alpha and takes its factors in dimension order.
+    for (std::size_t r = 0; r < n; ++r) out[r] = alpha_;
+    for (std::size_t d = 0; d < dims_; ++d) {
+        const double* column = q + d * n;
+        if (normalizers_.empty()) {
+            for (std::size_t r = 0; r < n; ++r) out[r] *= column[r];
+        } else {
+            const stats::MinMaxNormalizer norm = normalizers_[d];
+            for (std::size_t r = 0; r < n; ++r) out[r] *= norm.transform(column[r]);
+        }
+    }
 }
 
 } // namespace fmore::auction

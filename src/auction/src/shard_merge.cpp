@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace fmore::auction {
 
@@ -39,10 +40,32 @@ void ShardHead::serialize(std::vector<std::uint8_t>& out) const {
 }
 
 ShardHead ShardHead::deserialize(const std::uint8_t* data, std::size_t size) {
+    // The header's two counts decide how much is read and reserved, so
+    // both are checked against the payload before either is trusted: the
+    // rows must fit, and the rest must be exactly rows × dims doubles. The
+    // division form cannot overflow, however large the declared counts.
+    constexpr std::size_t kHeaderBytes = 2 * sizeof(std::uint64_t);
+    constexpr std::size_t kRowBytes = 4 * sizeof(std::uint64_t);
     std::size_t at = 0;
     ShardHead head;
     const std::uint64_t count = get<std::uint64_t>(data, size, at);
-    head.dims = static_cast<std::size_t>(get<std::uint64_t>(data, size, at));
+    const std::uint64_t dims = get<std::uint64_t>(data, size, at);
+    if (count > (size - kHeaderBytes) / kRowBytes)
+        throw std::invalid_argument("ShardHead::deserialize: row count "
+                                    + std::to_string(count) + " does not fit the "
+                                    + std::to_string(size) + "-byte payload");
+    const std::uint64_t quality_bytes = size - kHeaderBytes - count * kRowBytes;
+    const std::uint64_t row_quality_bytes = count * sizeof(double);
+    const bool exact = count == 0 ? quality_bytes == 0
+                                  : quality_bytes % row_quality_bytes == 0
+                                        && quality_bytes / row_quality_bytes == dims;
+    if (!exact)
+        throw std::invalid_argument("ShardHead::deserialize: dims " + std::to_string(dims)
+                                    + " over " + std::to_string(count)
+                                    + " rows does not match the " + std::to_string(size)
+                                    + "-byte payload");
+    const std::uint64_t cells = quality_bytes / sizeof(double);
+    head.dims = static_cast<std::size_t>(dims);
     head.rows.reserve(count);
     for (std::uint64_t r = 0; r < count; ++r) {
         HeadRow row;
@@ -52,11 +75,9 @@ ShardHead ShardHead::deserialize(const std::uint8_t* data, std::size_t size) {
         row.payment = get<double>(data, size, at);
         head.rows.push_back(row);
     }
-    head.quality.reserve(count * head.dims);
-    for (std::uint64_t q = 0; q < count * head.dims; ++q)
+    head.quality.reserve(cells);
+    for (std::uint64_t q = 0; q < cells; ++q)
         head.quality.push_back(get<double>(data, size, at));
-    if (at != size)
-        throw std::invalid_argument("ShardHead::deserialize: trailing bytes");
     return head;
 }
 
@@ -76,14 +97,20 @@ void collect_shard_head(const BidFrame& frame, std::size_t begin_row,
     if (limit == 0) return;
 
     // Bounded heap, root = worst kept row — the same structure the fused
-    // monolithic pass keeps per worker slot, here per shard.
+    // monolithic pass keeps per worker slot, here per shard. Once the heap
+    // is full, a row scoring below the root cannot enter, because the
+    // order compares scores first; such a row is skipped before its tie
+    // key is derived (a splitmix finalize in salted mode). Rows tying the
+    // root's score, and NaN scores, take the full comparison, so the head
+    // is the one the eager-key loop kept.
     std::vector<HeadRow>& heap = out.rows;
     heap.reserve(limit);
     for (NodeId row = begin_row; row < end_row; ++row) {
         if (!frame.active(row)) continue;
+        const double score = frame.score(row);
+        if (heap.size() == limit && score < heap.front().score) continue;
         const NodeId global = node_offset + row;
-        const HeadRow cand{global, frame.score(row), keys.key(global),
-                           frame.payment(row)};
+        const HeadRow cand{global, score, keys.key(global), frame.payment(row)};
         if (heap.size() < limit) {
             heap.push_back(cand);
             std::push_heap(heap.begin(), heap.end(), head_row_better);

@@ -49,9 +49,15 @@ QualitySource cpu_bandwidth_data_extractor();
 /// (`store.node_offset() + i`), so the same pass serves the monolithic
 /// selector (offset 0, whole store) and every shard of the sharded market.
 /// `columns` is caller-owned scratch (column pointers, reused across
-/// rounds). Chunk-parallel over idle pool workers when `parallel`; results
-/// are row-pure, hence identical for any worker count. The caller is
-/// responsible for `frame.reset` and `frame.set_scored(true)`.
+/// rounds). Chunk-parallel over idle pool workers when `parallel`; inside
+/// a chunk, rows are quoted in blocks through the strategy's row kernels
+/// (equilibrium.hpp, "Row kernels"), bit-identical to a per-row
+/// quality_into / clamp / quote_span loop. Results are row-pure, hence
+/// identical for any worker count. The caller is responsible for
+/// `frame.reset` and `frame.set_scored(true)`.
+/// @throws std::invalid_argument when the layout is empty or wider than
+///         1024 columns, or when its width differs from the strategy's
+///         (or, for another broadcast rule, the scoring rule's) dimensions
 void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t hi,
                       const QualityLayout& layout,
                       const auction::EquilibriumStrategy& strategy,

@@ -110,6 +110,8 @@ public:
 
     /// Current-state column for one resource dimension.
     [[nodiscard]] const std::vector<double>& column(ResourceDim dim) const;
+    /// The private cost types, one per row.
+    [[nodiscard]] const std::vector<double>& thetas() const { return theta_; }
 
     // AoS views (cold paths: tests, examples, the MecPopulation mirror).
     [[nodiscard]] ResourceState resources(std::size_t i) const;
@@ -119,14 +121,17 @@ public:
     [[nodiscard]] double theta_hi() const { return theta_hi_; }
     [[nodiscard]] const ResourceDynamics& dynamics() const { return dynamics_; }
 
-    /// One round of resource/theta drift across all nodes, chunk-parallel
-    /// over idle `util::ThreadPool` workers. Consumes exactly one draw from
+    /// One round of resource/theta drift across all nodes as a branch-free
+    /// row kernel (ARCHITECTURE.md, "Row kernels"), chunk-parallel over
+    /// idle `util::ThreadPool` workers. Consumes exactly one draw from
     /// `rng` (the round salt); results are bit-identical for any worker
     /// count, including `evolve_serial`.
     void evolve(stats::Rng& rng);
 
-    /// Forced-serial reference of the same per-node streams (tests pin
-    /// `evolve` against it; benches use it as the unsharded timing leg).
+    /// The per-node reference of the same drift: one `evolve_node` call
+    /// per row, each walking its own stream, on the calling thread. Tests
+    /// pin `evolve`'s row kernel against it bit for bit, and
+    /// bench/micro_kernels times the kernel against it.
     void evolve_serial(stats::Rng& rng);
 
     /// Shard entry point of the same drift: apply a round salt the
@@ -174,7 +179,8 @@ private:
     void init_resources(std::size_t i, const PopulationSpec& spec, double data_cap,
                         double category, const stats::Distribution& theta_dist,
                         stats::Rng& rng);
-    void evolve_all(std::uint64_t salt, bool parallel);
+    /// Theta-bounds check and salt history, shared by both drift paths.
+    void begin_round(std::uint64_t salt);
     void evolve_node(std::size_t i, std::uint64_t salt);
 
     std::size_t node_offset_ = 0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -26,6 +27,11 @@ double resource_value(const ResourceState& r, ResourceDim dim) {
 /// Nodes per parallel collect task (same granularity as the store's
 /// evolve chunks).
 constexpr std::size_t kCollectChunk = 4096;
+
+/// Quality cells a quote block holds on the stack: kRowBlock rows of up
+/// to four columns (one per ResourceDim). Wider layouts quote in shorter
+/// blocks.
+constexpr std::size_t kBlockCells = 4 * numeric::kRowBlock;
 
 bool legacy_path_forced() {
     const char* env = std::getenv("FMORE_BID_PATH");
@@ -95,6 +101,16 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
                       auction::BidFrame& frame, std::size_t frame_base,
                       std::vector<const double*>& columns, bool parallel) {
     const std::size_t dims = layout.size();
+    const std::size_t scored_dims =
+        strategy_scores_broadcast_rule ? dims : scoring.dimensions();
+    if (dims == 0 || dims > kBlockCells || strategy.dimensions() != dims
+        || scored_dims != dims)
+        throw std::invalid_argument(
+            "collect_bid_rows: layout has " + std::to_string(dims)
+            + " columns (1 to " + std::to_string(kBlockCells) + " allowed), strategy "
+            + std::to_string(strategy.dimensions()) + ", scoring rule "
+            + std::to_string(scored_dims));
+    const std::size_t block_rows = std::min(numeric::kRowBlock, kBlockCells / dims);
     // Column pointers resolved once per round; the chunk loop below then
     // touches only contiguous memory. Caller-owned (not a local
     // thread_local!) so pool workers see the populated buffer — lambdas do
@@ -103,32 +119,58 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
     columns.clear();
     for (const ResourceDim dim : layout) columns.push_back(store.column(dim).data());
     const std::vector<const double*>& cols = columns;
+    const double* thetas = store.thetas().data();
 
-    const auto collect_node = [&](std::size_t i) {
-        const std::size_t row = frame_base + (i - lo);
-        if (blacklist.contains(store.node_offset() + i)) {
-            frame.set_active(row, false);
-            return;
+    // Store rows [clo, chi) in blocks of up to kRowBlock rows, each quoted
+    // through the row kernels (equilibrium.hpp, "Row kernels") off scratch
+    // on this call's stack. Per row, the same steps as quality_into, the
+    // cap clamp and quote_span: the equilibrium quality clipped to the
+    // row's available columns, its sealed ask, and the aggregator score
+    // S = s(q) - p in the frame's score column, so ranking streams one
+    // double per row instead of re-reading N×d qualities. The quote's s(q)
+    // doubles as the aggregator score only when the strategy was solved
+    // against the selector's broadcast rule (always true for the trial
+    // engines); otherwise the broadcast rule scores the row, so fused and
+    // classic ranking agree. Banned rows are deactivated and otherwise
+    // left untouched.
+    const auto collect_rows = [&](std::size_t clo, std::size_t chi) {
+        double q[kBlockCells] = {};
+        double payment[numeric::kRowBlock] = {};
+        double quoted_s[numeric::kRowBlock] = {};
+        double broadcast_s[numeric::kRowBlock] = {};
+        bool banned[numeric::kRowBlock] = {};
+        for (std::size_t blo = clo; blo < chi; blo += block_rows) {
+            const std::size_t n = std::min(block_rows, chi - blo);
+            const std::size_t row0 = frame_base + (blo - lo);
+            std::size_t live = 0;
+            for (std::size_t r = 0; r < n; ++r) {
+                banned[r] = blacklist.contains(store.node_offset() + blo + r);
+                if (banned[r]) frame.set_active(row0 + r, false);
+                live += banned[r] ? 0 : 1;
+            }
+            if (live == 0) continue;
+
+            const double* theta = thetas + blo;
+            strategy.quality_rows(theta, n, q);
+            for (std::size_t d = 0; d < dims; ++d) {
+                double* qd = q + d * n;
+                const double* cap = cols[d] + blo;
+                for (std::size_t r = 0; r < n; ++r) qd[r] = qd[r] > cap[r] ? cap[r] : qd[r];
+            }
+            strategy.quote_rows(q, n, theta, payment_method, payment, quoted_s);
+            const double* s = quoted_s;
+            if (!strategy_scores_broadcast_rule) {
+                scoring.quality_score_rows(q, n, broadcast_s);
+                s = broadcast_s;
+            }
+            for (std::size_t r = 0; r < n; ++r) {
+                if (banned[r]) continue;
+                double* out = frame.quality_row(row0 + r);
+                for (std::size_t d = 0; d < dims; ++d) out[d] = q[d * n + r];
+                frame.payment(row0 + r) = payment[r];
+                frame.score(row0 + r) = s[r] - payment[r];
+            }
         }
-        double* q = frame.quality_row(row);
-        const double theta = store.theta(i);
-        strategy.quality_into(theta, q);
-        for (std::size_t d = 0; d < dims; ++d) {
-            if (q[d] > cols[d][i]) q[d] = cols[d][i];
-        }
-        // One pass over q prices the bid and yields s(q); the aggregator
-        // score S = s(q) - p lands in the frame's score column, so ranking
-        // streams one double per row instead of re-reading N×d qualities.
-        // The quote's s(q) doubles as the aggregator score only when the
-        // strategy was solved against the selector's broadcast rule
-        // (always true for the trial engines); otherwise score with the
-        // broadcast rule explicitly so fused and classic ranking agree.
-        const auction::EquilibriumStrategy::SealedQuote quote =
-            strategy.quote_span(q, dims, theta, payment_method);
-        frame.payment(row) = quote.payment;
-        frame.score(row) = strategy_scores_broadcast_rule
-                               ? quote.quality_score - quote.payment
-                               : scoring.score_span(q, dims, quote.payment);
     };
 
     const std::size_t n = hi - lo;
@@ -136,13 +178,12 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
     const std::size_t workers =
         (!parallel || chunks <= 1) ? 1 : util::resolve_round_threads(0, chunks);
     if (workers <= 1) {
-        for (std::size_t i = lo; i < hi; ++i) collect_node(i);
+        collect_rows(lo, hi);
     } else {
         util::ThreadPool::shared().parallel_for(
             chunks, workers - 1, [&](std::size_t, std::size_t chunk) {
                 const std::size_t clo = lo + chunk * kCollectChunk;
-                const std::size_t chi = std::min(hi, clo + kCollectChunk);
-                for (std::size_t i = clo; i < chi; ++i) collect_node(i);
+                collect_rows(clo, std::min(hi, clo + kCollectChunk));
             });
     }
 }

@@ -13,6 +13,103 @@ namespace {
 /// small enough that a 100k-node population still spreads over workers.
 constexpr std::size_t kEvolveChunk = 4096;
 
+/// The drift's per-round constants.
+struct DriftParams {
+    std::uint64_t node_offset;
+    double resource_jitter;
+    double theta_jitter;
+    double theta_lo;
+    double theta_hi;
+};
+
+/// std::clamp's value, min(max(v, lo), hi), without its lo <= hi
+/// precondition: the kernel clamps every candidate, also on rows whose
+/// cap is not positive and whose update is then discarded.
+inline double clamp_value(double v, double lo, double hi) {
+    return std::min(std::max(v, lo), hi);
+}
+
+/// `PopulationStore::evolve_node` over rows [lo, hi) as one branch-free
+/// loop the compiler can vectorize across rows. The per-node code takes a
+/// draw only for a positive cap, so a row's later draws sit at positions
+/// that depend on its caps. Here every candidate is computed, its draw
+/// read straight off the row's stream as output k + 1 (k = draws the row
+/// has taken so far), and the update and k's increment become selects.
+/// Each row runs the reference's arithmetic in the reference's order, so
+/// results are bit-identical (see `DriftKernelMatchesPerNodeReference`).
+/// One instantiation per jitter case keeps the loop free of branches.
+template <bool kResource, bool kTheta>
+void drift_rows(const DriftParams& p, std::uint64_t salt, std::size_t lo, std::size_t hi,
+                double* __restrict theta, double* __restrict data_size,
+                double* __restrict bandwidth, double* __restrict cpu,
+                const double* __restrict data_cap,
+                const double* __restrict bandwidth_cap,
+                const double* __restrict cpu_cap) {
+    const std::uint64_t node_offset = p.node_offset;
+    const double jitter = p.resource_jitter;
+    const double theta_jitter = p.theta_jitter;
+    const double theta_lo = p.theta_lo;
+    const double theta_hi = p.theta_hi;
+    for (std::size_t i = lo; i < hi; ++i) {
+        const std::uint64_t seed = stats::derive_stream_seed(salt, node_offset + i);
+        std::uint64_t taken = 0;
+        if constexpr (kResource) {
+            const double bw_cap = bandwidth_cap[i];
+            const bool bw_live = bw_cap > 0.0;
+            const double bw_step = bw_cap * jitter;
+            const double bw = clamp_value(
+                bandwidth[i]
+                    + stats::SplitMix64::uniform_of(
+                        stats::SplitMix64::nth(seed, taken + 1), -bw_step, bw_step),
+                0.05 * bw_cap, bw_cap);
+            bandwidth[i] = bw_live ? bw : bandwidth[i];
+            taken += bw_live ? 1 : 0;
+
+            const double cpu_cap_i = cpu_cap[i];
+            const bool cpu_live = cpu_cap_i > 0.0;
+            const double cpu_step = cpu_cap_i * jitter;
+            const double cores = clamp_value(
+                cpu[i]
+                    + stats::SplitMix64::uniform_of(
+                        stats::SplitMix64::nth(seed, taken + 1), -cpu_step, cpu_step),
+                0.05 * cpu_cap_i, cpu_cap_i);
+            cpu[i] = cpu_live ? cores : cpu[i];
+            taken += cpu_live ? 1 : 0;
+
+            const double d_cap = data_cap[i];
+            const bool data_live = d_cap > 0.0;
+            const double data_step = d_cap * jitter;
+            const double data = clamp_value(
+                data_size[i]
+                    + stats::SplitMix64::uniform_of(
+                        stats::SplitMix64::nth(seed, taken + 1), 0.0, data_step),
+                0.0, d_cap);
+            data_size[i] = data_live ? data : data_size[i];
+            taken += data_live ? 1 : 0;
+        }
+        if constexpr (kTheta) {
+            theta[i] = clamp_value(
+                theta[i]
+                    + stats::SplitMix64::uniform_of(stats::SplitMix64::nth(seed, taken + 1),
+                                                    -theta_jitter, theta_jitter),
+                theta_lo, theta_hi);
+        }
+    }
+}
+
+using DriftKernel = void (*)(const DriftParams&, std::uint64_t, std::size_t,
+                             std::size_t, double*, double*, double*, double*,
+                             const double*, const double*, const double*);
+
+/// The instantiation for this round's jitter case; null when nothing
+/// drifts (the per-node code then takes no draw either).
+DriftKernel drift_kernel(const ResourceDynamics& dynamics) {
+    const bool resource = dynamics.resource_jitter > 0.0;
+    const bool theta = dynamics.theta_jitter > 0.0;
+    if (resource) return theta ? &drift_rows<true, true> : &drift_rows<true, false>;
+    return theta ? &drift_rows<false, true> : nullptr;
+}
+
 } // namespace
 
 void PopulationStore::init_resources(std::size_t i, const PopulationSpec& spec,
@@ -142,36 +239,42 @@ void PopulationStore::evolve_node(std::size_t i, std::uint64_t salt) {
     }
 }
 
-void PopulationStore::evolve_all(std::uint64_t salt, bool parallel) {
+void PopulationStore::begin_round(std::uint64_t salt) {
     if (dynamics_.theta_jitter > 0.0 && !(theta_lo_ < theta_hi_))
         throw std::invalid_argument("PopulationStore::evolve: bad theta bounds");
     salt_history_.push_back(salt);
+}
+
+void PopulationStore::evolve_with_salt(std::uint64_t salt) {
+    begin_round(salt);
+    const DriftKernel kernel = drift_kernel(dynamics_);
+    if (kernel == nullptr) return;
+    const DriftParams params{node_offset_, dynamics_.resource_jitter,
+                             dynamics_.theta_jitter, theta_lo_, theta_hi_};
+    const auto drift = [&](std::size_t lo, std::size_t hi) {
+        kernel(params, salt, lo, hi, theta_.data(), data_size_.data(), bandwidth_.data(),
+               cpu_.data(), data_cap_.data(), bandwidth_cap_.data(), cpu_cap_.data());
+    };
     const std::size_t n = size();
     const std::size_t chunks = (n + kEvolveChunk - 1) / kEvolveChunk;
-    const std::size_t workers =
-        (!parallel || chunks <= 1) ? 1 : util::resolve_round_threads(0, chunks);
+    const std::size_t workers = chunks <= 1 ? 1 : util::resolve_round_threads(0, chunks);
     if (workers <= 1) {
-        for (std::size_t i = 0; i < n; ++i) evolve_node(i, salt);
+        drift(0, n);
         return;
     }
     util::ThreadPool::shared().parallel_for(
         chunks, workers - 1, [&](std::size_t, std::size_t chunk) {
             const std::size_t lo = chunk * kEvolveChunk;
-            const std::size_t hi = std::min(n, lo + kEvolveChunk);
-            for (std::size_t i = lo; i < hi; ++i) evolve_node(i, salt);
+            drift(lo, std::min(n, lo + kEvolveChunk));
         });
 }
 
-void PopulationStore::evolve(stats::Rng& rng) {
-    evolve_all(rng.engine()(), /*parallel=*/true);
-}
+void PopulationStore::evolve(stats::Rng& rng) { evolve_with_salt(rng.engine()()); }
 
 void PopulationStore::evolve_serial(stats::Rng& rng) {
-    evolve_all(rng.engine()(), /*parallel=*/false);
-}
-
-void PopulationStore::evolve_with_salt(std::uint64_t salt) {
-    evolve_all(salt, /*parallel=*/true);
+    const std::uint64_t salt = rng.engine()();
+    begin_round(salt);
+    for (std::size_t i = 0; i < size(); ++i) evolve_node(i, salt);
 }
 
 PopulationSnapshot PopulationStore::snapshot() const {

@@ -668,8 +668,11 @@ const auction::AuctionOutcome& ProcessShardAggregator::run_round(std::size_t rou
             if (rs == ReadStatus::ok
                 && h.type == static_cast<std::uint32_t>(FrameType::head)) {
                 try {
-                    impl.heads[s] =
+                    auction::ShardHead decoded =
                         auction::ShardHead::deserialize(payload.data(), payload.size());
+                    if (!decoded.rows.empty() && decoded.dims != impl.layout.size())
+                        throw std::invalid_argument("head dims mismatch");
+                    impl.heads[s] = std::move(decoded);
                     got_head = true;
                     continue;
                 } catch (const std::exception&) {

@@ -1,8 +1,14 @@
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 namespace fmore::numeric {
+
+/// Rows per block of the bid pipeline's row kernels: the block size
+/// `mec::collect_bid_rows` quotes in, and the tile in which
+/// `auction::EquilibriumStrategy`'s row hooks keep their stack scratch.
+inline constexpr std::size_t kRowBlock = 256;
 
 /// Piecewise-linear interpolant over strictly increasing knots.
 ///
@@ -46,6 +52,19 @@ public:
         const double t = (x - xs_[lo]) / (xs_[hi] - xs_[lo]);
         return ys_[lo] + t * (ys_[hi] - ys_[lo]);
     }
+
+    /// Row twins of the two calls above, for the row kernels of the bid
+    /// pipeline (contract: equilibrium.hpp, "Row kernels"). `segment_rows`
+    /// writes hi[r] = segment_for(x[r]) for every x[r] strictly inside
+    /// (x_min(), x_max()), and 1 for a row at or beyond either end.
+    /// `eval_rows` then writes y[r] == operator()(x[r]) bit for bit: the
+    /// lerp runs on every row, exactly `eval_segment`'s arithmetic, and a
+    /// select puts the end value on rows at or beyond an end. The lookup
+    /// stays a scalar loop (its fix-up walk branches); the lerp, with its
+    /// division, is the part that vectorizes.
+    void segment_rows(const double* x, std::size_t n, std::size_t* hi) const;
+    void eval_rows(const std::size_t* hi, const double* x, std::size_t n,
+                   double* y) const;
 
 private:
     std::vector<double> xs_;

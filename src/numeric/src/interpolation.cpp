@@ -60,6 +60,33 @@ double LinearInterpolator::operator()(double x) const {
     return eval_segment(segment_for(x), x);
 }
 
+void LinearInterpolator::segment_rows(const double* x, std::size_t n,
+                                      std::size_t* hi) const {
+    const double first = xs_.front();
+    const double last = xs_.back();
+    for (std::size_t r = 0; r < n; ++r) {
+        hi[r] = (x[r] <= first || x[r] >= last) ? 1 : segment_for(x[r]);
+    }
+}
+
+void LinearInterpolator::eval_rows(const std::size_t* __restrict hi,
+                                   const double* __restrict x, std::size_t n,
+                                   double* __restrict y) const {
+    const double* xs = xs_.data();
+    const double* ys = ys_.data();
+    const double first_x = xs_.front();
+    const double last_x = xs_.back();
+    const double first_y = ys_.front();
+    const double last_y = ys_.back();
+    for (std::size_t r = 0; r < n; ++r) {
+        const std::size_t upper = hi[r];
+        const std::size_t lower = upper - 1;
+        const double t = (x[r] - xs[lower]) / (xs[upper] - xs[lower]);
+        const double inside = ys[lower] + t * (ys[upper] - ys[lower]);
+        y[r] = x[r] <= first_x ? first_y : (x[r] >= last_x ? last_y : inside);
+    }
+}
+
 LinearInterpolator LinearInterpolator::inverse_of(const std::vector<double>& xs,
                                                   const std::vector<double>& ys) {
     if (xs.size() != ys.size() || xs.size() < 2)

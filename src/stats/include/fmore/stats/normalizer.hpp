@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 namespace fmore::stats {
@@ -22,8 +23,12 @@ public:
     /// Fit from observed values; throws on fewer than 2 distinct values.
     static MinMaxNormalizer fit(const std::vector<double>& values);
 
-    /// Map x into [0,1], clamping outside the fitted range.
-    [[nodiscard]] double transform(double x) const;
+    /// Map x into [0,1], clamping outside the fitted range. Inline so the
+    /// scoring rules' row kernels vectorize through it.
+    [[nodiscard]] double transform(double x) const {
+        const double y = (x - lo_) / (hi_ - lo_);
+        return std::clamp(y, 0.0, 1.0);
+    }
 
     /// Map a normalized value back into the original range.
     [[nodiscard]] double inverse(double y) const;

@@ -56,21 +56,38 @@ private:
 /// replays exactly the same draws.
 class SplitMix64 {
 public:
+    /// The golden-ratio increment the state advances by per draw.
+    static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ull;
+
     explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
 
     /// splitmix64 finalizer over an incrementing counter — the same mixing
     /// `Rng::split` uses for child streams.
-    std::uint64_t next_u64() {
-        std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    std::uint64_t next_u64() { return mix(state_ += kGamma); }
+
+    /// Uniform real in [lo, hi) from the top 53 bits of one draw.
+    double uniform(double lo, double hi) { return uniform_of(next_u64(), lo, hi); }
+
+    /// The k-th output (k >= 1) of the stream seeded with `seed`: what the
+    /// k-th `next_u64()` call on `SplitMix64(seed)` returns. After k calls
+    /// the state is seed + k·kGamma (mod 2^64), so every draw is one
+    /// finalize away from the seed — a row-parallel loop reads a row's
+    /// draws this way instead of walking the stream draw by draw.
+    static std::uint64_t nth(std::uint64_t seed, std::uint64_t k) {
+        return mix(seed + k * kGamma);
+    }
+
+    /// The value `uniform(lo, hi)` returns for a draw of `bits`.
+    static double uniform_of(std::uint64_t bits, double lo, double hi) {
+        const double unit = static_cast<double>(bits >> 11) * 0x1.0p-53;
+        return lo + (hi - lo) * unit;
+    }
+
+    /// The splitmix64 finalizer.
+    static std::uint64_t mix(std::uint64_t z) {
         z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
         z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
         return z ^ (z >> 31);
-    }
-
-    /// Uniform real in [lo, hi) from the top 53 bits of one draw.
-    double uniform(double lo, double hi) {
-        const double unit = static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-        return lo + (hi - lo) * unit;
     }
 
 private:
@@ -81,10 +98,7 @@ private:
 /// finalize of the xor — cheap, and distinct indices under the same salt
 /// land in statistically independent streams.
 inline std::uint64_t derive_stream_seed(std::uint64_t salt, std::uint64_t index) {
-    std::uint64_t z = (salt ^ (index * 0x9e3779b97f4a7c15ull)) + 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    return SplitMix64::mix((salt ^ (index * SplitMix64::kGamma)) + SplitMix64::kGamma);
 }
 
 } // namespace fmore::stats

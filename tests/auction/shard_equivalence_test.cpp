@@ -11,7 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,6 +25,7 @@
 #include "fmore/auction/equilibrium.hpp"
 #include "fmore/auction/mechanism.hpp"
 #include "fmore/auction/scoring.hpp"
+#include "fmore/auction/shard_merge.hpp"
 #include "fmore/mec/auction_selector.hpp"
 #include "fmore/mec/population.hpp"
 #include "fmore/mec/sharded_selector.hpp"
@@ -326,6 +333,114 @@ TEST(ShardEquivalence, ViewModeOverPopulationMatchesOwnedSplit) {
         expect_outcomes_equal(view.run_auction_round(round, k, view_rng),
                               owned.run_auction_round(round, k, owned_rng));
     }
+}
+
+TEST(ShardEquivalence, HeavyScoreTiesDecidedByKey) {
+    // The shard head skips a row's tie key once the heap is full and the
+    // row scores below its root. Frames where most rows tie on score at
+    // the cut check that this changes nothing: the reference sorts every
+    // active row by (score desc, key asc, node asc) and keeps `limit`.
+    const std::size_t rows = 150;
+    const std::size_t node_offset = 1000;
+    auction::BidFrame frame(rows, 2);
+    const double levels[] = {5.0, 5.0, 3.0, 5.0, 7.0, 5.0, 0.0, -0.0, 5.0, 3.0};
+    for (std::size_t row = 0; row < rows; ++row) {
+        frame.score(row) = levels[(row * 7) % 10];
+        frame.payment(row) = 0.25 * static_cast<double>(row);
+        frame.quality_row(row)[0] = static_cast<double>(row);
+        frame.quality_row(row)[1] = -static_cast<double>(row);
+        if (row % 11 == 4) frame.set_active(row, false);
+    }
+    frame.set_scored(true);
+
+    std::vector<std::uint32_t> pos(node_offset + rows);
+    std::iota(pos.begin(), pos.end(), 0u);
+    stats::Rng shuffle_rng(5);
+    std::shuffle(pos.begin(), pos.end(), shuffle_rng.engine());
+    auction::TieKeys shuffled;
+    shuffled.pos = pos.data();
+    auction::TieKeys salted;
+    salted.salted = true;
+    salted.salt = 0x5a17ULL;
+
+    for (const auction::TieKeys* keys : {&salted, &shuffled}) {
+        std::vector<auction::HeadRow> all;
+        for (std::size_t row = 0; row < rows; ++row) {
+            if (!frame.active(row)) continue;
+            const std::size_t global = node_offset + row;
+            const std::uint64_t key = keys->salted
+                                          ? stats::derive_stream_seed(keys->salt, global)
+                                          : keys->pos[global];
+            all.push_back({global, frame.score(row), key, frame.payment(row)});
+        }
+        std::sort(all.begin(), all.end(),
+                  [](const auction::HeadRow& a, const auction::HeadRow& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      if (a.key != b.key) return a.key < b.key;
+                      return a.node < b.node;
+                  });
+        for (std::size_t limit = 1; limit <= rows + 1; ++limit) {
+            SCOPED_TRACE(std::string(keys->salted ? "salted" : "shuffle") + ", limit "
+                         + std::to_string(limit));
+            auction::ShardHead head;
+            auction::collect_shard_head(frame, node_offset, *keys, limit, head);
+            const std::size_t kept = std::min(limit, all.size());
+            ASSERT_EQ(head.rows.size(), kept);
+            ASSERT_EQ(head.quality.size(), kept * 2);
+            for (std::size_t r = 0; r < kept; ++r) {
+                EXPECT_EQ(head.rows[r].node, all[r].node) << "rank " << r;
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(head.rows[r].score),
+                          std::bit_cast<std::uint64_t>(all[r].score))
+                    << "rank " << r;
+                EXPECT_EQ(head.rows[r].key, all[r].key) << "rank " << r;
+                EXPECT_EQ(head.rows[r].payment, all[r].payment) << "rank " << r;
+                EXPECT_EQ(head.quality_row(r)[0],
+                          static_cast<double>(all[r].node - node_offset));
+            }
+        }
+    }
+}
+
+TEST(ShardEquivalence, HeadDecoderRejectsInconsistentHeader) {
+    // A head's header declares its row count and dims; both must agree
+    // with the payload before the decoder reads or reserves by them.
+    const auto append = [](std::vector<std::uint8_t>& out, std::uint64_t v) {
+        std::uint8_t bytes[sizeof(v)];
+        std::memcpy(bytes, &v, sizeof(v));
+        out.insert(out.end(), bytes, bytes + sizeof(v));
+    };
+    // dims = 2^63 over two rows: count * dims wraps to 0 in 64 bits.
+    std::vector<std::uint8_t> wrapping;
+    append(wrapping, 2);
+    append(wrapping, std::uint64_t{1} << 63);
+    for (std::uint64_t word = 0; word < 8; ++word) append(wrapping, word);
+    EXPECT_THROW((void)auction::ShardHead::deserialize(wrapping.data(), wrapping.size()),
+                 std::invalid_argument);
+
+    // 2^40 rows declared over a few bytes: rejected before any reserve.
+    std::vector<std::uint8_t> oversized;
+    append(oversized, std::uint64_t{1} << 40);
+    append(oversized, 2);
+    for (std::uint64_t word = 0; word < 8; ++word) append(oversized, word);
+    EXPECT_THROW((void)auction::ShardHead::deserialize(oversized.data(), oversized.size()),
+                 std::invalid_argument);
+
+    // A well-formed head round-trips; one byte more or less does not.
+    auction::ShardHead head;
+    head.dims = 2;
+    head.rows = {{7, 3.5, 11, 1.25}, {9, 2.0, 4, 0.5}};
+    head.quality = {1.0, 2.0, 3.0, 4.0};
+    std::vector<std::uint8_t> bytes;
+    head.serialize(bytes);
+    const auction::ShardHead back = auction::ShardHead::deserialize(bytes.data(), bytes.size());
+    EXPECT_EQ(back.dims, 2u);
+    EXPECT_EQ(back.rows.size(), 2u);
+    EXPECT_EQ(back.quality, head.quality);
+    EXPECT_THROW((void)auction::ShardHead::deserialize(bytes.data(), bytes.size() - 1),
+                 std::invalid_argument);
+    bytes.push_back(0);
+    EXPECT_THROW((void)auction::ShardHead::deserialize(bytes.data(), bytes.size()),
+                 std::invalid_argument);
 }
 
 } // namespace

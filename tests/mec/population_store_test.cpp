@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -223,6 +226,78 @@ TEST(PopulationStore, RejectsBadInputs) {
     bad.data_hi = 5.0;
     EXPECT_THROW(PopulationStore(10, bad, theta, PopulationSpec{}, rng),
                  std::invalid_argument);
+}
+
+/// First row where two snapshots' columns differ in any bit, per column.
+void expect_snapshots_bitwise_equal(const PopulationSnapshot& a, const PopulationSnapshot& b) {
+    static const char* const names[] = {"theta",    "data_size",    "category",
+                                        "bandwidth", "cpu",         "data_cap",
+                                        "category_cap", "bandwidth_cap", "cpu_cap"};
+    ASSERT_EQ(a.columns.size(), 9u);
+    ASSERT_EQ(b.columns.size(), 9u);
+    EXPECT_EQ(a.node_offset, b.node_offset);
+    EXPECT_EQ(a.salt_history, b.salt_history);
+    for (std::size_t c = 0; c < 9; ++c) {
+        ASSERT_EQ(a.columns[c].size(), b.columns[c].size()) << names[c];
+        for (std::size_t i = 0; i < a.columns[c].size(); ++i) {
+            if (std::bit_cast<std::uint64_t>(a.columns[c][i])
+                != std::bit_cast<std::uint64_t>(b.columns[c][i])) {
+                ADD_FAILURE() << names[c] << " differs first at row " << i << ": "
+                              << a.columns[c][i] << " vs " << b.columns[c][i];
+                break;
+            }
+        }
+    }
+}
+
+TEST(PopulationStore, DriftKernelMatchesPerNodeReference) {
+    // The pool path's branch-free row kernel against the per-node
+    // reference. Rows with non-positive or NaN caps take no draw for that
+    // resource, which shifts where every later draw of the row sits in its
+    // stream, so caps are planted in all eight (bandwidth, cpu, data)
+    // patterns. The store is the second shard of a split, so global
+    // stream ids start above 0, and it spans several evolve chunks.
+    const stats::UniformDistribution theta(0.5, 1.5);
+    for (const double resource_jitter : {0.0, 0.12}) {
+        for (const double theta_jitter : {0.0, 0.04}) {
+            PopulationSpec spec;
+            spec.dynamics.resource_jitter = resource_jitter;
+            spec.dynamics.theta_jitter = theta_jitter;
+            stats::Rng rng(23);
+            const PopulationStore whole(2 * (3 * 4096 + 77), SyntheticDataSpec{}, theta,
+                                        spec, rng);
+            PopulationStore shard = whole.split_even(2)[1];
+            ASSERT_GT(shard.node_offset(), 0u);
+
+            PopulationSnapshot planted = shard.snapshot();
+            for (std::size_t i = 0; i < shard.size(); ++i) {
+                const double dead = i % 16 >= 8 ? -1.0 : 0.0;
+                if (i % 2 == 1) planted.columns[7][i] = dead;  // bandwidth cap
+                if (i % 4 >= 2) planted.columns[8][i] = dead;  // cpu cap
+                if (i % 8 >= 4) planted.columns[5][i] = dead;  // data cap
+                if (i % 97 == 0) planted.columns[7][i] = std::nan("");
+            }
+            shard.restore(planted);
+
+            PopulationStore reference = shard;
+            stats::Rng ref_rng(29);
+            for (int round = 0; round < 5; ++round) reference.evolve_serial(ref_rng);
+            const PopulationSnapshot drifted = reference.snapshot();
+            EXPECT_EQ(drifted.columns[0] != planted.columns[0], theta_jitter > 0.0);
+            EXPECT_EQ(drifted.columns[3] != planted.columns[3], resource_jitter > 0.0);
+
+            for (const char* threads : {"1", "4"}) {
+                SCOPED_TRACE(std::string("resource_jitter=") + std::to_string(resource_jitter)
+                             + " theta_jitter=" + std::to_string(theta_jitter)
+                             + " FMORE_ROUND_THREADS=" + threads);
+                const ScopedEnv env("FMORE_ROUND_THREADS", threads);
+                PopulationStore store = shard;
+                stats::Rng store_rng(29);
+                for (int round = 0; round < 5; ++round) store.evolve(store_rng);
+                expect_snapshots_bitwise_equal(reference.snapshot(), store.snapshot());
+            }
+        }
+    }
 }
 
 } // namespace

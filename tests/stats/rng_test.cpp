@@ -135,5 +135,25 @@ TEST(Rng, ShufflePreservesElements) {
     EXPECT_EQ(copy, items);
 }
 
+TEST(SplitMix64, NthOutputMatchesSequentialDraws) {
+    // The k-th output is one finalize of seed + k·gamma: the identity the
+    // drift kernel reads its draws by. Seeds include the wrap-around edge.
+    for (const std::uint64_t seed :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0x5eedf00d},
+          ~std::uint64_t{0}, derive_stream_seed(42, 7), ~SplitMix64::kGamma}) {
+        SplitMix64 stream(seed);
+        for (std::uint64_t k = 1; k <= 64; ++k) {
+            EXPECT_EQ(SplitMix64::nth(seed, k), stream.next_u64())
+                << "seed " << seed << " draw " << k;
+        }
+    }
+    // uniform() is uniform_of() on the same draw.
+    SplitMix64 a(9);
+    for (std::uint64_t k = 1; k <= 16; ++k) {
+        EXPECT_EQ(SplitMix64::uniform_of(SplitMix64::nth(9, k), -2.5, 4.0),
+                  a.uniform(-2.5, 4.0));
+    }
+}
+
 } // namespace
 } // namespace fmore::stats
