@@ -14,6 +14,12 @@
 //     must match a never-faulted twin aggregator bit for bit — the
 //     respawn re-sync (salt-history replay) is what makes this true.
 //
+// A `fork_memory` object records the fork transport's resident set on the
+// wire_1m market (1M nodes, 200k under --smoke, 4 workers): how far the
+// coordinator's and each worker's peak resident set (VmHWM) rise above
+// the coordinator's before the aggregator exists, without and with a
+// respawn budget.
+//
 // Results land in the `faults` section of BENCH_scale.json, spliced
 // section-bounded via util/json_ledger.hpp: only the `faults` member is
 // replaced, wherever it sits, so the co-owning benches can run in any
@@ -22,10 +28,14 @@
 //   fault_matrix [--smoke] [--out path.json] [--check committed.json]
 //
 // --smoke shrinks N, the shard count and the round count (CI). --check
-// gates on structure and semantics only — bit-identity flags, corrupt
-// frames detected (not consumed) at positive corruption rates, respawns
-// happening at positive crash rates. No timing gates: fault-recovery
-// latency is dominated by deliberate stalls and deadlines, not by code.
+// gates on structure and semantics — bit-identity flags, corrupt frames
+// detected (not consumed) at positive corruption rates, respawns
+// happening at positive crash rates — and on the fork_memory ratios: the
+// coordinator's peak grows by less than a quarter of the store without a
+// respawn budget, and no worker's peak exceeds the coordinator's resident
+// set before construction by half the store. Ratios of one run's own
+// numbers hold on any machine. No timing gates: fault-recovery latency
+// is dominated by deliberate stalls and deadlines, not by code.
 
 #include <unistd.h>
 
@@ -40,6 +50,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -230,6 +241,82 @@ MatrixRow run_plan(const PlanSpec& plan_spec, const Market& market, std::size_t 
 }
 
 // ---------------------------------------------------------------------------
+// fork_memory: a forked child's VmHWM starts at its parent's resident set,
+// so whatever the coordinator holds when it forks is charged to every
+// worker. Measured first in the process: VmHWM is a lifetime peak, and an
+// earlier row would raise the coordinator's baseline.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kForkShards = 4;
+constexpr std::size_t kForkRounds = 2;
+
+/// One `/proc/<pid>/status` field ("VmHWM:", "VmRSS:") in MiB.
+/// @throws std::runtime_error when the process or the field cannot be read
+double status_mb(const std::string& pid, const char* field) {
+    std::ifstream in("/proc/" + pid + "/status");
+    const std::size_t len = std::strlen(field);
+    std::string line;
+    while (std::getline(in, line))
+        if (line.compare(0, len, field) == 0)
+            return static_cast<double>(std::atol(line.c_str() + len)) / 1024.0;
+    throw std::runtime_error("fault_matrix: cannot read " + std::string(field)
+                             + " from /proc/" + pid + "/status");
+}
+
+struct ForkMemoryRow {
+    std::size_t max_respawns = 0;
+    double store_mb = 0.0;              ///< the nine double columns
+    double coordinator_extra_mb = 0.0;  ///< coordinator VmHWM growth
+    double worker_extra_mb_max = 0.0;   ///< max worker VmHWM - coordinator VmRSS before
+    double sum_hwm_mb = 0.0;            ///< coordinator + every worker
+    std::size_t workers_read = 0;       ///< live workers, whose VmHWM was read
+};
+
+/// Construct the aggregator over `store`, run kForkRounds clean rounds, and
+/// read every process's VmHWM while the workers are still alive.
+ForkMemoryRow measure_fork_memory(const mec::PopulationStore& store, const Market& market,
+                                  std::size_t max_respawns, std::uint64_t seed) {
+    ForkMemoryRow row;
+    row.max_respawns = max_respawns;
+    row.store_mb = 9.0 * static_cast<double>(store.size() * sizeof(double))
+                   / (1024.0 * 1024.0);
+    const double rss_before = status_mb("self", "VmRSS:");
+    const double hwm_before = status_mb("self", "VmHWM:");
+    mec::ShardSupervisorConfig sup;
+    sup.max_respawns = max_respawns;
+    mec::ProcessShardAggregator aggregator(store, *market.scoring, *market.strategy,
+                                           wire_config(),
+                                           {mec::ResourceDim::data_size,
+                                            mec::ResourceDim::category_proportion},
+                                           kForkShards, /*shard_timeout_s=*/30.0, sup);
+    stats::Rng rng(seed);
+    for (std::size_t round = 1; round <= kForkRounds; ++round)
+        (void)aggregator.run_round(round, kWinners, rng);
+    const double hwm_after = status_mb("self", "VmHWM:");
+    row.coordinator_extra_mb = hwm_after - hwm_before;
+    row.sum_hwm_mb = hwm_after;
+    for (std::size_t s = 0; s < kForkShards; ++s) {
+        const int pid = aggregator.worker_pid(s);
+        if (pid <= 0) continue;  // evicted: its peak went with it
+        const double hwm = status_mb(std::to_string(pid), "VmHWM:");
+        ++row.workers_read;
+        row.worker_extra_mb_max = std::max(row.worker_extra_mb_max, hwm - rss_before);
+        row.sum_hwm_mb += hwm;
+    }
+    return row;
+}
+
+/// Both configs over one wire_1m store: without a respawn budget, then
+/// with `max_respawns = 1`. The second config's coordinator growth is
+/// measured over the first config's peak.
+std::vector<ForkMemoryRow> run_fork_memory(std::size_t n, std::uint64_t seed) {
+    const Market market(n);
+    const mec::PopulationStore store = make_store(n, market, seed);
+    return {measure_fork_memory(store, market, 0, seed),
+            measure_fork_memory(store, market, 1, seed)};
+}
+
+// ---------------------------------------------------------------------------
 // coordinator_crash: the durable-run scenario. A checkpointed trial runs to
 // completion, a mid-run checkpoint is re-loaded as if the coordinator had
 // been SIGKILLed there, and the resumed run's full metrics tape is diffed
@@ -332,6 +419,7 @@ CrashRow run_coordinator_crash(bool smoke) {
 // ---------------------------------------------------------------------------
 
 std::string render_section(const std::vector<MatrixRow>& rows,
+                           const std::vector<ForkMemoryRow>& fork, std::size_t fork_n,
                            const CrashRow& crash, bool smoke, std::size_t n,
                            std::size_t shards, std::size_t rounds) {
     std::ostringstream out;
@@ -369,6 +457,23 @@ std::string render_section(const std::vector<MatrixRow>& rows,
     }
     out << "    ],\n";
     std::snprintf(buf, sizeof buf,
+                  "    \"fork_memory\": {\"n\": %zu, \"shards\": %zu, \"rounds\": %zu, "
+                  "\"configs\": [\n",
+                  fork_n, kForkShards, kForkRounds);
+    out << buf;
+    for (std::size_t i = 0; i < fork.size(); ++i) {
+        const ForkMemoryRow& f = fork[i];
+        std::snprintf(buf, sizeof buf,
+                      "      {\"max_respawns\": %zu, \"store_mb\": %.4g, "
+                      "\"coordinator_extra_mb\": %.4g, \"worker_extra_mb_max\": %.4g, "
+                      "\"sum_hwm_mb\": %.4g}%s\n",
+                      f.max_respawns, f.store_mb, f.coordinator_extra_mb,
+                      f.worker_extra_mb_max, f.sum_hwm_mb,
+                      i + 1 < fork.size() ? "," : "");
+        out << buf;
+    }
+    out << "    ]},\n";
+    std::snprintf(buf, sizeof buf,
                   "    \"coordinator_crash\": {\"rounds\": %zu, "
                   "\"kill_round\": %zu, \"recovery_rounds\": %zu, "
                   "\"resume_bit_identical\": %s, \"resume_s\": %.4g}\n  }",
@@ -405,16 +510,45 @@ void write_ledger(const std::string& path, const std::string& section) {
 /// every fresh row keeps bit-identity on its clean rounds; plans with
 /// positive corruption rates detected (and only detected) their corrupt
 /// frames; plans with positive crash rates evicted AND respawned workers;
-/// the committed section exists with every fresh row name present and
+/// the fresh fork_memory ratios hold; the committed section exists with
+/// the fork_memory object and every fresh row name present and
 /// bit-identical.
 bool check_against(const std::string& text, const std::vector<MatrixRow>& rows,
-                   const CrashRow& crash) {
+                   const std::vector<ForkMemoryRow>& fork, const CrashRow& crash) {
     bool ok = true;
     const std::string section = util::extract_ledger_section(text, "faults");
     if (section.empty()) {
         std::cerr << "fault_matrix --check: committed ledger has no \"faults\""
                      " section\n";
         return false;
+    }
+    if (section.find("\"fork_memory\"") == std::string::npos) {
+        std::cerr << "fault_matrix --check: committed faults section has no"
+                     " fork_memory object\n";
+        ok = false;
+    }
+    for (const ForkMemoryRow& f : fork) {
+        const std::string config = "fork_memory (max_respawns = "
+                                   + std::to_string(f.max_respawns) + ")";
+        if (f.workers_read != kForkShards) {
+            std::cerr << "fault_matrix --check: " << config << " read the peak of "
+                      << f.workers_read << " of " << kForkShards << " workers\n";
+            ok = false;
+        }
+        if (f.max_respawns == 0 && !(f.coordinator_extra_mb < f.store_mb / 4.0)) {
+            std::cerr << "fault_matrix --check: " << config << ": the coordinator's"
+                         " peak grew by " << f.coordinator_extra_mb
+                      << " MiB, not under a quarter of the " << f.store_mb
+                      << " MiB store\n";
+            ok = false;
+        }
+        if (!(f.worker_extra_mb_max < f.store_mb / 2.0)) {
+            std::cerr << "fault_matrix --check: " << config << ": a worker peaked "
+                      << f.worker_extra_mb_max
+                      << " MiB above the coordinator's resident set, not under half"
+                         " the " << f.store_mb << " MiB store\n";
+            ok = false;
+        }
     }
     if (!crash.resume_bit_identical) {
         std::cerr << "fault_matrix --check: coordinator_crash resume diverged"
@@ -473,8 +607,8 @@ bool check_against(const std::string& text, const std::vector<MatrixRow>& rows,
         }
     }
     if (ok)
-        std::cout << "--check: faults section present, bit-identity and"
-                     " detection gates hold\n";
+        std::cout << "--check: faults section present, bit-identity, detection"
+                     " and fork-memory gates hold\n";
     return ok;
 }
 
@@ -503,6 +637,17 @@ int main(int argc, char** argv) {
     const std::size_t shards = smoke ? 4 : 8;
     const std::size_t rounds = smoke ? 6 : 14;
     const std::uint64_t seed = 0x17ULL;
+
+    // First, before any other row allocates: VmHWM is a lifetime peak.
+    const std::size_t fork_n = smoke ? 200'000 : 1'000'000;
+    const std::vector<ForkMemoryRow> fork = run_fork_memory(fork_n, seed);
+    std::cout << "fork_memory: N=" << fork_n << " shards=" << kForkShards << '\n';
+    for (const ForkMemoryRow& f : fork)
+        std::printf("  max_respawns %zu  store %.2f MiB  coordinator +%.2f MiB  "
+                    "worker +%.2f MiB (max)  sum of peaks %.1f MiB\n",
+                    f.max_respawns, f.store_mb, f.coordinator_extra_mb,
+                    f.worker_extra_mb_max, f.sum_hwm_mb);
+    std::cout << '\n';
 
     // The matrix: one clean baseline, crash churn at two rates, wire
     // corruption, and a flaky-latency mix. Rates are per shard-round.
@@ -549,11 +694,12 @@ int main(int argc, char** argv) {
         } else {
             std::stringstream buffer;
             buffer << in.rdbuf();
-            ok = check_against(buffer.str(), rows, crash);
+            ok = check_against(buffer.str(), rows, fork, crash);
         }
     }
     if (check_path.empty() || out_path != check_path)
-        write_ledger(out_path, render_section(rows, crash, smoke, n, shards, rounds));
+        write_ledger(out_path,
+                     render_section(rows, fork, fork_n, crash, smoke, n, shards, rounds));
     else
         std::cout << "(--check against the --out target: ledger left as"
                      " committed)\n";

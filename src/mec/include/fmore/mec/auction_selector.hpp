@@ -42,6 +42,18 @@ struct QualitySource {
 QualitySource data_category_extractor();
 QualitySource cpu_bandwidth_data_extractor();
 
+/// The agreement `collect_bid_rows` needs between the layout, the strategy
+/// and the broadcast rule, checked on its own so a caller can reject a bad
+/// combination before any round runs (the cross-process market does,
+/// before it forks).
+/// @throws std::invalid_argument when the layout is empty or wider than
+///         1024 columns, or when its width differs from the strategy's
+///         (or, for another broadcast rule, the scoring rule's) dimensions
+void check_bid_layout(const QualityLayout& layout,
+                      const auction::EquilibriumStrategy& strategy,
+                      const auction::ScoringRule& scoring,
+                      bool strategy_scores_broadcast_rule);
+
 /// The fused bid-collection pass over store rows [lo, hi): per row, the
 /// equilibrium quality clipped to the row's available columns, the sealed
 /// ask, and the aggregator score, written into frame rows
@@ -55,9 +67,8 @@ QualitySource cpu_bandwidth_data_extractor();
 /// quality_into / clamp / quote_span loop. Results are row-pure, hence
 /// identical for any worker count. The caller is responsible for
 /// `frame.reset` and `frame.set_scored(true)`.
-/// @throws std::invalid_argument when the layout is empty or wider than
-///         1024 columns, or when its width differs from the strategy's
-///         (or, for another broadcast rule, the scoring rule's) dimensions
+/// @throws std::invalid_argument when `check_bid_layout` rejects the
+///         layout, strategy and rule
 void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t hi,
                       const QualityLayout& layout,
                       const auction::EquilibriumStrategy& strategy,

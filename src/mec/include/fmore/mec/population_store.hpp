@@ -95,8 +95,9 @@ public:
     [[nodiscard]] std::size_t size() const { return theta_.size(); }
 
     /// Global id of local row 0 (0 for an unsplit store). Shard stores
-    /// produced by `split` keep drawing from the (salt, global id) streams,
-    /// so `node_offset() + i` is row i's identity in the whole market.
+    /// produced by `slice` or `split` keep drawing from the (salt, global
+    /// id) streams, so `node_offset() + i` is row i's identity in the whole
+    /// market.
     [[nodiscard]] std::size_t node_offset() const { return node_offset_; }
 
     // Hot-path scalar reads (current state).
@@ -155,11 +156,17 @@ public:
     /// checkpoint must never be restored into the wrong population.
     void restore(const PopulationSnapshot& snap);
 
-    /// Partition the store into `boundaries.size() + 1` contiguous shards:
-    /// cut points are local row indices, strictly increasing, in
-    /// (0, size()). Each shard copies its column slices and carries
+    /// One contiguous shard: a store of local rows [lo, hi) that copies
+    /// their nine column slices, keeps the dynamics and theta bounds, starts
+    /// with an empty salt history, and carries
     /// `node_offset() = this->node_offset() + lo`, so shard drift and bids
     /// stay keyed to global node ids.
+    /// @throws std::invalid_argument when lo >= hi or hi > size()
+    [[nodiscard]] PopulationStore slice(std::size_t lo, std::size_t hi) const;
+
+    /// Partition the store into `boundaries.size() + 1` contiguous shards,
+    /// each the `slice` between neighbouring cut points: cut points are
+    /// local row indices, strictly increasing, in (0, size()).
     /// @throws std::invalid_argument on unsorted/duplicate/out-of-range cuts
     [[nodiscard]] std::vector<PopulationStore>
     split(const std::vector<std::size_t>& boundaries) const;
@@ -175,7 +182,7 @@ public:
     even_boundaries(std::size_t size, std::size_t num_shards);
 
 private:
-    PopulationStore() = default;  ///< used by split to assemble shard slices
+    PopulationStore() = default;  ///< used by slice to assemble a shard
     void init_resources(std::size_t i, const PopulationSpec& spec, double data_cap,
                         double category, const stats::Distribution& theta_dist,
                         stats::Rng& rng);

@@ -99,13 +99,20 @@ struct ShardSupervisorConfig {
 
 class ProcessShardAggregator {
 public:
-    /// Splits `store` into `num_shards` even shards and forks one worker
-    /// per shard (workers inherit their shard copy-on-write; they never
-    /// touch the thread pool — bid collection in a worker is serial).
-    /// When respawns are enabled the aggregator retains the pristine shard
-    /// splits as fork sources.
+    /// Forks one worker per even shard of `store`. Each worker copies its
+    /// own rows out of the store it inherited after the fork, so the
+    /// coordinator never holds a shard copy; workers never touch the thread
+    /// pool (bid collection in a worker is serial). `store` must outlive
+    /// only the constructor. With a respawn budget
+    /// (`ShardSupervisorConfig::max_respawns > 0`) the aggregator keeps the
+    /// pristine shard splits as respawn sources, taken after the initial
+    /// forks so no initial worker maps them; without one it keeps no rows.
+    /// A worker that throws exits (status 4) instead of unwinding into the
+    /// caller, and is evicted like a crashed one.
     /// @throws std::invalid_argument when the spec is not wire-friendly
-    ///         (see file comment) or the supervisor config is out of range
+    ///         (see file comment), `check_bid_layout` rejects the layout,
+    ///         strategy and rule, num_shards is 0 or exceeds the store, or
+    ///         the supervisor config is out of range
     /// @throws std::runtime_error on pipe/fork failure
     ProcessShardAggregator(const PopulationStore& store,
                            const auction::ScoringRule& scoring,
@@ -184,8 +191,10 @@ public:
     [[nodiscard]] std::size_t live_shards() const;
     [[nodiscard]] std::size_t num_shards() const;
     [[nodiscard]] std::size_t population_size() const;
-    /// OS pid of worker `shard` (-1 when evicted/retired). Test hook: the
-    /// fd-hygiene regression counts open descriptors via /proc/<pid>/fd.
+    /// OS pid of worker `shard` (-1 when evicted/retired), for reading
+    /// `/proc/<pid>`: the fd-hygiene regression counts open descriptors
+    /// there, and benches read each worker's CPU time and peak resident
+    /// set.
     [[nodiscard]] int worker_pid(std::size_t shard) const;
 
     /// Exclude a node from all future rounds; shipped to its shard with

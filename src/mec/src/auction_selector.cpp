@@ -92,6 +92,22 @@ AuctionSelector::AuctionSelector(MecPopulation& population,
                       QualitySource(std::move(extractor)), data_dimension,
                       payment_method) {}
 
+void check_bid_layout(const QualityLayout& layout,
+                      const auction::EquilibriumStrategy& strategy,
+                      const auction::ScoringRule& scoring,
+                      bool strategy_scores_broadcast_rule) {
+    const std::size_t dims = layout.size();
+    const std::size_t scored_dims =
+        strategy_scores_broadcast_rule ? dims : scoring.dimensions();
+    if (dims == 0 || dims > kBlockCells || strategy.dimensions() != dims
+        || scored_dims != dims)
+        throw std::invalid_argument(
+            "bid layout has " + std::to_string(dims) + " columns (1 to "
+            + std::to_string(kBlockCells) + " allowed), strategy "
+            + std::to_string(strategy.dimensions()) + ", scoring rule "
+            + std::to_string(scored_dims));
+}
+
 void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t hi,
                       const QualityLayout& layout,
                       const auction::EquilibriumStrategy& strategy,
@@ -100,16 +116,8 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
                       auction::PaymentMethod payment_method, const Blacklist& blacklist,
                       auction::BidFrame& frame, std::size_t frame_base,
                       std::vector<const double*>& columns, bool parallel) {
+    check_bid_layout(layout, strategy, scoring, strategy_scores_broadcast_rule);
     const std::size_t dims = layout.size();
-    const std::size_t scored_dims =
-        strategy_scores_broadcast_rule ? dims : scoring.dimensions();
-    if (dims == 0 || dims > kBlockCells || strategy.dimensions() != dims
-        || scored_dims != dims)
-        throw std::invalid_argument(
-            "collect_bid_rows: layout has " + std::to_string(dims)
-            + " columns (1 to " + std::to_string(kBlockCells) + " allowed), strategy "
-            + std::to_string(strategy.dimensions()) + ", scoring rule "
-            + std::to_string(scored_dims));
     const std::size_t block_rows = std::min(numeric::kRowBlock, kBlockCells / dims);
     // Column pointers resolved once per round; the chunk loop below then
     // touches only contiguous memory. Caller-owned (not a local

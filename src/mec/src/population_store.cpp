@@ -323,6 +323,29 @@ void slice_into(const std::vector<double>& whole, std::size_t lo, std::size_t hi
 
 } // namespace
 
+PopulationStore PopulationStore::slice(std::size_t lo, std::size_t hi) const {
+    if (lo >= hi || hi > size())
+        throw std::invalid_argument("PopulationStore::slice: rows [" + std::to_string(lo)
+                                    + ", " + std::to_string(hi)
+                                    + ") are empty or outside [0, "
+                                    + std::to_string(size()) + ")");
+    PopulationStore shard;
+    shard.node_offset_ = node_offset_ + lo;
+    shard.dynamics_ = dynamics_;
+    shard.theta_lo_ = theta_lo_;
+    shard.theta_hi_ = theta_hi_;
+    slice_into(theta_, lo, hi, shard.theta_);
+    slice_into(data_size_, lo, hi, shard.data_size_);
+    slice_into(category_, lo, hi, shard.category_);
+    slice_into(bandwidth_, lo, hi, shard.bandwidth_);
+    slice_into(cpu_, lo, hi, shard.cpu_);
+    slice_into(data_cap_, lo, hi, shard.data_cap_);
+    slice_into(category_cap_, lo, hi, shard.category_cap_);
+    slice_into(bandwidth_cap_, lo, hi, shard.bandwidth_cap_);
+    slice_into(cpu_cap_, lo, hi, shard.cpu_cap_);
+    return shard;
+}
+
 std::vector<PopulationStore>
 PopulationStore::split(const std::vector<std::size_t>& boundaries) const {
     const std::size_t n = size();
@@ -340,21 +363,7 @@ PopulationStore::split(const std::vector<std::size_t>& boundaries) const {
     std::size_t lo = 0;
     for (std::size_t b = 0; b <= boundaries.size(); ++b) {
         const std::size_t hi = b < boundaries.size() ? boundaries[b] : n;
-        PopulationStore shard;
-        shard.node_offset_ = node_offset_ + lo;
-        shard.dynamics_ = dynamics_;
-        shard.theta_lo_ = theta_lo_;
-        shard.theta_hi_ = theta_hi_;
-        slice_into(theta_, lo, hi, shard.theta_);
-        slice_into(data_size_, lo, hi, shard.data_size_);
-        slice_into(category_, lo, hi, shard.category_);
-        slice_into(bandwidth_, lo, hi, shard.bandwidth_);
-        slice_into(cpu_, lo, hi, shard.cpu_);
-        slice_into(data_cap_, lo, hi, shard.data_cap_);
-        slice_into(category_cap_, lo, hi, shard.category_cap_);
-        slice_into(bandwidth_cap_, lo, hi, shard.bandwidth_cap_);
-        slice_into(cpu_cap_, lo, hi, shard.cpu_cap_);
-        shards.push_back(std::move(shard));
+        shards.push_back(slice(lo, hi));
         lo = hi;
     }
     return shards;

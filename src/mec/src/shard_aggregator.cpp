@@ -9,9 +9,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <typeinfo>
 #include <utility>
 
@@ -98,8 +100,9 @@ struct ProcessShardAggregator::Impl {
         std::size_t resume_round = 0;
     };
     std::vector<Worker> workers;
-    /// Fork sources for respawn: the pristine round-0 shard splits. Empty
-    /// when respawns are disabled (no memory retained).
+    /// Fork sources for respawn: the pristine round-0 shard splits, taken
+    /// after the initial forks so no initial worker maps them. Empty when
+    /// respawns are disabled (no memory retained).
     std::vector<PopulationStore> pristine;
     /// Drift salts of rounds 2..latest, in order — replaying them over a
     /// pristine shard reproduces the current shard state bit-exactly.
@@ -186,7 +189,7 @@ struct ProcessShardAggregator::Impl {
                 continue;
             }
             if (round < w.resume_round) continue;
-            if (!spawn(s)) {
+            if (!spawn(s, [&] { return std::move(pristine[s]); })) {
                 w.retired = true;
                 continue;
             }
@@ -196,7 +199,10 @@ struct ProcessShardAggregator::Impl {
         }
     }
 
-    bool spawn(std::size_t s);
+    /// Forks worker `s`. The child builds its shard with `make_shard()`
+    /// after the fork, so the copy lands in that child alone.
+    template <class MakeShard>
+    bool spawn(std::size_t s, const MakeShard& make_shard);
     bool sync_worker(std::size_t s);
 
     const auction::ScoreAuctionMechanism* engine_for(std::size_t k) {
@@ -220,7 +226,7 @@ struct ProcessShardAggregator::Impl {
 namespace {
 
 /// Everything a forked worker runs: the per-shard half of each round, over
-/// the shard store it inherited at fork time. Serial on purpose — the
+/// the shard store it built after the fork. Serial on purpose — the
 /// parent's thread pool does not survive fork, and
 /// FMORE_ROUND_THREADS=1 keeps every parallel_for entry point on its
 /// serial branch.
@@ -454,9 +460,24 @@ namespace {
     }
 }
 
+/// A failed worker's last line on stderr. Allocation-free and noexcept: it
+/// runs in the handler that keeps a worker's exception out of the caller's
+/// frames, where a second exception would escape.
+void report_worker_failure(std::size_t shard, const char* what) noexcept {
+    char line[512];
+    const int n = std::snprintf(line, sizeof line,
+                                "ProcessShardAggregator: shard worker %zu failed: %s\n",
+                                shard, what);
+    if (n <= 0) return;
+    const std::size_t len = std::min(static_cast<std::size_t>(n), sizeof line - 1);
+    line[len - 1] = '\n';
+    [[maybe_unused]] const ssize_t wrote = ::write(STDERR_FILENO, line, len);
+}
+
 } // namespace
 
-bool ProcessShardAggregator::Impl::spawn(std::size_t s) {
+template <class MakeShard>
+bool ProcessShardAggregator::Impl::spawn(std::size_t s, const MakeShard& make_shard) {
     int down[2];  // aggregator -> worker
     int up[2];    // worker -> aggregator
     if (::pipe(down) != 0) return false;
@@ -484,9 +505,19 @@ bool ProcessShardAggregator::Impl::spawn(std::size_t s) {
             if (other.req_fd >= 0) ::close(other.req_fd);
             if (other.resp_fd >= 0) ::close(other.resp_fd);
         }
-        worker_main(down[0], up[1], std::move(pristine[s]), scoring, strategy,
-                    layout, strategy_scores_broadcast_rule,
-                    auction::PaymentMethod::integral, s, sup.faults);
+        // Nothing a worker throws may unwind into the caller's frames (the
+        // child would go on running the caller's code): any exception,
+        // from the shard copy or a round, ends the worker with status 4,
+        // and the coordinator reads EOF and evicts it, as for a crash.
+        try {
+            worker_main(down[0], up[1], make_shard(), scoring, strategy, layout,
+                        strategy_scores_broadcast_rule,
+                        auction::PaymentMethod::integral, s, sup.faults);
+        } catch (const std::exception& e) {
+            report_worker_failure(s, e.what());
+        } catch (...) {
+        }
+        ::_exit(4);
     }
     ::close(down[0]);
     ::close(up[1]);
@@ -540,11 +571,6 @@ ProcessShardAggregator::ProcessShardAggregator(
         throw std::invalid_argument("ProcessShardAggregator: shard_timeout_s = "
                                     + std::to_string(shard_timeout_s)
                                     + ": must be finite and > 0");
-    if (impl_->layout.empty()
-        || impl_->layout.size() != impl_->strategy.dimensions())
-        throw std::invalid_argument(
-            "ProcessShardAggregator: quality layout must be non-empty and match the "
-            "strategy's dimensions");
     if (impl_->sup.min_live_shards > num_shards)
         throw std::invalid_argument(
             "ProcessShardAggregator: min_live_shards = "
@@ -558,23 +584,26 @@ ProcessShardAggregator::ProcessShardAggregator(
     impl_->n = store.size();
     impl_->strategy_scores_broadcast_rule =
         impl_->strategy.scoring_rule() == &impl_->scoring;
-    // Fail on non-wire-friendly mechanism resolution before any fork.
+    // Reject before any fork what a worker would only find mid-round: a bid
+    // layout its collection throws on, and a non-wire-friendly mechanism.
+    check_bid_layout(impl_->layout, impl_->strategy, impl_->scoring,
+                     impl_->strategy_scores_broadcast_rule);
     (void)impl_->engine_for(impl_->wd.num_winners == 0 ? 1 : impl_->wd.num_winners);
+    const std::vector<std::size_t> cuts =
+        PopulationStore::even_boundaries(store.size(), num_shards);
     ignore_sigpipe();
 
-    impl_->pristine = store.split_even(num_shards);
+    // Each worker copies its own rows out of the store it inherited, so the
+    // coordinator never holds a shard copy while it forks.
     impl_->workers.resize(num_shards);
     impl_->heads.resize(num_shards);
     for (std::size_t s = 0; s < num_shards; ++s) {
-        if (!impl_->spawn(s))
+        const std::size_t lo = s == 0 ? 0 : cuts[s - 1];
+        const std::size_t hi = s < cuts.size() ? cuts[s] : store.size();
+        if (!impl_->spawn(s, [&] { return store.slice(lo, hi); }))
             throw std::runtime_error("ProcessShardAggregator: pipe()/fork() failed");
     }
-    // Without a respawn budget the pristine splits are dead weight — the
-    // legacy permanent-eviction mode keeps the legacy memory footprint.
-    if (impl_->sup.max_respawns == 0) {
-        impl_->pristine.clear();
-        impl_->pristine.shrink_to_fit();
-    }
+    if (impl_->sup.max_respawns > 0) impl_->pristine = store.split_even(num_shards);
 }
 
 ProcessShardAggregator::~ProcessShardAggregator() {

@@ -770,6 +770,18 @@ TEST(ShardFault, AggregatorRejectsNonWireFriendlySpecs) {
     ShardSupervisorConfig bad_backoff;
     bad_backoff.respawn_backoff_s = -1.0;
     EXPECT_THROW(build_sup(bad_backoff), std::invalid_argument);
+
+    // A broadcast rule the strategy was not solved against, pricing three
+    // dimensions over the two-column layout: every worker's bid collection
+    // would throw on it, so the constructor must reject it before it forks.
+    const std::vector<stats::MinMaxNormalizer> wide_norms(
+        3, stats::MinMaxNormalizer(0.0, 1.0));
+    const auction::ScaledProductScoring wide(25.0, 3, wide_norms);
+    auto build_rule = [&](const auction::ScoringRule& rule) {
+        ProcessShardAggregator probe(store, rule, *m.strategy, wire_config(5),
+                                     layout(), 2, 1.0);
+    };
+    EXPECT_THROW(build_rule(wide), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

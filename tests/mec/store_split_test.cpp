@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -150,6 +151,102 @@ TEST(StoreSplit, NestedSplitKeepsGlobalStreams) {
         shard.evolve_with_salt(salt);
         expect_is_slice(whole, shard);
     }
+}
+
+/// Both stores hold the same offset, the same salt history and the same
+/// nine `snapshot()` columns, bit for bit.
+void expect_same_store(const PopulationStore& a, const PopulationStore& b) {
+    EXPECT_EQ(a.node_offset(), b.node_offset());
+    const PopulationSnapshot x = a.snapshot();
+    const PopulationSnapshot y = b.snapshot();
+    EXPECT_EQ(x.salt_history, y.salt_history);
+    ASSERT_EQ(x.columns.size(), 9u);
+    ASSERT_EQ(y.columns.size(), 9u);
+    for (std::size_t c = 0; c < 9; ++c) {
+        ASSERT_EQ(x.columns[c].size(), y.columns[c].size()) << "column " << c;
+        EXPECT_EQ(std::memcmp(x.columns[c].data(), y.columns[c].data(),
+                              x.columns[c].size() * sizeof(double)),
+                  0)
+            << "column " << c;
+    }
+}
+
+/// `part` holds exactly its global rows of `whole` in all nine
+/// `snapshot()` columns, bit for bit.
+void expect_rows_of(const PopulationStore& whole, const PopulationStore& part) {
+    ASSERT_GE(part.node_offset(), whole.node_offset());
+    const std::size_t lo = part.node_offset() - whole.node_offset();
+    ASSERT_LE(lo + part.size(), whole.size());
+    const PopulationSnapshot w = whole.snapshot();
+    const PopulationSnapshot p = part.snapshot();
+    for (std::size_t c = 0; c < 9; ++c)
+        EXPECT_EQ(std::memcmp(p.columns[c].data(), w.columns[c].data() + lo,
+                              part.size() * sizeof(double)),
+                  0)
+            << "column " << c;
+}
+
+TEST(StoreSplit, SliceMatchesSplit) {
+    // `split` is a loop over `slice`, and the forked market's workers call
+    // `slice` directly: for random cut points each slice is the matching
+    // split shard and holds its rows of the whole store, before and after
+    // drift under the same salts.
+    stats::Rng meta(0x511ceULL);
+    for (int trial = 0; trial < 6; ++trial) {
+        const std::size_t n = static_cast<std::size_t>(meta.uniform_int(5, 300));
+        const std::size_t s = static_cast<std::size_t>(
+            meta.uniform_int(2, static_cast<std::int64_t>(std::min<std::size_t>(n, 11))));
+        SCOPED_TRACE("trial " + std::to_string(trial) + ": n=" + std::to_string(n)
+                     + " s=" + std::to_string(s));
+        PopulationStore whole = make_store(n, 300 + static_cast<std::uint64_t>(trial));
+        const std::vector<std::size_t> cuts = random_boundaries(n, s, meta);
+        std::vector<PopulationStore> shards = whole.split(cuts);
+        std::vector<PopulationStore> slices;
+        std::size_t lo = 0;
+        for (std::size_t b = 0; b <= cuts.size(); ++b) {
+            const std::size_t hi = b < cuts.size() ? cuts[b] : n;
+            slices.push_back(whole.slice(lo, hi));
+            lo = hi;
+        }
+        ASSERT_EQ(slices.size(), shards.size());
+        for (std::size_t i = 0; i < shards.size(); ++i) {
+            expect_same_store(slices[i], shards[i]);
+            expect_rows_of(whole, slices[i]);
+        }
+
+        stats::Rng rounds(0x5a17ULL + static_cast<std::uint64_t>(trial));
+        for (int round = 0; round < 3; ++round) {
+            const std::uint64_t salt = rounds.engine()();
+            whole.evolve_with_salt(salt);
+            for (PopulationStore& shard : shards) shard.evolve_with_salt(salt);
+            for (PopulationStore& slice : slices) slice.evolve_with_salt(salt);
+        }
+        for (std::size_t i = 0; i < shards.size(); ++i) {
+            expect_same_store(slices[i], shards[i]);
+            expect_rows_of(whole, slices[i]);
+        }
+    }
+
+    // A slice of a shard nests the offsets: it is the whole store's slice
+    // of the same global rows, and the outer shard's split shard.
+    PopulationStore whole = make_store(80);
+    const PopulationStore outer = whole.slice(30, 80);
+    PopulationStore inner = outer.slice(20, 35);
+    EXPECT_EQ(inner.node_offset(), 50u);
+    EXPECT_EQ(inner.size(), 15u);
+    expect_same_store(inner, whole.slice(50, 65));
+    expect_same_store(inner, outer.split({20, 35})[1]);
+    const std::uint64_t salt = 0x51ceULL;
+    whole.evolve_with_salt(salt);
+    inner.evolve_with_salt(salt);
+    expect_rows_of(whole, inner);
+
+    EXPECT_THROW((void)whole.slice(10, 10), std::invalid_argument);  // empty
+    EXPECT_THROW((void)whole.slice(11, 10), std::invalid_argument);  // reversed
+    EXPECT_THROW((void)whole.slice(0, 81), std::invalid_argument);   // past the end
+    EXPECT_THROW((void)whole.slice(80, 80), std::invalid_argument);  // empty, at the end
+    EXPECT_THROW((void)outer.slice(40, 51), std::invalid_argument);  // past a shard's end
+    EXPECT_NO_THROW((void)whole.slice(0, 80));                       // the whole store
 }
 
 TEST(StoreSplit, SplitEvenBalancesAndTiles) {
