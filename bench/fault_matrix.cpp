@@ -15,9 +15,10 @@
 //     respawn re-sync (salt-history replay) is what makes this true.
 //
 // A `fork_memory` object records the fork transport's resident set on the
-// wire_1m market (1M nodes, 200k under --smoke, 4 workers): how far the
-// coordinator's and each worker's peak resident set (VmHWM) rise above
-// the coordinator's before the aggregator exists, without and with a
+// wire_1m market (1M nodes, 200k under --smoke, 4 workers): the largest
+// worker peak resident set (VmHWM), and how far the coordinator's and each
+// worker's peak rise above the coordinator's resident set before the
+// aggregator exists (negative when a worker holds less), without and with a
 // respawn budget.
 //
 // Results land in the `faults` section of BENCH_scale.json, spliced
@@ -32,9 +33,11 @@
 // detected (not consumed) at positive corruption rates, respawns
 // happening at positive crash rates — and on the fork_memory ratios: the
 // coordinator's peak grows by less than a quarter of the store without a
-// respawn budget, and no worker's peak exceeds the coordinator's resident
-// set before construction by half the store. Ratios of one run's own
-// numbers hold on any machine. No timing gates: fault-recovery latency
+// respawn budget, no worker's peak exceeds the coordinator's resident set
+// before construction by half the store, and, stricter, none exceeds that
+// set less the store by half the store, which fails when a worker carries
+// the caller's store. Ratios of one run's own numbers hold on any
+// machine. No timing gates: fault-recovery latency
 // is dominated by deliberate stalls and deadlines, not by code.
 
 #include <unistd.h>
@@ -267,7 +270,8 @@ struct ForkMemoryRow {
     std::size_t max_respawns = 0;
     double store_mb = 0.0;              ///< the nine double columns
     double coordinator_extra_mb = 0.0;  ///< coordinator VmHWM growth
-    double worker_extra_mb_max = 0.0;   ///< max worker VmHWM - coordinator VmRSS before
+    double worker_hwm_mb_max = 0.0;     ///< largest worker VmHWM
+    double worker_extra_mb_max = 0.0;   ///< worker_hwm_mb_max - coordinator VmRSS before
     double sum_hwm_mb = 0.0;            ///< coordinator + every worker
     std::size_t workers_read = 0;       ///< live workers, whose VmHWM was read
 };
@@ -299,10 +303,13 @@ ForkMemoryRow measure_fork_memory(const mec::PopulationStore& store, const Marke
         const int pid = aggregator.worker_pid(s);
         if (pid <= 0) continue;  // evicted: its peak went with it
         const double hwm = status_mb(std::to_string(pid), "VmHWM:");
+        row.worker_hwm_mb_max =
+            row.workers_read == 0 ? hwm : std::max(row.worker_hwm_mb_max, hwm);
         ++row.workers_read;
-        row.worker_extra_mb_max = std::max(row.worker_extra_mb_max, hwm - rss_before);
         row.sum_hwm_mb += hwm;
     }
+    // Negative once workers hold less than the coordinator did.
+    row.worker_extra_mb_max = row.worker_hwm_mb_max - rss_before;
     return row;
 }
 
@@ -465,10 +472,10 @@ std::string render_section(const std::vector<MatrixRow>& rows,
         const ForkMemoryRow& f = fork[i];
         std::snprintf(buf, sizeof buf,
                       "      {\"max_respawns\": %zu, \"store_mb\": %.4g, "
-                      "\"coordinator_extra_mb\": %.4g, \"worker_extra_mb_max\": %.4g, "
-                      "\"sum_hwm_mb\": %.4g}%s\n",
+                      "\"coordinator_extra_mb\": %.4g, \"worker_hwm_mb_max\": %.4g, "
+                      "\"worker_extra_mb_max\": %.4g, \"sum_hwm_mb\": %.4g}%s\n",
                       f.max_respawns, f.store_mb, f.coordinator_extra_mb,
-                      f.worker_extra_mb_max, f.sum_hwm_mb,
+                      f.worker_hwm_mb_max, f.worker_extra_mb_max, f.sum_hwm_mb,
                       i + 1 < fork.size() ? "," : "");
         out << buf;
     }
@@ -547,6 +554,18 @@ bool check_against(const std::string& text, const std::vector<MatrixRow>& rows,
                       << f.worker_extra_mb_max
                       << " MiB above the coordinator's resident set, not under half"
                          " the " << f.store_mb << " MiB store\n";
+            ok = false;
+        }
+        // A worker that still maps the caller's store peaks near the
+        // coordinator's resident set; one that maps only its own rows peaks
+        // near that set without the store.
+        const double over_lean_mb = f.worker_extra_mb_max + f.store_mb;
+        if (!(over_lean_mb < f.store_mb / 2.0)) {
+            std::cerr << "fault_matrix --check: " << config << ": a worker peaked "
+                      << over_lean_mb
+                      << " MiB above the coordinator's resident set without the"
+                         " store, not under half the " << f.store_mb
+                      << " MiB store: it carries the caller's store\n";
             ok = false;
         }
     }
@@ -643,10 +662,10 @@ int main(int argc, char** argv) {
     const std::vector<ForkMemoryRow> fork = run_fork_memory(fork_n, seed);
     std::cout << "fork_memory: N=" << fork_n << " shards=" << kForkShards << '\n';
     for (const ForkMemoryRow& f : fork)
-        std::printf("  max_respawns %zu  store %.2f MiB  coordinator +%.2f MiB  "
-                    "worker +%.2f MiB (max)  sum of peaks %.1f MiB\n",
+        std::printf("  max_respawns %zu  store %.2f MiB  coordinator %+.2f MiB  "
+                    "worker %.2f MiB, %+.2f MiB (max)  sum of peaks %.1f MiB\n",
                     f.max_respawns, f.store_mb, f.coordinator_extra_mb,
-                    f.worker_extra_mb_max, f.sum_hwm_mb);
+                    f.worker_hwm_mb_max, f.worker_extra_mb_max, f.sum_hwm_mb);
     std::cout << '\n';
 
     // The matrix: one clean baseline, crash churn at two rates, wire

@@ -30,6 +30,7 @@
 #include "fmore/ml/partition.hpp"
 #include "fmore/stats/distributions.hpp"
 #include "fmore/stats/rng.hpp"
+#include "fmore/util/pages.hpp"
 
 namespace fmore::mec {
 
@@ -164,6 +165,22 @@ public:
     /// @throws std::invalid_argument when lo >= hi or hi > size()
     [[nodiscard]] PopulationStore slice(std::size_t lo, std::size_t hi) const;
 
+    /// `slice(lo, hi)` for a forked child that never reads this store
+    /// again: it copies the nine columns one at a time, and after each it
+    /// returns the whole pages of that column's rows [lo, hi) to the kernel
+    /// (`util::release_pages`) before it copies the next. So a child that
+    /// inherited this store holds at most one column twice, and none of the
+    /// inherited rows once it returns. Only for a forked child: in the
+    /// calling process the released rows read as zeros afterwards.
+    /// @throws std::invalid_argument when lo >= hi or hi > size()
+    [[nodiscard]] PopulationStore slice_and_release(std::size_t lo, std::size_t hi) const;
+
+    /// The bytes of rows [lo, hi) in each of the nine columns, for page
+    /// advice on the store's memory (`util::ForkExclusion`).
+    /// @throws std::invalid_argument when lo > hi or hi > size()
+    [[nodiscard]] std::vector<util::ByteRange> column_bytes(std::size_t lo,
+                                                            std::size_t hi) const;
+
     /// Partition the store into `boundaries.size() + 1` contiguous shards,
     /// each the `slice` between neighbouring cut points: cut points are
     /// local row indices, strictly increasing, in (0, size()).
@@ -183,6 +200,8 @@ public:
 
 private:
     PopulationStore() = default;  ///< used by slice to assemble a shard
+    /// The one copy behind `slice` and `slice_and_release`.
+    PopulationStore slice_columns(std::size_t lo, std::size_t hi, bool release) const;
     void init_resources(std::size_t i, const PopulationSpec& spec, double data_cap,
                         double category, const stats::Distribution& theta_dist,
                         stats::Rng& rng);

@@ -99,16 +99,27 @@ struct ShardSupervisorConfig {
 
 class ProcessShardAggregator {
 public:
-    /// Forks one worker per even shard of `store`. Each worker copies its
-    /// own rows out of the store it inherited after the fork, so the
-    /// coordinator never holds a shard copy; workers never touch the thread
-    /// pool (bid collection in a worker is serial). `store` must outlive
-    /// only the constructor. With a respawn budget
-    /// (`ShardSupervisorConfig::max_respawns > 0`) the aggregator keeps the
-    /// pristine shard splits as respawn sources, taken after the initial
-    /// forks so no initial worker maps them; without one it keeps no rows.
-    /// A worker that throws exits (status 4) instead of unwinding into the
-    /// caller, and is evicted like a crashed one.
+    /// Forks one worker per even shard of `store`. Worker s maps only its
+    /// own rows [lo, hi) of `store`: while the constructor forks it, a
+    /// `util::ForkExclusion` keeps every whole page of the nine columns
+    /// outside those rows out of that fork, and lifts it again before the
+    /// constructor returns or throws, so `store` leaves as forkable as it
+    /// came in. The child copies its rows one column at a time and hands
+    /// each column's inherited pages back to the kernel before it copies
+    /// the next (`PopulationStore::slice_and_release`), so after start-up
+    /// no worker maps the caller's store, and none keeps its pages alive
+    /// once the caller frees or rewrites them. The coordinator never holds
+    /// a shard copy; workers never touch the thread pool (bid collection
+    /// in a worker is serial). `store` must outlive only the constructor.
+    /// With a respawn budget (`ShardSupervisorConfig::max_respawns > 0`)
+    /// the aggregator keeps the pristine shard splits as respawn sources,
+    /// taken after the initial forks so no initial worker maps them; a
+    /// respawned worker maps only its own split of them. Without a budget
+    /// it keeps no rows. A worker that throws exits (status 4) instead of
+    /// unwinding into the caller, and is evicted like a crashed one.
+    /// @pre while the constructor runs, no other thread of the caller
+    ///      forks a child that reads `store`: such a child would not map
+    ///      the rows hidden from the worker being forked.
     /// @throws std::invalid_argument when the spec is not wire-friendly
     ///         (see file comment), `check_bid_layout` rejects the layout,
     ///         strategy and rule, num_shards is 0 or exceeds the store, or

@@ -18,6 +18,8 @@
 ///    advertised bytes were drained) — recoverable by one re-request;
 ///  - `bad_header` / `eof` / `timeout`: the frame boundary is lost or the
 ///    peer is gone — the worker is evicted and respawned by the supervisor.
+///
+/// The downlink payload layouts and their checked decodes close the file.
 
 #include <poll.h>
 #include <unistd.h>
@@ -28,6 +30,7 @@
 #include <cstring>
 #include <vector>
 
+#include "fmore/mec/stream_round.hpp"
 #include "fmore/util/snapshot.hpp"
 
 namespace fmore::mec::wire {
@@ -205,6 +208,104 @@ inline ReadStatus read_frame_deadline(int fd, FrameHeader& header,
         return ReadStatus::bad_payload;
     }
     return ReadStatus::ok;
+}
+
+// ---------------------------------------------------------------------------
+// Downlink payload layouts. A worker trusts none of their counts: each
+// decode checks every count against the bytes left (by division, so no
+// count can wrap the bound) before it exposes a single value, and the worker
+// exits on a payload that does not decode.
+// ---------------------------------------------------------------------------
+
+/// Fixed-size head of a `request` / `stream_request` payload; `num_banned`
+/// global node ids (u64 each) follow the fixed part inside the same frame.
+struct RoundRequest {
+    std::uint64_t round = 0;
+    std::uint64_t k = 0;
+    std::uint64_t evolve_salt = 0;
+    std::uint64_t tie_salt = 0;
+    std::uint64_t limit = 0;
+    std::uint64_t num_banned = 0;
+};
+
+/// Streaming-round extension, between the RoundRequest and the banned ids
+/// of a `stream_request` frame: the arrival clock and the
+/// coordinator-resolved close cut (stream_round.hpp).
+struct StreamExtra {
+    std::uint64_t arrival_salt = 0;
+    double horizon_s = 0.0;
+    double close_time_s = 0.0;
+    std::uint64_t boundary_node = kStreamBoundaryAny;
+    std::uint64_t chunk_rows = 0;
+};
+
+/// `count` u64 values packed back to back inside a decoded payload, not
+/// necessarily aligned: read each with `at`. A view into the payload, so
+/// valid only while the payload lives unchanged.
+struct PackedU64s {
+    const std::uint8_t* data = nullptr;
+    std::size_t count = 0;
+
+    [[nodiscard]] std::uint64_t at(std::size_t i) const {
+        std::uint64_t v = 0;
+        std::memcpy(&v, data + i * sizeof(v), sizeof(v));
+        return v;
+    }
+};
+
+/// A decoded `request` or `stream_request` payload.
+struct RequestPayload {
+    RoundRequest request;
+    StreamExtra extra;   ///< stream_request only
+    PackedU64s banned;   ///< the newly banned global node ids
+};
+
+/// Decodes a `request` (`streaming == false`) or `stream_request` payload:
+/// the fixed part, then `num_banned` ids. False when the payload is shorter
+/// than the fixed part or holds fewer ids than it declares.
+[[nodiscard]] inline bool decode_request(const std::vector<std::uint8_t>& payload,
+                                         bool streaming, RequestPayload& out) {
+    std::size_t at = sizeof(RoundRequest);
+    if (payload.size() < at) return false;
+    std::memcpy(&out.request, payload.data(), sizeof(RoundRequest));
+    if (streaming) {
+        if (payload.size() - at < sizeof(StreamExtra)) return false;
+        std::memcpy(&out.extra, payload.data() + at, sizeof(StreamExtra));
+        at += sizeof(StreamExtra);
+    }
+    if ((payload.size() - at) / sizeof(std::uint64_t) < out.request.num_banned) return false;
+    out.banned = {payload.data() + at, static_cast<std::size_t>(out.request.num_banned)};
+    return true;
+}
+
+/// A decoded `sync` payload: the drift-salt history, then the ban list.
+struct SyncPayload {
+    PackedU64s salts;
+    PackedU64s bans;
+};
+
+/// Decodes a `sync` payload: u64 salt count, the salts, u64 ban count, the
+/// bans. False unless the payload is exactly 8 + 8 * salts + 8 + 8 * bans
+/// bytes.
+[[nodiscard]] inline bool decode_sync(const std::vector<std::uint8_t>& payload,
+                                      SyncPayload& out) {
+    constexpr std::size_t kWord = sizeof(std::uint64_t);
+    const std::uint8_t* p = payload.data();
+    std::size_t left = payload.size();
+    // One counted list: its u64 count, then that many words.
+    const auto take = [&](PackedU64s& list) {
+        if (left < kWord) return false;
+        std::uint64_t count = 0;
+        std::memcpy(&count, p, kWord);
+        p += kWord;
+        left -= kWord;
+        if (left / kWord < count) return false;
+        list = {p, static_cast<std::size_t>(count)};
+        p += list.count * kWord;
+        left -= list.count * kWord;
+        return true;
+    };
+    return take(out.salts) && take(out.bans) && left == 0;
 }
 
 } // namespace fmore::mec::wire

@@ -313,17 +313,16 @@ void PopulationStore::restore(const PopulationSnapshot& snap) {
     cpu_cap_ = snap.columns[8];
 }
 
-namespace {
-
-void slice_into(const std::vector<double>& whole, std::size_t lo, std::size_t hi,
-                std::vector<double>& out) {
-    out.assign(whole.begin() + static_cast<std::ptrdiff_t>(lo),
-               whole.begin() + static_cast<std::ptrdiff_t>(hi));
+PopulationStore PopulationStore::slice(std::size_t lo, std::size_t hi) const {
+    return slice_columns(lo, hi, /*release=*/false);
 }
 
-} // namespace
+PopulationStore PopulationStore::slice_and_release(std::size_t lo, std::size_t hi) const {
+    return slice_columns(lo, hi, /*release=*/true);
+}
 
-PopulationStore PopulationStore::slice(std::size_t lo, std::size_t hi) const {
+PopulationStore PopulationStore::slice_columns(std::size_t lo, std::size_t hi,
+                                               bool release) const {
     if (lo >= hi || hi > size())
         throw std::invalid_argument("PopulationStore::slice: rows [" + std::to_string(lo)
                                     + ", " + std::to_string(hi)
@@ -334,16 +333,38 @@ PopulationStore PopulationStore::slice(std::size_t lo, std::size_t hi) const {
     shard.dynamics_ = dynamics_;
     shard.theta_lo_ = theta_lo_;
     shard.theta_hi_ = theta_hi_;
-    slice_into(theta_, lo, hi, shard.theta_);
-    slice_into(data_size_, lo, hi, shard.data_size_);
-    slice_into(category_, lo, hi, shard.category_);
-    slice_into(bandwidth_, lo, hi, shard.bandwidth_);
-    slice_into(cpu_, lo, hi, shard.cpu_);
-    slice_into(data_cap_, lo, hi, shard.data_cap_);
-    slice_into(category_cap_, lo, hi, shard.category_cap_);
-    slice_into(bandwidth_cap_, lo, hi, shard.bandwidth_cap_);
-    slice_into(cpu_cap_, lo, hi, shard.cpu_cap_);
+    // Column by column, each source released before the next copy: a
+    // forked child then never holds more than one column twice.
+    const auto copy = [&](const std::vector<double>& whole, std::vector<double>& out) {
+        out.assign(whole.begin() + static_cast<std::ptrdiff_t>(lo),
+                   whole.begin() + static_cast<std::ptrdiff_t>(hi));
+        if (release) util::release_pages({whole.data() + lo, whole.data() + hi});
+    };
+    copy(theta_, shard.theta_);
+    copy(data_size_, shard.data_size_);
+    copy(category_, shard.category_);
+    copy(bandwidth_, shard.bandwidth_);
+    copy(cpu_, shard.cpu_);
+    copy(data_cap_, shard.data_cap_);
+    copy(category_cap_, shard.category_cap_);
+    copy(bandwidth_cap_, shard.bandwidth_cap_);
+    copy(cpu_cap_, shard.cpu_cap_);
     return shard;
+}
+
+std::vector<util::ByteRange> PopulationStore::column_bytes(std::size_t lo,
+                                                           std::size_t hi) const {
+    if (lo > hi || hi > size())
+        throw std::invalid_argument("PopulationStore::column_bytes: rows ["
+                                    + std::to_string(lo) + ", " + std::to_string(hi)
+                                    + ") outside [0, " + std::to_string(size()) + ")");
+    std::vector<util::ByteRange> ranges;
+    ranges.reserve(9);
+    for (const std::vector<double>* column :
+         {&theta_, &data_size_, &category_, &bandwidth_, &cpu_, &data_cap_, &category_cap_,
+          &bandwidth_cap_, &cpu_cap_})
+        ranges.push_back({column->data() + lo, column->data() + hi});
+    return ranges;
 }
 
 std::vector<PopulationStore>

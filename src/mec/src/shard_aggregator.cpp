@@ -21,6 +21,7 @@
 #include "fmore/mec/blacklist.hpp"
 #include "fmore/mec/stream_round.hpp"
 #include "fmore/mec/wire_format.hpp"
+#include "fmore/util/pages.hpp"
 
 namespace fmore::mec {
 
@@ -29,28 +30,8 @@ namespace {
 using wire::FrameHeader;
 using wire::FrameType;
 using wire::ReadStatus;
-
-/// Fixed-size request payload header; `num_banned` global node ids follow
-/// inside the same frame.
-struct RoundRequest {
-    std::uint64_t round = 0;
-    std::uint64_t k = 0;
-    std::uint64_t evolve_salt = 0;
-    std::uint64_t tie_salt = 0;
-    std::uint64_t limit = 0;
-    std::uint64_t num_banned = 0;
-};
-
-/// Streaming-round extension, between the RoundRequest and the banned ids
-/// of a `stream_request` frame: the arrival clock and the
-/// coordinator-resolved close cut (stream_round.hpp).
-struct StreamExtra {
-    std::uint64_t arrival_salt = 0;
-    double horizon_s = 0.0;
-    double close_time_s = 0.0;
-    std::uint64_t boundary_node = kStreamBoundaryAny;
-    std::uint64_t chunk_rows = 0;
-};
+using wire::RoundRequest;
+using wire::StreamExtra;
 
 void append_bytes(std::vector<std::uint8_t>& out, const void* data,
                   std::size_t size) {
@@ -189,7 +170,16 @@ struct ProcessShardAggregator::Impl {
                 continue;
             }
             if (round < w.resume_round) continue;
-            if (!spawn(s, [&] { return std::move(pristine[s]); })) {
+            // The child moves its own pristine split; the others stay out
+            // of its fork.
+            std::vector<util::ByteRange> others;
+            for (std::size_t t = 0; t < pristine.size(); ++t) {
+                if (t == s) continue;
+                const std::vector<util::ByteRange> split =
+                    pristine[t].column_bytes(0, pristine[t].size());
+                others.insert(others.end(), split.begin(), split.end());
+            }
+            if (!spawn(s, others, [&] { return std::move(pristine[s]); })) {
                 w.retired = true;
                 continue;
             }
@@ -199,10 +189,13 @@ struct ProcessShardAggregator::Impl {
         }
     }
 
-    /// Forks worker `s`. The child builds its shard with `make_shard()`
-    /// after the fork, so the copy lands in that child alone.
+    /// Forks worker `s` with the whole pages of `hide` left out of the
+    /// child (`util::ForkExclusion`, lifted again before this returns). The
+    /// child builds its shard with `make_shard()` after the fork, so the
+    /// copy lands in that child alone; it reads nothing in `hide`.
     template <class MakeShard>
-    bool spawn(std::size_t s, const MakeShard& make_shard);
+    bool spawn(std::size_t s, const std::vector<util::ByteRange>& hide,
+               const MakeShard& make_shard);
     bool sync_worker(std::size_t s);
 
     const auction::ScoreAuctionMechanism* engine_for(std::size_t k) {
@@ -278,25 +271,11 @@ namespace {
             // pristine shard, then the full ban list. Drift streams are
             // keyed by (salt, global id), so the replay lands on the exact
             // state of a worker that never died.
-            const std::uint8_t* p = payload.data();
-            std::uint64_t num_salts = 0;
-            std::memcpy(&num_salts, p, sizeof(num_salts));
-            p += sizeof(num_salts);
-            for (std::uint64_t i = 0; i < num_salts; ++i) {
-                std::uint64_t salt = 0;
-                std::memcpy(&salt, p, sizeof(salt));
-                p += sizeof(salt);
-                shard.evolve_with_salt(salt);
-            }
-            std::uint64_t num_bans = 0;
-            std::memcpy(&num_bans, p, sizeof(num_bans));
-            p += sizeof(num_bans);
-            for (std::uint64_t i = 0; i < num_bans; ++i) {
-                auction::NodeId node{};
-                std::memcpy(&node, p, sizeof(node));
-                p += sizeof(node);
-                banned.ban(node);
-            }
+            wire::SyncPayload sync;
+            if (!wire::decode_sync(payload, sync)) ::_exit(2);
+            for (std::size_t i = 0; i < sync.salts.count; ++i)
+                shard.evolve_with_salt(sync.salts.at(i));
+            for (std::size_t i = 0; i < sync.bans.count; ++i) banned.ban(sync.bans.at(i));
             continue;
         }
 
@@ -328,24 +307,12 @@ namespace {
             h.type == static_cast<std::uint32_t>(FrameType::stream_request);
         if (!streaming && h.type != static_cast<std::uint32_t>(FrameType::request))
             ::_exit(2);
-        if (payload.size() < sizeof(RoundRequest)) ::_exit(2);
-        RoundRequest req;
-        std::memcpy(&req, payload.data(), sizeof(req));
-        StreamExtra extra;
-        std::size_t ban_at = sizeof(req);
-        if (streaming) {
-            if (payload.size() < sizeof(req) + sizeof(extra)) ::_exit(2);
-            std::memcpy(&extra, payload.data() + sizeof(req), sizeof(extra));
-            ban_at += sizeof(extra);
-        }
-        if (payload.size() < ban_at + req.num_banned * sizeof(auction::NodeId))
-            ::_exit(2);
-        const std::uint8_t* ban_bytes = payload.data() + ban_at;
-        for (std::uint64_t i = 0; i < req.num_banned; ++i) {
-            auction::NodeId node{};
-            std::memcpy(&node, ban_bytes + i * sizeof(node), sizeof(node));
-            banned.ban(node);
-        }
+        wire::RequestPayload decoded;
+        if (!wire::decode_request(payload, streaming, decoded)) ::_exit(2);
+        const RoundRequest& req = decoded.request;
+        const StreamExtra& extra = decoded.extra;
+        for (std::size_t i = 0; i < decoded.banned.count; ++i)
+            banned.ban(decoded.banned.at(i));
 
         const util::FaultEvent fault = faults.event(shard_index, req.round);
         if (fault.kind == util::FaultKind::crash_before_reply) ::_exit(3);
@@ -477,7 +444,12 @@ void report_worker_failure(std::size_t shard, const char* what) noexcept {
 } // namespace
 
 template <class MakeShard>
-bool ProcessShardAggregator::Impl::spawn(std::size_t s, const MakeShard& make_shard) {
+bool ProcessShardAggregator::Impl::spawn(std::size_t s,
+                                         const std::vector<util::ByteRange>& hide,
+                                         const MakeShard& make_shard) {
+    // Alive until this returns in the coordinator. The child _exits inside
+    // this function, so it never runs the destructor over pages it lacks.
+    const util::ForkExclusion exclusion(hide);
     int down[2];  // aggregator -> worker
     int up[2];    // worker -> aggregator
     if (::pipe(down) != 0) return false;
@@ -593,14 +565,19 @@ ProcessShardAggregator::ProcessShardAggregator(
         PopulationStore::even_boundaries(store.size(), num_shards);
     ignore_sigpipe();
 
-    // Each worker copies its own rows out of the store it inherited, so the
-    // coordinator never holds a shard copy while it forks.
+    // Worker s maps only rows [lo, hi) of the caller's store: the other
+    // rows stay out of its fork, and it hands the inherited rows back to
+    // the kernel column by column as it copies them. The coordinator never
+    // holds a shard copy while it forks.
     impl_->workers.resize(num_shards);
     impl_->heads.resize(num_shards);
     for (std::size_t s = 0; s < num_shards; ++s) {
         const std::size_t lo = s == 0 ? 0 : cuts[s - 1];
         const std::size_t hi = s < cuts.size() ? cuts[s] : store.size();
-        if (!impl_->spawn(s, [&] { return store.slice(lo, hi); }))
+        std::vector<util::ByteRange> others = store.column_bytes(0, lo);
+        const std::vector<util::ByteRange> above = store.column_bytes(hi, store.size());
+        others.insert(others.end(), above.begin(), above.end());
+        if (!impl_->spawn(s, others, [&] { return store.slice_and_release(lo, hi); }))
             throw std::runtime_error("ProcessShardAggregator: pipe()/fork() failed");
     }
     if (impl_->sup.max_respawns > 0) impl_->pristine = store.split_even(num_shards);
