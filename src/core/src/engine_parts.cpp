@@ -23,23 +23,6 @@ const ExperimentSpec& checked_spec(const ExperimentSpec& spec, ExperimentKind en
     return spec;
 }
 
-std::pair<ml::Dataset, ml::Dataset> split_train_test(const ml::Dataset& pool,
-                                                     std::size_t train_n) {
-    const auto cut = static_cast<std::ptrdiff_t>(train_n);
-    const auto feature_cut = static_cast<std::ptrdiff_t>(train_n * pool.sample_volume());
-    ml::Dataset train;
-    train.sample_shape = pool.sample_shape;
-    train.num_classes = pool.num_classes;
-    train.features.assign(pool.features.begin(), pool.features.begin() + feature_cut);
-    train.labels.assign(pool.labels.begin(), pool.labels.begin() + cut);
-    ml::Dataset test;
-    test.sample_shape = pool.sample_shape;
-    test.num_classes = pool.num_classes;
-    test.features.assign(pool.features.begin() + feature_cut, pool.features.end());
-    test.labels.assign(pool.labels.begin() + cut, pool.labels.end());
-    return {std::move(train), std::move(test)};
-}
-
 fl::CoordinatorConfig coordinator_config(const ExperimentSpec& spec) {
     fl::CoordinatorConfig cc;
     cc.rounds = spec.training.rounds;

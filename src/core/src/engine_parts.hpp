@@ -3,14 +3,13 @@
 /// @file engine_parts.hpp (internal to fmore_core)
 /// The pieces SimulationTrial and RealWorldTrial assemble the same way,
 /// each read straight from the ExperimentSpec: spec admission, the
-/// train/test split, the coordinator knobs and the market-selector factory.
-/// What differs between the two worlds (dataset pool, partition, scoring,
-/// wall clock) stays in each engine.
+/// coordinator knobs and the market-selector factory. What differs between
+/// the two worlds (dataset, partition, scoring, wall clock) stays in each
+/// engine.
 
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "fmore/core/equilibrium_cache.hpp"
@@ -18,7 +17,6 @@
 #include "fmore/fl/coordinator.hpp"
 #include "fmore/fl/policy.hpp"
 #include "fmore/mec/population.hpp"
-#include "fmore/ml/dataset.hpp"
 
 namespace fmore::core::detail {
 
@@ -26,11 +24,6 @@ namespace fmore::core::detail {
 /// @throws std::invalid_argument listing every validation problem, or
 ///         naming the engine to use when `spec.kind` is the other world
 const ExperimentSpec& checked_spec(const ExperimentSpec& spec, ExperimentKind engine);
-
-/// Split one generated pool into its first `train_n` samples and the rest,
-/// so train and test share the pool's prototypes.
-std::pair<ml::Dataset, ml::Dataset> split_train_test(const ml::Dataset& pool,
-                                                     std::size_t train_n);
 
 /// The coordinator knobs of `spec` (rounds, K, SGD and evaluation).
 fl::CoordinatorConfig coordinator_config(const ExperimentSpec& spec);

@@ -55,10 +55,11 @@ RealWorldTrial::RealWorldTrial(const ExperimentSpec& spec, std::size_t trial_ind
 
     // The testbed trains CIFAR-10 (Fig. 12); the proxy dataset mirrors it.
     stats::Rng data_rng = rng.split();
-    const std::size_t total = spec_.training.train_samples + spec_.training.test_samples;
-    ml::Dataset pool;
+    const std::size_t train_n = spec_.training.train_samples;
+    const std::size_t total = train_n + spec_.training.test_samples;
+    ml::DatasetSplit data;
     if (spec_.training.dataset == DatasetKind::hpnews) {
-        pool = ml::make_synthetic_text(ml::hpnews_spec(total), data_rng);
+        data = ml::make_synthetic_text(ml::hpnews_spec(total), train_n, data_rng);
     } else {
         // Harder than the simulator's CIFAR proxy: the real testbed trains
         // actual CIFAR-10, which stays data-hungry for all 20 rounds (the
@@ -68,11 +69,10 @@ RealWorldTrial::RealWorldTrial(const ExperimentSpec& spec, std::size_t trial_ind
         ml::ImageDatasetSpec image = ml::cifar10_spec(total);
         image.noise = 0.85;
         image.prototype_overlap = 0.35;
-        pool = ml::make_synthetic_images(image, data_rng);
+        data = ml::make_synthetic_images(image, train_n, data_rng);
     }
-    auto [train, test] = detail::split_train_test(pool, spec_.training.train_samples);
-    train_ = std::move(train);
-    test_ = std::move(test);
+    train_ = std::move(data.train);
+    test_ = std::move(data.test);
 
     // Unlike the simulator, the testbed is NOT label-sharded: Section V.A
     // only describes non-IID splits for the simulator, while the testbed

@@ -15,17 +15,21 @@ namespace fmore::core {
 
 namespace {
 
-/// One generated pool of `total` samples of the workload's stand-in data.
-ml::Dataset make_pool(DatasetKind kind, std::size_t total, stats::Rng& rng) {
+/// The workload's stand-in data: one stream of train + test samples, the
+/// first `train` of them for training, so both halves share the stream's
+/// prototypes.
+ml::DatasetSplit make_data(DatasetKind kind, std::size_t train, std::size_t test,
+                           stats::Rng& rng) {
+    const std::size_t total = train + test;
     switch (kind) {
         case DatasetKind::mnist_o:
-            return ml::make_synthetic_images(ml::mnist_o_spec(total), rng);
+            return ml::make_synthetic_images(ml::mnist_o_spec(total), train, rng);
         case DatasetKind::mnist_f:
-            return ml::make_synthetic_images(ml::mnist_f_spec(total), rng);
+            return ml::make_synthetic_images(ml::mnist_f_spec(total), train, rng);
         case DatasetKind::cifar10:
-            return ml::make_synthetic_images(ml::cifar10_spec(total), rng);
+            return ml::make_synthetic_images(ml::cifar10_spec(total), train, rng);
         case DatasetKind::hpnews:
-            return ml::make_synthetic_text(ml::hpnews_spec(total), rng);
+            return ml::make_synthetic_text(ml::hpnews_spec(total), train, rng);
     }
     throw std::logic_error("SimulationTrial: unknown dataset");
 }
@@ -77,12 +81,10 @@ SimulationTrial::SimulationTrial(const ExperimentSpec& spec, std::size_t trial_i
     stats::Rng rng(trial_seed_);
 
     stats::Rng data_rng = rng.split();
-    auto [train, test] = detail::split_train_test(
-        make_pool(spec_.training.dataset,
-                  spec_.training.train_samples + spec_.training.test_samples, data_rng),
-        spec_.training.train_samples);
-    train_ = std::move(train);
-    test_ = std::move(test);
+    ml::DatasetSplit data = make_data(spec_.training.dataset, spec_.training.train_samples,
+                                      spec_.training.test_samples, data_rng);
+    train_ = std::move(data.train);
+    test_ = std::move(data.test);
 
     stats::Rng part_rng = rng.split();
     shards_ = ml::partition_non_iid_variable(train_, pop.num_nodes, pop.shards_lo,

@@ -51,11 +51,19 @@ using RoundTimeModel =
 /// (the same guarantee the trial runner gives across trials). Evaluation
 /// splits its fixed 128-sample batches over the same workers and reduces
 /// per-batch records in batch order — again bit-identical.
+///
+/// Every per-round buffer (the tasks and their sample lists, the clients'
+/// parameter updates, the dispatch order, FedAvg's accumulator, the eval
+/// records) and every worker clone is a member, reused from round to round,
+/// so once the first rounds have grown them a round allocates nothing that
+/// scales with clients, minibatches or parameters.
 class Coordinator {
 public:
     /// References must outlive the coordinator. `shards` maps client id ->
     /// local data; a client's FedAvg weight D_i is the number of samples it
     /// actually trained on this round.
+    /// @throws std::invalid_argument on no shards, an empty test set, zero
+    ///         rounds or zero winners per round
     Coordinator(ml::Model& model, const ml::Dataset& train, const ml::Dataset& test,
                 std::vector<ml::ClientShard> shards, CoordinatorConfig config);
 
@@ -86,10 +94,12 @@ protected:
     /// resolve each selected client to a task in selection order, consuming
     /// the round RNG (contracted-volume subsampling, per-client training
     /// seeds) in that fixed order so the stream is independent of
-    /// scheduling and of the coordinator mode.
-    /// @throws std::runtime_error on unknown clients / all-empty shards
-    [[nodiscard]] std::vector<ClientTask>
-    build_tasks(const std::vector<SelectedClient>& picked, stats::Rng& rng) const;
+    /// scheduling and of the coordinator mode. `tasks` is overwritten; its
+    /// elements and their `local` buffers are reused.
+    /// @throws std::out_of_range on an unknown client
+    /// @throws std::runtime_error when every selected shard is empty
+    void build_tasks(const std::vector<SelectedClient>& picked, stats::Rng& rng,
+                     std::vector<ClientTask>& tasks) const;
 
     /// Size this round's workers against the process-wide ThreadBudget,
     /// honouring config/FMORE_ROUND_THREADS overrides; `cap` is the widest
@@ -97,7 +107,9 @@ protected:
     [[nodiscard]] std::size_t
     acquire_workers(std::size_t cap, std::optional<util::ThreadLease>& lease) const;
 
-    void train_clients(const std::vector<float>& global, std::vector<ClientTask>& tasks,
+    /// Train every task from `global` into `updates[task.slot]`, whose
+    /// parameter buffers are reused.
+    void train_clients(const std::vector<float>& global, const std::vector<ClientTask>& tasks,
                        std::vector<ClientUpdate>& updates, std::size_t workers);
     [[nodiscard]] ml::EvalStats evaluate_global(std::size_t workers,
                                                 const std::vector<float>& global);
@@ -110,9 +122,23 @@ protected:
     std::vector<ml::ClientShard> shards_;
     CoordinatorConfig config_;
     std::vector<std::size_t> eval_indices_;
-    /// Thread-local model clones, one per worker slot; slot 0 is the
-    /// calling thread. Built lazily, reused across rounds.
+    /// Model clones, one per worker slot; slot 0 is the calling thread.
+    /// Built on the calling thread before a parallel section first needs
+    /// them, reused across rounds.
     std::vector<std::unique_ptr<ml::Model>> worker_models_;
+
+private:
+    void ensure_worker_models(std::size_t count);
+
+    // The synchronous round's buffers (see the class comment).
+    std::vector<ClientTask> tasks_;
+    std::vector<ClientUpdate> updates_;
+    std::vector<std::size_t> dispatch_order_;
+    std::vector<const std::vector<float>*> update_views_;
+    std::vector<double> update_weights_;
+    std::vector<std::size_t> client_samples_;
+    std::vector<double> fedavg_acc_;
+    std::vector<ml::EvalBatch> eval_records_;
 };
 
 } // namespace fmore::fl

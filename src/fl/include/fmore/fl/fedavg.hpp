@@ -11,4 +11,13 @@ namespace fmore::fl {
 std::vector<float> federated_average(const std::vector<std::vector<float>>& client_params,
                                      const std::vector<double>& weights);
 
+/// The same average over the clients' vectors read in place, through
+/// pointers. `acc` (the double accumulator) and `out` are resized and
+/// reused, so a caller that keeps them across rounds allocates nothing;
+/// `out` must not be one of the inputs. Each element's sum runs over the
+/// clients in order, so the result is bit-identical to the overload above.
+void federated_average(const std::vector<const std::vector<float>*>& client_params,
+                       const std::vector<double>& weights, std::vector<double>& acc,
+                       std::vector<float>& out);
+
 } // namespace fmore::fl

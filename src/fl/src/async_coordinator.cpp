@@ -95,7 +95,8 @@ RunResult AsyncCoordinator::run_async(ClientSelector& selector, stats::Rng& rng,
         // (contracted-volume subsampling, per-client training seeds), then
         // this mode's timing draws — one DispatchTiming per task, in slot
         // order, so dropout draws consume the round RNG deterministically.
-        std::vector<ClientTask> tasks = build_tasks(picked, rng);
+        std::vector<ClientTask> tasks;
+        build_tasks(picked, rng, tasks);
         struct DispatchInfo {
             double weight = 0.0;   ///< samples this dispatch trains (D_i)
             double payment = 0.0;

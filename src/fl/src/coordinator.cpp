@@ -1,6 +1,7 @@
 #include "fmore/fl/coordinator.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 
@@ -17,6 +18,8 @@ Coordinator::Coordinator(ml::Model& model, const ml::Dataset& train,
       shards_(std::move(shards)),
       config_(config) {
     if (shards_.empty()) throw std::invalid_argument("Coordinator: no client shards");
+    // An empty test set would average eval metrics over zero samples (NaN).
+    if (test_.size() == 0) throw std::invalid_argument("Coordinator: empty test set");
     if (config_.rounds == 0) throw std::invalid_argument("Coordinator: zero rounds");
     if (config_.winners_per_round == 0)
         throw std::invalid_argument("Coordinator: zero winners per round");
@@ -27,33 +30,31 @@ Coordinator::Coordinator(ml::Model& model, const ml::Dataset& train,
     }
 }
 
-std::vector<Coordinator::ClientTask>
-Coordinator::build_tasks(const std::vector<SelectedClient>& picked,
-                         stats::Rng& rng) const {
-    std::vector<ClientTask> tasks;
-    tasks.reserve(picked.size());
+void Coordinator::build_tasks(const std::vector<SelectedClient>& picked, stats::Rng& rng,
+                              std::vector<ClientTask>& tasks) const {
+    std::size_t count = 0;
     for (const SelectedClient& sel : picked) {
         if (sel.client >= shards_.size())
             throw std::out_of_range("Coordinator: selector picked unknown client");
         const ml::ClientShard& shard = shards_[sel.client];
         if (shard.indices.empty()) continue;
 
-        ClientTask task;
-        task.slot = tasks.size();
+        if (count == tasks.size()) tasks.emplace_back();
+        ClientTask& task = tasks[count];
+        task.slot = count++;
         task.selected = &sel;
         // Honour the contracted data volume: FMore winners train on the
         // bid data size; baselines train on the full shard.
-        task.local = shard.indices;
+        task.local.assign(shard.indices.begin(), shard.indices.end());
         if (sel.train_samples.has_value() && *sel.train_samples < task.local.size()) {
             rng.shuffle(task.local);
             task.local.resize(std::max<std::size_t>(1, *sel.train_samples));
         }
         task.seed = rng.engine()();
-        tasks.push_back(std::move(task));
     }
+    tasks.resize(count);
     if (tasks.empty())
         throw std::runtime_error("Coordinator: every selected client had an empty shard");
-    return tasks;
 }
 
 std::size_t Coordinator::eval_batch_count() const {
@@ -85,8 +86,13 @@ std::size_t Coordinator::acquire_workers(std::size_t cap,
     return workers;
 }
 
+void Coordinator::ensure_worker_models(std::size_t count) {
+    while (worker_models_.size() < count)
+        worker_models_.push_back(std::make_unique<ml::Model>(model_.clone()));
+}
+
 void Coordinator::train_clients(const std::vector<float>& global,
-                                std::vector<ClientTask>& tasks,
+                                const std::vector<ClientTask>& tasks,
                                 std::vector<ClientUpdate>& updates,
                                 std::size_t workers) {
     // One clone trains one client at a time: set the round's global
@@ -102,7 +108,7 @@ void Coordinator::train_clients(const std::vector<float>& global,
                                       config_.learning_rate);
         }
         ClientUpdate& update = updates[task.slot];
-        update.params = model.get_parameters();
+        model.get_parameters_into(update.params);
         update.stats = stats;
     };
 
@@ -115,46 +121,52 @@ void Coordinator::train_clients(const std::vector<float>& global,
     // Longest first: the pool claims tasks in this order, so the last task
     // to start is a short one and no long task sets the round's tail. Ties
     // keep slot order; each update still lands in its slot.
-    std::vector<std::size_t> order(tasks.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&tasks](std::size_t a, std::size_t b) {
-        return tasks[a].local.size() > tasks[b].local.size();
-    });
+    dispatch_order_.resize(tasks.size());
+    std::iota(dispatch_order_.begin(), dispatch_order_.end(), std::size_t{0});
+    std::sort(dispatch_order_.begin(), dispatch_order_.end(),
+              [&tasks](std::size_t a, std::size_t b) {
+                  const std::size_t na = tasks[a].local.size();
+                  const std::size_t nb = tasks[b].local.size();
+                  return na != nb ? na > nb : a < b;
+              });
 
-    if (worker_models_.size() < workers) worker_models_.resize(workers);
-    util::ThreadPool::shared().parallel_for(
-        tasks.size(), workers - 1, [&](std::size_t slot, std::size_t i) {
-            std::unique_ptr<ml::Model>& local = worker_models_[slot];
-            if (!local) local = std::make_unique<ml::Model>(model_.clone());
-            train_one(*local, tasks[order[i]]);
-        });
+    ensure_worker_models(workers);
+    auto train_slot = [&](std::size_t slot, std::size_t i) {
+        train_one(*worker_models_[slot], tasks[dispatch_order_[i]]);
+    };
+    // Passed by reference: parallel_for's std::function then stores it in
+    // place instead of allocating a copy of the closure.
+    util::ThreadPool::shared().parallel_for(tasks.size(), workers - 1, std::ref(train_slot));
 }
 
 ml::EvalStats Coordinator::evaluate_global(std::size_t workers,
                                            const std::vector<float>& global) {
-    const std::size_t batches =
-        (eval_indices_.size() + ml::kEvalBatch - 1) / ml::kEvalBatch;
+    const std::size_t batches = eval_batch_count();
+    eval_records_.resize(batches);
     const std::size_t chunks = std::min(workers, batches);
-    if (chunks <= 1) return model_.evaluate(test_, eval_indices_);
+    if (chunks <= 1) {
+        // The coordinator's own model holds `global`.
+        model_.evaluate_batches(test_, eval_indices_, ml::kEvalBatch, 0, batches,
+                                eval_records_.data());
+        return ml::reduce_eval_batches(eval_records_);
+    }
 
     // Batch boundaries are fixed by ml::kEvalBatch (never by the worker
     // count) and records are reduced in batch order, so any chunking is
     // bit-identical to the serial pass.
-    std::vector<ml::EvalBatch> records(batches);
-    if (worker_models_.size() < chunks) worker_models_.resize(chunks);
+    ensure_worker_models(chunks);
     const std::size_t per_chunk = (batches + chunks - 1) / chunks;
-    util::ThreadPool::shared().parallel_for(
-        chunks, workers - 1, [&](std::size_t slot, std::size_t c) {
-            const std::size_t lo = c * per_chunk;
-            const std::size_t hi = std::min(batches, lo + per_chunk);
-            if (lo >= hi) return;
-            std::unique_ptr<ml::Model>& local = worker_models_[slot];
-            if (!local) local = std::make_unique<ml::Model>(model_.clone());
-            local->set_parameters(global);
-            local->evaluate_batches(test_, eval_indices_, ml::kEvalBatch, lo, hi,
-                                    records.data());
-        });
-    return ml::reduce_eval_batches(records);
+    auto eval_chunk = [&](std::size_t slot, std::size_t c) {
+        const std::size_t lo = c * per_chunk;
+        const std::size_t hi = std::min(batches, lo + per_chunk);
+        if (lo >= hi) return;
+        ml::Model& local = *worker_models_[slot];
+        local.set_parameters(global);
+        local.evaluate_batches(test_, eval_indices_, ml::kEvalBatch, lo, hi,
+                               eval_records_.data());
+    };
+    util::ThreadPool::shared().parallel_for(chunks, workers - 1, std::ref(eval_chunk));
+    return ml::reduce_eval_batches(eval_records_);
 }
 
 RunResult Coordinator::run(ClientSelector& selector, stats::Rng& rng,
@@ -170,6 +182,7 @@ RunResult Coordinator::run(ClientSelector& selector, stats::Rng& rng,
             model_.set_parameters(global);
         }
     }
+    result.rounds.reserve(config_.rounds);
 
     for (std::size_t round = first_round; round <= config_.rounds; ++round) {
         RoundMetrics metrics;
@@ -184,34 +197,33 @@ RunResult Coordinator::run(ClientSelector& selector, stats::Rng& rng,
         // shared round RNG (contracted-volume subsampling, the per-client
         // training seeds) happens here, so the stream is independent of
         // scheduling.
-        std::vector<ClientTask> tasks = build_tasks(picked, rng);
+        build_tasks(picked, rng, tasks_);
 
         // Size the round's workers, capped at the widest parallel section
         // (client trainings or eval batches).
-        const std::size_t cap = std::max(tasks.size(), eval_batch_count());
+        const std::size_t cap = std::max(tasks_.size(), eval_batch_count());
         std::optional<util::ThreadLease> lease;
         const std::size_t workers = acquire_workers(cap, lease);
 
-        std::vector<ClientUpdate> updates(tasks.size());
-        train_clients(global, tasks, updates, std::min(workers, tasks.size()));
+        updates_.resize(tasks_.size());
+        train_clients(global, tasks_, updates_, std::min(workers, tasks_.size()));
 
-        // Fixed-order aggregation over the selection-order slots.
-        // `client_samples` stays parallel to `picked` — a selected client
-        // whose shard was empty trained nothing, and the RoundTimeModel
-        // zips samples with `selection.selected` positionally.
-        std::vector<std::vector<float>> client_params;
-        std::vector<double> client_weights;
-        std::vector<std::size_t> client_samples(picked.size(), 0);
-        client_params.reserve(tasks.size());
-        client_weights.reserve(tasks.size());
+        // Fixed-order aggregation over the selection-order slots, reading
+        // each update in place. `client_samples_` stays parallel to
+        // `picked` — a selected client whose shard was empty trained
+        // nothing, and the RoundTimeModel zips samples with
+        // `selection.selected` positionally.
+        update_views_.clear();
+        update_weights_.clear();
+        client_samples_.assign(picked.size(), 0);
         double train_loss_sum = 0.0;
         double train_loss_weight = 0.0;
-        for (ClientTask& task : tasks) {
-            ClientUpdate& update = updates[task.slot];
+        for (const ClientTask& task : tasks_) {
+            const ClientUpdate& update = updates_[task.slot];
             const auto weight = static_cast<double>(task.local.size());
-            client_params.push_back(std::move(update.params));
-            client_weights.push_back(weight);
-            client_samples[static_cast<std::size_t>(task.selected - picked.data())] =
+            update_views_.push_back(&update.params);
+            update_weights_.push_back(weight);
+            client_samples_[static_cast<std::size_t>(task.selected - picked.data())] =
                 task.local.size();
             train_loss_sum += update.stats.mean_loss * weight;
             train_loss_weight += weight;
@@ -219,11 +231,11 @@ RunResult Coordinator::run(ClientSelector& selector, stats::Rng& rng,
             metrics.mean_winner_score += task.selected->score;
         }
 
-        global = federated_average(client_params, client_weights);
+        federated_average(update_views_, update_weights_, fedavg_acc_, global);
         model_.set_parameters(global);
 
         const ml::EvalStats eval = evaluate_global(workers, global);
-        metrics.aggregated_updates = tasks.size();
+        metrics.aggregated_updates = tasks_.size();
         metrics.test_accuracy = eval.accuracy;
         metrics.test_loss = eval.mean_loss;
         metrics.train_loss =
@@ -232,7 +244,7 @@ RunResult Coordinator::run(ClientSelector& selector, stats::Rng& rng,
         metrics.mean_winner_payment /= n_sel;
         metrics.mean_winner_score /= n_sel;
         if (time_model) {
-            metrics.round_seconds = time_model(metrics.selection, client_samples);
+            metrics.round_seconds = time_model(metrics.selection, client_samples_);
         }
         result.rounds.push_back(std::move(metrics));
         if (control && control->on_round)

@@ -7,8 +7,6 @@ namespace fmore::ml {
 /// Elementwise rectified linear unit.
 class ReLU final : public Layer {
 public:
-    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
-    [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
     void forward_into(const Tensor& input, Tensor& out, bool training) override;
     void backward_into(const Tensor& grad_output, Tensor& grad_input) override;
     [[nodiscard]] std::unique_ptr<Layer> clone() const override {
@@ -24,8 +22,6 @@ private:
 /// own fused gates).
 class Tanh final : public Layer {
 public:
-    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
-    [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
     void forward_into(const Tensor& input, Tensor& out, bool training) override;
     void backward_into(const Tensor& grad_output, Tensor& grad_input) override;
     [[nodiscard]] std::unique_ptr<Layer> clone() const override {
@@ -40,10 +36,11 @@ private:
 /// Flatten [B, ...] to [B, volume].
 class Flatten final : public Layer {
 public:
-    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
-    [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
     void forward_into(const Tensor& input, Tensor& out, bool training) override;
     void backward_into(const Tensor& grad_output, Tensor& grad_input) override;
+    /// Flatten holds no parameters: as a first layer (`make_mlp`) its
+    /// backward has nothing to do.
+    void backward_params(const Tensor& /*grad_output*/) override {}
     [[nodiscard]] std::unique_ptr<Layer> clone() const override {
         return std::make_unique<Flatten>(*this);
     }

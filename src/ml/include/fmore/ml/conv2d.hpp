@@ -16,8 +16,8 @@ class Conv2d final : public Layer {
 public:
     Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel);
 
-    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
-    [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
+    void forward_into(const Tensor& input, Tensor& out, bool training) override;
+    void backward_into(const Tensor& grad_output, Tensor& grad_input) override;
     /// Fast path: parameter gradients only, no input gradient (the model
     /// input needs none when this is the first layer).
     void backward_params(const Tensor& grad_output) override;

@@ -12,8 +12,8 @@ class Dense final : public Layer {
 public:
     Dense(std::size_t in_features, std::size_t out_features);
 
-    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
-    [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
+    void forward_into(const Tensor& input, Tensor& out, bool training) override;
+    void backward_into(const Tensor& grad_output, Tensor& grad_input) override;
     std::vector<ParamBlock> parameters() override;
     void initialize(stats::Rng& rng) override;
     [[nodiscard]] std::unique_ptr<Layer> clone() const override {

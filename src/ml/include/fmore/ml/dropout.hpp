@@ -17,8 +17,6 @@ class Dropout final : public Layer {
 public:
     explicit Dropout(double rate);
 
-    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
-    [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
     void forward_into(const Tensor& input, Tensor& out, bool training) override;
     void backward_into(const Tensor& grad_output, Tensor& grad_input) override;
     void attach_rng(stats::Rng* rng) override { rng_ = rng; }

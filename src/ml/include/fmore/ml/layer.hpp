@@ -20,37 +20,43 @@ struct ParamBlock {
 /// Base class for all layers. The training loop is single-threaded per
 /// model: forward caches whatever backward needs, and backward must be
 /// called with the gradient of the loss w.r.t. this layer's output,
-/// returning the gradient w.r.t. its input. Concurrency happens one level
+/// producing the gradient w.r.t. its input. Concurrency happens one level
 /// up — `Model::clone()` gives each worker its own layer stack.
+///
+/// One protocol: every layer writes its results into caller-owned tensors
+/// (`forward_into` / `backward_into`), whose storage is reused across
+/// calls. The model's activation chain keeps one persistent slot per
+/// layer, so once the slots and each layer's own scratch have grown to the
+/// largest batch seen, a training step or an evaluation batch allocates
+/// nothing. `forward` / `backward` are allocating conveniences over the
+/// same arithmetic for one-off callers (tests, benches).
 class Layer {
 public:
     virtual ~Layer() = default;
 
-    [[nodiscard]] virtual Tensor forward(const Tensor& input, bool training) = 0;
-    [[nodiscard]] virtual Tensor backward(const Tensor& grad_output) = 0;
+    /// Write the layer's output for `input` into `out`, reshaping it.
+    virtual void forward_into(const Tensor& input, Tensor& out, bool training) = 0;
+    /// Accumulate the parameter gradients of the last forward and write
+    /// the gradient w.r.t. its input into `grad_input`, reshaping it.
+    virtual void backward_into(const Tensor& grad_output, Tensor& grad_input) = 0;
 
-    /// Buffer-reusing twins of forward/backward: results land in the
-    /// caller-owned tensor, whose storage is reused across calls. The
-    /// model's activation chain keeps one persistent slot per layer, so a
-    /// layer that overrides these (the elementwise family: ReLU, Tanh,
-    /// Flatten, MaxPool2d, Dropout) stops paying one tensor allocation per
-    /// call — the ROADMAP's "scratch arena" for the cheap layers. The
-    /// defaults delegate to the allocating versions (then move into `out`),
-    /// so existing custom layers are unaffected. Arithmetic is identical
-    /// by contract: outputs are bit-identical to forward/backward.
-    virtual void forward_into(const Tensor& input, Tensor& out, bool training) {
-        out = forward(input, training);
+    [[nodiscard]] Tensor forward(const Tensor& input, bool training) {
+        Tensor out;
+        forward_into(input, out, training);
+        return out;
     }
-    virtual void backward_into(const Tensor& grad_output, Tensor& grad_input) {
-        grad_input = backward(grad_output);
+    [[nodiscard]] Tensor backward(const Tensor& grad_output) {
+        Tensor grad_input;
+        backward_into(grad_output, grad_input);
+        return grad_input;
     }
 
     /// Backward for a layer whose input gradient nobody reads: accumulate
     /// the parameter gradients exactly as `backward` would, bit for bit,
     /// and skip what only the input gradient needs. `Model::backward` calls
     /// it on the first layer, since the model's input is data. The default
-    /// runs `backward_into` into a discarded tensor; `Conv2d` overrides it
-    /// to skip its input-gradient kernel.
+    /// runs `backward_into` into a discarded tensor; `Conv2d`, `Embedding`
+    /// and `Flatten` (the first layers of the model zoo) override it.
     virtual void backward_params(const Tensor& grad_output) {
         Tensor discarded;
         backward_into(grad_output, discarded);

@@ -17,8 +17,8 @@ class Lstm final : public Layer {
 public:
     Lstm(std::size_t input_dim, std::size_t hidden_dim);
 
-    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
-    [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
+    void forward_into(const Tensor& input, Tensor& out, bool training) override;
+    void backward_into(const Tensor& grad_output, Tensor& grad_input) override;
     std::vector<ParamBlock> parameters() override;
     void initialize(stats::Rng& rng) override;
     [[nodiscard]] std::unique_ptr<Layer> clone() const override {
@@ -51,6 +51,12 @@ private:
     std::vector<float> wt_;  // [E, 4H]
     std::vector<float> ut_;  // [H, 4H]
     std::vector<float> dz_all_; // [B, 4H]
+
+    // BPTT scratch: the gradients carried from t to t-1 and the reference
+    // loops' per-row pre-activation gradient.
+    std::vector<float> dh_;  // [B, H]
+    std::vector<float> dc_;  // [B, H]
+    std::vector<float> dz_;  // [4H]
 };
 
 } // namespace fmore::ml

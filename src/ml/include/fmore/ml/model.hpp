@@ -61,8 +61,7 @@ public:
     void reseed(std::uint64_t seed);
 
     /// Run the layer stack. The returned reference points into the model's
-    /// persistent activation chain (one reused slot per layer — the
-    /// scratch arena of the in-place elementwise layers) and is valid
+    /// persistent activation chain (one reused slot per layer) and is valid
     /// until the next forward call; copy it to keep it.
     [[nodiscard]] const Tensor& forward(const Tensor& input, bool training);
     /// Accumulate every layer's parameter gradients for the last forward.
@@ -75,6 +74,8 @@ public:
 
     [[nodiscard]] std::size_t parameter_count();
     [[nodiscard]] std::vector<float> get_parameters();
+    /// `get_parameters` into a caller-owned vector whose storage is reused.
+    void get_parameters_into(std::vector<float>& flat);
     void set_parameters(const std::vector<float>& flat);
 
     /// One local epoch of minibatch SGD over the given sample indices
@@ -98,18 +99,27 @@ public:
     [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
 
 private:
-    std::vector<ParamBlock> all_parameters();
+    /// Rebuild `params_` from this model's own layers.
+    void collect_parameters();
     void reattach_layers();
 
     std::vector<std::unique_ptr<Layer>> layers_;
     stats::Rng rng_;
     SoftmaxCrossEntropy loss_;
+    /// Every layer's parameter blocks in layer order. They point into the
+    /// heap-allocated layers, so moves carry the list along; `add` and
+    /// `clone` rebuild it, never copy it.
+    std::vector<ParamBlock> params_;
     /// Persistent activation slots (one per layer) and input-gradient slots
     /// (one per layer after the first), reused across forward/backward
-    /// calls so in-place layers never allocate. Pure scratch: moves carry
-    /// them along, clones start fresh.
+    /// calls, plus the training and evaluation loops' shuffled order,
+    /// gathered batch and labels. Pure scratch: moves carry it along,
+    /// clones start fresh.
     std::vector<Tensor> acts_;
     std::vector<Tensor> grads_;
+    std::vector<std::size_t> order_;
+    Tensor batch_;
+    std::vector<int> batch_labels_;
 };
 
 /// Fold per-batch eval records (in batch order) into totals — the exact

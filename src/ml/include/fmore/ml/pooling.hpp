@@ -13,8 +13,6 @@ namespace fmore::ml {
 /// so fresh activations cost no mispredictions.
 class MaxPool2d final : public Layer {
 public:
-    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
-    [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
     void forward_into(const Tensor& input, Tensor& out, bool training) override;
     void backward_into(const Tensor& grad_output, Tensor& grad_input) override;
     [[nodiscard]] std::unique_ptr<Layer> clone() const override {

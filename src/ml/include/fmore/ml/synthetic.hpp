@@ -25,6 +25,12 @@ struct ImageDatasetSpec {
 
 Dataset make_synthetic_images(const ImageDatasetSpec& spec, stats::Rng& rng);
 
+/// The same `spec.samples`-sample stream, from the same draws, cut at
+/// `train_samples`: the first samples into `train`, the rest into `test`.
+/// Equal to splitting `make_synthetic_images(spec, rng)`, without the copy.
+DatasetSplit make_synthetic_images(const ImageDatasetSpec& spec, std::size_t train_samples,
+                                   stats::Rng& rng);
+
 /// Canned specs mirroring the paper's four datasets (difficulty ordering
 /// MNIST-O < MNIST-F < CIFAR-10; HPNews is text, below).
 ImageDatasetSpec mnist_o_spec(std::size_t samples);
@@ -44,6 +50,10 @@ struct TextDatasetSpec {
 };
 
 Dataset make_synthetic_text(const TextDatasetSpec& spec, stats::Rng& rng);
+
+/// The text stream cut at `train_samples`, as for the image generator.
+DatasetSplit make_synthetic_text(const TextDatasetSpec& spec, std::size_t train_samples,
+                                 stats::Rng& rng);
 
 TextDatasetSpec hpnews_spec(std::size_t samples);
 

@@ -39,6 +39,11 @@ public:
     /// New elements (if the volume grew) are value-initialized; existing
     /// ones keep their bytes — callers overwrite them.
     void reshape_to(const std::vector<std::size_t>& new_shape);
+    /// The same for a braced shape (`t.reshape_to({batch, features})`):
+    /// assigned in place, so the shape allocates nothing either.
+    void reshape_to(std::initializer_list<std::size_t> new_shape);
+    /// The same for the shape [rows, ...row_shape] (a batch of samples).
+    void reshape_to(std::size_t rows, const std::vector<std::size_t>& row_shape);
 
     void fill(float value);
 

@@ -5,23 +5,12 @@
 
 namespace fmore::ml {
 
-// The elementwise layers implement the in-place protocol (forward_into /
-// backward_into write into persistent caller slots, zero allocations at
-// steady state); the allocating forward/backward API delegates, so both
-// paths share one arithmetic and stay bit-identical.
-
 void ReLU::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
     cached_input_ = input;  // member buffer, capacity reused across calls
     out = input;
     for (std::size_t i = 0; i < out.size(); ++i) {
         if (out[i] < 0.0F) out[i] = 0.0F;
     }
-}
-
-Tensor ReLU::forward(const Tensor& input, bool training) {
-    Tensor out;
-    forward_into(input, out, training);
-    return out;
 }
 
 void ReLU::backward_into(const Tensor& grad_output, Tensor& grad_input) {
@@ -33,22 +22,10 @@ void ReLU::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     }
 }
 
-Tensor ReLU::backward(const Tensor& grad_output) {
-    Tensor grad;
-    backward_into(grad_output, grad);
-    return grad;
-}
-
 void Tanh::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
     out = input;
     for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(out[i]);
     cached_output_ = out;
-}
-
-Tensor Tanh::forward(const Tensor& input, bool training) {
-    Tensor out;
-    forward_into(input, out, training);
-    return out;
 }
 
 void Tanh::backward_into(const Tensor& grad_output, Tensor& grad_input) {
@@ -61,12 +38,6 @@ void Tanh::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     }
 }
 
-Tensor Tanh::backward(const Tensor& grad_output) {
-    Tensor grad;
-    backward_into(grad_output, grad);
-    return grad;
-}
-
 void Flatten::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
     if (input.rank() < 1) throw std::invalid_argument("Flatten: rank-0 input");
     cached_shape_ = input.shape();
@@ -75,21 +46,9 @@ void Flatten::forward_into(const Tensor& input, Tensor& out, bool /*training*/) 
     out.reshape_to({batch, input.size() / batch});
 }
 
-Tensor Flatten::forward(const Tensor& input, bool training) {
-    Tensor out;
-    forward_into(input, out, training);
-    return out;
-}
-
 void Flatten::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     grad_input = grad_output;
     grad_input.reshape_to(cached_shape_);
-}
-
-Tensor Flatten::backward(const Tensor& grad_output) {
-    Tensor grad;
-    backward_into(grad_output, grad);
-    return grad;
 }
 
 } // namespace fmore::ml

@@ -51,7 +51,7 @@ void Conv2d::initialize(stats::Rng& rng) {
     for (float& b : bias_) b = 0.0F;
 }
 
-Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
+void Conv2d::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
     if (input.rank() != 4 || input.dim(1) != in_c_)
         throw std::invalid_argument("Conv2d::forward: expected [B, C, H, W] input");
     const std::size_t batch = input.dim(0);
@@ -63,14 +63,16 @@ Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
     const std::size_t ow = w - k_ + 1;
     cached_input_ = input;
 
-    Tensor out({batch, out_c_, oh, ow});
+    // Both paths overwrite every output element: the kernel by contract,
+    // the reference loops by seeding each map with its bias.
+    out.reshape_to({batch, out_c_, oh, ow});
     const float* x = input.data();
     float* y = out.data();
 
     if (!use_naive_kernels()) {
         conv2d_forward(x, weight_.data(), bias_.data(), out_c_, image_shape(input, k_),
                        batch, w_blocks_, y);
-        return out;
+        return;
     }
 
     for (std::size_t b = 0; b < batch; ++b) {
@@ -95,7 +97,6 @@ Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
             }
         }
     }
-    return out;
 }
 
 void Conv2d::backward_params(const Tensor& grad_output) {
@@ -110,7 +111,7 @@ void Conv2d::backward_params(const Tensor& grad_output) {
                        bias_grad_.data());
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
+void Conv2d::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     const ConvShape shape = backward_shape(cached_input_, out_c_, k_, grad_output);
     const std::size_t batch = cached_input_.dim(0);
     const std::size_t h = shape.h;
@@ -118,17 +119,21 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     const std::size_t oh = shape.out_h();
     const std::size_t ow = shape.out_w();
 
-    Tensor grad_input(cached_input_.shape());
+    grad_input.reshape_to(cached_input_.shape());
     const float* x = cached_input_.data();
     const float* gy = grad_output.data();
     float* gx = grad_input.data();
 
     if (!use_naive_kernels()) {
+        // The input-gradient kernel overwrites gx.
         conv2d_weight_grad(x, gy, out_c_, shape, batch, gy_t_, weight_grad_.data(),
                            bias_grad_.data());
         conv2d_input_grad(gy, weight_.data(), out_c_, shape, batch, gy_pad_, gx);
-        return grad_input;
+        return;
     }
+
+    // The reference loops scatter into gx: start from +0.
+    grad_input.fill(0.0F);
 
     for (std::size_t b = 0; b < batch; ++b) {
         for (std::size_t oc = 0; oc < out_c_; ++oc) {
@@ -158,7 +163,6 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
             }
         }
     }
-    return grad_input;
 }
 
 std::vector<ParamBlock> Conv2d::parameters() {

@@ -4,28 +4,37 @@
 
 namespace fmore::ml {
 
-Tensor Dataset::gather(const std::vector<std::size_t>& indices) const {
+void Dataset::gather_into(const std::size_t* indices, std::size_t count,
+                          Tensor& batch) const {
     const std::size_t vol = sample_volume();
-    std::vector<std::size_t> shape;
-    shape.push_back(indices.size());
-    for (const std::size_t d : sample_shape) shape.push_back(d);
-    Tensor batch(std::move(shape));
+    batch.reshape_to(count, sample_shape);
     float* dst = batch.data();
-    for (std::size_t i = 0; i < indices.size(); ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
         if (indices[i] >= size()) throw std::out_of_range("Dataset::gather: bad index");
         const float* src = features.data() + indices[i] * vol;
         for (std::size_t j = 0; j < vol; ++j) dst[i * vol + j] = src[j];
     }
-    return batch;
 }
 
-std::vector<int> Dataset::gather_labels(const std::vector<std::size_t>& indices) const {
-    std::vector<int> out(indices.size());
-    for (std::size_t i = 0; i < indices.size(); ++i) {
+void Dataset::gather_labels_into(const std::size_t* indices, std::size_t count,
+                                 std::vector<int>& out) const {
+    out.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
         if (indices[i] >= size())
             throw std::out_of_range("Dataset::gather_labels: bad index");
         out[i] = labels[indices[i]];
     }
+}
+
+Tensor Dataset::gather(const std::vector<std::size_t>& indices) const {
+    Tensor batch;
+    gather_into(indices.data(), indices.size(), batch);
+    return batch;
+}
+
+std::vector<int> Dataset::gather_labels(const std::vector<std::size_t>& indices) const {
+    std::vector<int> out;
+    gather_labels_into(indices.data(), indices.size(), out);
     return out;
 }
 

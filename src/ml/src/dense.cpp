@@ -24,12 +24,12 @@ void Dense::initialize(stats::Rng& rng) {
     for (float& b : bias_) b = 0.0F;
 }
 
-Tensor Dense::forward(const Tensor& input, bool /*training*/) {
+void Dense::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
     if (input.rank() < 2 || input.size() % in_ != 0)
         throw std::invalid_argument("Dense::forward: input incompatible with in_features");
     const std::size_t batch = input.size() / in_;
     cached_input_ = input;
-    Tensor out({batch, out_});
+    out.reshape_to({batch, out_});
     const float* x = input.data();
     float* y = out.data();
 
@@ -50,7 +50,7 @@ Tensor Dense::forward(const Tensor& input, bool /*training*/) {
                  x, static_cast<std::ptrdiff_t>(in_), 1,
                  wt_.data(), static_cast<std::ptrdiff_t>(out_),
                  y, static_cast<std::ptrdiff_t>(out_));
-        return out;
+        return;
     }
 
     for (std::size_t b = 0; b < batch; ++b) {
@@ -63,14 +63,15 @@ Tensor Dense::forward(const Tensor& input, bool /*training*/) {
             yb[o] = acc;
         }
     }
-    return out;
 }
 
-Tensor Dense::backward(const Tensor& grad_output) {
+void Dense::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     const std::size_t batch = cached_input_.size() / in_;
     if (grad_output.size() != batch * out_)
         throw std::invalid_argument("Dense::backward: grad shape mismatch");
-    Tensor grad_input(cached_input_.shape());
+    // Both paths accumulate into gx: start from +0.
+    grad_input.reshape_to(cached_input_.shape());
+    grad_input.fill(0.0F);
     const float* x = cached_input_.data();
     const float* gy = grad_output.data();
     float* gx = grad_input.data();
@@ -92,7 +93,7 @@ Tensor Dense::backward(const Tensor& grad_output) {
                  gy, static_cast<std::ptrdiff_t>(out_), 1,
                  weight_.data(), static_cast<std::ptrdiff_t>(in_),
                  gx, static_cast<std::ptrdiff_t>(in_));
-        return grad_input;
+        return;
     }
 
     for (std::size_t b = 0; b < batch; ++b) {
@@ -110,7 +111,6 @@ Tensor Dense::backward(const Tensor& grad_output) {
             }
         }
     }
-    return grad_input;
 }
 
 std::vector<ParamBlock> Dense::parameters() {

@@ -45,23 +45,11 @@ void Dropout::forward_into(const Tensor& input, Tensor& out, bool training) {
     }
 }
 
-Tensor Dropout::forward(const Tensor& input, bool training) {
-    Tensor out;
-    forward_into(input, out, training);
-    return out;
-}
-
 void Dropout::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     if (grad_output.size() != mask_.size())
         throw std::invalid_argument("Dropout::backward: shape mismatch");
     grad_input = grad_output;
     for (std::size_t i = 0; i < grad_input.size(); ++i) grad_input[i] *= mask_[i];
-}
-
-Tensor Dropout::backward(const Tensor& grad_output) {
-    Tensor grad;
-    backward_into(grad_output, grad);
-    return grad;
 }
 
 } // namespace fmore::ml

@@ -18,27 +18,31 @@ void Embedding::initialize(stats::Rng& rng) {
     for (float& w : table_) w = static_cast<float>(rng.normal(0.0, scale));
 }
 
-Tensor Embedding::forward(const Tensor& input, bool /*training*/) {
+void Embedding::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
     if (input.rank() != 2)
         throw std::invalid_argument("Embedding::forward: expected [B, T] token ids");
     const std::size_t batch = input.dim(0);
     const std::size_t seq = input.dim(1);
     cached_shape_ = {batch, seq};
     cached_ids_.resize(batch * seq);
-    Tensor out({batch, seq, dim_});
+    out.reshape_to({batch, seq, dim_});
     float* y = out.data();
     for (std::size_t i = 0; i < batch * seq; ++i) {
-        const auto id = static_cast<std::size_t>(input[i]);
-        if (id >= vocab_) throw std::out_of_range("Embedding::forward: token id out of range");
+        // Check before converting: a float whose truncation falls outside
+        // size_t (negative, NaN, >= 2^64) has no defined conversion. In
+        // double, every float and every realistic vocabulary size is exact.
+        const double raw = input[i];
+        if (!(raw > -1.0 && raw < static_cast<double>(vocab_)))
+            throw std::out_of_range("Embedding::forward: token id out of range");
+        const auto id = static_cast<std::size_t>(raw);
         cached_ids_[i] = id;
         const float* row = table_.data() + id * dim_;
         float* dst = y + i * dim_;
         for (std::size_t e = 0; e < dim_; ++e) dst[e] = row[e];
     }
-    return out;
 }
 
-Tensor Embedding::backward(const Tensor& grad_output) {
+void Embedding::backward_params(const Tensor& grad_output) {
     if (grad_output.size() != cached_ids_.size() * dim_)
         throw std::invalid_argument("Embedding::backward: grad shape mismatch");
     const float* gy = grad_output.data();
@@ -47,8 +51,13 @@ Tensor Embedding::backward(const Tensor& grad_output) {
         const float* src = gy + i * dim_;
         for (std::size_t e = 0; e < dim_; ++e) grow[e] += src[e];
     }
-    // Token ids carry no gradient; return an empty sentinel.
-    return Tensor({cached_shape_[0], cached_shape_[1]});
+}
+
+void Embedding::backward_into(const Tensor& grad_output, Tensor& grad_input) {
+    backward_params(grad_output);
+    // Token ids carry no gradient: a zero sentinel of the input's shape.
+    grad_input.reshape_to(cached_shape_);
+    grad_input.fill(0.0F);
 }
 
 std::vector<ParamBlock> Embedding::parameters() {

@@ -36,34 +36,54 @@ double SoftmaxCrossEntropy::forward(const Tensor& logits, const std::vector<int>
     return total_loss / static_cast<double>(batch);
 }
 
-Tensor SoftmaxCrossEntropy::backward() const {
+void SoftmaxCrossEntropy::write_gradient(Tensor& grad) const {
     if (probs_.size() == 0) throw std::logic_error("SoftmaxCrossEntropy: forward first");
     const std::size_t batch = probs_.dim(0);
     const std::size_t classes = probs_.dim(1);
-    Tensor grad = probs_;
+    grad = probs_;
     const auto scale = static_cast<float>(1.0 / static_cast<double>(batch));
     for (std::size_t b = 0; b < batch; ++b) {
         float* row = grad.data() + b * classes;
         row[labels_[b]] -= 1.0F;
         for (std::size_t c = 0; c < classes; ++c) row[c] *= scale;
     }
+}
+
+Tensor SoftmaxCrossEntropy::backward() const {
+    Tensor grad;
+    write_gradient(grad);
     return grad;
+}
+
+const Tensor& SoftmaxCrossEntropy::gradient() {
+    write_gradient(grad_);
+    return grad_;
+}
+
+std::size_t SoftmaxCrossEntropy::argmax_row(std::size_t row) const {
+    const std::size_t classes = probs_.dim(1);
+    const float* p = probs_.data() + row * classes;
+    std::size_t best = 0;
+    for (std::size_t c = 1; c < classes; ++c) {
+        if (p[c] > p[best]) best = c;
+    }
+    return best;
 }
 
 std::vector<int> SoftmaxCrossEntropy::predictions() const {
     if (probs_.size() == 0) throw std::logic_error("SoftmaxCrossEntropy: forward first");
-    const std::size_t batch = probs_.dim(0);
-    const std::size_t classes = probs_.dim(1);
-    std::vector<int> preds(batch, 0);
-    for (std::size_t b = 0; b < batch; ++b) {
-        const float* row = probs_.data() + b * classes;
-        std::size_t best = 0;
-        for (std::size_t c = 1; c < classes; ++c) {
-            if (row[c] > row[best]) best = c;
-        }
-        preds[b] = static_cast<int>(best);
-    }
+    std::vector<int> preds(probs_.dim(0), 0);
+    for (std::size_t b = 0; b < preds.size(); ++b) preds[b] = static_cast<int>(argmax_row(b));
     return preds;
+}
+
+std::size_t SoftmaxCrossEntropy::hits() const {
+    if (probs_.size() == 0) throw std::logic_error("SoftmaxCrossEntropy: forward first");
+    std::size_t count = 0;
+    for (std::size_t b = 0; b < labels_.size(); ++b) {
+        if (static_cast<int>(argmax_row(b)) == labels_[b]) ++count;
+    }
+    return count;
 }
 
 double accuracy(const std::vector<int>& predictions, const std::vector<int>& labels) {

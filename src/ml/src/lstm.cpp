@@ -37,7 +37,7 @@ void Lstm::initialize(stats::Rng& rng) {
     }
 }
 
-Tensor Lstm::forward(const Tensor& input, bool /*training*/) {
+void Lstm::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
     if (input.rank() != 3 || input.dim(2) != input_)
         throw std::invalid_argument("Lstm::forward: expected [B, T, E] input");
     const std::size_t batch = input.dim(0);
@@ -125,29 +125,29 @@ Tensor Lstm::forward(const Tensor& input, bool /*training*/) {
         }
     }
 
-    Tensor out({batch, hidden_});
+    out.reshape_to({batch, hidden_});
     const float* h_last = hiddens_.data() + seq * batch * hidden_;
     for (std::size_t i = 0; i < batch * hidden_; ++i) out[i] = h_last[i];
-    return out;
 }
 
-Tensor Lstm::backward(const Tensor& grad_output) {
+void Lstm::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     const std::size_t batch = cached_batch_;
     const std::size_t seq = cached_seq_;
     const std::size_t h4 = 4 * hidden_;
     if (grad_output.size() != batch * hidden_)
         throw std::invalid_argument("Lstm::backward: grad shape mismatch");
 
-    Tensor grad_input({batch, seq, input_});
-    std::vector<float> dh(batch * hidden_, 0.0F);
-    std::vector<float> dc(batch * hidden_, 0.0F);
-    for (std::size_t i = 0; i < batch * hidden_; ++i) dh[i] = grad_output[i];
+    // Both paths accumulate into gx: start from +0.
+    grad_input.reshape_to({batch, seq, input_});
+    grad_input.fill(0.0F);
+    dh_.assign(grad_output.data(), grad_output.data() + batch * hidden_);
+    dc_.assign(batch * hidden_, 0.0F);
 
     const float* x = cached_input_.data();
     float* gx = grad_input.data();
     const bool naive = use_naive_kernels();
-    std::vector<float> dz(h4, 0.0F);
-    if (!naive) dz_all_.assign(batch * h4, 0.0F);
+    if (naive) dz_.assign(h4, 0.0F);
+    else dz_all_.assign(batch * h4, 0.0F);
 
     for (std::size_t t = seq; t-- > 0;) {
         const float* gate_t = gates_.data() + t * batch * h4;
@@ -162,8 +162,8 @@ Tensor Lstm::backward(const Tensor& grad_output) {
                 const float* z = gate_t + bi * h4;
                 const float* cp = c_prev + bi * hidden_;
                 const float* cn = c_next + bi * hidden_;
-                float* dhb = dh.data() + bi * hidden_;
-                float* dcb = dc.data() + bi * hidden_;
+                float* dhb = dh_.data() + bi * hidden_;
+                float* dcb = dc_.data() + bi * hidden_;
                 float* dzb = dz_all_.data() + bi * h4;
                 for (std::size_t hh = 0; hh < hidden_; ++hh) {
                     const float ig = z[hh];
@@ -202,11 +202,11 @@ Tensor Lstm::backward(const Tensor& grad_output) {
                      w_.data(), static_cast<std::ptrdiff_t>(input_),
                      gx + t * input_, static_cast<std::ptrdiff_t>(seq * input_));
             // dh_{t-1} = dz U, accumulated fresh
-            for (std::size_t i = 0; i < batch * hidden_; ++i) dh[i] = 0.0F;
+            for (std::size_t i = 0; i < batch * hidden_; ++i) dh_[i] = 0.0F;
             gemm_acc(batch, hidden_, h4,
                      dz_all_.data(), static_cast<std::ptrdiff_t>(h4), 1,
                      u_.data(), static_cast<std::ptrdiff_t>(hidden_),
-                     dh.data(), static_cast<std::ptrdiff_t>(hidden_));
+                     dh_.data(), static_cast<std::ptrdiff_t>(hidden_));
             continue;
         }
 
@@ -216,8 +216,8 @@ Tensor Lstm::backward(const Tensor& grad_output) {
             const float* cn = c_next + bi * hidden_;
             const float* hp = h_prev + bi * hidden_;
             const float* xt = x + (bi * seq + t) * input_;
-            float* dhb = dh.data() + bi * hidden_;
-            float* dcb = dc.data() + bi * hidden_;
+            float* dhb = dh_.data() + bi * hidden_;
+            float* dcb = dc_.data() + bi * hidden_;
 
             for (std::size_t hh = 0; hh < hidden_; ++hh) {
                 const float ig = z[hh];
@@ -228,10 +228,10 @@ Tensor Lstm::backward(const Tensor& grad_output) {
                 const float dh_t = dhb[hh];
                 const float dc_t = dcb[hh] + dh_t * og * (1.0F - tanh_c * tanh_c);
                 // Pre-activation gradients.
-                dz[hh] = dc_t * gg * ig * (1.0F - ig);
-                dz[hidden_ + hh] = dc_t * cp[hh] * fg * (1.0F - fg);
-                dz[2 * hidden_ + hh] = dc_t * ig * (1.0F - gg * gg);
-                dz[3 * hidden_ + hh] = dh_t * tanh_c * og * (1.0F - og);
+                dz_[hh] = dc_t * gg * ig * (1.0F - ig);
+                dz_[hidden_ + hh] = dc_t * cp[hh] * fg * (1.0F - fg);
+                dz_[2 * hidden_ + hh] = dc_t * ig * (1.0F - gg * gg);
+                dz_[3 * hidden_ + hh] = dh_t * tanh_c * og * (1.0F - og);
                 // Pass cell gradient to t-1.
                 dcb[hh] = dc_t * fg;
             }
@@ -240,7 +240,7 @@ Tensor Lstm::backward(const Tensor& grad_output) {
             // dh for t-1 is accumulated fresh from U^T dz.
             for (std::size_t hh = 0; hh < hidden_; ++hh) dhb[hh] = 0.0F;
             for (std::size_t r = 0; r < h4; ++r) {
-                const float g = dz[r];
+                const float g = dz_[r];
                 if (g == 0.0F) continue;
                 b_grad_[r] += g;
                 float* wgrow = w_grad_.data() + r * input_;
@@ -258,7 +258,6 @@ Tensor Lstm::backward(const Tensor& grad_output) {
             }
         }
     }
-    return grad_input;
 }
 
 std::vector<ParamBlock> Lstm::parameters() {

@@ -1,5 +1,7 @@
 #include "fmore/ml/model.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace fmore::ml {
@@ -12,8 +14,12 @@ Model::Model(Model&& other) noexcept
     : layers_(std::move(other.layers_)),
       rng_(other.rng_),
       loss_(std::move(other.loss_)),
+      params_(std::move(other.params_)),
       acts_(std::move(other.acts_)),
-      grads_(std::move(other.grads_)) {
+      grads_(std::move(other.grads_)),
+      order_(std::move(other.order_)),
+      batch_(std::move(other.batch_)),
+      batch_labels_(std::move(other.batch_labels_)) {
     reattach_layers();
 }
 
@@ -22,8 +28,12 @@ Model& Model::operator=(Model&& other) noexcept {
         layers_ = std::move(other.layers_);
         rng_ = other.rng_;
         loss_ = std::move(other.loss_);
+        params_ = std::move(other.params_);
         acts_ = std::move(other.acts_);
         grads_ = std::move(other.grads_);
+        order_ = std::move(other.order_);
+        batch_ = std::move(other.batch_);
+        batch_labels_ = std::move(other.batch_labels_);
         reattach_layers();
     }
     return *this;
@@ -33,10 +43,18 @@ void Model::reattach_layers() {
     for (auto& layer : layers_) layer->attach_rng(&rng_);
 }
 
+void Model::collect_parameters() {
+    params_.clear();
+    for (auto& layer : layers_) {
+        for (const ParamBlock& block : layer->parameters()) params_.push_back(block);
+    }
+}
+
 void Model::add(std::unique_ptr<Layer> layer) {
     layer->initialize(rng_);
     layer->attach_rng(&rng_);
     layers_.push_back(std::move(layer));
+    collect_parameters();
 }
 
 Model Model::clone() const {
@@ -46,6 +64,7 @@ Model Model::clone() const {
     copy.layers_.reserve(layers_.size());
     for (const auto& layer : layers_) copy.layers_.push_back(layer->clone());
     copy.reattach_layers();
+    copy.collect_parameters();
     return copy;
 }
 
@@ -78,23 +97,15 @@ void Model::backward(const Tensor& grad_loss) {
     layers_[0]->backward_params(*current);
 }
 
-std::vector<ParamBlock> Model::all_parameters() {
-    std::vector<ParamBlock> blocks;
-    for (auto& layer : layers_) {
-        for (const ParamBlock& block : layer->parameters()) blocks.push_back(block);
-    }
-    return blocks;
-}
-
 void Model::zero_grad() {
-    for (const ParamBlock& block : all_parameters()) {
+    for (const ParamBlock& block : params_) {
         for (float& g : *block.grads) g = 0.0F;
     }
 }
 
 void Model::sgd_step(double learning_rate) {
     const auto lr = static_cast<float>(learning_rate);
-    for (const ParamBlock& block : all_parameters()) {
+    for (const ParamBlock& block : params_) {
         for (std::size_t i = 0; i < block.values->size(); ++i) {
             (*block.values)[i] -= lr * (*block.grads)[i];
         }
@@ -103,30 +114,33 @@ void Model::sgd_step(double learning_rate) {
 
 std::size_t Model::parameter_count() {
     std::size_t total = 0;
-    for (const ParamBlock& block : all_parameters()) total += block.values->size();
+    for (const ParamBlock& block : params_) total += block.values->size();
     return total;
 }
 
 std::vector<float> Model::get_parameters() {
     std::vector<float> flat;
-    flat.reserve(parameter_count());
-    for (const ParamBlock& block : all_parameters()) {
-        flat.insert(flat.end(), block.values->begin(), block.values->end());
-    }
+    get_parameters_into(flat);
     return flat;
+}
+
+void Model::get_parameters_into(std::vector<float>& flat) {
+    flat.resize(parameter_count());
+    float* dst = flat.data();
+    for (const ParamBlock& block : params_) {
+        dst = std::copy(block.values->begin(), block.values->end(), dst);
+    }
 }
 
 void Model::set_parameters(const std::vector<float>& flat) {
     std::size_t offset = 0;
-    for (auto& layer : layers_) {
-        for (const ParamBlock& block : layer->parameters()) {
-            if (offset + block.values->size() > flat.size())
-                throw std::invalid_argument("Model::set_parameters: vector too short");
-            for (std::size_t i = 0; i < block.values->size(); ++i) {
-                (*block.values)[i] = flat[offset + i];
-            }
-            offset += block.values->size();
+    for (const ParamBlock& block : params_) {
+        if (offset + block.values->size() > flat.size())
+            throw std::invalid_argument("Model::set_parameters: vector too short");
+        for (std::size_t i = 0; i < block.values->size(); ++i) {
+            (*block.values)[i] = flat[offset + i];
         }
+        offset += block.values->size();
     }
     if (offset != flat.size())
         throw std::invalid_argument("Model::set_parameters: vector size mismatch");
@@ -136,26 +150,25 @@ TrainStats Model::train_epoch(const Dataset& data, const std::vector<std::size_t
                               std::size_t batch_size, double learning_rate) {
     if (indices.empty()) return {};
     if (batch_size == 0) throw std::invalid_argument("train_epoch: batch_size must be > 0");
-    std::vector<std::size_t> order = indices;
-    rng_.shuffle(order);
+    order_.assign(indices.begin(), indices.end());
+    rng_.shuffle(order_);
 
     TrainStats out;
     double loss_sum = 0.0;
-    for (std::size_t start = 0; start < order.size(); start += batch_size) {
-        const std::size_t end = std::min(order.size(), start + batch_size);
-        const std::vector<std::size_t> batch_idx(order.begin() + static_cast<std::ptrdiff_t>(start),
-                                                 order.begin() + static_cast<std::ptrdiff_t>(end));
-        const Tensor batch = data.gather(batch_idx);
-        const std::vector<int> labels = data.gather_labels(batch_idx);
+    for (std::size_t start = 0; start < order_.size(); start += batch_size) {
+        const std::size_t* batch_idx = order_.data() + start;
+        const std::size_t count = std::min(order_.size() - start, batch_size);
+        data.gather_into(batch_idx, count, batch_);
+        data.gather_labels_into(batch_idx, count, batch_labels_);
 
         zero_grad();
-        const Tensor& logits = forward(batch, /*training=*/true);
-        const double loss = loss_.forward(logits, labels);
-        backward(loss_.backward());
+        const Tensor& logits = forward(batch_, /*training=*/true);
+        const double loss = loss_.forward(logits, batch_labels_);
+        backward(loss_.gradient());
         sgd_step(learning_rate);
 
-        loss_sum += loss * static_cast<double>(batch_idx.size());
-        out.samples += batch_idx.size();
+        loss_sum += loss * static_cast<double>(count);
+        out.samples += count;
     }
     out.mean_loss = loss_sum / static_cast<double>(out.samples);
     return out;
@@ -168,21 +181,16 @@ void Model::evaluate_batches(const Dataset& data, const std::vector<std::size_t>
         throw std::invalid_argument("evaluate_batches: batch_size must be > 0");
     for (std::size_t bi = batch_lo; bi < batch_hi; ++bi) {
         const std::size_t start = bi * batch_size;
-        const std::size_t end = std::min(indices.size(), start + batch_size);
-        if (start >= end) break;
-        const std::vector<std::size_t> batch_idx(
-            indices.begin() + static_cast<std::ptrdiff_t>(start),
-            indices.begin() + static_cast<std::ptrdiff_t>(end));
-        const Tensor batch = data.gather(batch_idx);
-        const std::vector<int> labels = data.gather_labels(batch_idx);
-        const Tensor& logits = forward(batch, /*training=*/false);
+        if (start >= indices.size()) break;
+        const std::size_t* batch_idx = indices.data() + start;
+        const std::size_t count = std::min(indices.size() - start, batch_size);
+        data.gather_into(batch_idx, count, batch_);
+        data.gather_labels_into(batch_idx, count, batch_labels_);
+        const Tensor& logits = forward(batch_, /*training=*/false);
         EvalBatch record;
-        record.mean_loss = loss_.forward(logits, labels);
-        const std::vector<int> preds = loss_.predictions();
-        for (std::size_t i = 0; i < preds.size(); ++i) {
-            if (preds[i] == labels[i]) ++record.hits;
-        }
-        record.samples = batch_idx.size();
+        record.mean_loss = loss_.forward(logits, batch_labels_);
+        record.hits = loss_.hits();
+        record.samples = count;
         out[bi] = record;
     }
 }
@@ -202,11 +210,12 @@ EvalStats reduce_eval_batches(const std::vector<EvalBatch>& batches) {
 }
 
 EvalStats Model::evaluate(const Dataset& data, const std::vector<std::size_t>& indices) {
-    std::vector<std::size_t> idx = indices;
-    if (idx.empty()) {
-        idx.resize(data.size());
-        for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+    std::vector<std::size_t> all;
+    if (indices.empty()) {
+        all.resize(data.size());
+        std::iota(all.begin(), all.end(), std::size_t{0});
     }
+    const std::vector<std::size_t>& idx = indices.empty() ? all : indices;
     const std::size_t batches = (idx.size() + kEvalBatch - 1) / kEvalBatch;
     std::vector<EvalBatch> records(batches);
     evaluate_batches(data, idx, kEvalBatch, 0, batches, records.data());

@@ -50,12 +50,6 @@ void MaxPool2d::forward_into(const Tensor& input, Tensor& out, bool /*training*/
     }
 }
 
-Tensor MaxPool2d::forward(const Tensor& input, bool training) {
-    Tensor out;
-    forward_into(input, out, training);
-    return out;
-}
-
 void MaxPool2d::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     if (grad_output.size() != argmax_.size())
         throw std::invalid_argument("MaxPool2d::backward: grad shape mismatch");
@@ -66,12 +60,6 @@ void MaxPool2d::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     for (std::size_t i = 0; i < argmax_.size(); ++i) {
         gx[argmax_[i]] += gy[i];
     }
-}
-
-Tensor MaxPool2d::backward(const Tensor& grad_output) {
-    Tensor grad_input;
-    backward_into(grad_output, grad_input);
-    return grad_input;
 }
 
 } // namespace fmore::ml

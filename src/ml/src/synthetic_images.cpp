@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "fmore/ml/synthetic.hpp"
+#include "reserve_split.hpp"
 
 namespace fmore::ml {
 
@@ -36,14 +37,16 @@ std::vector<float> make_prototype(const ImageDatasetSpec& spec, stats::Rng& rng)
 } // namespace
 
 Dataset make_synthetic_images(const ImageDatasetSpec& spec, stats::Rng& rng) {
+    return make_synthetic_images(spec, spec.samples, rng).train;
+}
+
+DatasetSplit make_synthetic_images(const ImageDatasetSpec& spec, std::size_t train_samples,
+                                   stats::Rng& rng) {
     if (spec.classes < 2) throw std::invalid_argument("make_synthetic_images: classes < 2");
     if (spec.samples == 0) throw std::invalid_argument("make_synthetic_images: no samples");
 
-    Dataset data;
-    data.sample_shape = {spec.channels, spec.height, spec.width};
-    data.num_classes = spec.classes;
-    data.features.reserve(spec.samples * data.sample_volume());
-    data.labels.reserve(spec.samples);
+    DatasetSplit split = detail::reserve_split({spec.channels, spec.height, spec.width},
+                                               spec.classes, spec.samples, train_samples);
 
     std::vector<std::vector<float>> prototypes;
     prototypes.reserve(spec.classes);
@@ -52,7 +55,7 @@ Dataset make_synthetic_images(const ImageDatasetSpec& spec, stats::Rng& rng) {
     }
     const std::vector<float> confuser = make_prototype(spec, rng);
 
-    const std::size_t vol = data.sample_volume();
+    const std::size_t vol = split.train.sample_volume();
     std::vector<float> sample(vol);
     for (std::size_t i = 0; i < spec.samples; ++i) {
         const auto label = static_cast<int>(
@@ -63,9 +66,9 @@ Dataset make_synthetic_images(const ImageDatasetSpec& spec, stats::Rng& rng) {
             const double base = (1.0 - blend) * proto[j] + blend * confuser[j];
             sample[j] = static_cast<float>(base + rng.normal(0.0, spec.noise));
         }
-        data.push_sample(sample, label);
+        (i < train_samples ? split.train : split.test).push_sample(sample, label);
     }
-    return data;
+    return split;
 }
 
 ImageDatasetSpec mnist_o_spec(std::size_t samples) {

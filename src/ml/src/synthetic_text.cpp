@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "fmore/ml/synthetic.hpp"
+#include "reserve_split.hpp"
 
 namespace fmore::ml {
 
@@ -41,15 +42,17 @@ std::size_t sample_row(const std::vector<double>& matrix, std::size_t vocab,
 } // namespace
 
 Dataset make_synthetic_text(const TextDatasetSpec& spec, stats::Rng& rng) {
+    return make_synthetic_text(spec, spec.samples, rng).train;
+}
+
+DatasetSplit make_synthetic_text(const TextDatasetSpec& spec, std::size_t train_samples,
+                                 stats::Rng& rng) {
     if (spec.classes < 2) throw std::invalid_argument("make_synthetic_text: classes < 2");
     if (spec.vocab < 2) throw std::invalid_argument("make_synthetic_text: vocab < 2");
     if (spec.seq_len < 2) throw std::invalid_argument("make_synthetic_text: seq_len < 2");
 
-    Dataset data;
-    data.sample_shape = {spec.seq_len};
-    data.num_classes = spec.classes;
-    data.features.reserve(spec.samples * spec.seq_len);
-    data.labels.reserve(spec.samples);
+    DatasetSplit split =
+        detail::reserve_split({spec.seq_len}, spec.classes, spec.samples, train_samples);
 
     std::vector<std::vector<double>> chains;
     chains.reserve(spec.classes);
@@ -69,9 +72,9 @@ Dataset make_synthetic_text(const TextDatasetSpec& spec, stats::Rng& rng) {
             token = sample_row(chain, spec.vocab, token, rng);
             sample[t] = static_cast<float>(token);
         }
-        data.push_sample(sample, label);
+        (i < train_samples ? split.train : split.test).push_sample(sample, label);
     }
-    return data;
+    return split;
 }
 
 TextDatasetSpec hpnews_spec(std::size_t samples) {

@@ -36,6 +36,17 @@ void Tensor::reshape_to(const std::vector<std::size_t>& new_shape) {
     data_.resize(shape_volume(shape_));
 }
 
+void Tensor::reshape_to(std::initializer_list<std::size_t> new_shape) {
+    shape_.assign(new_shape);
+    data_.resize(shape_volume(shape_));
+}
+
+void Tensor::reshape_to(std::size_t rows, const std::vector<std::size_t>& row_shape) {
+    shape_.assign(1, rows);
+    shape_.insert(shape_.end(), row_shape.begin(), row_shape.end());
+    data_.resize(shape_volume(shape_));
+}
+
 void Tensor::fill(float value) {
     for (float& x : data_) x = value;
 }

@@ -120,6 +120,12 @@ TEST_F(CoordinatorTest, RejectsInvalidConstruction) {
     EXPECT_THROW(Coordinator(model, train_, test_, shards_, bad), std::invalid_argument);
     bad = config(2, 0);
     EXPECT_THROW(Coordinator(model, train_, test_, shards_, bad), std::invalid_argument);
+    // An empty test set would record NaN accuracy and loss every round.
+    ml::Dataset empty_test;
+    empty_test.sample_shape = test_.sample_shape;
+    empty_test.num_classes = test_.num_classes;
+    EXPECT_THROW(Coordinator(model, train_, empty_test, shards_, config(2, 2)),
+                 std::invalid_argument);
 }
 
 TEST_F(CoordinatorTest, SelectorPickingUnknownClientIsAnError) {

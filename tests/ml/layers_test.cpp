@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "fmore/ml/activations.hpp"
 #include "fmore/ml/conv2d.hpp"
 #include "fmore/ml/dense.hpp"
@@ -157,6 +160,34 @@ TEST(EmbeddingLayer, BackwardScattersIntoRows) {
 TEST(EmbeddingLayer, RejectsOutOfVocab) {
     Embedding emb(3, 2);
     EXPECT_THROW(emb.forward(Tensor({1, 1}, {5.0F}), false), std::out_of_range);
+    // Ids with no size_t value are rejected before any conversion.
+    for (const float id : {-1.0F, std::numeric_limits<float>::quiet_NaN(), 1e30F}) {
+        EXPECT_THROW(emb.forward(Tensor({1, 1}, {id}), false), std::out_of_range) << id;
+    }
+}
+
+TEST(EmbeddingLayer, BackwardParamsMatchesBackward) {
+    // backward_params skips the zero input gradient; the table gradient it
+    // accumulates must equal backward's bit for bit.
+    Embedding full(5, 3);
+    stats::Rng rng(9);
+    full.initialize(rng);
+    Embedding params_only = full;
+    const Tensor ids({2, 3}, {4.0F, 0.0F, 4.0F, 1.0F, 2.0F, 4.0F});
+    Tensor grad({2, 3, 3});
+    for (std::size_t i = 0; i < grad.size(); ++i)
+        grad[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    for (int step = 0; step < 2; ++step) {
+        (void)full.forward(ids, true);
+        const Tensor grad_ids = full.backward(grad);
+        EXPECT_EQ(grad_ids.shape(), (std::vector<std::size_t>{2, 3}));
+        (void)params_only.forward(ids, true);
+        params_only.backward_params(grad);
+    }
+    const std::vector<float>& a = *full.parameters()[0].grads;
+    const std::vector<float>& b = *params_only.parameters()[0].grads;
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
 
 TEST(LstmLayer, OutputShapeAndFiniteness) {

@@ -83,6 +83,71 @@ TEST(Model, TrainEpochHandlesEdgeCases) {
     EXPECT_EQ(one.samples, 1u);
 }
 
+/// 24 separable 4-feature samples over 3 classes, and all their indices.
+Dataset separable_data(std::vector<std::size_t>& idx) {
+    Dataset data;
+    data.sample_shape = {4};
+    data.num_classes = 3;
+    stats::Rng rng(11);
+    for (int i = 0; i < 24; ++i) {
+        std::vector<float> feat(4);
+        const int label = i % 3;
+        for (auto& f : feat) f = static_cast<float>(rng.uniform(-1.0, 1.0));
+        feat[static_cast<std::size_t>(label)] += 2.0F;
+        data.push_sample(feat, label);
+    }
+    idx.resize(24);
+    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+    return data;
+}
+
+// The model caches its parameter-block list; each list must point into its
+// own model's layers.
+TEST(ModelParamCache, CloneStepsItsOwnParameters) {
+    std::vector<std::size_t> idx;
+    const Dataset data = separable_data(idx);
+    Model source = tiny_model(12);
+    (void)source.train_epoch(data, idx, 8, 0.1); // leaves nonzero gradients
+    const std::vector<float> before = source.get_parameters();
+
+    Model copy = source.clone();
+    copy.sgd_step(0.5);
+    EXPECT_EQ(source.get_parameters(), before);
+    EXPECT_NE(copy.get_parameters(), before);
+}
+
+TEST(ModelParamCache, MovedModelsTrainTheirParameters) {
+    std::vector<std::size_t> idx;
+    const Dataset data = separable_data(idx);
+
+    Model source = tiny_model(13);
+    const std::vector<float> start = source.get_parameters();
+    Model constructed(std::move(source));
+    (void)constructed.train_epoch(data, idx, 8, 0.1);
+    const std::vector<float> trained = constructed.get_parameters();
+    ASSERT_EQ(trained.size(), start.size());
+    EXPECT_NE(trained, start);
+
+    Model other = tiny_model(14);
+    const std::vector<float> other_start = other.get_parameters();
+    Model assigned(1);
+    assigned = std::move(other);
+    (void)assigned.train_epoch(data, idx, 8, 0.1);
+    const std::vector<float> assigned_trained = assigned.get_parameters();
+    ASSERT_EQ(assigned_trained.size(), other_start.size());
+    EXPECT_NE(assigned_trained, other_start);
+}
+
+TEST(ModelParamCache, AddAfterForwardGrowsTheList) {
+    Model model(15);
+    model.add(std::make_unique<Dense>(4, 8));
+    (void)model.forward(Tensor({2, 4}), false);
+    const std::size_t before = model.parameter_count();
+    model.add(std::make_unique<Dense>(8, 3));
+    EXPECT_EQ(model.parameter_count(), before + 8u * 3u + 3u);
+    EXPECT_EQ(model.get_parameters().size(), model.parameter_count());
+}
+
 TEST(ModelZoo, FactoriesProduceWorkingModels) {
     stats::Rng rng(6);
     // CNN on a small image batch.

@@ -130,6 +130,41 @@ TEST(SyntheticText, RejectsBadSpec) {
     EXPECT_THROW(make_synthetic_text(spec, rng), std::invalid_argument);
 }
 
+/// `split` holds `pool` cut at `train_n`, each half reserved to its size.
+void expect_pool_cut(const Dataset& pool, const DatasetSplit& split, std::size_t train_n) {
+    const auto cut = static_cast<std::ptrdiff_t>(train_n);
+    const auto feature_cut = static_cast<std::ptrdiff_t>(train_n * pool.sample_volume());
+    for (const Dataset* half : {&split.train, &split.test}) {
+        EXPECT_EQ(half->sample_shape, pool.sample_shape);
+        EXPECT_EQ(half->num_classes, pool.num_classes);
+        EXPECT_EQ(half->features.capacity(), half->features.size());
+    }
+    EXPECT_EQ(split.train.labels, std::vector<int>(pool.labels.begin(), pool.labels.begin() + cut));
+    EXPECT_EQ(split.test.labels, std::vector<int>(pool.labels.begin() + cut, pool.labels.end()));
+    EXPECT_EQ(split.train.features,
+              std::vector<float>(pool.features.begin(), pool.features.begin() + feature_cut));
+    EXPECT_EQ(split.test.features,
+              std::vector<float>(pool.features.begin() + feature_cut, pool.features.end()));
+}
+
+TEST(SyntheticSplit, EqualsThePoolCutAtTrainSamples) {
+    const ImageDatasetSpec images = cifar10_spec(60);
+    stats::Rng a(8);
+    stats::Rng b(8);
+    expect_pool_cut(make_synthetic_images(images, a), make_synthetic_images(images, 45, b), 45);
+
+    const TextDatasetSpec text = hpnews_spec(60);
+    stats::Rng c(9);
+    stats::Rng d(9);
+    expect_pool_cut(make_synthetic_text(text, c), make_synthetic_text(text, 50, d), 50);
+}
+
+TEST(SyntheticSplit, RejectsMoreTrainingThanSamples) {
+    stats::Rng rng(10);
+    EXPECT_THROW(make_synthetic_images(mnist_o_spec(10), 11, rng), std::invalid_argument);
+    EXPECT_THROW(make_synthetic_text(hpnews_spec(10), 11, rng), std::invalid_argument);
+}
+
 TEST(Dataset, GatherBuildsBatches) {
     stats::Rng rng(5);
     ImageDatasetSpec spec;
