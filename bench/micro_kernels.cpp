@@ -361,13 +361,14 @@ void per_row_collect(const mec::PopulationStore& store, const mec::QualityLayout
 }
 
 /// The shard head before tie keys went lazy: every active row derives its
-/// key before the heap comparison.
+/// key before the heap comparison. Its own heap loop, over the market order.
 void eager_key_head(const auction::BidFrame& frame, std::size_t node_offset,
                     const auction::TieKeys& keys, std::size_t limit,
                     auction::ShardHead& out) {
     out.clear();
     out.dims = frame.dims();
     std::vector<auction::HeadRow>& heap = out.rows;
+    const auction::MarketOrder better;
     for (std::size_t row = 0; row < frame.rows(); ++row) {
         if (!frame.active(row)) continue;
         const std::size_t global = node_offset + row;
@@ -375,14 +376,14 @@ void eager_key_head(const auction::BidFrame& frame, std::size_t node_offset,
                                     frame.payment(row)};
         if (heap.size() < limit) {
             heap.push_back(cand);
-            std::push_heap(heap.begin(), heap.end(), auction::head_row_better);
-        } else if (auction::head_row_better(cand, heap.front())) {
-            std::pop_heap(heap.begin(), heap.end(), auction::head_row_better);
+            std::push_heap(heap.begin(), heap.end(), better);
+        } else if (better(cand, heap.front())) {
+            std::pop_heap(heap.begin(), heap.end(), better);
             heap.back() = cand;
-            std::push_heap(heap.begin(), heap.end(), auction::head_row_better);
+            std::push_heap(heap.begin(), heap.end(), better);
         }
     }
-    std::sort(heap.begin(), heap.end(), auction::head_row_better);
+    std::sort(heap.begin(), heap.end(), better);
     out.quality.resize(heap.size() * out.dims);
     for (std::size_t r = 0; r < heap.size(); ++r) {
         const double* q = frame.quality_row(heap[r].node - node_offset);

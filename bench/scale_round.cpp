@@ -1,9 +1,10 @@
 // scale_round: the market-scale performance ledger. Auction-only rounds
 // (evolve + collect + rank + select + price, no training) over synthetic
 // SoA populations at N in {10k, 100k, 1M, 10M}, timing the fused BidFrame
-// path against the classic per-bid reference (FMORE_BID_PATH=legacy, the
-// pre-SoA round shape: AoS walk, one QualityVector per bid, a
-// WinnerDetermination rebuilt per round) AND against the sharded
+// path against the classic per-bid reference (reference::
+// ClassicAuctionSelector from tests/reference, the pre-SoA round shape:
+// per-node walk, one QualityVector per bid, a WinnerDetermination rebuilt
+// per round) AND against the sharded
 // marketplace (ShardedAuctionSelector, 8 owned shards, bounded-head
 // merge). Winners and payments are asserted bit-identical between the
 // monolithic legs every round, AND between the fused and sharded legs,
@@ -43,6 +44,7 @@
 #include "fmore/auction/scoring.hpp"
 #include "fmore/mec/auction_selector.hpp"
 #include "fmore/mec/sharded_selector.hpp"
+#include "fmore/reference/classic_auction_selector.hpp"
 #include "fmore/stats/normalizer.hpp"
 #include "fmore/util/json_ledger.hpp"
 
@@ -151,11 +153,15 @@ mec::MecPopulation make_population(std::size_t n, const Market& market,
     return mec::MecPopulation(make_store(n, market, seed));
 }
 
-mec::AuctionSelector make_selector(mec::MecPopulation& population, const Market& market) {
+auction::WinnerDeterminationConfig make_wd() {
     auction::WinnerDeterminationConfig wd;
     wd.num_winners = kWinners;
     wd.full_ranking = false; // the fused O(N log K) production configuration
-    return mec::AuctionSelector(population, *market.scoring, *market.strategy, wd,
+    return wd;
+}
+
+mec::AuctionSelector make_selector(mec::MecPopulation& population, const Market& market) {
+    return mec::AuctionSelector(population, *market.scoring, *market.strategy, make_wd(),
                                 mec::data_category_extractor(), /*data_dimension=*/0);
 }
 
@@ -185,8 +191,11 @@ LegResult run_leg(std::size_t n, const Market& market, bool legacy, std::size_t 
                   std::uint64_t seed) {
     mec::MecPopulation population = make_population(n, market, seed);
     std::optional<mec::AuctionSelector> selector;
-    {
-        const ScopedEnv path("FMORE_BID_PATH", legacy ? "legacy" : nullptr);
+    std::optional<reference::ClassicAuctionSelector> classic;
+    if (legacy) {
+        classic.emplace(population, *market.scoring, *market.strategy, make_wd(),
+                        mec::data_category_extractor(), /*data_dimension=*/0);
+    } else {
         selector.emplace(make_selector(population, market));
     }
 
@@ -226,7 +235,8 @@ LegResult run_leg(std::size_t n, const Market& market, bool legacy, std::size_t 
         }
         const auto start = clock_type::now();
         const auction::AuctionOutcome& outcome =
-            selector->run_auction_round(/*round=*/1, kWinners, rng);
+            legacy ? classic->run_auction_round(/*round=*/1, kWinners, rng)
+                   : selector->run_auction_round(/*round=*/1, kWinners, rng);
         if (round > 1) bid_best = std::min(bid_best, seconds_since(start));
         out.rounds.push_back(RoundWinners{outcome.winners});
     }

@@ -83,15 +83,16 @@ private:
     bool scored_ = false;
 };
 
-/// Reusable working memory of `Mechanism::rank_frame`. Owned by the
-/// caller (one per selector), so repeated rounds touch no allocator.
+/// Reusable working memory of `Mechanism::rank_frame` and of the round's
+/// coin flip (`draw_tie_keys`). Owned by the caller (one per selector), so
+/// repeated rounds touch no allocator.
 struct RankScratch {
     /// One ranking candidate: the bid's score, its coin-flip tie-break key
     /// (the shuffled scan position, or a salt-derived per-node hash in
-    /// `TieBreak::salted` mode) and the row it names. Ordering is the
-    /// strict total order (score desc, key asc, node asc) — in shuffle
-    /// mode keys are unique so the node clause never fires, in salted mode
-    /// it breaks the measure-zero hash collision.
+    /// `TieBreak::salted` mode) and the row it names, ranked under
+    /// `MarketOrder` — in shuffle mode keys are unique so the node clause
+    /// never fires, in salted mode it breaks the measure-zero hash
+    /// collision.
     struct Candidate {
         double score = 0.0;
         std::uint64_t key = 0;
@@ -101,8 +102,7 @@ struct RankScratch {
     std::vector<std::size_t> active;   ///< active rows in ascending node order
     std::vector<std::size_t> order;    ///< the same rows, coin-flip shuffled
     std::vector<std::uint32_t> pos;    ///< row id -> shuffled position
-    std::vector<Candidate> slot_cands; ///< per-worker bounded heaps, flat
-    std::vector<std::size_t> slot_size;
+    std::vector<std::vector<Candidate>> slot_heads; ///< per-worker bounded top-K
     std::vector<Candidate> merged;
     std::vector<std::size_t> chosen;   ///< selected ranking indices
     std::vector<Bid> bids;             ///< vector-API adapter buffer

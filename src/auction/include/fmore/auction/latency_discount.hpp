@@ -23,8 +23,11 @@ namespace fmore::auction {
 /// Score-auction engine whose ranking stage subtracts
 /// `spec.latency_discount * spec.expected_latency_s[node]` from each bid's
 /// score before ordering (missing table entries read as zero latency).
+/// Only the score changes: the base `rank` orders the discounted scores.
 /// A distinct type from the base engine, so the fused frame lanes route it
-/// through the vector adapter and the override is never bypassed.
+/// through the vector adapter and the discount is never bypassed. The
+/// recorded ScoredBid::score is the discounted value: it is what the
+/// market ranked and (under second-score) priced against.
 class LatencyDiscountedMechanism final : public ScoreAuctionMechanism {
 public:
     /// Validates the base spec plus: latency_discount finite and >= 0,
@@ -32,13 +35,12 @@ public:
     /// @throws std::invalid_argument with the offending knob spelled out
     explicit LatencyDiscountedMechanism(MechanismSpec spec);
 
-    [[nodiscard]] std::vector<ScoredBid> rank(const ScoringRule& scoring,
-                                              const std::vector<Bid>& bids,
-                                              stats::Rng& rng) const override;
-
-    /// The discounted score of one bid under this spec.
-    [[nodiscard]] double discounted_score(const ScoringRule& scoring,
-                                          const Bid& bid) const;
+protected:
+    /// S(q, p) - latency_discount * expected latency of the bid's node.
+    [[nodiscard]] double bid_score(const ScoringRule& scoring,
+                                   const Bid& bid) const override {
+        return scoring.score(bid) - spec_.latency_discount * latency_of(bid.node);
+    }
 
 private:
     [[nodiscard]] double latency_of(NodeId node) const {

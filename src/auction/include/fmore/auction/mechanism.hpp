@@ -126,11 +126,11 @@ public:
     /// exactly what this default adapter does, so custom mechanisms work
     /// on frame-collected rounds unmodified. `ScoreAuctionMechanism`
     /// overrides it with a fused score + top-K pass that never builds the
-    /// bid list: per-worker bounded heaps over parallel chunks, merged and
-    /// sorted by (score desc, shuffled position asc) — a strict total
-    /// order, so the result is identical no matter how chunks land on
-    /// workers. `scratch` and `head` are caller-owned and reused; after
-    /// the first round the override allocates nothing.
+    /// bid list: per-worker `BoundedTopK`s over parallel chunks, merged and
+    /// sorted under `MarketOrder` — a strict total order, so the result is
+    /// identical no matter how chunks land on workers. `scratch` and `head`
+    /// are caller-owned and reused; after the first round the override
+    /// allocates nothing.
     virtual void rank_frame(const ScoringRule& scoring, const BidFrame& frame,
                             stats::Rng& rng, RankScratch& scratch,
                             std::vector<ScoredBid>& head) const;
@@ -225,6 +225,13 @@ public:
     [[nodiscard]] std::size_t ranking_cutoff(std::size_t active) const;
 
 protected:
+    /// The score `rank` orders a bid by: S(q, p) here. A pricing rule that
+    /// only transforms the score (the latency discount) overrides this and
+    /// inherits the whole ranking.
+    [[nodiscard]] virtual double bid_score(const ScoringRule& scoring, const Bid& bid) const {
+        return scoring.score(bid);
+    }
+
     /// Payment of one winner under the configured rule (first-score pays
     /// the ask; second-score pays s(q) - best losing score, floored at the
     /// ask for individual rationality).

@@ -7,10 +7,10 @@
 /// only each shard's HEAD — at most `cutoff` rows of
 /// (node, score, key, payment) plus the head rows' quality vectors — to
 /// the coordinator. Because every shard orders candidates under the SAME
-/// strict total order the monolithic pass uses (score desc, tie key asc,
-/// node asc), the union of per-shard heads provably contains the global
-/// top `cutoff`, and `merge_heads` — concatenate, sort under that order,
-/// truncate — reproduces the monolithic ranking head bit-identically.
+/// `MarketOrder` the monolithic pass uses (score desc, tie key asc, node
+/// asc), the union of per-shard heads provably contains the global top
+/// `cutoff`, and the head merge — keep the best `cutoff` rows of the union,
+/// sort them — reproduces the monolithic ranking head bit-identically.
 ///
 /// Tie keys come in the two `TieBreak` flavours: a pointer into the
 /// coordinator's global shuffled-position table (`TieBreak::shuffle`, the
@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "fmore/auction/bid_frame.hpp"
+#include "fmore/auction/market_order.hpp"
 #include "fmore/auction/types.hpp"
-#include "fmore/stats/rng.hpp"
 
 namespace fmore::auction {
 
@@ -35,15 +35,6 @@ struct HeadRow {
     std::uint64_t key = 0;  ///< tie-break key under the round's TieBreak mode
     double payment = 0.0;   ///< the bid's asked payment
 };
-
-/// Strict total order of the market: (score desc, key asc, node asc).
-/// Identical to `RankScratch::Candidate` ordering — the bit-identity
-/// contract between sharded and monolithic ranking.
-[[nodiscard]] inline bool head_row_better(const HeadRow& a, const HeadRow& b) {
-    if (a.score != b.score) return a.score > b.score;
-    if (a.key != b.key) return a.key < b.key;
-    return a.node < b.node;
-}
 
 /// A shard's contribution to one round: its top rows under the market
 /// order plus those rows' declared quality vectors (row-major, `dims`
@@ -73,20 +64,6 @@ struct ShardHead {
                                                std::size_t size);
 };
 
-/// How a shard derives a row's tie-break key from its GLOBAL node id.
-/// Shuffle mode points into the coordinator's inverse-permutation table
-/// (valid for the current round only); salted mode needs just the 8-byte
-/// round salt.
-struct TieKeys {
-    const std::uint32_t* pos = nullptr;  ///< global node id -> shuffled position
-    std::uint64_t salt = 0;
-    bool salted = false;
-
-    [[nodiscard]] std::uint64_t key(NodeId global_node) const {
-        return salted ? stats::derive_stream_seed(salt, global_node) : pos[global_node];
-    }
-};
-
 /// Fused score + bounded top-`limit` pass over one shard's collected
 /// frame (local rows, `frame.scored()` required): the shard-side half of
 /// the market. Writes at most `limit` rows into `out`, sorted best-first
@@ -108,11 +85,55 @@ void collect_shard_head(const BidFrame& frame, std::size_t begin_row,
                         std::size_t end_row, std::size_t node_offset,
                         const TieKeys& keys, std::size_t limit, ShardHead& out);
 
-/// Coordinator-side merge: concatenate the heads, sort under the market
-/// order, truncate to `cutoff`, and materialize the ranking. Bit-identical
-/// to the monolithic fused ranking head when every shard reported (see
-/// collect_shard_head's containment argument); with dropped shards it is
-/// the exact market over the responsive ones.
+/// The coordinator's head merge, fed shard heads (or single head rows) ONE
+/// AT A TIME as their streams complete: each row folds into a
+/// `BoundedTopK` of at most `cutoff` rows — O(log cutoff) per row — with
+/// the kept rows' quality vectors parked in a slot-reusing arena. The kept
+/// set is the global top-`cutoff` of everything ingested under the strict
+/// total order, so any ingestion order (row-by-row, chunked, whole heads,
+/// interleaved across shards) finishes bit-identically. This is how the
+/// sharded market gets streaming close for free — each `ShardHead` stream
+/// feeds the merge as it lands instead of waiting for the full set.
+class StreamingHeadMerge {
+public:
+    /// Start a merge round: `cutoff` is the global ranking cutoff, `dims`
+    /// the quality dimensionality of the incoming heads.
+    void open(std::size_t dims, std::size_t cutoff);
+
+    /// Fold one shard's head into the running merge.
+    /// @throws std::invalid_argument on a dimensionality mismatch
+    void ingest(const ShardHead& head);
+
+    /// Fold ONE head row (with its `dims`-wide quality vector) into the
+    /// running merge — the row-granular feed the cross-process streaming
+    /// round uses as head chunks land on the wire.
+    void ingest_row(const HeadRow& row, const double* quality);
+
+    /// Heads ingested so far this round (`ingest` calls; `ingest_row` does
+    /// not bump this — callers count their own streams).
+    [[nodiscard]] std::size_t ingested() const { return ingested_; }
+
+    /// Sort the surviving rows under the market order and materialize the
+    /// merged ranking.
+    void finish(std::vector<ScoredBid>& ranking);
+
+private:
+    struct Slot : HeadRow {
+        std::uint32_t arena = 0;  ///< index of this row's quality vector
+    };
+
+    std::size_t dims_ = 0;
+    std::size_t cutoff_ = 0;
+    std::size_t ingested_ = 0;
+    std::vector<Slot> heap_;
+    std::vector<double> arena_;  ///< one dims-wide slot per kept row
+};
+
+/// The whole merge in one call: open, ingest every head, finish.
+/// Bit-identical to the monolithic fused ranking head when every shard
+/// reported (see collect_shard_head's containment argument); with dropped
+/// shards it is the exact market over the responsive ones.
+/// @throws std::invalid_argument when non-empty heads disagree on dims
 void merge_heads(const std::vector<ShardHead>& heads, std::size_t cutoff,
                  std::vector<ScoredBid>& ranking);
 

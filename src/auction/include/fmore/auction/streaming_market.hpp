@@ -3,12 +3,12 @@
 /// @file streaming_market.hpp
 /// The auction as a long-lived service: bids arrive ONE AT A TIME on a
 /// virtual clock instead of as a round batch, a running top-K is folded
-/// incrementally — O(log K) per arrival in the same bounded-heap machinery
-/// `rank_frame` uses, keyed by the same strict (score, tie key, node) total
-/// order — and the round closes on deadline expiry OR quorum, whichever
-/// fires first. The paper's aggregator "waits a given time interval" for
-/// sealed bids (Section III.A step 2); this subsystem is that wait made
-/// explicit, with the service-style close semantics of Cao et al.
+/// incrementally — O(log K) per arrival in the same `BoundedTopK`
+/// `rank_frame` uses, under the same `MarketOrder` — and the round closes
+/// on deadline expiry OR quorum, whichever fires first. The paper's
+/// aggregator "waits a given time interval" for sealed bids (Section III.A
+/// step 2); this subsystem is that wait made explicit, with the
+/// service-style close semantics of Cao et al.
 /// (arXiv:2509.10512) and Le et al. (arXiv:2009.10269).
 ///
 /// The load-bearing invariant: closing a streaming round emits winners,
@@ -159,12 +159,11 @@ private:
     bool finalized_ = true;
     double close_time_s_ = 0.0;
     double last_arrival_s_ = 0.0;
-    std::uint64_t tie_salt_ = 0;
+    TieKeys tie_keys_;  ///< salted lane: the round's salt, drawn at open
 
     /// Candidate store of the salted incremental lane: unbounded when the
-    /// spec needs the full board (full_ranking / psi scans), else a bounded
-    /// max-heap of the best `cand_cap_` under the market order — O(log K)
-    /// per arrival.
+    /// spec needs the full board (full_ranking / psi scans), else the best
+    /// `cand_cap_` under the market order — O(log K) per arrival.
     std::vector<RankScratch::Candidate> cands_;
     std::size_t cand_cap_ = 0;
 
@@ -173,55 +172,6 @@ private:
     std::vector<RankScratch::Candidate> head_;
     std::size_t head_cap_ = 0;
     std::size_t head_churn_ = 0;
-};
-
-/// Incremental twin of `merge_heads`: feed shard heads ONE AT A TIME as
-/// their streams complete and fold each into a bounded coordinator heap of
-/// at most `cutoff` rows — O(log cutoff) per head row, with the head rows'
-/// quality vectors parked in a slot-reusing arena. `finish` emits a ranking
-/// bit-identical to `merge_heads` over the same heads: both truncate the
-/// same strict total order at the same cut. This is how the sharded market
-/// gets streaming close for free — each `ShardHead` stream feeds the merge
-/// as it lands instead of waiting for the full set.
-class StreamingHeadMerge {
-public:
-    /// Start a merge round: `cutoff` is the global ranking cutoff, `dims`
-    /// the quality dimensionality of the incoming heads.
-    void open(std::size_t dims, std::size_t cutoff);
-
-    /// Fold one shard's head into the running merge.
-    /// @throws std::invalid_argument on a dimensionality mismatch
-    void ingest(const ShardHead& head);
-
-    /// Fold ONE head row (with its `dims`-wide quality vector) into the
-    /// running merge — the row-granular feed the cross-process streaming
-    /// round uses as head chunks land on the wire. The kept set is the
-    /// global top-`cutoff` under the strict total order, so any ingestion
-    /// order (row-by-row, chunked, whole heads, interleaved across shards)
-    /// finishes bit-identically.
-    void ingest_row(const HeadRow& row, const double* quality);
-
-    /// Heads ingested so far this round (`ingest` calls; `ingest_row` does
-    /// not bump this — callers count their own streams).
-    [[nodiscard]] std::size_t ingested() const { return ingested_; }
-
-    /// Sort the surviving rows under the market order and materialize the
-    /// merged ranking — bit-identical to `merge_heads(heads, cutoff, ...)`
-    /// over the same ingested heads.
-    void finish(std::vector<ScoredBid>& ranking);
-
-private:
-    struct Slot {
-        HeadRow row;
-        std::uint32_t arena = 0;  ///< index of this row's quality vector
-    };
-
-    std::size_t dims_ = 0;
-    std::size_t cutoff_ = 0;
-    std::size_t ingested_ = 0;
-    std::vector<Slot> heap_;
-    std::vector<double> arena_;          ///< cutoff × dims, slot-reused
-    std::vector<std::uint32_t> free_;    ///< arena slots open for reuse
 };
 
 } // namespace fmore::auction

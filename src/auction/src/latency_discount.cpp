@@ -1,6 +1,5 @@
 #include "fmore/auction/latency_discount.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -22,80 +21,6 @@ LatencyDiscountedMechanism::LatencyDiscountedMechanism(MechanismSpec spec)
                 + std::to_string(i) + "] = " + std::to_string(latency)
                 + ": must be finite and >= 0");
     }
-}
-
-double LatencyDiscountedMechanism::discounted_score(const ScoringRule& scoring,
-                                                    const Bid& bid) const {
-    return scoring.score(bid) - spec_.latency_discount * latency_of(bid.node);
-}
-
-std::vector<ScoredBid> LatencyDiscountedMechanism::rank(const ScoringRule& scoring,
-                                                        const std::vector<Bid>& bids,
-                                                        stats::Rng& rng) const {
-    // Same ordering machinery as the base engine — salted keys or the
-    // coin-flip shuffle, the partial sort at ranking_cutoff — over the
-    // DISCOUNTED scores. The recorded ScoredBid::score is the discounted
-    // value: it is what the market ranked and (under second-score) priced
-    // against, so downstream scoreboards see the market's actual order.
-    std::vector<ScoredBid> ranking;
-    ranking.reserve(bids.size());
-    for (const Bid& bid : bids) {
-        ranking.push_back({bid, discounted_score(scoring, bid)});
-    }
-    if (spec_.tie_break == TieBreak::salted) {
-        const std::uint64_t salt = rng.engine()();
-        std::vector<std::uint64_t> keys(ranking.size());
-        for (std::size_t i = 0; i < ranking.size(); ++i)
-            keys[i] = stats::derive_stream_seed(salt, ranking[i].bid.node);
-        std::vector<std::size_t> idx(ranking.size());
-        for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-        const auto cmp = [&](std::size_t a, std::size_t b) {
-            if (ranking[a].score != ranking[b].score)
-                return ranking[a].score > ranking[b].score;
-            if (keys[a] != keys[b]) return keys[a] < keys[b];
-            return ranking[a].bid.node < ranking[b].bid.node;
-        };
-        const std::size_t top = ranking_cutoff(ranking.size());
-        if (top >= idx.size()) {
-            std::sort(idx.begin(), idx.end(), cmp);
-        } else {
-            std::partial_sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(top),
-                              idx.end(), cmp);
-        }
-        std::vector<ScoredBid> head;
-        head.reserve(std::min(top, idx.size()));
-        for (std::size_t i = 0; i < std::min(top, idx.size()); ++i)
-            head.push_back(std::move(ranking[idx[i]]));
-        return head;
-    }
-
-    std::vector<std::size_t> order(ranking.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    rng.shuffle(order);
-    std::vector<ScoredBid> shuffled;
-    shuffled.reserve(ranking.size());
-    for (const std::size_t i : order) shuffled.push_back(std::move(ranking[i]));
-
-    const std::size_t top = ranking_cutoff(shuffled.size());
-    if (top >= shuffled.size()) {
-        std::stable_sort(shuffled.begin(), shuffled.end(),
-                         [](const ScoredBid& a, const ScoredBid& b) {
-                             return a.score > b.score;
-                         });
-        return shuffled;
-    }
-    std::vector<std::size_t> idx(shuffled.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-    std::partial_sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(top),
-                      idx.end(), [&shuffled](std::size_t a, std::size_t b) {
-                          if (shuffled[a].score != shuffled[b].score)
-                              return shuffled[a].score > shuffled[b].score;
-                          return a < b;
-                      });
-    std::vector<ScoredBid> head;
-    head.reserve(top);
-    for (std::size_t i = 0; i < top; ++i) head.push_back(std::move(shuffled[idx[i]]));
-    return head;
 }
 
 } // namespace fmore::auction

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <typeinfo>
 #include <utility>
 
 #include "fmore/auction/latency_discount.hpp"
+#include "fmore/auction/market_order.hpp"
 #include "fmore/util/registry.hpp"
 #include "fmore/util/thread_pool.hpp"
 
@@ -101,75 +103,38 @@ std::size_t ScoreAuctionMechanism::ranking_cutoff(std::size_t active) const {
 std::vector<ScoredBid> ScoreAuctionMechanism::rank(const ScoringRule& scoring,
                                                    const std::vector<Bid>& bids,
                                                    stats::Rng& rng) const {
-    std::vector<ScoredBid> ranking;
-    ranking.reserve(bids.size());
-    for (const Bid& bid : bids) {
-        ranking.push_back({bid, scoring.score(bid)});
+    // Coin flips over bid positions: a salted key hashes the bid's node, so
+    // any subset of the bids (a shard, another process) orders its members
+    // as the whole board would; a shuffle key is the bid's shuffled
+    // position, which is the order a stable sort over the shuffled bids
+    // gives. Either way one sort under the market order.
+    RankScratch scratch;
+    scratch.active.resize(bids.size());
+    std::iota(scratch.active.begin(), scratch.active.end(), std::size_t{0});
+    const TieKeys keys = draw_tie_keys(spec_.tie_break == TieBreak::salted, scratch.active,
+                                       bids.size(), rng, scratch);
+    struct Ranked {
+        double score;
+        std::uint64_t key;
+        NodeId node;
+        std::size_t bid;
+    };
+    std::vector<Ranked> ranked(bids.size());
+    for (std::size_t i = 0; i < bids.size(); ++i) {
+        const NodeId node = bids[i].node;
+        ranked[i] = {bid_score(scoring, bids[i]), keys.key(keys.salted ? node : i), node, i};
     }
-    if (spec_.tie_break == TieBreak::salted) {
-        // Position-independent coin flips: one engine draw seeds a per-node
-        // hash key, so any subset of the bids — a shard, another process —
-        // orders its members exactly as the whole board would. Same strict
-        // total order as `rank_frame` in salted mode: bit-identical heads.
-        const std::uint64_t salt = rng.engine()();
-        std::vector<std::uint64_t> keys(ranking.size());
-        for (std::size_t i = 0; i < ranking.size(); ++i)
-            keys[i] = stats::derive_stream_seed(salt, ranking[i].bid.node);
-        std::vector<std::size_t> idx(ranking.size());
-        for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-        const auto cmp = [&](std::size_t a, std::size_t b) {
-            if (ranking[a].score != ranking[b].score)
-                return ranking[a].score > ranking[b].score;
-            if (keys[a] != keys[b]) return keys[a] < keys[b];
-            return ranking[a].bid.node < ranking[b].bid.node;
-        };
-        const std::size_t top = ranking_cutoff(ranking.size());
-        if (top >= idx.size()) {
-            std::sort(idx.begin(), idx.end(), cmp);
-        } else {
-            std::partial_sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(top),
-                              idx.end(), cmp);
-        }
-        std::vector<ScoredBid> head;
-        head.reserve(std::min(top, idx.size()));
-        for (std::size_t i = 0; i < std::min(top, idx.size()); ++i)
-            head.push_back(std::move(ranking[idx[i]]));
-        return head;
+    const std::size_t top = ranking_cutoff(ranked.size());
+    if (top >= ranked.size()) {
+        std::sort(ranked.begin(), ranked.end(), MarketOrder{});
+    } else {
+        std::partial_sort(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(top),
+                          ranked.end(), MarketOrder{});
     }
-
-    // Random shuffle first, then sort by score: bids with exactly equal
-    // scores end up in coin-flip order ("Ties are resolved by the flip of a
-    // coin", Section V.A).
-    std::vector<std::size_t> order(ranking.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    rng.shuffle(order);
-    std::vector<ScoredBid> shuffled;
-    shuffled.reserve(ranking.size());
-    for (const std::size_t i : order) shuffled.push_back(std::move(ranking[i]));
-
-    const std::size_t top = ranking_cutoff(shuffled.size());
-
-    // Comparing (score desc, shuffled position asc) is a strict total order
-    // whose result is exactly what stable_sort on the shuffled vector
-    // produces, so the partial path returns a bit-identical top segment.
-    if (top >= shuffled.size()) {
-        std::stable_sort(shuffled.begin(), shuffled.end(),
-                         [](const ScoredBid& a, const ScoredBid& b) {
-                             return a.score > b.score;
-                         });
-        return shuffled;
-    }
-    std::vector<std::size_t> idx(shuffled.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-    std::partial_sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(top),
-                      idx.end(), [&shuffled](std::size_t a, std::size_t b) {
-                          if (shuffled[a].score != shuffled[b].score)
-                              return shuffled[a].score > shuffled[b].score;
-                          return a < b;
-                      });
     std::vector<ScoredBid> head;
     head.reserve(top);
-    for (std::size_t i = 0; i < top; ++i) head.push_back(std::move(shuffled[idx[i]]));
+    for (std::size_t r = 0; r < top; ++r)
+        head.push_back({bids[ranked[r].bid], ranked[r].score});
     return head;
 }
 
@@ -184,50 +149,24 @@ void ScoreAuctionMechanism::rank_frame(const ScoringRule& scoring, const BidFram
         return;
     }
     // Active rows in ascending node order — the same sequence
-    // `BidFrame::to_bids` materializes, so the tie-break shuffle below
-    // consumes exactly the RNG draws the vector path would.
+    // `BidFrame::to_bids` materializes, so the coin flip below consumes
+    // exactly the RNG draws the vector path would.
     std::vector<std::size_t>& active = scratch.active;
     active.clear();
     for (NodeId row = 0; row < frame.rows(); ++row) {
         if (frame.active(row)) active.push_back(row);
     }
     const std::size_t m = active.size();
-    if (frame.rows() > UINT32_MAX)
-        throw std::invalid_argument("rank_frame: more than 2^32 rows");
-
-    const bool salted = spec_.tie_break == TieBreak::salted;
-    std::uint64_t tie_salt = 0;
-    std::vector<std::uint32_t>& pos = scratch.pos;
-    std::vector<std::size_t>& order = scratch.order;
-    if (salted) {
-        // One engine draw for the whole board; per-row keys are a pure hash
-        // of (salt, node), so a shard scanning only ITS rows computes the
-        // very keys these rows carry in the monolithic sort.
-        tie_salt = rng.engine()();
-    } else {
-        order.assign(active.begin(), active.end());
-        rng.shuffle(order);
-        // Inverse permutation: each row's coin-flip tie-break key. Inverting
-        // lets the scan below walk rows in ASCENDING order — streaming the
-        // frame columns — instead of hopping through them in shuffled order.
-        pos.resize(frame.rows());
-        for (std::size_t j = 0; j < m; ++j)
-            pos[order[j]] = static_cast<std::uint32_t>(j);
-    }
+    // Per-row keys are a pure function of the row, so the scan below walks
+    // rows in ASCENDING order — streaming the frame columns — and a shard
+    // scanning only ITS rows computes the very keys they carry here.
+    const TieKeys keys = draw_tie_keys(spec_.tie_break == TieBreak::salted, active,
+                                       frame.rows(), rng, scratch);
 
     // Same cut-off rule as `rank` and the shard-head collector.
     const std::size_t top = ranking_cutoff(m);
 
     using Candidate = RankScratch::Candidate;
-    // (score desc, key asc, node asc) is a strict total order. In shuffle
-    // mode keys are the unique shuffled positions, and the order equals
-    // what stable_sort over the shuffled bid list produces: the
-    // bit-identity argument of this whole fast path.
-    const auto better = [](const Candidate& a, const Candidate& b) {
-        if (a.score != b.score) return a.score > b.score;
-        if (a.key != b.key) return a.key < b.key;
-        return a.node < b.node;
-    };
     const std::size_t dims = frame.dims();
     // A collector that filled the score column already did this arithmetic
     // with the row's quality hot in registers; otherwise score on the fly.
@@ -237,9 +176,7 @@ void ScoreAuctionMechanism::rank_frame(const ScoringRule& scoring, const BidFram
         const double score =
             scored ? frame.score(row)
                    : scoring.score_span(frame.quality_row(row), dims, frame.payment(row));
-        const std::uint64_t key =
-            salted ? stats::derive_stream_seed(tie_salt, row) : pos[row];
-        return Candidate{score, key, row};
+        return Candidate{score, keys.key(row), row};
     };
 
     constexpr std::size_t kChunk = 2048;
@@ -263,28 +200,17 @@ void ScoreAuctionMechanism::rank_frame(const ScoringRule& scoring, const BidFram
                     for (std::size_t a = lo; a < hi; ++a) merged[a] = candidate_at(a);
                 });
         }
-        std::sort(merged.begin(), merged.end(), better);
+        std::sort(merged.begin(), merged.end(), MarketOrder{});
     } else {
-        // Fused top-K: each worker slot keeps a bounded heap (root = worst
-        // kept candidate) over the chunks it happens to claim. The union
-        // of the per-slot heaps always contains the global top `top`, so
-        // the deterministic merge sort below yields the same head
-        // regardless of how chunks landed on slots.
+        // Fused top-K: each worker slot keeps a bounded top-K over the
+        // chunks it happens to claim. The union of the slots always holds
+        // the global top `top`, so the merge sort below yields the same
+        // head regardless of how chunks landed on slots.
         const std::size_t slots = std::max<std::size_t>(1, workers);
-        scratch.slot_cands.resize(slots * top);
-        scratch.slot_size.assign(slots, 0);
+        if (scratch.slot_heads.size() < slots) scratch.slot_heads.resize(slots);
+        for (std::size_t slot = 0; slot < slots; ++slot) scratch.slot_heads[slot].clear();
         const auto consider = [&](std::size_t slot, std::size_t a) {
-            const Candidate cand = candidate_at(a);
-            Candidate* heap = scratch.slot_cands.data() + slot * top;
-            std::size_t& size = scratch.slot_size[slot];
-            if (size < top) {
-                heap[size++] = cand;
-                std::push_heap(heap, heap + size, better);
-            } else if (better(cand, heap[0])) {
-                std::pop_heap(heap, heap + size, better);
-                heap[size - 1] = cand;
-                std::push_heap(heap, heap + size, better);
-            }
+            BoundedTopK<Candidate>(scratch.slot_heads[slot], top).offer(candidate_at(a));
         };
         if (workers <= 1) {
             for (std::size_t a = 0; a < m; ++a) consider(0, a);
@@ -297,10 +223,10 @@ void ScoreAuctionMechanism::rank_frame(const ScoringRule& scoring, const BidFram
                 });
         }
         for (std::size_t slot = 0; slot < slots; ++slot) {
-            const Candidate* heap = scratch.slot_cands.data() + slot * top;
-            merged.insert(merged.end(), heap, heap + scratch.slot_size[slot]);
+            const std::vector<Candidate>& kept = scratch.slot_heads[slot];
+            merged.insert(merged.end(), kept.begin(), kept.end());
         }
-        std::sort(merged.begin(), merged.end(), better);
+        std::sort(merged.begin(), merged.end(), MarketOrder{});
         if (merged.size() > top) merged.resize(top);
     }
 

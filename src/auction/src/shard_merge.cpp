@@ -96,74 +96,86 @@ void collect_shard_head(const BidFrame& frame, std::size_t begin_row,
     out.dims = frame.dims();
     if (limit == 0) return;
 
-    // Bounded heap, root = worst kept row — the same structure the fused
-    // monolithic pass keeps per worker slot, here per shard. Once the heap
-    // is full, a row scoring below the root cannot enter, because the
-    // order compares scores first; such a row is skipped before its tie
-    // key is derived (a splitmix finalize in salted mode). Rows tying the
-    // root's score, and NaN scores, take the full comparison, so the head
-    // is the one the eager-key loop kept.
-    std::vector<HeadRow>& heap = out.rows;
-    heap.reserve(limit);
+    // Once the top-K is full, a row scoring below its worst cannot enter,
+    // because the order compares scores first; such a row is skipped before
+    // its tie key is derived (a splitmix finalize in salted mode). Rows
+    // tying the worst's score, and NaN on either side, take the full
+    // comparison, so the head is the one an eager-key loop keeps.
+    out.rows.reserve(std::min(limit, end_row - begin_row));
+    BoundedTopK<HeadRow> heap(out.rows, limit);
     for (NodeId row = begin_row; row < end_row; ++row) {
         if (!frame.active(row)) continue;
         const double score = frame.score(row);
-        if (heap.size() == limit && score < heap.front().score) continue;
+        if (heap.full() && score < heap.worst().score) continue;
         const NodeId global = node_offset + row;
-        const HeadRow cand{global, score, keys.key(global), frame.payment(row)};
-        if (heap.size() < limit) {
-            heap.push_back(cand);
-            std::push_heap(heap.begin(), heap.end(), head_row_better);
-        } else if (head_row_better(cand, heap.front())) {
-            std::pop_heap(heap.begin(), heap.end(), head_row_better);
-            heap.back() = cand;
-            std::push_heap(heap.begin(), heap.end(), head_row_better);
-        }
+        heap.offer(HeadRow{global, score, keys.key(global), frame.payment(row)});
     }
-    std::sort(heap.begin(), heap.end(), head_row_better);
+    heap.sort();
 
     // Quality vectors of the kept rows only — the payload stays O(limit·d)
     // no matter how large the shard is.
-    out.quality.resize(heap.size() * out.dims);
-    for (std::size_t r = 0; r < heap.size(); ++r) {
-        const NodeId local = heap[r].node - node_offset;
+    out.quality.resize(out.rows.size() * out.dims);
+    for (std::size_t r = 0; r < out.rows.size(); ++r) {
+        const NodeId local = out.rows[r].node - node_offset;
         const double* q = frame.quality_row(local);
         std::copy(q, q + out.dims, out.quality.begin() + r * out.dims);
     }
 }
 
+void StreamingHeadMerge::open(std::size_t dims, std::size_t cutoff) {
+    dims_ = dims;
+    cutoff_ = cutoff;
+    ingested_ = 0;
+    heap_.clear();
+    heap_.reserve(cutoff);
+    arena_.resize(cutoff * dims);
+}
+
+void StreamingHeadMerge::ingest(const ShardHead& head) {
+    if (!head.rows.empty() && head.dims != dims_)
+        throw std::invalid_argument("StreamingHeadMerge: head dims = "
+                                    + std::to_string(head.dims) + ", expected "
+                                    + std::to_string(dims_));
+    for (std::size_t r = 0; r < head.rows.size(); ++r)
+        ingest_row(head.rows[r], head.quality_row(r));
+    ++ingested_;
+}
+
+void StreamingHeadMerge::ingest_row(const HeadRow& row, const double* quality) {
+    BoundedTopK<Slot> heap(heap_, cutoff_);
+    if (!heap.admits(row)) return;
+    // A newcomer to a full merge parks its quality in the arena slot of the
+    // row it evicts, so the arena never holds more than `cutoff` rows.
+    const std::size_t slot = heap.full() ? heap.worst().arena : heap_.size();
+    std::copy(quality, quality + dims_, arena_.begin() + slot * dims_);
+    heap.push(Slot{row, static_cast<std::uint32_t>(slot)});
+}
+
+void StreamingHeadMerge::finish(std::vector<ScoredBid>& ranking) {
+    BoundedTopK<Slot>(heap_, cutoff_).sort();
+    ranking.resize(heap_.size());
+    for (std::size_t r = 0; r < heap_.size(); ++r) {
+        const double* q = arena_.data() + heap_[r].arena * dims_;
+        ScoredBid& sb = ranking[r];
+        sb.bid.node = heap_[r].node;
+        sb.bid.quality.assign(q, q + dims_);
+        sb.bid.payment = heap_[r].payment;
+        sb.score = heap_[r].score;
+    }
+}
+
 void merge_heads(const std::vector<ShardHead>& heads, std::size_t cutoff,
                  std::vector<ScoredBid>& ranking) {
-    struct Tagged {
-        HeadRow row;
-        std::uint32_t shard = 0;
-        std::uint32_t idx = 0;
-    };
-    std::vector<Tagged> all;
-    std::size_t total = 0;
-    for (const ShardHead& head : heads) total += head.rows.size();
-    all.reserve(total);
-    for (std::size_t s = 0; s < heads.size(); ++s) {
-        for (std::size_t r = 0; r < heads[s].rows.size(); ++r) {
-            all.push_back(Tagged{heads[s].rows[r], static_cast<std::uint32_t>(s),
-                                 static_cast<std::uint32_t>(r)});
-        }
+    std::size_t dims = 0;
+    std::size_t rows = 0;
+    for (const ShardHead& head : heads) {
+        if (rows == 0) dims = head.dims;
+        rows += head.rows.size();
     }
-    std::sort(all.begin(), all.end(), [](const Tagged& a, const Tagged& b) {
-        return head_row_better(a.row, b.row);
-    });
-    if (all.size() > cutoff) all.resize(cutoff);
-
-    ranking.resize(all.size());
-    for (std::size_t r = 0; r < all.size(); ++r) {
-        const ShardHead& head = heads[all[r].shard];
-        const double* q = head.quality_row(all[r].idx);
-        ScoredBid& sb = ranking[r];
-        sb.bid.node = all[r].row.node;
-        sb.bid.quality.assign(q, q + head.dims);
-        sb.bid.payment = all[r].row.payment;
-        sb.score = all[r].row.score;
-    }
+    StreamingHeadMerge merge;
+    merge.open(dims, std::min(cutoff, rows));
+    for (const ShardHead& head : heads) merge.ingest(head);
+    merge.finish(ranking);
 }
 
 } // namespace fmore::auction

@@ -11,14 +11,6 @@ namespace {
 
 using Candidate = RankScratch::Candidate;
 
-/// The market's strict total order — identical to the `rank_frame` and
-/// `head_row_better` comparators, which is the whole bit-identity argument.
-bool better(const Candidate& a, const Candidate& b) {
-    if (a.score != b.score) return a.score > b.score;
-    if (a.key != b.key) return a.key < b.key;
-    return a.node < b.node;
-}
-
 } // namespace
 
 const char* to_string(CloseReason reason) {
@@ -75,11 +67,12 @@ void StreamingMarket::open_round(std::size_t rows, std::size_t dims,
     if (salted_incremental_) {
         // The batch path's one pre-selection draw, made at open so the
         // generator stream matches run_frame's bit for bit.
-        tie_salt_ = rng.engine()();
+        tie_keys_ = draw_tie_keys(/*salted=*/true, /*active=*/{}, rows, rng, scratch_);
         const MechanismSpec& ms = engine_->spec();
         const bool probabilistic = ms.psi < 1.0 || !ms.psi_per_node.empty();
         if (ms.full_ranking || probabilistic) {
-            cand_cap_ = 0; // the close needs the whole board anyway
+            // The close needs the whole board anyway.
+            cand_cap_ = BoundedTopK<Candidate>::kUnbounded;
         } else {
             cand_cap_ = ms.num_winners
                         + (ms.payment_rule == PaymentRule::second_price ? 1 : 0);
@@ -91,16 +84,10 @@ void StreamingMarket::open_round(std::size_t rows, std::size_t dims,
 }
 
 void StreamingMarket::track_head(const Candidate& cand) {
-    if (head_cap_ == 0) return;
-    if (head_.size() < head_cap_) {
-        head_.push_back(cand);
-        std::push_heap(head_.begin(), head_.end(), better);
-    } else if (better(cand, head_.front())) {
-        std::pop_heap(head_.begin(), head_.end(), better);
-        head_.back() = cand;
-        std::push_heap(head_.begin(), head_.end(), better);
-        ++head_churn_;
-    }
+    // An offer that lands in a full head evicts its worst row: churn.
+    BoundedTopK<Candidate> head(head_, head_cap_);
+    const bool full = head.full();
+    if (head.offer(cand) && full) ++head_churn_;
 }
 
 bool StreamingMarket::offer(NodeId node, const double* quality, double payment,
@@ -134,23 +121,10 @@ bool StreamingMarket::offer(NodeId node, const double* quality, double payment,
     frame_.score(node) = score;
     ++arrived_;
 
-    const std::uint64_t key =
-        salted_incremental_ ? stats::derive_stream_seed(tie_salt_, node) : 0;
-    const Candidate cand{score, key, node};
-    if (salted_incremental_) {
-        // The same bounded-heap fold rank_frame's fused top-K pass runs per
-        // chunk, applied per ARRIVAL: root = worst kept candidate, replace
-        // when the newcomer beats it. O(log K) per bid.
-        if (cand_cap_ == 0 || cands_.size() < cand_cap_) {
-            cands_.push_back(cand);
-            if (cand_cap_ != 0)
-                std::push_heap(cands_.begin(), cands_.end(), better);
-        } else if (better(cand, cands_.front())) {
-            std::pop_heap(cands_.begin(), cands_.end(), better);
-            cands_.back() = cand;
-            std::push_heap(cands_.begin(), cands_.end(), better);
-        }
-    }
+    const Candidate cand{score, salted_incremental_ ? tie_keys_.key(node) : 0, node};
+    // The same bounded top-K rank_frame's fused pass runs per chunk,
+    // applied per ARRIVAL. O(log K) per bid.
+    if (salted_incremental_) BoundedTopK<Candidate>(cands_, cand_cap_).offer(cand);
     track_head(cand);
 
     if (round_.quorum > 0 && arrived_ >= round_.quorum) {
@@ -183,9 +157,6 @@ const AuctionOutcome& StreamingMarket::close_round_sharded(
     // strict total order at the same cutoff, so the ranking — and the
     // selection and pricing over it — matches close_round bit for bit.
     const std::size_t cutoff = engine_->ranking_cutoff(arrived_);
-    TieKeys keys;
-    keys.salted = true;
-    keys.salt = tie_salt_;
     StreamingHeadMerge merge;
     merge.open(frame_.dims(), cutoff);
     ShardHead head;
@@ -193,7 +164,7 @@ const AuctionOutcome& StreamingMarket::close_round_sharded(
         const std::size_t begin = shard_starts[s];
         const std::size_t end =
             s + 1 < shard_starts.size() ? shard_starts[s + 1] : frame_.rows();
-        collect_shard_head(frame_, begin, end, 0, keys, cutoff, head);
+        collect_shard_head(frame_, begin, end, 0, tie_keys_, cutoff, head);
         merge.ingest(head);
     }
     merge.finish(outcome_.ranking);
@@ -216,7 +187,7 @@ const AuctionOutcome& StreamingMarket::close_round(stats::Rng& rng) {
         // the tail of rank_frame's salted lane: sort the kept candidates
         // under the market order, truncate at the engine's cutoff, and
         // materialize the head from the frame.
-        std::sort(cands_.begin(), cands_.end(), better);
+        BoundedTopK<Candidate>(cands_, cand_cap_).sort();
         const std::size_t top = engine_->ranking_cutoff(arrived_);
         if (cands_.size() > top) cands_.resize(top);
         const std::size_t dims = frame_.dims();
@@ -242,71 +213,6 @@ const AuctionOutcome& StreamingMarket::close_round(stats::Rng& rng) {
     }
     finalized_ = true;
     return outcome_;
-}
-
-// ---------------------------------------------------------------------------
-// StreamingHeadMerge
-// ---------------------------------------------------------------------------
-
-void StreamingHeadMerge::open(std::size_t dims, std::size_t cutoff) {
-    dims_ = dims;
-    cutoff_ = cutoff;
-    ingested_ = 0;
-    heap_.clear();
-    arena_.resize(cutoff * dims);
-    free_.clear();
-    for (std::size_t s = cutoff; s-- > 0;)
-        free_.push_back(static_cast<std::uint32_t>(s));
-}
-
-void StreamingHeadMerge::ingest(const ShardHead& head) {
-    if (!head.rows.empty() && head.dims != dims_)
-        throw std::invalid_argument("StreamingHeadMerge: head dims = "
-                                    + std::to_string(head.dims) + ", expected "
-                                    + std::to_string(dims_));
-    for (std::size_t r = 0; r < head.rows.size(); ++r)
-        ingest_row(head.rows[r], head.quality_row(r));
-    ++ingested_;
-}
-
-void StreamingHeadMerge::ingest_row(const HeadRow& row, const double* quality) {
-    const auto slot_better = [](const Slot& a, const Slot& b) {
-        return head_row_better(a.row, b.row);
-    };
-    if (heap_.size() < cutoff_) {
-        const std::uint32_t slot = free_.back();
-        free_.pop_back();
-        std::copy(quality, quality + dims_, arena_.data() + slot * dims_);
-        heap_.push_back(Slot{row, slot});
-        std::push_heap(heap_.begin(), heap_.end(), slot_better);
-    } else if (cutoff_ > 0 && head_row_better(row, heap_.front().row)) {
-        // Evict the worst kept row and park the newcomer's quality in
-        // the slot it vacates — the arena never grows past cutoff.
-        const std::uint32_t slot = heap_.front().arena;
-        std::pop_heap(heap_.begin(), heap_.end(), slot_better);
-        heap_.back() = Slot{row, slot};
-        std::copy(quality, quality + dims_, arena_.data() + slot * dims_);
-        std::push_heap(heap_.begin(), heap_.end(), slot_better);
-    }
-}
-
-void StreamingHeadMerge::finish(std::vector<ScoredBid>& ranking) {
-    // `merge_heads` sorts the concatenated rows and truncates at cutoff;
-    // the bounded heap kept exactly the rows that survive that truncation
-    // (the order is strict and total), so sorting them reproduces its
-    // output bit for bit.
-    std::sort(heap_.begin(), heap_.end(), [](const Slot& a, const Slot& b) {
-        return head_row_better(a.row, b.row);
-    });
-    ranking.resize(heap_.size());
-    for (std::size_t r = 0; r < heap_.size(); ++r) {
-        const double* q = arena_.data() + heap_[r].arena * dims_;
-        ScoredBid& sb = ranking[r];
-        sb.bid.node = heap_[r].row.node;
-        sb.bid.quality.assign(q, q + dims_);
-        sb.bid.payment = heap_[r].row.payment;
-        sb.score = heap_[r].row.score;
-    }
 }
 
 } // namespace fmore::auction

@@ -98,7 +98,7 @@ std::unique_ptr<fl::ClientSelector> make_market_selector(
     }
     return std::make_unique<mec::AuctionSelector>(population, *solved.scoring,
                                                   solved.strategy, wd,
-                                                  mec::QualitySource(std::move(layout)),
+                                                  std::move(layout),
                                                   data_dimension);
 }
 

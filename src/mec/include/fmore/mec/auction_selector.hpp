@@ -14,33 +14,15 @@
 
 namespace fmore::mec {
 
-/// Maps a node's available resources onto the quality dimensions the
-/// broadcast scoring rule prices. Experiments differ: the simulation uses
-/// (data size, category proportion), the testbed (cpu, bandwidth, data).
-using QualityExtractor =
-    std::function<auction::QualityVector(const ResourceState& available)>;
-
-/// Positional column map: quality dimension d is read from the population
-/// store's `layout[d]` column. This is the fused-path form of a
-/// QualityExtractor — no per-node vector is ever built.
+/// Which resources a node's bid declares: quality dimension d is read from
+/// the population store's `layout[d]` column, so no per-node vector is ever
+/// built. Experiments differ: the simulation prices (data size, category
+/// proportion), the testbed (cpu, bandwidth, data size).
 using QualityLayout = std::vector<ResourceDim>;
 
-/// How the selector reads each node's available resources. A column
-/// `layout` enables the allocation-free fused SoA round path (an
-/// equivalent `fn` is derived for the AoS reference path); a bare custom
-/// function is always honoured but pins the selector to the classic
-/// per-bid path, since the store cannot see through arbitrary code.
-struct QualitySource {
-    QualityLayout layout;
-    QualityExtractor fn;
-
-    QualitySource(QualityLayout layout);  // NOLINT(google-explicit-constructor)
-    QualitySource(QualityExtractor fn);   // NOLINT(google-explicit-constructor)
-};
-
-/// Canned sources for the paper's two setups.
-QualitySource data_category_extractor();
-QualitySource cpu_bandwidth_data_extractor();
+/// Canned layouts for the paper's two setups.
+QualityLayout data_category_extractor();
+QualityLayout cpu_bandwidth_data_extractor();
 
 /// The agreement `collect_bid_rows` needs between the layout, the strategy
 /// and the broadcast rule, checked on its own so a caller can reject a bad
@@ -105,18 +87,16 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
 /// Winners train on the data volume they bid (`train_samples`), which is
 /// how the incentive layer feeds back into learning performance.
 ///
-/// Two equivalent engines drive a round:
-///  - the **fused SoA path** (default when a QualityLayout is available):
-///    bids are written straight into a reused `auction::BidFrame` by
-///    parallel chunks reading the population store's columns, ranked by
-///    `Mechanism::rank_frame`'s fused score+top-K pass, selected and
-///    priced into reused buffers — a steady-state round performs zero
-///    allocations in the bid path and never materializes N `Bid` objects;
-///  - the **classic path** (custom extractors, or `FMORE_BID_PATH=legacy`):
-///    the historical per-bid `std::vector<Bid>` collection plus a
-///    `WinnerDetermination` rebuilt per round — kept as the reference the
-///    equivalence tests and the scale bench compare against.
-/// Winners, payments and metrics are bit-identical across the two.
+/// One engine drives a round: bids are written straight into a reused
+/// `auction::BidFrame` by parallel chunks reading the population store's
+/// columns, ranked by `Mechanism::rank_frame`'s fused score+top-K pass,
+/// selected and priced into reused buffers — a steady-state round performs
+/// zero allocations in the bid path and never materializes N `Bid`
+/// objects. The historical per-bid market (one `Bid` per node, a
+/// `WinnerDetermination` rebuilt per round) lives on outside the library
+/// as `reference::ClassicAuctionSelector` (tests/reference), the oracle the
+/// equivalence tests and the scale bench compare this engine against bit
+/// for bit.
 ///
 /// The ranking cost is governed by `wd_config.full_ranking`: true records
 /// the complete Fig. 8 score board in each round's SelectionRecord; false
@@ -127,19 +107,13 @@ public:
     /// `data_dimension` indexes which quality dimension is the data size
     /// (caps the samples a winner trains on); pass npos when the scoring
     /// rule prices no data dimension.
+    /// @throws std::invalid_argument when `check_bid_layout` rejects the
+    ///         layout, strategy and rule
     AuctionSelector(MecPopulation& population,
                     const auction::ScoringRule& scoring,
                     const auction::EquilibriumStrategy& strategy,
                     auction::WinnerDeterminationConfig wd_config,
-                    QualitySource source, std::size_t data_dimension,
-                    auction::PaymentMethod payment_method
-                    = auction::PaymentMethod::integral);
-    /// Custom-extractor convenience overload (classic path).
-    AuctionSelector(MecPopulation& population,
-                    const auction::ScoringRule& scoring,
-                    const auction::EquilibriumStrategy& strategy,
-                    auction::WinnerDeterminationConfig wd_config,
-                    QualityExtractor extractor, std::size_t data_dimension,
+                    QualityLayout layout, std::size_t data_dimension,
                     auction::PaymentMethod payment_method
                     = auction::PaymentMethod::integral);
 
@@ -157,19 +131,14 @@ public:
     /// One auction-only round over the reused buffers: drift (round > 1),
     /// collect, rank, select, price — no compliance rolls and no
     /// SelectionRecord assembly. This is the entry `bench/scale_round`
-    /// times; on the fused path a steady-state call allocates nothing.
-    /// The returned outcome is owned by the selector and overwritten by
-    /// the next round.
+    /// times; a steady-state call allocates nothing. The returned outcome
+    /// is owned by the selector and overwritten by the next round.
     [[nodiscard]] const auction::AuctionOutcome& run_auction_round(std::size_t round,
                                                                    std::size_t k,
                                                                    stats::Rng& rng);
 
-    /// True when rounds run the fused SoA path (layout available and
-    /// `FMORE_BID_PATH` does not force the classic one).
-    [[nodiscard]] bool fused_path() const { return fused_path_; }
-
-    /// The sealed bids of the most recent round (inspection/benches); on
-    /// the fused path they are materialized lazily from the frame.
+    /// The sealed bids of the most recent round (inspection/benches),
+    /// materialized lazily from the frame.
     [[nodiscard]] const std::vector<auction::Bid>& last_bids() const;
 
     /// Enable the contract-compliance model (Section III.A step 4): winners
@@ -194,26 +163,21 @@ public:
 
 private:
     void collect_frame();
-    void run_fused_round(std::size_t k, stats::Rng& rng);
-    void run_classic_round(std::size_t k, stats::Rng& rng);
-    [[nodiscard]] double bid_quality(auction::NodeId node, std::size_t dim) const;
 
     MecPopulation& population_;
     const auction::ScoringRule& scoring_;
     const auction::EquilibriumStrategy& strategy_;
     auction::WinnerDeterminationConfig wd_config_;
     QualityLayout layout_;
-    QualityExtractor extractor_;
     std::size_t data_dimension_;
     auction::PaymentMethod payment_method_;
     ComplianceSpec compliance_;
     Blacklist blacklist_;
-    bool fused_path_ = false;
     /// True when `strategy_` was solved against `scoring_` itself, letting
     /// the collector reuse the quote's s(q) as the aggregator score.
     bool strategy_scores_broadcast_rule_ = false;
 
-    // Fused-path state, reused across rounds.
+    // Round state, reused across rounds.
     auction::BidFrame frame_;
     auction::RankScratch scratch_;
     auction::AuctionOutcome outcome_;
@@ -221,7 +185,7 @@ private:
     std::shared_ptr<const auction::Mechanism> mechanism_;
     std::size_t mechanism_k_ = npos;
 
-    // Classic-path bid list, doubling as the lazy `last_bids()` cache.
+    // The lazy `last_bids()` cache.
     mutable std::vector<auction::Bid> last_bids_;
     mutable bool last_bids_stale_ = false;
 };

@@ -203,9 +203,6 @@ private:
     std::vector<const double*> columns_;
     auction::RankScratch scratch_;
     auction::AuctionOutcome outcome_;
-    std::vector<std::size_t> active_;            ///< shuffle-mode global actives
-    std::vector<std::size_t> order_;
-    std::vector<std::uint32_t> pos_;
 
     std::shared_ptr<const auction::Mechanism> mechanism_;
     std::size_t mechanism_k_ = npos;

@@ -79,7 +79,7 @@ struct StreamCloseDecision {
 ///  - otherwise a deadline close when `deadline_s > 0` and some arrival is
 ///    strictly later (arrivals exactly at the deadline are counted);
 ///  - otherwise exhaustion at the last arrival.
-/// O(n) time, O(quorum) space — one bounded max-heap pass.
+/// O(n) time, O(quorum) space — one bounded top-K pass.
 [[nodiscard]] StreamCloseDecision resolve_stream_close(
     std::size_t n, const Blacklist& banned, std::uint64_t arrival_salt,
     double horizon_s, double deadline_s, std::size_t quorum);

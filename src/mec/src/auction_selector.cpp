@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "fmore/util/thread_pool.hpp"
@@ -13,16 +11,6 @@
 namespace fmore::mec {
 
 namespace {
-
-double resource_value(const ResourceState& r, ResourceDim dim) {
-    switch (dim) {
-        case ResourceDim::data_size: return r.data_size;
-        case ResourceDim::category_proportion: return r.category_proportion;
-        case ResourceDim::bandwidth: return r.bandwidth_mbps;
-        case ResourceDim::cpu: return r.cpu_cores;
-    }
-    throw std::logic_error("AuctionSelector: unknown ResourceDim");
-}
 
 /// Nodes per parallel collect task (same granularity as the store's
 /// evolve chunks).
@@ -33,64 +21,32 @@ constexpr std::size_t kCollectChunk = 4096;
 /// blocks.
 constexpr std::size_t kBlockCells = 4 * numeric::kRowBlock;
 
-bool legacy_path_forced() {
-    const char* env = std::getenv("FMORE_BID_PATH");
-    return env != nullptr && std::string_view(env) == "legacy";
-}
-
 } // namespace
 
-QualitySource::QualitySource(QualityLayout layout) : layout(std::move(layout)) {
-    const QualityLayout& dims = this->layout;
-    fn = [dims](const ResourceState& r) {
-        auction::QualityVector q(dims.size());
-        for (std::size_t d = 0; d < dims.size(); ++d) q[d] = resource_value(r, dims[d]);
-        return q;
-    };
+QualityLayout data_category_extractor() {
+    return {ResourceDim::data_size, ResourceDim::category_proportion};
 }
 
-QualitySource::QualitySource(QualityExtractor fn) : fn(std::move(fn)) {}
-
-QualitySource data_category_extractor() {
-    return QualitySource(
-        QualityLayout{ResourceDim::data_size, ResourceDim::category_proportion});
-}
-
-QualitySource cpu_bandwidth_data_extractor() {
-    return QualitySource(
-        QualityLayout{ResourceDim::cpu, ResourceDim::bandwidth, ResourceDim::data_size});
+QualityLayout cpu_bandwidth_data_extractor() {
+    return {ResourceDim::cpu, ResourceDim::bandwidth, ResourceDim::data_size};
 }
 
 AuctionSelector::AuctionSelector(MecPopulation& population,
                                  const auction::ScoringRule& scoring,
                                  const auction::EquilibriumStrategy& strategy,
                                  auction::WinnerDeterminationConfig wd_config,
-                                 QualitySource source, std::size_t data_dimension,
+                                 QualityLayout layout, std::size_t data_dimension,
                                  auction::PaymentMethod payment_method)
     : population_(population),
       scoring_(scoring),
       strategy_(strategy),
       wd_config_(std::move(wd_config)),
-      layout_(std::move(source.layout)),
-      extractor_(std::move(source.fn)),
+      layout_(std::move(layout)),
       data_dimension_(data_dimension),
-      payment_method_(payment_method) {
-    if (!extractor_) throw std::invalid_argument("AuctionSelector: null extractor");
-    if (!layout_.empty() && layout_.size() != strategy_.dimensions())
-        throw std::logic_error("AuctionSelector: extractor/strategy dimension mismatch");
-    fused_path_ = !layout_.empty() && !legacy_path_forced();
-    strategy_scores_broadcast_rule_ = strategy_.scoring_rule() == &scoring_;
+      payment_method_(payment_method),
+      strategy_scores_broadcast_rule_(strategy_.scoring_rule() == &scoring_) {
+    check_bid_layout(layout_, strategy_, scoring_, strategy_scores_broadcast_rule_);
 }
-
-AuctionSelector::AuctionSelector(MecPopulation& population,
-                                 const auction::ScoringRule& scoring,
-                                 const auction::EquilibriumStrategy& strategy,
-                                 auction::WinnerDeterminationConfig wd_config,
-                                 QualityExtractor extractor, std::size_t data_dimension,
-                                 auction::PaymentMethod payment_method)
-    : AuctionSelector(population, scoring, strategy, std::move(wd_config),
-                      QualitySource(std::move(extractor)), data_dimension,
-                      payment_method) {}
 
 void check_bid_layout(const QualityLayout& layout,
                       const auction::EquilibriumStrategy& strategy,
@@ -235,10 +191,14 @@ void AuctionSelector::collect_frame() {
     frame_.set_scored(true);
 }
 
-void AuctionSelector::run_fused_round(std::size_t k, stats::Rng& rng) {
+const auction::AuctionOutcome& AuctionSelector::run_auction_round(std::size_t round,
+                                                                  std::size_t k,
+                                                                  stats::Rng& rng) {
+    // Round 1 bids on the initial resource state; drift applies afterwards.
+    if (round > 1) population_.evolve(rng);
     collect_frame();
     // The mechanism is pure configuration — rebuild only when K changes
-    // (in practice: once), not on every call like the classic path did.
+    // (in practice: once), not on every round.
     if (!mechanism_ || mechanism_k_ != k) {
         auction::WinnerDeterminationConfig wd = wd_config_;
         wd.num_winners = k;
@@ -249,40 +209,6 @@ void AuctionSelector::run_fused_round(std::size_t k, stats::Rng& rng) {
     // that override run() wholesale — semantically exact on frame rounds.
     mechanism_->run_frame(scoring_, frame_, rng, scratch_, outcome_);
     last_bids_stale_ = true;
-}
-
-void AuctionSelector::run_classic_round(std::size_t k, stats::Rng& rng) {
-    const PopulationStore& store = population_.store();
-    last_bids_.clear();
-    last_bids_.reserve(store.size());
-    for (std::size_t i = 0; i < store.size(); ++i) {
-        // Blacklisted defaulters are shut out of bid collection.
-        if (blacklist_.contains(i)) continue;
-        const auction::QualityVector available = extractor_(store.resources(i));
-        auction::QualityVector q = strategy_.quality(store.theta(i));
-        if (q.size() != available.size())
-            throw std::logic_error("AuctionSelector: extractor/strategy dimension mismatch");
-        for (std::size_t d = 0; d < q.size(); ++d) q[d] = std::min(q[d], available[d]);
-        const double p = strategy_.payment_for(q, store.theta(i), payment_method_);
-        last_bids_.push_back(auction::Bid{i, std::move(q), p});
-    }
-    auction::WinnerDeterminationConfig wd = wd_config_;
-    wd.num_winners = k;
-    const auction::WinnerDetermination determination(scoring_, wd);
-    outcome_ = determination.run(last_bids_, rng);
-    last_bids_stale_ = false;
-}
-
-const auction::AuctionOutcome& AuctionSelector::run_auction_round(std::size_t round,
-                                                                  std::size_t k,
-                                                                  stats::Rng& rng) {
-    // Round 1 bids on the initial resource state; drift applies afterwards.
-    if (round > 1) population_.evolve(rng);
-    if (fused_path_) {
-        run_fused_round(k, rng);
-    } else {
-        run_classic_round(k, rng);
-    }
     return outcome_;
 }
 
@@ -294,33 +220,15 @@ const std::vector<auction::Bid>& AuctionSelector::last_bids() const {
     return last_bids_;
 }
 
-double AuctionSelector::bid_quality(auction::NodeId node, std::size_t dim) const {
-    // Fused rounds keep every bid addressable by NodeId in the frame; the
-    // classic path resolves winners through the bid list like it always
-    // did (see select()).
-    return frame_.quality_row(node)[dim];
-}
-
 fl::SelectionRecord AuctionSelector::select(std::size_t round, std::size_t k,
                                             stats::Rng& rng) {
     (void)run_auction_round(round, k, rng);
-
+    // Every bid stays addressable by NodeId in the frame.
     std::function<double(auction::NodeId)> promised;
-    std::vector<std::size_t> bid_of_node;
     if (data_dimension_ != npos) {
-        if (fused_path_) {
-            promised = [this](auction::NodeId node) {
-                return bid_quality(node, data_dimension_);
-            };
-        } else {
-            bid_of_node.assign(population_.size(), npos);
-            for (std::size_t i = 0; i < last_bids_.size(); ++i) {
-                bid_of_node[last_bids_[i].node] = i;
-            }
-            promised = [this, &bid_of_node](auction::NodeId node) {
-                return last_bids_[bid_of_node[node]].quality[data_dimension_];
-            };
-        }
+        promised = [this](auction::NodeId node) {
+            return frame_.quality_row(node)[data_dimension_];
+        };
     }
     return assemble_selection_record(outcome_, population_.size(), promised,
                                      compliance_, blacklist_, rng);

@@ -624,7 +624,7 @@ const auction::AuctionOutcome& ProcessShardAggregator::run_round(std::size_t rou
     req.round = round;
     req.k = k;
     req.evolve_salt = round > 1 ? rng.engine()() : 0;
-    req.tie_salt = rng.engine()();
+    req.tie_salt = auction::draw_tie_keys(/*salted=*/true, {}, impl.n, rng, impl.scratch).salt;
     req.num_banned = impl.pending_bans.size();
     const std::size_t m = impl.n - impl.banned_set.size();
     req.limit = engine->ranking_cutoff(m);
@@ -761,7 +761,7 @@ const auction::AuctionOutcome& ProcessShardAggregator::run_streaming_round(
     req.round = round;
     req.k = k;
     req.evolve_salt = round > 1 ? rng.engine()() : 0;
-    req.tie_salt = rng.engine()();
+    req.tie_salt = auction::draw_tie_keys(/*salted=*/true, {}, impl.n, rng, impl.scratch).salt;
     const std::uint64_t arrival_salt = rng.engine()();
     if (round > 1) impl.salt_history.push_back(req.evolve_salt);
 
@@ -808,7 +808,7 @@ const auction::AuctionOutcome& ProcessShardAggregator::run_streaming_round(
 
     // Fold every worker's chunk stream into the incremental merge AS THE
     // FRAMES LAND, all shards concurrently — one poll loop over the live
-    // response pipes, one frame consumed per readiness. The bounded-heap
+    // response pipes, one frame consumed per readiness. The merge's top-K
     // kept set is order-independent, so interleaving across shards (and
     // out-of-order resent tails) finishes bit-identically to whole-head
     // merging.

@@ -84,14 +84,8 @@ void ShardedAuctionSelector::init_shards_from_boundaries(const PopulationStore& 
 }
 
 void ShardedAuctionSelector::validate_config() {
-    if (layout_.empty())
-        throw std::invalid_argument(
-            "ShardedAuctionSelector: a quality column layout is required (custom "
-            "extractors cannot be pushed down to shards)");
-    if (layout_.size() != strategy_.dimensions())
-        throw std::logic_error(
-            "ShardedAuctionSelector: layout/strategy dimension mismatch");
     strategy_scores_broadcast_rule_ = strategy_.scoring_rule() == &scoring_;
+    check_bid_layout(layout_, strategy_, scoring_, strategy_scores_broadcast_rule_);
 }
 
 void ShardedAuctionSelector::set_shard_timeout(double seconds) {
@@ -172,32 +166,19 @@ void ShardedAuctionSelector::run_fused_sharded(
     // blacklisted" — a fact the coordinator owns — so it is derivable
     // without any shard data, which is what lets shuffle mode replay the
     // monolithic round's global permutation (same length, same generator
-    // draws) even when a shard misses the deadline.
-    auction::TieKeys keys;
-    std::size_t m = 0;
+    // draws) even when a shard misses the deadline. Salted keys need only
+    // the count, so only shuffle mode lists the ids.
     const bool salted = engine.spec().tie_break == auction::TieBreak::salted;
-    if (salted) {
-        keys.salted = true;
-        keys.salt = rng.engine()();
-        for (std::size_t g = 0; g < starts_.back(); ++g) {
-            if (!blacklist_.contains(g)) ++m;
-        }
-    } else {
-        if (starts_.back() > UINT32_MAX)
-            throw std::invalid_argument(
-                "ShardedAuctionSelector: more than 2^32 rows (use TieBreak::salted)");
-        active_.clear();
-        for (std::size_t g = 0; g < starts_.back(); ++g) {
-            if (!blacklist_.contains(g)) active_.push_back(g);
-        }
-        m = active_.size();
-        order_.assign(active_.begin(), active_.end());
-        rng.shuffle(order_);
-        pos_.resize(starts_.back());
-        for (std::size_t j = 0; j < m; ++j)
-            pos_[order_[j]] = static_cast<std::uint32_t>(j);
-        keys.pos = pos_.data();
+    std::size_t m = 0;
+    std::vector<std::size_t>& active = scratch_.active;
+    active.clear();
+    for (std::size_t g = 0; g < starts_.back(); ++g) {
+        if (blacklist_.contains(g)) continue;
+        ++m;
+        if (!salted) active.push_back(g);
     }
+    const auction::TieKeys keys =
+        auction::draw_tie_keys(salted, active, starts_.back(), rng, scratch_);
 
     // One cutoff rule for shards and coordinator: per-shard heads are
     // bounded by the GLOBAL cutoff, so their union provably contains the

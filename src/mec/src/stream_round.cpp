@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "fmore/auction/market_order.hpp"
+
 namespace fmore::mec {
 
 namespace {
@@ -15,10 +17,12 @@ struct Tick {
 };
 
 /// Arrival replay order: (seconds asc, node asc) — `ArrivalModel`'s sort.
-bool earlier(const Tick& a, const Tick& b) {
-    if (a.seconds != b.seconds) return a.seconds < b.seconds;
-    return a.node < b.node;
-}
+struct Earlier {
+    bool operator()(const Tick& a, const Tick& b) const {
+        if (a.seconds != b.seconds) return a.seconds < b.seconds;
+        return a.node < b.node;
+    }
+};
 
 } // namespace
 
@@ -34,40 +38,29 @@ StreamCloseDecision resolve_stream_close(std::size_t n, const Blacklist& banned,
         throw std::invalid_argument("resolve_stream_close: deadline_s must be >= 0");
 
     // One pass: count the eligible bids, the ones at or before the
-    // deadline, the latest arrival, and (bounded heap) the first `quorum`
-    // arrivals under the replay order.
+    // deadline, the latest arrival, and the first `quorum` arrivals under
+    // the replay order (a bounded top-K whose worst kept is the latest).
     std::size_t eligible = 0;
     std::size_t by_deadline = 0;
     double last_s = 0.0;
     std::vector<Tick> first_q;
-    first_q.reserve(quorum);
+    first_q.reserve(std::min(quorum, n));
+    auction::BoundedTopK<Tick, Earlier> earliest(first_q, quorum);
     for (std::size_t node = 0; node < n; ++node) {
         if (banned.contains(node)) continue;
         const double sec = stream_arrival_s(arrival_salt, node, horizon_s);
         ++eligible;
         if (deadline_s <= 0.0 || sec <= deadline_s) ++by_deadline;
         if (eligible == 1 || sec > last_s) last_s = sec;
-        if (quorum > 0) {
-            // Keep the q EARLIEST arrivals: a max-heap under the replay
-            // order, root = latest kept, displaced by any earlier tick.
-            const Tick tick{sec, node};
-            if (first_q.size() < quorum) {
-                first_q.push_back(tick);
-                std::push_heap(first_q.begin(), first_q.end(), earlier);
-            } else if (earlier(tick, first_q.front())) {
-                std::pop_heap(first_q.begin(), first_q.end(), earlier);
-                first_q.back() = tick;
-                std::push_heap(first_q.begin(), first_q.end(), earlier);
-            }
-        }
+        if (quorum > 0) earliest.offer(Tick{sec, node});
     }
 
     StreamCloseDecision close;
     if (quorum > 0 && eligible >= quorum) {
         // The quorum-filling arrival, i.e. the q-th under the replay order
-        // (the heap root). The market checks quorum on accept, so it fires
-        // only when that arrival itself is not past the deadline.
-        const Tick& qth = first_q.front();
+        // (the latest kept). The market checks quorum on accept, so it
+        // fires only when that arrival itself is not past the deadline.
+        const Tick& qth = earliest.worst();
         if (deadline_s <= 0.0 || qth.seconds <= deadline_s) {
             close.reason = auction::CloseReason::quorum;
             close.close_time_s = qth.seconds;

@@ -22,12 +22,8 @@ StreamingAuctionSelector::StreamingAuctionSelector(
       data_dimension_(data_dimension),
       streaming_(std::move(streaming)),
       payment_method_(payment_method) {
-    if (layout_.empty())
-        throw std::invalid_argument("StreamingAuctionSelector: empty quality layout "
-                                    "(streaming rounds run the fused bid path only)");
-    if (layout_.size() != strategy_.dimensions())
-        throw std::logic_error(
-            "StreamingAuctionSelector: layout/strategy dimension mismatch");
+    strategy_scores_broadcast_rule_ = strategy_.scoring_rule() == &scoring_;
+    check_bid_layout(layout_, strategy_, scoring_, strategy_scores_broadcast_rule_);
     if (streaming_.process == ArrivalProcess::poisson
         && !(streaming_.arrival_rate_hz > 0.0))
         throw std::invalid_argument(
@@ -39,7 +35,6 @@ StreamingAuctionSelector::StreamingAuctionSelector(
         throw std::invalid_argument(
             "StreamingAuctionSelector: adaptive_quorum needs a starting "
             "quorum > 0 (timing.min_updates seeds the controller)");
-    strategy_scores_broadcast_rule_ = strategy_.scoring_rule() == &scoring_;
     last_quorum_ = streaming_.quorum;
 }
 

@@ -1,21 +1,31 @@
-// The acceptance contract of the SoA/fused round path: experiments driven
-// through the structure-of-arrays population store and the fused
-// BidFrame collect+rank pipeline reproduce the classic per-bid reference
-// path (FMORE_BID_PATH=legacy) bit-identically — winners, payments,
-// scores, accuracy and wall-clock metrics — on both the simulator and the
-// testbed engine.
+// The acceptance contract of the fused SoA round: mec::AuctionSelector,
+// which writes bids straight into a reused BidFrame and ranks them in one
+// fused score + top-K pass, reproduces the classic per-bid market
+// (reference::ClassicAuctionSelector: one Bid per node, a
+// WinnerDetermination rebuilt per round) bit-identically. Both run on each
+// scenario's own scoring rule, solved strategy, quality layout and data
+// dimension, over twin populations, with contract compliance on so winners
+// defect and get banned. After every round the whole SelectionRecord and
+// the generator's next draw must agree. The trial engines read nothing
+// else from a selector, so this pins what a whole-trial comparison would.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "fmore/core/realworld.hpp"
 #include "fmore/core/scenarios.hpp"
-#include "fmore/core/trials.hpp"
+#include "fmore/core/simulation.hpp"
+#include "fmore/mec/auction_selector.hpp"
+#include "fmore/reference/classic_auction_selector.hpp"
+#include "fmore/stats/distributions.hpp"
 
 namespace fmore::core {
 namespace {
+
+constexpr std::size_t kRounds = 4;
 
 ExperimentSpec tiny(const std::string& scenario) {
     ExperimentSpec spec = named_scenario(scenario);
@@ -26,92 +36,129 @@ ExperimentSpec tiny(const std::string& scenario) {
     return spec;
 }
 
-std::vector<fl::RunResult> run_with_path(const ExperimentSpec& spec,
-                                         const std::string& policy, const char* path) {
-    const char* previous = std::getenv("FMORE_BID_PATH");
-    const std::string saved = previous ? previous : "";
-    if (path != nullptr) ::setenv("FMORE_BID_PATH", path, 1);
-    else ::unsetenv("FMORE_BID_PATH");
-    std::vector<fl::RunResult> runs;
-    try {
-        runs = run_experiment_trials(spec, policy, 2);
-    } catch (...) {
-        if (previous) ::setenv("FMORE_BID_PATH", saved.c_str(), 1);
-        else ::unsetenv("FMORE_BID_PATH");
-        throw;
-    }
-    if (previous) ::setenv("FMORE_BID_PATH", saved.c_str(), 1);
-    else ::unsetenv("FMORE_BID_PATH");
-    return runs;
+/// What `make_market_selector` reads from the spec for the monolithic
+/// market (the simulator has no latency table).
+auction::WinnerDeterminationConfig wd_config(const ExperimentSpec& spec, bool psi_policy) {
+    const AuctionSpec& auc = spec.auction;
+    auction::WinnerDeterminationConfig wd;
+    wd.mechanism = auc.mechanism;
+    wd.num_winners = auc.winners;
+    wd.payment_rule = auc.payment_rule;
+    wd.psi = psi_policy ? auc.psi : 1.0;
+    if (psi_policy) wd.psi_per_node = auc.psi_per_node;
+    wd.budget = auc.budget;
+    wd.full_ranking = auc.full_scoreboard;
+    wd.latency_discount = auc.latency_discount;
+    return wd;
 }
 
-void expect_runs_equal(const std::vector<fl::RunResult>& legacy,
-                       const std::vector<fl::RunResult>& fused,
-                       const std::string& label) {
-    ASSERT_EQ(legacy.size(), fused.size()) << label;
-    for (std::size_t t = 0; t < legacy.size(); ++t) {
-        ASSERT_EQ(legacy[t].rounds.size(), fused[t].rounds.size()) << label;
-        for (std::size_t r = 0; r < legacy[t].rounds.size(); ++r) {
-            SCOPED_TRACE(label + ", trial " + std::to_string(t) + ", round "
-                         + std::to_string(r + 1));
-            const fl::RoundMetrics& a = legacy[t].rounds[r];
-            const fl::RoundMetrics& b = fused[t].rounds[r];
-            EXPECT_EQ(a.test_accuracy, b.test_accuracy);
-            EXPECT_EQ(a.test_loss, b.test_loss);
-            EXPECT_EQ(a.train_loss, b.train_loss);
-            EXPECT_EQ(a.mean_winner_payment, b.mean_winner_payment);
-            EXPECT_EQ(a.mean_winner_score, b.mean_winner_score);
-            EXPECT_EQ(a.round_seconds, b.round_seconds);
-            // Same winners in the same order, with the same contracted
-            // volumes (promised data is read off the bid either way).
-            const fl::SelectionRecord& sa = a.selection;
-            const fl::SelectionRecord& sb = b.selection;
-            ASSERT_EQ(sa.selected.size(), sb.selected.size());
-            for (std::size_t w = 0; w < sa.selected.size(); ++w) {
-                EXPECT_EQ(sa.selected[w].client, sb.selected[w].client);
-                EXPECT_EQ(sa.selected[w].payment, sb.selected[w].payment);
-                EXPECT_EQ(sa.selected[w].score, sb.selected[w].score);
-                EXPECT_EQ(sa.selected[w].train_samples, sb.selected[w].train_samples);
-            }
-            EXPECT_EQ(sa.all_scores, sb.all_scores);
-            EXPECT_EQ(sa.scores_by_node, sb.scores_by_node);
-        }
+void expect_records_equal(const fl::SelectionRecord& fused,
+                          const fl::SelectionRecord& classic) {
+    ASSERT_EQ(fused.selected.size(), classic.selected.size());
+    for (std::size_t w = 0; w < fused.selected.size(); ++w) {
+        EXPECT_EQ(fused.selected[w].client, classic.selected[w].client) << "winner " << w;
+        EXPECT_EQ(fused.selected[w].payment, classic.selected[w].payment) << "winner " << w;
+        EXPECT_EQ(fused.selected[w].score, classic.selected[w].score) << "winner " << w;
+        EXPECT_EQ(fused.selected[w].train_samples, classic.selected[w].train_samples)
+            << "winner " << w;
     }
+    EXPECT_EQ(fused.all_scores, classic.all_scores);
+    EXPECT_EQ(fused.scores_by_node, classic.scores_by_node);
+    EXPECT_EQ(fused.dropped_shards, classic.dropped_shards);
+    EXPECT_EQ(fused.shard_health.live_shards, classic.shard_health.live_shards);
+    EXPECT_EQ(fused.shard_health.corrupt_frames, classic.shard_health.corrupt_frames);
+    EXPECT_EQ(fused.shard_health.frame_retries, classic.shard_health.frame_retries);
+    EXPECT_EQ(fused.shard_health.evictions, classic.shard_health.evictions);
+    EXPECT_EQ(fused.shard_health.respawns, classic.shard_health.respawns);
+    EXPECT_EQ(fused.close_reason, classic.close_reason);
+    EXPECT_EQ(fused.close_time_s, classic.close_time_s);
+    EXPECT_EQ(fused.arrived_bids, classic.arrived_bids);
+    EXPECT_EQ(fused.bid_quorum, classic.bid_quorum);
+}
+
+/// Drive both selectors over twin populations built like the trial's.
+void expect_markets_equal(const ExperimentSpec& spec, bool psi_policy,
+                          const std::vector<ml::ClientShard>& shards,
+                          const auction::EquilibriumStrategy& strategy) {
+    const PopulationSpec& pop = spec.population;
+    const bool testbed = spec.kind == ExperimentKind::testbed;
+    mec::PopulationSpec pop_spec;
+    if (testbed) {
+        pop_spec.cpu_lo = pop.cpu_lo;
+        pop_spec.cpu_hi = pop.cpu_hi;
+        pop_spec.bandwidth_lo = pop.bandwidth_lo;
+        pop_spec.bandwidth_hi = pop.bandwidth_hi;
+    }
+    pop_spec.dynamics.resource_jitter = pop.resource_jitter;
+    pop_spec.dynamics.theta_jitter = pop.theta_jitter;
+    const stats::UniformDistribution theta(pop.theta_lo, pop.theta_hi);
+    const std::size_t classes = shards.front().label_count.size();
+    stats::Rng fused_pop_rng(spec.seed ^ 0xabcdef12345ULL);
+    stats::Rng classic_pop_rng(spec.seed ^ 0xabcdef12345ULL);
+    mec::MecPopulation fused_pop(shards, classes, theta, pop_spec, fused_pop_rng);
+    mec::MecPopulation classic_pop(shards, classes, theta, pop_spec, classic_pop_rng);
+
+    const mec::QualityLayout layout = testbed ? mec::cpu_bandwidth_data_extractor()
+                                              : mec::data_category_extractor();
+    const std::size_t data_dimension = testbed ? 2 : 0;
+    const auction::ScoringRule& scoring = *strategy.scoring_rule();
+    const auction::WinnerDeterminationConfig wd = wd_config(spec, psi_policy);
+    mec::AuctionSelector fused(fused_pop, scoring, strategy, wd, layout, data_dimension);
+    reference::ClassicAuctionSelector classic(classic_pop, scoring, strategy, wd, layout,
+                                              data_dimension);
+    const mec::ComplianceSpec compliance{0.3, 0.5};
+    fused.set_compliance(compliance);
+    classic.set_compliance(compliance);
+
+    stats::Rng fused_rng(spec.seed ^ 0xf00dULL);
+    stats::Rng classic_rng(spec.seed ^ 0xf00dULL);
+    for (std::size_t round = 1; round <= kRounds; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        const fl::SelectionRecord a = fused.select(round, spec.auction.winners, fused_rng);
+        const fl::SelectionRecord b = classic.select(round, spec.auction.winners, classic_rng);
+        expect_records_equal(a, b);
+        EXPECT_EQ(fused.blacklist().banned_ids(), classic.blacklist().banned_ids());
+        stats::Rng fused_next = fused_rng;
+        stats::Rng classic_next = classic_rng;
+        EXPECT_EQ(fused_next.engine()(), classic_next.engine()());
+    }
+    // Compliance actually bit: someone defected and was shut out.
+    EXPECT_GT(fused.blacklist().size(), 0u);
+}
+
+void expect_simulator_equal(const ExperimentSpec& spec, bool psi_policy) {
+    const SimulationTrial trial(spec, 0);
+    expect_markets_equal(spec, psi_policy, trial.shards(), trial.equilibrium());
 }
 
 TEST(SoaBitIdentity, SimulatorTrialMatchesLegacyPath) {
-    const ExperimentSpec spec = tiny("paper/fig04");
-    expect_runs_equal(run_with_path(spec, "fmore", "legacy"),
-                      run_with_path(spec, "fmore", nullptr), "sim fmore");
+    expect_simulator_equal(tiny("paper/fig04"), /*psi_policy=*/false);
 }
 
 TEST(SoaBitIdentity, SimulatorPartialScoreboardMatchesLegacyPath) {
     ExperimentSpec spec = tiny("paper/fig04");
     spec.auction.full_scoreboard = false;  // the fused O(N log K) top-K path
-    expect_runs_equal(run_with_path(spec, "fmore", "legacy"),
-                      run_with_path(spec, "fmore", nullptr), "sim fmore partial");
+    expect_simulator_equal(spec, /*psi_policy=*/false);
 }
 
 TEST(SoaBitIdentity, SimulatorPsiFMoreMatchesLegacyPath) {
     ExperimentSpec spec = tiny("paper/fig04");
     spec.auction.psi = 0.5;
-    expect_runs_equal(run_with_path(spec, "psi_fmore", "legacy"),
-                      run_with_path(spec, "psi_fmore", nullptr), "sim psi_fmore");
+    expect_simulator_equal(spec, /*psi_policy=*/true);
 }
 
 TEST(SoaBitIdentity, TestbedTrialMatchesLegacyPath) {
     ExperimentSpec spec = tiny("testbed/default");
     spec.auction.full_scoreboard = false;
-    expect_runs_equal(run_with_path(spec, "fmore", "legacy"),
-                      run_with_path(spec, "fmore", nullptr), "testbed fmore");
+    const RealWorldTrial trial(spec, 0);
+    expect_markets_equal(spec, /*psi_policy=*/false, trial.shards(), trial.equilibrium());
 }
 
 TEST(SoaBitIdentity, SecondScoreMechanismMatchesLegacyPath) {
     ExperimentSpec spec = tiny("paper/fig04");
     spec.auction.mechanism = "second_score";
     spec.auction.full_scoreboard = false;  // exercises the top-(K+1) cut
-    expect_runs_equal(run_with_path(spec, "fmore", "legacy"),
-                      run_with_path(spec, "fmore", nullptr), "sim second_score");
+    expect_simulator_equal(spec, /*psi_policy=*/false);
 }
 
 } // namespace

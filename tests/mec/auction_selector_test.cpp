@@ -3,6 +3,8 @@
 #include <set>
 
 #include "fmore/mec/auction_selector.hpp"
+#include "fmore/mec/sharded_selector.hpp"
+#include "fmore/mec/streaming_selector.hpp"
 #include "fmore/ml/synthetic.hpp"
 
 namespace fmore::mec {
@@ -147,6 +149,28 @@ TEST_F(AuctionSelectorTest, ResourcesEvolveBetweenRounds) {
         if (bids_r1[i].quality != bids_r2[i].quality) changed = true;
     }
     EXPECT_TRUE(changed);
+}
+
+TEST_F(AuctionSelectorTest, EverySelectorRejectsABadLayoutAtConstruction) {
+    // A three-dimension broadcast rule over a two-column layout and a
+    // two-dimension strategy solved against another rule: no round can
+    // score these bids, so each selector refuses them before its first
+    // round, as the cross-process aggregator does before it forks.
+    const auction::AdditiveScoring broadcast({0.4, 0.3, 0.3});
+    const QualityLayout layout{ResourceDim::data_size, ResourceDim::category_proportion};
+    auction::WinnerDeterminationConfig wd;
+    wd.num_winners = 6;
+    EXPECT_THROW(AuctionSelector(*population_, broadcast, *strategy_, wd, layout, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(ShardedAuctionSelector(*population_, broadcast, *strategy_, wd, layout, 0,
+                                        /*num_shards=*/2),
+                 std::invalid_argument);
+    EXPECT_THROW(ShardedAuctionSelector(population_->store().split_even(2), broadcast,
+                                        *strategy_, wd, layout, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(StreamingAuctionSelector(*population_, broadcast, *strategy_, wd, layout, 0,
+                                          StreamingRoundConfig{}),
+                 std::invalid_argument);
 }
 
 } // namespace
