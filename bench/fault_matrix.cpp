@@ -16,10 +16,12 @@
 //
 // A `fork_memory` object records the fork transport's resident set on the
 // wire_1m market (1M nodes, 200k under --smoke, 4 workers): the largest
-// worker peak resident set (VmHWM), and how far the coordinator's and each
+// worker peak resident set (VmHWM), how far the coordinator's and each
 // worker's peak rise above the coordinator's resident set before the
-// aggregator exists (negative when a worker holds less), without and with a
-// respawn budget.
+// aggregator exists (negative when a worker holds less), and the most
+// anonymous memory a worker holds of its own (its RssAnon less what it
+// inherited, the coordinator's RssAnon before construction without the
+// store), without and with a respawn budget.
 //
 // Results land in the `faults` section of BENCH_scale.json, spliced
 // section-bounded via util/json_ledger.hpp: only the `faults` member is
@@ -34,11 +36,13 @@
 // happening at positive crash rates — and on the fork_memory ratios: the
 // coordinator's peak grows by less than a quarter of the store without a
 // respawn budget, no worker's peak exceeds the coordinator's resident set
-// before construction by half the store, and, stricter, none exceeds that
-// set less the store by half the store, which fails when a worker carries
-// the caller's store. Ratios of one run's own numbers hold on any
-// machine. No timing gates: fault-recovery latency
-// is dominated by deliberate stalls and deadlines, not by code.
+// before construction by half the store, nor that set less the store by
+// half the store, which fails when a worker carries the caller's store,
+// and, tightest, no worker holds 1.25 times its share of the store (store /
+// 4) of its own, which fails when a worker carries a bid frame over its
+// rows (about 1.46 shares; a lean worker holds about 1.05). Ratios of one
+// run's own numbers hold on any machine. No timing gates: fault-recovery
+// latency is dominated by deliberate stalls and deadlines, not by code.
 
 #include <unistd.h>
 
@@ -252,8 +256,11 @@ MatrixRow run_plan(const PlanSpec& plan_spec, const Market& market, std::size_t 
 
 constexpr std::size_t kForkShards = 4;
 constexpr std::size_t kForkRounds = 2;
+/// Bound on the anonymous memory a worker holds of its own, in shares of
+/// the store (store / kForkShards).
+constexpr double kWorkerHeldShares = 1.25;
 
-/// One `/proc/<pid>/status` field ("VmHWM:", "VmRSS:") in MiB.
+/// One `/proc/<pid>/status` field ("VmHWM:", "VmRSS:", "RssAnon:") in MiB.
 /// @throws std::runtime_error when the process or the field cannot be read
 double status_mb(const std::string& pid, const char* field) {
     std::ifstream in("/proc/" + pid + "/status");
@@ -272,6 +279,9 @@ struct ForkMemoryRow {
     double coordinator_extra_mb = 0.0;  ///< coordinator VmHWM growth
     double worker_hwm_mb_max = 0.0;     ///< largest worker VmHWM
     double worker_extra_mb_max = 0.0;   ///< worker_hwm_mb_max - coordinator VmRSS before
+    /// Largest worker RssAnon less what it inherited: the coordinator's
+    /// RssAnon before construction without the store.
+    double worker_held_mb_max = 0.0;
     double sum_hwm_mb = 0.0;            ///< coordinator + every worker
     std::size_t workers_read = 0;       ///< live workers, whose VmHWM was read
 };
@@ -286,6 +296,7 @@ ForkMemoryRow measure_fork_memory(const mec::PopulationStore& store, const Marke
                    / (1024.0 * 1024.0);
     const double rss_before = status_mb("self", "VmRSS:");
     const double hwm_before = status_mb("self", "VmHWM:");
+    const double inherited_anon = status_mb("self", "RssAnon:") - row.store_mb;
     mec::ShardSupervisorConfig sup;
     sup.max_respawns = max_respawns;
     mec::ProcessShardAggregator aggregator(store, *market.scoring, *market.strategy,
@@ -303,8 +314,11 @@ ForkMemoryRow measure_fork_memory(const mec::PopulationStore& store, const Marke
         const int pid = aggregator.worker_pid(s);
         if (pid <= 0) continue;  // evicted: its peak went with it
         const double hwm = status_mb(std::to_string(pid), "VmHWM:");
+        const double held = status_mb(std::to_string(pid), "RssAnon:") - inherited_anon;
         row.worker_hwm_mb_max =
             row.workers_read == 0 ? hwm : std::max(row.worker_hwm_mb_max, hwm);
+        row.worker_held_mb_max =
+            row.workers_read == 0 ? held : std::max(row.worker_held_mb_max, held);
         ++row.workers_read;
         row.sum_hwm_mb += hwm;
     }
@@ -473,10 +487,11 @@ std::string render_section(const std::vector<MatrixRow>& rows,
         std::snprintf(buf, sizeof buf,
                       "      {\"max_respawns\": %zu, \"store_mb\": %.4g, "
                       "\"coordinator_extra_mb\": %.4g, \"worker_hwm_mb_max\": %.4g, "
-                      "\"worker_extra_mb_max\": %.4g, \"sum_hwm_mb\": %.4g}%s\n",
+                      "\"worker_extra_mb_max\": %.4g, \"worker_held_mb_max\": %.4g, "
+                      "\"sum_hwm_mb\": %.4g}%s\n",
                       f.max_respawns, f.store_mb, f.coordinator_extra_mb,
-                      f.worker_hwm_mb_max, f.worker_extra_mb_max, f.sum_hwm_mb,
-                      i + 1 < fork.size() ? "," : "");
+                      f.worker_hwm_mb_max, f.worker_extra_mb_max, f.worker_held_mb_max,
+                      f.sum_hwm_mb, i + 1 < fork.size() ? "," : "");
         out << buf;
     }
     out << "    ]},\n";
@@ -566,6 +581,17 @@ bool check_against(const std::string& text, const std::vector<MatrixRow>& rows,
                       << " MiB above the coordinator's resident set without the"
                          " store, not under half the " << f.store_mb
                       << " MiB store: it carries the caller's store\n";
+            ok = false;
+        }
+        // A lean worker holds its share of the store and a bounded head. A
+        // bid frame over its rows adds 33 bytes a row to the share's 72 at
+        // d = 2, so a worker that carries one holds about 1.46 shares.
+        const double share_mb = f.store_mb / static_cast<double>(kForkShards);
+        if (!(f.worker_held_mb_max < kWorkerHeldShares * share_mb)) {
+            std::cerr << "fault_matrix --check: " << config << ": a worker holds "
+                      << f.worker_held_mb_max << " MiB of its own, not under "
+                      << kWorkerHeldShares << " times its " << share_mb
+                      << " MiB share of the store: it carries a per-row buffer\n";
             ok = false;
         }
     }
@@ -663,9 +689,11 @@ int main(int argc, char** argv) {
     std::cout << "fork_memory: N=" << fork_n << " shards=" << kForkShards << '\n';
     for (const ForkMemoryRow& f : fork)
         std::printf("  max_respawns %zu  store %.2f MiB  coordinator %+.2f MiB  "
-                    "worker %.2f MiB, %+.2f MiB (max)  sum of peaks %.1f MiB\n",
+                    "worker %.2f MiB, %+.2f MiB, holds %.2f MiB (max)  "
+                    "sum of peaks %.1f MiB\n",
                     f.max_respawns, f.store_mb, f.coordinator_extra_mb,
-                    f.worker_hwm_mb_max, f.worker_extra_mb_max, f.sum_hwm_mb);
+                    f.worker_hwm_mb_max, f.worker_extra_mb_max, f.worker_held_mb_max,
+                    f.sum_hwm_mb);
     std::cout << '\n';
 
     // The matrix: one clean baseline, crash churn at two rates, wire

@@ -109,6 +109,22 @@ public:
     /// round uses as head chunks land on the wire.
     void ingest_row(const HeadRow& row, const double* quality);
 
+    /// True when no row scoring `score` can enter: the merge is full and
+    /// `score` is below its worst kept row's. The order compares scores
+    /// first, so a caller may skip deriving such a row's tie key. A score
+    /// tying the worst's, or NaN on either side, reads false and takes the
+    /// full comparison in `admit_row`.
+    [[nodiscard]] bool rejects_score(double score) const {
+        return heap_.size() >= cutoff_ && (cutoff_ == 0 || score < heap_.front().score);
+    }
+
+    /// `ingest_row` without the copy: keep `row` if it ranks within the
+    /// cutoff and return the arena slot its `dims` quality values must be
+    /// written to, or null when it does not enter. A producer that holds a
+    /// row's quality in another layout writes it once, and only for rows
+    /// the merge keeps.
+    [[nodiscard]] double* admit_row(const HeadRow& row);
+
     /// Heads ingested so far this round (`ingest` calls; `ingest_row` does
     /// not bump this — callers count their own streams).
     [[nodiscard]] std::size_t ingested() const { return ingested_; }
@@ -116,6 +132,11 @@ public:
     /// Sort the surviving rows under the market order and materialize the
     /// merged ranking.
     void finish(std::vector<ScoredBid>& ranking);
+
+    /// Sort the surviving rows under the market order into `head`: the
+    /// rows best-first with their quality vectors, `dims` as opened. Reuses
+    /// `head`'s buffers.
+    void finish(ShardHead& head);
 
 private:
     struct Slot : HeadRow {

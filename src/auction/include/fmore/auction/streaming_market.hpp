@@ -172,6 +172,10 @@ private:
     std::vector<RankScratch::Candidate> head_;
     std::size_t head_cap_ = 0;
     std::size_t head_churn_ = 0;
+
+    /// The sharded close's per-shard head and head merge.
+    ShardHead shard_head_;
+    StreamingHeadMerge shard_merge_;
 };
 
 } // namespace fmore::auction

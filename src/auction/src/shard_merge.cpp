@@ -142,13 +142,17 @@ void StreamingHeadMerge::ingest(const ShardHead& head) {
 }
 
 void StreamingHeadMerge::ingest_row(const HeadRow& row, const double* quality) {
+    if (double* slot = admit_row(row)) std::copy(quality, quality + dims_, slot);
+}
+
+double* StreamingHeadMerge::admit_row(const HeadRow& row) {
     BoundedTopK<Slot> heap(heap_, cutoff_);
-    if (!heap.admits(row)) return;
+    if (!heap.admits(row)) return nullptr;
     // A newcomer to a full merge parks its quality in the arena slot of the
     // row it evicts, so the arena never holds more than `cutoff` rows.
     const std::size_t slot = heap.full() ? heap.worst().arena : heap_.size();
-    std::copy(quality, quality + dims_, arena_.begin() + slot * dims_);
     heap.push(Slot{row, static_cast<std::uint32_t>(slot)});
+    return arena_.data() + slot * dims_;
 }
 
 void StreamingHeadMerge::finish(std::vector<ScoredBid>& ranking) {
@@ -161,6 +165,17 @@ void StreamingHeadMerge::finish(std::vector<ScoredBid>& ranking) {
         sb.bid.quality.assign(q, q + dims_);
         sb.bid.payment = heap_[r].payment;
         sb.score = heap_[r].score;
+    }
+}
+
+void StreamingHeadMerge::finish(ShardHead& head) {
+    BoundedTopK<Slot>(heap_, cutoff_).sort();
+    head.dims = dims_;
+    head.rows.assign(heap_.begin(), heap_.end());
+    head.quality.resize(heap_.size() * dims_);
+    for (std::size_t r = 0; r < heap_.size(); ++r) {
+        const double* q = arena_.data() + heap_[r].arena * dims_;
+        std::copy(q, q + dims_, head.quality.begin() + r * dims_);
     }
 }
 

@@ -157,17 +157,15 @@ const AuctionOutcome& StreamingMarket::close_round_sharded(
     // strict total order at the same cutoff, so the ranking — and the
     // selection and pricing over it — matches close_round bit for bit.
     const std::size_t cutoff = engine_->ranking_cutoff(arrived_);
-    StreamingHeadMerge merge;
-    merge.open(frame_.dims(), cutoff);
-    ShardHead head;
+    shard_merge_.open(frame_.dims(), cutoff);
     for (std::size_t s = 0; s < shard_starts.size(); ++s) {
         const std::size_t begin = shard_starts[s];
         const std::size_t end =
             s + 1 < shard_starts.size() ? shard_starts[s + 1] : frame_.rows();
-        collect_shard_head(frame_, begin, end, 0, tie_keys_, cutoff, head);
-        merge.ingest(head);
+        collect_shard_head(frame_, begin, end, 0, tie_keys_, cutoff, shard_head_);
+        shard_merge_.ingest(shard_head_);
     }
-    merge.finish(outcome_.ranking);
+    shard_merge_.finish(outcome_.ranking);
     engine_->select_into(outcome_.ranking, rng, scratch_.chosen);
     engine_->price_into(scoring_, outcome_.ranking, scratch_.chosen,
                         outcome_.winners);

@@ -6,6 +6,7 @@
 
 #include "fmore/auction/bid_frame.hpp"
 #include "fmore/auction/equilibrium.hpp"
+#include "fmore/auction/shard_merge.hpp"
 #include "fmore/auction/winner_determination.hpp"
 #include "fmore/fl/run_state.hpp"
 #include "fmore/fl/selection.hpp"
@@ -13,6 +14,10 @@
 #include "fmore/mec/population.hpp"
 
 namespace fmore::mec {
+
+namespace wire {
+struct StreamExtra;
+}
 
 /// Which resources a node's bid declares: quality dimension d is read from
 /// the population store's `layout[d]` column, so no per-node vector is ever
@@ -59,6 +64,30 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
                       auction::PaymentMethod payment_method, const Blacklist& blacklist,
                       auction::BidFrame& frame, std::size_t frame_base,
                       std::vector<const double*>& columns, bool parallel);
+
+/// A shard's half of a round in one pass over `store`, with no frame: each
+/// row is quoted exactly as `collect_bid_rows` quotes it and, unless banned
+/// or (when `cut` is set) outside the streaming round's arrival cut, offered
+/// straight to `head`, a bounded head of at most `limit` rows under the
+/// market order. `out` is the head `collect_shard_head` builds from the
+/// frame `collect_bid_rows` fills, bit for bit: every row's arithmetic is
+/// the same, and the head is the top `limit` of a strict total order, which
+/// the order rows are offered in cannot change. Global ids are
+/// `store.node_offset() + row`, for the blacklist, the cut and `keys`.
+/// A row scoring below a full head's worst is dropped before its arrival
+/// time and tie key are derived, and only rows the head keeps have their
+/// quality copied. `columns` and `head` are caller-owned scratch, reused
+/// across calls: a steady call allocates nothing. Serial.
+/// @throws std::invalid_argument when `check_bid_layout` rejects the
+///         layout, strategy and rule
+void collect_head_rows(const PopulationStore& store, const QualityLayout& layout,
+                       const auction::EquilibriumStrategy& strategy,
+                       const auction::ScoringRule& scoring,
+                       bool strategy_scores_broadcast_rule,
+                       auction::PaymentMethod payment_method, const Blacklist& blacklist,
+                       const wire::StreamExtra* cut, const auction::TieKeys& keys,
+                       std::size_t limit, std::vector<const double*>& columns,
+                       auction::StreamingHeadMerge& head, auction::ShardHead& out);
 
 /// Turn one auction outcome into the fl::SelectionRecord the coordinator
 /// consumes: the score board, per-node scores, and the winner list with
@@ -153,10 +182,9 @@ public:
         for (std::size_t node : blacklist_.banned_ids())
             ckpt.banned_nodes.push_back(node);
     }
+    /// @throws std::invalid_argument on a banned id outside the population
     void restore_checkpoint(const fl::SelectorCheckpoint& ckpt) override {
-        blacklist_.clear();
-        for (std::uint64_t node : ckpt.banned_nodes)
-            blacklist_.ban(static_cast<std::size_t>(node));
+        restore_bans(blacklist_, ckpt.banned_nodes, population_.size());
     }
 
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);

@@ -55,6 +55,15 @@ private:
     std::size_t banned_ = 0;
 };
 
+/// Replace `blacklist`'s bans with `ids`, as a selector restores them from a
+/// checkpoint. A checkpoint is untrusted input and `ban` sizes its array by
+/// the largest id, so every id is checked against the population size `n`
+/// before any is taken.
+/// @throws std::invalid_argument naming the first id >= n, with `blacklist`
+///         left as it was
+void restore_bans(Blacklist& blacklist, const std::vector<std::uint64_t>& ids,
+                  std::size_t n);
+
 /// Stochastic contract-compliance model: a winner defects in a given round
 /// with probability `defect_probability`, delivering only
 /// `under_delivery_factor` of the promised data. The aggregator observes

@@ -210,6 +210,7 @@ public:
 
     /// Exclude a node from all future rounds; shipped to its shard with
     /// the next request (and to every respawned worker with its sync).
+    /// @throws std::invalid_argument when `node` is outside the population
     void ban(auction::NodeId node);
 
 private:

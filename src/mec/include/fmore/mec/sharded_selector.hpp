@@ -144,10 +144,9 @@ public:
         for (std::size_t node : blacklist_.banned_ids())
             ckpt.banned_nodes.push_back(node);
     }
+    /// @throws std::invalid_argument on a banned id outside the population
     void restore_checkpoint(const fl::SelectorCheckpoint& ckpt) override {
-        blacklist_.clear();
-        for (std::uint64_t node : ckpt.banned_nodes)
-            blacklist_.ban(static_cast<std::size_t>(node));
+        restore_bans(blacklist_, ckpt.banned_nodes, starts_.back());
     }
 
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);

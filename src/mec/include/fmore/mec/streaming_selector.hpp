@@ -111,6 +111,7 @@ public:
     /// (the controller is a pure function of its observation sequence, so
     /// replaying the tape restores it exactly).
     void save_checkpoint(fl::SelectorCheckpoint& ckpt) const override;
+    /// @throws std::invalid_argument on a banned id outside the population
     void restore_checkpoint(const fl::SelectorCheckpoint& ckpt) override;
 
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);

@@ -6,6 +6,8 @@
 #include <string>
 #include <utility>
 
+#include "fmore/mec/stream_round.hpp"
+#include "fmore/mec/wire_format.hpp"
 #include "fmore/util/thread_pool.hpp"
 
 namespace fmore::mec {
@@ -20,6 +22,90 @@ constexpr std::size_t kCollectChunk = 4096;
 /// to four columns (one per ResourceDim). Wider layouts quote in shorter
 /// blocks.
 constexpr std::size_t kBlockCells = 4 * numeric::kRowBlock;
+
+/// One quote block, on its caller's stack. Qualities are column-major, as
+/// the row kernels take them: dimension d of block row r is q[d * n + r].
+struct QuoteBlock {
+    double q[kBlockCells] = {};
+    double payment[numeric::kRowBlock] = {};
+    double score[numeric::kRowBlock] = {};  ///< the aggregator score S = s(q) - p
+    bool banned[numeric::kRowBlock] = {};
+};
+
+/// The market's quote of store rows, in blocks through the row kernels
+/// (equilibrium.hpp, "Row kernels"); the frame collect and the head pass
+/// both quote through it, so their rows agree bit for bit. Per row, the
+/// same steps as quality_into, the cap clamp and quote_span: the
+/// equilibrium quality clipped to the row's available columns, its sealed
+/// ask, and the aggregator score S = s(q) - p. The quote's s(q) doubles as
+/// the aggregator score only when the strategy was solved against the
+/// selector's broadcast rule (always true for the trial engines); otherwise
+/// the broadcast rule scores the row, so fused and classic ranking agree.
+class BlockQuoter {
+public:
+    /// @throws std::invalid_argument when `check_bid_layout` rejects the
+    ///         layout, strategy and rule
+    BlockQuoter(const PopulationStore& store, const QualityLayout& layout,
+                const auction::EquilibriumStrategy& strategy,
+                const auction::ScoringRule& scoring, bool strategy_scores_broadcast_rule,
+                auction::PaymentMethod payment_method, const Blacklist& blacklist,
+                std::vector<const double*>& columns)
+        : store_(store),
+          strategy_(strategy),
+          scoring_(scoring),
+          strategy_scores_broadcast_rule_(strategy_scores_broadcast_rule),
+          payment_method_(payment_method),
+          blacklist_(blacklist),
+          columns_(columns) {
+        check_bid_layout(layout, strategy, scoring, strategy_scores_broadcast_rule);
+        block_rows_ = std::min(numeric::kRowBlock, kBlockCells / layout.size());
+        // Column pointers resolved once per round; the block loop then
+        // touches only contiguous memory. Caller-owned (not a local
+        // thread_local!) so pool workers see the populated buffer — lambdas
+        // do not capture thread-storage variables, each thread would resolve
+        // its own empty instance — and its capacity survives across rounds.
+        columns.clear();
+        for (const ResourceDim dim : layout) columns.push_back(store.column(dim).data());
+    }
+
+    /// Rows per block: kRowBlock, fewer for layouts wider than four columns.
+    [[nodiscard]] std::size_t block_rows() const { return block_rows_; }
+
+    /// Quote store rows [blo, blo + n), n <= block_rows(), into `b` and flag
+    /// the banned ones (blacklist lookups by GLOBAL id,
+    /// `store.node_offset() + row`). A banned row's cells hold no bid; a
+    /// block of banned rows is only flagged.
+    void quote(std::size_t blo, std::size_t n, QuoteBlock& b) const {
+        std::size_t live = 0;
+        for (std::size_t r = 0; r < n; ++r) {
+            b.banned[r] = blacklist_.contains(store_.node_offset() + blo + r);
+            live += b.banned[r] ? 0 : 1;
+        }
+        if (live == 0) return;
+
+        const double* theta = store_.thetas().data() + blo;
+        strategy_.quality_rows(theta, n, b.q);
+        for (std::size_t d = 0; d < columns_.size(); ++d) {
+            double* qd = b.q + d * n;
+            const double* cap = columns_[d] + blo;
+            for (std::size_t r = 0; r < n; ++r) qd[r] = qd[r] > cap[r] ? cap[r] : qd[r];
+        }
+        // `score` holds s(q) until the ask is subtracted.
+        strategy_.quote_rows(b.q, n, theta, payment_method_, b.payment, b.score);
+        if (!strategy_scores_broadcast_rule_) scoring_.quality_score_rows(b.q, n, b.score);
+        for (std::size_t r = 0; r < n; ++r) b.score[r] -= b.payment[r];
+    }
+
+private:
+    const PopulationStore& store_;
+    const auction::EquilibriumStrategy& strategy_;
+    const auction::ScoringRule& scoring_;
+    bool strategy_scores_broadcast_rule_;
+    auction::PaymentMethod payment_method_;
+    const Blacklist& blacklist_;
+    const std::vector<const double*>& columns_;
+    std::size_t block_rows_ = 0;
+};
 
 } // namespace
 
@@ -72,67 +158,29 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
                       auction::PaymentMethod payment_method, const Blacklist& blacklist,
                       auction::BidFrame& frame, std::size_t frame_base,
                       std::vector<const double*>& columns, bool parallel) {
-    check_bid_layout(layout, strategy, scoring, strategy_scores_broadcast_rule);
+    const BlockQuoter quoter(store, layout, strategy, scoring, strategy_scores_broadcast_rule,
+                             payment_method, blacklist, columns);
     const std::size_t dims = layout.size();
-    const std::size_t block_rows = std::min(numeric::kRowBlock, kBlockCells / dims);
-    // Column pointers resolved once per round; the chunk loop below then
-    // touches only contiguous memory. Caller-owned (not a local
-    // thread_local!) so pool workers see the populated buffer — lambdas do
-    // not capture thread-storage variables, each thread would resolve its
-    // own empty instance — and its capacity survives across rounds.
-    columns.clear();
-    for (const ResourceDim dim : layout) columns.push_back(store.column(dim).data());
-    const std::vector<const double*>& cols = columns;
-    const double* thetas = store.thetas().data();
 
-    // Store rows [clo, chi) in blocks of up to kRowBlock rows, each quoted
-    // through the row kernels (equilibrium.hpp, "Row kernels") off scratch
-    // on this call's stack. Per row, the same steps as quality_into, the
-    // cap clamp and quote_span: the equilibrium quality clipped to the
-    // row's available columns, its sealed ask, and the aggregator score
-    // S = s(q) - p in the frame's score column, so ranking streams one
-    // double per row instead of re-reading N×d qualities. The quote's s(q)
-    // doubles as the aggregator score only when the strategy was solved
-    // against the selector's broadcast rule (always true for the trial
-    // engines); otherwise the broadcast rule scores the row, so fused and
-    // classic ranking agree. Banned rows are deactivated and otherwise
-    // left untouched.
+    // Store rows [clo, chi) into frame rows `frame_base + (i - lo)`, the
+    // aggregator score in the frame's score column, so ranking streams one
+    // double per row instead of re-reading N×d qualities. Banned rows are
+    // deactivated and otherwise left untouched.
     const auto collect_rows = [&](std::size_t clo, std::size_t chi) {
-        double q[kBlockCells] = {};
-        double payment[numeric::kRowBlock] = {};
-        double quoted_s[numeric::kRowBlock] = {};
-        double broadcast_s[numeric::kRowBlock] = {};
-        bool banned[numeric::kRowBlock] = {};
-        for (std::size_t blo = clo; blo < chi; blo += block_rows) {
-            const std::size_t n = std::min(block_rows, chi - blo);
+        QuoteBlock b;
+        for (std::size_t blo = clo; blo < chi; blo += quoter.block_rows()) {
+            const std::size_t n = std::min(quoter.block_rows(), chi - blo);
             const std::size_t row0 = frame_base + (blo - lo);
-            std::size_t live = 0;
+            quoter.quote(blo, n, b);
             for (std::size_t r = 0; r < n; ++r) {
-                banned[r] = blacklist.contains(store.node_offset() + blo + r);
-                if (banned[r]) frame.set_active(row0 + r, false);
-                live += banned[r] ? 0 : 1;
-            }
-            if (live == 0) continue;
-
-            const double* theta = thetas + blo;
-            strategy.quality_rows(theta, n, q);
-            for (std::size_t d = 0; d < dims; ++d) {
-                double* qd = q + d * n;
-                const double* cap = cols[d] + blo;
-                for (std::size_t r = 0; r < n; ++r) qd[r] = qd[r] > cap[r] ? cap[r] : qd[r];
-            }
-            strategy.quote_rows(q, n, theta, payment_method, payment, quoted_s);
-            const double* s = quoted_s;
-            if (!strategy_scores_broadcast_rule) {
-                scoring.quality_score_rows(q, n, broadcast_s);
-                s = broadcast_s;
-            }
-            for (std::size_t r = 0; r < n; ++r) {
-                if (banned[r]) continue;
+                if (b.banned[r]) {
+                    frame.set_active(row0 + r, false);
+                    continue;
+                }
                 double* out = frame.quality_row(row0 + r);
-                for (std::size_t d = 0; d < dims; ++d) out[d] = q[d * n + r];
-                frame.payment(row0 + r) = payment[r];
-                frame.score(row0 + r) = s[r] - payment[r];
+                for (std::size_t d = 0; d < dims; ++d) out[d] = b.q[d * n + r];
+                frame.payment(row0 + r) = b.payment[r];
+                frame.score(row0 + r) = b.score[r];
             }
         }
     };
@@ -150,6 +198,43 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
                 collect_rows(clo, std::min(hi, clo + kCollectChunk));
             });
     }
+}
+
+void collect_head_rows(const PopulationStore& store, const QualityLayout& layout,
+                       const auction::EquilibriumStrategy& strategy,
+                       const auction::ScoringRule& scoring,
+                       bool strategy_scores_broadcast_rule,
+                       auction::PaymentMethod payment_method, const Blacklist& blacklist,
+                       const wire::StreamExtra* cut, const auction::TieKeys& keys,
+                       std::size_t limit, std::vector<const double*>& columns,
+                       auction::StreamingHeadMerge& head, auction::ShardHead& out) {
+    const BlockQuoter quoter(store, layout, strategy, scoring, strategy_scores_broadcast_rule,
+                             payment_method, blacklist, columns);
+    const std::size_t dims = layout.size();
+    const std::size_t rows = store.size();
+    head.open(dims, std::min(limit, rows));
+    QuoteBlock b;
+    for (std::size_t blo = 0; blo < rows; blo += quoter.block_rows()) {
+        const std::size_t n = std::min(quoter.block_rows(), rows - blo);
+        quoter.quote(blo, n, b);
+        for (std::size_t r = 0; r < n; ++r) {
+            // Ties with the worst kept score, and NaN, pass this test and
+            // take the full comparison, so the head is the one an eager
+            // loop over every row's key keeps.
+            if (b.banned[r] || head.rejects_score(b.score[r])) continue;
+            const auction::NodeId global = store.node_offset() + blo + r;
+            if (cut != nullptr
+                && !stream_arrived(
+                    stream_arrival_s(cut->arrival_salt, global, cut->horizon_s), global,
+                    cut->close_time_s, cut->boundary_node))
+                continue;
+            double* slot =
+                head.admit_row({global, b.score[r], keys.key(global), b.payment[r]});
+            if (slot == nullptr) continue;
+            for (std::size_t d = 0; d < dims; ++d) slot[d] = b.q[d * n + r];
+        }
+    }
+    head.finish(out);
 }
 
 fl::SelectionRecord assemble_selection_record(

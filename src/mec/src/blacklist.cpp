@@ -3,8 +3,20 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace fmore::mec {
+
+void restore_bans(Blacklist& blacklist, const std::vector<std::uint64_t>& ids,
+                  std::size_t n) {
+    for (const std::uint64_t node : ids)
+        if (node >= n)
+            throw std::invalid_argument("checkpoint bans node " + std::to_string(node)
+                                        + ", outside the " + std::to_string(n)
+                                        + "-node population");
+    blacklist.clear();
+    for (const std::uint64_t node : ids) blacklist.ban(static_cast<std::size_t>(node));
+}
 
 ComplianceOutcome roll_compliance(const ComplianceSpec& spec,
                                   std::size_t promised_samples, stats::Rng& rng) {

@@ -234,10 +234,10 @@ namespace {
     ::setenv("FMORE_ROUND_THREADS", "1", 1);
     ::signal(SIGPIPE, SIG_IGN);
     Blacklist banned;
-    auction::BidFrame frame;
     auction::ShardHead head;
     auction::ShardHead chunk;
     std::vector<const double*> columns;
+    auction::StreamingHeadMerge head_merge;
     std::vector<std::uint8_t> payload;
     std::vector<std::uint8_t> clean;      ///< last good head bytes (resend)
     std::vector<std::uint8_t> corrupted;  ///< bit_flip scratch
@@ -323,32 +323,16 @@ namespace {
 
         if (req.round > 1) shard.evolve_with_salt(req.evolve_salt);
 
-        frame.reset(shard.size(), layout.size());
-        collect_bid_rows(shard, 0, shard.size(), layout, strategy, scoring,
-                         strategy_scores_broadcast_rule, payment_method, banned, frame,
-                         0, columns, /*parallel=*/false);
-        frame.set_scored(true);
-
-        if (streaming) {
-            // Filter the collected bids against the coordinator-resolved
-            // close cut: a bid outside (close_time, boundary) never made
-            // the round. Arrival times are pure in (salt, global id), so
-            // this is the same arrived set every other party computes.
-            for (auction::NodeId row = 0; row < frame.rows(); ++row) {
-                if (!frame.active(row)) continue;
-                const auction::NodeId global = shard.node_offset() + row;
-                const double sec =
-                    stream_arrival_s(extra.arrival_salt, global, extra.horizon_s);
-                if (!stream_arrived(sec, global, extra.close_time_s,
-                                    extra.boundary_node))
-                    frame.set_active(row, false);
-            }
-        }
-
+        // Streaming rounds keep only the bids inside the coordinator-resolved
+        // close cut: a bid outside (close_time, boundary) never made the
+        // round. Arrival times are pure in (salt, global id), so this is the
+        // same arrived set every other party computes.
         auction::TieKeys keys;
         keys.salted = true;
         keys.salt = req.tie_salt;
-        auction::collect_shard_head(frame, shard.node_offset(), keys, req.limit, head);
+        collect_head_rows(shard, layout, strategy, scoring, strategy_scores_broadcast_rule,
+                          payment_method, banned, streaming ? &extra : nullptr, keys,
+                          req.limit, columns, head_merge, head);
 
         if (streaming) {
             // Stream the head back in bounded `head_rows` chunks, each a
@@ -1054,6 +1038,10 @@ int ProcessShardAggregator::worker_pid(std::size_t shard) const {
 }
 
 void ProcessShardAggregator::ban(auction::NodeId node) {
+    if (node >= impl_->n)
+        throw std::invalid_argument("ProcessShardAggregator: cannot ban node "
+                                    + std::to_string(node) + ", outside the "
+                                    + std::to_string(impl_->n) + "-node population");
     if (impl_->banned_set.contains(node)) return;
     impl_->banned_set.ban(node);
     impl_->pending_bans.push_back(node);

@@ -167,16 +167,15 @@ void ShardedAuctionSelector::run_fused_sharded(
     // without any shard data, which is what lets shuffle mode replay the
     // monolithic round's global permutation (same length, same generator
     // draws) even when a shard misses the deadline. Salted keys need only
-    // the count, so only shuffle mode lists the ids.
+    // the count, and every ban names a node below N (winners are nodes, and
+    // restore_checkpoint checks its ids), so only shuffle mode lists the ids.
     const bool salted = engine.spec().tie_break == auction::TieBreak::salted;
-    std::size_t m = 0;
     std::vector<std::size_t>& active = scratch_.active;
     active.clear();
-    for (std::size_t g = 0; g < starts_.back(); ++g) {
-        if (blacklist_.contains(g)) continue;
-        ++m;
-        if (!salted) active.push_back(g);
-    }
+    if (!salted)
+        for (std::size_t g = 0; g < starts_.back(); ++g)
+            if (!blacklist_.contains(g)) active.push_back(g);
+    const std::size_t m = salted ? starts_.back() - blacklist_.size() : active.size();
     const auction::TieKeys keys =
         auction::draw_tie_keys(salted, active, starts_.back(), rng, scratch_);
 

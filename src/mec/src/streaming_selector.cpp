@@ -179,9 +179,7 @@ void StreamingAuctionSelector::save_checkpoint(fl::SelectorCheckpoint& ckpt) con
 }
 
 void StreamingAuctionSelector::restore_checkpoint(const fl::SelectorCheckpoint& ckpt) {
-    blacklist_.clear();
-    for (std::uint64_t node : ckpt.banned_nodes)
-        blacklist_.ban(static_cast<std::size_t>(node));
+    restore_bans(blacklist_, ckpt.banned_nodes, population_.size());
     if (streaming_.adaptive_quorum && !ckpt.close_replay.empty()) {
         adaptive_.reset();
         ensure_adaptive(population_.size());

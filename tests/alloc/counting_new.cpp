@@ -1,0 +1,25 @@
+#include "counting_new.hpp"
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+namespace {
+
+std::atomic<std::size_t> g_allocations{0};
+
+} // namespace
+
+void* operator new(std::size_t size) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+    throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
+
+namespace fmore {
+
+std::size_t allocation_count() { return g_allocations.load(); }
+
+} // namespace fmore

@@ -3,35 +3,19 @@
 // of them scales with the minibatches a round trains or evaluates. A worker
 // clone's scratch freed and made again every round lands in whichever
 // thread's malloc arena ran that slot, and those arenas never shrink; this
-// suite pins that it stays gone. It replaces the global operator new to
-// count, so it has a test binary of its own.
+// suite pins that it stays gone. It counts through the replaced global
+// operator new (counting_new.hpp).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <functional>
-#include <new>
 
+#include "counting_new.hpp"
 #include "fmore/fl/coordinator.hpp"
 #include "fmore/fl/selection.hpp"
 #include "fmore/ml/model_zoo.hpp"
 #include "fmore/ml/synthetic.hpp"
-
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-
-} // namespace
-
-void* operator new(std::size_t size) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-    throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
 
 namespace fmore::fl {
 namespace {
@@ -107,7 +91,7 @@ public:
 
     SelectionRecord select(std::size_t /*round*/, std::size_t /*k*/,
                            stats::Rng& /*rng*/) override {
-        round_starts_.push_back(g_allocations.load());
+        round_starts_.push_back(allocation_count());
         return record_;
     }
     [[nodiscard]] std::string name() const override { return "fixed"; }

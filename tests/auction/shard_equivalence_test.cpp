@@ -278,36 +278,43 @@ TEST(ShardEquivalence, SelectionRecordsAndBlacklistStayIdentical) {
     // The full select() path — compliance rolls, blacklist bans, record
     // assembly — with defectors banned mid-run: the ban must flow into
     // both markets' later rounds identically (banned nodes stop bidding).
+    // Salted rounds take the active count from the blacklist's size, so
+    // both tie-break modes run.
     const Market& m = market();
     const std::uint64_t seed = 0x7e57ULL;
     const std::size_t n = 90;
     const std::size_t k = 10;
-    auction::WinnerDeterminationConfig wd;
-    wd.num_winners = k;
+    for (const auction::TieBreak tie_break :
+         {auction::TieBreak::shuffle, auction::TieBreak::salted}) {
+        SCOPED_TRACE(tie_break == auction::TieBreak::salted ? "salted" : "shuffle");
+        auction::WinnerDeterminationConfig wd;
+        wd.num_winners = k;
+        wd.tie_break = tie_break;
 
-    MecPopulation population(make_store(n, seed));
-    AuctionSelector mono(population, *m.scoring, *m.strategy, wd,
-                         data_category_extractor(), /*data_dimension=*/0);
-    stats::Rng cuts(21);
-    ShardedAuctionSelector sharded(make_store(n, seed).split(random_boundaries(n, 6, cuts)),
-                                   *m.scoring, *m.strategy, wd, layout(),
-                                   /*data_dimension=*/0);
-    ComplianceSpec compliance;
-    compliance.defect_probability = 0.35;
-    mono.set_compliance(compliance);
-    sharded.set_compliance(compliance);
+        MecPopulation population(make_store(n, seed));
+        AuctionSelector mono(population, *m.scoring, *m.strategy, wd,
+                             data_category_extractor(), /*data_dimension=*/0);
+        stats::Rng cuts(21);
+        ShardedAuctionSelector sharded(
+            make_store(n, seed).split(random_boundaries(n, 6, cuts)), *m.scoring,
+            *m.strategy, wd, layout(), /*data_dimension=*/0);
+        ComplianceSpec compliance;
+        compliance.defect_probability = 0.35;
+        mono.set_compliance(compliance);
+        sharded.set_compliance(compliance);
 
-    stats::Rng mono_rng(seed);
-    stats::Rng shard_rng(seed);
-    for (std::size_t round = 1; round <= 6; ++round) {
-        SCOPED_TRACE("round " + std::to_string(round));
-        const fl::SelectionRecord a = mono.select(round, k, mono_rng);
-        const fl::SelectionRecord b = sharded.select(round, k, shard_rng);
-        expect_records_equal(a, b);
-        EXPECT_EQ(mono.blacklist().size(), sharded.blacklist().size());
+        stats::Rng mono_rng(seed);
+        stats::Rng shard_rng(seed);
+        for (std::size_t round = 1; round <= 6; ++round) {
+            SCOPED_TRACE("round " + std::to_string(round));
+            const fl::SelectionRecord a = mono.select(round, k, mono_rng);
+            const fl::SelectionRecord b = sharded.select(round, k, shard_rng);
+            expect_records_equal(a, b);
+            EXPECT_EQ(mono.blacklist().size(), sharded.blacklist().size());
+        }
+        EXPECT_GT(mono.blacklist().size(), 0u) << "compliance model never banned anyone — "
+                                                  "the blacklist propagation went untested";
     }
-    EXPECT_GT(mono.blacklist().size(), 0u) << "compliance model never banned anyone — "
-                                              "the blacklist propagation went untested";
 }
 
 TEST(ShardEquivalence, ViewModeOverPopulationMatchesOwnedSplit) {

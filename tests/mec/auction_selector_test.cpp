@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "fmore/mec/auction_selector.hpp"
 #include "fmore/mec/sharded_selector.hpp"
@@ -171,6 +174,44 @@ TEST_F(AuctionSelectorTest, EverySelectorRejectsABadLayoutAtConstruction) {
     EXPECT_THROW(StreamingAuctionSelector(*population_, broadcast, *strategy_, wd, layout, 0,
                                           StreamingRoundConfig{}),
                  std::invalid_argument);
+}
+
+TEST_F(AuctionSelectorTest, EverySelectorRejectsABanOutsideThePopulation) {
+    // A checkpoint is untrusted input: the blacklist sizes its array by the
+    // largest id (2^34 would take 64 GiB), and any id past N would skew the
+    // active count. Each selector refuses such a checkpoint whole and keeps
+    // its bans. The ids stay small enough that a build without the check
+    // fails here instead of allocating.
+    auction::WinnerDeterminationConfig wd;
+    wd.num_winners = 6;
+    const QualityLayout layout = data_category_extractor();
+    AuctionSelector mono(*population_, scoring_, *strategy_, wd, layout, 0);
+    ShardedAuctionSelector sharded(*population_, scoring_, *strategy_, wd, layout, 0,
+                                   /*num_shards=*/3);
+    StreamingAuctionSelector streaming(*population_, scoring_, *strategy_, wd, layout, 0,
+                                       StreamingRoundConfig{});
+    const std::size_t n = population_->size();
+    fl::SelectorCheckpoint kept;
+    kept.banned_nodes = {0, n - 1};
+    for (const std::uint64_t bad : {std::uint64_t{n}, n + (std::uint64_t{1} << 20)}) {
+        fl::SelectorCheckpoint hostile;
+        hostile.banned_nodes = {3, bad};
+        const auto check = [&](fl::ClientSelector& selector, const Blacklist& blacklist) {
+            selector.restore_checkpoint(kept);
+            try {
+                selector.restore_checkpoint(hostile);
+                ADD_FAILURE() << selector.name() << " took ban id " << bad;
+            } catch (const std::invalid_argument& e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find(std::to_string(bad)), std::string::npos) << what;
+                EXPECT_NE(what.find(std::to_string(n)), std::string::npos) << what;
+            }
+            EXPECT_EQ(blacklist.banned_ids(), (std::vector<std::size_t>{0, n - 1}));
+        };
+        check(mono, mono.blacklist());
+        check(sharded, sharded.blacklist());
+        check(streaming, streaming.blacklist());
+    }
 }
 
 } // namespace

@@ -1,0 +1,314 @@
+// collect_head_rows is a shard worker's round in one pass: each store row is
+// quoted and offered straight to a bounded head, with no bid frame between.
+// These tests hold it to the frame composition it replaced (collect_bid_rows,
+// the arrival-cut filter, collect_shard_head), to a std::sort of every
+// quoted row under MarketOrder, and each kept row to the per-row quote
+// (quality_into, the cap clamp, quote_span), over short and uneven blocks,
+// heavy score ties, bans, every kind of limit, both arrival cuts, both
+// tie-key modes and a strategy solved against another rule.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "fmore/auction/cost.hpp"
+#include "fmore/auction/equilibrium.hpp"
+#include "fmore/auction/market_order.hpp"
+#include "fmore/auction/scoring.hpp"
+#include "fmore/auction/shard_merge.hpp"
+#include "fmore/mec/auction_selector.hpp"
+#include "fmore/mec/population_store.hpp"
+#include "fmore/mec/stream_round.hpp"
+#include "fmore/mec/wire_format.hpp"
+#include "fmore/stats/normalizer.hpp"
+
+namespace fmore::mec {
+namespace {
+
+constexpr double kDataHi = 150.0;
+constexpr double kHorizonS = 2.0;
+
+/// The simulator's market, plus a second broadcast rule the strategy was
+/// not solved against (the `quality_score_rows` branch of the quote).
+struct Market {
+    std::vector<stats::MinMaxNormalizer> norms{stats::MinMaxNormalizer(0.0, kDataHi),
+                                               stats::MinMaxNormalizer(0.0, 1.0)};
+    auction::ScaledProductScoring product{25.0, 2, norms};
+    auction::AdditiveScoring additive{{0.3, 0.7}, norms};
+    auction::AdditiveCost cost{{6.0 / kDataHi, 2.0}};
+    stats::UniformDistribution theta{0.5, 1.5};
+    std::unique_ptr<auction::EquilibriumStrategy> strategy;
+
+    Market() {
+        auction::EquilibriumConfig eq;
+        eq.num_bidders = 200;
+        eq.num_winners = 8;
+        strategy = std::make_unique<auction::EquilibriumStrategy>(
+            auction::EquilibriumSolver(product, cost, theta, {1.0, 0.05}, {kDataHi, 1.0}, eq)
+                .solve());
+    }
+};
+
+const Market& market() {
+    static const Market m;
+    return m;
+}
+
+QualityLayout layout() {
+    return {ResourceDim::data_size, ResourceDim::category_proportion};
+}
+
+/// The second half of a `2 * rows`-node store, so global ids start at
+/// `rows`. With `tied`, thetas come from four values and the data and
+/// category caps from a few low ones, so many rows quote the same bid and
+/// score ties are everywhere, the head's cut included.
+PopulationStore make_shard(std::size_t rows, bool tied) {
+    PopulationSpec spec;
+    SyntheticDataSpec data;
+    data.data_lo = 20.0;
+    data.data_hi = kDataHi;
+    stats::Rng rng(41 + rows);
+    const PopulationStore whole(2 * rows, data, market().theta, spec, rng);
+    PopulationStore shard = whole.split_even(2)[1];
+    if (tied) {
+        PopulationSnapshot planted = shard.snapshot();
+        const double thetas[] = {0.6, 0.9, 0.9, 1.3};
+        const double data_caps[] = {15.0, 30.0, kDataHi};
+        const double category_caps[] = {0.05, 1.0};
+        for (std::size_t i = 0; i < rows; ++i) {
+            planted.columns[0][i] = thetas[(i * 7) % 4];
+            planted.columns[1][i] = data_caps[i % 3];
+            planted.columns[2][i] = category_caps[(i / 3) % 2];
+        }
+        shard.restore(planted);
+    }
+    return shard;
+}
+
+/// A quote block of 256 local rows banned whole when the shard has one,
+/// plus every thirteenth row.
+Blacklist make_bans(const PopulationStore& shard) {
+    Blacklist bans;
+    const std::size_t offset = shard.node_offset();
+    for (std::size_t i = 256; i < std::min<std::size_t>(512, shard.size()); ++i)
+        bans.ban(offset + i);
+    for (std::size_t i = 5; i < shard.size(); i += 13) bans.ban(offset + i);
+    return bans;
+}
+
+/// The per-row quote of store row `i`, written without the row kernels:
+/// quality, ask and aggregator score.
+struct RowQuote {
+    double q[2];
+    double payment;
+    double score;
+};
+
+RowQuote quote_row(const PopulationStore& shard, std::size_t i,
+                   const auction::ScoringRule& broadcast, bool own_rule) {
+    const Market& m = market();
+    const QualityLayout cols = layout();
+    RowQuote quote{};
+    m.strategy->quality_into(shard.theta(i), quote.q);
+    for (std::size_t d = 0; d < 2; ++d) {
+        const double cap = shard.column(cols[d])[i];
+        if (quote.q[d] > cap) quote.q[d] = cap;
+    }
+    const auction::EquilibriumStrategy::SealedQuote sealed =
+        m.strategy->quote_span(quote.q, 2, shard.theta(i), auction::PaymentMethod::integral);
+    quote.payment = sealed.payment;
+    quote.score = own_rule ? sealed.quality_score - sealed.payment
+                           : broadcast.score_span(quote.q, 2, sealed.payment);
+    return quote;
+}
+
+bool arrived(const wire::StreamExtra* cut, std::uint64_t node) {
+    return cut == nullptr
+           || stream_arrived(stream_arrival_s(cut->arrival_salt, node, cut->horizon_s), node,
+                             cut->close_time_s, cut->boundary_node);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_heads_equal(const auction::ShardHead& expected, const auction::ShardHead& got) {
+    EXPECT_EQ(got.dims, expected.dims);
+    ASSERT_EQ(got.rows.size(), expected.rows.size());
+    ASSERT_EQ(got.quality.size(), expected.quality.size());
+    for (std::size_t r = 0; r < expected.rows.size(); ++r) {
+        EXPECT_EQ(got.rows[r].node, expected.rows[r].node) << "rank " << r;
+        EXPECT_EQ(bits(got.rows[r].score), bits(expected.rows[r].score)) << "rank " << r;
+        EXPECT_EQ(got.rows[r].key, expected.rows[r].key) << "rank " << r;
+        EXPECT_EQ(bits(got.rows[r].payment), bits(expected.rows[r].payment)) << "rank " << r;
+    }
+    for (std::size_t c = 0; c < expected.quality.size(); ++c)
+        EXPECT_EQ(bits(got.quality[c]), bits(expected.quality[c])) << "cell " << c;
+}
+
+TEST(CollectHeadRows, MatchesFrameCompositionAndFullSort) {
+    const Market& m = market();
+    const QualityLayout cols = layout();
+    constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
+
+    // One set of caller-owned scratch for every case: each call must start
+    // from a clean head, whatever the previous call left behind.
+    std::vector<const double*> columns;
+    auction::StreamingHeadMerge merge;
+    auction::ShardHead head;
+
+    std::size_t ties_at_cut = 0;
+    for (const std::size_t rows : {1u, 37u, 255u, 257u, 700u, 1000u}) {
+        for (const bool tied : {false, true}) {
+            const PopulationStore shard = make_shard(rows, tied);
+            const Blacklist bans = make_bans(shard);
+            const std::size_t offset = shard.node_offset();
+            ASSERT_EQ(offset, rows);
+
+            // Arrival cuts: time-only at the median arrival, and a quorum
+            // cut at a middle node's arrival with that node in and out.
+            std::vector<double> times(rows);
+            const std::uint64_t arrival_salt = 0xa11ce + rows;
+            for (std::size_t i = 0; i < rows; ++i)
+                times[i] = stream_arrival_s(arrival_salt, offset + i, kHorizonS);
+            const std::size_t middle = rows / 2;
+            std::vector<double> sorted_times = times;
+            std::sort(sorted_times.begin(), sorted_times.end());
+            wire::StreamExtra time_cut{arrival_salt, kHorizonS, sorted_times[rows / 2],
+                                       kStreamBoundaryAny, 0};
+            wire::StreamExtra node_in{arrival_salt, kHorizonS, times[middle], offset + middle,
+                                      0};
+            wire::StreamExtra node_out = node_in;
+            node_out.boundary_node = offset + middle - 1;
+            const wire::StreamExtra* cuts[] = {nullptr, &time_cut, &node_in, &node_out};
+            const char* cut_names[] = {"no cut", "time cut", "node in", "node out"};
+
+            std::vector<std::uint32_t> pos(offset + rows);
+            std::iota(pos.begin(), pos.end(), 0u);
+            stats::Rng shuffle_rng(rows);
+            std::shuffle(pos.begin(), pos.end(), shuffle_rng.engine());
+            auction::TieKeys shuffled;
+            shuffled.pos = pos.data();
+            auction::TieKeys salted;
+            salted.salted = true;
+            salted.salt = 0x5a17ULL + rows;
+
+            for (const auction::ScoringRule* broadcast :
+                 {static_cast<const auction::ScoringRule*>(&m.product),
+                  static_cast<const auction::ScoringRule*>(&m.additive)}) {
+                const bool own_rule = m.strategy->scoring_rule() == broadcast;
+                auction::BidFrame quoted(rows, cols.size());
+                std::vector<const double*> frame_columns;
+                collect_bid_rows(shard, 0, rows, cols, *m.strategy, *broadcast, own_rule,
+                                 auction::PaymentMethod::integral, bans, quoted, 0,
+                                 frame_columns, /*parallel=*/false);
+                quoted.set_scored(true);
+
+                for (std::size_t c = 0; c < 4; ++c) {
+                    const wire::StreamExtra* cut = cuts[c];
+                    auction::BidFrame frame = quoted;
+                    for (std::size_t i = 0; i < rows; ++i)
+                        if (frame.active(i) && !arrived(cut, offset + i))
+                            frame.set_active(i, false);
+                    for (const auction::TieKeys* keys : {&salted, &shuffled}) {
+                        std::vector<auction::HeadRow> all;
+                        for (std::size_t i = 0; i < rows; ++i) {
+                            if (!frame.active(i)) continue;
+                            all.push_back({offset + i, frame.score(i), keys->key(offset + i),
+                                           frame.payment(i)});
+                        }
+                        std::sort(all.begin(), all.end(), auction::MarketOrder{});
+
+                        for (const std::size_t limit :
+                             {std::size_t{0}, std::size_t{1}, std::size_t{7}, rows,
+                              rows + 5, kAll}) {
+                            SCOPED_TRACE(std::to_string(rows) + " rows"
+                                         + (tied ? ", tied" : "")
+                                         + (own_rule ? ", " : ", other rule, ")
+                                         + cut_names[c]
+                                         + (keys->salted ? ", salted" : ", shuffled")
+                                         + ", limit " + std::to_string(limit));
+                            collect_head_rows(shard, cols, *m.strategy, *broadcast, own_rule,
+                                              auction::PaymentMethod::integral, bans, cut,
+                                              *keys, limit, columns, merge, head);
+
+                            auction::ShardHead composed;
+                            auction::collect_shard_head(frame, offset, *keys, limit,
+                                                        composed);
+                            expect_heads_equal(composed, head);
+
+                            const std::size_t kept = std::min(limit, all.size());
+                            ASSERT_EQ(head.rows.size(), kept);
+                            for (std::size_t r = 0; r < kept; ++r) {
+                                const auction::HeadRow& want = all[r];
+                                EXPECT_EQ(head.rows[r].node, want.node) << "rank " << r;
+                                EXPECT_EQ(head.rows[r].key, want.key) << "rank " << r;
+                                const RowQuote quote =
+                                    quote_row(shard, want.node - offset, *broadcast, own_rule);
+                                EXPECT_EQ(bits(head.rows[r].score), bits(quote.score));
+                                EXPECT_EQ(bits(head.rows[r].payment), bits(quote.payment));
+                                EXPECT_EQ(bits(head.quality_row(r)[0]), bits(quote.q[0]));
+                                EXPECT_EQ(bits(head.quality_row(r)[1]), bits(quote.q[1]));
+                            }
+                            if (kept > 0 && kept < all.size()
+                                && all[kept].score == all[kept - 1].score)
+                                ++ties_at_cut;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The tied stores must put ties across the head's cut, where the lazy
+    // key check hands over to the full comparison.
+    EXPECT_GT(ties_at_cut, 100u);
+}
+
+TEST(CollectHeadRows, EveryRowBannedOrOutsideTheCutLeavesAnEmptyHead) {
+    const Market& m = market();
+    const PopulationStore shard = make_shard(300, /*tied=*/false);
+    Blacklist bans;
+    for (std::size_t i = 0; i < shard.size(); ++i) bans.ban(shard.node_offset() + i);
+    auction::TieKeys keys;
+    keys.salted = true;
+    std::vector<const double*> columns;
+    auction::StreamingHeadMerge merge;
+    auction::ShardHead head;
+    collect_head_rows(shard, layout(), *m.strategy, m.product, true,
+                      auction::PaymentMethod::integral, bans, nullptr, keys, 10, columns,
+                      merge, head);
+    EXPECT_EQ(head.dims, 2u);
+    EXPECT_TRUE(head.rows.empty());
+    EXPECT_TRUE(head.quality.empty());
+
+    // Nothing arrives before time 0.
+    const wire::StreamExtra before_any{1, kHorizonS, -1.0, kStreamBoundaryAny, 0};
+    collect_head_rows(shard, layout(), *m.strategy, m.product, true,
+                      auction::PaymentMethod::integral, Blacklist{}, &before_any, keys, 10,
+                      columns, merge, head);
+    EXPECT_TRUE(head.rows.empty());
+}
+
+TEST(CollectHeadRows, RejectsABadLayout) {
+    const Market& m = market();
+    const PopulationStore shard = make_shard(10, /*tied=*/false);
+    const QualityLayout three{ResourceDim::data_size, ResourceDim::category_proportion,
+                              ResourceDim::cpu};
+    auction::TieKeys keys;
+    keys.salted = true;
+    std::vector<const double*> columns;
+    auction::StreamingHeadMerge merge;
+    auction::ShardHead head;
+    EXPECT_THROW(collect_head_rows(shard, three, *m.strategy, m.product, true,
+                                   auction::PaymentMethod::integral, Blacklist{}, nullptr,
+                                   keys, 4, columns, merge, head),
+                 std::invalid_argument);
+}
+
+} // namespace
+} // namespace fmore::mec

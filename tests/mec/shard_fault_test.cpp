@@ -25,6 +25,8 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fmore/auction/cost.hpp"
@@ -736,6 +738,30 @@ TEST(ShardFault, BansReachWorkersNextRound) {
         for (const auction::Winner& w : o.winners) EXPECT_NE(w.node, banned);
         for (const auction::ScoredBid& sb : o.ranking) EXPECT_NE(sb.bid.node, banned);
     }
+}
+
+TEST(ShardFault, BanOutsideThePopulationIsRejected) {
+    // An id past N would skew the coordinator's active count and size the
+    // blacklists by the id; the aggregator refuses it before anything
+    // ships.
+    ProcessShardAggregator aggregator(make_store(40, 25), *market().scoring,
+                                      *market().strategy, wire_config(5), layout(),
+                                      /*num_shards=*/2, /*shard_timeout_s=*/30.0);
+    for (const auction::NodeId bad : {auction::NodeId{40}, auction::NodeId{1} << 20}) {
+        try {
+            aggregator.ban(bad);
+            ADD_FAILURE() << "ban(" << bad << ") was taken";
+        } catch (const std::invalid_argument& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(std::to_string(bad)), std::string::npos) << what;
+            EXPECT_NE(what.find("40"), std::string::npos) << what;
+        }
+    }
+    aggregator.ban(39);
+    stats::Rng rng(25);
+    const auction::AuctionOutcome& o = aggregator.run_round(1, 5, rng);
+    EXPECT_EQ(o.winners.size(), 5u);
+    for (const auction::ScoredBid& sb : o.ranking) EXPECT_NE(sb.bid.node, 39u);
 }
 
 TEST(ShardFault, AggregatorRejectsNonWireFriendlySpecs) {
