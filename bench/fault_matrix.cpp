@@ -35,14 +35,19 @@
 // detected (not consumed) at positive corruption rates, respawns
 // happening at positive crash rates — and on the fork_memory ratios: the
 // coordinator's peak grows by less than a quarter of the store without a
-// respawn budget, no worker's peak exceeds the coordinator's resident set
-// before construction by half the store, nor that set less the store by
-// half the store, which fails when a worker carries the caller's store,
-// and, tightest, no worker holds 1.25 times its share of the store (store /
-// 4) of its own, which fails when a worker carries a bid frame over its
-// rows (about 1.46 shares; a lean worker holds about 1.05). Ratios of one
-// run's own numbers hold on any machine. No timing gates: fault-recovery
-// latency is dominated by deliberate stalls and deadlines, not by code.
+// respawn budget, and by less than 0.75 of it with one, which fails when
+// the respawn sources are full-width splits (about a whole store; the
+// narrowed splits hold 33 of its 72 bytes a row, about 0.46); no worker's
+// peak exceeds the coordinator's resident set before construction by half
+// the store, nor that set less the store by half the store, which fails
+// when a worker carries the caller's store; and, tightest, no worker holds
+// 0.75 times its share of the store (store / 4) of its own, which fails
+// when a worker keeps all nine columns of its rows (about 1.0 share) or a
+// bid frame over them (about 1.46); a worker narrowed to the bid layout
+// holds about 0.5. Each bound sits between the passing and the failing
+// reading with room on either side, so ratios of one run's own numbers
+// hold on any machine. No timing gates: fault-recovery latency is
+// dominated by deliberate stalls and deadlines, not by code.
 
 #include <unistd.h>
 
@@ -258,7 +263,11 @@ constexpr std::size_t kForkShards = 4;
 constexpr std::size_t kForkRounds = 2;
 /// Bound on the anonymous memory a worker holds of its own, in shares of
 /// the store (store / kForkShards).
-constexpr double kWorkerHeldShares = 1.25;
+constexpr double kWorkerHeldShares = 0.75;
+/// Bound on the coordinator's peak growth with a respawn budget, in stores:
+/// midway between narrowed respawn sources (about 0.46) and full-width
+/// ones (about 1.0).
+constexpr double kRespawnSourceStores = 0.75;
 
 /// One `/proc/<pid>/status` field ("VmHWM:", "VmRSS:", "RssAnon:") in MiB.
 /// @throws std::runtime_error when the process or the field cannot be read
@@ -564,6 +573,17 @@ bool check_against(const std::string& text, const std::vector<MatrixRow>& rows,
                       << " MiB store\n";
             ok = false;
         }
+        // With a respawn budget the coordinator keeps the pristine splits,
+        // narrowed like the workers' own shards: 33 of the store's 72 bytes
+        // a row at d = 2.
+        if (f.max_respawns > 0
+            && !(f.coordinator_extra_mb < kRespawnSourceStores * f.store_mb)) {
+            std::cerr << "fault_matrix --check: " << config << ": the coordinator's"
+                         " peak grew by " << f.coordinator_extra_mb << " MiB, not under "
+                      << kRespawnSourceStores << " times the " << f.store_mb
+                      << " MiB store: its respawn sources are not narrowed\n";
+            ok = false;
+        }
         if (!(f.worker_extra_mb_max < f.store_mb / 2.0)) {
             std::cerr << "fault_matrix --check: " << config << ": a worker peaked "
                       << f.worker_extra_mb_max
@@ -583,15 +603,17 @@ bool check_against(const std::string& text, const std::vector<MatrixRow>& rows,
                       << " MiB store: it carries the caller's store\n";
             ok = false;
         }
-        // A lean worker holds its share of the store and a bounded head. A
-        // bid frame over its rows adds 33 bytes a row to the share's 72 at
-        // d = 2, so a worker that carries one holds about 1.46 shares.
+        // A narrowed worker holds 33 of its share's 72 bytes a row at d = 2
+        // (theta, the two layout columns, the data cap and a draw byte) and a
+        // bounded head. One that keeps all nine columns holds about a share,
+        // and a bid frame over its rows adds 33 bytes a row more.
         const double share_mb = f.store_mb / static_cast<double>(kForkShards);
         if (!(f.worker_held_mb_max < kWorkerHeldShares * share_mb)) {
             std::cerr << "fault_matrix --check: " << config << ": a worker holds "
                       << f.worker_held_mb_max << " MiB of its own, not under "
                       << kWorkerHeldShares << " times its " << share_mb
-                      << " MiB share of the store: it carries a per-row buffer\n";
+                      << " MiB share of the store: it keeps columns its bids do not"
+                         " read, or a per-row buffer\n";
             ok = false;
         }
     }

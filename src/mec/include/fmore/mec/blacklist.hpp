@@ -2,6 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fmore/stats/rng.hpp"
@@ -13,22 +15,37 @@ namespace fmore::mec {
 /// aggregator"). Banned nodes are excluded from every later bid-collection
 /// phase.
 ///
-/// Storage is a flat epoch-stamped array keyed by NodeId: `contains` is a
-/// bounds check plus one load — no hashing — which matters because the bid
-/// collector asks it once per node per round. `clear` bumps the epoch
-/// instead of touching N entries, so the array is reusable across trials
-/// at O(1).
+/// Storage is a flat epoch-stamped array keyed by NodeId less the first id
+/// it serves: `contains` is a bounds check plus one load — no hashing —
+/// which matters because the bid collector asks it once per node per
+/// round. `clear` bumps the epoch instead of touching N entries, so the
+/// array is reusable across trials at O(1).
 class Blacklist {
 public:
+    Blacklist() = default;
+    /// A blacklist of ids from `first_node` on, stored from there: a shard
+    /// worker's, whose rows start at its node offset, so its array spans no
+    /// id below its own rows.
+    explicit Blacklist(std::size_t first_node) : first_(first_node) {}
+
+    /// @throws std::invalid_argument when `node` is below the first id this
+    ///         blacklist serves
     void ban(std::size_t node) {
-        if (node >= stamp_.size()) stamp_.resize(node + 1, 0);
-        if (stamp_[node] != epoch_) {
-            stamp_[node] = epoch_;
+        if (node < first_)
+            throw std::invalid_argument("Blacklist::ban: node " + std::to_string(node)
+                                        + " is below the first id served, "
+                                        + std::to_string(first_));
+        const std::size_t at = node - first_;
+        if (at >= stamp_.size()) stamp_.resize(at + 1, 0);
+        if (stamp_[at] != epoch_) {
+            stamp_[at] = epoch_;
             ++banned_;
         }
     }
     [[nodiscard]] bool contains(std::size_t node) const {
-        return node < stamp_.size() && stamp_[node] == epoch_;
+        // An id below the first wraps far past the array.
+        const std::size_t at = node - first_;
+        return at < stamp_.size() && stamp_[at] == epoch_;
     }
     [[nodiscard]] std::size_t size() const { return banned_; }
     /// All currently banned node ids, ascending — what the durable-run
@@ -36,8 +53,8 @@ public:
     [[nodiscard]] std::vector<std::size_t> banned_ids() const {
         std::vector<std::size_t> ids;
         ids.reserve(banned_);
-        for (std::size_t node = 0; node < stamp_.size(); ++node)
-            if (stamp_[node] == epoch_) ids.push_back(node);
+        for (std::size_t at = 0; at < stamp_.size(); ++at)
+            if (stamp_[at] == epoch_) ids.push_back(first_ + at);
         return ids;
     }
     void clear() {
@@ -50,7 +67,8 @@ public:
     }
 
 private:
-    std::vector<std::uint32_t> stamp_;  ///< stamp_[node] == epoch_ <=> banned
+    std::size_t first_ = 0;             ///< the id stamp_[0] stands for
+    std::vector<std::uint32_t> stamp_;  ///< stamp_[node - first_] == epoch_ <=> banned
     std::uint32_t epoch_ = 1;
     std::size_t banned_ = 0;
 };

@@ -22,6 +22,16 @@
 /// therefore drift bit-identically to the unsplit store — in any process,
 /// on any machine — which is the partitioning invariant the sharded
 /// auction market is built on (see ARCHITECTURE.md "Sharding the market").
+///
+/// A forked shard worker holds a NARROWED shard (`slice` and
+/// `slice_and_release` with a bid layout): theta, the layout's columns and
+/// the caps of those that drift, plus, when a drifting column (bandwidth,
+/// cpu, data size) is left out, one draw byte per row recording which of
+/// the left-out caps are positive. A row takes a drift draw only for a
+/// positive cap, so that byte is all drift needs to keep every later draw
+/// of the row at its place in the stream: the kept columns replay the full
+/// store's drift bit for bit. Reading a column a narrowed store left out
+/// throws.
 
 #include <cstdint>
 #include <vector>
@@ -101,14 +111,22 @@ public:
     /// market.
     [[nodiscard]] std::size_t node_offset() const { return node_offset_; }
 
-    // Hot-path scalar reads (current state).
+    // Scalar reads of the current state (wall-clock queries, tests). On a
+    // narrowed store, every read of a column it left out throws
+    // std::logic_error, and so does everything else that reads one:
+    // `column`, `resources`, `caps`, `snapshot`, `restore`, `evolve_serial`
+    // and a slice that copies it.
     [[nodiscard]] double theta(std::size_t i) const { return theta_[i]; }
-    [[nodiscard]] double data_size(std::size_t i) const { return data_size_[i]; }
-    [[nodiscard]] double category_proportion(std::size_t i) const {
-        return category_[i];
+    [[nodiscard]] double data_size(std::size_t i) const {
+        return held(data_size_, "data_size")[i];
     }
-    [[nodiscard]] double bandwidth_mbps(std::size_t i) const { return bandwidth_[i]; }
-    [[nodiscard]] double cpu_cores(std::size_t i) const { return cpu_[i]; }
+    [[nodiscard]] double category_proportion(std::size_t i) const {
+        return held(category_, "category")[i];
+    }
+    [[nodiscard]] double bandwidth_mbps(std::size_t i) const {
+        return held(bandwidth_, "bandwidth")[i];
+    }
+    [[nodiscard]] double cpu_cores(std::size_t i) const { return held(cpu_, "cpu")[i]; }
 
     /// Current-state column for one resource dimension.
     [[nodiscard]] const std::vector<double>& column(ResourceDim dim) const;
@@ -165,21 +183,56 @@ public:
     /// @throws std::invalid_argument when lo >= hi or hi > size()
     [[nodiscard]] PopulationStore slice(std::size_t lo, std::size_t hi) const;
 
-    /// `slice(lo, hi)` for a forked child that never reads this store
-    /// again: it copies the nine columns one at a time, and after each it
-    /// returns the whole pages of that column's rows [lo, hi) to the kernel
-    /// (`util::release_pages`) before it copies the next. So a child that
-    /// inherited this store holds at most one column twice, and none of the
-    /// inherited rows once it returns. Only for a forked child: in the
-    /// calling process the released rows read as zeros afterwards.
+    /// `slice(lo, hi)` narrowed to what a bid over `layout` reads and what
+    /// drift needs to replay it: theta, the layout's columns, the caps of
+    /// those that drift, and `draw_bits(lo, hi, layout)` when it leaves a
+    /// drifting column out. It drifts through the same row kernel as a full
+    /// store, a left-out column only advancing its row's draw count, so the
+    /// kept columns stay bit-identical to `slice(lo, hi)`'s under any salts.
     /// @throws std::invalid_argument when lo >= hi or hi > size()
-    [[nodiscard]] PopulationStore slice_and_release(std::size_t lo, std::size_t hi) const;
+    [[nodiscard]] PopulationStore slice(std::size_t lo, std::size_t hi,
+                                        const std::vector<ResourceDim>& layout) const;
 
-    /// The bytes of rows [lo, hi) in each of the nine columns, for page
-    /// advice on the store's memory (`util::ForkExclusion`).
+    /// `slice(lo, hi, layout)` for a forked child that never reads this
+    /// store again and maps none of `bytes_outside(lo, hi, layout)`:
+    /// `draw_bits` is `draw_bits(lo, hi, layout)`, taken by the parent
+    /// before the fork. It copies the kept columns a few pages at a time,
+    /// with no zero-fill, and returns each run of source pages to the kernel
+    /// (`util::release_pages`) once copied, so the child never holds a
+    /// column twice, nor any inherited row once this returns. Only for a
+    /// forked child: in the calling process the released rows read as zeros
+    /// afterwards.
+    /// @throws std::invalid_argument when lo >= hi, hi > size(), or
+    ///         `draw_bits` does not hold what `draw_bits(lo, hi, layout)`
+    ///         returns: one byte per row, or none when the layout keeps
+    ///         every drifting column
+    [[nodiscard]] PopulationStore slice_and_release(std::size_t lo, std::size_t hi,
+                                                    const std::vector<ResourceDim>& layout,
+                                                    std::vector<std::uint8_t> draw_bits) const;
+
+    /// One byte per row of [lo, hi) recording which of the drifting caps
+    /// `slice(lo, hi, layout)` leaves out are positive (bit 0 bandwidth,
+    /// bit 1 cpu, bit 2 data size), i.e. which of their drift draws the row
+    /// takes; the caps it keeps, it reads itself. Empty when `layout` keeps
+    /// every drifting column.
+    /// @throws std::invalid_argument when lo >= hi or hi > size()
+    [[nodiscard]] std::vector<std::uint8_t> draw_bits(std::size_t lo, std::size_t hi,
+                                                      const std::vector<ResourceDim>& layout) const;
+
+    /// The bytes of rows [lo, hi) in each column this store holds (its draw
+    /// bytes included), for page advice on the store's memory
+    /// (`util::ForkExclusion`).
     /// @throws std::invalid_argument when lo > hi or hi > size()
     [[nodiscard]] std::vector<util::ByteRange> column_bytes(std::size_t lo,
                                                             std::size_t hi) const;
+
+    /// Every byte of the columns that `slice(lo, hi, layout)` does not
+    /// copy: each kept column's rows outside [lo, hi) and the whole of each
+    /// column it leaves out. What the aggregator keeps out of the fork of
+    /// the worker that narrows rows [lo, hi) (`util::ForkExclusion`).
+    /// @throws std::invalid_argument when lo >= hi or hi > size()
+    [[nodiscard]] std::vector<util::ByteRange>
+    bytes_outside(std::size_t lo, std::size_t hi, const std::vector<ResourceDim>& layout) const;
 
     /// Partition the store into `boundaries.size() + 1` contiguous shards,
     /// each the `slice` between neighbouring cut points: cut points are
@@ -200,8 +253,30 @@ public:
 
 private:
     PopulationStore() = default;  ///< used by slice to assemble a shard
-    /// The one copy behind `slice` and `slice_and_release`.
-    PopulationStore slice_columns(std::size_t lo, std::size_t hi, bool release) const;
+
+    /// One of the nine columns; `kColumns` lists them in snapshot order.
+    struct Column {
+        std::vector<double> PopulationStore::*values;
+        const char* name;
+    };
+    static const Column kColumns[9];
+
+    /// `column`, unless a narrowed slice left it out.
+    /// @throws std::logic_error naming the column when it was left out
+    const std::vector<double>& held(const std::vector<double>& column,
+                                    const char* name) const {
+        if (column.size() != theta_.size()) throw_left_out(name);
+        return column;
+    }
+    [[noreturn]] static void throw_left_out(const char* name);
+    /// Throws std::invalid_argument unless rows [lo, hi) are a non-empty
+    /// range of this store.
+    void check_slice(const char* what, std::size_t lo, std::size_t hi) const;
+    /// The one copy behind every slice: rows [lo, hi) of each column in
+    /// `keep` (bit c for kColumns[c]), each returned to the kernel as it is
+    /// copied when `release`.
+    PopulationStore slice_columns(std::size_t lo, std::size_t hi, unsigned keep,
+                                  std::vector<std::uint8_t> draw_bits, bool release) const;
     void init_resources(std::size_t i, const PopulationSpec& spec, double data_cap,
                         double category, const stats::Distribution& theta_dist,
                         stats::Rng& rng);
@@ -225,6 +300,9 @@ private:
     std::vector<double> category_cap_;
     std::vector<double> bandwidth_cap_;
     std::vector<double> cpu_cap_;
+    /// `draw_bits` of the rows, held only by a narrowed store that leaves a
+    /// drifting column out.
+    std::vector<std::uint8_t> draw_bits_;
 };
 
 } // namespace fmore::mec

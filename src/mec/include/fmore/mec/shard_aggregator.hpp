@@ -99,24 +99,31 @@ struct ShardSupervisorConfig {
 
 class ProcessShardAggregator {
 public:
-    /// Forks one worker per even shard of `store`. Worker s maps only its
-    /// own rows [lo, hi) of `store`: while the constructor forks it, a
-    /// `util::ForkExclusion` keeps every whole page of the nine columns
-    /// outside those rows out of that fork, and lifts it again before the
+    /// Forks one worker per even shard of `store`. Worker s keeps only
+    /// what a bid over `layout` reads and what drift needs to replay it:
+    /// theta, the layout's columns and the caps of those that drift, of its
+    /// own rows [lo, hi), plus a draw byte per row when the layout leaves a
+    /// drifting column out (`PopulationStore::slice(lo, hi, layout)`; 33
+    /// bytes a row instead of 72 for data size and category). The
+    /// coordinator takes those draw bytes from the caps before the fork,
+    /// and while it forks, a `util::ForkExclusion` keeps out of that fork
+    /// every whole page of the store the worker does not keep
+    /// (`PopulationStore::bytes_outside`), lifting it again before the
     /// constructor returns or throws, so `store` leaves as forkable as it
-    /// came in. The child copies its rows one column at a time and hands
-    /// each column's inherited pages back to the kernel before it copies
-    /// the next (`PopulationStore::slice_and_release`), so after start-up
-    /// no worker maps the caller's store, and none keeps its pages alive
-    /// once the caller frees or rewrites them. The coordinator never holds
-    /// a shard copy; workers never touch the thread pool (bid collection
-    /// in a worker is serial). `store` must outlive only the constructor.
-    /// With a respawn budget (`ShardSupervisorConfig::max_respawns > 0`)
-    /// the aggregator keeps the pristine shard splits as respawn sources,
-    /// taken after the initial forks so no initial worker maps them; a
-    /// respawned worker maps only its own split of them. Without a budget
-    /// it keeps no rows. A worker that throws exits (status 4) instead of
-    /// unwinding into the caller, and is evicted like a crashed one.
+    /// came in. The child copies its kept columns a few pages at a time and
+    /// hands each run of inherited pages back to the kernel as it goes
+    /// (`PopulationStore::slice_and_release`), so after start-up no worker
+    /// maps the caller's store, and none keeps its pages alive once the
+    /// caller frees or rewrites them. The coordinator never holds a shard
+    /// copy while it forks; workers never touch the thread pool (bid
+    /// collection in a worker is serial). `store` must outlive only the
+    /// constructor. With a respawn budget
+    /// (`ShardSupervisorConfig::max_respawns > 0`) the aggregator keeps the
+    /// pristine shards, narrowed the same way, as respawn sources, taken
+    /// after the initial forks so no initial worker maps them; a respawned
+    /// worker maps only its own split of them. Without a budget it keeps no
+    /// rows. A worker that throws exits (status 4) instead of unwinding
+    /// into the caller, and is evicted like a crashed one.
     /// @pre while the constructor runs, no other thread of the caller
     ///      forks a child that reads `store`: such a child would not map
     ///      the rows hidden from the worker being forked.
@@ -208,8 +215,9 @@ public:
     /// set.
     [[nodiscard]] int worker_pid(std::size_t shard) const;
 
-    /// Exclude a node from all future rounds; shipped to its shard with
-    /// the next request (and to every respawned worker with its sync).
+    /// Exclude a node from all future rounds; shipped to every worker with
+    /// the next request (and to every respawned worker with its sync), and
+    /// kept only by the worker whose rows hold it.
     /// @throws std::invalid_argument when `node` is outside the population
     void ban(auction::NodeId node);
 

@@ -1,7 +1,11 @@
 #include "fmore/mec/population_store.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "fmore/util/thread_pool.hpp"
 
@@ -29,6 +33,14 @@ inline double clamp_value(double v, double lo, double hi) {
     return std::min(std::max(v, lo), hi);
 }
 
+/// Bits of a row's draw byte (`PopulationStore::draw_bits`): which of the
+/// drifting caps a narrowed store left out are positive. The same bits name
+/// the drifting columns a store holds.
+constexpr unsigned kDrawBandwidth = 1;
+constexpr unsigned kDrawCpu = 2;
+constexpr unsigned kDrawData = 4;
+constexpr unsigned kDrawAll = kDrawBandwidth | kDrawCpu | kDrawData;
+
 /// `PopulationStore::evolve_node` over rows [lo, hi) as one branch-free
 /// loop the compiler can vectorize across rows. The per-node code takes a
 /// draw only for a positive cap, so a row's later draws sit at positions
@@ -37,14 +49,17 @@ inline double clamp_value(double v, double lo, double hi) {
 /// has taken so far), and the update and k's increment become selects.
 /// Each row runs the reference's arithmetic in the reference's order, so
 /// results are bit-identical (see `DriftKernelMatchesPerNodeReference`).
-/// One instantiation per jitter case keeps the loop free of branches.
-template <bool kResource, bool kTheta>
+/// A drifting column missing from `kHeld` (a narrowed store's) only
+/// advances k, by its bit of the row's draw byte. One instantiation per
+/// jitter case and held set keeps the loop free of branches.
+template <bool kResource, bool kTheta, unsigned kHeld>
 void drift_rows(const DriftParams& p, std::uint64_t salt, std::size_t lo, std::size_t hi,
                 double* __restrict theta, double* __restrict data_size,
                 double* __restrict bandwidth, double* __restrict cpu,
                 const double* __restrict data_cap,
                 const double* __restrict bandwidth_cap,
-                const double* __restrict cpu_cap) {
+                const double* __restrict cpu_cap,
+                const std::uint8_t* __restrict draw_bits) {
     const std::uint64_t node_offset = p.node_offset;
     const double jitter = p.resource_jitter;
     const double theta_jitter = p.theta_jitter;
@@ -54,38 +69,50 @@ void drift_rows(const DriftParams& p, std::uint64_t salt, std::size_t lo, std::s
         const std::uint64_t seed = stats::derive_stream_seed(salt, node_offset + i);
         std::uint64_t taken = 0;
         if constexpr (kResource) {
-            const double bw_cap = bandwidth_cap[i];
-            const bool bw_live = bw_cap > 0.0;
-            const double bw_step = bw_cap * jitter;
-            const double bw = clamp_value(
-                bandwidth[i]
-                    + stats::SplitMix64::uniform_of(
-                        stats::SplitMix64::nth(seed, taken + 1), -bw_step, bw_step),
-                0.05 * bw_cap, bw_cap);
-            bandwidth[i] = bw_live ? bw : bandwidth[i];
-            taken += bw_live ? 1 : 0;
+            if constexpr ((kHeld & kDrawBandwidth) != 0) {
+                const double bw_cap = bandwidth_cap[i];
+                const bool bw_live = bw_cap > 0.0;
+                const double bw_step = bw_cap * jitter;
+                const double bw = clamp_value(
+                    bandwidth[i]
+                        + stats::SplitMix64::uniform_of(
+                            stats::SplitMix64::nth(seed, taken + 1), -bw_step, bw_step),
+                    0.05 * bw_cap, bw_cap);
+                bandwidth[i] = bw_live ? bw : bandwidth[i];
+                taken += bw_live ? 1 : 0;
+            } else {
+                taken += (draw_bits[i] & kDrawBandwidth) != 0 ? 1 : 0;
+            }
 
-            const double cpu_cap_i = cpu_cap[i];
-            const bool cpu_live = cpu_cap_i > 0.0;
-            const double cpu_step = cpu_cap_i * jitter;
-            const double cores = clamp_value(
-                cpu[i]
-                    + stats::SplitMix64::uniform_of(
-                        stats::SplitMix64::nth(seed, taken + 1), -cpu_step, cpu_step),
-                0.05 * cpu_cap_i, cpu_cap_i);
-            cpu[i] = cpu_live ? cores : cpu[i];
-            taken += cpu_live ? 1 : 0;
+            if constexpr ((kHeld & kDrawCpu) != 0) {
+                const double cpu_cap_i = cpu_cap[i];
+                const bool cpu_live = cpu_cap_i > 0.0;
+                const double cpu_step = cpu_cap_i * jitter;
+                const double cores = clamp_value(
+                    cpu[i]
+                        + stats::SplitMix64::uniform_of(
+                            stats::SplitMix64::nth(seed, taken + 1), -cpu_step, cpu_step),
+                    0.05 * cpu_cap_i, cpu_cap_i);
+                cpu[i] = cpu_live ? cores : cpu[i];
+                taken += cpu_live ? 1 : 0;
+            } else {
+                taken += (draw_bits[i] & kDrawCpu) != 0 ? 1 : 0;
+            }
 
-            const double d_cap = data_cap[i];
-            const bool data_live = d_cap > 0.0;
-            const double data_step = d_cap * jitter;
-            const double data = clamp_value(
-                data_size[i]
-                    + stats::SplitMix64::uniform_of(
-                        stats::SplitMix64::nth(seed, taken + 1), 0.0, data_step),
-                0.0, d_cap);
-            data_size[i] = data_live ? data : data_size[i];
-            taken += data_live ? 1 : 0;
+            if constexpr ((kHeld & kDrawData) != 0) {
+                const double d_cap = data_cap[i];
+                const bool data_live = d_cap > 0.0;
+                const double data_step = d_cap * jitter;
+                const double data = clamp_value(
+                    data_size[i]
+                        + stats::SplitMix64::uniform_of(
+                            stats::SplitMix64::nth(seed, taken + 1), 0.0, data_step),
+                    0.0, d_cap);
+                data_size[i] = data_live ? data : data_size[i];
+                taken += data_live ? 1 : 0;
+            } else {
+                taken += (draw_bits[i] & kDrawData) != 0 ? 1 : 0;
+            }
         }
         if constexpr (kTheta) {
             theta[i] = clamp_value(
@@ -99,18 +126,119 @@ void drift_rows(const DriftParams& p, std::uint64_t salt, std::size_t lo, std::s
 
 using DriftKernel = void (*)(const DriftParams&, std::uint64_t, std::size_t,
                              std::size_t, double*, double*, double*, double*,
-                             const double*, const double*, const double*);
+                             const double*, const double*, const double*,
+                             const std::uint8_t*);
 
-/// The instantiation for this round's jitter case; null when nothing
-/// drifts (the per-node code then takes no draw either).
-DriftKernel drift_kernel(const ResourceDynamics& dynamics) {
-    const bool resource = dynamics.resource_jitter > 0.0;
+/// The resource-drift instantiations for every held set, indexed by it.
+template <bool kTheta, unsigned... kHeld>
+constexpr std::array<DriftKernel, sizeof...(kHeld)>
+resource_kernels(std::integer_sequence<unsigned, kHeld...>) {
+    return {&drift_rows<true, kTheta, kHeld>...};
+}
+
+/// The instantiation for this round's jitter case and the drifting columns
+/// the store holds (`held`, kDraw* bits); null when nothing drifts (the
+/// per-node code then takes no draw either).
+DriftKernel drift_kernel(const ResourceDynamics& dynamics, unsigned held) {
+    static constexpr auto with_theta =
+        resource_kernels<true>(std::make_integer_sequence<unsigned, kDrawAll + 1>{});
+    static constexpr auto without_theta =
+        resource_kernels<false>(std::make_integer_sequence<unsigned, kDrawAll + 1>{});
     const bool theta = dynamics.theta_jitter > 0.0;
-    if (resource) return theta ? &drift_rows<true, true> : &drift_rows<true, false>;
-    return theta ? &drift_rows<false, true> : nullptr;
+    if (dynamics.resource_jitter > 0.0) return (theta ? with_theta : without_theta)[held];
+    return theta ? &drift_rows<false, true, kDrawAll> : nullptr;
+}
+
+/// Indices into `PopulationStore::kColumns` (snapshot order).
+enum ColumnIndex : unsigned {
+    kTheta,
+    kDataSize,
+    kCategory,
+    kBandwidth,
+    kCpu,
+    kDataCap,
+    kCategoryCap,
+    kBandwidthCap,
+    kCpuCap,
+    kColumnCount,
+};
+
+constexpr unsigned bit(ColumnIndex c) { return 1u << c; }
+
+constexpr unsigned kAllColumns = (1u << kColumnCount) - 1;
+
+/// The kDraw* bits of the drifting columns a slice keeping `keep` leaves
+/// out: it needs draw bytes for them when there are any.
+constexpr unsigned drifting_left_out(unsigned keep) {
+    return ((keep & bit(kBandwidth)) != 0 ? 0 : kDrawBandwidth)
+           | ((keep & bit(kCpu)) != 0 ? 0 : kDrawCpu)
+           | ((keep & bit(kDataSize)) != 0 ? 0 : kDrawData);
+}
+
+/// The columns a narrowed slice over `layout` keeps (bit c for column c):
+/// theta, the layout's columns, and the caps of those that drift.
+unsigned kept_columns(const std::vector<ResourceDim>& layout) {
+    unsigned keep = bit(kTheta);
+    for (const ResourceDim dim : layout) {
+        switch (dim) {
+            case ResourceDim::data_size: keep |= bit(kDataSize) | bit(kDataCap); break;
+            case ResourceDim::category_proportion: keep |= bit(kCategory); break;
+            case ResourceDim::bandwidth: keep |= bit(kBandwidth) | bit(kBandwidthCap); break;
+            case ResourceDim::cpu: keep |= bit(kCpu) | bit(kCpuCap); break;
+        }
+    }
+    return keep;
+}
+
+/// Source pages a forked child copies before it returns them: it holds at
+/// most this much of a column twice.
+constexpr std::size_t kReleasePages = 16;
+
+/// Appends [first, last) to `out`, which it reserves first, one run of
+/// whole source pages at a time, returning each run to the kernel once
+/// copied. The partial pages at either end stay: they are shared with
+/// neighbouring rows.
+void append_releasing(const double* first, const double* last, std::vector<double>& out) {
+    const std::uintptr_t run = util::page_size() * kReleasePages;
+    out.reserve(out.size() + static_cast<std::size_t>(last - first));
+    while (first < last) {
+        // Up to the next run boundary of the source's addresses.
+        const std::uintptr_t at = reinterpret_cast<std::uintptr_t>(first);
+        const std::size_t to_boundary = ((at / run + 1) * run - at) / sizeof(double);
+        const double* next = first + std::min(to_boundary, static_cast<std::size_t>(last - first));
+        out.insert(out.end(), first, next);
+        util::release_pages({first, next});
+        first = next;
+    }
 }
 
 } // namespace
+
+// In `ColumnIndex` order, which is the snapshot's.
+const PopulationStore::Column PopulationStore::kColumns[9] = {
+    {&PopulationStore::theta_, "theta"},
+    {&PopulationStore::data_size_, "data_size"},
+    {&PopulationStore::category_, "category"},
+    {&PopulationStore::bandwidth_, "bandwidth"},
+    {&PopulationStore::cpu_, "cpu"},
+    {&PopulationStore::data_cap_, "data_cap"},
+    {&PopulationStore::category_cap_, "category_cap"},
+    {&PopulationStore::bandwidth_cap_, "bandwidth_cap"},
+    {&PopulationStore::cpu_cap_, "cpu_cap"},
+};
+
+void PopulationStore::throw_left_out(const char* name) {
+    throw std::logic_error(std::string("PopulationStore: this narrowed shard left out the ")
+                           + name + " column");
+}
+
+void PopulationStore::check_slice(const char* what, std::size_t lo, std::size_t hi) const {
+    if (lo >= hi || hi > size())
+        throw std::invalid_argument(std::string("PopulationStore::") + what + ": rows ["
+                                    + std::to_string(lo) + ", " + std::to_string(hi)
+                                    + ") are empty or outside [0, "
+                                    + std::to_string(size()) + ")");
+}
 
 void PopulationStore::init_resources(std::size_t i, const PopulationSpec& spec,
                                      double data_cap, double category,
@@ -182,29 +310,29 @@ PopulationStore::PopulationStore(std::size_t num_nodes, const SyntheticDataSpec&
 
 const std::vector<double>& PopulationStore::column(ResourceDim dim) const {
     switch (dim) {
-        case ResourceDim::data_size: return data_size_;
-        case ResourceDim::category_proportion: return category_;
-        case ResourceDim::bandwidth: return bandwidth_;
-        case ResourceDim::cpu: return cpu_;
+        case ResourceDim::data_size: return held(data_size_, "data_size");
+        case ResourceDim::category_proportion: return held(category_, "category");
+        case ResourceDim::bandwidth: return held(bandwidth_, "bandwidth");
+        case ResourceDim::cpu: return held(cpu_, "cpu");
     }
     throw std::logic_error("PopulationStore: unknown ResourceDim");
 }
 
 ResourceState PopulationStore::resources(std::size_t i) const {
     ResourceState r;
-    r.data_size = data_size_[i];
-    r.category_proportion = category_[i];
-    r.bandwidth_mbps = bandwidth_[i];
-    r.cpu_cores = cpu_[i];
+    r.data_size = data_size(i);
+    r.category_proportion = category_proportion(i);
+    r.bandwidth_mbps = bandwidth_mbps(i);
+    r.cpu_cores = cpu_cores(i);
     return r;
 }
 
 ResourceState PopulationStore::caps(std::size_t i) const {
     ResourceState r;
-    r.data_size = data_cap_[i];
-    r.category_proportion = category_cap_[i];
-    r.bandwidth_mbps = bandwidth_cap_[i];
-    r.cpu_cores = cpu_cap_[i];
+    r.data_size = held(data_cap_, "data_cap")[i];
+    r.category_proportion = held(category_cap_, "category_cap")[i];
+    r.bandwidth_mbps = held(bandwidth_cap_, "bandwidth_cap")[i];
+    r.cpu_cores = held(cpu_cap_, "cpu_cap")[i];
     return r;
 }
 
@@ -247,15 +375,19 @@ void PopulationStore::begin_round(std::uint64_t salt) {
 
 void PopulationStore::evolve_with_salt(std::uint64_t salt) {
     begin_round(salt);
-    const DriftKernel kernel = drift_kernel(dynamics_);
+    const std::size_t n = size();
+    const unsigned held_columns = (bandwidth_.size() == n ? kDrawBandwidth : 0)
+                                  | (cpu_.size() == n ? kDrawCpu : 0)
+                                  | (data_size_.size() == n ? kDrawData : 0);
+    const DriftKernel kernel = drift_kernel(dynamics_, held_columns);
     if (kernel == nullptr) return;
     const DriftParams params{node_offset_, dynamics_.resource_jitter,
                              dynamics_.theta_jitter, theta_lo_, theta_hi_};
     const auto drift = [&](std::size_t lo, std::size_t hi) {
         kernel(params, salt, lo, hi, theta_.data(), data_size_.data(), bandwidth_.data(),
-               cpu_.data(), data_cap_.data(), bandwidth_cap_.data(), cpu_cap_.data());
+               cpu_.data(), data_cap_.data(), bandwidth_cap_.data(), cpu_cap_.data(),
+               draw_bits_.data());
     };
-    const std::size_t n = size();
     const std::size_t chunks = (n + kEvolveChunk - 1) / kEvolveChunk;
     const std::size_t workers = chunks <= 1 ? 1 : util::resolve_round_threads(0, chunks);
     if (workers <= 1) {
@@ -272,6 +404,7 @@ void PopulationStore::evolve_with_salt(std::uint64_t salt) {
 void PopulationStore::evolve(stats::Rng& rng) { evolve_with_salt(rng.engine()()); }
 
 void PopulationStore::evolve_serial(stats::Rng& rng) {
+    for (const Column& c : kColumns) (void)held(this->*c.values, c.name);
     const std::uint64_t salt = rng.engine()();
     begin_round(salt);
     for (std::size_t i = 0; i < size(); ++i) evolve_node(i, salt);
@@ -281,13 +414,13 @@ PopulationSnapshot PopulationStore::snapshot() const {
     PopulationSnapshot snap;
     snap.node_offset = node_offset_;
     snap.salt_history = salt_history_;
-    snap.columns = {theta_,    data_size_,    category_,     bandwidth_,
-                    cpu_,      data_cap_,     category_cap_, bandwidth_cap_,
-                    cpu_cap_};
+    snap.columns.reserve(kColumnCount);
+    for (const Column& c : kColumns) snap.columns.push_back(held(this->*c.values, c.name));
     return snap;
 }
 
 void PopulationStore::restore(const PopulationSnapshot& snap) {
+    for (const Column& c : kColumns) (void)held(this->*c.values, c.name);
     if (snap.columns.size() != 9)
         throw std::invalid_argument("PopulationStore::restore: expected 9 columns, got "
                                     + std::to_string(snap.columns.size()));
@@ -302,53 +435,75 @@ void PopulationStore::restore(const PopulationSnapshot& snap) {
             + std::to_string(snap.node_offset) + " != store node_offset "
             + std::to_string(node_offset_));
     salt_history_ = snap.salt_history;
-    theta_ = snap.columns[0];
-    data_size_ = snap.columns[1];
-    category_ = snap.columns[2];
-    bandwidth_ = snap.columns[3];
-    cpu_ = snap.columns[4];
-    data_cap_ = snap.columns[5];
-    category_cap_ = snap.columns[6];
-    bandwidth_cap_ = snap.columns[7];
-    cpu_cap_ = snap.columns[8];
+    for (std::size_t c = 0; c < kColumnCount; ++c) this->*kColumns[c].values = snap.columns[c];
 }
 
 PopulationStore PopulationStore::slice(std::size_t lo, std::size_t hi) const {
-    return slice_columns(lo, hi, /*release=*/false);
+    return slice_columns(lo, hi, kAllColumns, {}, /*release=*/false);
 }
 
-PopulationStore PopulationStore::slice_and_release(std::size_t lo, std::size_t hi) const {
-    return slice_columns(lo, hi, /*release=*/true);
+PopulationStore PopulationStore::slice(std::size_t lo, std::size_t hi,
+                                       const std::vector<ResourceDim>& layout) const {
+    check_slice("slice", lo, hi);
+    return slice_columns(lo, hi, kept_columns(layout), draw_bits(lo, hi, layout),
+                         /*release=*/false);
 }
 
-PopulationStore PopulationStore::slice_columns(std::size_t lo, std::size_t hi,
+PopulationStore PopulationStore::slice_and_release(std::size_t lo, std::size_t hi,
+                                                   const std::vector<ResourceDim>& layout,
+                                                   std::vector<std::uint8_t> draw_bits) const {
+    check_slice("slice_and_release", lo, hi);
+    const unsigned keep = kept_columns(layout);
+    const std::size_t expected = drifting_left_out(keep) != 0 ? hi - lo : 0;
+    if (draw_bits.size() != expected)
+        throw std::invalid_argument("PopulationStore::slice_and_release: "
+                                    + std::to_string(draw_bits.size())
+                                    + " draw bytes for a narrowed slice that needs "
+                                    + std::to_string(expected));
+    return slice_columns(lo, hi, keep, std::move(draw_bits), /*release=*/true);
+}
+
+std::vector<std::uint8_t> PopulationStore::draw_bits(std::size_t lo, std::size_t hi,
+                                                     const std::vector<ResourceDim>& layout) const {
+    check_slice("draw_bits", lo, hi);
+    const unsigned left_out = drifting_left_out(kept_columns(layout));
+    if (left_out == 0) return {};
+    // Each left-out cap is read, 8 MB at 1M rows, while the coordinator
+    // forks: serially, as pool threads started here would put their stacks
+    // into every later fork.
+    std::vector<std::uint8_t> bits(hi - lo, 0);
+    const auto mark = [&](ColumnIndex cap, unsigned draw) {
+        if ((left_out & draw) == 0) return;
+        const std::vector<double>& caps = held(this->*kColumns[cap].values, kColumns[cap].name);
+        for (std::size_t i = lo; i < hi; ++i)
+            bits[i - lo] = static_cast<std::uint8_t>(bits[i - lo] | (caps[i] > 0.0 ? draw : 0));
+    };
+    mark(kBandwidthCap, kDrawBandwidth);
+    mark(kCpuCap, kDrawCpu);
+    mark(kDataCap, kDrawData);
+    return bits;
+}
+
+PopulationStore PopulationStore::slice_columns(std::size_t lo, std::size_t hi, unsigned keep,
+                                               std::vector<std::uint8_t> draw_bits,
                                                bool release) const {
-    if (lo >= hi || hi > size())
-        throw std::invalid_argument("PopulationStore::slice: rows [" + std::to_string(lo)
-                                    + ", " + std::to_string(hi)
-                                    + ") are empty or outside [0, "
-                                    + std::to_string(size()) + ")");
+    check_slice("slice", lo, hi);
     PopulationStore shard;
     shard.node_offset_ = node_offset_ + lo;
     shard.dynamics_ = dynamics_;
     shard.theta_lo_ = theta_lo_;
     shard.theta_hi_ = theta_hi_;
-    // Column by column, each source released before the next copy: a
-    // forked child then never holds more than one column twice.
-    const auto copy = [&](const std::vector<double>& whole, std::vector<double>& out) {
-        out.assign(whole.begin() + static_cast<std::ptrdiff_t>(lo),
-                   whole.begin() + static_cast<std::ptrdiff_t>(hi));
-        if (release) util::release_pages({whole.data() + lo, whole.data() + hi});
-    };
-    copy(theta_, shard.theta_);
-    copy(data_size_, shard.data_size_);
-    copy(category_, shard.category_);
-    copy(bandwidth_, shard.bandwidth_);
-    copy(cpu_, shard.cpu_);
-    copy(data_cap_, shard.data_cap_);
-    copy(category_cap_, shard.category_cap_);
-    copy(bandwidth_cap_, shard.bandwidth_cap_);
-    copy(cpu_cap_, shard.cpu_cap_);
+    shard.draw_bits_ = std::move(draw_bits);
+    for (std::size_t c = 0; c < kColumnCount; ++c) {
+        if ((keep & (1u << c)) == 0) continue;
+        const std::vector<double>& whole = held(this->*kColumns[c].values, kColumns[c].name);
+        std::vector<double>& out = shard.*kColumns[c].values;
+        if (release)
+            append_releasing(whole.data() + lo, whole.data() + hi, out);
+        else
+            out.assign(whole.begin() + static_cast<std::ptrdiff_t>(lo),
+                       whole.begin() + static_cast<std::ptrdiff_t>(hi));
+    }
     return shard;
 }
 
@@ -359,11 +514,31 @@ std::vector<util::ByteRange> PopulationStore::column_bytes(std::size_t lo,
                                     + std::to_string(lo) + ", " + std::to_string(hi)
                                     + ") outside [0, " + std::to_string(size()) + ")");
     std::vector<util::ByteRange> ranges;
-    ranges.reserve(9);
-    for (const std::vector<double>* column :
-         {&theta_, &data_size_, &category_, &bandwidth_, &cpu_, &data_cap_, &category_cap_,
-          &bandwidth_cap_, &cpu_cap_})
-        ranges.push_back({column->data() + lo, column->data() + hi});
+    ranges.reserve(kColumnCount + 1);
+    for (const Column& c : kColumns) {
+        const std::vector<double>& column = this->*c.values;
+        if (column.size() == size()) ranges.push_back({column.data() + lo, column.data() + hi});
+    }
+    if (!draw_bits_.empty()) ranges.push_back({draw_bits_.data() + lo, draw_bits_.data() + hi});
+    return ranges;
+}
+
+std::vector<util::ByteRange>
+PopulationStore::bytes_outside(std::size_t lo, std::size_t hi,
+                               const std::vector<ResourceDim>& layout) const {
+    check_slice("bytes_outside", lo, hi);
+    const unsigned keep = kept_columns(layout);
+    std::vector<util::ByteRange> ranges;
+    ranges.reserve(2 * kColumnCount);
+    for (std::size_t c = 0; c < kColumnCount; ++c) {
+        const double* values = held(this->*kColumns[c].values, kColumns[c].name).data();
+        if ((keep & (1u << c)) == 0) {
+            ranges.push_back({values, values + size()});
+            continue;
+        }
+        ranges.push_back({values, values + lo});
+        ranges.push_back({values + hi, values + size()});
+    }
     return ranges;
 }
 

@@ -81,9 +81,10 @@ struct ProcessShardAggregator::Impl {
         std::size_t resume_round = 0;
     };
     std::vector<Worker> workers;
-    /// Fork sources for respawn: the pristine round-0 shard splits, taken
-    /// after the initial forks so no initial worker maps them. Empty when
-    /// respawns are disabled (no memory retained).
+    /// Fork sources for respawn: the pristine round-0 shards, narrowed to
+    /// the layout like the workers' own and taken after the initial forks
+    /// so no initial worker maps them. Empty when respawns are disabled (no
+    /// memory retained).
     std::vector<PopulationStore> pristine;
     /// Drift salts of rounds 2..latest, in order — replaying them over a
     /// pristine shard reproduces the current shard state bit-exactly.
@@ -233,7 +234,16 @@ namespace {
                               const util::FaultInjector& faults) {
     ::setenv("FMORE_ROUND_THREADS", "1", 1);
     ::signal(SIGPIPE, SIG_IGN);
-    Blacklist banned;
+    // Every worker hears every ban; it keeps only its own rows' ids, so its
+    // blacklist spans at most its rows whatever ids the frames carry.
+    const std::size_t first_node = shard.node_offset();
+    Blacklist banned(first_node);
+    const auto take_bans = [&](const wire::PackedU64s& ids) {
+        for (std::size_t i = 0; i < ids.count; ++i) {
+            const std::uint64_t node = ids.at(i);
+            if (node >= first_node && node - first_node < shard.size()) banned.ban(node);
+        }
+    };
     auction::ShardHead head;
     auction::ShardHead chunk;
     std::vector<const double*> columns;
@@ -275,7 +285,7 @@ namespace {
             if (!wire::decode_sync(payload, sync)) ::_exit(2);
             for (std::size_t i = 0; i < sync.salts.count; ++i)
                 shard.evolve_with_salt(sync.salts.at(i));
-            for (std::size_t i = 0; i < sync.bans.count; ++i) banned.ban(sync.bans.at(i));
+            take_bans(sync.bans);
             continue;
         }
 
@@ -311,8 +321,7 @@ namespace {
         if (!wire::decode_request(payload, streaming, decoded)) ::_exit(2);
         const RoundRequest& req = decoded.request;
         const StreamExtra& extra = decoded.extra;
-        for (std::size_t i = 0; i < decoded.banned.count; ++i)
-            banned.ban(decoded.banned.at(i));
+        take_bans(decoded.banned);
 
         const util::FaultEvent fault = faults.event(shard_index, req.round);
         if (fault.kind == util::FaultKind::crash_before_reply) ::_exit(3);
@@ -545,26 +554,35 @@ ProcessShardAggregator::ProcessShardAggregator(
     check_bid_layout(impl_->layout, impl_->strategy, impl_->scoring,
                      impl_->strategy_scores_broadcast_rule);
     (void)impl_->engine_for(impl_->wd.num_winners == 0 ? 1 : impl_->wd.num_winners);
-    const std::vector<std::size_t> cuts =
-        PopulationStore::even_boundaries(store.size(), num_shards);
+    // Shard s holds rows [starts[s], starts[s + 1]).
+    std::vector<std::size_t> starts = PopulationStore::even_boundaries(store.size(), num_shards);
+    starts.insert(starts.begin(), 0);
+    starts.push_back(store.size());
     ignore_sigpipe();
 
-    // Worker s maps only rows [lo, hi) of the caller's store: the other
-    // rows stay out of its fork, and it hands the inherited rows back to
-    // the kernel column by column as it copies them. The coordinator never
-    // holds a shard copy while it forks.
+    // Worker s maps only the columns a bid over the layout reads, and of
+    // them only rows [lo, hi): everything else stays out of its fork. Its
+    // draw bytes, which stand in for the caps it leaves out, are taken here
+    // before the fork, and it hands the inherited rows back to the kernel as
+    // it copies them. The coordinator never holds a shard copy while it
+    // forks.
+    const QualityLayout& bid_layout = impl_->layout;
     impl_->workers.resize(num_shards);
     impl_->heads.resize(num_shards);
     for (std::size_t s = 0; s < num_shards; ++s) {
-        const std::size_t lo = s == 0 ? 0 : cuts[s - 1];
-        const std::size_t hi = s < cuts.size() ? cuts[s] : store.size();
-        std::vector<util::ByteRange> others = store.column_bytes(0, lo);
-        const std::vector<util::ByteRange> above = store.column_bytes(hi, store.size());
-        others.insert(others.end(), above.begin(), above.end());
-        if (!impl_->spawn(s, others, [&] { return store.slice_and_release(lo, hi); }))
+        const std::size_t lo = starts[s];
+        const std::size_t hi = starts[s + 1];
+        std::vector<std::uint8_t> draw_bits = store.draw_bits(lo, hi, bid_layout);
+        if (!impl_->spawn(s, store.bytes_outside(lo, hi, bid_layout), [&] {
+                return store.slice_and_release(lo, hi, bid_layout, std::move(draw_bits));
+            }))
             throw std::runtime_error("ProcessShardAggregator: pipe()/fork() failed");
     }
-    if (impl_->sup.max_respawns > 0) impl_->pristine = store.split_even(num_shards);
+    if (impl_->sup.max_respawns > 0) {
+        impl_->pristine.reserve(num_shards);
+        for (std::size_t s = 0; s < num_shards; ++s)
+            impl_->pristine.push_back(store.slice(starts[s], starts[s + 1], bid_layout));
+    }
 }
 
 ProcessShardAggregator::~ProcessShardAggregator() {

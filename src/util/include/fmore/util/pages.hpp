@@ -13,9 +13,13 @@
 /// malloc's own metadata is never touched. Neither changes what the caller
 /// can read: correctness never depends on the kernel taking the advice.
 
+#include <cstddef>
 #include <vector>
 
 namespace fmore::util {
+
+/// `sysconf(_SC_PAGESIZE)`, read once.
+[[nodiscard]] std::size_t page_size();
 
 /// Bytes [begin, end) of this process's memory.
 struct ByteRange {

@@ -9,11 +9,6 @@ namespace fmore::util {
 
 namespace {
 
-std::uintptr_t page_size() {
-    static const std::uintptr_t size = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
-    return size;
-}
-
 void advise(ByteRange pages, int advice) {
     auto* begin = const_cast<void*>(pages.begin);
     const std::size_t length = static_cast<std::size_t>(static_cast<const char*>(pages.end)
@@ -22,6 +17,11 @@ void advise(ByteRange pages, int advice) {
 }
 
 } // namespace
+
+std::size_t page_size() {
+    static const std::size_t size = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    return size;
+}
 
 ByteRange whole_pages(ByteRange range) {
     const std::uintptr_t page = page_size();

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "fmore/mec/auction_selector.hpp"
 #include "fmore/mec/blacklist.hpp"
 #include "fmore/ml/synthetic.hpp"
@@ -17,6 +20,22 @@ TEST(Blacklist, BasicSetSemantics) {
     EXPECT_EQ(list.size(), 1u);
     list.clear();
     EXPECT_FALSE(list.contains(3));
+}
+
+TEST(Blacklist, OffsetListServesIdsFromItsFirstOn) {
+    Blacklist list(100);
+    list.ban(100);
+    list.ban(105);
+    EXPECT_TRUE(list.contains(100));
+    EXPECT_TRUE(list.contains(105));
+    EXPECT_FALSE(list.contains(99));
+    EXPECT_FALSE(list.contains(0));
+    EXPECT_EQ(list.banned_ids(), (std::vector<std::size_t>{100, 105}));
+    // An id below the first would wrap the array's index.
+    EXPECT_THROW(list.ban(99), std::invalid_argument);
+    EXPECT_THROW(list.ban(0), std::invalid_argument);
+    EXPECT_EQ(list.size(), 2u);
+    EXPECT_EQ(list.banned_ids(), (std::vector<std::size_t>{100, 105}));
 }
 
 TEST(Compliance, ZeroProbabilityAlwaysDelivers) {

@@ -9,9 +9,11 @@
 //    while it forks that worker: after the constructor a plain child reads
 //    the whole store, and a second aggregator over it plays the same rounds
 //    as the first and as the monolithic market.
-//  - PopulationStore::slice_and_release, run in a child, copies what
-//    `slice` copies and leaves none of the source rows' whole pages
-//    resident there.
+//  - PopulationStore::slice_and_release, run in a child forked under the
+//    aggregator's exclusion list (`bytes_outside`), keeps exactly what
+//    `slice` holds of the layout's columns (also after drift), leaves none
+//    of the source rows' whole pages resident there, and never maps a
+//    column the layout leaves out.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +21,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -314,45 +319,130 @@ bool same_bits(const PopulationSnapshot& a, const PopulationSnapshot& b) {
     return true;
 }
 
+/// Snapshot indices of the columns a narrowed slice over `layout` keeps:
+/// theta, the layout's columns and the caps of those that drift.
+std::vector<std::size_t> kept_indices(const QualityLayout& layout) {
+    std::vector<std::size_t> kept{0};
+    for (const ResourceDim dim : layout) {
+        switch (dim) {
+            case ResourceDim::data_size: kept.insert(kept.end(), {1, 5}); break;
+            case ResourceDim::category_proportion: kept.push_back(2); break;
+            case ResourceDim::bandwidth: kept.insert(kept.end(), {3, 7}); break;
+            case ResourceDim::cpu: kept.insert(kept.end(), {4, 8}); break;
+        }
+    }
+    return kept;
+}
+
+/// Thetas and the layout's columns of both stores equal bit for bit, with
+/// the same offset and salt history.
+bool same_kept_bits(const PopulationStore& a, const PopulationStore& b,
+                    const QualityLayout& layout) {
+    const auto same = [](const std::vector<double>& x, const std::vector<double>& y) {
+        return x.size() == y.size()
+               && std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+    };
+    if (a.node_offset() != b.node_offset() || a.salt_history() != b.salt_history()
+        || !same(a.thetas(), b.thetas()))
+        return false;
+    for (const ResourceDim dim : layout)
+        if (!same(a.column(dim), b.column(dim))) return false;
+    return true;
+}
+
+/// {whole pages inside `range`, of which resident, of which unmapped}, as
+/// this process sees them.
+std::array<std::uint64_t, 3> page_census(util::ByteRange range) {
+    const util::ByteRange pages = util::whole_pages(range);
+    const std::size_t count = static_cast<std::size_t>(static_cast<const char*>(pages.end)
+                                                       - static_cast<const char*>(pages.begin))
+                              / page_size();
+    std::array<std::uint64_t, 3> census{count, 0, 0};
+    for (std::size_t p = 0; p < count; ++p) {
+        unsigned char resident = 0;
+        if (::mincore(const_cast<char*>(static_cast<const char*>(pages.begin)) + p * page_size(),
+                      page_size(), &resident)
+            == 0)
+            census[1] += resident & 1u;
+        else if (errno == ENOMEM)
+            ++census[2];
+        else
+            ::_exit(1);
+    }
+    return census;
+}
+
 TEST(ForkExclusion, SliceAndReleaseCopiesLikeSliceThenDropsTheSourceRows) {
-    // Run in a child, the only place a store may release rows: there they
-    // read as zeros afterwards.
+    // Run in a child forked under the aggregator's exclusion list, the only
+    // place a store may release rows: there they read as zeros afterwards.
+    // The store's caps are not positive on scattered rows, where drift
+    // takes no draw: the narrowed slices must replay that from their draw
+    // bytes when they leave the cap out.
     const Market market;
     PopulationStore store = make_store(market, 20'000, 0x52ULL);
+    PopulationSnapshot planted = store.snapshot();
+    for (std::size_t i = 0; i < store.size(); i += 7) {
+        planted.columns[5 + i % 4][i] = 0.0;  // data, category, bandwidth, cpu cap
+        planted.columns[7][(i * 13) % store.size()] = -1.0;
+    }
+    store.restore(planted);
     store.evolve_with_salt(0x5a17ULL);  // a salt history a slice starts without
     const PopulationSnapshot before = store.snapshot();
     const std::size_t lo = 4'999;
     const std::size_t hi = 15'001;
-    const ChildResult child = run_in_child([&](int fd) {
-        const PopulationSnapshot expected = store.slice(lo, hi).snapshot();
-        const PopulationSnapshot released = store.slice_and_release(lo, hi).snapshot();
-        // {bitwise equal, whole source pages, of which still resident}
-        std::uint64_t report[3] = {same_bits(expected, released) ? 1u : 0u, 0, 0};
-        for (const util::ByteRange range : store.column_bytes(lo, hi)) {
-            const util::ByteRange pages = util::whole_pages(range);
-            const std::size_t count =
-                static_cast<std::size_t>(static_cast<const char*>(pages.end)
-                                         - static_cast<const char*>(pages.begin))
-                / page_size();
-            std::vector<unsigned char> resident(count);
-            if (count > 0
-                && ::mincore(const_cast<void*>(pages.begin), count * page_size(),
-                             resident.data())
-                       != 0)
-                ::_exit(1);
-            report[1] += count;
-            for (const unsigned char r : resident) report[2] += r & 1u;
+    const std::uint64_t salts[] = {0x11ULL, 0x2222ULL, 0x333333ULL};
+
+    for (const QualityLayout& layout :
+         {QualityLayout{ResourceDim::data_size, ResourceDim::category_proportion},
+          QualityLayout{ResourceDim::bandwidth}}) {
+        SCOPED_TRACE("layout of " + std::to_string(layout.size()) + " columns, first "
+                     + std::to_string(static_cast<int>(layout.front())));
+        const std::vector<std::size_t> kept = kept_indices(layout);
+        const PopulationStore full = store.slice(lo, hi);
+        std::vector<std::uint8_t> draw_bits = store.draw_bits(lo, hi, layout);
+        ChildResult child;
+        {
+            const util::ForkExclusion exclusion(store.bytes_outside(lo, hi, layout));
+            child = run_in_child([&](int fd) {
+                // The parent's pool threads do not survive the fork.
+                ::setenv("FMORE_ROUND_THREADS", "1", 1);
+                PopulationStore released =
+                    store.slice_and_release(lo, hi, layout, std::move(draw_bits));
+                // {kept columns equal full slice's, whole source pages of
+                //  kept columns, of which resident, whole pages of left-out
+                //  columns, of which mapped}
+                std::uint64_t report[5] = {0, 0, 0, 0, 0};
+                PopulationStore reference = full;
+                bool same = same_kept_bits(released, reference, layout);
+                for (const std::uint64_t salt : salts) {
+                    released.evolve_with_salt(salt);
+                    reference.evolve_with_salt(salt);
+                    same = same && same_kept_bits(released, reference, layout);
+                }
+                report[0] = same ? 1u : 0u;
+                const std::vector<util::ByteRange> rows = store.column_bytes(lo, hi);
+                const std::vector<util::ByteRange> whole = store.column_bytes(0, store.size());
+                for (std::size_t c = 0; c < rows.size(); ++c) {
+                    const bool keeps = std::find(kept.begin(), kept.end(), c) != kept.end();
+                    const std::array<std::uint64_t, 3> census =
+                        page_census(keeps ? rows[c] : whole[c]);
+                    report[keeps ? 1 : 3] += census[0];
+                    report[keeps ? 2 : 4] += keeps ? census[1] : census[0] - census[2];
+                }
+                if (!wire::write_all(fd, report, sizeof report)) ::_exit(1);
+            });
         }
-        if (!wire::write_all(fd, report, sizeof report)) ::_exit(1);
-    });
-    ASSERT_TRUE(child.exited_cleanly()) << "status " << child.status;
-    std::uint64_t report[3] = {};
-    ASSERT_EQ(child.out.size(), sizeof report);
-    std::memcpy(report, child.out.data(), sizeof report);
-    EXPECT_EQ(report[0], 1u) << "slice_and_release differs from slice";
-    EXPECT_GT(report[1], 9u) << "rows [lo, hi) span no whole page";
-    EXPECT_EQ(report[2], 0u) << "source pages still resident in the child";
-    EXPECT_TRUE(same_bits(store.snapshot(), before)) << "the parent's store changed";
+        ASSERT_TRUE(child.exited_cleanly()) << "status " << child.status;
+        std::uint64_t report[5] = {};
+        ASSERT_EQ(child.out.size(), sizeof report);
+        std::memcpy(report, child.out.data(), sizeof report);
+        EXPECT_EQ(report[0], 1u) << "slice_and_release differs from slice";
+        EXPECT_GT(report[1], 9u) << "rows [lo, hi) span no whole page";
+        EXPECT_EQ(report[2], 0u) << "source pages still resident in the child";
+        EXPECT_GT(report[3], 9u) << "the left-out columns span no whole page";
+        EXPECT_EQ(report[4], 0u) << "pages of left-out columns mapped in the child";
+        EXPECT_TRUE(same_bits(store.snapshot(), before)) << "the parent's store changed";
+    }
 }
 
 } // namespace

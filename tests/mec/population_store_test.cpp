@@ -1,10 +1,13 @@
 // The SoA population store's contracts: evolve is bit-identical for any
 // worker count (per-node counter-derived streams), consumes exactly one
 // caller-RNG draw per round, and the MecPopulation/EdgeNode views mirror
-// the store exactly.
+// the store exactly. A shard narrowed to a bid layout drifts its kept
+// columns bit for bit like the full shard and refuses every read of a
+// column it left out.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -12,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "fmore/mec/auction_selector.hpp"
 #include "fmore/mec/population.hpp"
 #include "fmore/ml/synthetic.hpp"
 
@@ -295,6 +299,136 @@ TEST(PopulationStore, DriftKernelMatchesPerNodeReference) {
                 stats::Rng store_rng(29);
                 for (int round = 0; round < 5; ++round) store.evolve(store_rng);
                 expect_snapshots_bitwise_equal(reference.snapshot(), store.snapshot());
+            }
+        }
+    }
+}
+
+/// Reads row `i` of `dim` through its scalar accessor.
+double read_scalar(const PopulationStore& store, ResourceDim dim, std::size_t i) {
+    switch (dim) {
+        case ResourceDim::data_size: return store.data_size(i);
+        case ResourceDim::category_proportion: return store.category_proportion(i);
+        case ResourceDim::bandwidth: return store.bandwidth_mbps(i);
+        case ResourceDim::cpu: return store.cpu_cores(i);
+    }
+    return 0.0;
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size()
+           && std::equal(a.begin(), a.end(), b.begin(), [](double x, double y) {
+                  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+              });
+}
+
+/// `store.slice(lo, hi, layout)` against `store.slice(lo, hi)`: the same
+/// thetas and layout columns, bit for bit, after 20 rounds of drift; every
+/// read of a column it left out throws; the draw bytes it takes are what a
+/// forked child must be handed.
+void expect_narrowed_drift_like_full(const PopulationStore& store, std::size_t lo,
+                                     std::size_t hi, const QualityLayout& layout) {
+    const auto keeps = [&](ResourceDim dim) {
+        return std::find(layout.begin(), layout.end(), dim) != layout.end();
+    };
+    PopulationStore full = store.slice(lo, hi);
+    PopulationStore narrow = store.slice(lo, hi, layout);
+    ASSERT_EQ(narrow.size(), full.size());
+    ASSERT_EQ(narrow.node_offset(), full.node_offset());
+    stats::Rng full_rng(37);
+    stats::Rng narrow_rng(37);
+    for (int round = 0; round < 20; ++round) {
+        full.evolve(full_rng);
+        narrow.evolve(narrow_rng);
+    }
+    EXPECT_EQ(narrow.salt_history(), full.salt_history());
+    EXPECT_TRUE(bitwise_equal(narrow.thetas(), full.thetas()));
+    EXPECT_EQ(narrow.thetas() != store.slice(lo, hi).thetas(),
+              store.dynamics().theta_jitter > 0.0);
+    for (const ResourceDim dim : layout)
+        EXPECT_TRUE(bitwise_equal(narrow.column(dim), full.column(dim)))
+            << "column " << static_cast<int>(dim);
+
+    // Every read of a left-out column throws, so does everything that reads
+    // all nine; the kept ones read as the full slice.
+    for (const ResourceDim dim : {ResourceDim::data_size, ResourceDim::category_proportion,
+                                  ResourceDim::bandwidth, ResourceDim::cpu}) {
+        if (keeps(dim)) {
+            EXPECT_EQ(read_scalar(narrow, dim, 5), read_scalar(full, dim, 5));
+            continue;
+        }
+        EXPECT_THROW((void)narrow.column(dim), std::logic_error);
+        EXPECT_THROW((void)read_scalar(narrow, dim, 5), std::logic_error);
+    }
+    EXPECT_EQ(narrow.theta(5), full.theta(5));
+    EXPECT_THROW((void)narrow.resources(5), std::logic_error);
+    EXPECT_THROW((void)narrow.caps(5), std::logic_error);
+    EXPECT_THROW((void)narrow.snapshot(), std::logic_error);
+    EXPECT_THROW(narrow.restore(full.snapshot()), std::logic_error);
+    stats::Rng serial_rng(41);
+    EXPECT_THROW(narrow.evolve_serial(serial_rng), std::logic_error);
+    EXPECT_THROW((void)narrow.slice(0, 1), std::logic_error);
+    EXPECT_THROW((void)narrow.split_even(2), std::logic_error);
+    EXPECT_THROW((void)narrow.bytes_outside(0, 1, layout), std::logic_error);
+
+    // The child's copy takes the parent's draw bytes, exactly as many as
+    // `draw_bits` returns; it is refused before it copies (and releases)
+    // anything.
+    const bool keeps_drift = keeps(ResourceDim::data_size) && keeps(ResourceDim::bandwidth)
+                             && keeps(ResourceDim::cpu);
+    const std::vector<std::uint8_t> bits = store.draw_bits(lo, hi, layout);
+    EXPECT_EQ(bits.size(), keeps_drift ? 0u : hi - lo);
+    std::vector<std::uint8_t> wrong(bits.empty() ? 1 : bits.size() - 1);
+    EXPECT_THROW((void)store.slice_and_release(lo, hi, layout, wrong), std::invalid_argument);
+}
+
+TEST(PopulationStore, NarrowedSliceDriftsLikeTheFullSlice) {
+    // A forked shard worker keeps only what a bid over its layout reads; the
+    // draw bytes stand in for the drifting caps it leaves out. Caps that are
+    // zero, negative or NaN take no draw, which moves every later draw of
+    // the row, so they are planted on scattered rows of every drifting cap
+    // (the draw bytes then read the caps), and the store as built, whose
+    // caps are all positive, is run too (the draw bytes then read none).
+    // The slices start above row 0 and span several evolve chunks. The
+    // first four layouts are the two canned ones and two of one column;
+    // with the other four, every set of drifting columns is kept by one.
+    const stats::UniformDistribution theta(0.5, 1.5);
+    const std::vector<QualityLayout> layouts = {
+        data_category_extractor(),
+        cpu_bandwidth_data_extractor(),
+        {ResourceDim::bandwidth},
+        {ResourceDim::category_proportion},
+        {ResourceDim::cpu},
+        {ResourceDim::cpu, ResourceDim::bandwidth},
+        {ResourceDim::data_size, ResourceDim::bandwidth},
+        {ResourceDim::data_size, ResourceDim::cpu, ResourceDim::category_proportion}};
+    for (const bool dead_caps : {true, false}) {
+        for (const double resource_jitter : {0.0, 0.12}) {
+            for (const double theta_jitter : {0.0, 0.04}) {
+                PopulationSpec spec;
+                spec.dynamics.resource_jitter = resource_jitter;
+                spec.dynamics.theta_jitter = theta_jitter;
+                stats::Rng rng(31);
+                PopulationStore store(3 * 4096 + 2000, SyntheticDataSpec{}, theta, spec, rng);
+                PopulationSnapshot planted = store.snapshot();
+                for (std::size_t i = 0; dead_caps && i < store.size(); ++i) {
+                    const double dead = i % 2 == 0 ? 0.0 : -3.0;
+                    if (i % 3 == 1) planted.columns[7][i] = dead;  // bandwidth cap
+                    if (i % 5 == 2) planted.columns[8][i] = dead;  // cpu cap
+                    if (i % 7 == 3) planted.columns[5][i] = dead;  // data cap
+                    if (i % 101 == 0) planted.columns[8][i] = std::nan("");
+                }
+                store.restore(planted);
+                for (const QualityLayout& layout : layouts) {
+                    SCOPED_TRACE(std::string(dead_caps ? "dead caps" : "positive caps")
+                                 + " resource_jitter=" + std::to_string(resource_jitter)
+                                 + " theta_jitter=" + std::to_string(theta_jitter)
+                                 + " layout of " + std::to_string(layout.size())
+                                 + " columns, first "
+                                 + std::to_string(static_cast<int>(layout.front())));
+                    expect_narrowed_drift_like_full(store, 1234, store.size() - 777, layout);
+                }
+                expect_snapshots_bitwise_equal(store.snapshot(), planted);
             }
         }
     }

@@ -11,7 +11,10 @@
 //    supervisor re-forks and re-syncs the worker so later rounds are
 //    bit-identical to a run that never failed. Corrupt frames (flipped
 //    bits, self-described-short writes) are caught by the payload CRC,
-//    re-requested once, and never consumed.
+//    re-requested once, and never consumed. Workers narrowed to layouts
+//    other than the simulator's match the monolithic market too, also
+//    after a respawn from their narrowed pristine split, and a worker's
+//    blacklist spans only its own rows.
 // Fault margins are generous on purpose (10 s stalls against 0.25 s
 // deadlines) so the tests assert semantics, not scheduler luck.
 
@@ -22,8 +25,10 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -676,6 +681,155 @@ TEST(ShardFault, RespawnBudgetExhaustionRetiresWorker) {
     EXPECT_EQ(aggregator.live_shards(), 2u);
     EXPECT_EQ(aggregator.lifetime_health().evictions, 2u);
     EXPECT_EQ(aggregator.lifetime_health().respawns, 1u);
+}
+
+/// A market priced over `layout`'s columns: per column a normalizer, a
+/// cost weight and a quality range scaled to the column's spread.
+struct LayoutMarket {
+    std::vector<stats::MinMaxNormalizer> norms;
+    std::unique_ptr<auction::ScaledProductScoring> scoring;
+    std::unique_ptr<auction::AdditiveCost> cost;
+    std::unique_ptr<auction::EquilibriumStrategy> strategy;
+
+    explicit LayoutMarket(const QualityLayout& layout) {
+        std::vector<double> betas;
+        auction::QualityVector q_lo;
+        auction::QualityVector q_hi;
+        for (const ResourceDim dim : layout) {
+            double hi = 1.0;
+            switch (dim) {
+                case ResourceDim::data_size: hi = kDataHi; break;
+                case ResourceDim::category_proportion: hi = 1.0; break;
+                case ResourceDim::bandwidth: hi = 1000.0; break;
+                case ResourceDim::cpu: hi = 8.0; break;
+            }
+            norms.emplace_back(0.0, hi);
+            betas.push_back(4.0 / hi);
+            q_lo.push_back(0.05 * hi);
+            q_hi.push_back(hi);
+        }
+        scoring = std::make_unique<auction::ScaledProductScoring>(25.0, layout.size(), norms);
+        cost = std::make_unique<auction::AdditiveCost>(betas);
+        auction::EquilibriumConfig eq;
+        eq.num_bidders = 100;
+        eq.num_winners = 8;
+        strategy = std::make_unique<auction::EquilibriumStrategy>(
+            auction::EquilibriumSolver(*scoring, *cost, *market().theta, q_lo, q_hi, eq)
+                .solve());
+    }
+};
+
+/// `make_store(n, seed)` with the bandwidth, cpu and data caps zero or
+/// negative on scattered rows, where drift takes no draw for them.
+PopulationStore make_zero_cap_store(std::size_t n, std::uint64_t seed) {
+    PopulationStore store = make_store(n, seed);
+    PopulationSnapshot planted = store.snapshot();
+    for (std::size_t i = 0; i < n; ++i) {
+        const double dead = i % 2 == 0 ? 0.0 : -1.0;
+        if (i % 3 == 1) planted.columns[7][i] = dead;  // bandwidth cap
+        if (i % 5 == 2) planted.columns[8][i] = dead;  // cpu cap
+        if (i % 7 == 3) planted.columns[5][i] = dead;  // data cap
+    }
+    store.restore(planted);
+    return store;
+}
+
+TEST(ShardFault, NarrowedWorkersMatchMonolithicOnOtherLayouts) {
+    // Each worker keeps only its layout's columns, their drifting caps and
+    // draw bytes for the caps it leaves out. Over a store with dead caps on
+    // scattered rows, a clean aggregator and one whose shard 1 crashes in
+    // round 3 and is respawned from its narrowed pristine split play the
+    // monolithic salted market bit for bit (the crash round aside).
+    const std::size_t n = 240;
+    const std::size_t k = 12;
+    const std::size_t shards = 4;
+    const std::uint64_t seed = 0x7e57ULL;
+    for (const QualityLayout& layout :
+         {cpu_bandwidth_data_extractor(), QualityLayout{ResourceDim::bandwidth}}) {
+        SCOPED_TRACE("layout of " + std::to_string(layout.size()) + " columns");
+        const LayoutMarket lm(layout);
+        const auction::WinnerDeterminationConfig wd = wire_config(k);
+        MecPopulation population(make_zero_cap_store(n, seed));
+        AuctionSelector mono(population, *lm.scoring, *lm.strategy, wd, layout,
+                             /*data_dimension=*/0);
+        const PopulationStore store = make_zero_cap_store(n, seed);
+        ProcessShardAggregator clean(store, *lm.scoring, *lm.strategy, wd, layout, shards,
+                                     /*shard_timeout_s=*/30.0);
+        ShardSupervisorConfig sup =
+            faults_only({{/*shard=*/1, /*round=*/3, util::FaultKind::crash_before_reply, 0.0}});
+        sup.max_respawns = 1;
+        sup.respawn_backoff_s = 0.0;
+        ProcessShardAggregator faulty(store, *lm.scoring, *lm.strategy, wd, layout, shards,
+                                      /*shard_timeout_s=*/30.0, sup);
+        stats::Rng mono_rng(seed);
+        stats::Rng clean_rng(seed);
+        stats::Rng faulty_rng(seed);
+        for (std::size_t round = 1; round <= 8; ++round) {
+            SCOPED_TRACE("round " + std::to_string(round));
+            const auction::AuctionOutcome& a = mono.run_auction_round(round, k, mono_rng);
+            const auction::AuctionOutcome& b = clean.run_round(round, k, clean_rng);
+            const auction::AuctionOutcome& c = faulty.run_round(round, k, faulty_rng);
+            EXPECT_TRUE(clean.last_dropped_shards().empty());
+            expect_outcomes_equal(a, b);
+            if (round == 3) {
+                EXPECT_EQ(faulty.last_dropped_shards(), (std::vector<std::size_t>{1}));
+                continue;
+            }
+            EXPECT_TRUE(faulty.last_dropped_shards().empty());
+            expect_outcomes_equal(a, c);
+        }
+        EXPECT_EQ(faulty.lifetime_health().evictions, 1u);
+        EXPECT_EQ(faulty.lifetime_health().respawns, 1u);
+    }
+}
+
+/// Private_Dirty of process `pid` in MiB, -1 when it cannot be read.
+double private_dirty_mib(int pid) {
+    std::ifstream in("/proc/" + std::to_string(pid) + "/smaps_rollup");
+    const std::string field = "Private_Dirty:";
+    std::string line;
+    while (std::getline(in, line))
+        if (line.compare(0, field.size(), field) == 0)
+            return static_cast<double>(std::atol(line.c_str() + field.size())) / 1024.0;
+    return -1.0;
+}
+
+TEST(ShardFault, WorkerBlacklistSpansOnlyItsOwnRows) {
+    // Every worker hears every ban. One that sized its blacklist by the
+    // ids of other shards' rows would write a 4-byte stamp for every id
+    // below the largest: a ban of the last node adds 0.76 MiB of private
+    // memory to each worker at this size. One that keeps only its own rows'
+    // ids adds at most a quarter of that (the last shard's, for the last
+    // node), so the bound is half.
+    const std::size_t n = 200'000;
+    const std::size_t shards = 4;
+    ProcessShardAggregator aggregator(make_store(n, 27), *market().scoring,
+                                      *market().strategy, wire_config(5), layout(), shards,
+                                      /*shard_timeout_s=*/30.0);
+    stats::Rng rng(27);
+    (void)aggregator.run_round(1, 5, rng);
+    std::vector<double> before(shards);
+    for (std::size_t s = 0; s < shards; ++s) {
+        before[s] = private_dirty_mib(aggregator.worker_pid(s));
+        ASSERT_GE(before[s], 0.0) << "no smaps_rollup for worker " << s;
+    }
+    const auction::NodeId first = 0;
+    const auction::NodeId last = n - 1;
+    aggregator.ban(last);
+    aggregator.ban(first);
+    for (std::size_t round = 2; round <= 3; ++round) {
+        const auction::AuctionOutcome& o = aggregator.run_round(round, 5, rng);
+        EXPECT_TRUE(aggregator.last_dropped_shards().empty());
+        for (const auction::ScoredBid& sb : o.ranking) {
+            EXPECT_NE(sb.bid.node, first);
+            EXPECT_NE(sb.bid.node, last);
+        }
+    }
+    const double every_stamp_mib =
+        static_cast<double>(n * sizeof(std::uint32_t)) / (1024.0 * 1024.0);
+    for (std::size_t s = 0; s < shards; ++s)
+        EXPECT_LT(private_dirty_mib(aggregator.worker_pid(s)) - before[s], every_stamp_mib / 2)
+            << "worker " << s << " holds stamps for other shards' rows";
 }
 
 TEST(ShardFault, ZeroRowShardHeadFrameIsHandled) {
