@@ -9,7 +9,9 @@
 //  (4) the market's shard pass on one 250k-row shard of the `wire_1m`
 //      world (N = 1M over 4 shards, alpha=25 scaled product over data and
 //      category, additive cost, theta ~ U[0.5, 1.5], K = 32): the drift,
-//      collect and head row kernels next to their per-row references,
+//      collect and head row kernels next to their per-row references, and
+//      a worker's whole head pass on its narrowed slice next to the frame
+//      composition that prices every row,
 //  (5) end-to-end round time of the `paper/fig04` scenario: the naive
 //      kernels in a serial round vs the fast path at 1/2/4/8 round threads,
 // and writes everything to a machine-readable BENCH_kernels.json so future
@@ -313,6 +315,7 @@ struct MarketRow {
     double kernel_ms = 0.0;
     double reference_ms = 0.0;
     bool identical = false;
+    std::size_t priced_rows = 0;  ///< head_pass: rows whose ask the kernel computed
 };
 
 bool same_bits(const double* a, const double* b, std::size_t n) {
@@ -431,13 +434,17 @@ std::vector<MarketRow> bench_market(std::size_t reps, std::size_t& shard_rows) {
     mec::SyntheticDataSpec data;
     data.data_hi = kDataHi;
     stats::Rng world_rng(0x5ca1e001ULL);
-    mec::PopulationStore shard =
-        mec::PopulationStore(kNodes, data, theta, spec, world_rng).split_even(kShards)[1];
+    const mec::PopulationStore world(kNodes, data, theta, spec, world_rng);
+    mec::PopulationStore shard = world.split_even(kShards)[1];
     mec::PopulationStore reference = shard;
     shard_rows = shard.size();
 
     const mec::QualityLayout layout{mec::ResourceDim::data_size,
                                     mec::ResourceDim::category_proportion};
+    // The narrowed slice a forked worker holds: the same rows, only the
+    // columns a bid over the layout reads.
+    mec::PopulationStore narrow =
+        world.slice(shard.node_offset(), shard.node_offset() + shard.size(), layout);
     const mec::Blacklist banned;
     auction::BidFrame frame;
     auction::BidFrame reference_frame;
@@ -498,7 +505,37 @@ std::vector<MarketRow> bench_market(std::size_t reps, std::size_t& shard_rows) {
         head.reference_ms = std::min(head.reference_ms, seconds_since(start) * 1e3);
         head.identical = head.identical && same_heads(kernel_head, reference_head);
     }
-    return {drift, collect, head};
+
+    // A worker's whole head pass, which prices only the blocks whose
+    // at-cost bounds can enter its head, against the frame composition that
+    // prices every row. Each repetition drifts the slice first (untimed),
+    // as each round does; the worker keeps K + 1 rows.
+    MarketRow head_pass{"head_pass", "collect_bid_rows + collect_shard_head, every row priced",
+                        1e300, 1e300, true};
+    auction::StreamingHeadMerge merge;
+    std::size_t priced = 0;  // the last repetition's
+    stats::Rng narrow_rng(0x4ead5ULL);
+    for (std::size_t r = 0; r < reps; ++r) {
+        narrow.evolve(narrow_rng);
+        auto start = clock_type::now();
+        priced = mec::collect_head_rows(narrow, layout, strategy, scoring, true,
+                                        auction::PaymentMethod::integral, banned, nullptr,
+                                        keys, kWinners + 1, columns, merge, kernel_head);
+        head_pass.kernel_ms = std::min(head_pass.kernel_ms, seconds_since(start) * 1e3);
+        start = clock_type::now();
+        frame.reset(narrow.size(), layout.size());
+        mec::collect_bid_rows(narrow, 0, narrow.size(), layout, strategy, scoring, true,
+                              auction::PaymentMethod::integral, banned, frame, 0, columns,
+                              /*parallel=*/false);
+        frame.set_scored(true);
+        auction::collect_shard_head(frame, narrow.node_offset(), keys, kWinners + 1,
+                                    reference_head);
+        head_pass.reference_ms =
+            std::min(head_pass.reference_ms, seconds_since(start) * 1e3);
+        head_pass.identical = head_pass.identical && same_heads(kernel_head, reference_head);
+    }
+    head_pass.priced_rows = priced;
+    return {drift, collect, head, head_pass};
 }
 
 struct RoundResult {
@@ -626,10 +663,12 @@ int main(int argc, char** argv) {
                 "reference -> kernel):\n",
                 shard_rows);
     for (const MarketRow& m : market) {
-        std::printf("  %-8s %8.3f -> %8.3f (%.2fx)  %s  [reference: %s]\n",
+        std::printf("  %-9s %8.3f -> %8.3f (%.2fx)  %s  [reference: %s]\n",
                     m.name.c_str(), m.reference_ms, m.kernel_ms,
                     m.reference_ms / m.kernel_ms,
                     m.identical ? "bit-identical" : "MISMATCH", m.reference.c_str());
+        if (m.priced_rows > 0)
+            std::printf("            %zu of %zu rows priced\n", m.priced_rows, shard_rows);
     }
 
     // (5) End-to-end rounds: the naive serial baseline vs the fast path at
@@ -694,17 +733,21 @@ int main(int argc, char** argv) {
                  "\"fast_us\": %.4g, \"speedup\": %.4g},\n",
                  eval.shape.c_str(), eval.naive_us, eval.fast_us,
                  eval.naive_us / eval.fast_us);
-    std::fprintf(f, "  \"market\": {\"shard_rows\": %zu, \"threads\": 1, \"rows\": [\n",
-                 shard_rows);
+    std::fprintf(f,
+                 "  \"market\": {\"shard_rows\": %zu, \"threads\": 1, "
+                 "\"hardware_threads\": %u, \"rows\": [\n",
+                 shard_rows, std::thread::hardware_concurrency());
     for (std::size_t i = 0; i < market.size(); ++i) {
         const MarketRow& m = market[i];
+        const std::string priced =
+            m.priced_rows > 0 ? ", \"priced_rows\": " + std::to_string(m.priced_rows) : "";
         std::fprintf(f,
                      "    {\"name\": \"%s\", \"reference\": \"%s\", "
                      "\"reference_ms\": %.4g, \"kernel_ms\": %.4g, \"speedup\": %.4g, "
-                     "\"bit_identical\": %s}%s\n",
+                     "\"bit_identical\": %s%s}%s\n",
                      m.name.c_str(), m.reference.c_str(), m.reference_ms, m.kernel_ms,
                      m.reference_ms / m.kernel_ms, m.identical ? "true" : "false",
-                     i + 1 < market.size() ? "," : "");
+                     priced.c_str(), i + 1 < market.size() ? "," : "");
     }
     std::fprintf(f, "  ]},\n");
     std::fprintf(f, "  \"round\": {\n    \"scenario\": \"paper/fig04\",\n");

@@ -116,13 +116,17 @@ public:
 
     /// ## Row kernels
     ///
-    /// `quality_rows` and `quote_rows` are the row twins of `quality_into`
-    /// and `quote_span`: they compute a block of bids at once, so the
-    /// per-row divisions (one lerp per quality dimension, one per scoring
-    /// normalizer, the markup lerp) run as vector instructions and the
-    /// scoring rule and cost model are each called once per block instead
-    /// of once per row. `mec::collect_bid_rows` quotes in blocks of
-    /// `numeric::kRowBlock` rows through them.
+    /// `quality_rows`, `cost_score_rows` and `markup_rows` are the row
+    /// twins of `quality_into` and `quote_span`: they compute a block of
+    /// bids at once, so the per-row divisions (one lerp weight on the theta
+    /// grid, one per scoring normalizer, the markup lerp) run as vector
+    /// instructions and the scoring rule and cost model are each called
+    /// once per block instead of once per row. `mec::collect_bid_rows`
+    /// quotes in blocks of `numeric::kRowBlock` rows through them. The
+    /// quote is split at the ask: `cost_score_rows` gives c(q, theta) and
+    /// s(q), `markup_rows` adds the markup to c, so a caller that only
+    /// keeps the best bids can first bound each bid's score by its at-cost
+    /// score s - c and skip the markup where no bid could enter.
     ///
     /// Contract: bit-identical to the per-row calls, for any block size.
     /// Vectorization runs only ACROSS rows. Each row's arithmetic is the
@@ -131,23 +135,36 @@ public:
     /// The build pins `-ffp-contract=off`, so every multiply and add stays
     /// a separate rounding whichever loop the compiler vectorized. The row
     /// hooks underneath keep the same contract:
-    /// `numeric::LinearInterpolator::segment_rows` / `eval_rows`, and the
+    /// `numeric::LinearInterpolator::weight_rows` / `lerp_rows`, and the
     /// virtual `ScoringRule::quality_score_rows` / `CostModel::cost_rows`,
     /// whose base versions loop over the span calls so custom rules and
     /// models need no change. Segment lookups are exact, the
-    /// `upper_bound` segment, clamped ends included; only the lerps
-    /// vectorize.
+    /// `upper_bound` segment, clamped ends included.
     ///
     /// Blocks are column-major: dimension d of row r sits at q[d * n + r].
 
     /// Row twin of `quality_into`: q[d * n + r] = q^s(theta[r])_d.
     void quality_rows(const double* theta, std::size_t n, double* q) const;
 
-    /// Row twin of `quote_span` over `n` rows of `dimensions()` columns:
-    /// payment[r] and quality_score[r] equal row r's quote.
-    void quote_rows(const double* q, std::size_t n, const double* theta,
-                    PaymentMethod method, double* payment,
-                    double* quality_score) const;
+    /// The first half of `quote_span` over `n` rows of `dimensions()`
+    /// columns: cost[r] = c(q_r, theta[r]) and quality_score[r] = s(q_r),
+    /// each bit-identical to the span calls.
+    void cost_score_rows(const double* q, std::size_t n, const double* theta,
+                         double* cost, double* quality_score) const;
+
+    /// The second half: `payment` holds `cost_score_rows`' cost on entry
+    /// and row r's ask on return, c + markup(s - c), equal to quote_span's
+    /// payment bit for bit.
+    void markup_rows(const double* quality_score, std::size_t n, PaymentMethod method,
+                     double* payment) const;
+
+    /// True when no ask under `method` undercuts its cost: every markup
+    /// knot is >= 0 (a NaN knot fails), so fl(c + markup) >= c for every
+    /// row, and a bid's aggregator score s - p never exceeds its at-cost
+    /// score s - c. The solver's markups are such by construction (the
+    /// integral one is a ratio of non-negative terms, the ODE ones are
+    /// clamped at 0); a degenerate strategy asks c + 0.
+    [[nodiscard]] bool ask_covers_cost(PaymentMethod method) const;
 
     /// The scoring rule this strategy was solved against (never null for a
     /// solver-produced strategy). Callers that maintain their own broadcast

@@ -74,20 +74,27 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
 /// the same, and the head is the top `limit` of a strict total order, which
 /// the order rows are offered in cannot change. Global ids are
 /// `store.node_offset() + row`, for the blacklist, the cut and `keys`.
-/// A row scoring below a full head's worst is dropped before its arrival
-/// time and tie key are derived, and only rows the head keeps have their
+/// A block of rows is priced (markup, ask, score) only when the head does
+/// not reject one of its live rows' at-cost bound s - c: with
+/// `strategy.ask_covers_cost(payment_method)` no ask undercuts its cost, so
+/// no row scores above that bound; without it every block is priced. A row
+/// scoring below a full head's worst is dropped before its arrival time
+/// and tie key are derived, and only rows the head keeps have their
 /// quality copied. `columns` and `head` are caller-owned scratch, reused
 /// across calls: a steady call allocates nothing. Serial.
+/// @returns the rows of the blocks it priced (all rows but those of
+///          all-banned blocks when the head never fills)
 /// @throws std::invalid_argument when `check_bid_layout` rejects the
 ///         layout, strategy and rule
-void collect_head_rows(const PopulationStore& store, const QualityLayout& layout,
-                       const auction::EquilibriumStrategy& strategy,
-                       const auction::ScoringRule& scoring,
-                       bool strategy_scores_broadcast_rule,
-                       auction::PaymentMethod payment_method, const Blacklist& blacklist,
-                       const wire::StreamExtra* cut, const auction::TieKeys& keys,
-                       std::size_t limit, std::vector<const double*>& columns,
-                       auction::StreamingHeadMerge& head, auction::ShardHead& out);
+std::size_t collect_head_rows(const PopulationStore& store, const QualityLayout& layout,
+                              const auction::EquilibriumStrategy& strategy,
+                              const auction::ScoringRule& scoring,
+                              bool strategy_scores_broadcast_rule,
+                              auction::PaymentMethod payment_method,
+                              const Blacklist& blacklist, const wire::StreamExtra* cut,
+                              const auction::TieKeys& keys, std::size_t limit,
+                              std::vector<const double*>& columns,
+                              auction::StreamingHeadMerge& head, auction::ShardHead& out);
 
 /// Turn one auction outcome into the fl::SelectionRecord the coordinator
 /// consumes: the score board, per-node scores, and the winner list with

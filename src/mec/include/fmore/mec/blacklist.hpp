@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -41,11 +42,20 @@ public:
             stamp_[at] = epoch_;
             ++banned_;
         }
+        lowest_ = std::min(lowest_, node);
+        highest_ = std::max(highest_, node);
     }
     [[nodiscard]] bool contains(std::size_t node) const {
         // An id below the first wraps far past the array.
         const std::size_t at = node - first_;
         return at < stamp_.size() && stamp_[at] == epoch_;
+    }
+    /// False when no id in [lo, hi) is banned, decided from the span of
+    /// ids banned since the last `clear` alone: true only when [lo, hi)
+    /// meets that span. The bid collector asks once per 256-row block and
+    /// skips the block's `contains` calls when false.
+    [[nodiscard]] bool may_contain(std::size_t lo, std::size_t hi) const {
+        return lo < hi && lowest_ < hi && lo <= highest_;
     }
     [[nodiscard]] std::size_t size() const { return banned_; }
     /// All currently banned node ids, ascending — what the durable-run
@@ -60,6 +70,8 @@ public:
     void clear() {
         ++epoch_;
         banned_ = 0;
+        lowest_ = kNoBan;
+        highest_ = 0;
         if (epoch_ == 0) {  // wrapped: stale stamps could alias, wipe once
             stamp_.assign(stamp_.size(), 0);
             epoch_ = 1;
@@ -71,6 +83,9 @@ private:
     std::vector<std::uint32_t> stamp_;  ///< stamp_[node - first_] == epoch_ <=> banned
     std::uint32_t epoch_ = 1;
     std::size_t banned_ = 0;
+    static constexpr std::size_t kNoBan = static_cast<std::size_t>(-1);
+    std::size_t lowest_ = kNoBan;  ///< the smallest id banned since the last clear
+    std::size_t highest_ = 0;      ///< the largest (meaningless while none is)
 };
 
 /// Replace `blacklist`'s bans with `ids`, as a selector restores them from a

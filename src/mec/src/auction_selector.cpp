@@ -27,8 +27,11 @@ constexpr std::size_t kBlockCells = 4 * numeric::kRowBlock;
 /// the row kernels take them: dimension d of block row r is q[d * n + r].
 struct QuoteBlock {
     double q[kBlockCells] = {};
-    double payment[numeric::kRowBlock] = {};
-    double score[numeric::kRowBlock] = {};  ///< the aggregator score S = s(q) - p
+    double payment[numeric::kRowBlock] = {};  ///< c(q, theta), then the ask p once priced
+    double score[numeric::kRowBlock] = {};    ///< the aggregator's s(q), then S = s(q) - p
+    /// The strategy's s(q), the markup's argument, when another rule
+    /// broadcasts (`score` then holds that rule's).
+    double quote_score[numeric::kRowBlock] = {};
     bool banned[numeric::kRowBlock] = {};
 };
 
@@ -41,6 +44,9 @@ struct QuoteBlock {
 /// the aggregator score only when the strategy was solved against the
 /// selector's broadcast rule (always true for the trial engines); otherwise
 /// the broadcast rule scores the row, so fused and classic ranking agree.
+/// A quote runs in two halves, `cost` and `price`, split at the ask, so the
+/// head pass can drop a block on its at-cost scores. Pool threads share one
+/// quoter: every per-call value lives in the caller's block.
 class BlockQuoter {
 public:
     /// @throws std::invalid_argument when `check_bid_layout` rejects the
@@ -71,17 +77,25 @@ public:
     /// Rows per block: kRowBlock, fewer for layouts wider than four columns.
     [[nodiscard]] std::size_t block_rows() const { return block_rows_; }
 
-    /// Quote store rows [blo, blo + n), n <= block_rows(), into `b` and flag
-    /// the banned ones (blacklist lookups by GLOBAL id,
-    /// `store.node_offset() + row`). A banned row's cells hold no bid; a
-    /// block of banned rows is only flagged.
-    void quote(std::size_t blo, std::size_t n, QuoteBlock& b) const {
-        std::size_t live = 0;
-        for (std::size_t r = 0; r < n; ++r) {
-            b.banned[r] = blacklist_.contains(store_.node_offset() + blo + r);
-            live += b.banned[r] ? 0 : 1;
+    /// The first half of the quote of store rows [blo, blo + n),
+    /// n <= block_rows(): flag the banned rows (blacklist lookups by GLOBAL
+    /// id, `store.node_offset() + row`, made only when the blacklist's span
+    /// meets the block) and, unless every row is banned, write the clipped
+    /// quality, c(q, theta) into `payment` and the aggregator's s(q) into
+    /// `score`. Returns the rows not banned. A banned row's cells hold no
+    /// bid.
+    std::size_t cost(std::size_t blo, std::size_t n, QuoteBlock& b) const {
+        const std::size_t first = store_.node_offset() + blo;
+        std::size_t live = n;
+        if (blacklist_.may_contain(first, first + n)) {
+            for (std::size_t r = 0; r < n; ++r) {
+                b.banned[r] = blacklist_.contains(first + r);
+                live -= b.banned[r] ? 1 : 0;
+            }
+            if (live == 0) return 0;
+        } else {
+            std::fill_n(b.banned, n, false);
         }
-        if (live == 0) return;
 
         const double* theta = store_.thetas().data() + blo;
         strategy_.quality_rows(theta, n, b.q);
@@ -90,10 +104,23 @@ public:
             const double* cap = columns_[d] + blo;
             for (std::size_t r = 0; r < n; ++r) qd[r] = qd[r] > cap[r] ? cap[r] : qd[r];
         }
-        // `score` holds s(q) until the ask is subtracted.
-        strategy_.quote_rows(b.q, n, theta, payment_method_, b.payment, b.score);
+        strategy_.cost_score_rows(b.q, n, theta, b.payment,
+                                  strategy_scores_broadcast_rule_ ? b.score : b.quote_score);
         if (!strategy_scores_broadcast_rule_) scoring_.quality_score_rows(b.q, n, b.score);
+        return live;
+    }
+
+    /// The second half, over a block `cost` filled: the ask into `payment`
+    /// and the aggregator score S = s(q) - p into `score`.
+    void price(std::size_t n, QuoteBlock& b) const {
+        strategy_.markup_rows(strategy_scores_broadcast_rule_ ? b.score : b.quote_score, n,
+                              payment_method_, b.payment);
         for (std::size_t r = 0; r < n; ++r) b.score[r] -= b.payment[r];
+    }
+
+    /// Both halves.
+    void quote(std::size_t blo, std::size_t n, QuoteBlock& b) const {
+        if (cost(blo, n, b) > 0) price(n, b);
     }
 
 private:
@@ -106,6 +133,22 @@ private:
     const std::vector<const double*>& columns_;
     std::size_t block_rows_ = 0;
 };
+
+/// True when `head` rejects every live row of a block `BlockQuoter::cost`
+/// filled at the row's at-cost bound s - c. Without banned rows the test is
+/// one vector loop.
+bool rejects_at_cost(const auction::StreamingHeadMerge& head, const QuoteBlock& b,
+                     std::size_t n, bool any_banned) {
+    long enters = 0;
+    if (any_banned) {
+        for (std::size_t r = 0; r < n; ++r)
+            enters |= !b.banned[r] && !head.rejects_score(b.score[r] - b.payment[r]);
+    } else {
+        for (std::size_t r = 0; r < n; ++r)
+            enters |= !head.rejects_score(b.score[r] - b.payment[r]);
+    }
+    return enters == 0;
+}
 
 } // namespace
 
@@ -200,23 +243,34 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
     }
 }
 
-void collect_head_rows(const PopulationStore& store, const QualityLayout& layout,
-                       const auction::EquilibriumStrategy& strategy,
-                       const auction::ScoringRule& scoring,
-                       bool strategy_scores_broadcast_rule,
-                       auction::PaymentMethod payment_method, const Blacklist& blacklist,
-                       const wire::StreamExtra* cut, const auction::TieKeys& keys,
-                       std::size_t limit, std::vector<const double*>& columns,
-                       auction::StreamingHeadMerge& head, auction::ShardHead& out) {
+std::size_t collect_head_rows(const PopulationStore& store, const QualityLayout& layout,
+                              const auction::EquilibriumStrategy& strategy,
+                              const auction::ScoringRule& scoring,
+                              bool strategy_scores_broadcast_rule,
+                              auction::PaymentMethod payment_method,
+                              const Blacklist& blacklist, const wire::StreamExtra* cut,
+                              const auction::TieKeys& keys, std::size_t limit,
+                              std::vector<const double*>& columns,
+                              auction::StreamingHeadMerge& head, auction::ShardHead& out) {
     const BlockQuoter quoter(store, layout, strategy, scoring, strategy_scores_broadcast_rule,
                              payment_method, blacklist, columns);
     const std::size_t dims = layout.size();
     const std::size_t rows = store.size();
+    // With no ask below cost, fl(c + m) >= c, so a row's score
+    // fl(s - fl(c + m)) is at most its at-cost bound fl(s - c) (rounding is
+    // monotone, infinities included). A block whose live rows' bounds the
+    // head all rejects holds no row the head would keep; a NaN bound is
+    // never rejected.
+    const bool bound_by_cost = strategy.ask_covers_cost(payment_method);
+    std::size_t priced = 0;
     head.open(dims, std::min(limit, rows));
     QuoteBlock b;
     for (std::size_t blo = 0; blo < rows; blo += quoter.block_rows()) {
         const std::size_t n = std::min(quoter.block_rows(), rows - blo);
-        quoter.quote(blo, n, b);
+        const std::size_t live = quoter.cost(blo, n, b);
+        if (live == 0 || (bound_by_cost && rejects_at_cost(head, b, n, live < n))) continue;
+        quoter.price(n, b);
+        priced += n;
         for (std::size_t r = 0; r < n; ++r) {
             // Ties with the worst kept score, and NaN, pass this test and
             // take the full comparison, so the head is the one an eager
@@ -235,6 +289,7 @@ void collect_head_rows(const PopulationStore& store, const QualityLayout& layout
         }
     }
     head.finish(out);
+    return priced;
 }
 
 fl::SelectionRecord assemble_selection_record(

@@ -22,6 +22,7 @@
 #include "fmore/mec/stream_round.hpp"
 #include "fmore/mec/wire_format.hpp"
 #include "fmore/util/pages.hpp"
+#include "fmore/util/thread_pool.hpp"
 
 namespace fmore::mec {
 
@@ -220,10 +221,9 @@ struct ProcessShardAggregator::Impl {
 namespace {
 
 /// Everything a forked worker runs: the per-shard half of each round, over
-/// the shard store it built after the fork. Serial on purpose — the
-/// parent's thread pool does not survive fork, and
-/// FMORE_ROUND_THREADS=1 keeps every parallel_for entry point on its
-/// serial branch.
+/// the shard store it built after the fork. Serial: the shared thread pool
+/// belongs to the coordinator, which starts it before its first fork, and
+/// runs every `parallel_for` on the calling thread in any other process.
 [[noreturn]] void worker_main(int req_fd, int resp_fd, PopulationStore shard,
                               const auction::ScoringRule& scoring,
                               const auction::EquilibriumStrategy& strategy,
@@ -232,7 +232,6 @@ namespace {
                               auction::PaymentMethod payment_method,
                               std::size_t shard_index,
                               const util::FaultInjector& faults) {
-    ::setenv("FMORE_ROUND_THREADS", "1", 1);
     ::signal(SIGPIPE, SIG_IGN);
     // Every worker hears every ban; it keeps only its own rows' ids, so its
     // blacklist spans at most its rows whatever ids the frames carry.
@@ -559,6 +558,10 @@ ProcessShardAggregator::ProcessShardAggregator(
     starts.insert(starts.begin(), 0);
     starts.push_back(store.size());
     ignore_sigpipe();
+    // Started here, before any fork, the shared pool is the coordinator's,
+    // so each worker's pooled passes (its drift) run on the worker's one
+    // thread instead of each worker starting a pool of its own.
+    (void)util::ThreadPool::shared();
 
     // Worker s maps only the columns a bid over the layout reads, and of
     // them only rows [lo, hi): everything else stays out of its fork. Its

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace fmore::numeric {
@@ -43,9 +44,11 @@ public:
     /// Segment lookup for families of interpolants tabulated on ONE shared
     /// knot grid (the equilibrium solver's per-dimension quality curves):
     /// find the segment once on any member, evaluate every member with
-    /// `eval_segment`. Requires x_min() < x < x_max(); returns hi with
+    /// `eval_segment`. For x_min() < x < x_max(), returns hi with
     /// xs[hi-1] <= x < xs[hi] — exactly what operator() uses internally,
-    /// so eval_segment(segment_for(x), x) == operator()(x) bit-for-bit.
+    /// so eval_segment(segment_for(x), x) == operator()(x) bit-for-bit. A
+    /// NaN, which operator() passes on, gets a segment in range, and its
+    /// lerp is NaN.
     [[nodiscard]] std::size_t segment_for(double x) const;
     [[nodiscard]] double eval_segment(std::size_t hi, double x) const {
         const std::size_t lo = hi - 1;
@@ -54,16 +57,23 @@ public:
     }
 
     /// Row twins of the two calls above, for the row kernels of the bid
-    /// pipeline (contract: equilibrium.hpp, "Row kernels"). `segment_rows`
-    /// writes hi[r] = segment_for(x[r]) for every x[r] strictly inside
-    /// (x_min(), x_max()), and 1 for a row at or beyond either end.
-    /// `eval_rows` then writes y[r] == operator()(x[r]) bit for bit: the
-    /// lerp runs on every row, exactly `eval_segment`'s arithmetic, and a
-    /// select puts the end value on rows at or beyond an end. The lookup
-    /// stays a scalar loop (its fix-up walk branches); the lerp, with its
-    /// division, is the part that vectorizes.
-    void segment_rows(const double* x, std::size_t n, std::size_t* hi) const;
-    void eval_rows(const std::size_t* hi, const double* x, std::size_t n,
+    /// pipeline (contract: equilibrium.hpp, "Row kernels"). `weight_rows`
+    /// writes, for every x[r] strictly inside (x_min(), x_max()),
+    /// hi[r] = segment_for(x[r]) and t[r] = eval_segment's lerp weight
+    /// (x[r] - xs[hi-1]) / (xs[hi] - xs[hi-1]); rows at or beyond an end get
+    /// some segment in range and its weight, and NaN rows a NaN weight.
+    /// `lerp_rows` then writes y[r] == operator()(x[r]) bit for bit: it
+    /// runs eval_segment's lerp with that weight on every row and selects
+    /// the end value on rows at or beyond either end. The weight depends
+    /// only on the knots, so one `weight_rows` serves every member of a
+    /// family on one shared grid.
+    ///
+    /// On a uniform grid the lookup is a vector loop: a 32-bit index guess,
+    /// two knot gathers and the exact check xs[hi-1] <= x < xs[hi]; only a
+    /// row whose guess misses takes `segment_for`'s scalar walk. Elsewhere
+    /// every row takes the binary search.
+    void weight_rows(const double* x, std::size_t n, std::int32_t* hi, double* t) const;
+    void lerp_rows(const std::int32_t* hi, const double* t, const double* x, std::size_t n,
                    double* y) const;
 
 private:

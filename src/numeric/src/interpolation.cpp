@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace fmore::numeric {
@@ -24,7 +25,8 @@ LinearInterpolator::LinearInterpolator(std::vector<double> xs, std::vector<doubl
         (xs_.back() - xs_.front()) / static_cast<double>(xs_.size() - 1);
     const double tolerance =
         1e-9 * std::max(std::abs(xs_.front()), std::abs(xs_.back()));
-    bool uniform = step > 0.0;
+    // The vector lookup (weight_rows) indexes knots with 32-bit integers.
+    bool uniform = step > 0.0 && xs_.size() <= static_cast<std::size_t>(INT32_MAX);
     for (std::size_t i = 1; uniform && i + 1 < xs_.size(); ++i) {
         const double predicted = xs_.front() + static_cast<double>(i) * step;
         if (std::abs(xs_[i] - predicted) > tolerance) uniform = false;
@@ -36,20 +38,25 @@ LinearInterpolator::LinearInterpolator(std::vector<double> xs, std::vector<doubl
 }
 
 std::size_t LinearInterpolator::segment_for(double x) const {
+    const std::size_t last = xs_.size() - 1;
     std::size_t hi;
     if (uniform_step_ > 0.0) {
         // O(1) guess, then walk to the unique segment with
         // xs_[hi-1] <= x < xs_[hi] — exactly upper_bound's answer. The
         // caller's range guards bound both loops: xs_.back() > x stops the
-        // ascent, xs_.front() < x stops the descent.
-        const std::size_t guess =
-            static_cast<std::size_t>((x - xs_.front()) * inv_uniform_step_) + 1;
-        hi = std::clamp<std::size_t>(guess, 1, xs_.size() - 1);
+        // ascent, xs_.front() < x stops the descent. The guess is clamped
+        // to a segment before its conversion, so a NaN takes the first.
+        const double cell = (x - xs_.front()) * inv_uniform_step_;
+        const double last_cell = static_cast<double>(last - 1);
+        hi = static_cast<std::size_t>(cell > 0.0 ? (cell < last_cell ? cell : last_cell)
+                                                 : 0.0)
+             + 1;
         while (xs_[hi] <= x) ++hi;
         while (xs_[hi - 1] > x) --hi;
     } else {
+        // A NaN compares below no knot, so upper_bound returns the end.
         const auto it = std::upper_bound(xs_.begin(), xs_.end(), x);
-        hi = static_cast<std::size_t>(it - xs_.begin());
+        hi = std::min(static_cast<std::size_t>(it - xs_.begin()), last);
     }
     return hi;
 }
@@ -60,29 +67,80 @@ double LinearInterpolator::operator()(double x) const {
     return eval_segment(segment_for(x), x);
 }
 
-void LinearInterpolator::segment_rows(const double* x, std::size_t n,
-                                      std::size_t* hi) const {
+namespace {
+
+/// The vector loop of `weight_rows` on a uniform grid: per row a segment
+/// guess, clamped to the knots before its conversion (a NaN takes the
+/// first segment, +inf the last), the two knots around it, the lerp weight
+/// between them and the exact check. Returns nonzero when a row strictly
+/// inside (first, last) missed its guessed segment. Bitwise ops, not
+/// branches, keep the loop one vector loop. Out of line on purpose:
+/// inlined where xs[0] is already loaded, GCC 12 reuses that load for the
+/// rows whose guess clamps to the first segment, and the masked knot loads
+/// this leaves keep the loop scalar.
+[[gnu::noinline]] long guess_segments(const double* __restrict x, std::size_t n,
+                                      const double* __restrict xs, double first, double last,
+                                      double inv_step, double last_cell,
+                                      std::int32_t* __restrict hi, double* __restrict t) {
+    long missed = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+        const double v = x[r];
+        const double scaled = (v - first) * inv_step;
+        const double cell = scaled > 0.0 ? (scaled < last_cell ? scaled : last_cell) : 0.0;
+        const std::int32_t upper = static_cast<std::int32_t>(cell) + 1;
+        const double below = xs[upper - 1];
+        const double above = xs[upper];
+        hi[r] = upper;
+        t[r] = (v - below) / (above - below);
+        missed |= (v > first) & (v < last) & ((below > v) | (v >= above));
+    }
+    return missed;
+}
+
+} // namespace
+
+void LinearInterpolator::weight_rows(const double* __restrict x, std::size_t n,
+                                     std::int32_t* __restrict hi,
+                                     double* __restrict t) const {
+    const double* xs = xs_.data();
     const double first = xs_.front();
     const double last = xs_.back();
+    if (uniform_step_ == 0.0) {
+        for (std::size_t r = 0; r < n; ++r) {
+            const std::size_t upper = x[r] > first && x[r] < last ? segment_for(x[r]) : 1;
+            hi[r] = static_cast<std::int32_t>(upper);
+            t[r] = (x[r] - xs[upper - 1]) / (xs[upper] - xs[upper - 1]);
+        }
+        return;
+    }
+    if (guess_segments(x, n, xs, first, last, inv_uniform_step_,
+                       static_cast<double>(xs_.size() - 2), hi, t)
+        == 0)
+        return;
+    // The rare row whose guess missed (a knot within rounding of the
+    // linspace) takes the scalar walk.
     for (std::size_t r = 0; r < n; ++r) {
-        hi[r] = (x[r] <= first || x[r] >= last) ? 1 : segment_for(x[r]);
+        const std::int32_t upper = hi[r];
+        if (!(x[r] > first && x[r] < last) || (xs[upper - 1] <= x[r] && x[r] < xs[upper]))
+            continue;
+        const std::size_t exact = segment_for(x[r]);
+        hi[r] = static_cast<std::int32_t>(exact);
+        t[r] = (x[r] - xs[exact - 1]) / (xs[exact] - xs[exact - 1]);
     }
 }
 
-void LinearInterpolator::eval_rows(const std::size_t* __restrict hi,
-                                   const double* __restrict x, std::size_t n,
-                                   double* __restrict y) const {
-    const double* xs = xs_.data();
+void LinearInterpolator::lerp_rows(const std::int32_t* __restrict hi,
+                                   const double* __restrict t, const double* __restrict x,
+                                   std::size_t n, double* __restrict y) const {
     const double* ys = ys_.data();
     const double first_x = xs_.front();
     const double last_x = xs_.back();
     const double first_y = ys_.front();
     const double last_y = ys_.back();
     for (std::size_t r = 0; r < n; ++r) {
-        const std::size_t upper = hi[r];
-        const std::size_t lower = upper - 1;
-        const double t = (x[r] - xs[lower]) / (xs[upper] - xs[lower]);
-        const double inside = ys[lower] + t * (ys[upper] - ys[lower]);
+        const std::int32_t upper = hi[r];
+        const double below = ys[upper - 1];
+        const double inside = below + t[r] * (ys[upper] - below);
         y[r] = x[r] <= first_x ? first_y : (x[r] >= last_x ? last_y : inside);
     }
 }

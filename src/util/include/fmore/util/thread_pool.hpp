@@ -120,6 +120,11 @@ private:
 ///
 /// The first exception thrown by any task aborts the remaining indices and
 /// is rethrown on the calling thread.
+///
+/// A pool belongs to the process that constructed it. A child forked from
+/// that process inherits the object but not its threads, so there
+/// `parallel_for` runs every index on the calling thread, without touching
+/// the pool's locks, and the destructor leaves the workers alone.
 class ThreadPool {
 public:
     explicit ThreadPool(std::size_t workers);

@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 namespace fmore::util {
 
 namespace {
@@ -164,6 +166,10 @@ struct ForState {
 } // namespace
 
 struct ThreadPool::Impl {
+    /// The process that started the workers. A forked child inherits this
+    /// object but none of its threads, and the mutex or condition variable
+    /// may be mid-use by a thread that no longer exists there.
+    pid_t owner = ::getpid();
     std::vector<std::thread> workers;
     std::deque<std::function<void()>> queue;
     std::mutex mutex;
@@ -198,6 +204,13 @@ ThreadPool::ThreadPool(std::size_t workers) : impl_(std::make_unique<Impl>()) {
 }
 
 ThreadPool::~ThreadPool() {
+    // In a forked child (static destruction at exit) the workers do not
+    // exist: joining them or touching their mutex could hang, so the child
+    // leaves the state to the process teardown.
+    if (::getpid() != impl_->owner) {
+        (void)impl_.release();
+        return;
+    }
     {
         const std::lock_guard<std::mutex> lock(impl_->mutex);
         impl_->stop = true;
@@ -214,8 +227,11 @@ void ThreadPool::parallel_for(
     if (n == 0) return;
     if (!fn) throw std::invalid_argument("ThreadPool::parallel_for: null function");
 
-    // Serial fast path: no helpers wanted, or nothing to split.
-    if (max_workers == 0 || n == 1 || impl_->workers.empty()) {
+    // Serial fast path: no helpers wanted, nothing to split, or a process
+    // other than the pool's owner (a forked child), checked before the
+    // pool's mutex is touched.
+    if (max_workers == 0 || n == 1 || impl_->workers.empty()
+        || ::getpid() != impl_->owner) {
         for (std::size_t i = 0; i < n; ++i) fn(0, i);
         return;
     }

@@ -38,6 +38,45 @@ TEST(Blacklist, OffsetListServesIdsFromItsFirstOn) {
     EXPECT_EQ(list.banned_ids(), (std::vector<std::size_t>{100, 105}));
 }
 
+TEST(Blacklist, MayContainOnlyRangesMeetingTheBannedSpan) {
+    Blacklist list(100);
+    // Nothing banned: no range may hold a ban, however wide.
+    EXPECT_FALSE(list.may_contain(0, 1000));
+    EXPECT_FALSE(list.may_contain(100, 101));
+    list.ban(300);
+    list.ban(140);
+    list.ban(200);
+    // [lo, hi) below the span [140, 300], ending at or before 140.
+    EXPECT_FALSE(list.may_contain(0, 100));
+    EXPECT_FALSE(list.may_contain(100, 140));
+    // Across either end, inside (even a range holding no ban: the span is
+    // all it knows), and exactly the span.
+    EXPECT_TRUE(list.may_contain(100, 141));
+    EXPECT_TRUE(list.may_contain(139, 145));
+    EXPECT_TRUE(list.may_contain(150, 160));
+    EXPECT_TRUE(list.may_contain(299, 400));
+    EXPECT_TRUE(list.may_contain(140, 301));
+    EXPECT_TRUE(list.may_contain(0, 1000));
+    // Beyond the span, starting after 300.
+    EXPECT_FALSE(list.may_contain(301, 302));
+    EXPECT_FALSE(list.may_contain(301, 100000));
+    // An empty range holds nothing.
+    EXPECT_FALSE(list.may_contain(200, 200));
+    // Wherever it may not, contains agrees.
+    for (std::size_t id = 0; id < 500; ++id) {
+        if (!list.may_contain(id, id + 1)) {
+            EXPECT_FALSE(list.contains(id)) << id;
+        }
+    }
+    // A clear empties the span; later bans start a new one.
+    list.clear();
+    EXPECT_FALSE(list.may_contain(0, 1000));
+    list.ban(250);
+    EXPECT_FALSE(list.may_contain(140, 250));
+    EXPECT_TRUE(list.may_contain(250, 251));
+    EXPECT_FALSE(list.may_contain(251, 400));
+}
+
 TEST(Compliance, ZeroProbabilityAlwaysDelivers) {
     ComplianceSpec spec;
     spec.defect_probability = 0.0;

@@ -16,6 +16,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fmore/auction/cost.hpp"
@@ -267,6 +268,141 @@ TEST(CollectHeadRows, MatchesFrameCompositionAndFullSort) {
     // The tied stores must put ties across the head's cut, where the lazy
     // key check hands over to the full comparison.
     EXPECT_GT(ties_at_cut, 100u);
+}
+
+/// The frame composition `collect_head_rows` replaced: every row priced
+/// into a frame, then the frame's head.
+void composed_head(const PopulationStore& shard, const auction::EquilibriumStrategy& strategy,
+                   const auction::ScoringRule& broadcast, auction::PaymentMethod method,
+                   const Blacklist& bans, const auction::TieKeys& keys, std::size_t limit,
+                   auction::ShardHead& out) {
+    auction::BidFrame frame(shard.size(), 2);
+    std::vector<const double*> columns;
+    collect_bid_rows(shard, 0, shard.size(), layout(), strategy, broadcast,
+                     strategy.scoring_rule() == &broadcast, method, bans, frame, 0, columns,
+                     /*parallel=*/false);
+    frame.set_scored(true);
+    auction::collect_shard_head(frame, shard.node_offset(), keys, limit, out);
+}
+
+TEST(CollectHeadRows, NonFiniteRowsEveryMethodAndAZeroMarkupStrategy) {
+    // The at-cost bound s - c must never drop a row the head keeps: NaN,
+    // +-inf and -0 in thetas and caps (NaN and infinite bounds, asks and
+    // scores), all three payment methods, another broadcast rule, and a
+    // degenerate strategy whose ask is c + 0.
+    const Market& m = market();
+    const auction::AdditiveCost free_cost({0.0, 0.0});
+    auction::EquilibriumConfig eq;
+    eq.num_bidders = 200;
+    eq.num_winners = 8;
+    const auction::EquilibriumStrategy degenerate =
+        auction::EquilibriumSolver(m.product, free_cost, m.theta, {1.0, 0.05}, {kDataHi, 1.0},
+                                   eq)
+            .solve();
+    ASSERT_LT(degenerate.score_hi() - degenerate.score_lo(), 1e-12);
+    struct Case {
+        const char* name;
+        const auction::EquilibriumStrategy* strategy;
+        const auction::ScoringRule* broadcast;
+    };
+    const Case cases[] = {{"own rule", m.strategy.get(), &m.product},
+                          {"other rule", m.strategy.get(), &m.additive},
+                          {"zero markup", &degenerate, &m.product}};
+    constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
+    const double odd[] = {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity(), -0.0, 0.0};
+
+    std::vector<const double*> columns;
+    auction::StreamingHeadMerge merge;
+    auction::ShardHead head;
+    auction::ShardHead composed;
+    // Tied stores put rows at exactly the worst kept score, where a zero
+    // markup leaves no slack between a row's bound and its score.
+    using Shape = std::pair<std::size_t, bool>;  // rows, tied
+    for (const auto& [rows, tied] :
+         {Shape{700, false}, Shape{3000, false}, Shape{700, true}, Shape{3000, true}}) {
+        PopulationStore shard = make_shard(rows, tied);
+        PopulationSnapshot planted = shard.snapshot();
+        // Odd values in the first two blocks, a block of NaN thetas only
+        // (every bound NaN), and clean blocks after it, where the bound
+        // alone decides what is priced.
+        for (std::size_t i = 0; i < 512; ++i) {
+            if (i % 11 == 2) planted.columns[0][i] = odd[(i / 11) % 5];
+            if (i % 13 == 4) planted.columns[1][i] = odd[(i / 13) % 5];
+            if (i % 17 == 6) planted.columns[2][i] = odd[(i / 17) % 5];
+        }
+        for (std::size_t i = 512; i < std::min<std::size_t>(768, rows); ++i)
+            planted.columns[0][i] = std::numeric_limits<double>::quiet_NaN();
+        shard.restore(planted);
+        const Blacklist bans = make_bans(shard);
+        auction::TieKeys keys;
+        keys.salted = true;
+        keys.salt = 0xb0b0ULL + rows;
+
+        for (const Case& c : cases) {
+            for (const auction::PaymentMethod method :
+                 {auction::PaymentMethod::integral, auction::PaymentMethod::euler_ode,
+                  auction::PaymentMethod::rk4_ode}) {
+                ASSERT_TRUE(c.strategy->ask_covers_cost(method));
+                const bool own_rule = c.strategy->scoring_rule() == c.broadcast;
+                for (const Blacklist* banned : {&bans, static_cast<const Blacklist*>(nullptr)}) {
+                    const Blacklist none;
+                    const Blacklist& b = banned != nullptr ? *banned : none;
+                    for (const std::size_t limit :
+                         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{33},
+                          rows, kAll}) {
+                        SCOPED_TRACE(std::to_string(rows) + (tied ? " tied" : "") + " rows, "
+                                     + c.name + ", method "
+                                     + std::to_string(static_cast<int>(method))
+                                     + (banned != nullptr ? ", bans" : "") + ", limit "
+                                     + std::to_string(limit));
+                        collect_head_rows(shard, layout(), *c.strategy, *c.broadcast,
+                                          own_rule, method, b, nullptr, keys, limit, columns,
+                                          merge, head);
+                        composed_head(shard, *c.strategy, *c.broadcast, method, b, keys,
+                                      limit, composed);
+                        expect_heads_equal(composed, head);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(CollectHeadRows, PricesOnlyBlocksWhoseAtCostBoundCanEnter) {
+    const Market& m = market();
+    constexpr std::size_t kRows = 20000;
+    constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
+    const PopulationStore shard = make_shard(kRows, /*tied=*/false);
+    auction::TieKeys keys;
+    keys.salted = true;
+    keys.salt = 0x20000ULL;
+    std::vector<const double*> columns;
+    auction::StreamingHeadMerge merge;
+    auction::ShardHead head;
+    auction::ShardHead composed;
+    const auto pass = [&](const Blacklist& bans, std::size_t limit) {
+        const std::size_t priced = collect_head_rows(
+            shard, layout(), *m.strategy, m.product, true, auction::PaymentMethod::integral,
+            bans, nullptr, keys, limit, columns, merge, head);
+        composed_head(shard, *m.strategy, m.product, auction::PaymentMethod::integral, bans,
+                      keys, limit, composed);
+        expect_heads_equal(composed, head);
+        return priced;
+    };
+
+    // A worker's head: most blocks are dropped on their at-cost bounds.
+    const std::size_t pruned = pass(Blacklist{}, 33);
+    EXPECT_GT(pruned, 0u);
+    EXPECT_LT(pruned, kRows);
+    // A head that never fills rejects nothing, so every row is priced; a
+    // block of banned rows only is never quoted.
+    EXPECT_EQ(pass(Blacklist{}, kAll), kRows);
+    EXPECT_EQ(pass(Blacklist{}, kRows), kRows);
+    Blacklist block;
+    for (std::size_t i = 256; i < 512; ++i) block.ban(shard.node_offset() + i);
+    EXPECT_EQ(pass(block, kAll), kRows - 256);
 }
 
 TEST(CollectHeadRows, EveryRowBannedOrOutsideTheCutLeavesAnEmptyHead) {

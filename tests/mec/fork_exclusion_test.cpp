@@ -404,8 +404,6 @@ TEST(ForkExclusion, SliceAndReleaseCopiesLikeSliceThenDropsTheSourceRows) {
         {
             const util::ForkExclusion exclusion(store.bytes_outside(lo, hi, layout));
             child = run_in_child([&](int fd) {
-                // The parent's pool threads do not survive the fork.
-                ::setenv("FMORE_ROUND_THREADS", "1", 1);
                 PopulationStore released =
                     store.slice_and_release(lo, hi, layout, std::move(draw_bits));
                 // {kept columns equal full slice's, whole source pages of
