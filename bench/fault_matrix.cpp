@@ -176,7 +176,6 @@ struct MatrixRow {
     std::size_t max_recovery_rounds = 0;
     bool bit_identity_after_rejoin = true;
     std::size_t clean_rounds_compared = 0;
-    double round_ms_mean = 0.0;
 };
 
 MatrixRow run_plan(const PlanSpec& plan_spec, const Market& market, std::size_t n,
@@ -209,12 +208,9 @@ MatrixRow run_plan(const PlanSpec& plan_spec, const Market& market, std::size_t 
     // down_since[s]: the round shard s stopped contributing, 0 = contributing.
     std::vector<std::size_t> down_since(shards, 0);
     std::vector<std::size_t> recoveries;
-    double total_s = 0.0;
     for (std::size_t round = 1; round <= rounds; ++round) {
-        const auto start = clock_type::now();
         const auction::AuctionOutcome& b =
             faulty.run_round(round, kWinners, rng_faulty);
-        total_s += seconds_since(start);
         const auction::AuctionOutcome& a = clean.run_round(round, kWinners, rng_clean);
 
         const std::vector<std::size_t>& dropped = faulty.last_dropped_shards();
@@ -248,7 +244,6 @@ MatrixRow run_plan(const PlanSpec& plan_spec, const Market& market, std::size_t 
         row.mean_recovery_rounds =
             static_cast<double>(sum) / static_cast<double>(recoveries.size());
     }
-    row.round_ms_mean = total_s / static_cast<double>(rounds) * 1e3;
     return row;
 }
 
@@ -475,14 +470,12 @@ std::string render_section(const std::vector<MatrixRow>& rows,
             "\"rounds_degraded\": %zu, \"evictions\": %zu, \"respawns\": %zu, "
             "\"retired\": %zu, \"corrupt_frames\": %zu, \"frame_retries\": %zu, "
             "\"mean_recovery_rounds\": %.4g, \"max_recovery_rounds\": %zu, "
-            "\"bit_identity_after_rejoin\": %s, \"clean_rounds_compared\": %zu, "
-            "\"round_ms_mean\": %.4g}%s\n",
+            "\"bit_identity_after_rejoin\": %s, \"clean_rounds_compared\": %zu}%s\n",
             row.name.c_str(), row.plan.c_str(), row.rounds, row.rounds_degraded,
             row.evictions, row.respawns, row.retired, row.corrupt_frames,
             row.frame_retries, row.mean_recovery_rounds, row.max_recovery_rounds,
             row.bit_identity_after_rejoin ? "true" : "false",
-            row.clean_rounds_compared, row.round_ms_mean,
-            i + 1 < rows.size() ? "," : "");
+            row.clean_rounds_compared, i + 1 < rows.size() ? "," : "");
         out << buf;
     }
     out << "    ],\n";

@@ -1,19 +1,21 @@
 // micro_kernels: the performance ledger of the compute substrate. Measures
 //  (1) the ml::gemm micro-kernel against the naive triple loop (GFLOP/s),
 //  (2) Conv2d / Dense / Lstm forward+backward at the paper's MNIST/CIFAR/
-//      HPNews shapes, fast path vs the FMORE_NAIVE_KERNELS reference loops,
+//      HPNews shapes, against the textbook loops of the reference layers
+//      (fmore_reference, fmore/reference/naive_layers.hpp),
 //  (3) one training step (forward + loss + backward + SGD) of the deep CNN
-//      on a CIFAR-shaped minibatch, fast vs naive, with the sparse
-//      gradients ReLU and Dropout really produce, and one evaluation
-//      forward of the same model on a B128 batch (the evaluation batch),
+//      on a CIFAR-shaped minibatch against its reference twin
+//      (`reference::naive_cnn_deep`), with the sparse gradients ReLU and
+//      Dropout really produce, and one evaluation forward of both models
+//      on a B128 batch (the evaluation batch),
 //  (4) the market's shard pass on one 250k-row shard of the `wire_1m`
 //      world (N = 1M over 4 shards, alpha=25 scaled product over data and
 //      category, additive cost, theta ~ U[0.5, 1.5], K = 32): the drift,
 //      collect and head row kernels next to their per-row references, and
 //      a worker's whole head pass on its narrowed slice next to the frame
 //      composition that prices every row,
-//  (5) end-to-end round time of the `paper/fig04` scenario: the naive
-//      kernels in a serial round vs the fast path at 1/2/4/8 round threads,
+//  (5) end-to-end round time of the `paper/fig04` scenario at 1/2/4/8
+//      round threads,
 // and writes everything to a machine-readable BENCH_kernels.json so future
 // PRs have a perf trajectory to regress against.
 //
@@ -21,11 +23,11 @@
 //
 // --smoke shrinks repetitions (CI); the JSON is written either way. Exits 1
 // when a `layers` row, the training step or the evaluation forward has a
-// fast path slower than its naive loop (the elementwise row compares two
-// APIs, not two kernels, and is not gated), or when a `market` kernel's
-// output differs from its reference in any bit. Market speed is recorded,
-// not gated: without 64-bit vector multiplies (AVX2 and older) the drift
-// loop stays scalar and runs slower than its per-node reference.
+// production path slower than its reference twin (the elementwise row
+// compares two APIs, not two kernels, and is not gated), or when a `market`
+// kernel's output differs from its reference in any bit. Market speed is
+// recorded, not gated: without 64-bit vector multiplies (AVX2 and older)
+// the drift loop stays scalar and runs slower than its per-node reference.
 //
 // The elementwise and evaluation rows cycle through 8 distinct inputs: on
 // one fixed input the branch predictor learns a data-dependent pattern
@@ -39,7 +41,6 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,6 +65,7 @@
 #include "fmore/ml/pooling.hpp"
 #include "fmore/ml/synthetic.hpp"
 #include "fmore/ml/tensor.hpp"
+#include "fmore/reference/naive_layers.hpp"
 #include "fmore/stats/rng.hpp"
 
 #ifdef _WIN32
@@ -145,29 +147,32 @@ struct LayerResult {
     double bwd_naive_us, bwd_gemm_us;
 };
 
-/// Forward+backward timings of one layer under both kernel paths.
-template <typename MakeLayer>
+/// Forward+backward timings of one production layer and of its reference
+/// twin holding the same parameters.
+template <typename Layer, typename NaiveLayer, typename... Args>
 LayerResult bench_layer(const std::string& name, const std::string& shape,
-                        MakeLayer&& make, const std::vector<std::size_t>& in_shape,
-                        std::size_t reps) {
+                        const std::vector<std::size_t>& in_shape, std::size_t reps,
+                        Args... args) {
     stats::Rng rng(7);
-    auto layer = make();
-    layer->initialize(rng);
+    Layer fast_layer(args...);
+    fast_layer.initialize(rng);
+    NaiveLayer naive_layer(args...);
+    reference::copy_parameters(fast_layer, naive_layer);
     ml::Tensor input(in_shape);
     for (std::size_t i = 0; i < input.size(); ++i)
         input[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
 
     LayerResult out{name, shape, 0, 0, 0, 0};
     for (const bool naive : {true, false}) {
-        ml::set_naive_kernels(naive ? 1 : 0);
-        ml::Tensor y = layer->forward(input, true);
+        ml::Layer& layer = naive ? static_cast<ml::Layer&>(naive_layer) : fast_layer;
+        ml::Tensor y = layer.forward(input, true);
         ml::Tensor gy(y.shape());
         for (std::size_t i = 0; i < gy.size(); ++i)
             gy[i] = static_cast<float>(rng.uniform(-0.1, 0.1));
         const double t_f =
-            best_seconds(reps, [&] { y = layer->forward(input, true); });
+            best_seconds(reps, [&] { y = layer.forward(input, true); });
         const double t_b =
-            best_seconds(reps, [&] { ml::Tensor gx = layer->backward(gy); });
+            best_seconds(reps, [&] { ml::Tensor gx = layer.backward(gy); });
         if (naive) {
             out.fwd_naive_us = t_f * 1e6;
             out.bwd_naive_us = t_b * 1e6;
@@ -176,7 +181,6 @@ LayerResult bench_layer(const std::string& name, const std::string& shape,
             out.bwd_gemm_us = t_b * 1e6;
         }
     }
-    ml::set_naive_kernels(-1);
     return out;
 }
 
@@ -253,9 +257,9 @@ struct ModelPassResult {
 };
 
 /// One minibatch step of the fl_cifar model (`make_cnn_deep`, 3x14x14):
-/// zero_grad, forward, loss, backward, SGD. Each kernel path trains its own
-/// copy from the same seed on the same batch, so ReLU and Dropout hand the
-/// convolutions the sparse gradients of real training.
+/// zero_grad, forward, loss, backward, SGD. The model and its reference
+/// twin each train from the same seed on the same batch, so ReLU and
+/// Dropout hand the convolutions the sparse gradients of real training.
 ModelPassResult bench_train_step(std::size_t reps) {
     stats::Rng data_rng(13);
     const ml::Dataset data = ml::make_synthetic_images(ml::cifar10_spec(16), data_rng);
@@ -266,10 +270,10 @@ ModelPassResult bench_train_step(std::size_t reps) {
 
     ModelPassResult out;
     out.shape = "cnn_deep B16 3x14x14";
+    const ml::ImageSpec image{3, 14, 14, data.num_classes};
     for (const bool naive : {true, false}) {
-        ml::set_naive_kernels(naive ? 1 : 0);
         ml::Model model =
-            ml::make_cnn_deep(ml::ImageSpec{3, 14, 14, data.num_classes}, 17);
+            naive ? reference::naive_cnn_deep(image, 17) : ml::make_cnn_deep(image, 17);
         ml::SoftmaxCrossEntropy loss;
         const double t = best_seconds(reps, [&] {
             model.zero_grad();
@@ -280,13 +284,12 @@ ModelPassResult bench_train_step(std::size_t reps) {
         });
         (naive ? out.naive_us : out.fast_us) = t * 1e6;
     }
-    ml::set_naive_kernels(-1);
     return out;
 }
 
-/// One evaluation forward (`training=false`) of the fl_cifar model on a
-/// B128 batch, the evaluation batch size, naive vs fast: conv, ReLU,
-/// MaxPool2d and Dense forward with no backward, as in every round's
+/// One evaluation forward (`training=false`) of the fl_cifar model and of
+/// its reference twin on a B128 batch, the evaluation batch size: conv,
+/// ReLU, MaxPool2d and Dense forward with no backward, as in every round's
 /// evaluation.
 ModelPassResult bench_eval_forward(std::size_t reps) {
     stats::Rng rng(14);
@@ -295,15 +298,15 @@ ModelPassResult bench_eval_forward(std::size_t reps) {
 
     ModelPassResult out;
     out.shape = "cnn_deep B128 3x14x14 eval";
+    const ml::ImageSpec image{3, 14, 14, 10};
     for (const bool naive : {true, false}) {
-        ml::set_naive_kernels(naive ? 1 : 0);
-        ml::Model model = ml::make_cnn_deep(ml::ImageSpec{3, 14, 14, 10}, 17);
+        ml::Model model =
+            naive ? reference::naive_cnn_deep(image, 17) : ml::make_cnn_deep(image, 17);
         const double t = best_seconds(reps, [&] {
             (void)model.forward(inputs[next++ % kDistinctInputs], /*training=*/false);
         });
         (naive ? out.naive_us : out.fast_us) = t * 1e6;
     }
-    ml::set_naive_kernels(-1);
     return out;
 }
 
@@ -539,7 +542,6 @@ std::vector<MarketRow> bench_market(std::size_t reps, std::size_t& shard_rows) {
 }
 
 struct RoundResult {
-    double naive_serial_ms = 0.0; ///< the pre-PR configuration
     double gemm_serial_ms = 0.0;
     std::vector<std::pair<std::size_t, double>> gemm_threads_ms; ///< (threads, ms)
 };
@@ -560,14 +562,10 @@ RoundResult bench_round(bool smoke) {
     spec.training.rounds = smoke ? 2 : 5;
 
     RoundResult out;
-    ml::set_naive_kernels(1);
-    out.naive_serial_ms = time_round_ms(spec, 1);
-    ml::set_naive_kernels(0);
     out.gemm_serial_ms = time_round_ms(spec, 1);
     for (const std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
         out.gemm_threads_ms.emplace_back(threads, time_round_ms(spec, threads));
     }
-    ml::set_naive_kernels(-1);
     return out;
 }
 
@@ -609,26 +607,19 @@ int main(int argc, char** argv) {
 
     // (2) The layers at the shapes the paper's models use.
     std::vector<LayerResult> layers;
-    layers.push_back(bench_layer(
-        "conv2d", "B16 1x12x12 -> 8@3x3",
-        [] { return std::make_unique<ml::Conv2d>(1, 8, 3); },
-        {16, 1, 12, 12}, reps * 5));
-    layers.push_back(bench_layer(
-        "conv2d_cifar", "B16 3x14x14 -> 8@3x3",
-        [] { return std::make_unique<ml::Conv2d>(3, 8, 3); },
-        {16, 3, 14, 14}, reps * 5));
-    layers.push_back(bench_layer(
-        "conv2d_deep", "B16 8x6x6 -> 16@3x3",
-        [] { return std::make_unique<ml::Conv2d>(8, 16, 3); },
-        {16, 8, 6, 6}, reps * 5));
-    layers.push_back(bench_layer(
-        "dense", "B16 800 -> 64",
-        [] { return std::make_unique<ml::Dense>(800, 64); },
-        {16, 800}, reps * 5));
-    layers.push_back(bench_layer(
-        "lstm", "B16 T16 E16 H32",
-        [] { return std::make_unique<ml::Lstm>(16, 32); },
-        {16, 16, 16}, reps));
+    using reference::NaiveConv2d;
+    using reference::NaiveDense;
+    using reference::NaiveLstm;
+    layers.push_back(bench_layer<ml::Conv2d, NaiveConv2d>(
+        "conv2d", "B16 1x12x12 -> 8@3x3", {16, 1, 12, 12}, reps * 5, 1, 8, 3));
+    layers.push_back(bench_layer<ml::Conv2d, NaiveConv2d>(
+        "conv2d_cifar", "B16 3x14x14 -> 8@3x3", {16, 3, 14, 14}, reps * 5, 3, 8, 3));
+    layers.push_back(bench_layer<ml::Conv2d, NaiveConv2d>(
+        "conv2d_deep", "B16 8x6x6 -> 16@3x3", {16, 8, 6, 6}, reps * 5, 8, 16, 3));
+    layers.push_back(bench_layer<ml::Dense, NaiveDense>(
+        "dense", "B16 800 -> 64", {16, 800}, reps * 5, 800, 64));
+    layers.push_back(bench_layer<ml::Lstm, NaiveLstm>(
+        "lstm", "B16 T16 E16 H32", {16, 16, 16}, reps, 16, 32));
     std::cout << "\nlayers (microseconds per call, naive -> gemm):\n";
     for (const LayerResult& l : layers) {
         std::printf("  %-12s %-22s fwd %8.1f -> %8.1f (%.2fx)   bwd %8.1f -> %8.1f (%.2fx)\n",
@@ -671,19 +662,12 @@ int main(int argc, char** argv) {
             std::printf("            %zu of %zu rows priced\n", m.priced_rows, shard_rows);
     }
 
-    // (5) End-to-end rounds: the naive serial baseline vs the fast path at
-    // 1/2/4/8 round threads.
+    // (5) End-to-end rounds at 1/2/4/8 round threads.
     std::cout << "\npaper/fig04 round time (ms/round, 1 trial):\n";
     const RoundResult round = bench_round(smoke);
-    std::printf("  naive kernels, serial round (pre-PR baseline): %8.1f\n",
-                round.naive_serial_ms);
-    std::printf("  gemm kernels,  1 thread:  %8.1f  (%.2fx vs baseline)\n",
-                round.gemm_serial_ms, round.naive_serial_ms / round.gemm_serial_ms);
-    double best_parallel = round.gemm_serial_ms;
+    std::printf("  gemm kernels,  1 thread:  %8.1f\n", round.gemm_serial_ms);
     for (const auto& [threads, ms] : round.gemm_threads_ms) {
-        std::printf("  gemm kernels, %2zu threads: %8.1f  (%.2fx vs baseline)\n", threads,
-                    ms, round.naive_serial_ms / ms);
-        best_parallel = std::min(best_parallel, ms);
+        std::printf("  gemm kernels, %2zu threads: %8.1f\n", threads, ms);
     }
 
     // Machine-readable ledger.
@@ -751,7 +735,6 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "  ]},\n");
     std::fprintf(f, "  \"round\": {\n    \"scenario\": \"paper/fig04\",\n");
-    std::fprintf(f, "    \"baseline_naive_serial_ms\": %.4g,\n", round.naive_serial_ms);
     std::fprintf(f, "    \"gemm_serial_ms\": %.4g,\n", round.gemm_serial_ms);
     std::fprintf(f, "    \"gemm_threads_ms\": {");
     for (std::size_t i = 0; i < round.gemm_threads_ms.size(); ++i) {
@@ -759,17 +742,11 @@ int main(int argc, char** argv) {
         std::fprintf(f, "\"%zu\": %.4g%s", threads, ms,
                      i + 1 < round.gemm_threads_ms.size() ? ", " : "");
     }
-    const double at8 = round.gemm_threads_ms.empty()
-                           ? round.gemm_serial_ms
-                           : round.gemm_threads_ms.back().second;
-    std::fprintf(f, "},\n    \"speedup_at_8_threads_vs_baseline\": %.4g,\n",
-                 round.naive_serial_ms / at8);
-    std::fprintf(f, "    \"best_speedup_vs_baseline\": %.4g\n  }\n}\n",
-                 round.naive_serial_ms / best_parallel);
+    std::fprintf(f, "}\n  }\n}\n");
     std::fclose(f);
     std::cout << "\nwrote " << out_path << '\n';
 
-    // Gate: every fast path must beat the loop it replaces.
+    // Gate: every production path must beat the reference loops it replaced.
     std::vector<std::string> slower;
     for (const LayerResult& l : layers) {
         if (l.fwd_gemm_us > l.fwd_naive_us) slower.push_back(l.name + " fwd");
@@ -778,7 +755,8 @@ int main(int argc, char** argv) {
     if (step.fast_us > step.naive_us) slower.push_back("train_step");
     if (eval.fast_us > eval.naive_us) slower.push_back("eval_forward");
     for (const std::string& name : slower) {
-        std::cerr << "micro_kernels: FAIL " << name << ": fast path slower than naive\n";
+        std::cerr << "micro_kernels: FAIL " << name
+                  << ": production path slower than its reference twin\n";
     }
     // Gate: every market kernel must reproduce its reference bit for bit.
     bool market_identical = true;

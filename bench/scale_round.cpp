@@ -45,6 +45,7 @@
 #include "fmore/mec/auction_selector.hpp"
 #include "fmore/mec/sharded_selector.hpp"
 #include "fmore/reference/classic_auction_selector.hpp"
+#include "fmore/reference/edge_node.hpp"
 #include "fmore/stats/normalizer.hpp"
 #include "fmore/util/json_ledger.hpp"
 
@@ -183,7 +184,7 @@ struct LegResult {
 /// Both legs drive their bids from the SAME store state (that is what
 /// makes the per-round winner comparison exact), so the legacy leg's
 /// evolve cost is measured on a shadow AoS copy walked by the retained
-/// pre-SoA implementation — `EdgeNode::evolve`, four shared-stream
+/// pre-SoA implementation — `reference::EdgeNode::evolve`, four shared-stream
 /// mt19937_64 draws per node — which is precisely what the pre-PR round
 /// paid. The shared store drift is charged to the fused leg only; the
 /// pre-PR system never ran it.
@@ -200,7 +201,7 @@ LegResult run_leg(std::size_t n, const Market& market, bool legacy, std::size_t 
     }
 
     const mec::PopulationStore& store = population.store();
-    std::vector<mec::EdgeNode> shadow;
+    std::vector<reference::EdgeNode> shadow;
     stats::Rng shadow_rng(seed ^ 0xa05ULL);
     if (legacy) {
         shadow.reserve(n);
@@ -221,7 +222,7 @@ LegResult run_leg(std::size_t n, const Market& market, bool legacy, std::size_t 
             if (legacy) {
                 // The pre-PR evolve: serial AoS walk, one shared RNG.
                 const auto start = clock_type::now();
-                for (mec::EdgeNode& node : shadow) {
+                for (reference::EdgeNode& node : shadow) {
                     node.evolve(store.dynamics(), store.theta_lo(), store.theta_hi(),
                                 shadow_rng);
                 }

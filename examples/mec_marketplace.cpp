@@ -14,7 +14,7 @@
 #include "fmore/auction/game.hpp"
 #include "fmore/auction/validators.hpp"
 #include "fmore/core/report.hpp"
-#include "fmore/mec/edge_node.hpp"
+#include "fmore/mec/population_store.hpp"
 #include "fmore/stats/normalizer.hpp"
 
 int main() {
@@ -46,37 +46,35 @@ int main() {
                      2);
     }
 
-    // A small marketplace with resource-capped nodes: caps drift each round.
+    // A small marketplace of resource-capped nodes whose resources drift
+    // inside their caps each round. Nodes also re-estimate their private
+    // cost between rounds — reason (2) in the paper's walk-through for why
+    // bids change.
+    mec::SyntheticDataSpec data;
+    data.data_lo = 1000.0;
+    data.data_hi = 5000.0;
+    mec::PopulationSpec resources;
+    resources.bandwidth_lo = 5.0;
+    resources.bandwidth_hi = 100.0;
+    resources.dynamics.resource_jitter = 0.15;
+    resources.dynamics.theta_jitter = 0.08;
     stats::Rng rng(2024);
-    std::vector<mec::EdgeNode> nodes;
-    for (std::size_t i = 0; i < 30; ++i) {
-        mec::ResourceState caps;
-        caps.data_size = rng.uniform(1000.0, 5000.0);
-        caps.bandwidth_mbps = rng.uniform(5.0, 100.0);
-        caps.category_proportion = 1.0;
-        caps.cpu_cores = 4.0;
-        nodes.emplace_back(i, theta.sample(rng), caps, caps);
-    }
+    mec::PopulationStore nodes(30, data, theta, resources, rng);
 
     auction::WinnerDeterminationConfig wd;
     wd.num_winners = 6;
     const auction::WinnerDetermination determination(scoring, wd);
-    mec::ResourceDynamics dynamics;
-    dynamics.resource_jitter = 0.15;
-    // Nodes also re-estimate their private cost between rounds — reason (2)
-    // in the paper's walk-through for why bids change.
-    dynamics.theta_jitter = 0.08;
 
     std::cout << "\nMarketplace rounds (capped bids, first-price payments):\n";
     core::TablePrinter market(std::cout, {"round", "clearing_score", "mean_payment",
                                           "aggregator_V", "surplus"});
     for (int round = 1; round <= 5; ++round) {
         std::vector<auction::Bid> bids;
-        for (const mec::EdgeNode& node : nodes) {
-            auction::QualityVector q = strategy.quality(node.theta());
-            q[0] = std::min(q[0], node.resources().data_size);
-            q[1] = std::min(q[1], node.resources().bandwidth_mbps);
-            bids.push_back({node.id(), q, strategy.payment_for(q, node.theta())});
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+            auction::QualityVector q = strategy.quality(nodes.theta(i));
+            q[0] = std::min(q[0], nodes.data_size(i));
+            q[1] = std::min(q[1], nodes.bandwidth_mbps(i));
+            bids.push_back({i, q, strategy.payment_for(q, nodes.theta(i))});
         }
         const auction::AuctionOutcome outcome = determination.run(bids, rng);
         double mean_payment = 0.0;
@@ -87,12 +85,12 @@ int main() {
             mean_payment += w.payment / 6.0;
             profit += scoring.quality_score(bid.quality) - w.payment;
             surplus += scoring.quality_score(bid.quality)
-                       - cost.cost(bid.quality, nodes[w.node].theta());
+                       - cost.cost(bid.quality, nodes.theta(w.node));
         }
         market.row({static_cast<double>(round), outcome.winners.back().score,
                     mean_payment, profit, surplus},
                    3);
-        for (mec::EdgeNode& node : nodes) node.evolve(dynamics, 0.5, 1.5, rng);
+        nodes.evolve(rng);
     }
 
     std::cout << "\nEvery winner's payment covered its private cost (IR), and the\n"

@@ -65,38 +65,6 @@ private:
     std::vector<double> betas_;
 };
 
-/// Convex cost c(q, theta) = theta * sum_i beta_i q_i^2; strictly convex in
-/// q, giving interior quality optima under additive scoring (the additive
-/// cost gives corner solutions there). Used in tests and ablations.
-class QuadraticCost final : public CostModel {
-public:
-    explicit QuadraticCost(std::vector<double> betas);
-
-    [[nodiscard]] double cost(const QualityVector& q, double theta) const override;
-    [[nodiscard]] double cost_theta_derivative(const QualityVector& q,
-                                               double theta) const override;
-    [[nodiscard]] std::size_t dimensions() const override { return betas_.size(); }
-
-private:
-    std::vector<double> betas_;
-};
-
-/// Power cost c(q, theta) = theta * sum_i beta_i q_i^{gamma} with gamma >= 1.
-class PowerCost final : public CostModel {
-public:
-    PowerCost(std::vector<double> betas, double gamma);
-
-    [[nodiscard]] double cost(const QualityVector& q, double theta) const override;
-    [[nodiscard]] double cost_theta_derivative(const QualityVector& q,
-                                               double theta) const override;
-    [[nodiscard]] std::size_t dimensions() const override { return betas_.size(); }
-    [[nodiscard]] double gamma() const { return gamma_; }
-
-private:
-    std::vector<double> betas_;
-    double gamma_;
-};
-
 /// Report of a numeric single-crossing check on a sample grid.
 struct SingleCrossingReport {
     bool cost_increasing_in_quality = true; // c_q >= 0

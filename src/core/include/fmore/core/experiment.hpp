@@ -65,6 +65,8 @@ struct PopulationSpec {
     double theta_hi = 1.5;
     double resource_jitter = 0.08;
     double theta_jitter = 0.02;
+
+    [[nodiscard]] bool operator==(const PopulationSpec&) const;
 };
 
 /// The incentive layer: mechanism name, winner-set size, scoring and cost
@@ -132,6 +134,8 @@ struct AuctionSpec {
     /// Fail-fast quorum: a round that ends with fewer live shards throws
     /// instead of silently shrinking the market; 0 disables.
     std::size_t shard_quorum = 0;
+
+    [[nodiscard]] bool operator==(const AuctionSpec&) const;
 };
 
 /// The learning workload: dataset, split sizes and SGD hyperparameters.
@@ -148,6 +152,8 @@ struct TrainingSpec {
     std::size_t batch_size = 16;
     double learning_rate = 0.08;
     std::size_t eval_cap = 1000;
+
+    [[nodiscard]] bool operator==(const TrainingSpec&) const;
 };
 
 /// The wall-clock model (testbed experiments; see mec::ClusterTimeConfig)
@@ -230,6 +236,8 @@ struct TimingSpec {
     /// `.tmp` files are deleted after each successful write). Must be >= 1
     /// when checkpointing is on.
     std::size_t checkpoint_keep = 3;
+
+    [[nodiscard]] bool operator==(const TimingSpec&) const;
 };
 
 /// Everything needed to reproduce one experiment, simulator or testbed.
@@ -240,13 +248,11 @@ struct ExperimentSpec {
     AuctionSpec auction;
     TrainingSpec training;
     TimingSpec timing;
-};
 
-[[nodiscard]] bool operator==(const PopulationSpec&, const PopulationSpec&);
-[[nodiscard]] bool operator==(const AuctionSpec&, const AuctionSpec&);
-[[nodiscard]] bool operator==(const TrainingSpec&, const TrainingSpec&);
-[[nodiscard]] bool operator==(const TimingSpec&, const TimingSpec&);
-[[nodiscard]] bool operator==(const ExperimentSpec&, const ExperimentSpec&);
+    /// Field by field, the sub-specs' too (each defaulted in experiment.cpp):
+    /// a resumed run must find the spec it was checkpointed under.
+    [[nodiscard]] bool operator==(const ExperimentSpec&) const;
+};
 
 [[nodiscard]] std::string to_string(ExperimentKind kind);
 

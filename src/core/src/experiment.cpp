@@ -20,60 +20,13 @@ namespace fmore::core {
 // Equality
 // ---------------------------------------------------------------------------
 
-bool operator==(const PopulationSpec& a, const PopulationSpec& b) {
-    return a.num_nodes == b.num_nodes && a.shards_lo == b.shards_lo
-           && a.shards_hi == b.shards_hi && a.data_lo == b.data_lo
-           && a.data_hi == b.data_hi && a.cpu_lo == b.cpu_lo && a.cpu_hi == b.cpu_hi
-           && a.bandwidth_lo == b.bandwidth_lo && a.bandwidth_hi == b.bandwidth_hi
-           && a.theta_lo == b.theta_lo && a.theta_hi == b.theta_hi
-           && a.resource_jitter == b.resource_jitter && a.theta_jitter == b.theta_jitter;
-}
-
-bool operator==(const AuctionSpec& a, const AuctionSpec& b) {
-    return a.mechanism == b.mechanism && a.winners == b.winners && a.alpha == b.alpha
-           && a.alpha_cpu == b.alpha_cpu && a.alpha_bandwidth == b.alpha_bandwidth
-           && a.alpha_data == b.alpha_data && a.beta_data == b.beta_data
-           && a.beta_category == b.beta_category && a.psi == b.psi
-           && a.psi_per_node == b.psi_per_node && a.budget == b.budget
-           && a.payment_rule == b.payment_rule && a.win_model == b.win_model
-           && a.full_scoreboard == b.full_scoreboard && a.shards == b.shards
-           && a.shard_timeout_s == b.shard_timeout_s
-           && a.latency_discount == b.latency_discount
-           && a.fault_plan == b.fault_plan
-           && a.shard_respawn_backoff_s == b.shard_respawn_backoff_s
-           && a.shard_max_respawns == b.shard_max_respawns
-           && a.shard_quorum == b.shard_quorum;
-}
-
-bool operator==(const TrainingSpec& a, const TrainingSpec& b) {
-    return a.dataset == b.dataset && a.train_samples == b.train_samples
-           && a.test_samples == b.test_samples && a.rounds == b.rounds
-           && a.local_epochs == b.local_epochs && a.batch_size == b.batch_size
-           && a.learning_rate == b.learning_rate && a.eval_cap == b.eval_cap;
-}
-
-bool operator==(const TimingSpec& a, const TimingSpec& b) {
-    return a.enabled == b.enabled && a.model_bytes == b.model_bytes
-           && a.seconds_per_sample_core == b.seconds_per_sample_core
-           && a.round_overhead_s == b.round_overhead_s
-           && a.round_mode == b.round_mode && a.min_updates == b.min_updates
-           && a.round_deadline_s == b.round_deadline_s
-           && a.staleness_alpha == b.staleness_alpha
-           && a.max_staleness == b.max_staleness
-           && a.latency_spread == b.latency_spread
-           && a.dropout_prob == b.dropout_prob && a.streaming == b.streaming
-           && a.arrival_process == b.arrival_process
-           && a.arrival_rate_hz == b.arrival_rate_hz
-           && a.adaptive_quorum == b.adaptive_quorum
-           && a.checkpoint_every == b.checkpoint_every
-           && a.checkpoint_dir == b.checkpoint_dir
-           && a.checkpoint_keep == b.checkpoint_keep;
-}
-
-bool operator==(const ExperimentSpec& a, const ExperimentSpec& b) {
-    return a.kind == b.kind && a.seed == b.seed && a.population == b.population
-           && a.auction == b.auction && a.training == b.training && a.timing == b.timing;
-}
+// Defaulted here, not in the header: the header stays valid C++17 for
+// consumers built without the project's standard (perfbench).
+bool PopulationSpec::operator==(const PopulationSpec&) const = default;
+bool AuctionSpec::operator==(const AuctionSpec&) const = default;
+bool TrainingSpec::operator==(const TrainingSpec&) const = default;
+bool TimingSpec::operator==(const TimingSpec&) const = default;
+bool ExperimentSpec::operator==(const ExperimentSpec&) const = default;
 
 // ---------------------------------------------------------------------------
 // Defaults
@@ -181,12 +134,15 @@ std::vector<std::string> validate(const ExperimentSpec& spec) {
         fail("population.theta_jitter = " + num(pop.theta_jitter)
              + ": must be finite and >= 0");
     if (spec.kind == ExperimentKind::testbed) {
-        if (!(pop.cpu_lo > 0.0) || !(pop.cpu_hi >= pop.cpu_lo))
+        if (bad(pop.cpu_lo) || bad(pop.cpu_hi) || !(pop.cpu_lo > 0.0)
+            || !(pop.cpu_hi >= pop.cpu_lo))
             fail("population.cpu = [" + num(pop.cpu_lo) + ", " + num(pop.cpu_hi)
-                 + "]: need 0 < cpu_lo <= cpu_hi");
-        if (!(pop.bandwidth_lo > 0.0) || !(pop.bandwidth_hi >= pop.bandwidth_lo))
+                 + "]: need finite 0 < cpu_lo <= cpu_hi");
+        if (bad(pop.bandwidth_lo) || bad(pop.bandwidth_hi) || !(pop.bandwidth_lo > 0.0)
+            || !(pop.bandwidth_hi >= pop.bandwidth_lo))
             fail("population.bandwidth = [" + num(pop.bandwidth_lo) + ", "
-                 + num(pop.bandwidth_hi) + "]: need 0 < bandwidth_lo <= bandwidth_hi");
+                 + num(pop.bandwidth_hi)
+                 + "]: need finite 0 < bandwidth_lo <= bandwidth_hi");
     }
 
     const AuctionSpec& auc = spec.auction;

@@ -1,70 +1,57 @@
 #pragma once
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "fmore/mec/edge_node.hpp"
 #include "fmore/mec/population_store.hpp"
 #include "fmore/ml/partition.hpp"
 #include "fmore/stats/distributions.hpp"
 
 namespace fmore::mec {
 
-/// The N edge nodes of one MEC deployment — a thin view over the
-/// structure-of-arrays `PopulationStore` that actually holds the state.
-/// Data resources come from the non-IID shards (the node's data size /
-/// label diversity are whatever its shard holds); bandwidth/CPU and the
-/// private theta are drawn by the store.
-///
-/// Hot paths (bid collection, the wall-clock model) read the store's
-/// columns directly via `store()`; the AoS API — `node(i)` / `nodes()` —
-/// is a lazily refreshed mirror kept for tests, examples and inspection.
-/// Touching it after an `evolve` costs one O(N) rebuild, which production
-/// round loops never pay.
+/// The N edge nodes of one MEC deployment — a thin owner of the
+/// structure-of-arrays `PopulationStore` that holds the state. Data
+/// resources come from the non-IID shards (the node's data size / label
+/// diversity are whatever its shard holds); bandwidth/CPU and the private
+/// theta are drawn by the store. Readers take the store's columns, or one
+/// node's `resources(i)` / `caps(i)`, through `store()`.
 class MecPopulation {
 public:
     MecPopulation(const std::vector<ml::ClientShard>& shards, std::size_t num_classes,
                   const stats::Distribution& theta_dist, const PopulationSpec& spec,
-                  stats::Rng& rng);
+                  stats::Rng& rng)
+        : store_(shards, num_classes, theta_dist, spec, rng) {}
 
     /// Adopt an already-built store (e.g. a shard-free synthetic
     /// mega-population for the scale benches).
-    explicit MecPopulation(PopulationStore store);
+    explicit MecPopulation(PopulationStore store) : store_(std::move(store)) {}
 
     [[nodiscard]] std::size_t size() const { return store_.size(); }
-    [[nodiscard]] const EdgeNode& node(std::size_t i) const;
-    [[nodiscard]] const std::vector<EdgeNode>& nodes() const;
 
     /// One round of resource/theta drift across all nodes (see
     /// `PopulationStore::evolve` for the determinism model).
-    void evolve(stats::Rng& rng);
+    void evolve(stats::Rng& rng) { store_.evolve(rng); }
 
     /// Drift under a round salt drawn elsewhere — how a sharded market
     /// coordinator keeps this population in lockstep with its shards (one
     /// generator draw for the whole market, identical columns everywhere).
-    void evolve_with_salt(std::uint64_t salt);
+    void evolve_with_salt(std::uint64_t salt) { store_.evolve_with_salt(salt); }
 
     [[nodiscard]] double theta_lo() const { return store_.theta_lo(); }
     [[nodiscard]] double theta_hi() const { return store_.theta_hi(); }
 
-    /// Read-only on purpose: all mutation goes through `evolve`, which is
-    /// what keeps the lazy AoS mirror coherent.
+    /// Read-only on purpose: the state changes only through `evolve` and
+    /// `restore`.
     [[nodiscard]] const PopulationStore& store() const { return store_; }
 
     /// Durable-run checkpoint support: copy out / restore the full store
-    /// state. `restore` invalidates the lazy AoS mirror, so the coherence
-    /// contract above still holds.
+    /// state.
     [[nodiscard]] PopulationSnapshot snapshot() const { return store_.snapshot(); }
-    void restore(const PopulationSnapshot& snap) {
-        store_.restore(snap);
-        mirror_stale_ = true;
-    }
+    void restore(const PopulationSnapshot& snap) { store_.restore(snap); }
 
 private:
-    void refresh_mirror() const;
-
     PopulationStore store_;
-    mutable std::vector<EdgeNode> mirror_;
-    mutable bool mirror_stale_ = true;
 };
 
 } // namespace fmore::mec

@@ -36,13 +36,36 @@
 #include <cstdint>
 #include <vector>
 
-#include "fmore/mec/edge_node.hpp"
 #include "fmore/ml/partition.hpp"
 #include "fmore/stats/distributions.hpp"
 #include "fmore/stats/rng.hpp"
 #include "fmore/util/pages.hpp"
 
 namespace fmore::mec {
+
+/// Snapshot of an edge node's multi-dimensional resources — the quantities
+/// the paper auctions: "local data, computation capability, bandwidth, CPU
+/// cycle, etc." (Section III.A). `data_size` counts locally held training
+/// samples; `category_proportion` is the paper's q2, the fraction of label
+/// classes present locally.
+struct ResourceState {
+    double data_size = 0.0;
+    double category_proportion = 0.0;
+    double bandwidth_mbps = 0.0;
+    double cpu_cores = 0.0;
+};
+
+/// How a node's resources drift between rounds. The paper's walk-through
+/// notes bids change because "the available resources are changed" and "the
+/// private cost parameter theta is reestimated and revised" — we model both
+/// with bounded random walks.
+struct ResourceDynamics {
+    /// Per-round relative jitter of bandwidth/cpu (0 = static resources).
+    double resource_jitter = 0.10;
+    /// Per-round absolute jitter of theta (clamped to the distribution
+    /// support by the population).
+    double theta_jitter = 0.0;
+};
 
 /// Ranges used to initialize the non-data resources of a population.
 struct PopulationSpec {
@@ -89,9 +112,8 @@ struct PopulationSnapshot {
 class PopulationStore {
 public:
     /// Shard-backed population (the experiment engines). Draw order per
-    /// node — bandwidth cap, cpu cap, three initial-state factors, theta —
-    /// matches the historical `MecPopulation` constructor, so populations
-    /// are reproducible across the AoS->SoA change.
+    /// node: bandwidth cap, cpu cap, three initial-state factors, theta.
+    /// Every recorded tape and golden depends on that order.
     PopulationStore(const std::vector<ml::ClientShard>& shards, std::size_t num_classes,
                     const stats::Distribution& theta_dist, const PopulationSpec& spec,
                     stats::Rng& rng);
@@ -133,7 +155,8 @@ public:
     /// The private cost types, one per row.
     [[nodiscard]] const std::vector<double>& thetas() const { return theta_; }
 
-    // AoS views (cold paths: tests, examples, the MecPopulation mirror).
+    // One node's state as a struct (cold paths: tests, examples, the
+    // reference market).
     [[nodiscard]] ResourceState resources(std::size_t i) const;
     [[nodiscard]] ResourceState caps(std::size_t i) const;
 

@@ -42,8 +42,6 @@ double ClusterTimeModel::latency_factor(std::size_t i) const {
 
 double ClusterTimeModel::client_seconds(std::size_t client,
                                         std::size_t samples) const {
-    // Straight off the SoA columns — the AoS `node()` mirror would rebuild
-    // all N views after every evolve just to answer K queries.
     const PopulationStore& store = population_.store();
     const double bw_bytes_s = std::max(1.0, store.bandwidth_mbps(client)) * 1.0e6 / 8.0;
     const double transfer = 2.0 * config_.model_bytes / bw_bytes_s; // down + up

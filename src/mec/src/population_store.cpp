@@ -249,8 +249,7 @@ void PopulationStore::init_resources(std::size_t i, const PopulationSpec& spec,
     bandwidth_cap_[i] = rng.uniform(spec.bandwidth_lo, spec.bandwidth_hi);
     cpu_cap_[i] = rng.uniform(spec.cpu_lo, spec.cpu_hi);
 
-    // Nodes start somewhere inside their envelope, not pinned at it (same
-    // draws, in the same order, as the historical AoS constructor).
+    // Nodes start somewhere inside their envelope, not pinned at it.
     bandwidth_[i] = bandwidth_cap_[i] * rng.uniform(0.6, 1.0);
     cpu_[i] = cpu_cap_[i] * rng.uniform(0.6, 1.0);
     data_size_[i] = data_cap_[i] * rng.uniform(0.8, 1.0);

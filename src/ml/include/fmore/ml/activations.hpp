@@ -18,28 +18,13 @@ private:
     Tensor cached_input_;
 };
 
-/// Elementwise tanh (used standalone in small MLP heads; the LSTM has its
-/// own fused gates).
-class Tanh final : public Layer {
-public:
-    void forward_into(const Tensor& input, Tensor& out, bool training) override;
-    void backward_into(const Tensor& grad_output, Tensor& grad_input) override;
-    [[nodiscard]] std::unique_ptr<Layer> clone() const override {
-        return std::make_unique<Tanh>(*this);
-    }
-    [[nodiscard]] std::string name() const override { return "Tanh"; }
-
-private:
-    Tensor cached_output_;
-};
-
 /// Flatten [B, ...] to [B, volume].
 class Flatten final : public Layer {
 public:
     void forward_into(const Tensor& input, Tensor& out, bool training) override;
     void backward_into(const Tensor& grad_output, Tensor& grad_input) override;
-    /// Flatten holds no parameters: as a first layer (`make_mlp`) its
-    /// backward has nothing to do.
+    /// Flatten holds no parameters: as a first layer its backward has
+    /// nothing to do.
     void backward_params(const Tensor& /*grad_output*/) override {}
     [[nodiscard]] std::unique_ptr<Layer> clone() const override {
         return std::make_unique<Flatten>(*this);

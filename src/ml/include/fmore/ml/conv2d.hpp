@@ -5,13 +5,13 @@
 namespace fmore::ml {
 
 /// 2-D convolution, stride 1, valid padding. Input [B, C, H, W], kernel
-/// [OC, C, KH, KW], output [B, OC, H-KH+1, W-KW+1]. The default path runs
-/// three register-tiled kernels over the whole minibatch (gemm.hpp):
+/// [OC, C, KH, KW], output [B, OC, H-KH+1, W-KW+1]. Runs three
+/// register-tiled kernels over the whole minibatch (gemm.hpp):
 /// `conv2d_forward` reads the input in place against weights re-laid out
 /// once per call, and backward runs `conv2d_weight_grad` and
-/// `conv2d_input_grad`. `FMORE_NAIVE_KERNELS=1` selects the original
-/// direct loops, which the fast path matches bit-for-bit. Each kernel's
-/// scratch is a member, so every model clone owns its own.
+/// `conv2d_input_grad`. They match the direct loops of
+/// `reference::NaiveConv2d` bit for bit. Each kernel's scratch is a member,
+/// so every model clone owns its own.
 class Conv2d final : public Layer {
 public:
     Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel);

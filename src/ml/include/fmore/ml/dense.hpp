@@ -5,9 +5,9 @@
 namespace fmore::ml {
 
 /// Fully connected layer: y = x W^T + b with x of shape [B, in], W of shape
-/// [out, in], b of shape [out]. The default path runs on the `ml::gemm`
-/// micro-kernel (bit-identical to the textbook loops, which
-/// `FMORE_NAIVE_KERNELS=1` keeps selectable as the reference).
+/// [out, in], b of shape [out]. Runs on the `ml::gemm` micro-kernel,
+/// bit-identical to the textbook loops of `reference::NaiveDense`
+/// (gemm.hpp's order contract).
 class Dense final : public Layer {
 public:
     Dense(std::size_t in_features, std::size_t out_features);

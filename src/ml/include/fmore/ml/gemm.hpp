@@ -4,23 +4,23 @@
 /// The micro-kernel substrate of the ml layer: a register-blocked,
 /// cache-friendly float GEMM and three register-tiled convolution kernels
 /// (forward, weight gradient, input gradient). `Conv2d`, `Dense` and
-/// `Lstm`'s gate matmuls are all built on these kernels;
-/// `FMORE_NAIVE_KERNELS=1` (or `set_naive_kernels`) switches every layer
-/// back to the original textbook loops, which stay compiled as the
-/// reference implementation.
+/// `Lstm`'s gate matmuls are all built on these kernels, their only path.
+/// The textbook loops they replaced live outside the libraries, in the
+/// test- and bench-only `fmore_reference` target
+/// (`fmore/reference/naive_layers.hpp`).
 ///
 /// ## Bit-exactness contract
 ///
-/// The fast path is not merely "close" to the naive loops — it is
+/// The kernels are not merely "close" to the textbook loops — they are
 /// bit-identical. Every kernel accumulates each output element's terms in
 /// the exact summation order of the reference loops (ascending k, single
 /// running accumulator seeded from C), and vectorization is only applied
 /// across *independent* accumulators (the unit-stride j dimension), which
 /// never reassociates any single element's sum. The build pins
 /// `-ffp-contract=off`, so every `acc += a * b` is a separate multiply and
-/// add in both paths, whichever loop the compiler vectorized. This is what
-/// lets the naive escape hatch double as an exact equivalence oracle in
-/// tests, and keeps every experiment's metrics unchanged by the kernels.
+/// add in both, whichever loop the compiler vectorized. This is what lets
+/// the reference layers serve as an exact equivalence oracle in tests, and
+/// keeps every experiment's metrics unchanged by the kernels.
 ///
 /// The forward kernel reproduces the reference loops' two-level sum. Each
 /// output starts as its bias; for each input channel in ascending order a
@@ -55,15 +55,6 @@
 #include <vector>
 
 namespace fmore::ml {
-
-/// True when the original textbook loops should be used instead of the
-/// fast kernels. Defaults to the `FMORE_NAIVE_KERNELS` environment
-/// variable ("1"/"true" enables); `set_naive_kernels` overrides at runtime.
-[[nodiscard]] bool use_naive_kernels();
-
-/// Runtime override for tests/benches: 0 = force fast kernels, 1 = force
-/// naive loops, -1 = back to the environment default.
-void set_naive_kernels(int mode);
 
 /// C[i*c_row + j] += sum_{k} A[i*a_row + k*a_col] * B[k*b_row + j]
 /// for i in [0,m), j in [0,n), k in [0,kk).

@@ -46,17 +46,15 @@ private:
     std::size_t cached_batch_ = 0;
     std::size_t cached_seq_ = 0;
 
-    // Scratch of the GEMM path (gemm.hpp): transposed weights for the gate
-    // matmuls and the per-timestep pre-activation gradient block.
+    // GEMM scratch (gemm.hpp): transposed weights for the gate matmuls and
+    // the per-timestep pre-activation gradient block.
     std::vector<float> wt_;  // [E, 4H]
     std::vector<float> ut_;  // [H, 4H]
     std::vector<float> dz_all_; // [B, 4H]
 
-    // BPTT scratch: the gradients carried from t to t-1 and the reference
-    // loops' per-row pre-activation gradient.
+    // BPTT scratch: the gradients carried from t to t-1.
     std::vector<float> dh_;  // [B, H]
     std::vector<float> dc_;  // [B, H]
-    std::vector<float> dz_;  // [4H]
 };
 
 } // namespace fmore::ml

@@ -27,9 +27,6 @@ Model make_cnn(const ImageSpec& spec, std::uint64_t seed);
 /// Deeper variant mirroring the paper's CIFAR-10 CNN (two conv blocks).
 Model make_cnn_deep(const ImageSpec& spec, std::uint64_t seed);
 
-/// Plain MLP baseline: Flatten -> Dense(64) -> ReLU -> Dense(classes).
-Model make_mlp(const ImageSpec& spec, std::uint64_t seed);
-
 /// LSTM text classifier mirroring the paper's HPNews model:
 /// Embedding(vocab, 16) -> LSTM(32) -> Dense(classes).
 Model make_lstm_classifier(const TextSpec& spec, std::uint64_t seed);

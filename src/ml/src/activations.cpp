@@ -1,6 +1,5 @@
 #include "fmore/ml/activations.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace fmore::ml {
@@ -19,22 +18,6 @@ void ReLU::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     grad_input = grad_output;
     for (std::size_t i = 0; i < grad_input.size(); ++i) {
         if (cached_input_[i] <= 0.0F) grad_input[i] = 0.0F;
-    }
-}
-
-void Tanh::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
-    out = input;
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(out[i]);
-    cached_output_ = out;
-}
-
-void Tanh::backward_into(const Tensor& grad_output, Tensor& grad_input) {
-    if (grad_output.size() != cached_output_.size())
-        throw std::invalid_argument("Tanh::backward: shape mismatch");
-    grad_input = grad_output;
-    for (std::size_t i = 0; i < grad_input.size(); ++i) {
-        const float y = cached_output_[i];
-        grad_input[i] *= 1.0F - y * y;
     }
 }
 

@@ -59,52 +59,15 @@ void Conv2d::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
     const std::size_t w = input.dim(3);
     if (h < k_ || w < k_)
         throw std::invalid_argument("Conv2d::forward: input smaller than kernel");
-    const std::size_t oh = h - k_ + 1;
-    const std::size_t ow = w - k_ + 1;
     cached_input_ = input;
 
-    // Both paths overwrite every output element: the kernel by contract,
-    // the reference loops by seeding each map with its bias.
-    out.reshape_to({batch, out_c_, oh, ow});
-    const float* x = input.data();
-    float* y = out.data();
-
-    if (!use_naive_kernels()) {
-        conv2d_forward(x, weight_.data(), bias_.data(), out_c_, image_shape(input, k_),
-                       batch, w_blocks_, y);
-        return;
-    }
-
-    for (std::size_t b = 0; b < batch; ++b) {
-        for (std::size_t oc = 0; oc < out_c_; ++oc) {
-            float* ymap = y + ((b * out_c_ + oc) * oh) * ow;
-            const float bias = bias_[oc];
-            for (std::size_t i = 0; i < oh * ow; ++i) ymap[i] = bias;
-            for (std::size_t ic = 0; ic < in_c_; ++ic) {
-                const float* xmap = x + ((b * in_c_ + ic) * h) * w;
-                const float* ker = weight_.data() + ((oc * in_c_ + ic) * k_) * k_;
-                for (std::size_t oy = 0; oy < oh; ++oy) {
-                    for (std::size_t ox = 0; ox < ow; ++ox) {
-                        float acc = 0.0F;
-                        for (std::size_t ky = 0; ky < k_; ++ky) {
-                            const float* xrow = xmap + (oy + ky) * w + ox;
-                            const float* krow = ker + ky * k_;
-                            for (std::size_t kx = 0; kx < k_; ++kx) acc += xrow[kx] * krow[kx];
-                        }
-                        ymap[oy * ow + ox] += acc;
-                    }
-                }
-            }
-        }
-    }
+    // The kernel overwrites every output element.
+    out.reshape_to({batch, out_c_, h - k_ + 1, w - k_ + 1});
+    conv2d_forward(input.data(), weight_.data(), bias_.data(), out_c_,
+                   image_shape(input, k_), batch, w_blocks_, out.data());
 }
 
 void Conv2d::backward_params(const Tensor& grad_output) {
-    if (use_naive_kernels()) {
-        // The reference loops compute both gradients in one sweep.
-        Layer::backward_params(grad_output);
-        return;
-    }
     conv2d_weight_grad(cached_input_.data(), grad_output.data(), out_c_,
                        backward_shape(cached_input_, out_c_, k_, grad_output),
                        cached_input_.dim(0), gy_t_, weight_grad_.data(),
@@ -114,55 +77,13 @@ void Conv2d::backward_params(const Tensor& grad_output) {
 void Conv2d::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     const ConvShape shape = backward_shape(cached_input_, out_c_, k_, grad_output);
     const std::size_t batch = cached_input_.dim(0);
-    const std::size_t h = shape.h;
-    const std::size_t w = shape.w;
-    const std::size_t oh = shape.out_h();
-    const std::size_t ow = shape.out_w();
-
     grad_input.reshape_to(cached_input_.shape());
-    const float* x = cached_input_.data();
     const float* gy = grad_output.data();
-    float* gx = grad_input.data();
-
-    if (!use_naive_kernels()) {
-        // The input-gradient kernel overwrites gx.
-        conv2d_weight_grad(x, gy, out_c_, shape, batch, gy_t_, weight_grad_.data(),
-                           bias_grad_.data());
-        conv2d_input_grad(gy, weight_.data(), out_c_, shape, batch, gy_pad_, gx);
-        return;
-    }
-
-    // The reference loops scatter into gx: start from +0.
-    grad_input.fill(0.0F);
-
-    for (std::size_t b = 0; b < batch; ++b) {
-        for (std::size_t oc = 0; oc < out_c_; ++oc) {
-            const float* gymap = gy + ((b * out_c_ + oc) * oh) * ow;
-            for (std::size_t i = 0; i < oh * ow; ++i) bias_grad_[oc] += gymap[i];
-            for (std::size_t ic = 0; ic < in_c_; ++ic) {
-                const float* xmap = x + ((b * in_c_ + ic) * h) * w;
-                float* gxmap = gx + ((b * in_c_ + ic) * h) * w;
-                const float* ker = weight_.data() + ((oc * in_c_ + ic) * k_) * k_;
-                float* gker = weight_grad_.data() + ((oc * in_c_ + ic) * k_) * k_;
-                for (std::size_t oy = 0; oy < oh; ++oy) {
-                    for (std::size_t ox = 0; ox < ow; ++ox) {
-                        const float g = gymap[oy * ow + ox];
-                        if (g == 0.0F) continue;
-                        for (std::size_t ky = 0; ky < k_; ++ky) {
-                            const float* xrow = xmap + (oy + ky) * w + ox;
-                            float* gxrow = gxmap + (oy + ky) * w + ox;
-                            const float* krow = ker + ky * k_;
-                            float* gkrow = gker + ky * k_;
-                            for (std::size_t kx = 0; kx < k_; ++kx) {
-                                gkrow[kx] += g * xrow[kx];
-                                gxrow[kx] += g * krow[kx];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    conv2d_weight_grad(cached_input_.data(), gy, out_c_, shape, batch, gy_t_,
+                       weight_grad_.data(), bias_grad_.data());
+    // The input-gradient kernel overwrites gx.
+    conv2d_input_grad(gy, weight_.data(), out_c_, shape, batch, gy_pad_,
+                      grad_input.data());
 }
 
 std::vector<ParamBlock> Conv2d::parameters() {

@@ -33,84 +33,51 @@ void Dense::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
     const float* x = input.data();
     float* y = out.data();
 
-    if (!use_naive_kernels()) {
-        // y = bias; y += x * W^T. A one-off transpose of W keeps the GEMM's
-        // vectorized dimension (out) unit-stride in its B operand; it costs
-        // O(in*out) against the O(batch*in*out) multiply.
-        wt_.resize(in_ * out_);
-        for (std::size_t o = 0; o < out_; ++o) {
-            const float* wrow = weight_.data() + o * in_;
-            for (std::size_t i = 0; i < in_; ++i) wt_[i * out_ + o] = wrow[i];
-        }
-        for (std::size_t b = 0; b < batch; ++b) {
-            float* yb = y + b * out_;
-            for (std::size_t o = 0; o < out_; ++o) yb[o] = bias_[o];
-        }
-        gemm_acc(batch, out_, in_,
-                 x, static_cast<std::ptrdiff_t>(in_), 1,
-                 wt_.data(), static_cast<std::ptrdiff_t>(out_),
-                 y, static_cast<std::ptrdiff_t>(out_));
-        return;
+    // y = bias; y += x * W^T. A one-off transpose of W keeps the GEMM's
+    // vectorized dimension (out) unit-stride in its B operand; it costs
+    // O(in*out) against the O(batch*in*out) multiply.
+    wt_.resize(in_ * out_);
+    for (std::size_t o = 0; o < out_; ++o) {
+        const float* wrow = weight_.data() + o * in_;
+        for (std::size_t i = 0; i < in_; ++i) wt_[i * out_ + o] = wrow[i];
     }
-
     for (std::size_t b = 0; b < batch; ++b) {
-        const float* xb = x + b * in_;
         float* yb = y + b * out_;
-        for (std::size_t o = 0; o < out_; ++o) {
-            const float* wrow = weight_.data() + o * in_;
-            float acc = bias_[o];
-            for (std::size_t i = 0; i < in_; ++i) acc += wrow[i] * xb[i];
-            yb[o] = acc;
-        }
+        for (std::size_t o = 0; o < out_; ++o) yb[o] = bias_[o];
     }
+    gemm_acc(batch, out_, in_,
+             x, static_cast<std::ptrdiff_t>(in_), 1,
+             wt_.data(), static_cast<std::ptrdiff_t>(out_),
+             y, static_cast<std::ptrdiff_t>(out_));
 }
 
 void Dense::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     const std::size_t batch = cached_input_.size() / in_;
     if (grad_output.size() != batch * out_)
         throw std::invalid_argument("Dense::backward: grad shape mismatch");
-    // Both paths accumulate into gx: start from +0.
+    // The GEMM accumulates into gx: start from +0.
     grad_input.reshape_to(cached_input_.shape());
     grad_input.fill(0.0F);
     const float* x = cached_input_.data();
     const float* gy = grad_output.data();
     float* gx = grad_input.data();
 
-    if (!use_naive_kernels()) {
-        for (std::size_t b = 0; b < batch; ++b) {
-            const float* gyb = gy + b * out_;
-            for (std::size_t o = 0; o < out_; ++o) bias_grad_[o] += gyb[o];
-        }
-        // dW[o][i] += sum_b gy[b][o] * x[b][i]: A indexed transposed via
-        // strides, no materialized copy.
-        gemm_acc(out_, in_, batch,
-                 gy, 1, static_cast<std::ptrdiff_t>(out_),
-                 x, static_cast<std::ptrdiff_t>(in_),
-                 weight_grad_.data(), static_cast<std::ptrdiff_t>(in_));
-        // dx = gy * W (W's [out, in] layout is already what the kernel
-        // wants: the summed dimension indexes rows).
-        gemm_acc(batch, in_, out_,
-                 gy, static_cast<std::ptrdiff_t>(out_), 1,
-                 weight_.data(), static_cast<std::ptrdiff_t>(in_),
-                 gx, static_cast<std::ptrdiff_t>(in_));
-        return;
-    }
-
     for (std::size_t b = 0; b < batch; ++b) {
-        const float* xb = x + b * in_;
         const float* gyb = gy + b * out_;
-        float* gxb = gx + b * in_;
-        for (std::size_t o = 0; o < out_; ++o) {
-            const float g = gyb[o];
-            bias_grad_[o] += g;
-            float* wgrow = weight_grad_.data() + o * in_;
-            const float* wrow = weight_.data() + o * in_;
-            for (std::size_t i = 0; i < in_; ++i) {
-                wgrow[i] += g * xb[i];
-                gxb[i] += g * wrow[i];
-            }
-        }
+        for (std::size_t o = 0; o < out_; ++o) bias_grad_[o] += gyb[o];
     }
+    // dW[o][i] += sum_b gy[b][o] * x[b][i]: A indexed transposed via
+    // strides, no materialized copy.
+    gemm_acc(out_, in_, batch,
+             gy, 1, static_cast<std::ptrdiff_t>(out_),
+             x, static_cast<std::ptrdiff_t>(in_),
+             weight_grad_.data(), static_cast<std::ptrdiff_t>(in_));
+    // dx = gy * W (W's [out, in] layout is already what the kernel
+    // wants: the summed dimension indexes rows).
+    gemm_acc(batch, in_, out_,
+             gy, static_cast<std::ptrdiff_t>(out_), 1,
+             weight_.data(), static_cast<std::ptrdiff_t>(in_),
+             gx, static_cast<std::ptrdiff_t>(in_));
 }
 
 std::vector<ParamBlock> Dense::parameters() {

@@ -1,8 +1,6 @@
 #include "fmore/ml/gemm.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -18,35 +16,6 @@
 #endif
 
 namespace fmore::ml {
-
-// ---------------------------------------------------------------------------
-// Kernel selection
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::atomic<int> g_naive_mode{-1};
-
-bool env_naive() {
-    const char* env = std::getenv("FMORE_NAIVE_KERNELS");
-    if (env == nullptr) return false;
-    const std::string value(env);
-    return value == "1" || value == "true" || value == "yes" || value == "on";
-}
-
-} // namespace
-
-bool use_naive_kernels() {
-    const int mode = g_naive_mode.load(std::memory_order_relaxed);
-    if (mode >= 0) return mode != 0;
-    static const bool from_env = env_naive();
-    return from_env;
-}
-
-void set_naive_kernels(int mode) {
-    g_naive_mode.store(mode < 0 ? -1 : (mode != 0 ? 1 : 0),
-                       std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // GEMM micro-kernels

@@ -51,20 +51,17 @@ void Lstm::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
     cells_.assign((seq + 1) * batch * hidden_, 0.0F);
     hiddens_.assign((seq + 1) * batch * hidden_, 0.0F);
 
-    const bool naive = use_naive_kernels();
-    if (!naive) {
-        // Gate matmuls run once per timestep over the whole batch; the
-        // transposes put the 4H gate dimension unit-stride for the kernel.
-        wt_.resize(input_ * h4);
-        for (std::size_t r = 0; r < h4; ++r) {
-            const float* wrow = w_.data() + r * input_;
-            for (std::size_t e = 0; e < input_; ++e) wt_[e * h4 + r] = wrow[e];
-        }
-        ut_.resize(hidden_ * h4);
-        for (std::size_t r = 0; r < h4; ++r) {
-            const float* urow = u_.data() + r * hidden_;
-            for (std::size_t hh = 0; hh < hidden_; ++hh) ut_[hh * h4 + r] = urow[hh];
-        }
+    // Gate matmuls run once per timestep over the whole batch; the
+    // transposes put the 4H gate dimension unit-stride for the kernel.
+    wt_.resize(input_ * h4);
+    for (std::size_t r = 0; r < h4; ++r) {
+        const float* wrow = w_.data() + r * input_;
+        for (std::size_t e = 0; e < input_; ++e) wt_[e * h4 + r] = wrow[e];
+    }
+    ut_.resize(hidden_ * h4);
+    for (std::size_t r = 0; r < h4; ++r) {
+        const float* urow = u_.data() + r * hidden_;
+        for (std::size_t hh = 0; hh < hidden_; ++hh) ut_[hh * h4 + r] = urow[hh];
     }
 
     const float* x = input.data();
@@ -75,38 +72,24 @@ void Lstm::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
         float* c_next = cells_.data() + (t + 1) * batch * hidden_;
         float* gate_t = gates_.data() + t * batch * h4;
 
-        if (!naive) {
-            // z = b + x_t W^T + h_{t-1} U^T, accumulated in exactly the
-            // reference order (bias seed, then W terms, then U terms).
-            for (std::size_t bi = 0; bi < batch; ++bi) {
-                float* z = gate_t + bi * h4;
-                for (std::size_t r = 0; r < h4; ++r) z[r] = b_[r];
-            }
-            gemm_acc(batch, h4, input_,
-                     x + t * input_, static_cast<std::ptrdiff_t>(seq * input_), 1,
-                     wt_.data(), static_cast<std::ptrdiff_t>(h4),
-                     gate_t, static_cast<std::ptrdiff_t>(h4));
-            gemm_acc(batch, h4, hidden_,
-                     h_prev, static_cast<std::ptrdiff_t>(hidden_), 1,
-                     ut_.data(), static_cast<std::ptrdiff_t>(h4),
-                     gate_t, static_cast<std::ptrdiff_t>(h4));
+        // z = b + x_t W^T + h_{t-1} U^T, accumulated in exactly the
+        // reference order (bias seed, then W terms, then U terms).
+        for (std::size_t bi = 0; bi < batch; ++bi) {
+            float* z = gate_t + bi * h4;
+            for (std::size_t r = 0; r < h4; ++r) z[r] = b_[r];
         }
+        gemm_acc(batch, h4, input_,
+                 x + t * input_, static_cast<std::ptrdiff_t>(seq * input_), 1,
+                 wt_.data(), static_cast<std::ptrdiff_t>(h4),
+                 gate_t, static_cast<std::ptrdiff_t>(h4));
+        gemm_acc(batch, h4, hidden_,
+                 h_prev, static_cast<std::ptrdiff_t>(hidden_), 1,
+                 ut_.data(), static_cast<std::ptrdiff_t>(h4),
+                 gate_t, static_cast<std::ptrdiff_t>(h4));
 
         for (std::size_t bi = 0; bi < batch; ++bi) {
-            const float* xt = x + (bi * seq + t) * input_;
-            const float* hp = h_prev + bi * hidden_;
             const float* cp = c_prev + bi * hidden_;
             float* z = gate_t + bi * h4;
-            if (naive) {
-                for (std::size_t r = 0; r < h4; ++r) {
-                    float acc = b_[r];
-                    const float* wrow = w_.data() + r * input_;
-                    for (std::size_t e = 0; e < input_; ++e) acc += wrow[e] * xt[e];
-                    const float* urow = u_.data() + r * hidden_;
-                    for (std::size_t hh = 0; hh < hidden_; ++hh) acc += urow[hh] * hp[hh];
-                    z[r] = acc;
-                }
-            }
             float* hn = h_next + bi * hidden_;
             float* cn = c_next + bi * hidden_;
             for (std::size_t hh = 0; hh < hidden_; ++hh) {
@@ -137,17 +120,15 @@ void Lstm::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     if (grad_output.size() != batch * hidden_)
         throw std::invalid_argument("Lstm::backward: grad shape mismatch");
 
-    // Both paths accumulate into gx: start from +0.
+    // The input-gradient GEMM accumulates into gx: start from +0.
     grad_input.reshape_to({batch, seq, input_});
     grad_input.fill(0.0F);
     dh_.assign(grad_output.data(), grad_output.data() + batch * hidden_);
     dc_.assign(batch * hidden_, 0.0F);
+    dz_all_.assign(batch * h4, 0.0F);
 
     const float* x = cached_input_.data();
     float* gx = grad_input.data();
-    const bool naive = use_naive_kernels();
-    if (naive) dz_.assign(h4, 0.0F);
-    else dz_all_.assign(batch * h4, 0.0F);
 
     for (std::size_t t = seq; t-- > 0;) {
         const float* gate_t = gates_.data() + t * batch * h4;
@@ -155,70 +136,15 @@ void Lstm::backward_into(const Tensor& grad_output, Tensor& grad_input) {
         const float* c_next = cells_.data() + (t + 1) * batch * hidden_;
         const float* h_prev = hiddens_.data() + t * batch * hidden_;
 
-        if (!naive) {
-            // Stage 1 — elementwise: pre-activation gradients dz for every
-            // batch row (and the cell gradient handed to t-1).
-            for (std::size_t bi = 0; bi < batch; ++bi) {
-                const float* z = gate_t + bi * h4;
-                const float* cp = c_prev + bi * hidden_;
-                const float* cn = c_next + bi * hidden_;
-                float* dhb = dh_.data() + bi * hidden_;
-                float* dcb = dc_.data() + bi * hidden_;
-                float* dzb = dz_all_.data() + bi * h4;
-                for (std::size_t hh = 0; hh < hidden_; ++hh) {
-                    const float ig = z[hh];
-                    const float fg = z[hidden_ + hh];
-                    const float gg = z[2 * hidden_ + hh];
-                    const float og = z[3 * hidden_ + hh];
-                    const float tanh_c = std::tanh(cn[hh]);
-                    const float dh_t = dhb[hh];
-                    const float dc_t = dcb[hh] + dh_t * og * (1.0F - tanh_c * tanh_c);
-                    dzb[hh] = dc_t * gg * ig * (1.0F - ig);
-                    dzb[hidden_ + hh] = dc_t * cp[hh] * fg * (1.0F - fg);
-                    dzb[2 * hidden_ + hh] = dc_t * ig * (1.0F - gg * gg);
-                    dzb[3 * hidden_ + hh] = dh_t * tanh_c * og * (1.0F - og);
-                    dcb[hh] = dc_t * fg;
-                }
-            }
-            // Stage 2 — parameter gradients and propagated gradients, all
-            // GEMMs over the batch (see gemm.hpp for the order contract).
-            for (std::size_t bi = 0; bi < batch; ++bi) {
-                const float* dzb = dz_all_.data() + bi * h4;
-                for (std::size_t r = 0; r < h4; ++r) b_grad_[r] += dzb[r];
-            }
-            // dW[r][e] += sum_bi dz[bi][r] * x_t[bi][e]
-            gemm_acc(h4, input_, batch,
-                     dz_all_.data(), 1, static_cast<std::ptrdiff_t>(h4),
-                     x + t * input_, static_cast<std::ptrdiff_t>(seq * input_),
-                     w_grad_.data(), static_cast<std::ptrdiff_t>(input_));
-            // dU[r][h] += sum_bi dz[bi][r] * h_prev[bi][h]
-            gemm_acc(h4, hidden_, batch,
-                     dz_all_.data(), 1, static_cast<std::ptrdiff_t>(h4),
-                     h_prev, static_cast<std::ptrdiff_t>(hidden_),
-                     u_grad_.data(), static_cast<std::ptrdiff_t>(hidden_));
-            // dx_t = dz W (zero-seeded: grad_input starts zeroed)
-            gemm_acc(batch, input_, h4,
-                     dz_all_.data(), static_cast<std::ptrdiff_t>(h4), 1,
-                     w_.data(), static_cast<std::ptrdiff_t>(input_),
-                     gx + t * input_, static_cast<std::ptrdiff_t>(seq * input_));
-            // dh_{t-1} = dz U, accumulated fresh
-            for (std::size_t i = 0; i < batch * hidden_; ++i) dh_[i] = 0.0F;
-            gemm_acc(batch, hidden_, h4,
-                     dz_all_.data(), static_cast<std::ptrdiff_t>(h4), 1,
-                     u_.data(), static_cast<std::ptrdiff_t>(hidden_),
-                     dh_.data(), static_cast<std::ptrdiff_t>(hidden_));
-            continue;
-        }
-
+        // Stage 1 — elementwise: pre-activation gradients dz for every
+        // batch row (and the cell gradient handed to t-1).
         for (std::size_t bi = 0; bi < batch; ++bi) {
             const float* z = gate_t + bi * h4;
             const float* cp = c_prev + bi * hidden_;
             const float* cn = c_next + bi * hidden_;
-            const float* hp = h_prev + bi * hidden_;
-            const float* xt = x + (bi * seq + t) * input_;
             float* dhb = dh_.data() + bi * hidden_;
             float* dcb = dc_.data() + bi * hidden_;
-
+            float* dzb = dz_all_.data() + bi * h4;
             for (std::size_t hh = 0; hh < hidden_; ++hh) {
                 const float ig = z[hh];
                 const float fg = z[hidden_ + hh];
@@ -227,36 +153,40 @@ void Lstm::backward_into(const Tensor& grad_output, Tensor& grad_input) {
                 const float tanh_c = std::tanh(cn[hh]);
                 const float dh_t = dhb[hh];
                 const float dc_t = dcb[hh] + dh_t * og * (1.0F - tanh_c * tanh_c);
-                // Pre-activation gradients.
-                dz_[hh] = dc_t * gg * ig * (1.0F - ig);
-                dz_[hidden_ + hh] = dc_t * cp[hh] * fg * (1.0F - fg);
-                dz_[2 * hidden_ + hh] = dc_t * ig * (1.0F - gg * gg);
-                dz_[3 * hidden_ + hh] = dh_t * tanh_c * og * (1.0F - og);
-                // Pass cell gradient to t-1.
+                dzb[hh] = dc_t * gg * ig * (1.0F - ig);
+                dzb[hidden_ + hh] = dc_t * cp[hh] * fg * (1.0F - fg);
+                dzb[2 * hidden_ + hh] = dc_t * ig * (1.0F - gg * gg);
+                dzb[3 * hidden_ + hh] = dh_t * tanh_c * og * (1.0F - og);
                 dcb[hh] = dc_t * fg;
             }
-
-            float* gxt = gx + (bi * seq + t) * input_;
-            // dh for t-1 is accumulated fresh from U^T dz.
-            for (std::size_t hh = 0; hh < hidden_; ++hh) dhb[hh] = 0.0F;
-            for (std::size_t r = 0; r < h4; ++r) {
-                const float g = dz_[r];
-                if (g == 0.0F) continue;
-                b_grad_[r] += g;
-                float* wgrow = w_grad_.data() + r * input_;
-                const float* wrow = w_.data() + r * input_;
-                for (std::size_t e = 0; e < input_; ++e) {
-                    wgrow[e] += g * xt[e];
-                    gxt[e] += g * wrow[e];
-                }
-                float* ugrow = u_grad_.data() + r * hidden_;
-                const float* urow = u_.data() + r * hidden_;
-                for (std::size_t hh = 0; hh < hidden_; ++hh) {
-                    ugrow[hh] += g * hp[hh];
-                    dhb[hh] += g * urow[hh];
-                }
-            }
         }
+        // Stage 2 — parameter gradients and propagated gradients, all
+        // GEMMs over the batch (see gemm.hpp for the order contract).
+        for (std::size_t bi = 0; bi < batch; ++bi) {
+            const float* dzb = dz_all_.data() + bi * h4;
+            for (std::size_t r = 0; r < h4; ++r) b_grad_[r] += dzb[r];
+        }
+        // dW[r][e] += sum_bi dz[bi][r] * x_t[bi][e]
+        gemm_acc(h4, input_, batch,
+                 dz_all_.data(), 1, static_cast<std::ptrdiff_t>(h4),
+                 x + t * input_, static_cast<std::ptrdiff_t>(seq * input_),
+                 w_grad_.data(), static_cast<std::ptrdiff_t>(input_));
+        // dU[r][h] += sum_bi dz[bi][r] * h_prev[bi][h]
+        gemm_acc(h4, hidden_, batch,
+                 dz_all_.data(), 1, static_cast<std::ptrdiff_t>(h4),
+                 h_prev, static_cast<std::ptrdiff_t>(hidden_),
+                 u_grad_.data(), static_cast<std::ptrdiff_t>(hidden_));
+        // dx_t = dz W (zero-seeded: grad_input starts zeroed)
+        gemm_acc(batch, input_, h4,
+                 dz_all_.data(), static_cast<std::ptrdiff_t>(h4), 1,
+                 w_.data(), static_cast<std::ptrdiff_t>(input_),
+                 gx + t * input_, static_cast<std::ptrdiff_t>(seq * input_));
+        // dh_{t-1} = dz U, accumulated fresh
+        for (std::size_t i = 0; i < batch * hidden_; ++i) dh_[i] = 0.0F;
+        gemm_acc(batch, hidden_, h4,
+                 dz_all_.data(), static_cast<std::ptrdiff_t>(h4), 1,
+                 u_.data(), static_cast<std::ptrdiff_t>(hidden_),
+                 dh_.data(), static_cast<std::ptrdiff_t>(hidden_));
     }
 }
 

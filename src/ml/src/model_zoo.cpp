@@ -46,15 +46,6 @@ Model make_cnn_deep(const ImageSpec& spec, std::uint64_t seed) {
     return model;
 }
 
-Model make_mlp(const ImageSpec& spec, std::uint64_t seed) {
-    Model model(seed);
-    model.add(std::make_unique<Flatten>());
-    model.add(std::make_unique<Dense>(spec.channels * spec.height * spec.width, 64));
-    model.add(std::make_unique<ReLU>());
-    model.add(std::make_unique<Dense>(64, spec.classes));
-    return model;
-}
-
 Model make_lstm_classifier(const TextSpec& spec, std::uint64_t seed) {
     Model model(seed);
     model.add(std::make_unique<Embedding>(spec.vocab, 16));

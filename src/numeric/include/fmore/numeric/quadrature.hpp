@@ -11,9 +11,6 @@ using Integrand = std::function<double(double)>;
 /// a may exceed b; the result is signed like a Riemann integral.
 double trapezoid(const Integrand& f, double a, double b, std::size_t panels);
 
-/// Composite Simpson rule; `panels` is rounded up to even.
-double simpson(const Integrand& f, double a, double b, std::size_t panels);
-
 /// Trapezoid rule over pre-tabulated samples (x ascending). This is what the
 /// equilibrium solver uses: the integrand is only known on the theta grid.
 double trapezoid_tabulated(const std::vector<double>& xs, const std::vector<double>& ys);

@@ -14,18 +14,6 @@ double trapezoid(const Integrand& f, double a, double b, std::size_t panels) {
     return total * h;
 }
 
-double simpson(const Integrand& f, double a, double b, std::size_t panels) {
-    if (panels == 0) throw std::invalid_argument("simpson: panels must be > 0");
-    if (panels % 2 != 0) ++panels;
-    const double h = (b - a) / static_cast<double>(panels);
-    double total = f(a) + f(b);
-    for (std::size_t i = 1; i < panels; ++i) {
-        const double x = a + static_cast<double>(i) * h;
-        total += (i % 2 == 0 ? 2.0 : 4.0) * f(x);
-    }
-    return total * h / 3.0;
-}
-
 double trapezoid_tabulated(const std::vector<double>& xs, const std::vector<double>& ys) {
     if (xs.size() != ys.size())
         throw std::invalid_argument("trapezoid_tabulated: size mismatch");

@@ -11,9 +11,10 @@ namespace fmore::stats {
 ///
 /// The paper's private-cost parameter theta is "independently and identically
 /// distributed over [theta_lo, theta_hi] with positive, continuously
-/// differentiable density f" (Section III.A(2)). Concrete families below
-/// satisfy that; `EmpiricalCdf` (separate header) covers the "learned from
-/// historical data" case.
+/// differentiable density f" (Section III.A(2)). `UniformDistribution`
+/// below satisfies that. The test-only families (truncated normal, scaled
+/// beta, and `EmpiricalCdf` for the "learned from historical data" case)
+/// live in the `fmore_reference` target (fmore/reference/distributions.hpp).
 class Distribution {
 public:
     virtual ~Distribution() = default;
@@ -50,54 +51,6 @@ public:
 private:
     double lo_;
     double hi_;
-};
-
-/// Normal distribution truncated to [lo, hi]; models clustered cost
-/// parameters (most nodes near the mean, a few cheap/expensive outliers).
-class TruncatedNormalDistribution final : public Distribution {
-public:
-    TruncatedNormalDistribution(double mean, double stddev, double lo, double hi);
-
-    [[nodiscard]] double cdf(double x) const override;
-    [[nodiscard]] double pdf(double x) const override;
-    [[nodiscard]] double quantile(double p) const override;
-    [[nodiscard]] double support_lo() const override { return lo_; }
-    [[nodiscard]] double support_hi() const override { return hi_; }
-
-private:
-    [[nodiscard]] double phi(double z) const;      // standard normal pdf
-    [[nodiscard]] double big_phi(double z) const;  // standard normal cdf
-
-    double mean_;
-    double stddev_;
-    double lo_;
-    double hi_;
-    double z_lo_;
-    double z_hi_;
-    double mass_; // big_phi(z_hi_) - big_phi(z_lo_)
-};
-
-/// Power-law-shaped Beta(a,b) rescaled to [lo, hi]. With a<b mass sits near
-/// lo (many low-cost nodes); with a>b near hi. Used in ablations on how the
-/// theta distribution shifts equilibrium payments.
-class ScaledBetaDistribution final : public Distribution {
-public:
-    ScaledBetaDistribution(double alpha, double beta, double lo, double hi);
-
-    [[nodiscard]] double cdf(double x) const override;
-    [[nodiscard]] double pdf(double x) const override;
-    [[nodiscard]] double quantile(double p) const override;
-    [[nodiscard]] double support_lo() const override { return lo_; }
-    [[nodiscard]] double support_hi() const override { return hi_; }
-
-private:
-    [[nodiscard]] double regularized_incomplete_beta(double x) const;
-
-    double alpha_;
-    double beta_;
-    double lo_;
-    double hi_;
-    double log_beta_fn_; // log B(alpha, beta)
 };
 
 } // namespace fmore::stats

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "fmore/auction/cost.hpp"
+#include "fmore/reference/cost.hpp"
 
 namespace fmore::auction {
 namespace {
+
+using reference::PowerCost;
+using reference::QuadraticCost;
 
 TEST(AdditiveCost, LinearInQualityAndTheta) {
     const AdditiveCost c({2.0, 3.0});

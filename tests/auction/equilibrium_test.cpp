@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "fmore/auction/equilibrium.hpp"
-#include "fmore/stats/empirical_cdf.hpp"
+#include "fmore/reference/distributions.hpp"
 
 namespace fmore::auction {
 namespace {
@@ -183,7 +183,7 @@ TEST_F(Equilibrium1D, WorksWithEmpiricalThetaCdf) {
     stats::Rng rng(3);
     std::vector<double> history(400);
     for (double& h : history) h = theta_.sample(rng);
-    const stats::EmpiricalCdf learned(std::move(history));
+    const reference::EmpiricalCdf learned(std::move(history));
     const auto strategy =
         EquilibriumSolver(scoring_, cost_, learned, {0.01}, {4.0}, config(20, 4)).solve();
     const auto reference = solve(20, 4);

@@ -9,7 +9,7 @@
 #include <memory>
 
 #include "fmore/auction/equilibrium.hpp"
-#include "fmore/stats/empirical_cdf.hpp"
+#include "fmore/reference/distributions.hpp"
 
 namespace fmore::auction {
 namespace {
@@ -26,14 +26,14 @@ std::unique_ptr<stats::Distribution> make_family(int which) {
     switch (which) {
         case 0: return std::make_unique<stats::UniformDistribution>(0.5, 1.5);
         case 1:
-            return std::make_unique<stats::TruncatedNormalDistribution>(1.0, 0.3, 0.5, 1.5);
-        case 2: return std::make_unique<stats::ScaledBetaDistribution>(2.0, 3.0, 0.5, 1.5);
+            return std::make_unique<reference::TruncatedNormalDistribution>(1.0, 0.3, 0.5, 1.5);
+        case 2: return std::make_unique<reference::ScaledBetaDistribution>(2.0, 3.0, 0.5, 1.5);
         default: {
             stats::Rng rng(1234);
             const stats::UniformDistribution base(0.5, 1.5);
             std::vector<double> history(600);
             for (double& h : history) h = base.sample(rng);
-            return std::make_unique<stats::EmpiricalCdf>(std::move(history));
+            return std::make_unique<reference::EmpiricalCdf>(std::move(history));
         }
     }
 }

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <limits>
+#include <map>
+#include <sstream>
+#include <string>
 
 #include "fmore/auction/mechanism.hpp"
 #include "fmore/core/equilibrium_cache.hpp"
@@ -118,6 +122,62 @@ TEST(ExperimentSpecText, ApplyKeyValueOverridesOneField) {
     EXPECT_EQ(spec.training.dataset, DatasetKind::cifar10);
 }
 
+TEST(ExperimentSpecText, EveryKeyTakesPartInEquality) {
+    // The resume check compares specs with operator==: a key whose field
+    // the comparison skipped would let a run resume under a changed spec.
+    // Every key to_text writes, changed through apply_key_value, must make
+    // the specs differ.
+    const std::map<std::string, std::string> switched = {
+        {"true", "false"},
+        {"false", "true"},
+        {"simulation", "testbed"},
+        {"testbed", "simulation"},
+        {"first_price", "second_price"},
+        {"second_price", "first_price"},
+        {"paper", "exact"},
+        {"exact", "paper"},
+        {"mnist_o", "mnist_f"},
+        {"mnist_f", "mnist_o"},
+        {"cifar10", "mnist_o"},
+        {"hpnews", "mnist_o"},
+        {"sync", "semi_sync"},
+        {"semi_sync", "sync"},
+        {"async", "sync"},
+        {"latency", "poisson"},
+        {"poisson", "latency"},
+        {"", "1"}};
+    for (const ExperimentSpec& base :
+         {default_experiment(DatasetKind::mnist_o), default_testbed_experiment()}) {
+        std::istringstream lines(to_text(base));
+        std::string line;
+        std::size_t keys = 0;
+        while (std::getline(lines, line)) {
+            const std::size_t eq = line.find(" = ");
+            ASSERT_NE(eq, std::string::npos) << line;
+            const std::string key = line.substr(0, eq);
+            const std::string value = line.substr(eq + 3);
+            std::string changed;
+            if (const auto it = switched.find(value); it != switched.end()) {
+                changed = it->second;
+            } else {
+                std::size_t used = 0;
+                const double number = std::stod(value, &used);
+                ASSERT_EQ(used, value.size()) << key << " = " << value;
+                char buffer[64];
+                std::snprintf(buffer, sizeof buffer, "%.17g", number + 1.0);
+                changed = buffer;
+            }
+            ExperimentSpec spec = base;
+            apply_key_value(spec, key, value);
+            EXPECT_TRUE(spec == base) << key << " re-applied unchanged";
+            apply_key_value(spec, key, changed);
+            EXPECT_FALSE(spec == base) << key << ": " << value << " -> " << changed;
+            ++keys;
+        }
+        EXPECT_GT(keys, 50u);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Validation
 // ---------------------------------------------------------------------------
@@ -125,6 +185,40 @@ TEST(ExperimentSpecText, ApplyKeyValueOverridesOneField) {
 TEST(ExperimentSpecValidate, DefaultsAreValid) {
     EXPECT_TRUE(validate(default_experiment(DatasetKind::mnist_o)).empty());
     EXPECT_TRUE(validate(default_testbed_experiment()).empty());
+}
+
+TEST(ExperimentSpecValidate, NonFiniteTestbedResourceRangesAreRejected) {
+    // The testbed draws each node's cpu and bandwidth caps uniformly from
+    // these ranges; an infinite bound is undefined behaviour there.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto rejected = [](const ExperimentSpec& spec, const std::string& token) {
+        for (const std::string& problem : validate(spec))
+            if (problem.find(token) != std::string::npos) return true;
+        return false;
+    };
+    for (const double bad : {inf, -inf, nan}) {
+        ExperimentSpec spec = default_testbed_experiment();
+        spec.population.cpu_hi = bad;
+        EXPECT_TRUE(rejected(spec, "population.cpu")) << "cpu_hi " << bad;
+        spec = default_testbed_experiment();
+        spec.population.cpu_lo = bad;
+        spec.population.cpu_hi = bad;
+        EXPECT_TRUE(rejected(spec, "population.cpu")) << "cpu_lo = cpu_hi " << bad;
+        spec = default_testbed_experiment();
+        spec.population.bandwidth_hi = bad;
+        EXPECT_TRUE(rejected(spec, "population.bandwidth")) << "bandwidth_hi " << bad;
+        spec = default_testbed_experiment();
+        spec.population.bandwidth_lo = bad;
+        spec.population.bandwidth_hi = bad;
+        EXPECT_TRUE(rejected(spec, "population.bandwidth"))
+            << "bandwidth_lo = bandwidth_hi " << bad;
+    }
+    // What `run_scenario testbed/default --set population.cpu_hi=inf` sets.
+    ExperimentSpec spec = default_testbed_experiment();
+    apply_key_value(spec, "population.cpu_hi", "inf");
+    EXPECT_TRUE(rejected(spec, "population.cpu"));
+    EXPECT_THROW(validate_or_throw(spec), std::invalid_argument);
 }
 
 TEST(ExperimentSpecValidate, MessagesNameTheOffendingKey) {

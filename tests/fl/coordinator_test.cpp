@@ -4,6 +4,7 @@
 #include "fmore/fl/selection.hpp"
 #include "fmore/ml/model_zoo.hpp"
 #include "fmore/ml/synthetic.hpp"
+#include "fmore/reference/mlp.hpp"
 
 namespace fmore::fl {
 namespace {
@@ -46,7 +47,7 @@ protected:
 };
 
 TEST_F(CoordinatorTest, RunProducesPerRoundMetrics) {
-    ml::Model model = ml::make_mlp(ml::ImageSpec{1, 12, 12, 10}, 3);
+    ml::Model model = reference::make_mlp(ml::ImageSpec{1, 12, 12, 10}, 3);
     Coordinator coordinator(model, train_, test_, shards_, config(4, 4));
     RandomSelector selector(10);
     stats::Rng rng(4);
@@ -62,7 +63,7 @@ TEST_F(CoordinatorTest, RunProducesPerRoundMetrics) {
 }
 
 TEST_F(CoordinatorTest, LearningActuallyHappens) {
-    ml::Model model = ml::make_mlp(ml::ImageSpec{1, 12, 12, 10}, 5);
+    ml::Model model = reference::make_mlp(ml::ImageSpec{1, 12, 12, 10}, 5);
     Coordinator coordinator(model, train_, test_, shards_, config(10, 6));
     RandomSelector selector(10);
     stats::Rng rng(6);
@@ -86,7 +87,7 @@ TEST_F(CoordinatorTest, TrainSampleCapIsHonoured) {
         [[nodiscard]] std::string name() const override { return "capping"; }
     };
 
-    ml::Model model = ml::make_mlp(ml::ImageSpec{1, 12, 12, 10}, 7);
+    ml::Model model = reference::make_mlp(ml::ImageSpec{1, 12, 12, 10}, 7);
     Coordinator coordinator(model, train_, test_, shards_, config(1, 3));
     CappingSelector selector;
     stats::Rng rng(8);
@@ -103,7 +104,7 @@ TEST_F(CoordinatorTest, TrainSampleCapIsHonoured) {
 }
 
 TEST_F(CoordinatorTest, TimeModelOptional) {
-    ml::Model model = ml::make_mlp(ml::ImageSpec{1, 12, 12, 10}, 9);
+    ml::Model model = reference::make_mlp(ml::ImageSpec{1, 12, 12, 10}, 9);
     Coordinator coordinator(model, train_, test_, shards_, config(2, 2));
     RandomSelector selector(10);
     stats::Rng rng(10);
@@ -113,7 +114,7 @@ TEST_F(CoordinatorTest, TimeModelOptional) {
 }
 
 TEST_F(CoordinatorTest, RejectsInvalidConstruction) {
-    ml::Model model = ml::make_mlp(ml::ImageSpec{1, 12, 12, 10}, 11);
+    ml::Model model = reference::make_mlp(ml::ImageSpec{1, 12, 12, 10}, 11);
     EXPECT_THROW(Coordinator(model, train_, test_, {}, config(2, 2)),
                  std::invalid_argument);
     CoordinatorConfig bad = config(0, 2);
@@ -138,7 +139,7 @@ TEST_F(CoordinatorTest, SelectorPickingUnknownClientIsAnError) {
         }
         [[nodiscard]] std::string name() const override { return "rogue"; }
     };
-    ml::Model model = ml::make_mlp(ml::ImageSpec{1, 12, 12, 10}, 13);
+    ml::Model model = reference::make_mlp(ml::ImageSpec{1, 12, 12, 10}, 13);
     Coordinator coordinator(model, train_, test_, shards_, config(1, 1));
     RogueSelector selector;
     stats::Rng rng(14);
@@ -146,7 +147,7 @@ TEST_F(CoordinatorTest, SelectorPickingUnknownClientIsAnError) {
 }
 
 TEST_F(CoordinatorTest, EvalCapLimitsEvaluationSet) {
-    ml::Model model = ml::make_mlp(ml::ImageSpec{1, 12, 12, 10}, 15);
+    ml::Model model = reference::make_mlp(ml::ImageSpec{1, 12, 12, 10}, 15);
     CoordinatorConfig cc = config(1, 2);
     cc.eval_cap = 10;
     Coordinator coordinator(model, train_, test_, shards_, cc);

@@ -75,9 +75,9 @@ TEST_F(AuctionSelectorTest, BidsClippedToAvailableResources) {
     stats::Rng rng(5);
     (void)selector.select(1, 6, rng);
     for (const auction::Bid& bid : selector.last_bids()) {
-        const EdgeNode& node = population_->node(bid.node);
-        EXPECT_LE(bid.quality[0], node.resources().data_size + 1e-9);
-        EXPECT_LE(bid.quality[1], node.resources().category_proportion + 1e-9);
+        const ResourceState resources = population_->store().resources(bid.node);
+        EXPECT_LE(bid.quality[0], resources.data_size + 1e-9);
+        EXPECT_LE(bid.quality[1], resources.category_proportion + 1e-9);
     }
 }
 
@@ -86,8 +86,8 @@ TEST_F(AuctionSelectorTest, PaymentsAreIndividuallyRational) {
     stats::Rng rng(6);
     (void)selector.select(1, 6, rng);
     for (const auction::Bid& bid : selector.last_bids()) {
-        const EdgeNode& node = population_->node(bid.node);
-        EXPECT_GE(bid.payment, cost_.cost(bid.quality, node.theta()) - 1e-9);
+        EXPECT_GE(bid.payment,
+                  cost_.cost(bid.quality, population_->store().theta(bid.node)) - 1e-9);
     }
 }
 

@@ -47,7 +47,7 @@ TEST_F(ClusterTest, RoundTimeIsMaxOverWinnersPlusOverhead) {
 
     // One winner: transfer + compute from its *current* resources (nodes
     // start somewhere inside their envelope) + overhead.
-    const ResourceState& r0 = population_->node(0).resources();
+    const ResourceState r0 = population_->store().resources(0);
     const double expected = 1.0 + 2.0 * cfg.model_bytes / (r0.bandwidth_mbps * 1.0e6 / 8.0)
                             + 100.0 * cfg.seconds_per_sample_core / r0.cpu_cores;
     const double t1 = model.round_seconds(select({0}), {100});

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "fmore/mec/edge_node.hpp"
+#include "fmore/reference/edge_node.hpp"
 
 namespace fmore::mec {
 namespace {
+
+using reference::EdgeNode;
 
 ResourceState caps() {
     ResourceState r;

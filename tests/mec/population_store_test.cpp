@@ -1,7 +1,7 @@
 // The SoA population store's contracts: evolve is bit-identical for any
 // worker count (per-node counter-derived streams), consumes exactly one
-// caller-RNG draw per round, and the MecPopulation/EdgeNode views mirror
-// the store exactly. A shard narrowed to a bid layout drifts its kept
+// caller-RNG draw per round, and the per-node views (`resources`, `caps`)
+// read the columns exactly. A shard narrowed to a bid layout drifts its kept
 // columns bit for bit like the full shard and refuses every read of a
 // column it left out.
 
@@ -125,15 +125,20 @@ TEST(PopulationStore, ViewsMirrorTheStoreAfterEvolve) {
     stats::Rng ev(10);
     population.evolve(ev);
     const PopulationStore& store = population.store();
+    // Snapshot columns: theta, four resources, then their four caps.
+    const PopulationSnapshot snap = store.snapshot();
     for (std::size_t i = 0; i < population.size(); ++i) {
-        const EdgeNode& node = population.node(i);
-        EXPECT_EQ(node.id(), i);
-        EXPECT_EQ(node.theta(), store.theta(i));
-        EXPECT_EQ(node.resources().data_size, store.data_size(i));
-        EXPECT_EQ(node.resources().category_proportion, store.category_proportion(i));
-        EXPECT_EQ(node.resources().bandwidth_mbps, store.bandwidth_mbps(i));
-        EXPECT_EQ(node.resources().cpu_cores, store.cpu_cores(i));
-        EXPECT_EQ(node.caps().data_size, store.caps(i).data_size);
+        const ResourceState resources = store.resources(i);
+        const ResourceState caps = store.caps(i);
+        EXPECT_EQ(store.theta(i), snap.columns[0][i]);
+        EXPECT_EQ(resources.data_size, store.data_size(i));
+        EXPECT_EQ(resources.category_proportion, store.category_proportion(i));
+        EXPECT_EQ(resources.bandwidth_mbps, store.bandwidth_mbps(i));
+        EXPECT_EQ(resources.cpu_cores, store.cpu_cores(i));
+        EXPECT_EQ(caps.data_size, snap.columns[5][i]);
+        EXPECT_EQ(caps.category_proportion, snap.columns[6][i]);
+        EXPECT_EQ(caps.bandwidth_mbps, snap.columns[7][i]);
+        EXPECT_EQ(caps.cpu_cores, snap.columns[8][i]);
     }
 }
 
@@ -207,15 +212,15 @@ TEST(PopulationStore, AdoptedStorePowersAPopulation) {
     const stats::UniformDistribution theta(0.5, 1.5);
     stats::Rng rng(17);
     PopulationStore store(128, SyntheticDataSpec{}, theta, dynamic_spec(), rng);
+    PopulationStore twin = store;
     MecPopulation population(std::move(store));
     EXPECT_EQ(population.size(), 128u);
+    // The adopted store drifts exactly as its twin does on its own.
     stats::Rng ev(18);
-    const double before = population.store().bandwidth_mbps(0);
+    stats::Rng twin_ev(18);
     population.evolve(ev);
-    // Mirror refreshes lazily and reflects the evolved store.
-    EXPECT_EQ(population.node(0).resources().bandwidth_mbps,
-              population.store().bandwidth_mbps(0));
-    (void)before;
+    twin.evolve(twin_ev);
+    expect_stores_equal(population.store(), twin);
 }
 
 TEST(PopulationStore, RejectsBadInputs) {

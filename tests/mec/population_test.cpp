@@ -22,14 +22,15 @@ TEST(MecPopulation, NodesMirrorShardData) {
     stats::Rng rng(3);
     const MecPopulation pop(shards, 10, theta, spec, rng);
     ASSERT_EQ(pop.size(), 20u);
+    const PopulationStore& store = pop.store();
+    EXPECT_EQ(store.node_offset(), 0u);
     for (std::size_t i = 0; i < 20; ++i) {
-        EXPECT_EQ(pop.node(i).id(), i);
-        EXPECT_DOUBLE_EQ(pop.node(i).caps().data_size,
+        EXPECT_DOUBLE_EQ(store.caps(i).data_size,
                          static_cast<double>(shards[i].indices.size()));
-        EXPECT_NEAR(pop.node(i).caps().category_proportion,
+        EXPECT_NEAR(store.caps(i).category_proportion,
                     shards[i].category_proportion(10), 1e-12);
-        EXPECT_GE(pop.node(i).theta(), 0.5);
-        EXPECT_LE(pop.node(i).theta(), 1.5);
+        EXPECT_GE(store.theta(i), 0.5);
+        EXPECT_LE(store.theta(i), 1.5);
     }
 }
 
@@ -43,12 +44,14 @@ TEST(MecPopulation, ResourceRangesRespected) {
     spec.cpu_hi = 4.0;
     stats::Rng rng(4);
     const MecPopulation pop(shards, 10, theta, spec, rng);
-    for (const EdgeNode& node : pop.nodes()) {
-        EXPECT_GE(node.caps().bandwidth_mbps, 50.0);
-        EXPECT_LE(node.caps().bandwidth_mbps, 100.0);
-        EXPECT_GE(node.caps().cpu_cores, 2.0);
-        EXPECT_LE(node.caps().cpu_cores, 4.0);
-        EXPECT_LE(node.resources().bandwidth_mbps, node.caps().bandwidth_mbps);
+    const PopulationStore& store = pop.store();
+    for (std::size_t i = 0; i < store.size(); ++i) {
+        const ResourceState caps = store.caps(i);
+        EXPECT_GE(caps.bandwidth_mbps, 50.0);
+        EXPECT_LE(caps.bandwidth_mbps, 100.0);
+        EXPECT_GE(caps.cpu_cores, 2.0);
+        EXPECT_LE(caps.cpu_cores, 4.0);
+        EXPECT_LE(store.resources(i).bandwidth_mbps, caps.bandwidth_mbps);
     }
 }
 
@@ -59,13 +62,12 @@ TEST(MecPopulation, EvolveAdvancesAllNodes) {
     spec.dynamics.resource_jitter = 0.2;
     stats::Rng rng(5);
     MecPopulation pop(shards, 10, theta, spec, rng);
-    std::vector<double> before;
-    for (const EdgeNode& node : pop.nodes()) before.push_back(node.resources().bandwidth_mbps);
+    const std::vector<double> before = pop.store().column(ResourceDim::bandwidth);
     stats::Rng ev(6);
     pop.evolve(ev);
     int moved = 0;
     for (std::size_t i = 0; i < pop.size(); ++i) {
-        if (pop.node(i).resources().bandwidth_mbps != before[i]) ++moved;
+        if (pop.store().bandwidth_mbps(i) != before[i]) ++moved;
     }
     EXPECT_GT(moved, 5);
 }

@@ -48,6 +48,7 @@
 #include "fmore/ml/synthetic.hpp"
 #include "fmore/stats/normalizer.hpp"
 #include "fmore/util/fault_injector.hpp"
+#include "fmore/reference/mlp.hpp"
 
 namespace fmore::mec {
 namespace {
@@ -225,7 +226,7 @@ TEST(ShardFault, DegradationSurfacesInRoundMetrics) {
     selector.set_virtual_latency(
         [](std::size_t shard, std::size_t round) { return shard == 0 && round >= 2 ? 9.0 : 0.0; });
 
-    ml::Model model = ml::make_mlp(ml::ImageSpec{1, 12, 12, 10}, 3);
+    ml::Model model = reference::make_mlp(ml::ImageSpec{1, 12, 12, 10}, 3);
     fl::CoordinatorConfig cc;
     cc.rounds = 3;
     cc.winners_per_round = 4;

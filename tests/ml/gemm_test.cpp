@@ -1,14 +1,14 @@
-// Kernel-equivalence suite: the GEMM-backed fast paths must match the
-// naive reference loops bit for bit (gemm.hpp's order contract), across
-// random shapes including non-square inputs, non-square kernels and every
-// register-tile tail of the three convolution kernels.
+// Kernel-equivalence suite: the GEMM-backed layers must match the textbook
+// loops of the reference layers (fmore/reference/naive_layers.hpp) bit for
+// bit (gemm.hpp's order contract), across random shapes including
+// non-square inputs, non-square kernels and every register-tile tail of the
+// three convolution kernels.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -22,18 +22,13 @@
 #include "fmore/ml/model_zoo.hpp"
 #include "fmore/ml/synthetic.hpp"
 #include "fmore/ml/tensor.hpp"
+#include "fmore/reference/naive_layers.hpp"
 #include "fmore/stats/rng.hpp"
 
 namespace fmore::ml {
 namespace {
 
 constexpr double kTol = 1e-10;
-
-/// RAII kernel-path override so a failing assertion cannot leak the mode.
-struct KernelMode {
-    explicit KernelMode(int mode) { set_naive_kernels(mode); }
-    ~KernelMode() { set_naive_kernels(-1); }
-};
 
 Tensor random_tensor(std::vector<std::size_t> shape, stats::Rng& rng) {
     Tensor t(std::move(shape));
@@ -129,13 +124,12 @@ TEST(GemmKernelTest, StridedATransposeMatchesMaterializedTranspose) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer fast path vs naive reference
+// Production layer vs naive reference layer
 // ---------------------------------------------------------------------------
 
-/// Run forward+backward under one kernel mode, returning outputs, input
-/// gradients and parameter gradients. Parameter gradients start at zero,
-/// or, when `seeded`, at a fixed nonzero pattern that backward must
-/// accumulate onto.
+/// Run forward+backward, returning outputs, input gradients and parameter
+/// gradients. Parameter gradients start at zero, or, when `seeded`, at a
+/// fixed nonzero pattern that backward must accumulate onto.
 struct LayerPass {
     Tensor output;
     Tensor grad_input;
@@ -143,8 +137,7 @@ struct LayerPass {
 };
 
 LayerPass run_layer(Layer& layer, const Tensor& input, const Tensor& grad_out,
-                    int mode, bool seeded = false) {
-    const KernelMode guard(mode);
+                    bool seeded = false) {
     for (const ParamBlock& block : layer.parameters()) {
         for (std::size_t i = 0; i < block.grads->size(); ++i) {
             (*block.grads)[i] =
@@ -163,15 +156,11 @@ LayerPass run_layer(Layer& layer, const Tensor& input, const Tensor& grad_out,
 /// An output gradient for `layer` at `input`: uniform in [-0.5, 0.5) with
 /// every 7th entry zeroed, or, when `mostly_zero`, with about 80% of the
 /// entries zeroed (what ReLU and Dropout hand a conv layer). The naive
-/// loops short-circuit g == 0, the fast paths do not, and the results must
+/// loops short-circuit g == 0, the kernels do not, and the results must
 /// still agree.
 Tensor random_grad(Layer& layer, const Tensor& input, stats::Rng& rng,
                    bool mostly_zero) {
-    Tensor probe;
-    {
-        const KernelMode guard(1);
-        probe = layer.forward(input, true);
-    }
+    const Tensor probe = layer.forward(input, true);
     Tensor grad_out(probe.shape());
     for (std::size_t i = 0; i < grad_out.size(); ++i)
         grad_out[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
@@ -184,12 +173,14 @@ Tensor random_grad(Layer& layer, const Tensor& input, stats::Rng& rng,
     return grad_out;
 }
 
-void expect_layer_equivalence(Layer& layer, const Tensor& input,
+/// `naive_layer` takes `layer`'s parameters, then both run the same pass.
+void expect_layer_equivalence(Layer& layer, Layer& naive_layer, const Tensor& input,
                               const std::string& what, stats::Rng& rng,
                               bool mostly_zero = false, bool seeded = false) {
-    const Tensor grad_out = random_grad(layer, input, rng, mostly_zero);
-    const LayerPass naive = run_layer(layer, input, grad_out, 1, seeded);
-    const LayerPass fast = run_layer(layer, input, grad_out, 0, seeded);
+    reference::copy_parameters(layer, naive_layer);
+    const Tensor grad_out = random_grad(naive_layer, input, rng, mostly_zero);
+    const LayerPass naive = run_layer(naive_layer, input, grad_out, seeded);
+    const LayerPass fast = run_layer(layer, input, grad_out, seeded);
     expect_bit_identical(fast.output, naive.output, what + " forward");
     expect_bit_identical(fast.grad_input, naive.grad_input, what + " grad_input");
     ASSERT_EQ(fast.param_grads.size(), naive.param_grads.size());
@@ -234,6 +225,7 @@ TEST(KernelEquivalenceTest, Conv2dMatchesNaiveOnRandomShapes) {
     };
     for (const Case& c : cases) {
         Conv2d layer(c.in_c, c.out_c, c.k);
+        reference::NaiveConv2d naive(c.in_c, c.out_c, c.k);
         layer.initialize(rng);
         // initialize() zeroes the bias; the forward kernel must seed each
         // output from a real one.
@@ -245,28 +237,29 @@ TEST(KernelEquivalenceTest, Conv2dMatchesNaiveOnRandomShapes) {
                                  + std::to_string(c.out_c) + " k"
                                  + std::to_string(c.k) + " " + std::to_string(c.h)
                                  + "x" + std::to_string(c.w);
-        expect_layer_equivalence(layer, input, what, rng, c.mostly_zero);
+        expect_layer_equivalence(layer, naive, input, what, rng, c.mostly_zero);
         // Gradients accumulate onto what is already there, in order.
-        expect_layer_equivalence(layer, input, what + " seeded", rng, c.mostly_zero,
+        expect_layer_equivalence(layer, naive, input, what + " seeded", rng, c.mostly_zero,
                                  /*seeded=*/true);
     }
 }
 
 TEST(KernelEquivalenceTest, Conv2dZeroGradientKeepsPositiveZeros) {
-    // The fast kernels add g * w terms the naive loops skip (g == 0) and
-    // padding zeros. With every weight and input negative, each such term
-    // is -0, so only sums that start at +0 still end on +0 as the naive
-    // loops do.
+    // The kernels add g * w terms the naive loops skip (g == 0) and padding
+    // zeros. With every weight and input negative, each such term is -0, so
+    // only sums that start at +0 still end on +0 as the naive loops do.
     stats::Rng rng(47);
     Conv2d layer(8, 16, 3);
     for (const ParamBlock& block : layer.parameters()) {
         for (float& v : *block.values) v = -static_cast<float>(rng.uniform(0.1, 1.0));
     }
+    reference::NaiveConv2d naive_layer(8, 16, 3);
+    reference::copy_parameters(layer, naive_layer);
     Tensor input = random_tensor({2, 8, 6, 6}, rng);
     for (std::size_t i = 0; i < input.size(); ++i) input[i] = -std::fabs(input[i]) - 0.1F;
     const Tensor grad_out({2, 16, 4, 4});
-    const LayerPass naive = run_layer(layer, input, grad_out, 1);
-    const LayerPass fast = run_layer(layer, input, grad_out, 0);
+    const LayerPass naive = run_layer(naive_layer, input, grad_out);
+    const LayerPass fast = run_layer(layer, input, grad_out);
     expect_bit_identical(fast.grad_input, naive.grad_input, "zero-gradient grad_input");
     for (std::size_t p = 0; p < fast.param_grads.size(); ++p) {
         expect_bit_identical(fast.param_grads[p], naive.param_grads[p],
@@ -284,17 +277,11 @@ TEST(KernelEquivalenceTest, Conv2dForwardKeepsPositiveZeros) {
     const std::vector<ParamBlock> blocks = layer.parameters();
     std::fill(blocks[0].values->begin(), blocks[0].values->end(), -0.5F);
     std::fill(blocks[1].values->begin(), blocks[1].values->end(), -0.0F);
+    reference::NaiveConv2d naive_layer(3, 9, 3);
+    reference::copy_parameters(layer, naive_layer);
     const Tensor input({2, 3, 6, 11});
-    Tensor naive;
-    Tensor fast;
-    {
-        const KernelMode guard(1);
-        naive = layer.forward(input, /*training=*/false);
-    }
-    {
-        const KernelMode guard(0);
-        fast = layer.forward(input, /*training=*/false);
-    }
+    const Tensor naive = naive_layer.forward(input, /*training=*/false);
+    const Tensor fast = layer.forward(input, /*training=*/false);
     expect_bit_identical(fast, naive, "signed-zero forward");
     for (std::size_t i = 0; i < fast.size(); ++i) {
         ASSERT_FALSE(std::signbit(fast[i])) << "element " << i;
@@ -303,14 +290,12 @@ TEST(KernelEquivalenceTest, Conv2dForwardKeepsPositiveZeros) {
 
 TEST(KernelEquivalenceTest, BackwardParamsMatchesBackwardParameterGradients) {
     // backward_params must leave every parameter gradient byte-identical to
-    // a full backward: Conv2d's override (fast path, and the naive path's
-    // fallback to the default) and the default on a layer without one.
+    // a full backward: Conv2d's override, and the default on a layer without
+    // one (Dense and the reference layers).
     stats::Rng rng(46);
-    const auto check = [&](Layer& layer, const Tensor& input, int mode,
-                           const std::string& what) {
+    const auto check = [&](Layer& layer, const Tensor& input, const std::string& what) {
         const Tensor grad_out = random_grad(layer, input, rng, /*mostly_zero=*/true);
-        const LayerPass full = run_layer(layer, input, grad_out, mode);
-        const KernelMode guard(mode);
+        const LayerPass full = run_layer(layer, input, grad_out);
         for (const ParamBlock& block : layer.parameters()) {
             std::fill(block.grads->begin(), block.grads->end(), 0.0F);
         }
@@ -323,18 +308,23 @@ TEST(KernelEquivalenceTest, BackwardParamsMatchesBackwardParameterGradients) {
                                  what + " param_grad " + std::to_string(p));
         }
     };
-    for (const int mode : {0, 1}) {
-        const std::string tag = mode == 0 ? " fast" : " naive";
-        Conv2d first(3, 8, 3);
+    const auto check_stack = [&](Layer& first, Layer& odd, Layer& dense,
+                                 const std::string& tag) {
         first.initialize(rng);
-        check(first, random_tensor({16, 3, 14, 14}, rng), mode, "conv2d" + tag);
-        Conv2d odd(5, 9, 2);
+        check(first, random_tensor({16, 3, 14, 14}, rng), "conv2d" + tag);
         odd.initialize(rng);
-        check(odd, random_tensor({3, 5, 7, 6}, rng), mode, "conv2d odd" + tag);
-        Dense dense(33, 17);
+        check(odd, random_tensor({3, 5, 7, 6}, rng), "conv2d odd" + tag);
         dense.initialize(rng);
-        check(dense, random_tensor({5, 33}, rng), mode, "dense" + tag);
-    }
+        check(dense, random_tensor({5, 33}, rng), "dense" + tag);
+    };
+    Conv2d first(3, 8, 3);
+    Conv2d odd(5, 9, 2);
+    Dense dense(33, 17);
+    check_stack(first, odd, dense, " fast");
+    reference::NaiveConv2d naive_first(3, 8, 3);
+    reference::NaiveConv2d naive_odd(5, 9, 2);
+    reference::NaiveDense naive_dense(33, 17);
+    check_stack(naive_first, naive_odd, naive_dense, " naive");
 }
 
 TEST(KernelEquivalenceTest, ConvKernelsRejectBadGeometry) {
@@ -399,9 +389,10 @@ TEST(KernelEquivalenceTest, DenseMatchesNaiveOnRandomShapes) {
     for (const Case& c : std::vector<Case>{
              {16, 200, 64}, {16, 800, 64}, {1, 7, 3}, {5, 33, 17}, {128, 64, 10}}) {
         Dense layer(c.in, c.out);
+        reference::NaiveDense naive(c.in, c.out);
         layer.initialize(rng);
         const Tensor input = random_tensor({c.batch, c.in}, rng);
-        expect_layer_equivalence(layer, input,
+        expect_layer_equivalence(layer, naive, input,
                                  "dense " + std::to_string(c.in) + "->"
                                      + std::to_string(c.out),
                                  rng);
@@ -416,9 +407,10 @@ TEST(KernelEquivalenceTest, LstmMatchesNaiveOnRandomShapes) {
     for (const Case& c :
          std::vector<Case>{{16, 16, 16, 32}, {3, 5, 7, 11}, {1, 2, 4, 4}}) {
         Lstm layer(c.embed, c.hidden);
+        reference::NaiveLstm naive(c.embed, c.hidden);
         layer.initialize(rng);
         const Tensor input = random_tensor({c.batch, c.seq, c.embed}, rng);
-        expect_layer_equivalence(layer, input,
+        expect_layer_equivalence(layer, naive, input,
                                  "lstm E" + std::to_string(c.embed) + " H"
                                      + std::to_string(c.hidden),
                                  rng);
@@ -426,17 +418,21 @@ TEST(KernelEquivalenceTest, LstmMatchesNaiveOnRandomShapes) {
 }
 
 TEST(KernelEquivalenceTest, WholeModelTrainingStepBitIdentical) {
-    // End-to-end: one SGD epoch under both kernel paths from identical
-    // starting parameters must land on byte-identical parameters. The
-    // paper's CNN on 1x12x12 and the deep CNN on 3x14x14 (the fl_cifar
-    // model) cover ReLU/Dropout-sparse gradients reaching both conv
-    // layers and the first layer's parameter-only backward.
+    // End-to-end: one SGD epoch of a production model and of its reference
+    // twin from identical starting parameters and generator state must land
+    // on byte-identical parameters. The paper's CNN on 1x12x12 and the deep
+    // CNN on 3x14x14 (the fl_cifar model) cover ReLU/Dropout-sparse
+    // gradients reaching both conv layers and the first layer's
+    // parameter-only backward.
     struct Case {
         const char* name;
         Model (*make)(const ImageSpec&, std::uint64_t);
+        Model (*make_naive)(const ImageSpec&, std::uint64_t);
         std::size_t channels, side;
     };
-    for (const Case& c : {Case{"cnn", &make_cnn, 1, 12}, Case{"cnn_deep", &make_cnn_deep, 3, 14}}) {
+    for (const Case& c : {Case{"cnn", &make_cnn, &reference::naive_cnn, 1, 12},
+                          Case{"cnn_deep", &make_cnn_deep, &reference::naive_cnn_deep, 3,
+                               14}}) {
         stats::Rng data_rng(45);
         ml::ImageDatasetSpec spec;
         spec.samples = 64;
@@ -447,25 +443,15 @@ TEST(KernelEquivalenceTest, WholeModelTrainingStepBitIdentical) {
         std::vector<std::size_t> indices(data.size());
         for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
 
-        auto run_epoch = [&](int mode) {
-            const KernelMode guard(mode);
-            Model model = c.make(ImageSpec{c.channels, c.side, c.side, data.num_classes}, 99);
-            (void)model.train_epoch(data, indices, 16, 0.05);
-            return model.get_parameters();
-        };
-        const std::vector<float> naive = run_epoch(1);
-        const std::vector<float> fast = run_epoch(0);
-        expect_bit_identical(fast, naive,
+        const ImageSpec image{c.channels, c.side, c.side, data.num_classes};
+        Model naive_model = c.make_naive(image, 99);
+        Model fast_model = c.make(image, 99);
+        expect_bit_identical(fast_model.get_parameters(), naive_model.get_parameters(),
+                             std::string(c.name) + " starting parameters");
+        (void)naive_model.train_epoch(data, indices, 16, 0.05);
+        (void)fast_model.train_epoch(data, indices, 16, 0.05);
+        expect_bit_identical(fast_model.get_parameters(), naive_model.get_parameters(),
                              std::string(c.name) + " parameters after one epoch");
-    }
-}
-
-TEST(KernelEquivalenceTest, NaiveKernelEnvDefaultIsOff) {
-    set_naive_kernels(-1);
-    // Unless the environment explicitly asks for the reference loops, the
-    // fast path is the default.
-    if (std::getenv("FMORE_NAIVE_KERNELS") == nullptr) {
-        EXPECT_FALSE(use_naive_kernels());
     }
 }
 

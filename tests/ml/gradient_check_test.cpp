@@ -15,6 +15,7 @@
 #include "fmore/ml/lstm.hpp"
 #include "fmore/ml/model.hpp"
 #include "fmore/ml/pooling.hpp"
+#include "fmore/reference/mlp.hpp"
 
 namespace fmore::ml {
 namespace {
@@ -82,7 +83,7 @@ TEST(GradientCheck, DenseRelu) {
 TEST(GradientCheck, TanhHead) {
     Model model(12);
     model.add(std::make_unique<Dense>(5, 5));
-    model.add(std::make_unique<Tanh>());
+    model.add(std::make_unique<reference::Tanh>());
     model.add(std::make_unique<Dense>(5, 2));
     stats::Rng rng(2);
     Tensor x({3, 5});

@@ -5,6 +5,7 @@
 #include "fmore/ml/model.hpp"
 #include "fmore/ml/model_zoo.hpp"
 #include "fmore/ml/synthetic.hpp"
+#include "fmore/reference/mlp.hpp"
 
 namespace fmore::ml {
 namespace {
@@ -163,7 +164,7 @@ TEST(ModelZoo, FactoriesProduceWorkingModels) {
     Tensor xc({2, 3, 14, 14});
     EXPECT_EQ(deep.forward(xc, false).shape(), (std::vector<std::size_t>{2, 10}));
 
-    Model mlp = make_mlp(img, 9);
+    Model mlp = reference::make_mlp(img, 9);
     EXPECT_EQ(mlp.forward(x, false).shape(), (std::vector<std::size_t>{2, 10}));
 
     const TextSpec text{32, 12, 10};

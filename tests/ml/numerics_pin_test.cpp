@@ -1,8 +1,8 @@
-// Pins the numerics of the fl_cifar model (`make_cnn_deep` on 3x14x14) to
-// a recorded constant. The kernel-equivalence suites compare two paths of
-// today's code with each other, so a change that moves both paths at once
-// (MaxPool2d's tie-break, Dropout's mask draws, a kernel's summation order)
-// passes them; it fails here.
+// Pins the numerics of the fl_cifar model (`make_cnn_deep` on 3x14x14) and
+// of its textbook-loop twin (`reference::naive_cnn_deep`) to a recorded
+// constant. The kernel-equivalence suites compare the two with each other,
+// so a change that moves both at once (MaxPool2d's tie-break, Dropout's
+// mask draws, a summation order) passes them; it fails here.
 //
 // Every input is drawn with stats::Rng and no softmax loss runs: std::exp
 // and std::log may differ in the last bit between C libraries, and the
@@ -14,9 +14,9 @@
 #include <cstring>
 #include <vector>
 
-#include "fmore/ml/gemm.hpp"
 #include "fmore/ml/model_zoo.hpp"
 #include "fmore/ml/tensor.hpp"
+#include "fmore/reference/naive_layers.hpp"
 #include "fmore/stats/rng.hpp"
 
 namespace fmore::ml {
@@ -62,9 +62,9 @@ std::vector<float> parameter_gradients(Model& model) {
 /// Three B16 training steps (forward with Dropout on, backward from a fixed
 /// output gradient, SGD) and one B128 evaluation forward, hashed: every
 /// output, every step's parameter gradients and the final parameters.
-std::uint64_t cnn_deep_digest() {
+std::uint64_t cnn_deep_digest(Model (*make)(const ImageSpec&, std::uint64_t)) {
     stats::Rng rng(20260417);
-    Model model = make_cnn_deep(ImageSpec{3, 14, 14, 10}, 7);
+    Model model = make(ImageSpec{3, 14, 14, 10}, 7);
     const Tensor grad_out = uniform_tensor({16, 10}, 0.0625, rng);
     std::uint64_t hash = 0xcbf29ce484222325ULL;
     for (int step = 0; step < 3; ++step) {
@@ -86,14 +86,11 @@ TEST(NumericsPinTest, CnnDeepTrainingAndEvalDigest) {
     // moves it changes every training tape and every golden, and has to
     // say so.
     constexpr std::uint64_t kPinned = 0x24c49eb82a0f6269ULL;
-    for (const int mode : {0, 1}) {
-        set_naive_kernels(mode);
-        const std::uint64_t digest = cnn_deep_digest();
-        set_naive_kernels(-1);
-        EXPECT_EQ(digest, kPinned)
-            << (mode == 0 ? "fast" : "naive") << " kernels: digest 0x" << std::hex
-            << digest;
-    }
+    const std::uint64_t fast = cnn_deep_digest(&make_cnn_deep);
+    EXPECT_EQ(fast, kPinned) << "make_cnn_deep: digest 0x" << std::hex << fast;
+    const std::uint64_t naive = cnn_deep_digest(&reference::naive_cnn_deep);
+    EXPECT_EQ(naive, kPinned) << "reference::naive_cnn_deep: digest 0x" << std::hex
+                              << naive;
 }
 
 } // namespace

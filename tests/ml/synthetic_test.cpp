@@ -4,6 +4,7 @@
 
 #include "fmore/ml/model_zoo.hpp"
 #include "fmore/ml/synthetic.hpp"
+#include "fmore/reference/mlp.hpp"
 
 namespace fmore::ml {
 namespace {
@@ -43,7 +44,7 @@ TEST(SyntheticImages, DifficultyKnobOrdersLearnability) {
                           std::size_t c) {
         stats::Rng rng(11);
         Dataset data = make_synthetic_images(spec, rng);
-        Model probe = make_mlp(ImageSpec{c, h, w, 10}, 5);
+        Model probe = reference::make_mlp(ImageSpec{c, h, w, 10}, 5);
         std::vector<std::size_t> train_idx;
         std::vector<std::size_t> test_idx;
         for (std::size_t i = 0; i < 700; ++i) train_idx.push_back(i);

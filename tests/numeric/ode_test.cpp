@@ -2,9 +2,9 @@
 
 #include <cmath>
 
-#include "fmore/numeric/ode.hpp"
+#include "fmore/reference/numeric.hpp"
 
-namespace fmore::numeric {
+namespace fmore::reference {
 namespace {
 
 // y' = y, y(0) = 1 -> y(1) = e.
@@ -77,4 +77,4 @@ TEST(OdeSolvers, PaperLinearFormAgainstClosedForm) {
 }
 
 } // namespace
-} // namespace fmore::numeric
+} // namespace fmore::reference

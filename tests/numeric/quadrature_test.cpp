@@ -3,9 +3,12 @@
 #include <cmath>
 
 #include "fmore/numeric/quadrature.hpp"
+#include "fmore/reference/numeric.hpp"
 
 namespace fmore::numeric {
 namespace {
+
+using reference::simpson;
 
 TEST(Trapezoid, ExactOnLinear) {
     const Integrand f = [](double x) { return 3.0 * x + 1.0; };

@@ -2,9 +2,9 @@
 
 #include <cmath>
 
-#include "fmore/numeric/root_finding.hpp"
+#include "fmore/reference/numeric.hpp"
 
-namespace fmore::numeric {
+namespace fmore::reference {
 namespace {
 
 TEST(Bisect, FindsSimpleRoot) {
@@ -55,4 +55,4 @@ TEST(Bisect, InvertedBoundsThrow) {
 }
 
 } // namespace
-} // namespace fmore::numeric
+} // namespace fmore::reference

@@ -1,11 +1,12 @@
-#include "fmore/mec/edge_node.hpp"
+#include "fmore/reference/edge_node.hpp"
 
 #include <algorithm>
 #include <stdexcept>
 
-namespace fmore::mec {
+namespace fmore::reference {
 
-EdgeNode::EdgeNode(std::size_t id, double theta, ResourceState initial, ResourceState caps)
+EdgeNode::EdgeNode(std::size_t id, double theta, mec::ResourceState initial,
+                   mec::ResourceState caps)
     : id_(id), theta_(theta), current_(initial), caps_(caps) {
     current_.data_size = std::min(current_.data_size, caps_.data_size);
     current_.category_proportion =
@@ -24,8 +25,8 @@ double jitter(double value, double cap, double rel, stats::Rng& rng) {
 
 } // namespace
 
-void EdgeNode::evolve(const ResourceDynamics& dynamics, double theta_lo, double theta_hi,
-                      stats::Rng& rng) {
+void EdgeNode::evolve(const mec::ResourceDynamics& dynamics, double theta_lo,
+                      double theta_hi, stats::Rng& rng) {
     current_.bandwidth_mbps =
         jitter(current_.bandwidth_mbps, caps_.bandwidth_mbps, dynamics.resource_jitter, rng);
     current_.cpu_cores =
@@ -44,4 +45,4 @@ void EdgeNode::evolve(const ResourceDynamics& dynamics, double theta_lo, double 
     }
 }
 
-} // namespace fmore::mec
+} // namespace fmore::reference

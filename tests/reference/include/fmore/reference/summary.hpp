@@ -1,13 +1,16 @@
 #pragma once
 
+/// @file summary.hpp
+/// Summary statistics over repeated observations.
+
 #include <cstddef>
 #include <vector>
 
-namespace fmore::stats {
+namespace fmore::reference {
 
-/// Streaming summary statistics (Welford's algorithm) used by the experiment
-/// runner to average metrics over repeated trials, mirroring the paper's
-/// "average of five experiments".
+/// Streaming summary statistics (Welford's algorithm). No production path
+/// uses it; kept outside the libraries for ledgers and oracles that want a
+/// mean and spread over repeated runs.
 class RunningSummary {
 public:
     void add(double x);
@@ -33,4 +36,4 @@ double stddev(const std::vector<double>& xs);
 /// Linearly interpolated percentile, p in [0,100].
 double percentile(std::vector<double> xs, double p);
 
-} // namespace fmore::stats
+} // namespace fmore::reference

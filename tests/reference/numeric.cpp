@@ -1,9 +1,58 @@
-#include "fmore/numeric/root_finding.hpp"
+#include "fmore/reference/numeric.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
-namespace fmore::numeric {
+namespace fmore::reference {
+
+std::vector<OdePoint> euler(const OdeRhs& f, double x0, double x1, double y0,
+                            std::size_t steps) {
+    if (steps == 0) throw std::invalid_argument("euler: steps must be > 0");
+    std::vector<OdePoint> out;
+    out.reserve(steps + 1);
+    const double h = (x1 - x0) / static_cast<double>(steps);
+    double x = x0;
+    double y = y0;
+    out.push_back({x, y});
+    for (std::size_t i = 0; i < steps; ++i) {
+        y += h * f(x, y);
+        x = x0 + static_cast<double>(i + 1) * h;
+        out.push_back({x, y});
+    }
+    return out;
+}
+
+std::vector<OdePoint> runge_kutta4(const OdeRhs& f, double x0, double x1, double y0,
+                                   std::size_t steps) {
+    if (steps == 0) throw std::invalid_argument("runge_kutta4: steps must be > 0");
+    std::vector<OdePoint> out;
+    out.reserve(steps + 1);
+    const double h = (x1 - x0) / static_cast<double>(steps);
+    double x = x0;
+    double y = y0;
+    out.push_back({x, y});
+    for (std::size_t i = 0; i < steps; ++i) {
+        const double k1 = f(x, y);
+        const double k2 = f(x + 0.5 * h, y + 0.5 * h * k1);
+        const double k3 = f(x + 0.5 * h, y + 0.5 * h * k2);
+        const double k4 = f(x + h, y + h * k3);
+        y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
+        x = x0 + static_cast<double>(i + 1) * h;
+        out.push_back({x, y});
+    }
+    return out;
+}
+
+double euler_final(const OdeRhs& f, double x0, double x1, double y0, std::size_t steps) {
+    return euler(f, x0, x1, y0, steps).back().y;
+}
+
+double runge_kutta4_final(const OdeRhs& f, double x0, double x1, double y0,
+                          std::size_t steps) {
+    return runge_kutta4(f, x0, x1, y0, steps).back().y;
+}
 
 std::optional<double> bisect(const std::function<double(double)>& f, double lo, double hi,
                              double tol, std::size_t max_iter) {
@@ -87,4 +136,16 @@ std::optional<double> brent(const std::function<double(double)>& f, double lo, d
     return b;
 }
 
-} // namespace fmore::numeric
+double simpson(const numeric::Integrand& f, double a, double b, std::size_t panels) {
+    if (panels == 0) throw std::invalid_argument("simpson: panels must be > 0");
+    if (panels % 2 != 0) ++panels;
+    const double h = (b - a) / static_cast<double>(panels);
+    double total = f(a) + f(b);
+    for (std::size_t i = 1; i < panels; ++i) {
+        const double x = a + static_cast<double>(i) * h;
+        total += (i % 2 == 0 ? 2.0 : 4.0) * f(x);
+    }
+    return total * h / 3.0;
+}
+
+} // namespace fmore::reference

@@ -1,10 +1,10 @@
-#include "fmore/stats/summary.hpp"
+#include "fmore/reference/summary.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
-namespace fmore::stats {
+namespace fmore::reference {
 
 void RunningSummary::add(double x) {
     if (count_ == 0) {
@@ -68,4 +68,4 @@ double percentile(std::vector<double> xs, double p) {
     return xs[lo] + frac * (xs[lo + 1] - xs[lo]);
 }
 
-} // namespace fmore::stats
+} // namespace fmore::reference

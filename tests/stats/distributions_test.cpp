@@ -3,9 +3,13 @@
 #include <memory>
 
 #include "fmore/stats/distributions.hpp"
+#include "fmore/reference/distributions.hpp"
 
 namespace fmore::stats {
 namespace {
+
+using reference::ScaledBetaDistribution;
+using reference::TruncatedNormalDistribution;
 
 TEST(UniformDistribution, CdfEndpointsAndMidpoint) {
     const UniformDistribution u(2.0, 6.0);

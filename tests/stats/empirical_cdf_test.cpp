@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "fmore/stats/empirical_cdf.hpp"
+#include "fmore/reference/distributions.hpp"
 
 namespace fmore::stats {
 namespace {
+
+using reference::EmpiricalCdf;
 
 TEST(EmpiricalCdf, EndpointsAndMonotonicity) {
     const EmpiricalCdf ecdf({3.0, 1.0, 2.0, 4.0});

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "fmore/stats/summary.hpp"
+#include "fmore/reference/summary.hpp"
 
-namespace fmore::stats {
+namespace fmore::reference {
 namespace {
 
 TEST(RunningSummary, BasicMoments) {
@@ -52,4 +52,4 @@ TEST(BatchStats, PercentileUnsortedInput) {
 }
 
 } // namespace
-} // namespace fmore::stats
+} // namespace fmore::reference
