@@ -10,14 +10,17 @@
 //      on a B128 batch (the evaluation batch),
 //  (4) the market's shard pass on one 250k-row shard of the `wire_1m`
 //      world (N = 1M over 4 shards, alpha=25 scaled product over data and
-//      category, additive cost, theta ~ U[0.5, 1.5], K = 32): the drift,
-//      collect and head row kernels next to their per-row references, and
-//      a worker's whole head pass on its narrowed slice next to the frame
-//      composition that prices every row,
+//      category, additive cost, theta ~ U[0.5, 1.5], K = 32), on the
+//      narrowed slice a forked worker holds (theta, data size and its cap,
+//      category, draw bytes): the drift, collect and head row kernels next
+//      to their per-row references, and a worker's whole head pass next to
+//      the frame composition that prices every row; each row reports the
+//      median and quartiles of its repetitions,
 //  (5) end-to-end round time of the `paper/fig04` scenario at 1/2/4/8
 //      round threads,
-// and writes everything to a machine-readable BENCH_kernels.json so future
-// PRs have a perf trajectory to regress against.
+// and writes everything to a machine-readable BENCH_kernels.json, stamped
+// with the build type, compiler and flags, so future PRs have a perf
+// trajectory to regress against.
 //
 //   micro_kernels [--smoke] [--out path.json]
 //
@@ -26,8 +29,11 @@
 // production path slower than its reference twin (the elementwise row
 // compares two APIs, not two kernels, and is not gated), or when a `market`
 // kernel's output differs from its reference in any bit. Market speed is
-// recorded, not gated: without 64-bit vector multiplies (AVX2 and older)
-// the drift loop stays scalar and runs slower than its per-node reference.
+// recorded, not gated: the drift loop vectorizes only with 64-bit vector
+// multiplies (AVX-512DQ's `vpmullq`), and the `FMORE_NATIVE_ARCH` build
+// gives the row kernels 64-byte vectors only where the host has AVX-512;
+// elsewhere they run narrower (the drift scalar), and a row may read slower
+// than its per-row reference.
 //
 // The elementwise and evaluation rows cycle through 8 distinct inputs: on
 // one fixed input the branch predictor learns a data-dependent pattern
@@ -310,14 +316,34 @@ ModelPassResult bench_eval_forward(std::size_t reps) {
     return out;
 }
 
+/// Median and quartiles of a row's repetitions, each the linear
+/// interpolation between the two nearest order statistics.
+struct Spread {
+    double q1 = 0.0;
+    double median = 0.0;
+    double q3 = 0.0;
+};
+
+Spread spread_of(std::vector<double> samples) {
+    std::sort(samples.begin(), samples.end());
+    const auto at = [&samples](double p) {
+        const double pos = p * static_cast<double>(samples.size() - 1);
+        const std::size_t lo = static_cast<std::size_t>(pos);
+        const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+        return samples[lo] + (pos - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+    };
+    return {at(0.25), at(0.5), at(0.75)};
+}
+
 /// One market row: a shard-pass kernel and its per-row reference, timed
-/// on the same shard, and whether their outputs agree in every bit.
+/// on the same shard once per repetition, and whether their outputs agree
+/// in every bit.
 struct MarketRow {
     std::string name;
     std::string reference;
-    double kernel_ms = 0.0;
-    double reference_ms = 0.0;
-    bool identical = false;
+    std::vector<double> kernel_ms{};
+    std::vector<double> reference_ms{};
+    bool identical = true;
     std::size_t priced_rows = 0;  ///< head_pass: rows whose ask the kernel computed
 };
 
@@ -410,10 +436,11 @@ bool same_heads(const auction::ShardHead& a, const auction::ShardHead& b) {
     return true;
 }
 
-/// The shard pass of one `wire_1m` worker, on one core: drift, collect and
-/// head, each kernel against its reference. Kernel and reference run in
-/// alternation on twin stores, one round each per repetition, so both see
-/// the same drifted state; best-of over the repetitions.
+/// The shard pass of one `wire_1m` worker, on one core, over the narrowed
+/// slice it holds: drift, collect and head, each kernel against its
+/// reference. Kernel and reference run in alternation, one round each per
+/// repetition, the references on a full-width twin of the slice, so both
+/// see the same drifted state.
 std::vector<MarketRow> bench_market(std::size_t reps, std::size_t& shard_rows) {
     constexpr std::size_t kNodes = 1'000'000;
     constexpr std::size_t kShards = 4;
@@ -438,74 +465,73 @@ std::vector<MarketRow> bench_market(std::size_t reps, std::size_t& shard_rows) {
     data.data_hi = kDataHi;
     stats::Rng world_rng(0x5ca1e001ULL);
     const mec::PopulationStore world(kNodes, data, theta, spec, world_rng);
-    mec::PopulationStore shard = world.split_even(kShards)[1];
-    mec::PopulationStore reference = shard;
-    shard_rows = shard.size();
-
+    const std::vector<std::size_t> cuts = mec::PopulationStore::even_boundaries(kNodes, kShards);
     const mec::QualityLayout layout{mec::ResourceDim::data_size,
                                     mec::ResourceDim::category_proportion};
-    // The narrowed slice a forked worker holds: the same rows, only the
-    // columns a bid over the layout reads.
-    mec::PopulationStore narrow =
-        world.slice(shard.node_offset(), shard.node_offset() + shard.size(), layout);
+    // The narrowed slice a forked worker holds: the second shard's rows,
+    // only the columns a bid over the layout reads and their drift needs.
+    mec::PopulationStore shard = world.slice(cuts[0], cuts[1], layout);
+    mec::PopulationStore reference = world.slice(cuts[0], cuts[1]);
+    shard_rows = shard.size();
+
     const mec::Blacklist banned;
     auction::BidFrame frame;
     auction::BidFrame reference_frame;
     std::vector<const double*> columns;
     stats::Rng drift_rng(0xd41f7ULL);
     stats::Rng reference_rng(0xd41f7ULL);
+    const auto time_ms = [](std::vector<double>& samples, auto&& fn) {
+        const auto start = clock_type::now();
+        fn();
+        samples.push_back(seconds_since(start) * 1e3);
+    };
 
     // The wire worker's configuration: one round thread per process.
     set_env("FMORE_ROUND_THREADS", "1");
-    MarketRow drift{"drift", "evolve_serial: the per-node loop", 1e300, 1e300, true};
-    MarketRow collect{"collect", "quality_into, cap clamp, quote_span per row", 1e300,
-                      1e300, true};
+    MarketRow drift{"drift", "evolve_serial: the per-node loop, all nine columns"};
+    MarketRow collect{"collect", "quality_into, cap clamp, quote_span per row"};
     for (std::size_t r = 0; r < reps; ++r) {
-        auto start = clock_type::now();
-        shard.evolve(drift_rng);
-        drift.kernel_ms = std::min(drift.kernel_ms, seconds_since(start) * 1e3);
-        start = clock_type::now();
-        reference.evolve_serial(reference_rng);
-        drift.reference_ms = std::min(drift.reference_ms, seconds_since(start) * 1e3);
+        time_ms(drift.kernel_ms, [&] { shard.evolve(drift_rng); });
+        time_ms(drift.reference_ms, [&] { reference.evolve_serial(reference_rng); });
 
-        start = clock_type::now();
-        frame.reset(shard.size(), layout.size());
-        mec::collect_bid_rows(shard, 0, shard.size(), layout, strategy, scoring, true,
-                              auction::PaymentMethod::integral, banned, frame, 0, columns,
-                              /*parallel=*/false);
-        collect.kernel_ms = std::min(collect.kernel_ms, seconds_since(start) * 1e3);
-        start = clock_type::now();
-        reference_frame.reset(reference.size(), layout.size());
-        per_row_collect(reference, layout, strategy, banned, reference_frame);
-        collect.reference_ms =
-            std::min(collect.reference_ms, seconds_since(start) * 1e3);
+        time_ms(collect.kernel_ms, [&] {
+            frame.reset(shard.size(), layout.size());
+            mec::collect_bid_rows(shard, 0, shard.size(), layout, strategy, scoring, true,
+                                  auction::PaymentMethod::integral, banned, frame, 0,
+                                  columns, /*parallel=*/false);
+        });
+        time_ms(collect.reference_ms, [&] {
+            reference_frame.reset(reference.size(), layout.size());
+            per_row_collect(reference, layout, strategy, banned, reference_frame);
+        });
         collect.identical = collect.identical && same_frames(frame, reference_frame);
     }
     set_env("FMORE_ROUND_THREADS", "0");
-    const mec::PopulationSnapshot a = shard.snapshot();
-    const mec::PopulationSnapshot b = reference.snapshot();
-    drift.identical = a.salt_history == b.salt_history;
-    for (std::size_t c = 0; c < a.columns.size(); ++c) {
+    // The columns the slice keeps, against the per-node drift of all nine.
+    drift.identical = shard.salt_history() == reference.salt_history()
+                      && same_bits(shard.thetas().data(), reference.thetas().data(),
+                                   shard.size());
+    for (const mec::ResourceDim dim : layout) {
         drift.identical = drift.identical
-                          && same_bits(a.columns[c].data(), b.columns[c].data(),
-                                       a.columns[c].size());
+                          && same_bits(shard.column(dim).data(), reference.column(dim).data(),
+                                       shard.size());
     }
 
     frame.set_scored(true);
     auction::TieKeys keys;
     keys.salted = true;
     keys.salt = 0x7e1eULL;
-    MarketRow head{"head", "every active row hashes its tie key", 1e300, 1e300, true};
+    MarketRow head{"head", "every active row hashes its tie key"};
     auction::ShardHead kernel_head;
     auction::ShardHead reference_head;
     for (std::size_t r = 0; r < reps; ++r) {
-        auto start = clock_type::now();
-        auction::collect_shard_head(frame, shard.node_offset(), keys, kWinners,
-                                    kernel_head);
-        head.kernel_ms = std::min(head.kernel_ms, seconds_since(start) * 1e3);
-        start = clock_type::now();
-        eager_key_head(frame, shard.node_offset(), keys, kWinners, reference_head);
-        head.reference_ms = std::min(head.reference_ms, seconds_since(start) * 1e3);
+        time_ms(head.kernel_ms, [&] {
+            auction::collect_shard_head(frame, shard.node_offset(), keys, kWinners,
+                                        kernel_head);
+        });
+        time_ms(head.reference_ms, [&] {
+            eager_key_head(frame, shard.node_offset(), keys, kWinners, reference_head);
+        });
         head.identical = head.identical && same_heads(kernel_head, reference_head);
     }
 
@@ -513,28 +539,27 @@ std::vector<MarketRow> bench_market(std::size_t reps, std::size_t& shard_rows) {
     // at-cost bounds can enter its head, against the frame composition that
     // prices every row. Each repetition drifts the slice first (untimed),
     // as each round does; the worker keeps K + 1 rows.
-    MarketRow head_pass{"head_pass", "collect_bid_rows + collect_shard_head, every row priced",
-                        1e300, 1e300, true};
+    MarketRow head_pass{"head_pass",
+                        "collect_bid_rows + collect_shard_head, every row priced"};
     auction::StreamingHeadMerge merge;
     std::size_t priced = 0;  // the last repetition's
-    stats::Rng narrow_rng(0x4ead5ULL);
+    stats::Rng head_rng(0x4ead5ULL);
     for (std::size_t r = 0; r < reps; ++r) {
-        narrow.evolve(narrow_rng);
-        auto start = clock_type::now();
-        priced = mec::collect_head_rows(narrow, layout, strategy, scoring, true,
-                                        auction::PaymentMethod::integral, banned, nullptr,
-                                        keys, kWinners + 1, columns, merge, kernel_head);
-        head_pass.kernel_ms = std::min(head_pass.kernel_ms, seconds_since(start) * 1e3);
-        start = clock_type::now();
-        frame.reset(narrow.size(), layout.size());
-        mec::collect_bid_rows(narrow, 0, narrow.size(), layout, strategy, scoring, true,
-                              auction::PaymentMethod::integral, banned, frame, 0, columns,
-                              /*parallel=*/false);
-        frame.set_scored(true);
-        auction::collect_shard_head(frame, narrow.node_offset(), keys, kWinners + 1,
-                                    reference_head);
-        head_pass.reference_ms =
-            std::min(head_pass.reference_ms, seconds_since(start) * 1e3);
+        shard.evolve(head_rng);
+        time_ms(head_pass.kernel_ms, [&] {
+            priced = mec::collect_head_rows(shard, layout, strategy, scoring, true,
+                                            auction::PaymentMethod::integral, banned, nullptr,
+                                            keys, kWinners + 1, columns, merge, kernel_head);
+        });
+        time_ms(head_pass.reference_ms, [&] {
+            frame.reset(shard.size(), layout.size());
+            mec::collect_bid_rows(shard, 0, shard.size(), layout, strategy, scoring, true,
+                                  auction::PaymentMethod::integral, banned, frame, 0,
+                                  columns, /*parallel=*/false);
+            frame.set_scored(true);
+            auction::collect_shard_head(frame, shard.node_offset(), keys, kWinners + 1,
+                                        reference_head);
+        });
         head_pass.identical = head_pass.identical && same_heads(kernel_head, reference_head);
     }
     head_pass.priced_rows = priced;
@@ -649,14 +674,18 @@ int main(int argc, char** argv) {
 
     // (4) The market's shard pass.
     std::size_t shard_rows = 0;
-    const std::vector<MarketRow> market = bench_market(smoke ? 5 : 40, shard_rows);
-    std::printf("\nmarket shard pass (%zu-row wire_1m shard, 1 thread, ms, "
-                "reference -> kernel):\n",
-                shard_rows);
+    const std::size_t market_reps = smoke ? 11 : 41;
+    const std::vector<MarketRow> market = bench_market(market_reps, shard_rows);
+    std::printf("\nmarket shard pass (%zu-row narrowed wire_1m shard, 1 thread, ms, median "
+                "[quartiles] of %zu repetitions, reference -> kernel):\n",
+                shard_rows, market_reps);
     for (const MarketRow& m : market) {
-        std::printf("  %-9s %8.3f -> %8.3f (%.2fx)  %s  [reference: %s]\n",
-                    m.name.c_str(), m.reference_ms, m.kernel_ms,
-                    m.reference_ms / m.kernel_ms,
+        const Spread kernel = spread_of(m.kernel_ms);
+        const Spread reference = spread_of(m.reference_ms);
+        std::printf("  %-9s %8.3f [%.3f-%.3f] -> %8.3f [%.3f-%.3f] (%.2fx)  %s\n"
+                    "            [reference: %s]\n",
+                    m.name.c_str(), reference.median, reference.q1, reference.q3,
+                    kernel.median, kernel.q1, kernel.q3, reference.median / kernel.median,
                     m.identical ? "bit-identical" : "MISMATCH", m.reference.c_str());
         if (m.priced_rows > 0)
             std::printf("            %zu of %zu rows priced\n", m.priced_rows, shard_rows);
@@ -677,6 +706,7 @@ int main(int argc, char** argv) {
         return 1;
     }
     std::fprintf(f, "{\n  \"smoke\": %s,\n", smoke ? "true" : "false");
+    std::fprintf(f, "  \"build\": \"%s\",\n", FMORE_BENCH_BUILD_INFO);
     // The parallel-round axis needs hardware threads; record what this box
     // had so the threads rows are interpretable.
     std::fprintf(f, "  \"hardware_threads\": %u,\n",
@@ -719,18 +749,23 @@ int main(int argc, char** argv) {
                  eval.naive_us / eval.fast_us);
     std::fprintf(f,
                  "  \"market\": {\"shard_rows\": %zu, \"threads\": 1, "
-                 "\"hardware_threads\": %u, \"rows\": [\n",
-                 shard_rows, std::thread::hardware_concurrency());
+                 "\"hardware_threads\": %u, \"repetitions\": %zu, \"rows\": [\n",
+                 shard_rows, std::thread::hardware_concurrency(), market_reps);
     for (std::size_t i = 0; i < market.size(); ++i) {
         const MarketRow& m = market[i];
+        const Spread kernel = spread_of(m.kernel_ms);
+        const Spread reference = spread_of(m.reference_ms);
         const std::string priced =
             m.priced_rows > 0 ? ", \"priced_rows\": " + std::to_string(m.priced_rows) : "";
         std::fprintf(f,
                      "    {\"name\": \"%s\", \"reference\": \"%s\", "
-                     "\"reference_ms\": %.4g, \"kernel_ms\": %.4g, \"speedup\": %.4g, "
+                     "\"reference_ms\": %.4g, \"reference_q1_ms\": %.4g, "
+                     "\"reference_q3_ms\": %.4g, \"kernel_ms\": %.4g, "
+                     "\"kernel_q1_ms\": %.4g, \"kernel_q3_ms\": %.4g, \"speedup\": %.4g, "
                      "\"bit_identical\": %s%s}%s\n",
-                     m.name.c_str(), m.reference.c_str(), m.reference_ms, m.kernel_ms,
-                     m.reference_ms / m.kernel_ms, m.identical ? "true" : "false",
+                     m.name.c_str(), m.reference.c_str(), reference.median, reference.q1,
+                     reference.q3, kernel.median, kernel.q1, kernel.q3,
+                     reference.median / kernel.median, m.identical ? "true" : "false",
                      priced.c_str(), i + 1 < market.size() ? "," : "");
     }
     std::fprintf(f, "  ]},\n");

@@ -415,8 +415,9 @@ void write_ledger(const std::string& path, const std::vector<ScaleRow>& rows,
         }
     }
     const auto scalar = [&text](const char* key, const std::string& value) {
-        text = util::splice_ledger_section(std::move(text), key,
-                                           "\"" + std::string(key) + "\": " + value);
+        std::string entry(1, '"');
+        entry.append(key).append("\": ").append(value);
+        text = util::splice_ledger_section(std::move(text), key, entry);
     };
     scalar("smoke", smoke ? "true" : "false");
     scalar("hardware_threads", std::to_string(std::thread::hardware_concurrency()));

@@ -23,9 +23,10 @@ namespace fmore::ml {
 
 namespace {
 
-/// Register-block width along j. 16 floats = 2-4 SIMD registers on
-/// SSE/AVX/NEON; with the 4-row i-block below the hot loop keeps 8-16
-/// vector accumulators live, enough to hide FMA latency.
+/// Register-block width along j. 16 floats = one zmm register on AVX-512
+/// (the build's width where the host has it), two ymm on AVX, four xmm on
+/// SSE/NEON; with the 4-row i-block below the hot loop keeps 4-16 vector
+/// accumulators live, enough to hide FMA latency.
 constexpr std::size_t kNR = 16;
 /// Register-block height along i.
 constexpr std::size_t kMR = 4;
