@@ -189,7 +189,6 @@ MatrixRow run_plan(const PlanSpec& plan_spec, const Market& market, std::size_t 
     if (plan_spec.plan[0] != '\0')
         sup.faults = util::FaultInjector::from_spec(plan_spec.plan);
     sup.max_respawns = kMaxRespawns;
-    sup.respawn_backoff_s = 0.0;  // eligible again at the next round boundary
 
     const auction::WinnerDeterminationConfig wd = wire_config();
     mec::ProcessShardAggregator faulty(make_store(n, market, seed), *market.scoring,

@@ -105,8 +105,7 @@ public:
     void ingest(const ShardHead& head);
 
     /// Fold ONE head row (with its `dims`-wide quality vector) into the
-    /// running merge — the row-granular feed the cross-process streaming
-    /// round uses as head chunks land on the wire.
+    /// running merge; `ingest` feeds a whole head through it row by row.
     void ingest_row(const HeadRow& row, const double* quality);
 
     /// True when no row scoring `score` can enter: the merge is full and

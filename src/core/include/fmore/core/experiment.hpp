@@ -124,13 +124,6 @@ struct AuctionSpec {
     /// the same plan into its workers, so a scenario replays bit-exactly
     /// in either world. Empty disables. Requires shards > 1.
     std::string fault_plan;
-    /// Supervisor: base delay before an evicted shard worker is re-forked;
-    /// doubles per consecutive respawn (capped). 0 respawns at the next
-    /// round boundary. Cross-process aggregator only.
-    double shard_respawn_backoff_s = 0.0;
-    /// Supervisor: respawn budget per shard worker; 0 keeps eviction
-    /// permanent. Cross-process aggregator only.
-    std::size_t shard_max_respawns = 0;
     /// Fail-fast quorum: a round that ends with fewer live shards throws
     /// instead of silently shrinking the market; 0 disables.
     std::size_t shard_quorum = 0;

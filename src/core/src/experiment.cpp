@@ -205,11 +205,8 @@ std::vector<std::string> validate(const ExperimentSpec& spec) {
                    "sharded market (shards > 1); coordinator-only plans "
                    "(ckill/ckill_mid) are exempt");
     }
-    if (bad(auc.shard_respawn_backoff_s) || auc.shard_respawn_backoff_s < 0.0)
-        fail("auction.shard_respawn_backoff_s = " + num(auc.shard_respawn_backoff_s)
-             + ": must be finite and >= 0 (0 respawns at the next round boundary)");
-    if ((auc.shard_max_respawns > 0 || auc.shard_quorum > 0) && auc.shards <= 1)
-        fail("auction.shard_max_respawns/shard_quorum set with auction.shards = "
+    if (auc.shard_quorum > 0 && auc.shards <= 1)
+        fail("auction.shard_quorum set with auction.shards = "
              + std::to_string(auc.shards)
              + ": shard supervision needs a sharded market (shards > 1)");
     if (auc.shard_quorum > auc.shards)
@@ -540,9 +537,6 @@ const std::vector<Field>& fields() {
         Field{"auction.fault_plan",
               [](const ExperimentSpec& s) { return s.auction.fault_plan; },
               [](ExperimentSpec& s, const std::string& v) { s.auction.fault_plan = v; }},
-        FMORE_FIELD_DOUBLE("auction.shard_respawn_backoff_s",
-                           auction.shard_respawn_backoff_s),
-        FMORE_FIELD_SIZE("auction.shard_max_respawns", auction.shard_max_respawns),
         FMORE_FIELD_SIZE("auction.shard_quorum", auction.shard_quorum),
         Field{"auction.full_scoreboard",
               [](const ExperimentSpec& s) {

@@ -199,38 +199,34 @@ ScenarioRegistry::ScenarioRegistry() : impl_(std::make_shared<Impl>()) {
     };
     add_builtin("faults/churn",
         "Sharded market under worker churn: 8% crash rate per shard-round "
-        "(seeded, replayable), respawn budget 4 per shard at the next round "
-        "boundary, quorum 2 — rounds degrade to the live shards and "
-        "recover; below quorum the round fails fast",
+        "(seeded, replayable), quorum 2. A crashed shard drops out of that "
+        "round and rejoins the next; below quorum the round fails fast",
         [faults_preset] {
             ExperimentSpec spec = faults_preset();
             spec.auction.fault_plan = "seed=11,crash=0.08";
-            spec.auction.shard_max_respawns = 4;
-            spec.auction.shard_respawn_backoff_s = 0.0;
             spec.auction.shard_quorum = 2;
             return spec;
         });
     add_builtin("faults/corrupt",
         "Sharded market under wire corruption: 10% bit-flipped and 5% "
-        "self-described-short head frames. Checksums catch every one; the "
-        "aggregator re-requests once and the clean resend is consumed — "
-        "corrupt bytes never reach the merge (see ShardHealth counters)",
+        "self-described-short head frames. These have no in-process "
+        "analogue, so an in-process run is the clean market; the forked "
+        "workers' checksums and resends under this plan are "
+        "bench/fault_matrix's corrupt row",
         [faults_preset] {
             ExperimentSpec spec = faults_preset();
             spec.auction.fault_plan = "seed=13,corrupt=0.1,truncate=0.05";
-            spec.auction.shard_max_respawns = 2;
             return spec;
         });
     add_builtin("faults/flaky",
         "Sharded market under flaky latency: 10% stalls (2 s, past the "
-        "0.5 s deadline — evicted then respawned with 0.1 s backoff) and "
-        "20% delays (0.1 s, within it — absorbed without degradation)",
+        "0.5 s deadline — the shard drops out of that round and rejoins the "
+        "next) and 20% delays (0.1 s, within it — absorbed without "
+        "degradation)",
         [faults_preset] {
             ExperimentSpec spec = faults_preset();
             spec.auction.fault_plan =
                 "seed=12,stall=0.1,stall_s=2,delay=0.2,delay_s=0.1";
-            spec.auction.shard_max_respawns = 8;
-            spec.auction.shard_respawn_backoff_s = 0.1;
             return spec;
         });
     // Streaming-market presets: the testbed auction as a long-lived

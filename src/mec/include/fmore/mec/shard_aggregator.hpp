@@ -3,24 +3,20 @@
 /// @file shard_aggregator.hpp
 /// Multi-process shard market: S forked worker processes, each owning one
 /// contiguous shard of the population, speaking the checksummed frame
-/// protocol of wire_format.hpp with the aggregator. Per BATCH round
-/// (`run_round`) the wire carries
+/// protocol of wire_format.hpp with the aggregator. Every round, batch
+/// (`run_round`) or streaming (`run_streaming_round`), carries
 ///  - down: one `request` frame (round, K, drift salt, tie salt, head
 ///    limit, newly banned global node ids);
 ///  - up: one `head` frame — the shard's `ShardHead`, at most
 ///    `ranking_cutoff` rows, i.e. K(+1) rows per shard, NOT N bids.
-/// A STREAMING round (`run_streaming_round`) replaces the reply with a
-/// head STREAM: the request additionally ships an 8-byte arrival salt, the
-/// arrival horizon and the coordinator-resolved close cut
-/// (`stream_round.hpp` — arrival times are pure in (salt, global id), so
-/// the coordinator resolves the deadline/quorum trigger before any head
-/// byte moves); each worker filters its bids against the cut and streams
-/// its head back in `head_rows` chunks closed by a `head_done`, and the
-/// coordinator folds chunks from ALL shards concurrently (one poll loop)
-/// into an `auction::StreamingHeadMerge` as they land — no whole-shard
-/// blocking. The close reason/time and the merged outcome are
-/// bit-identical to the in-process `StreamingMarket`/`StreamingHeadMerge`
-/// composition over the same arrivals.
+/// A streaming round is a batch round whose request (`stream_request`)
+/// also carries an 8-byte arrival salt, the arrival horizon and the
+/// coordinator-resolved close cut (`stream_round.hpp` — arrival times are
+/// pure in (salt, global id), so the coordinator resolves the
+/// deadline/quorum trigger before any head byte moves); each worker filters
+/// its bids against the cut before it builds its head. The close
+/// reason/time and the merged outcome are bit-identical to the in-process
+/// `StreamingMarket` composition over the same arrivals.
 /// Everything else a round needs is position-independent by construction:
 /// drift streams are keyed by (salt, global id) and `TieBreak::salted`
 /// tie-break keys by (salt, global id), so 24 bytes of salts replace both
@@ -32,24 +28,24 @@
 /// whose coordinator needs only the bounded heads. Everything else belongs
 /// in the in-process `ShardedAuctionSelector`.
 ///
-/// Failure semantics (the supervisor):
+/// Failure semantics (the supervisor), the same for both round kinds:
+///  - One deadline per round, `shard_timeout_s` from the moment the
+///    requests ship; the heads are read in one poll loop as they land, so
+///    a round ends within the deadline however many workers stall.
 ///  - A corrupt-but-framed reply (payload checksum mismatch — e.g. a
 ///    bit-flipped or self-described-short frame) is NEVER consumed; the
 ///    aggregator re-requests it ONCE (`resend`), then evicts.
-///  - A shard that misses `shard_timeout_s`, dies (EOF), or desyncs the
-///    stream (corrupt header) is evicted — SIGKILLed, pipes closed,
-///    reported in `last_dropped_shards()` — and the round completes over
-///    the responsive shards' heads.
+///  - A shard that misses the deadline, dies (EOF), or desyncs the stream
+///    (corrupt header) is evicted — SIGKILLed, pipes closed, reported in
+///    `last_dropped_shards()` — and the round completes over the
+///    responsive shards' heads.
 ///  - With `ShardSupervisorConfig::max_respawns > 0` eviction is no longer
-///    permanent: the supervisor re-forks the worker from the pristine
-///    shard under capped exponential ROUND-INDEXED backoff (the respawn
-///    round is a pure function of the eviction round and the shard's
-///    respawn count — never of wall-clock time, which stays confined to
-///    the real-time read deadline) and re-syncs it with one
-///    `sync` frame (the full drift-salt history and ban list). Because
-///    drift is keyed by (salt, global id), replaying the salts reproduces
-///    the shard state bit-exactly — a rejoined shard's heads are
-///    indistinguishable from one that never died.
+///    permanent: at the next round boundary the supervisor re-forks the
+///    worker from the pristine shard and re-syncs it with one `sync` frame
+///    (the full drift-salt history and ban list). Because drift is keyed
+///    by (salt, global id), replaying the salts reproduces the shard state
+///    bit-exactly — a rejoined shard's heads are indistinguishable from
+///    one that never died.
 ///  - A round whose live-shard count falls below
 ///    `ShardSupervisorConfig::min_live_shards` throws instead of silently
 ///    shrinking the market.
@@ -81,14 +77,9 @@ using ShardHealth = fl::ShardHealth;
 
 /// Supervision policy of the cross-process market.
 struct ShardSupervisorConfig {
-    /// Base respawn backoff after an eviction, in ROUND BOUNDARIES to sit
-    /// out (ceil'd): doubles per consecutive respawn of the same shard,
-    /// capped at 64x. 0 respawns at the next round boundary. Keyed to the
-    /// round index — not wall-clock — so a fault plan replays the same
-    /// respawn schedule run-to-run regardless of machine load.
-    double respawn_backoff_s = 0.0;
-    /// Respawn budget per shard; 0 keeps the legacy permanent-eviction
-    /// behaviour. A shard that exhausts its budget is retired.
+    /// Respawn budget per shard; 0 keeps eviction permanent. An evicted
+    /// worker with budget left is re-forked at the next round boundary; a
+    /// shard that exhausts its budget is retired.
     std::size_t max_respawns = 0;
     /// Fail-fast quorum: a round ending with fewer live shards throws
     /// std::runtime_error; 0 disables.
@@ -143,9 +134,10 @@ public:
     ProcessShardAggregator(const ProcessShardAggregator&) = delete;
     ProcessShardAggregator& operator=(const ProcessShardAggregator&) = delete;
 
-    /// One market round: respawn eligible evicted workers, request heads
-    /// from every live worker, evict the ones that miss the deadline or
-    /// fail verification twice, merge the rest, select and price.
+    /// One market round: respawn evicted workers with budget left, request
+    /// heads from every live worker, evict the ones that miss the round's
+    /// deadline or fail verification twice, merge the rest, select and
+    /// price.
     /// Consumes the same generator draws as the monolithic salted round
     /// (one drift salt when round > 1, one tie salt); the returned outcome
     /// is owned by the aggregator and overwritten next round. Rounds must
@@ -167,22 +159,17 @@ public:
         std::size_t quorum = 0;
         /// Width of the uniform arrival window bids are drawn over.
         double arrival_horizon_s = 1.0;
-        /// Head rows per `head_rows` frame a worker streams.
-        std::size_t chunk_rows = 8;
     };
 
     /// One STREAMING market round: resolve the deadline/quorum close over
-    /// the salted arrival clock, ship the cut with the requests, and fold
-    /// every worker's `head_rows` stream into an incremental
-    /// `StreamingHeadMerge` as chunks land (all shards concurrently —
-    /// corrupt chunks are re-requested once, failing shards are evicted
-    /// and the merge is rebuilt over the survivors). Consumes one drift
-    /// salt (round > 1), one tie salt and one arrival salt from `rng`;
-    /// the outcome and the close telemetry are bit-identical to the
-    /// in-process StreamingMarket/StreamingHeadMerge composition over the
-    /// same arrivals.
-    /// @throws std::invalid_argument on a non-positive arrival horizon or
-    ///         chunk size
+    /// the salted arrival clock, ship the cut with the requests, and run
+    /// the rest exactly as `run_round` does — one head per worker under
+    /// one deadline, one bounded retry, eviction and merge. Consumes one
+    /// drift salt (round > 1), one tie salt and one arrival salt from
+    /// `rng`; the outcome and the close telemetry are bit-identical to the
+    /// in-process StreamingMarket composition over the same arrivals.
+    /// @throws std::invalid_argument on a non-positive or infinite arrival
+    ///         horizon, or a negative or infinite deadline
     /// @throws std::runtime_error when live shards fall below the quorum
     [[nodiscard]] const auction::AuctionOutcome& run_streaming_round(
         std::size_t round, std::size_t k, const StreamRoundPolicy& policy,

@@ -20,8 +20,8 @@
 /// same trigger semantics as `auction::StreamingMarket` — before a single
 /// head row crosses the wire, and ship the resulting cut (close time plus a
 /// lexicographic boundary node) down with the request. Workers filter their
-/// arrived rows against that cut; the coordinator folds the returned head
-/// streams into `auction::StreamingHeadMerge` as they land.
+/// arrived rows against that cut; the coordinator merges the returned heads
+/// exactly as it merges a batch round's.
 
 #include <cstdint>
 

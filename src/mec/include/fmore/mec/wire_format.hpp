@@ -37,12 +37,11 @@ namespace fmore::mec::wire {
 
 inline constexpr std::uint32_t kMagic = 0x464d4f52u;  // "FMOR"
 
-/// Frame types. Downlink: request, sync, stream_request, resend. Uplink:
-/// head, head_rows, head_done, nack. `resend` asks a worker to repeat
-/// uplink bytes after a payload-checksum failure: with an empty payload it
-/// means "repeat your last whole head" (batch rounds); with an 8-byte
-/// chunk index it means "repeat your head stream from that chunk on,
-/// head_done included" (streaming rounds).
+/// Frame types. Downlink: request, stream_request, sync, resend. Uplink:
+/// head, nack. Both request types are answered with one `head` frame.
+/// `resend` (empty payload) asks a worker to repeat its last head after a
+/// payload-checksum failure; `nack` asks the aggregator to repeat its last
+/// request.
 enum class FrameType : std::uint32_t {
     request = 1,  ///< round request + newly banned ids
     sync = 2,     ///< respawn re-sync: full salt history + full ban list
@@ -50,14 +49,8 @@ enum class FrameType : std::uint32_t {
     resend = 4,   ///< "your last head frame was corrupt, send it again"
     nack = 5,     ///< "your frame was corrupt, send the request again"
     /// Streaming round request: the batch request fields plus the arrival
-    /// salt/horizon and the coordinator-resolved close cut; the worker
-    /// answers with a head_rows stream instead of one head frame.
+    /// salt/horizon and the coordinator-resolved close cut.
     stream_request = 6,
-    /// One chunk of a streaming round's shard head: u64 chunk index, then
-    /// ShardHead wire bytes holding that chunk's rows.
-    head_rows = 7,
-    /// End of a shard's head stream: u64 total chunk count.
-    head_done = 8,
 };
 
 struct FrameHeader {
@@ -236,7 +229,6 @@ struct StreamExtra {
     double horizon_s = 0.0;
     double close_time_s = 0.0;
     std::uint64_t boundary_node = kStreamBoundaryAny;
-    std::uint64_t chunk_rows = 0;
 };
 
 /// `count` u64 values packed back to back inside a decoded payload, not

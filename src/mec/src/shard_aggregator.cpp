@@ -76,10 +76,6 @@ struct ProcessShardAggregator::Impl {
         bool alive = false;
         bool retired = false;  ///< respawn budget exhausted — permanent
         std::size_t respawns = 0;
-        /// First round index this worker may be re-forked at. Keyed to the
-        /// ROUND counter, not wall-clock, so a fault plan's respawn
-        /// schedule replays identically run-to-run under any machine load.
-        std::size_t resume_round = 0;
     };
     std::vector<Worker> workers;
     /// Fork sources for respawn: the pristine round-0 shards, narrowed to
@@ -99,14 +95,13 @@ struct ProcessShardAggregator::Impl {
     std::size_t dead = 0;
     ShardHealth last_health;
     ShardHealth lifetime;
-    /// Round being assembled — the eviction backoff's time base.
-    std::size_t current_round = 0;
     /// Close telemetry of the most recent streaming round.
     StreamCloseDecision last_close;
 
     std::unique_ptr<auction::Mechanism> mechanism;
     std::size_t mechanism_k = static_cast<std::size_t>(-1);
     const auction::ScoreAuctionMechanism* engine = nullptr;
+    std::vector<std::uint8_t> request;  ///< this round's request payload
     std::vector<auction::ShardHead> heads;
     auction::RankScratch scratch;
     auction::AuctionOutcome outcome;
@@ -130,21 +125,11 @@ struct ProcessShardAggregator::Impl {
         w.resp_fd = -1;
     }
 
-    /// Round boundaries an evicted shard sits out before re-forking:
-    /// ceil(backoff * 2^min(respawns, 6)). A pure function of the config
-    /// and the shard's respawn count — the respawn schedule is part of the
-    /// deterministic replay, unlike the wall-clock delay it replaces.
-    std::size_t backoff_rounds(std::size_t attempt) const {
-        if (!(sup.respawn_backoff_s > 0.0)) return 0;
-        const double factor = static_cast<double>(1u << std::min<std::size_t>(attempt, 6));
-        return static_cast<std::size_t>(std::ceil(sup.respawn_backoff_s * factor));
-    }
-
     void evict(std::size_t s) {
         Worker& w = workers[s];
         if (!w.alive) return;
         // A half-read pipe cannot be resynchronized mid-round: kill, close,
-        // reap. The supervisor may re-fork the shard at a later round
+        // reap. The supervisor may re-fork the shard at the next round
         // boundary and re-sync it from the salt history.
         if (w.pid > 0) {
             ::kill(w.pid, SIGKILL);
@@ -156,13 +141,19 @@ struct ProcessShardAggregator::Impl {
         w.pid = -1;
         ++dead;
         ++last_health.evictions;
-        if (sup.max_respawns > 0)
-            w.resume_round = current_round + 1 + backoff_rounds(w.respawns);
     }
 
-    /// Supervisor pass at a round boundary: re-fork eligible evicted
-    /// workers and re-sync them from the salt history + ban list.
-    void respawn_pass(std::size_t round) {
+    /// Evicts worker `s` for this round: it contributes no head.
+    void drop(std::size_t s) {
+        heads[s].clear();
+        evict(s);
+        last_dropped.push_back(s);
+    }
+
+    /// Supervisor pass at a round boundary: re-fork every evicted worker
+    /// with respawn budget left and re-sync it from the salt history + ban
+    /// list.
+    void respawn_pass() {
         if (sup.max_respawns == 0) return;
         for (std::size_t s = 0; s < workers.size(); ++s) {
             Worker& w = workers[s];
@@ -171,7 +162,6 @@ struct ProcessShardAggregator::Impl {
                 w.retired = true;
                 continue;
             }
-            if (round < w.resume_round) continue;
             // The child moves its own pristine split; the others stay out
             // of its fork.
             std::vector<util::ByteRange> others;
@@ -199,6 +189,14 @@ struct ProcessShardAggregator::Impl {
     bool spawn(std::size_t s, const std::vector<util::ByteRange>& hide,
                const MakeShard& make_shard);
     bool sync_worker(std::size_t s);
+
+    /// The round pipeline both entry points feed, after each has drawn its
+    /// salts into `req` (and resolved the close cut into `extra` when
+    /// streaming; null for a batch round).
+    const auction::AuctionOutcome& run(const auction::ScoreAuctionMechanism& round_engine,
+                                       RoundRequest req, const StreamExtra* extra,
+                                       stats::Rng& rng);
+    void collect_heads(FrameType request_type);
 
     const auction::ScoreAuctionMechanism* engine_for(std::size_t k) {
         if (!mechanism || mechanism_k != k) {
@@ -244,21 +242,11 @@ namespace {
         }
     };
     auction::ShardHead head;
-    auction::ShardHead chunk;
     std::vector<const double*> columns;
     auction::StreamingHeadMerge head_merge;
     std::vector<std::uint8_t> payload;
     std::vector<std::uint8_t> clean;      ///< last good head bytes (resend)
     std::vector<std::uint8_t> corrupted;  ///< bit_flip scratch
-    /// Streaming rounds: the clean wire bytes of every head chunk, kept
-    /// until the next round so any chunk (and the tail of the stream) can
-    /// answer a resend.
-    std::vector<std::vector<std::uint8_t>> chunk_clean;
-
-    const auto send_head_done = [&](int fd) {
-        const std::uint64_t total = chunk_clean.size();
-        return wire::write_frame(fd, FrameType::head_done, &total, sizeof(total));
-    };
 
     for (;;) {
         FrameHeader h;
@@ -289,23 +277,10 @@ namespace {
         }
 
         if (h.type == static_cast<std::uint32_t>(FrameType::resend)) {
-            // The aggregator rejected uplink bytes; the cached clean copies
-            // answer it (any injected wire fault fired on the first
-            // transmission only). An 8-byte payload is a streaming-round
-            // chunk index: replay the stream from that chunk on, head_done
-            // included. Empty is the batch whole-head resend.
-            if (payload.size() == sizeof(std::uint64_t)) {
-                std::uint64_t from = 0;
-                std::memcpy(&from, payload.data(), sizeof(from));
-                for (std::uint64_t c = from; c < chunk_clean.size(); ++c) {
-                    if (!wire::write_frame(resp_fd, FrameType::head_rows,
-                                           chunk_clean[c].data(),
-                                           chunk_clean[c].size()))
-                        ::_exit(0);
-                }
-                if (!send_head_done(resp_fd)) ::_exit(0);
-                continue;
-            }
+            // The aggregator rejected the head; the cached clean copy
+            // answers it (an injected wire fault fires on the first
+            // transmission only).
+            if (!payload.empty()) ::_exit(2);
             if (!wire::write_frame(resp_fd, FrameType::head, clean.data(),
                                    clean.size()))
                 ::_exit(0);
@@ -334,64 +309,14 @@ namespace {
         // Streaming rounds keep only the bids inside the coordinator-resolved
         // close cut: a bid outside (close_time, boundary) never made the
         // round. Arrival times are pure in (salt, global id), so this is the
-        // same arrived set every other party computes.
+        // same arrived set every other party computes. Both request types
+        // are answered with one `head` frame.
         auction::TieKeys keys;
         keys.salted = true;
         keys.salt = req.tie_salt;
         collect_head_rows(shard, layout, strategy, scoring, strategy_scores_broadcast_rule,
                           payment_method, banned, streaming ? &extra : nullptr, keys,
                           req.limit, columns, head_merge, head);
-
-        if (streaming) {
-            // Stream the head back in bounded `head_rows` chunks, each a
-            // chunk index plus the ShardHead wire bytes of its row slice,
-            // closed by a `head_done`. Clean bytes are cached per chunk so
-            // a corrupt transmission is recoverable chunk-by-chunk.
-            const std::size_t per = extra.chunk_rows == 0
-                                        ? head.rows.size()
-                                        : static_cast<std::size_t>(extra.chunk_rows);
-            chunk_clean.clear();
-            for (std::size_t at = 0; at < head.rows.size(); at += per) {
-                const std::size_t take = std::min(per, head.rows.size() - at);
-                chunk.clear();
-                chunk.dims = head.dims;
-                chunk.rows.assign(head.rows.begin() + at,
-                                  head.rows.begin() + at + take);
-                chunk.quality.assign(head.quality.begin() + at * head.dims,
-                                     head.quality.begin() + (at + take) * head.dims);
-                std::vector<std::uint8_t> bytes;
-                append_u64(bytes, chunk_clean.size());
-                chunk.serialize(bytes);
-                chunk_clean.push_back(std::move(bytes));
-            }
-            // Wire faults corrupt the FIRST chunk's transmission only —
-            // the checksum must catch it and the chunk-level resend must
-            // recover it without disturbing the rest of the stream.
-            bool sent = true;
-            for (std::size_t c = 0; c < chunk_clean.size() && sent; ++c) {
-                const std::vector<std::uint8_t>& bytes = chunk_clean[c];
-                if (c == 0 && fault.kind == util::FaultKind::truncated_write
-                    && bytes.size() >= 2) {
-                    sent = wire::write_frame_raw(
-                        resp_fd, FrameType::head_rows, bytes.data(),
-                        bytes.size() / 2, wire::crc32(bytes.data(), bytes.size()));
-                } else if (c == 0 && fault.kind == util::FaultKind::bit_flip
-                           && !bytes.empty()) {
-                    corrupted = bytes;
-                    corrupted[req.round % corrupted.size()] ^= 0x01;
-                    sent = wire::write_frame_raw(
-                        resp_fd, FrameType::head_rows, corrupted.data(),
-                        corrupted.size(), wire::crc32(bytes.data(), bytes.size()));
-                } else {
-                    sent = wire::write_frame(resp_fd, FrameType::head_rows,
-                                             bytes.data(), bytes.size());
-                }
-            }
-            if (sent) sent = send_head_done(resp_fd);
-            if (!sent) ::_exit(0);
-            continue;
-        }
-
         clean.clear();
         head.serialize(clean);
 
@@ -540,10 +465,6 @@ ProcessShardAggregator::ProcessShardAggregator(
             "ProcessShardAggregator: min_live_shards = "
             + std::to_string(impl_->sup.min_live_shards) + " exceeds num_shards = "
             + std::to_string(num_shards));
-    if (!(impl_->sup.respawn_backoff_s >= 0.0)
-        || std::isinf(impl_->sup.respawn_backoff_s))
-        throw std::invalid_argument(
-            "ProcessShardAggregator: respawn_backoff_s must be finite and >= 0");
     impl_->timeout_s = shard_timeout_s;
     impl_->n = store.size();
     impl_->strategy_scores_broadcast_rule =
@@ -610,19 +531,159 @@ ProcessShardAggregator::~ProcessShardAggregator() {
     }
 }
 
+const auction::AuctionOutcome& ProcessShardAggregator::Impl::run(
+    const auction::ScoreAuctionMechanism& round_engine, RoundRequest req,
+    const StreamExtra* extra, stats::Rng& rng) {
+    last_health = ShardHealth{};
+    last_dropped.clear();
+    // Supervisor pass: re-fork evicted workers with budget left and re-sync
+    // them from the salt history + ban list, before this round's drift salt
+    // joins the history (the request carries it).
+    respawn_pass();
+    if (req.round > 1) salt_history.push_back(req.evolve_salt);
+
+    // The request payload: the fixed part, the stream cut when streaming,
+    // then the ids banned since the last request.
+    req.num_banned = pending_bans.size();
+    const std::size_t fixed = sizeof(req) + (extra != nullptr ? sizeof(*extra) : 0);
+    const std::size_t ban_bytes = pending_bans.size() * sizeof(auction::NodeId);
+    request.resize(fixed + ban_bytes);
+    std::memcpy(request.data(), &req, sizeof(req));
+    if (extra != nullptr) std::memcpy(request.data() + sizeof(req), extra, sizeof(*extra));
+    if (ban_bytes > 0) std::memcpy(request.data() + fixed, pending_bans.data(), ban_bytes);
+    all_bans.insert(all_bans.end(), pending_bans.begin(), pending_bans.end());
+    pending_bans.clear();
+    const FrameType type = extra != nullptr ? FrameType::stream_request : FrameType::request;
+
+    // Ship all requests first so workers overlap, then collect the heads.
+    for (std::size_t s = 0; s < workers.size(); ++s) {
+        heads[s].clear();
+        if (!workers[s].alive) {
+            last_dropped.push_back(s);  // evicted or retired: no head
+            continue;
+        }
+        if (!wire::write_frame(workers[s].req_fd, type, request.data(), request.size()))
+            drop(s);
+    }
+    collect_heads(type);
+    std::sort(last_dropped.begin(), last_dropped.end());
+
+    std::size_t live = 0;
+    for (const Worker& w : workers) live += w.alive ? 1 : 0;
+    last_health.live_shards = live;
+    lifetime.live_shards = live;
+    lifetime.corrupt_frames += last_health.corrupt_frames;
+    lifetime.frame_retries += last_health.frame_retries;
+    lifetime.evictions += last_health.evictions;
+    lifetime.respawns += last_health.respawns;
+    if (sup.min_live_shards > 0 && live < sup.min_live_shards)
+        throw std::runtime_error(
+            "ProcessShardAggregator: round " + std::to_string(req.round) + ": only "
+            + std::to_string(live) + " of " + std::to_string(workers.size())
+            + " shard workers are live, below the configured quorum of "
+            + std::to_string(sup.min_live_shards)
+            + " (auction.shard_quorum) — raise ShardSupervisorConfig::max_respawns "
+              "or auction.shard_timeout_s, lower the quorum, or investigate the "
+              "evictions recorded in lifetime_health()");
+
+    auction::merge_heads(heads, req.limit, outcome.ranking);
+    round_engine.select_into(outcome.ranking, rng, scratch.chosen);
+    round_engine.price_into(scoring, outcome.ranking, scratch.chosen, outcome.winners);
+    return outcome;
+}
+
+void ProcessShardAggregator::Impl::collect_heads(FrameType request_type) {
+    // One deadline for the whole round, set as the requests ship, and one
+    // poll loop over every worker that still owes its head: a worker that
+    // misses the deadline is evicted whichever workers were read before it,
+    // and one that stalls cannot hold back the heads already in the pipes.
+    const auto deadline =
+        std::chrono::steady_clock::now()
+        + std::chrono::microseconds(static_cast<long long>(timeout_s * 1e6));
+    std::vector<char> owed(workers.size());
+    std::vector<char> retried(workers.size(), 0);
+    for (std::size_t s = 0; s < workers.size(); ++s) owed[s] = workers[s].alive ? 1 : 0;
+    std::vector<std::uint8_t> payload;
+    std::vector<struct pollfd> fds;
+    std::vector<std::size_t> fd_shard;
+    for (;;) {
+        fds.clear();
+        fd_shard.clear();
+        for (std::size_t s = 0; s < workers.size(); ++s) {
+            if (!owed[s]) continue;
+            struct pollfd p;
+            p.fd = workers[s].resp_fd;
+            p.events = POLLIN;
+            p.revents = 0;
+            fds.push_back(p);
+            fd_shard.push_back(s);
+        }
+        if (fds.empty()) return;
+
+        const auto now = std::chrono::steady_clock::now();
+        int ready = 0;
+        if (now < deadline) {
+            const auto left =
+                std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
+            ready = ::poll(fds.data(), fds.size(), static_cast<int>(left.count()) + 1);
+            if (ready < 0 && errno == EINTR) continue;
+        }
+        if (ready <= 0) {
+            // Every head still owed at the deadline is a miss.
+            for (const std::size_t s : fd_shard) drop(s);
+            return;
+        }
+
+        for (std::size_t i = 0; i < fds.size(); ++i) {
+            if (fds[i].revents == 0) continue;
+            const std::size_t s = fd_shard[i];
+            const Worker& w = workers[s];
+            FrameHeader h;
+            const ReadStatus rs = wire::read_frame_deadline(w.resp_fd, h, payload, deadline);
+            if (rs == ReadStatus::ok && h.type == static_cast<std::uint32_t>(FrameType::head)) {
+                try {
+                    auction::ShardHead decoded =
+                        auction::ShardHead::deserialize(payload.data(), payload.size());
+                    if (!decoded.rows.empty() && decoded.dims != layout.size())
+                        throw std::invalid_argument("head dims mismatch");
+                    heads[s] = std::move(decoded);
+                    owed[s] = 0;
+                    continue;
+                } catch (const std::exception&) {
+                    // Checksummed yet malformed — a worker bug, not line
+                    // noise; a retry would resend the same bytes.
+                }
+            } else if (rs == ReadStatus::bad_payload
+                       || (rs == ReadStatus::ok
+                           && h.type == static_cast<std::uint32_t>(FrameType::nack))) {
+                // One bounded retry: a corrupt head is asked for again with
+                // an empty `resend`, a nacked (corrupt) request is shipped
+                // again. A second corruption evicts.
+                ++last_health.corrupt_frames;
+                if (!retried[s]) {
+                    retried[s] = 1;
+                    ++last_health.frame_retries;
+                    const bool resent =
+                        rs == ReadStatus::bad_payload
+                            ? wire::write_frame(w.req_fd, FrameType::resend, nullptr, 0)
+                            : wire::write_frame(w.req_fd, request_type, request.data(),
+                                                request.size());
+                    if (resent) continue;
+                }
+            }
+            // Timeout, EOF, bad header, an unexpected frame, a second
+            // corruption or a failed resend.
+            owed[s] = 0;
+            drop(s);
+        }
+    }
+}
+
 const auction::AuctionOutcome& ProcessShardAggregator::run_round(std::size_t round,
                                                                  std::size_t k,
                                                                  stats::Rng& rng) {
     Impl& impl = *impl_;
     const auction::ScoreAuctionMechanism* engine = impl.engine_for(k);
-    impl.last_health = ShardHealth{};
-    impl.last_dropped.clear();
-    impl.current_round = round;
-
-    // Supervisor pass: re-fork eligible evicted workers and re-sync them
-    // from the salt history + ban list, under capped round-indexed backoff.
-    impl.respawn_pass(round);
-
     // Exactly the monolithic salted round's generator discipline: one
     // drift salt (round > 1), one tie salt — nothing else crosses the wire.
     RoundRequest req;
@@ -630,115 +691,8 @@ const auction::AuctionOutcome& ProcessShardAggregator::run_round(std::size_t rou
     req.k = k;
     req.evolve_salt = round > 1 ? rng.engine()() : 0;
     req.tie_salt = auction::draw_tie_keys(/*salted=*/true, {}, impl.n, rng, impl.scratch).salt;
-    req.num_banned = impl.pending_bans.size();
-    const std::size_t m = impl.n - impl.banned_set.size();
-    req.limit = engine->ranking_cutoff(m);
-    if (round > 1) impl.salt_history.push_back(req.evolve_salt);
-
-    std::vector<std::uint8_t> request;
-    append_bytes(request, &req, sizeof(req));
-    if (!impl.pending_bans.empty())
-        append_bytes(request, impl.pending_bans.data(),
-                     impl.pending_bans.size() * sizeof(auction::NodeId));
-    impl.all_bans.insert(impl.all_bans.end(), impl.pending_bans.begin(),
-                         impl.pending_bans.end());
-    impl.pending_bans.clear();
-
-    // Ship all requests first so workers overlap, then collect responses.
-    for (std::size_t s = 0; s < impl.workers.size(); ++s) {
-        Impl::Worker& w = impl.workers[s];
-        if (!w.alive) {
-            impl.last_dropped.push_back(s);  // dead/backoff/retired: no head
-            continue;
-        }
-        if (!wire::write_frame(w.req_fd, FrameType::request, request.data(),
-                               request.size())) {
-            impl.evict(s);
-            impl.last_dropped.push_back(s);
-        }
-    }
-
-    std::vector<std::uint8_t> payload;
-    for (std::size_t s = 0; s < impl.workers.size(); ++s) {
-        impl.heads[s].clear();
-        Impl::Worker& w = impl.workers[s];
-        if (!w.alive) continue;
-        const auto deadline =
-            std::chrono::steady_clock::now()
-            + std::chrono::microseconds(
-                static_cast<long long>(impl.timeout_s * 1e6));
-        // One bounded retry: a corrupt-but-framed reply (bad payload CRC,
-        // or a nack for a corrupt request) is re-requested once; any second
-        // failure — or an unframed one (timeout, EOF, bad header) — evicts.
-        bool retried = false;
-        bool got_head = false;
-        while (!got_head) {
-            FrameHeader h;
-            const ReadStatus rs =
-                wire::read_frame_deadline(w.resp_fd, h, payload, deadline);
-            if (rs == ReadStatus::ok
-                && h.type == static_cast<std::uint32_t>(FrameType::head)) {
-                try {
-                    auction::ShardHead decoded =
-                        auction::ShardHead::deserialize(payload.data(), payload.size());
-                    if (!decoded.rows.empty() && decoded.dims != impl.layout.size())
-                        throw std::invalid_argument("head dims mismatch");
-                    impl.heads[s] = std::move(decoded);
-                    got_head = true;
-                    continue;
-                } catch (const std::exception&) {
-                    // Checksummed yet malformed — a worker bug, not line
-                    // noise; a retry would resend the same bytes.
-                    break;
-                }
-            }
-            if (rs == ReadStatus::bad_payload
-                || (rs == ReadStatus::ok
-                    && h.type == static_cast<std::uint32_t>(FrameType::nack))) {
-                ++impl.last_health.corrupt_frames;
-                if (!retried) {
-                    retried = true;
-                    ++impl.last_health.frame_retries;
-                    const bool resent =
-                        rs == ReadStatus::bad_payload
-                            ? wire::write_frame(w.req_fd, FrameType::resend, nullptr, 0)
-                            : wire::write_frame(w.req_fd, FrameType::request,
-                                                request.data(), request.size());
-                    if (resent) continue;
-                }
-            }
-            break;  // timeout, EOF, bad header, second corruption, ...
-        }
-        if (!got_head) {
-            impl.evict(s);
-            impl.last_dropped.push_back(s);
-        }
-    }
-    std::sort(impl.last_dropped.begin(), impl.last_dropped.end());
-
-    std::size_t live = 0;
-    for (const Impl::Worker& w : impl.workers) live += w.alive ? 1 : 0;
-    impl.last_health.live_shards = live;
-    impl.lifetime.live_shards = live;
-    impl.lifetime.corrupt_frames += impl.last_health.corrupt_frames;
-    impl.lifetime.frame_retries += impl.last_health.frame_retries;
-    impl.lifetime.evictions += impl.last_health.evictions;
-    impl.lifetime.respawns += impl.last_health.respawns;
-    if (impl.sup.min_live_shards > 0 && live < impl.sup.min_live_shards)
-        throw std::runtime_error(
-            "ProcessShardAggregator: round " + std::to_string(round) + ": only "
-            + std::to_string(live) + " of " + std::to_string(impl.workers.size())
-            + " shard workers are live, below the configured quorum of "
-            + std::to_string(impl.sup.min_live_shards)
-            + " (auction.shard_quorum) — raise auction.shard_max_respawns / "
-              "auction.shard_timeout_s, lower the quorum, or investigate the "
-              "evictions recorded in lifetime_health()");
-
-    auction::merge_heads(impl.heads, req.limit, impl.outcome.ranking);
-    engine->select_into(impl.outcome.ranking, rng, impl.scratch.chosen);
-    engine->price_into(impl.scoring, impl.outcome.ranking, impl.scratch.chosen,
-                       impl.outcome.winners);
-    return impl.outcome;
+    req.limit = engine->ranking_cutoff(impl.n - impl.banned_set.size());
+    return impl.run(*engine, req, nullptr, rng);
 }
 
 const auction::AuctionOutcome& ProcessShardAggregator::run_streaming_round(
@@ -754,10 +708,6 @@ const auction::AuctionOutcome& ProcessShardAggregator::run_streaming_round(
         throw std::invalid_argument(
             "ProcessShardAggregator: deadline_s must be finite and >= 0");
     const auction::ScoreAuctionMechanism* engine = impl.engine_for(k);
-    impl.last_health = ShardHealth{};
-    impl.last_dropped.clear();
-    impl.current_round = round;
-    impl.respawn_pass(round);
 
     // The streaming round's generator discipline: one drift salt
     // (round > 1), one tie salt, one arrival salt — the in-process twin
@@ -768,7 +718,6 @@ const auction::AuctionOutcome& ProcessShardAggregator::run_streaming_round(
     req.evolve_salt = round > 1 ? rng.engine()() : 0;
     req.tie_salt = auction::draw_tie_keys(/*salted=*/true, {}, impl.n, rng, impl.scratch).salt;
     const std::uint64_t arrival_salt = rng.engine()();
-    if (round > 1) impl.salt_history.push_back(req.evolve_salt);
 
     // Arrival times are independent of bid values, so the close trigger is
     // resolved HERE, before any head byte moves — and the cut rides the
@@ -778,240 +727,13 @@ const auction::AuctionOutcome& ProcessShardAggregator::run_streaming_round(
                              policy.arrival_horizon_s, policy.deadline_s,
                              policy.quorum);
     req.limit = engine->ranking_cutoff(impl.last_close.arrived);
-    req.num_banned = impl.pending_bans.size();
 
     StreamExtra extra;
     extra.arrival_salt = arrival_salt;
     extra.horizon_s = policy.arrival_horizon_s;
     extra.close_time_s = impl.last_close.close_time_s;
     extra.boundary_node = impl.last_close.boundary_node;
-    extra.chunk_rows = policy.chunk_rows;
-
-    std::vector<std::uint8_t> request;
-    append_bytes(request, &req, sizeof(req));
-    append_bytes(request, &extra, sizeof(extra));
-    if (!impl.pending_bans.empty())
-        append_bytes(request, impl.pending_bans.data(),
-                     impl.pending_bans.size() * sizeof(auction::NodeId));
-    impl.all_bans.insert(impl.all_bans.end(), impl.pending_bans.begin(),
-                         impl.pending_bans.end());
-    impl.pending_bans.clear();
-
-    for (std::size_t s = 0; s < impl.workers.size(); ++s) {
-        Impl::Worker& w = impl.workers[s];
-        impl.heads[s].clear();  // per-shard fold accumulator (merge rebuilds)
-        if (!w.alive) {
-            impl.last_dropped.push_back(s);
-            continue;
-        }
-        if (!wire::write_frame(w.req_fd, FrameType::stream_request,
-                               request.data(), request.size())) {
-            impl.evict(s);
-            impl.last_dropped.push_back(s);
-        }
-    }
-
-    // Fold every worker's chunk stream into the incremental merge AS THE
-    // FRAMES LAND, all shards concurrently — one poll loop over the live
-    // response pipes, one frame consumed per readiness. The merge's top-K
-    // kept set is order-independent, so interleaving across shards (and
-    // out-of-order resent tails) finishes bit-identically to whole-head
-    // merging.
-    const std::size_t dims = impl.layout.size();
-    auction::StreamingHeadMerge merge;
-    merge.open(dims, req.limit);
-
-    const auto fold_chunk = [&](std::size_t s, const auction::ShardHead& c) {
-        auction::ShardHead& acc = impl.heads[s];
-        acc.dims = c.dims;
-        for (std::size_t r = 0; r < c.rows.size(); ++r) {
-            merge.ingest_row(c.rows[r], c.quality_row(r));
-            acc.rows.push_back(c.rows[r]);
-            acc.quality.insert(acc.quality.end(), c.quality_row(r),
-                               c.quality_row(r) + c.dims);
-        }
-    };
-    // An eviction mid-stream may have folded rows the round must now
-    // forget: replay the merge over the surviving shards' accumulators.
-    const auto rebuild_merge = [&] {
-        merge.open(dims, req.limit);
-        for (const auction::ShardHead& acc : impl.heads)
-            for (std::size_t r = 0; r < acc.rows.size(); ++r)
-                merge.ingest_row(acc.rows[r], acc.quality_row(r));
-    };
-
-    struct Stream {
-        bool got_done = false;
-        std::uint64_t total = 0;
-        std::uint64_t received = 0;
-        bool retried = false;
-    };
-    std::vector<Stream> st(impl.workers.size());
-    const auto stream_done = [&](std::size_t s) {
-        return st[s].got_done && st[s].received >= st[s].total;
-    };
-
-    const auto deadline =
-        std::chrono::steady_clock::now()
-        + std::chrono::microseconds(static_cast<long long>(impl.timeout_s * 1e6));
-    std::vector<std::uint8_t> payload;
-    std::vector<struct pollfd> fds;
-    std::vector<std::size_t> fd_shard;
-    for (;;) {
-        fds.clear();
-        fd_shard.clear();
-        for (std::size_t s = 0; s < impl.workers.size(); ++s) {
-            const Impl::Worker& w = impl.workers[s];
-            if (!w.alive || stream_done(s)) continue;
-            struct pollfd p;
-            p.fd = w.resp_fd;
-            p.events = POLLIN;
-            p.revents = 0;
-            fds.push_back(p);
-            fd_shard.push_back(s);
-        }
-        if (fds.empty()) break;
-
-        const auto now = std::chrono::steady_clock::now();
-        bool timed_out = now >= deadline;
-        if (!timed_out) {
-            const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - now);
-            const int rv = ::poll(fds.data(), fds.size(),
-                                  static_cast<int>(left.count()) + 1);
-            if (rv < 0) {
-                if (errno == EINTR) continue;
-                timed_out = true;
-            } else if (rv == 0) {
-                timed_out = true;
-            }
-        }
-        if (timed_out) {
-            // Every stream still open at the deadline is evicted — the
-            // same miss rule the batch round applies per worker.
-            for (const std::size_t s : fd_shard) {
-                impl.heads[s].clear();
-                impl.evict(s);
-                impl.last_dropped.push_back(s);
-            }
-            rebuild_merge();
-            break;
-        }
-
-        bool rebuild_needed = false;
-        for (std::size_t i = 0; i < fds.size(); ++i) {
-            if (fds[i].revents == 0) continue;
-            const std::size_t s = fd_shard[i];
-            Impl::Worker& w = impl.workers[s];
-            FrameHeader h;
-            const ReadStatus rs =
-                wire::read_frame_deadline(w.resp_fd, h, payload, deadline);
-            bool fail = false;
-            if (rs == ReadStatus::ok
-                && h.type == static_cast<std::uint32_t>(FrameType::head_rows)) {
-                std::uint64_t idx = 0;
-                if (payload.size() < sizeof(idx)) {
-                    fail = true;
-                } else {
-                    std::memcpy(&idx, payload.data(), sizeof(idx));
-                    if (idx == st[s].received) {
-                        try {
-                            const auction::ShardHead c = auction::ShardHead::deserialize(
-                                payload.data() + sizeof(idx),
-                                payload.size() - sizeof(idx));
-                            if (!c.rows.empty() && c.dims != dims)
-                                throw std::invalid_argument("chunk dims mismatch");
-                            fold_chunk(s, c);
-                            ++st[s].received;
-                        } catch (const std::exception&) {
-                            // Checksummed yet malformed — a worker bug, not
-                            // line noise; a retry would resend the same bytes.
-                            fail = true;
-                        }
-                    } else if (idx > st[s].received && !st[s].retried) {
-                        fail = true;  // a gap with no resend pending
-                    }
-                    // idx < received: duplicate from a resent tail — already
-                    // folded. idx > received under a pending resend: the
-                    // stale in-flight tail — the clean copy follows.
-                }
-            } else if (rs == ReadStatus::ok
-                       && h.type == static_cast<std::uint32_t>(FrameType::head_done)) {
-                std::uint64_t total = 0;
-                if (payload.size() != sizeof(total)) {
-                    fail = true;
-                } else {
-                    std::memcpy(&total, payload.data(), sizeof(total));
-                    if (st[s].received == total) {
-                        st[s].got_done = true;
-                        st[s].total = total;
-                    } else if (!st[s].retried) {
-                        fail = true;  // short stream with no resend pending
-                    }
-                    // retried && received != total: the stale pre-resend
-                    // done — the resent tail ends with its own.
-                }
-            } else if (rs == ReadStatus::bad_payload
-                       || (rs == ReadStatus::ok
-                           && h.type == static_cast<std::uint32_t>(FrameType::nack))) {
-                // One bounded retry per shard per round, exactly as the
-                // batch path: a corrupt chunk is re-requested from the
-                // first missing index (the worker replays the stream tail),
-                // a nacked request is re-shipped whole.
-                ++impl.last_health.corrupt_frames;
-                if (!st[s].retried) {
-                    st[s].retried = true;
-                    ++impl.last_health.frame_retries;
-                    bool resent;
-                    if (rs == ReadStatus::bad_payload) {
-                        const std::uint64_t from = st[s].received;
-                        resent = wire::write_frame(w.req_fd, FrameType::resend,
-                                                   &from, sizeof(from));
-                    } else {
-                        resent = wire::write_frame(w.req_fd, FrameType::stream_request,
-                                                   request.data(), request.size());
-                    }
-                    if (!resent) fail = true;
-                } else {
-                    fail = true;
-                }
-            } else {
-                fail = true;  // timeout, EOF, bad header, unexpected type
-            }
-            if (fail) {
-                impl.heads[s].clear();
-                impl.evict(s);
-                impl.last_dropped.push_back(s);
-                rebuild_needed = true;
-            }
-        }
-        if (rebuild_needed) rebuild_merge();
-    }
-    std::sort(impl.last_dropped.begin(), impl.last_dropped.end());
-
-    std::size_t live = 0;
-    for (const Impl::Worker& w : impl.workers) live += w.alive ? 1 : 0;
-    impl.last_health.live_shards = live;
-    impl.lifetime.live_shards = live;
-    impl.lifetime.corrupt_frames += impl.last_health.corrupt_frames;
-    impl.lifetime.frame_retries += impl.last_health.frame_retries;
-    impl.lifetime.evictions += impl.last_health.evictions;
-    impl.lifetime.respawns += impl.last_health.respawns;
-    if (impl.sup.min_live_shards > 0 && live < impl.sup.min_live_shards)
-        throw std::runtime_error(
-            "ProcessShardAggregator: round " + std::to_string(round) + ": only "
-            + std::to_string(live) + " of " + std::to_string(impl.workers.size())
-            + " shard workers are live, below the configured quorum of "
-            + std::to_string(impl.sup.min_live_shards)
-            + " (auction.shard_quorum) — raise auction.shard_max_respawns / "
-              "auction.shard_timeout_s, lower the quorum, or investigate the "
-              "evictions recorded in lifetime_health()");
-
-    merge.finish(impl.outcome.ranking);
-    engine->select_into(impl.outcome.ranking, rng, impl.scratch.chosen);
-    engine->price_into(impl.scoring, impl.outcome.ranking, impl.scratch.chosen,
-                       impl.outcome.winners);
-    return impl.outcome;
+    return impl.run(*engine, req, &extra, rng);
 }
 
 auction::CloseReason ProcessShardAggregator::last_close_reason() const {

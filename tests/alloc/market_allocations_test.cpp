@@ -103,7 +103,7 @@ TEST(MarketAllocations, WarmHeadPassAllocatesNothing) {
     auction::TieKeys keys;
     keys.salted = true;
     keys.salt = 0x7e57;
-    const mec::wire::StreamExtra cut{11, 2.0, 1.0, mec::kStreamBoundaryAny, 0};
+    const mec::wire::StreamExtra cut{11, 2.0, 1.0, mec::kStreamBoundaryAny};
 
     std::vector<const double*> columns;
     auction::StreamingHeadMerge merge;

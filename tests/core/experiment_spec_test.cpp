@@ -413,8 +413,6 @@ TEST(ExperimentSpecText, FaultKnobsRoundTripExactly) {
     spec.auction.shards = 4;
     spec.auction.shard_timeout_s = 0.5;
     spec.auction.fault_plan = "seed=9,crash=0.05,delay=0.1,delay_s=0.02";
-    spec.auction.shard_respawn_backoff_s = 0.25;
-    spec.auction.shard_max_respawns = 3;
     spec.auction.shard_quorum = 2;
     ASSERT_TRUE(validate(spec).empty());
     const ExperimentSpec parsed = parse_experiment_spec(to_text(spec));
@@ -422,12 +420,8 @@ TEST(ExperimentSpecText, FaultKnobsRoundTripExactly) {
 
     // Single-key overrides reach the supervision knobs too.
     apply_key_value(spec, "auction.fault_plan", "seed=3,corrupt=0.2");
-    apply_key_value(spec, "auction.shard_max_respawns", "5");
-    apply_key_value(spec, "auction.shard_respawn_backoff_s", "0.125");
     apply_key_value(spec, "auction.shard_quorum", "3");
     EXPECT_EQ(spec.auction.fault_plan, "seed=3,corrupt=0.2");
-    EXPECT_EQ(spec.auction.shard_max_respawns, 5u);
-    EXPECT_EQ(spec.auction.shard_respawn_backoff_s, 0.125);
     EXPECT_EQ(spec.auction.shard_quorum, 3u);
 }
 
@@ -445,9 +439,6 @@ TEST(ExperimentSpecValidate, FaultKnobRulesAreEnforced) {
     spec.auction.fault_plan.clear();
     spec.auction.shard_quorum = 2;
     EXPECT_TRUE(mentions(validate(spec), "auction.shards"));
-    spec.auction.shard_quorum = 0;
-    spec.auction.shard_max_respawns = 1;
-    EXPECT_TRUE(mentions(validate(spec), "auction.shards"));
 
     // An unparsable plan is rejected with the parser's message.
     spec = default_experiment(DatasetKind::mnist_o);
@@ -459,13 +450,10 @@ TEST(ExperimentSpecValidate, FaultKnobRulesAreEnforced) {
     EXPECT_TRUE(mentions(validate(spec), "auction.fault_plan"));
     spec.auction.fault_plan.clear();
 
-    // Quorum cannot exceed the shard count; backoff must be finite, >= 0.
+    // Quorum cannot exceed the shard count.
     spec.auction.shard_quorum = 5;
     EXPECT_TRUE(mentions(validate(spec), "auction.shard_quorum"));
     spec.auction.shard_quorum = 0;
-    spec.auction.shard_respawn_backoff_s = -0.5;
-    EXPECT_TRUE(mentions(validate(spec), "auction.shard_respawn_backoff_s"));
-    spec.auction.shard_respawn_backoff_s = 0.0;
     EXPECT_TRUE(validate(spec).empty());
 }
 
@@ -483,7 +471,6 @@ TEST(Scenarios, FaultPresetsAreRegisteredAndValid) {
             << name;
     }
     const ExperimentSpec churn = named_scenario("faults/churn");
-    EXPECT_GT(churn.auction.shard_max_respawns, 0u);
     EXPECT_GT(churn.auction.shard_quorum, 0u);
 }
 

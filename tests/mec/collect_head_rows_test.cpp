@@ -181,9 +181,8 @@ TEST(CollectHeadRows, MatchesFrameCompositionAndFullSort) {
             std::vector<double> sorted_times = times;
             std::sort(sorted_times.begin(), sorted_times.end());
             wire::StreamExtra time_cut{arrival_salt, kHorizonS, sorted_times[rows / 2],
-                                       kStreamBoundaryAny, 0};
-            wire::StreamExtra node_in{arrival_salt, kHorizonS, times[middle], offset + middle,
-                                      0};
+                                       kStreamBoundaryAny};
+            wire::StreamExtra node_in{arrival_salt, kHorizonS, times[middle], offset + middle};
             wire::StreamExtra node_out = node_in;
             node_out.boundary_node = offset + middle - 1;
             const wire::StreamExtra* cuts[] = {nullptr, &time_cut, &node_in, &node_out};
@@ -423,7 +422,7 @@ TEST(CollectHeadRows, EveryRowBannedOrOutsideTheCutLeavesAnEmptyHead) {
     EXPECT_TRUE(head.quality.empty());
 
     // Nothing arrives before time 0.
-    const wire::StreamExtra before_any{1, kHorizonS, -1.0, kStreamBoundaryAny, 0};
+    const wire::StreamExtra before_any{1, kHorizonS, -1.0, kStreamBoundaryAny};
     collect_head_rows(shard, layout(), *m.strategy, m.product, true,
                       auction::PaymentMethod::integral, Blacklist{}, &before_any, keys, 10,
                       columns, merge, head);

@@ -49,7 +49,6 @@ std::vector<std::uint8_t> request_payload(bool streaming,
         extra.horizon_s = 1.5;
         extra.close_time_s = 0.75;
         extra.boundary_node = 42;
-        extra.chunk_rows = 8;
         put(out, &extra, sizeof extra);
     }
     for (const std::uint64_t id : banned) put_u64(out, id);
@@ -94,7 +93,6 @@ TEST(DownlinkDecode, RequestDecodesExactlyAndRejectsEveryTruncation) {
             EXPECT_EQ(decoded.extra.horizon_s, 1.5);
             EXPECT_EQ(decoded.extra.close_time_s, 0.75);
             EXPECT_EQ(decoded.extra.boundary_node, 42u);
-            EXPECT_EQ(decoded.extra.chunk_rows, 8u);
         }
         for (std::size_t len = 0; len < payload.size(); ++len) {
             const std::vector<std::uint8_t> cut(payload.begin(),

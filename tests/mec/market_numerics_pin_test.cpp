@@ -11,7 +11,9 @@
 // curve is tabulated through std::pow, std::exp and std::lgamma
 // (win_probability.cpp), which may differ in the last bit between C
 // libraries. Everything hashed here is a chain of IEEE-754 adds, multiplies,
-// divides and compares over inputs drawn with stats::Rng.
+// divides and compares over inputs drawn with stats::Rng, whose `uniform`
+// calls std::uniform_real_distribution; the standard leaves that algorithm
+// to the C++ library, so the constant is that of a libstdc++ build.
 
 #include <gtest/gtest.h>
 

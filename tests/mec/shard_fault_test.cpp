@@ -475,6 +475,55 @@ TEST(ShardFault, StalledWorkerIsEvictedAndRoundCompletes) {
     EXPECT_FALSE(any_winner_in(later.winners, lo, hi));
 }
 
+TEST(ShardFault, LateShardIsEvictedWhateverWasReadBeforeIt) {
+    // A round has one deadline, set when its requests ship. In round 2
+    // shard 0 stalls 10 s and shard 1 answers after 1.5 s, against a 1 s
+    // deadline: both miss it, and the round ends near 1 s, in a batch
+    // round, a streaming round and the in-process virtual clock alike. A
+    // deadline restarted for shard 1 once shard 0 had used it up would
+    // keep shard 1 and stretch the round to 1.5 s.
+    const std::size_t n = 60;
+    const std::size_t shards = 3;
+    const std::vector<util::FaultEvent> plan = {
+        {/*shard=*/0, /*round=*/2, util::FaultKind::stall, 10.0},
+        {/*shard=*/1, /*round=*/2, util::FaultKind::delayed_reply, 1.5}};
+    const std::vector<std::size_t> late = {0, 1};
+    for (const bool streaming : {false, true}) {
+        SCOPED_TRACE(streaming ? "run_streaming_round" : "run_round");
+        ProcessShardAggregator aggregator(make_store(n, 26), *market().scoring,
+                                          *market().strategy, wire_config(6), layout(),
+                                          shards, /*shard_timeout_s=*/1.0,
+                                          faults_only(plan));
+        const ProcessShardAggregator::StreamRoundPolicy policy;
+        stats::Rng rng(26);
+        const auto round = [&](std::size_t r) -> const auction::AuctionOutcome& {
+            return streaming ? aggregator.run_streaming_round(r, 6, policy, rng)
+                             : aggregator.run_round(r, 6, rng);
+        };
+        (void)round(1);
+        EXPECT_TRUE(aggregator.last_dropped_shards().empty());
+        const auto start = std::chrono::steady_clock::now();
+        const auction::AuctionOutcome& degraded = round(2);
+        const std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+        EXPECT_EQ(aggregator.last_dropped_shards(), late);
+        EXPECT_EQ(aggregator.last_health().evictions, 2u);
+        EXPECT_LT(took.count(), 1.4);
+        const auto [lo, hi] = shard_range(n, shards, 2);
+        for (const auction::Winner& w : degraded.winners) {
+            EXPECT_GE(w.node, lo);
+            EXPECT_LT(w.node, hi);
+        }
+    }
+    ShardedAuctionSelector sharded = make_sharded(make_store(n, 26).split_even(shards));
+    sharded.set_shard_timeout(1.0);
+    sharded.set_fault_injector(util::FaultInjector::from_events(plan));
+    stats::Rng rng(26);
+    (void)sharded.run_auction_round(1, 6, rng);
+    EXPECT_TRUE(sharded.last_dropped_shards().empty());
+    (void)sharded.run_auction_round(2, 6, rng);
+    EXPECT_EQ(sharded.last_dropped_shards(), late);
+}
+
 TEST(ShardFault, DyingWorkerIsEvictedAndRoundCompletes) {
     const std::size_t n = 60;
     const std::size_t shards = 3;
@@ -538,7 +587,6 @@ TEST(ShardFault, CrashedWorkerRespawnsBitIdenticalEveryMechanism) {
         sup.faults = util::FaultInjector::from_events(
             {{/*shard=*/1, /*round=*/2, util::FaultKind::crash_before_reply, 0.0}});
         sup.max_respawns = 2;
-        sup.respawn_backoff_s = 0.0;  // eligible again at the next round
         ProcessShardAggregator clean(make_store(n, 33), *market().scoring,
                                      *market().strategy, wd, layout(), shards,
                                      /*shard_timeout_s=*/30.0);
@@ -659,7 +707,6 @@ TEST(ShardFault, RespawnBudgetExhaustionRetiresWorker) {
         {{0, 2, util::FaultKind::crash_before_reply, 0.0},
          {0, 3, util::FaultKind::crash_before_reply, 0.0}});
     sup.max_respawns = 1;
-    sup.respawn_backoff_s = 0.0;
     ProcessShardAggregator aggregator(make_store(n, 44), *market().scoring,
                                       *market().strategy, wire_config(6), layout(),
                                       /*num_shards=*/3, /*shard_timeout_s=*/5.0, sup);
@@ -759,7 +806,6 @@ TEST(ShardFault, NarrowedWorkersMatchMonolithicOnOtherLayouts) {
         ShardSupervisorConfig sup =
             faults_only({{/*shard=*/1, /*round=*/3, util::FaultKind::crash_before_reply, 0.0}});
         sup.max_respawns = 1;
-        sup.respawn_backoff_s = 0.0;
         ProcessShardAggregator faulty(store, *lm.scoring, *lm.strategy, wd, layout, shards,
                                       /*shard_timeout_s=*/30.0, sup);
         stats::Rng mono_rng(seed);
@@ -948,9 +994,6 @@ TEST(ShardFault, AggregatorRejectsNonWireFriendlySpecs) {
     ShardSupervisorConfig over_quorum;
     over_quorum.min_live_shards = 3;  // only 2 shards exist
     EXPECT_THROW(build_sup(over_quorum), std::invalid_argument);
-    ShardSupervisorConfig bad_backoff;
-    bad_backoff.respawn_backoff_s = -1.0;
-    EXPECT_THROW(build_sup(bad_backoff), std::invalid_argument);
 
     // A broadcast rule the strategy was not solved against, pricing three
     // dimensions over the two-column layout: every worker's bid collection

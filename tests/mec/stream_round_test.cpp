@@ -377,7 +377,7 @@ TEST(StreamRound, CrossProcessRoundMatchesInProcessCompositionEveryMechanism) {
 }
 
 TEST(StreamRound, CrossProcessStreamingSurvivesCrashRespawnBitIdentical) {
-    // Kill shard 1's worker mid-stream in round 2; with a respawn budget
+    // Kill shard 1's worker in round 2; with a respawn budget
     // the supervisor re-forks and re-syncs it, and every later streaming
     // round must match both a never-faulted aggregator AND the in-process
     // twin — for every wire mechanism.
@@ -397,7 +397,6 @@ TEST(StreamRound, CrossProcessStreamingSurvivesCrashRespawnBitIdentical) {
         sup.faults = util::FaultInjector::from_events(
             {{/*shard=*/1, /*round=*/2, util::FaultKind::crash_before_reply, 0.0}});
         sup.max_respawns = 2;
-        sup.respawn_backoff_s = 0.0;
 
         ProcessShardAggregator clean(make_store(n, seed), *m.scoring, *m.strategy,
                                      wd, layout(), shards,
@@ -440,10 +439,10 @@ TEST(StreamRound, CrossProcessStreamingSurvivesCrashRespawnBitIdentical) {
     }
 }
 
-TEST(StreamRound, CorruptChunkIsResentOnceAndNeverConsumed) {
-    // A bit-flipped head_rows chunk fails the payload CRC; the coordinator
-    // re-requests the stream tail from the first missing chunk — outcome
-    // identical to an un-faulted twin, zero evictions.
+TEST(StreamRound, CorruptHeadIsResentOnceAndNeverConsumed) {
+    // A bit-flipped head fails the payload CRC; the coordinator asks for it
+    // once more and consumes only the clean resend — outcome identical to
+    // an un-faulted twin, zero evictions.
     const Market& m = market();
     const std::size_t n = 60;
     const std::uint64_t seed = 0x57e33cULL;
@@ -463,7 +462,6 @@ TEST(StreamRound, CorruptChunkIsResentOnceAndNeverConsumed) {
         SCOPED_TRACE("round " + std::to_string(round));
         ProcessShardAggregator::StreamRoundPolicy policy;
         policy.deadline_s = 0.7;
-        policy.chunk_rows = 4;  // several chunks per shard: only #0 corrupts
         const auction::AuctionOutcome& a =
             clean.run_streaming_round(round, 6, policy, rng_clean);
         const auction::AuctionOutcome& b =

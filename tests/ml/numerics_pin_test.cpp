@@ -4,9 +4,11 @@
 // so a change that moves both at once (MaxPool2d's tie-break, Dropout's
 // mask draws, a summation order) passes them; it fails here.
 //
-// Every input is drawn with stats::Rng and no softmax loss runs: std::exp
-// and std::log may differ in the last bit between C libraries, and the
-// constant must hold on any IEEE-754 machine that builds the project.
+// No softmax loss runs: std::exp and std::log may differ in the last bit
+// between C libraries. Every input is drawn with stats::Rng, whose
+// `uniform` calls std::uniform_real_distribution; the standard leaves that
+// algorithm to the C++ library, so the constant is that of a libstdc++
+// build, on any IEEE-754 machine.
 
 #include <gtest/gtest.h>
 
