@@ -16,24 +16,32 @@
 //      to their per-row references, and a worker's whole head pass next to
 //      the frame composition that prices every row; each row reports the
 //      median and quartiles of its repetitions,
-//  (5) end-to-end round time of the `paper/fig04` scenario at 1/2/4/8
+//  (5) the world builds of the benchmark lanes, `wire_1m`'s 1M-node store
+//      and `fl_cifar`'s 10,500-sample image set, on the pool
+//      (`stats::draw_in_chunks`) against the serial loops they replaced
+//      (fmore/reference/serial_world.hpp), at the round threads the machine
+//      grants,
+//  (6) end-to-end round time of the `paper/fig04` scenario at 1/2/4/8
 //      round threads,
 // and writes everything to a machine-readable BENCH_kernels.json, stamped
 // with the build type, compiler and flags, so future PRs have a perf
-// trajectory to regress against.
+// trajectory to regress against. Every timed row records the median and
+// quartiles of its repetitions (the round rows: one mean each).
 //
 //   micro_kernels [--smoke] [--out path.json]
 //
 // --smoke shrinks repetitions (CI); the JSON is written either way. Exits 1
 // when a `layers` row, the training step or the evaluation forward has a
-// production path slower than its reference twin (the elementwise row
-// compares two APIs, not two kernels, and is not gated), or when a `market`
-// kernel's output differs from its reference in any bit. Market speed is
-// recorded, not gated: the drift loop vectorizes only with 64-bit vector
+// production path slower than its reference twin at the median (the
+// elementwise row compares two APIs, not two kernels, and is not gated), or
+// when a `market` kernel or a pooled world build differs from its reference
+// in any bit, the world's generator state included. Market and world speed
+// are recorded, not gated. The drift loop vectorizes only with 64-bit vector
 // multiplies (AVX-512DQ's `vpmullq`), and the `FMORE_NATIVE_ARCH` build
 // gives the row kernels 64-byte vectors only where the host has AVX-512;
 // elsewhere they run narrower (the drift scalar), and a row may read slower
-// than its per-row reference.
+// than its per-row reference. A world build on one core resolves one round
+// thread and runs its serial loop.
 //
 // The elementwise and evaluation rows cycle through 8 distinct inputs: on
 // one fixed input the branch predictor learns a data-dependent pattern
@@ -47,6 +55,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,7 +81,10 @@
 #include "fmore/ml/synthetic.hpp"
 #include "fmore/ml/tensor.hpp"
 #include "fmore/reference/naive_layers.hpp"
+#include "fmore/reference/serial_world.hpp"
+#include "fmore/stats/distributions.hpp"
 #include "fmore/stats/rng.hpp"
+#include "fmore/util/thread_pool.hpp"
 
 #ifdef _WIN32
 #include <cstdlib>
@@ -91,16 +103,53 @@ double seconds_since(clock_type::time_point start) {
     return std::chrono::duration<double>(clock_type::now() - start).count();
 }
 
-/// Time `fn` over `reps` repetitions, best-of to shed scheduler noise.
+/// Median and quartiles of a row's repetitions, each the linear
+/// interpolation between the two nearest order statistics.
+struct Spread {
+    double q1 = 0.0;
+    double median = 0.0;
+    double q3 = 0.0;
+};
+
+Spread spread_of(std::vector<double> samples) {
+    std::sort(samples.begin(), samples.end());
+    const auto at = [&samples](double p) {
+        const double pos = p * static_cast<double>(samples.size() - 1);
+        const std::size_t lo = static_cast<std::size_t>(pos);
+        const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+        return samples[lo] + (pos - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+    };
+    return {at(0.25), at(0.5), at(0.75)};
+}
+
+/// Time `fn` over `reps` repetitions: the spread of its microseconds.
 template <typename Fn>
-double best_seconds(std::size_t reps, Fn&& fn) {
-    double best = 1e300;
+Spread spread_us(std::size_t reps, Fn&& fn) {
+    std::vector<double> us;
+    us.reserve(reps);
     for (std::size_t r = 0; r < reps; ++r) {
         const auto start = clock_type::now();
         fn();
-        best = std::min(best, seconds_since(start));
+        us.push_back(seconds_since(start) * 1e6);
     }
-    return best;
+    return spread_of(std::move(us));
+}
+
+/// Runs `fn` once, appending its milliseconds to `samples`.
+template <typename Fn>
+void time_ms(std::vector<double>& samples, Fn&& fn) {
+    const auto start = clock_type::now();
+    fn();
+    samples.push_back(seconds_since(start) * 1e3);
+}
+
+/// `"<key>_us": median, "<key>_q1_us": q1, "<key>_q3_us": q3` for a ledger
+/// row.
+std::string spread_json(const std::string& key, const Spread& s) {
+    char buf[192];
+    std::snprintf(buf, sizeof buf, "\"%s_us\": %.4g, \"%s_q1_us\": %.4g, \"%s_q3_us\": %.4g",
+                  key.c_str(), s.median, key.c_str(), s.q1, key.c_str(), s.q3);
+    return buf;
 }
 
 std::vector<float> random_vec(std::size_t n, stats::Rng& rng) {
@@ -125,8 +174,13 @@ void naive_gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
 
 struct GemmResult {
     std::size_t m, n, k;
-    double naive_gflops;
-    double gemm_gflops;
+    Spread naive_us, gemm_us;
+
+    /// GFLOP/s at the median time.
+    [[nodiscard]] double gflops(const Spread& us) const {
+        return 2.0 * static_cast<double>(m) * static_cast<double>(n) * static_cast<double>(k)
+               / us.median / 1e3;
+    }
 };
 
 GemmResult bench_gemm(std::size_t m, std::size_t n, std::size_t k, std::size_t reps) {
@@ -134,23 +188,21 @@ GemmResult bench_gemm(std::size_t m, std::size_t n, std::size_t k, std::size_t r
     const std::vector<float> a = random_vec(m * k, rng);
     const std::vector<float> b = random_vec(k * n, rng);
     std::vector<float> c(m * n, 0.0F);
-    const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(n)
-                         * static_cast<double>(k);
-    const double t_naive =
-        best_seconds(reps, [&] { naive_gemm(m, n, k, a.data(), b.data(), c.data()); });
-    const double t_fast = best_seconds(reps, [&] {
+    const Spread naive =
+        spread_us(reps, [&] { naive_gemm(m, n, k, a.data(), b.data(), c.data()); });
+    const Spread fast = spread_us(reps, [&] {
         ml::gemm_acc(m, n, k, a.data(), static_cast<std::ptrdiff_t>(k), 1, b.data(),
                      static_cast<std::ptrdiff_t>(n), c.data(),
                      static_cast<std::ptrdiff_t>(n));
     });
-    return {m, n, k, flops / t_naive / 1e9, flops / t_fast / 1e9};
+    return {m, n, k, naive, fast};
 }
 
 struct LayerResult {
     std::string name;
     std::string shape;
-    double fwd_naive_us, fwd_gemm_us;
-    double bwd_naive_us, bwd_gemm_us;
+    Spread fwd_naive, fwd_gemm;
+    Spread bwd_naive, bwd_gemm;
 };
 
 /// Forward+backward timings of one production layer and of its reference
@@ -168,32 +220,25 @@ LayerResult bench_layer(const std::string& name, const std::string& shape,
     for (std::size_t i = 0; i < input.size(); ++i)
         input[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
 
-    LayerResult out{name, shape, 0, 0, 0, 0};
+    LayerResult out{name, shape, {}, {}, {}, {}};
     for (const bool naive : {true, false}) {
         ml::Layer& layer = naive ? static_cast<ml::Layer&>(naive_layer) : fast_layer;
         ml::Tensor y = layer.forward(input, true);
         ml::Tensor gy(y.shape());
         for (std::size_t i = 0; i < gy.size(); ++i)
             gy[i] = static_cast<float>(rng.uniform(-0.1, 0.1));
-        const double t_f =
-            best_seconds(reps, [&] { y = layer.forward(input, true); });
-        const double t_b =
-            best_seconds(reps, [&] { ml::Tensor gx = layer.backward(gy); });
-        if (naive) {
-            out.fwd_naive_us = t_f * 1e6;
-            out.bwd_naive_us = t_b * 1e6;
-        } else {
-            out.fwd_gemm_us = t_f * 1e6;
-            out.bwd_gemm_us = t_b * 1e6;
-        }
+        (naive ? out.fwd_naive : out.fwd_gemm) =
+            spread_us(reps, [&] { y = layer.forward(input, true); });
+        (naive ? out.bwd_naive : out.bwd_gemm) =
+            spread_us(reps, [&] { ml::Tensor gx = layer.backward(gy); });
     }
     return out;
 }
 
 struct ElementwiseResult {
     std::string shape;
-    double alloc_us = 0.0;  ///< allocating forward/backward API (pre-arena)
-    double arena_us = 0.0;  ///< forward_into/backward_into over reused slots
+    Spread alloc_us{};  ///< allocating forward/backward API (pre-arena)
+    Spread arena_us{};  ///< forward_into/backward_into over reused slots
 };
 
 /// Distinct inputs a row cycles through, so no branch predictor can learn
@@ -232,7 +277,7 @@ ElementwiseResult bench_elementwise(std::size_t reps) {
     ElementwiseResult out;
     out.shape = "B16 8x12x12, ReLU+pool2x2+drop.25";
 
-    const double t_alloc = best_seconds(reps, [&] {
+    out.alloc_us = spread_us(reps, [&] {
         const ml::Tensor& input = inputs[next++ % kDistinctInputs];
         const ml::Tensor a = relu.forward(input, true);
         const ml::Tensor b = pool.forward(a, true);
@@ -243,7 +288,7 @@ ElementwiseResult bench_elementwise(std::size_t reps) {
     });
 
     ml::Tensor a, b, c, gc, gb, ga; // persistent slots: the arena
-    const double t_arena = best_seconds(reps, [&] {
+    out.arena_us = spread_us(reps, [&] {
         relu.forward_into(inputs[next++ % kDistinctInputs], a, true);
         pool.forward_into(a, b, true);
         dropout.forward_into(b, c, true);
@@ -251,15 +296,13 @@ ElementwiseResult bench_elementwise(std::size_t reps) {
         pool.backward_into(gc, gb);
         relu.backward_into(gb, ga);
     });
-    out.alloc_us = t_alloc * 1e6;
-    out.arena_us = t_arena * 1e6;
     return out;
 }
 
 struct ModelPassResult {
     std::string shape;
-    double naive_us = 0.0;
-    double fast_us = 0.0;
+    Spread naive_us{};
+    Spread fast_us{};
 };
 
 /// One minibatch step of the fl_cifar model (`make_cnn_deep`, 3x14x14):
@@ -281,14 +324,13 @@ ModelPassResult bench_train_step(std::size_t reps) {
         ml::Model model =
             naive ? reference::naive_cnn_deep(image, 17) : ml::make_cnn_deep(image, 17);
         ml::SoftmaxCrossEntropy loss;
-        const double t = best_seconds(reps, [&] {
+        (naive ? out.naive_us : out.fast_us) = spread_us(reps, [&] {
             model.zero_grad();
             const ml::Tensor& logits = model.forward(batch, /*training=*/true);
             (void)loss.forward(logits, labels);
             model.backward(loss.backward());
             model.sgd_step(0.01);
         });
-        (naive ? out.naive_us : out.fast_us) = t * 1e6;
     }
     return out;
 }
@@ -308,31 +350,11 @@ ModelPassResult bench_eval_forward(std::size_t reps) {
     for (const bool naive : {true, false}) {
         ml::Model model =
             naive ? reference::naive_cnn_deep(image, 17) : ml::make_cnn_deep(image, 17);
-        const double t = best_seconds(reps, [&] {
+        (naive ? out.naive_us : out.fast_us) = spread_us(reps, [&] {
             (void)model.forward(inputs[next++ % kDistinctInputs], /*training=*/false);
         });
-        (naive ? out.naive_us : out.fast_us) = t * 1e6;
     }
     return out;
-}
-
-/// Median and quartiles of a row's repetitions, each the linear
-/// interpolation between the two nearest order statistics.
-struct Spread {
-    double q1 = 0.0;
-    double median = 0.0;
-    double q3 = 0.0;
-};
-
-Spread spread_of(std::vector<double> samples) {
-    std::sort(samples.begin(), samples.end());
-    const auto at = [&samples](double p) {
-        const double pos = p * static_cast<double>(samples.size() - 1);
-        const std::size_t lo = static_cast<std::size_t>(pos);
-        const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-        return samples[lo] + (pos - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
-    };
-    return {at(0.25), at(0.5), at(0.75)};
 }
 
 /// One market row: a shard-pass kernel and its per-row reference, timed
@@ -480,12 +502,6 @@ std::vector<MarketRow> bench_market(std::size_t reps, std::size_t& shard_rows) {
     std::vector<const double*> columns;
     stats::Rng drift_rng(0xd41f7ULL);
     stats::Rng reference_rng(0xd41f7ULL);
-    const auto time_ms = [](std::vector<double>& samples, auto&& fn) {
-        const auto start = clock_type::now();
-        fn();
-        samples.push_back(seconds_since(start) * 1e3);
-    };
-
     // The wire worker's configuration: one round thread per process.
     set_env("FMORE_ROUND_THREADS", "1");
     MarketRow drift{"drift", "evolve_serial: the per-node loop, all nine columns"};
@@ -566,6 +582,66 @@ std::vector<MarketRow> bench_market(std::size_t reps, std::size_t& shard_rows) {
     return {drift, collect, head, head_pass};
 }
 
+/// One world row: a world build and its serial reference (the loop it
+/// replaced, `fmore/reference/serial_world.hpp`), timed in alternation once
+/// each per repetition, and whether they agree in every bit, the
+/// generator's state afterwards included.
+struct WorldRow {
+    std::string name;
+    std::string shape;
+    std::vector<double> serial_ms{};
+    std::vector<double> pooled_ms{};
+    bool identical = true;
+};
+
+/// The worlds the benchmark lanes build: `wire_1m`'s 1M-node synthetic store
+/// (the market rules of the `market` rows) and `fl_cifar`'s 10,500-sample
+/// CIFAR-shaped set cut at 9,000, each built by its production path on the
+/// pool (`stats::draw_in_chunks`) and by the serial loop.
+std::vector<WorldRow> bench_world(std::size_t reps) {
+    WorldRow store_row{"store", "1M-node synthetic store, nine columns"};
+    mec::PopulationSpec spec;
+    spec.dynamics.resource_jitter = 0.08;
+    spec.dynamics.theta_jitter = 0.02;
+    mec::SyntheticDataSpec data;
+    data.data_hi = 150.0;
+    const stats::UniformDistribution theta(0.5, 1.5);
+    for (std::size_t r = 0; r < reps; ++r) {
+        stats::Rng serial_rng(r + 1);
+        stats::Rng pooled_rng(r + 1);
+        std::vector<std::vector<double>> columns;
+        time_ms(store_row.serial_ms, [&] {
+            columns = reference::serial_store_columns(1'000'000, data, theta, spec, serial_rng);
+        });
+        std::optional<mec::PopulationStore> store;
+        time_ms(store_row.pooled_ms,
+                [&] { store.emplace(1'000'000, data, theta, spec, pooled_rng); });
+        store_row.identical = store_row.identical && store->snapshot().columns == columns
+                              && serial_rng.engine() == pooled_rng.engine();
+    }
+
+    WorldRow images_row{"images", "cifar10_spec(10500) cut at 9000, 3x14x14"};
+    const ml::ImageDatasetSpec images = ml::cifar10_spec(10'500);
+    for (std::size_t r = 0; r < reps; ++r) {
+        stats::Rng serial_rng(r + 1);
+        stats::Rng pooled_rng(r + 1);
+        ml::DatasetSplit serial;
+        ml::DatasetSplit pooled;
+        time_ms(images_row.serial_ms, [&] {
+            serial = reference::serial_synthetic_images(images, 9'000, serial_rng);
+        });
+        time_ms(images_row.pooled_ms,
+                [&] { pooled = ml::make_synthetic_images(images, 9'000, pooled_rng); });
+        images_row.identical =
+            images_row.identical && pooled.train.features == serial.train.features
+            && pooled.train.labels == serial.train.labels
+            && pooled.test.features == serial.test.features
+            && pooled.test.labels == serial.test.labels
+            && serial_rng.engine() == pooled_rng.engine();
+    }
+    return {store_row, images_row};
+}
+
 struct RoundResult {
     double gemm_serial_ms = 0.0;
     std::vector<std::pair<std::size_t, double>> gemm_threads_ms; ///< (threads, ms)
@@ -623,11 +699,11 @@ int main(int argc, char** argv) {
     gemms.push_back(bench_gemm(16, 64, 800, reps * 10));  // MNIST dense, batch 16
     gemms.push_back(bench_gemm(64, 64, 64, reps * 10));
     gemms.push_back(bench_gemm(128, 128, 128, reps));
-    std::cout << "GEMM (GFLOP/s):\n";
+    std::cout << "GEMM (GFLOP/s at the median time):\n";
     for (const GemmResult& g : gemms) {
         std::printf("  %4zux%-4zux%-4zu  naive %6.2f   gemm %6.2f   speedup %.2fx\n",
-                    g.m, g.n, g.k, g.naive_gflops, g.gemm_gflops,
-                    g.gemm_gflops / g.naive_gflops);
+                    g.m, g.n, g.k, g.gflops(g.naive_us), g.gflops(g.gemm_us),
+                    g.naive_us.median / g.gemm_us.median);
     }
 
     // (2) The layers at the shapes the paper's models use.
@@ -645,32 +721,32 @@ int main(int argc, char** argv) {
         "dense", "B16 800 -> 64", {16, 800}, reps * 5, 800, 64));
     layers.push_back(bench_layer<ml::Lstm, NaiveLstm>(
         "lstm", "B16 T16 E16 H32", {16, 16, 16}, reps, 16, 32));
-    std::cout << "\nlayers (microseconds per call, naive -> gemm):\n";
+    std::cout << "\nlayers (microseconds per call, median, naive -> gemm):\n";
     for (const LayerResult& l : layers) {
         std::printf("  %-12s %-22s fwd %8.1f -> %8.1f (%.2fx)   bwd %8.1f -> %8.1f (%.2fx)\n",
-                    l.name.c_str(), l.shape.c_str(), l.fwd_naive_us, l.fwd_gemm_us,
-                    l.fwd_naive_us / l.fwd_gemm_us, l.bwd_naive_us, l.bwd_gemm_us,
-                    l.bwd_naive_us / l.bwd_gemm_us);
+                    l.name.c_str(), l.shape.c_str(), l.fwd_naive.median, l.fwd_gemm.median,
+                    l.fwd_naive.median / l.fwd_gemm.median, l.bwd_naive.median,
+                    l.bwd_gemm.median, l.bwd_naive.median / l.bwd_gemm.median);
     }
 
     // (2b) The elementwise stack: allocating API vs the in-place arena.
     const ElementwiseResult elementwise = bench_elementwise(reps * 5);
-    std::cout << "\nelementwise stack (" << elementwise.shape << "), fwd+bwd:\n";
+    std::cout << "\nelementwise stack (" << elementwise.shape << "), fwd+bwd, median:\n";
     std::printf("  alloc-per-call %8.1f us   arena %8.1f us   (%.2fx)\n",
-                elementwise.alloc_us, elementwise.arena_us,
-                elementwise.alloc_us / elementwise.arena_us);
+                elementwise.alloc_us.median, elementwise.arena_us.median,
+                elementwise.alloc_us.median / elementwise.arena_us.median);
 
     // (3) One training step of the fl_cifar model.
     const ModelPassResult step = bench_train_step(reps * 5);
-    std::printf("\ntraining step (%s, fwd+loss+bwd+sgd):\n"
+    std::printf("\ntraining step (%s, fwd+loss+bwd+sgd, median):\n"
                 "  naive %8.1f us   fast %8.1f us   (%.2fx)\n",
-                step.shape.c_str(), step.naive_us, step.fast_us,
-                step.naive_us / step.fast_us);
+                step.shape.c_str(), step.naive_us.median, step.fast_us.median,
+                step.naive_us.median / step.fast_us.median);
     const ModelPassResult eval = bench_eval_forward(reps);
-    std::printf("\nevaluation forward (%s):\n"
+    std::printf("\nevaluation forward (%s, median):\n"
                 "  naive %8.1f us   fast %8.1f us   (%.2fx)\n",
-                eval.shape.c_str(), eval.naive_us, eval.fast_us,
-                eval.naive_us / eval.fast_us);
+                eval.shape.c_str(), eval.naive_us.median, eval.fast_us.median,
+                eval.naive_us.median / eval.fast_us.median);
 
     // (4) The market's shard pass.
     std::size_t shard_rows = 0;
@@ -691,7 +767,24 @@ int main(int argc, char** argv) {
             std::printf("            %zu of %zu rows priced\n", m.priced_rows, shard_rows);
     }
 
-    // (5) End-to-end rounds at 1/2/4/8 round threads.
+    // (5) The world builds: serial loop against the pooled build.
+    const std::size_t world_reps = smoke ? 5 : 21;
+    const std::vector<WorldRow> world = bench_world(world_reps);
+    const std::size_t world_threads = util::resolve_round_threads(0, 64);
+    std::printf("\nworld builds (%zu round threads, ms, median [quartiles] of %zu "
+                "repetitions, serial -> pooled):\n",
+                world_threads, world_reps);
+    for (const WorldRow& w : world) {
+        const Spread serial = spread_of(w.serial_ms);
+        const Spread pooled = spread_of(w.pooled_ms);
+        std::printf("  %-7s %8.2f [%.2f-%.2f] -> %8.2f [%.2f-%.2f] (%.2fx)  %s\n"
+                    "          [%s]\n",
+                    w.name.c_str(), serial.median, serial.q1, serial.q3, pooled.median,
+                    pooled.q1, pooled.q3, serial.median / pooled.median,
+                    w.identical ? "bit-identical" : "MISMATCH", w.shape.c_str());
+    }
+
+    // (6) End-to-end rounds at 1/2/4/8 round threads.
     std::cout << "\npaper/fig04 round time (ms/round, 1 trial):\n";
     const RoundResult round = bench_round(smoke);
     std::printf("  gemm kernels,  1 thread:  %8.1f\n", round.gemm_serial_ms);
@@ -716,37 +809,36 @@ int main(int argc, char** argv) {
         const GemmResult& g = gemms[i];
         std::fprintf(f,
                      "    {\"m\": %zu, \"n\": %zu, \"k\": %zu, \"naive_gflops\": %.4g, "
-                     "\"gemm_gflops\": %.4g, \"speedup\": %.4g}%s\n",
-                     g.m, g.n, g.k, g.naive_gflops, g.gemm_gflops,
-                     g.gemm_gflops / g.naive_gflops, i + 1 < gemms.size() ? "," : "");
+                     "\"gemm_gflops\": %.4g, \"speedup\": %.4g, %s, %s}%s\n",
+                     g.m, g.n, g.k, g.gflops(g.naive_us), g.gflops(g.gemm_us),
+                     g.naive_us.median / g.gemm_us.median,
+                     spread_json("naive", g.naive_us).c_str(),
+                     spread_json("gemm", g.gemm_us).c_str(), i + 1 < gemms.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"layers\": [\n");
     for (std::size_t i = 0; i < layers.size(); ++i) {
         const LayerResult& l = layers[i];
-        std::fprintf(
-            f,
-            "    {\"name\": \"%s\", \"shape\": \"%s\", \"fwd_naive_us\": %.4g, "
-            "\"fwd_gemm_us\": %.4g, \"fwd_speedup\": %.4g, \"bwd_naive_us\": %.4g, "
-            "\"bwd_gemm_us\": %.4g, \"bwd_speedup\": %.4g}%s\n",
-            l.name.c_str(), l.shape.c_str(), l.fwd_naive_us, l.fwd_gemm_us,
-            l.fwd_naive_us / l.fwd_gemm_us, l.bwd_naive_us, l.bwd_gemm_us,
-            l.bwd_naive_us / l.bwd_gemm_us, i + 1 < layers.size() ? "," : "");
+        std::fprintf(f,
+                     "    {\"name\": \"%s\", \"shape\": \"%s\", %s, %s, \"fwd_speedup\": %.4g, "
+                     "%s, %s, \"bwd_speedup\": %.4g}%s\n",
+                     l.name.c_str(), l.shape.c_str(),
+                     spread_json("fwd_naive", l.fwd_naive).c_str(),
+                     spread_json("fwd_gemm", l.fwd_gemm).c_str(),
+                     l.fwd_naive.median / l.fwd_gemm.median,
+                     spread_json("bwd_naive", l.bwd_naive).c_str(),
+                     spread_json("bwd_gemm", l.bwd_gemm).c_str(),
+                     l.bwd_naive.median / l.bwd_gemm.median, i + 1 < layers.size() ? "," : "");
     }
-    std::fprintf(f,
-                 "  ],\n  \"elementwise\": {\"shape\": \"%s\", \"alloc_us\": %.4g, "
-                 "\"arena_us\": %.4g, \"speedup\": %.4g},\n",
-                 elementwise.shape.c_str(), elementwise.alloc_us, elementwise.arena_us,
-                 elementwise.alloc_us / elementwise.arena_us);
-    std::fprintf(f,
-                 "  \"train_step\": {\"shape\": \"%s\", \"naive_us\": %.4g, "
-                 "\"fast_us\": %.4g, \"speedup\": %.4g},\n",
-                 step.shape.c_str(), step.naive_us, step.fast_us,
-                 step.naive_us / step.fast_us);
-    std::fprintf(f,
-                 "  \"eval_forward\": {\"shape\": \"%s\", \"naive_us\": %.4g, "
-                 "\"fast_us\": %.4g, \"speedup\": %.4g},\n",
-                 eval.shape.c_str(), eval.naive_us, eval.fast_us,
-                 eval.naive_us / eval.fast_us);
+    std::fprintf(f, "  ],\n  \"elementwise\": {\"shape\": \"%s\", %s, %s, \"speedup\": %.4g},\n",
+                 elementwise.shape.c_str(), spread_json("alloc", elementwise.alloc_us).c_str(),
+                 spread_json("arena", elementwise.arena_us).c_str(),
+                 elementwise.alloc_us.median / elementwise.arena_us.median);
+    for (const auto& [key, pass] : {std::pair{"train_step", &step}, std::pair{"eval_forward", &eval}}) {
+        std::fprintf(f, "  \"%s\": {\"shape\": \"%s\", %s, %s, \"speedup\": %.4g},\n", key,
+                     pass->shape.c_str(), spread_json("naive", pass->naive_us).c_str(),
+                     spread_json("fast", pass->fast_us).c_str(),
+                     pass->naive_us.median / pass->fast_us.median);
+    }
     std::fprintf(f,
                  "  \"market\": {\"shard_rows\": %zu, \"threads\": 1, "
                  "\"hardware_threads\": %u, \"repetitions\": %zu, \"rows\": [\n",
@@ -769,6 +861,24 @@ int main(int argc, char** argv) {
                      priced.c_str(), i + 1 < market.size() ? "," : "");
     }
     std::fprintf(f, "  ]},\n");
+    std::fprintf(f,
+                 "  \"world\": {\"threads\": %zu, \"hardware_threads\": %u, "
+                 "\"repetitions\": %zu, \"rows\": [\n",
+                 world_threads, std::thread::hardware_concurrency(), world_reps);
+    for (std::size_t i = 0; i < world.size(); ++i) {
+        const WorldRow& w = world[i];
+        const Spread serial = spread_of(w.serial_ms);
+        const Spread pooled = spread_of(w.pooled_ms);
+        std::fprintf(f,
+                     "    {\"name\": \"%s\", \"shape\": \"%s\", \"serial_ms\": %.4g, "
+                     "\"serial_q1_ms\": %.4g, \"serial_q3_ms\": %.4g, \"pooled_ms\": %.4g, "
+                     "\"pooled_q1_ms\": %.4g, \"pooled_q3_ms\": %.4g, \"speedup\": %.4g, "
+                     "\"bit_identical\": %s}%s\n",
+                     w.name.c_str(), w.shape.c_str(), serial.median, serial.q1, serial.q3,
+                     pooled.median, pooled.q1, pooled.q3, serial.median / pooled.median,
+                     w.identical ? "true" : "false", i + 1 < world.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]},\n");
     std::fprintf(f, "  \"round\": {\n    \"scenario\": \"paper/fig04\",\n");
     std::fprintf(f, "    \"gemm_serial_ms\": %.4g,\n", round.gemm_serial_ms);
     std::fprintf(f, "    \"gemm_threads_ms\": {");
@@ -784,22 +894,30 @@ int main(int argc, char** argv) {
     // Gate: every production path must beat the reference loops it replaced.
     std::vector<std::string> slower;
     for (const LayerResult& l : layers) {
-        if (l.fwd_gemm_us > l.fwd_naive_us) slower.push_back(l.name + " fwd");
-        if (l.bwd_gemm_us > l.bwd_naive_us) slower.push_back(l.name + " bwd");
+        if (l.fwd_gemm.median > l.fwd_naive.median) slower.push_back(l.name + " fwd");
+        if (l.bwd_gemm.median > l.bwd_naive.median) slower.push_back(l.name + " bwd");
     }
-    if (step.fast_us > step.naive_us) slower.push_back("train_step");
-    if (eval.fast_us > eval.naive_us) slower.push_back("eval_forward");
+    if (step.fast_us.median > step.naive_us.median) slower.push_back("train_step");
+    if (eval.fast_us.median > eval.naive_us.median) slower.push_back("eval_forward");
     for (const std::string& name : slower) {
         std::cerr << "micro_kernels: FAIL " << name
                   << ": production path slower than its reference twin\n";
     }
     // Gate: every market kernel must reproduce its reference bit for bit.
-    bool market_identical = true;
+    bool identical = true;
     for (const MarketRow& m : market) {
         if (m.identical) continue;
-        market_identical = false;
+        identical = false;
         std::cerr << "micro_kernels: FAIL market " << m.name
                   << ": kernel output differs from its reference\n";
     }
-    return slower.empty() && market_identical ? 0 : 1;
+    // Gate: every pooled world build must reproduce its serial loop bit for
+    // bit.
+    for (const WorldRow& w : world) {
+        if (w.identical) continue;
+        identical = false;
+        std::cerr << "micro_kernels: FAIL world " << w.name
+                  << ": the pooled build differs from the serial loop\n";
+    }
+    return slower.empty() && identical ? 0 : 1;
 }

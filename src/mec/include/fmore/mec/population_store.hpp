@@ -34,6 +34,7 @@
 /// throws.
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "fmore/ml/partition.hpp"
@@ -113,14 +114,17 @@ class PopulationStore {
 public:
     /// Shard-backed population (the experiment engines). Draw order per
     /// node: bandwidth cap, cpu cap, three initial-state factors, theta.
-    /// Every recorded tape and golden depends on that order.
+    /// Every recorded tape and golden depends on that order. Built in
+    /// chunks on the pool (`stats::draw_in_chunks`): the columns and `rng`
+    /// afterwards are bit-identical to drawing node by node on one thread.
     PopulationStore(const std::vector<ml::ClientShard>& shards, std::size_t num_classes,
                     const stats::Distribution& theta_dist, const PopulationSpec& spec,
                     stats::Rng& rng);
 
     /// Shard-free synthetic population of `num_nodes` nodes — what lets
     /// bench/scale_round stand up a million bidders without synthesizing a
-    /// million-sample dataset first.
+    /// million-sample dataset first. Each node draws its data cap and
+    /// category first, then the shard-backed order; built in chunks like it.
     PopulationStore(std::size_t num_nodes, const SyntheticDataSpec& data,
                     const stats::Distribution& theta_dist, const PopulationSpec& spec,
                     stats::Rng& rng);
@@ -300,9 +304,18 @@ private:
     /// copied when `release`.
     PopulationStore slice_columns(std::size_t lo, std::size_t hi, unsigned keep,
                                   std::vector<std::uint8_t> draw_bits, bool release) const;
+    /// One node's draws (the per-node code of both constructors, after the
+    /// synthetic data draws): five `Rng::uniform`s, then theta.
     void init_resources(std::size_t i, const PopulationSpec& spec, double data_cap,
                         double category, const stats::Distribution& theta_dist,
                         stats::Rng& rng);
+    /// Sizes the nine columns to `n` rows and fills them through
+    /// `draw_rows(rng, lo, hi)` in chunks on the pool
+    /// (`stats::draw_in_chunks`), each row taking `uniforms_per_row` uniforms
+    /// and then one theta sample.
+    void build_rows(std::size_t n, std::size_t uniforms_per_row,
+                    const stats::Distribution& theta_dist, stats::Rng& rng,
+                    const std::function<void(stats::Rng&, std::size_t, std::size_t)>& draw_rows);
     /// Theta-bounds check and salt history, shared by both drift paths.
     void begin_round(std::uint64_t salt);
     void evolve_node(std::size_t i, std::uint64_t salt);

@@ -11,7 +11,8 @@
 /// length field is caught BEFORE it desynchronizes the stream;
 /// `payload_crc` covers the payload, so a corrupt or self-described-short
 /// body is caught before a single byte of it is consumed. All reads and
-/// writes loop over EINTR and short transfers.
+/// writes loop over EINTR and short transfers; a frame is written with one
+/// `writev`.
 ///
 /// Verification outcomes map to recovery actions (shard_aggregator.cpp):
 ///  - `bad_payload`: the stream is still framed (the header was good, the
@@ -22,6 +23,7 @@
 /// The downlink payload layouts and their checked decodes close the file.
 
 #include <poll.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -145,7 +147,9 @@ inline ReadStatus read_all_deadline(int fd, void* data, std::size_t size,
 /// seam (`truncated_write` claims fewer bytes than it hashed, `bit_flip`
 /// sends flipped bytes under the clean CRC). `claimed_size` bytes of `data`
 /// are sent; honest writers pass claimed_size == hashed size and the CRC of
-/// exactly those bytes.
+/// exactly those bytes. Header and payload go out in one `writev`, resumed
+/// after short writes and EINTR, so a frame of at most PIPE_BUF bytes lands
+/// in the pipe whole and a polling reader wakes once for it.
 inline bool write_frame_raw(int fd, FrameType type, const void* data,
                             std::uint64_t claimed_size, std::uint32_t payload_crc) {
     FrameHeader h;
@@ -153,8 +157,23 @@ inline bool write_frame_raw(int fd, FrameType type, const void* data,
     h.payload_size = claimed_size;
     h.payload_crc = payload_crc;
     h.header_crc = crc32(&h, sizeof(FrameHeader) - sizeof(std::uint32_t));
-    if (!write_all(fd, &h, sizeof(h))) return false;
-    if (claimed_size > 0 && !write_all(fd, data, claimed_size)) return false;
+    iovec parts[2] = {{&h, sizeof(h)},
+                      {const_cast<void*>(data), static_cast<std::size_t>(claimed_size)}};
+    iovec* next = parts;
+    int left = claimed_size > 0 ? 2 : 1;
+    while (left > 0) {
+        const ssize_t n = ::writev(fd, next, left);
+        if (n < 0) {
+            if (errno == EINTR) continue;
+            return false;
+        }
+        auto written = static_cast<std::size_t>(n);
+        for (; left > 0 && written >= next->iov_len; ++next, --left) written -= next->iov_len;
+        if (left > 0) {
+            next->iov_base = static_cast<std::uint8_t*>(next->iov_base) + written;
+            next->iov_len -= written;
+        }
+    }
     return true;
 }
 

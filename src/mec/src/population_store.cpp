@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "fmore/stats/chunk_replay.hpp"
 #include "fmore/util/thread_pool.hpp"
 
 namespace fmore::mec {
@@ -16,6 +17,14 @@ namespace {
 /// Nodes per parallel task: big enough that chunk dispatch is noise,
 /// small enough that a 100k-node population still spreads over workers.
 constexpr std::size_t kEvolveChunk = 4096;
+
+/// Nodes per replayed chunk of a store build (`stats::draw_in_chunks`): a
+/// 1M-node store replays in 16 chunks, so it keeps 16 engine copies.
+constexpr std::size_t kBuildChunk = 65'536;
+
+/// `init_resources`' `Rng::uniform` draws before theta: the two caps and
+/// the three initial-state factors.
+constexpr std::size_t kInitUniforms = 5;
 
 /// The drift's per-round constants.
 struct DriftParams {
@@ -265,20 +274,13 @@ PopulationStore::PopulationStore(const std::vector<ml::ClientShard>& shards,
       theta_lo_(theta_dist.support_lo()),
       theta_hi_(theta_dist.support_hi()) {
     if (shards.empty()) throw std::invalid_argument("PopulationStore: no shards");
-    const std::size_t n = shards.size();
-    theta_.resize(n);
-    data_size_.resize(n);
-    category_.resize(n);
-    bandwidth_.resize(n);
-    cpu_.resize(n);
-    data_cap_.resize(n);
-    category_cap_.resize(n);
-    bandwidth_cap_.resize(n);
-    cpu_cap_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        init_resources(i, spec, static_cast<double>(shards[i].indices.size()),
-                       shards[i].category_proportion(num_classes), theta_dist, rng);
-    }
+    build_rows(shards.size(), kInitUniforms, theta_dist, rng,
+               [&](stats::Rng& draws, std::size_t lo, std::size_t hi) {
+                   for (std::size_t i = lo; i < hi; ++i)
+                       init_resources(i, spec, static_cast<double>(shards[i].indices.size()),
+                                      shards[i].category_proportion(num_classes), theta_dist,
+                                      draws);
+               });
 }
 
 PopulationStore::PopulationStore(std::size_t num_nodes, const SyntheticDataSpec& data,
@@ -291,20 +293,38 @@ PopulationStore::PopulationStore(std::size_t num_nodes, const SyntheticDataSpec&
         throw std::invalid_argument("PopulationStore: num_nodes must be >= 1");
     if (!(data.data_lo <= data.data_hi) || !(data.category_lo <= data.category_hi))
         throw std::invalid_argument("PopulationStore: bad synthetic data ranges");
-    theta_.resize(num_nodes);
-    data_size_.resize(num_nodes);
-    category_.resize(num_nodes);
-    bandwidth_.resize(num_nodes);
-    cpu_.resize(num_nodes);
-    data_cap_.resize(num_nodes);
-    category_cap_.resize(num_nodes);
-    bandwidth_cap_.resize(num_nodes);
-    cpu_cap_.resize(num_nodes);
-    for (std::size_t i = 0; i < num_nodes; ++i) {
-        const double data_cap = rng.uniform(data.data_lo, data.data_hi);
-        const double category = rng.uniform(data.category_lo, data.category_hi);
-        init_resources(i, spec, data_cap, category, theta_dist, rng);
-    }
+    build_rows(num_nodes, 2 + kInitUniforms, theta_dist, rng,
+               [&](stats::Rng& draws, std::size_t lo, std::size_t hi) {
+                   for (std::size_t i = lo; i < hi; ++i) {
+                       const double data_cap = draws.uniform(data.data_lo, data.data_hi);
+                       const double category =
+                           draws.uniform(data.category_lo, data.category_hi);
+                       init_resources(i, spec, data_cap, category, theta_dist, draws);
+                   }
+               });
+}
+
+void PopulationStore::build_rows(
+    std::size_t n, std::size_t uniforms_per_row, const stats::Distribution& theta_dist,
+    stats::Rng& rng,
+    const std::function<void(stats::Rng&, std::size_t, std::size_t)>& draw_rows) {
+    // Allocated here, zero-filled by the prepare tasks: on the pool, the
+    // page faults of the nine columns run beside the walk.
+    for (const Column& c : kColumns) (this->*c.values).reserve(n);
+    stats::ChunkedPass pass;
+    pass.items = n;
+    pass.chunk_items = kBuildChunk;
+    pass.prepare_tasks = kColumnCount;
+    pass.prepare = [&](std::size_t c) { (this->*kColumns[c].values).resize(n); };
+    pass.walk = [&](stats::Rng& walk, std::size_t lo, std::size_t hi) {
+        // Each draw before theta is one `Rng::uniform`: one engine output.
+        for (std::size_t i = lo; i < hi; ++i) {
+            walk.engine().discard(uniforms_per_row);
+            (void)theta_dist.sample(walk);
+        }
+    };
+    pass.draw = draw_rows;
+    stats::draw_in_chunks(rng, pass);
 }
 
 const std::vector<double>& PopulationStore::column(ResourceDim dim) const {

@@ -580,10 +580,11 @@ const auction::AuctionOutcome& ProcessShardAggregator::Impl::run(
         throw std::runtime_error(
             "ProcessShardAggregator: round " + std::to_string(req.round) + ": only "
             + std::to_string(live) + " of " + std::to_string(workers.size())
-            + " shard workers are live, below the configured quorum of "
+            + " shard workers are live, below the quorum of "
             + std::to_string(sup.min_live_shards)
-            + " (auction.shard_quorum) — raise ShardSupervisorConfig::max_respawns "
-              "or auction.shard_timeout_s, lower the quorum, or investigate the "
+            + " (ShardSupervisorConfig::min_live_shards) — raise "
+              "ShardSupervisorConfig::max_respawns or the constructor's "
+              "shard_timeout_s, lower min_live_shards, or investigate the "
               "evictions recorded in lifetime_health()");
 
     auction::merge_heads(heads, req.limit, outcome.ranking);

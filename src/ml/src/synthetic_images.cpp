@@ -1,13 +1,19 @@
-#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "fmore/ml/synthetic.hpp"
+#include "fmore/stats/chunk_replay.hpp"
 #include "reserve_split.hpp"
 
 namespace fmore::ml {
 
 namespace {
+
+/// Samples per replayed chunk (`stats::draw_in_chunks`): the replays trail
+/// the walk by about one chunk, and a 10,500-sample set keeps 329 engine
+/// copies.
+constexpr std::size_t kSampleChunk = 32;
 
 /// Smooth random pattern: sum of a few random 2-D cosine waves, one map per
 /// channel, scaled to roughly [-1, 1].
@@ -56,18 +62,40 @@ DatasetSplit make_synthetic_images(const ImageDatasetSpec& spec, std::size_t tra
     const std::vector<float> confuser = make_prototype(spec, rng);
 
     const std::size_t vol = split.train.sample_volume();
-    std::vector<float> sample(vol);
-    for (std::size_t i = 0; i < spec.samples; ++i) {
-        const auto label = static_cast<int>(
-            rng.uniform_int(0, static_cast<std::int64_t>(spec.classes) - 1));
-        const std::vector<float>& proto = prototypes[static_cast<std::size_t>(label)];
-        const double blend = spec.prototype_overlap;
-        for (std::size_t j = 0; j < vol; ++j) {
-            const double base = (1.0 - blend) * proto[j] + blend * confuser[j];
-            sample[j] = static_cast<float>(base + rng.normal(0.0, spec.noise));
+    const auto classes = static_cast<std::int64_t>(spec.classes);
+    stats::ChunkedPass pass;
+    pass.items = spec.samples;
+    pass.chunk_items = kSampleChunk;
+    pass.prepare_tasks = 2;
+    pass.prepare = [&](std::size_t half) {
+        Dataset& out = half == 0 ? split.train : split.test;
+        const std::size_t n = half == 0 ? train_samples : spec.samples - train_samples;
+        out.features.resize(n * vol);
+        out.labels.resize(n);
+    };
+    pass.walk = [&](stats::Rng& walk, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+            (void)walk.uniform_int(0, classes - 1);
+            walk.skip_normals(vol);
         }
-        (i < train_samples ? split.train : split.test).push_sample(sample, label);
-    }
+    };
+    pass.draw = [&](stats::Rng& draws, std::size_t lo, std::size_t hi) {
+        const double blend = spec.prototype_overlap;
+        for (std::size_t i = lo; i < hi; ++i) {
+            const auto label = static_cast<int>(draws.uniform_int(0, classes - 1));
+            const std::vector<float>& proto = prototypes[static_cast<std::size_t>(label)];
+            const bool train = i < train_samples;
+            Dataset& out = train ? split.train : split.test;
+            const std::size_t row = train ? i : i - train_samples;
+            float* sample = out.features.data() + row * vol;
+            for (std::size_t j = 0; j < vol; ++j) {
+                const double base = (1.0 - blend) * proto[j] + blend * confuser[j];
+                sample[j] = static_cast<float>(base + draws.normal(0.0, spec.noise));
+            }
+            out.labels[row] = label;
+        }
+    };
+    stats::draw_in_chunks(rng, pass);
     return split;
 }
 

@@ -26,7 +26,18 @@ public:
     std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
     /// Standard normal draw scaled to (mean, stddev).
+    ///
+    /// Each call builds a fresh `std::normal_distribution`, so the second
+    /// value of libstdc++'s polar method is discarded, and a call takes an
+    /// even number (>= 2) of engine outputs: one (x, y) pair per try until
+    /// the pair lands inside the unit disc. Every recorded tape pins this,
+    /// and `skip_normals` (the image set's walk) relies on it.
     double normal(double mean, double stddev);
+
+    /// Advance the engine exactly as `count` calls of `normal` would: the
+    /// polar method's accept test on each (x, y) pair, without the log and
+    /// square root of the value it would return.
+    void skip_normals(std::size_t count);
 
     /// Bernoulli trial; the paper's coin flip for score ties and the
     /// psi-FMore per-node acceptance test.

@@ -22,6 +22,21 @@ double Rng::normal(double mean, double stddev) {
     return dist(engine_);
 }
 
+void Rng::skip_normals(std::size_t count) {
+    // libstdc++'s normal_distribution draws pairs on [-1, 1)^2 from
+    // generate_canonical until one lands inside the unit disc, minus its
+    // centre. `count` normals are the pairs up to the count-th accepted one;
+    // counting acceptances leaves the loop no branch on the pair (its accept
+    // test would mispredict about one time in five).
+    std::size_t accepted = 0;
+    while (accepted < count) {
+        const double x = 2.0 * std::generate_canonical<double, 53>(engine_) - 1.0;
+        const double y = 2.0 * std::generate_canonical<double, 53>(engine_) - 1.0;
+        const double r2 = x * x + y * y;
+        accepted += (r2 <= 1.0 && r2 != 0.0) ? 1 : 0;
+    }
+}
+
 bool Rng::bernoulli(double p_true) {
     p_true = std::clamp(p_true, 0.0, 1.0);
     std::bernoulli_distribution dist(p_true);

@@ -159,8 +159,10 @@ private:
 /// section over `tasks` units of work: the explicit request when present,
 /// else the caller (plus its own budget slot when not already counted)
 /// plus whatever the ThreadBudget currently has free. Always in [1, tasks]
-/// (0 tasks resolves to 1). Advisory only — it does not claim; use it for
-/// sizing decisions that are not worth a lease.
+/// (0 tasks resolves to 1), and 1 in a child forked from the process that
+/// started the shared pool, where `parallel_for` runs serially. Advisory
+/// only — it does not claim; use it for sizing decisions that are not worth
+/// a lease.
 [[nodiscard]] std::size_t resolve_round_threads(std::size_t requested, std::size_t tasks);
 
 } // namespace fmore::util

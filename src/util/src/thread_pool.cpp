@@ -262,12 +262,19 @@ void ThreadPool::parallel_for(
     if (state->error) std::rethrow_exception(state->error);
 }
 
+namespace {
+/// The process that started the shared pool; 0 until it is started.
+std::atomic<pid_t> g_shared_owner{0};
+} // namespace
+
 ThreadPool& ThreadPool::shared() {
     // At least 8 lanes so explicit FMORE_ROUND_THREADS overrides can be
     // exercised on small machines; capped so a huge budget does not spawn
     // hundreds of mostly-idle workers. Minus one: the caller is a lane.
-    static ThreadPool pool(
-        std::min<std::size_t>(std::max<std::size_t>(thread_budget(), 8), 32) - 1);
+    static ThreadPool pool([] {
+        g_shared_owner.store(::getpid(), std::memory_order_relaxed);
+        return std::min<std::size_t>(std::max<std::size_t>(thread_budget(), 8), 32) - 1;
+    }());
     return pool;
 }
 
@@ -278,6 +285,10 @@ std::size_t explicit_round_threads(std::size_t requested) {
 
 std::size_t resolve_round_threads(std::size_t requested, std::size_t tasks) {
     if (tasks <= 1) return 1;
+    // A forked child of the shared pool's process: the pool runs every
+    // index on the calling thread there, so one thread is what it gets.
+    const pid_t owner = g_shared_owner.load(std::memory_order_relaxed);
+    if (owner != 0 && owner != ::getpid()) return 1;
     std::size_t threads = explicit_round_threads(requested);
     if (threads == 0) {
         // The caller always works; it consumes one of the free slots

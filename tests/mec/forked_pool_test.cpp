@@ -6,7 +6,9 @@
 // FMORE_ROUND_THREADS set, and makes a pooled call of its own. The parent
 // waits a bounded time (SIGKILL on timeout) and compares the child's columns
 // with a serial twin's. A pool that let the child touch its locks hung most
-// such children.
+// such children. A child also builds a world (`stats::draw_in_chunks`): it
+// resolves one round thread, so it draws every item itself with no walk, and
+// its store and image set equal the serial loops'.
 //
 // The suite forks without exec, so its name must stay out of the
 // ThreadSanitizer leg's test regex.
@@ -24,12 +26,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fmore/mec/population_store.hpp"
 #include "fmore/mec/wire_format.hpp"
+#include "fmore/ml/synthetic.hpp"
+#include "fmore/reference/serial_world.hpp"
 #include "fmore/stats/distributions.hpp"
 #include "fmore/util/thread_pool.hpp"
 
@@ -60,14 +65,15 @@ std::string column_bytes(const PopulationStore& store) {
     return out;
 }
 
-/// The child's report: its columns after three drifts, then the count of
-/// indices its own pooled call ran.
+/// What a child sent before it exited.
 struct ChildReport {
     bool finished = false;  ///< exited 0 before the deadline
     std::string bytes;
 };
 
-ChildReport run_child(const PopulationStore& store) {
+/// Forks a child that runs `work` with no FMORE_ROUND_THREADS set and sends
+/// the parent what it returns.
+ChildReport run_child(const std::function<std::string()>& work) {
     int fds[2];
     if (::pipe(fds) != 0) throw std::runtime_error("pipe() failed");
     const pid_t pid = ::fork();
@@ -75,17 +81,8 @@ ChildReport run_child(const PopulationStore& store) {
     if (pid == 0) {
         ::close(fds[0]);
         ::unsetenv("FMORE_ROUND_THREADS");
-        PopulationStore drifted = store;
-        stats::Rng rng(kDriftSeed);
-        for (int round = 0; round < 3; ++round) drifted.evolve(rng);
-        std::atomic<std::uint64_t> ran{0};
-        util::ThreadPool::shared().parallel_for(
-            64, 7, [&](std::size_t, std::size_t) { ran.fetch_add(1); });
-        const std::string bytes = column_bytes(drifted);
-        const std::uint64_t count = ran.load();
-        const bool sent = wire::write_all(fds[1], bytes.data(), bytes.size())
-                          && wire::write_all(fds[1], &count, sizeof count);
-        ::_exit(sent ? 0 : 1);
+        const std::string bytes = work();
+        ::_exit(wire::write_all(fds[1], bytes.data(), bytes.size()) ? 0 : 1);
     }
     ::close(fds[1]);
 
@@ -148,9 +145,22 @@ TEST(ForkedPool, ChildDriftsSeriallyWithoutTheRoundThreadsVariable) {
             util::ThreadPool::shared().parallel_for(
                 32, 7, [&](std::size_t, std::size_t) { ran.fetch_add(1); });
     });
+    // Each child's columns after three drifts, then the count of indices
+    // its own pooled call ran.
+    const auto drift_in_child = [&store] {
+        PopulationStore drifted = store;
+        stats::Rng rng(kDriftSeed);
+        for (int round = 0; round < 3; ++round) drifted.evolve(rng);
+        std::atomic<std::uint64_t> ran{0};
+        util::ThreadPool::shared().parallel_for(
+            64, 7, [&](std::size_t, std::size_t) { ran.fetch_add(1); });
+        const std::uint64_t count = ran.load();
+        return column_bytes(drifted)
+               + std::string(reinterpret_cast<const char*>(&count), sizeof count);
+    };
     std::vector<ChildReport> children;
     for (int c = 0; c < 8; ++c) {
-        children.push_back(run_child(store));
+        children.push_back(run_child(drift_in_child));
         if (!children.back().finished) break;
     }
     stop = true;
@@ -175,6 +185,54 @@ TEST(ForkedPool, ChildDriftsSeriallyWithoutTheRoundThreadsVariable) {
     util::ThreadPool::shared().parallel_for(64, 7,
                                             [&](std::size_t, std::size_t) { ran.fetch_add(1); });
     EXPECT_EQ(ran.load(), 64u);
+}
+
+TEST(ForkedPool, ChildBuildsAWorldOnOneThreadLikeTheSerialLoop) {
+    // The parent's pool is running, so a child of this process is not its
+    // owner: it resolves one round thread and draws every item itself.
+    std::atomic<std::uint64_t> ran{0};
+    util::ThreadPool::shared().parallel_for(64, 7,
+                                            [&](std::size_t, std::size_t) { ran.fetch_add(1); });
+    ASSERT_GT(util::ThreadPool::shared().worker_count(), 0u);
+
+    constexpr std::size_t kNodes = 3 * 65'536 + 5;  // four store build chunks
+    const ml::ImageDatasetSpec spec = ml::cifar10_spec(200);
+    const stats::UniformDistribution theta(0.5, 1.5);
+    PopulationSpec pop;
+    pop.dynamics.resource_jitter = 0.08;
+    SyntheticDataSpec data;
+    data.data_hi = 150.0;
+
+    const auto bytes_of = [](const auto& values) {
+        return std::string(reinterpret_cast<const char*>(values.data()),
+                           values.size() * sizeof(values[0]));
+    };
+    const auto world_bytes = [&](const std::vector<std::vector<double>>& columns,
+                                 const ml::DatasetSplit& split, stats::Rng& rng) {
+        std::string out;
+        for (const std::vector<double>& column : columns) out += bytes_of(column);
+        out += bytes_of(split.train.features) + bytes_of(split.train.labels)
+               + bytes_of(split.test.features) + bytes_of(split.test.labels);
+        const std::uint64_t next = rng.engine()();
+        return out + std::string(reinterpret_cast<const char*>(&next), sizeof next);
+    };
+    stats::Rng serial_rng(31);
+    const std::vector<std::vector<double>> columns =
+        reference::serial_store_columns(kNodes, data, theta, pop, serial_rng);
+    const ml::DatasetSplit split = reference::serial_synthetic_images(spec, 150, serial_rng);
+    const std::string expected = char{1} + world_bytes(columns, split, serial_rng);
+
+    const ChildReport child = run_child([&] {
+        const std::size_t threads = util::resolve_round_threads(0, 64);
+        stats::Rng rng(31);
+        const PopulationStore store(kNodes, data, theta, pop, rng);
+        const ml::DatasetSplit images = ml::make_synthetic_images(spec, 150, rng);
+        return static_cast<char>(threads) + world_bytes(store.snapshot().columns, images, rng);
+    });
+    ASSERT_TRUE(child.finished) << "the child hung past " << kDeadlineMs << " ms or failed";
+    ASSERT_EQ(child.bytes.size(), expected.size());
+    EXPECT_EQ(child.bytes[0], 1) << "the child resolved more than one round thread";
+    EXPECT_TRUE(child.bytes == expected) << "the child's world differs from the serial loops'";
 }
 
 } // namespace

@@ -32,6 +32,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fmore/auction/cost.hpp"
@@ -691,10 +692,14 @@ TEST(ShardFault, QuorumFailsFastWithActionableError) {
         (void)aggregator.run_round(2, 6, rng);
         FAIL() << "expected the quorum check to throw";
     } catch (const std::runtime_error& error) {
-        // The message must tell the operator which knobs to turn.
-        EXPECT_NE(std::string(error.what()).find("auction.shard_quorum"),
-                  std::string::npos)
-            << error.what();
+        // The message must name the values that reach this market: no spec
+        // builds it, so the spec keys would send the operator nowhere.
+        const std::string what = error.what();
+        for (const char* knob : {"ShardSupervisorConfig::min_live_shards",
+                                 "ShardSupervisorConfig::max_respawns", "shard_timeout_s"})
+            EXPECT_NE(what.find(knob), std::string::npos) << knob << " in: " << what;
+        for (const char* key : {"auction.shard_quorum", "auction.shard_timeout_s"})
+            EXPECT_EQ(what.find(key), std::string::npos) << key << " in: " << what;
     }
 }
 
@@ -1089,6 +1094,46 @@ TEST(ShardFault, WireChecksumMismatchDrainsFrameAndStaysFramed) {
                                       /*payload_crc=*/7));
     EXPECT_EQ(wire::read_frame(p.fds[0], header, payload),
               wire::ReadStatus::bad_payload);
+}
+
+TEST(ShardFault, WireFrameLargerThanPipeBufRoundTripsToAConcurrentReader) {
+    // A frame past PIPE_BUF (and past the pipe's capacity) cannot land in
+    // the pipe at once: the one writev of header and payload fills it as the
+    // reader, on another thread, drains it, and the reader gets every byte
+    // in order. A truncated frame on the same stream (it claims half the
+    // bytes it hashed) still reads as bad_payload and leaves the stream
+    // framed.
+    Pipe p;
+    std::vector<std::uint8_t> big(256 * 1024 + 13);
+    for (std::size_t i = 0; i < big.size(); ++i)
+        big[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 9));
+    const char small[] = "after-the-big-one";
+    std::vector<wire::ReadStatus> status;
+    std::vector<std::vector<std::uint8_t>> got;
+    std::thread reader([&] {
+        wire::FrameHeader header;
+        std::vector<std::uint8_t> payload;
+        for (int frame = 0; frame < 3; ++frame) {
+            status.push_back(wire::read_frame(p.fds[0], header, payload));
+            got.push_back(payload);
+        }
+    });
+    const bool sent =
+        wire::write_frame(p.fds[1], wire::FrameType::head, big.data(), big.size())
+        && wire::write_frame_raw(p.fds[1], wire::FrameType::head, big.data(),
+                                 big.size() / 2, wire::crc32(big.data(), big.size()))
+        && wire::write_frame(p.fds[1], wire::FrameType::head, small, sizeof(small));
+    ::close(p.fds[1]);  // a failed write leaves the reader at eof, not blocked
+    p.fds[1] = -1;
+    reader.join();
+    ASSERT_TRUE(sent);
+    ASSERT_EQ(status.size(), 3u);
+    EXPECT_EQ(status[0], wire::ReadStatus::ok);
+    EXPECT_TRUE(got[0] == big);
+    EXPECT_EQ(status[1], wire::ReadStatus::bad_payload);
+    EXPECT_EQ(status[2], wire::ReadStatus::ok);
+    ASSERT_EQ(got[2].size(), sizeof(small));
+    EXPECT_EQ(std::memcmp(got[2].data(), small, sizeof(small)), 0);
 }
 
 TEST(ShardFault, WireDeadlineExpiresAsTimeout) {
