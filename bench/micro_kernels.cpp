@@ -3,11 +3,16 @@
 //  (2) Conv2d / Dense / Lstm forward+backward at the paper's MNIST/CIFAR/
 //      HPNews shapes, against the textbook loops of the reference layers
 //      (fmore_reference, fmore/reference/naive_layers.hpp),
+//  (2c) the Dense forward of the fl_cifar model's hidden layer (256 -> 96)
+//      on a 16-row minibatch, y^T = W x^T, against the old layout it
+//      replaced there (W transposed every call, then x W^T),
 //  (3) one training step (forward + loss + backward + SGD) of the deep CNN
 //      on a CIFAR-shaped minibatch against its reference twin
 //      (`reference::naive_cnn_deep`), with the sparse gradients ReLU and
-//      Dropout really produce, and one evaluation forward of both models
-//      on a B128 batch (the evaluation batch),
+//      Dropout really produce, one evaluation forward of both models on a
+//      B128 batch (the evaluation batch), and the pass a coordinator runs
+//      over one such batch (`Model::evaluate_batches`, in 16-row slices)
+//      against the whole-batch pass it replaced,
 //  (4) the market's shard pass on one 250k-row shard of the `wire_1m`
 //      world (N = 1M over 4 shards, alpha=25 scaled product over data and
 //      category, additive cost, theta ~ U[0.5, 1.5], K = 32), on the
@@ -31,17 +36,18 @@
 //   micro_kernels [--smoke] [--out path.json]
 //
 // --smoke shrinks repetitions (CI); the JSON is written either way. Exits 1
-// when a `layers` row, the training step or the evaluation forward has a
-// production path slower than its reference twin at the median (the
-// elementwise row compares two APIs, not two kernels, and is not gated), or
-// when a `market` kernel or a pooled world build differs from its reference
-// in any bit, the world's generator state included. Market and world speed
-// are recorded, not gated. The drift loop vectorizes only with 64-bit vector
-// multiplies (AVX-512DQ's `vpmullq`), and the `FMORE_NATIVE_ARCH` build
-// gives the row kernels 64-byte vectors only where the host has AVX-512;
-// elsewhere they run narrower (the drift scalar), and a row may read slower
-// than its per-row reference. A world build on one core resolves one round
-// thread and runs its serial loop.
+// when a `layers` row, the `dense` row, the training step or the
+// evaluation forward has a production path slower than its reference twin
+// at the median (the elementwise row compares two APIs, not two kernels,
+// and is not gated), or when the `dense` row, the sliced evaluation pass, a
+// `market` kernel or a pooled world build differs from its reference in any
+// bit, the world's generator state included. Market, world and sliced
+// evaluation speed are recorded, not gated. The drift loop vectorizes only
+// with 64-bit vector multiplies (AVX-512DQ's `vpmullq`), and the
+// `FMORE_NATIVE_ARCH` build gives the row kernels 64-byte vectors only
+// where the host has AVX-512; elsewhere they run narrower (the drift
+// scalar), and a row may read slower than its per-row reference. A world
+// build on one core resolves one round thread and runs its serial loop.
 //
 // The elementwise and evaluation rows cycle through 8 distinct inputs: on
 // one fixed input the branch predictor learns a data-dependent pattern
@@ -58,6 +64,8 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "fmore/auction/cost.hpp"
@@ -141,6 +149,22 @@ void time_ms(std::vector<double>& samples, Fn&& fn) {
     const auto start = clock_type::now();
     fn();
     samples.push_back(seconds_since(start) * 1e3);
+}
+
+/// Time `a(r)` and `b(r)` alternately for r in [0, reps), so a machine that
+/// speeds up or slows down during the row moves both alike: the spreads of
+/// their microseconds.
+template <typename A, typename B>
+std::pair<Spread, Spread> alternate_us(std::size_t reps, A&& a, B&& b) {
+    std::vector<double> a_us;
+    std::vector<double> b_us;
+    for (std::size_t r = 0; r < reps; ++r) {
+        time_ms(a_us, [&] { a(r); });
+        time_ms(b_us, [&] { b(r); });
+    }
+    for (std::vector<double>* samples : {&a_us, &b_us})
+        for (double& ms : *samples) ms *= 1e3;
+    return {spread_of(std::move(a_us)), spread_of(std::move(b_us))};
 }
 
 /// `"<key>_us": median, "<key>_q1_us": q1, "<key>_q3_us": q3` for a ledger
@@ -354,6 +378,130 @@ ModelPassResult bench_eval_forward(std::size_t reps) {
             (void)model.forward(inputs[next++ % kDistinctInputs], /*training=*/false);
         });
     }
+    return out;
+}
+
+/// The Dense forward before a 16-row batch ran as y^T = b + W x^T: all of
+/// W transposed into `wt` on every call, then y = b + x W^T.
+void old_layout_dense_forward(const std::vector<float>& weight, const std::vector<float>& bias,
+                              std::size_t in, std::size_t out, const float* x,
+                              std::size_t batch, std::vector<float>& wt, float* y) {
+    wt.resize(in * out);
+    for (std::size_t o = 0; o < out; ++o) {
+        for (std::size_t i = 0; i < in; ++i) wt[i * out + o] = weight[o * in + i];
+    }
+    for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t o = 0; o < out; ++o) y[b * out + o] = bias[o];
+    }
+    ml::gemm_acc(batch, out, in, x, static_cast<std::ptrdiff_t>(in), 1, wt.data(),
+                 static_cast<std::ptrdiff_t>(out), y, static_cast<std::ptrdiff_t>(out));
+}
+
+struct DenseResult {
+    std::string shape;
+    Spread old_layout_us{};
+    Spread fast_us{};
+    bool identical = false;
+};
+
+/// The fl_cifar model's hidden Dense layer (`make_cnn_deep`'s 256 -> 96)
+/// forward on a 16-row minibatch, the rows of a training step or an
+/// evaluation slice, against the old layout over the same parameters and
+/// inputs, alternating; cycles through 8 distinct inputs.
+DenseResult bench_dense(std::size_t reps) {
+    constexpr std::size_t kRows = 16;
+    constexpr std::size_t kIn = 256;
+    constexpr std::size_t kOut = 96;
+    stats::Rng rng(15);
+    ml::Dense layer(kIn, kOut);
+    layer.initialize(rng);
+    const std::vector<ml::ParamBlock> params = layer.parameters();
+    const std::vector<float>& weight = *params[0].values;
+    std::vector<float>& bias = *params[1].values;
+    for (float& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
+    const std::vector<ml::Tensor> inputs = random_inputs({kRows, kIn}, rng);
+
+    DenseResult out;
+    out.shape = "cnn_deep B16 256 -> 96 fwd";
+    std::vector<float> wt;
+    std::vector<float> old_y(kRows * kOut);
+    ml::Tensor fast_y;
+    out.identical = true;
+    for (const ml::Tensor& x : inputs) {
+        old_layout_dense_forward(weight, bias, kIn, kOut, x.data(), kRows, wt, old_y.data());
+        layer.forward_into(x, fast_y, /*training=*/false);
+        out.identical = out.identical
+                        && std::memcmp(old_y.data(), fast_y.data(),
+                                       old_y.size() * sizeof(float)) == 0;
+    }
+    std::tie(out.old_layout_us, out.fast_us) = alternate_us(
+        reps,
+        [&](std::size_t r) {
+            old_layout_dense_forward(weight, bias, kIn, kOut,
+                                     inputs[r % kDistinctInputs].data(), kRows, wt,
+                                     old_y.data());
+        },
+        [&](std::size_t r) {
+            layer.forward_into(inputs[r % kDistinctInputs], fast_y, /*training=*/false);
+        });
+    return out;
+}
+
+struct EvalPassResult {
+    std::string shape;
+    Spread whole_us{};
+    Spread sliced_us{};
+    bool identical = false;
+};
+
+/// The evaluation pass a coordinator worker runs over one `kEvalBatch`
+/// batch of the fl_cifar model: `Model::evaluate_batches`, which gathers
+/// and runs the batch in `kEvalSlice`-row slices, against the whole-batch
+/// pass it replaced (gather 128 rows, one forward, the loss), on two
+/// clones of one model, alternating; cycles through 8 batches of a
+/// synthetic CIFAR set.
+EvalPassResult bench_eval_batches(std::size_t reps) {
+    stats::Rng data_rng(16);
+    const ml::Dataset data = ml::make_synthetic_images(
+        ml::cifar10_spec(kDistinctInputs * ml::kEvalBatch), data_rng);
+    std::vector<std::size_t> idx(data.size());
+    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+
+    const ml::ImageSpec image{3, 14, 14, data.num_classes};
+    const ml::Model model = ml::make_cnn_deep(image, 17);
+    ml::Model whole = model.clone();
+    ml::Model sliced = model.clone();
+    ml::Tensor batch;
+    std::vector<int> labels;
+    ml::SoftmaxCrossEntropy loss;
+    auto whole_batch = [&](std::size_t b) {
+        const std::size_t* at = idx.data() + b * ml::kEvalBatch;
+        data.gather_into(at, ml::kEvalBatch, batch);
+        data.gather_labels_into(at, ml::kEvalBatch, labels);
+        ml::EvalBatch record;
+        record.mean_loss = loss.forward(whole.forward(batch, /*training=*/false), labels);
+        record.hits = loss.hits();
+        record.samples = ml::kEvalBatch;
+        return record;
+    };
+    std::vector<ml::EvalBatch> records(kDistinctInputs);
+
+    EvalPassResult out;
+    out.shape = "cnn_deep B128 3x14x14, 16-row slices";
+    out.identical = true;
+    for (std::size_t b = 0; b < kDistinctInputs; ++b) {
+        const ml::EvalBatch want = whole_batch(b);
+        sliced.evaluate_batches(data, idx, ml::kEvalBatch, b, b + 1, records.data());
+        out.identical = out.identical && std::bit_cast<std::uint64_t>(want.mean_loss)
+                                             == std::bit_cast<std::uint64_t>(records[b].mean_loss)
+                        && want.hits == records[b].hits && want.samples == records[b].samples;
+    }
+    std::tie(out.whole_us, out.sliced_us) = alternate_us(
+        reps, [&](std::size_t r) { (void)whole_batch(r % kDistinctInputs); },
+        [&](std::size_t r) {
+            const std::size_t b = r % kDistinctInputs;
+            sliced.evaluate_batches(data, idx, ml::kEvalBatch, b, b + 1, records.data());
+        });
     return out;
 }
 
@@ -736,6 +884,15 @@ int main(int argc, char** argv) {
                 elementwise.alloc_us.median, elementwise.arena_us.median,
                 elementwise.alloc_us.median / elementwise.arena_us.median);
 
+    // (2c) The fl_cifar model's hidden Dense forward against the old layout.
+    const DenseResult dense = bench_dense(reps * 25);
+    std::printf("\ndense forward (%s, median [quartiles]):\n"
+                "  old layout %7.2f [%.2f-%.2f] us   W x^T %7.2f [%.2f-%.2f] us   (%.2fx)  %s\n",
+                dense.shape.c_str(), dense.old_layout_us.median, dense.old_layout_us.q1,
+                dense.old_layout_us.q3, dense.fast_us.median, dense.fast_us.q1,
+                dense.fast_us.q3, dense.old_layout_us.median / dense.fast_us.median,
+                dense.identical ? "bit-identical" : "MISMATCH");
+
     // (3) One training step of the fl_cifar model.
     const ModelPassResult step = bench_train_step(reps * 5);
     std::printf("\ntraining step (%s, fwd+loss+bwd+sgd, median):\n"
@@ -747,6 +904,14 @@ int main(int argc, char** argv) {
                 "  naive %8.1f us   fast %8.1f us   (%.2fx)\n",
                 eval.shape.c_str(), eval.naive_us.median, eval.fast_us.median,
                 eval.naive_us.median / eval.fast_us.median);
+    const EvalPassResult eval_pass = bench_eval_batches(reps);
+    std::printf("\nevaluation pass (%s, gather+forward+loss, median [quartiles]):\n"
+                "  whole batch %8.1f [%.1f-%.1f] us   sliced %8.1f [%.1f-%.1f] us   "
+                "(%.2fx)  %s\n",
+                eval_pass.shape.c_str(), eval_pass.whole_us.median, eval_pass.whole_us.q1,
+                eval_pass.whole_us.q3, eval_pass.sliced_us.median, eval_pass.sliced_us.q1,
+                eval_pass.sliced_us.q3, eval_pass.whole_us.median / eval_pass.sliced_us.median,
+                eval_pass.identical ? "bit-identical" : "MISMATCH");
 
     // (4) The market's shard pass.
     std::size_t shard_rows = 0;
@@ -833,12 +998,26 @@ int main(int argc, char** argv) {
                  elementwise.shape.c_str(), spread_json("alloc", elementwise.alloc_us).c_str(),
                  spread_json("arena", elementwise.arena_us).c_str(),
                  elementwise.alloc_us.median / elementwise.arena_us.median);
+    std::fprintf(f,
+                 "  \"dense\": {\"shape\": \"%s\", %s, %s, \"speedup\": %.4g, "
+                 "\"bit_identical\": %s},\n",
+                 dense.shape.c_str(), spread_json("old_layout", dense.old_layout_us).c_str(),
+                 spread_json("fast", dense.fast_us).c_str(),
+                 dense.old_layout_us.median / dense.fast_us.median,
+                 dense.identical ? "true" : "false");
     for (const auto& [key, pass] : {std::pair{"train_step", &step}, std::pair{"eval_forward", &eval}}) {
         std::fprintf(f, "  \"%s\": {\"shape\": \"%s\", %s, %s, \"speedup\": %.4g},\n", key,
                      pass->shape.c_str(), spread_json("naive", pass->naive_us).c_str(),
                      spread_json("fast", pass->fast_us).c_str(),
                      pass->naive_us.median / pass->fast_us.median);
     }
+    std::fprintf(f,
+                 "  \"eval_batches\": {\"shape\": \"%s\", %s, %s, \"speedup\": %.4g, "
+                 "\"bit_identical\": %s},\n",
+                 eval_pass.shape.c_str(), spread_json("whole", eval_pass.whole_us).c_str(),
+                 spread_json("sliced", eval_pass.sliced_us).c_str(),
+                 eval_pass.whole_us.median / eval_pass.sliced_us.median,
+                 eval_pass.identical ? "true" : "false");
     std::fprintf(f,
                  "  \"market\": {\"shard_rows\": %zu, \"threads\": 1, "
                  "\"hardware_threads\": %u, \"repetitions\": %zu, \"rows\": [\n",
@@ -897,14 +1076,26 @@ int main(int argc, char** argv) {
         if (l.fwd_gemm.median > l.fwd_naive.median) slower.push_back(l.name + " fwd");
         if (l.bwd_gemm.median > l.bwd_naive.median) slower.push_back(l.name + " bwd");
     }
+    if (dense.fast_us.median > dense.old_layout_us.median) slower.push_back("dense");
     if (step.fast_us.median > step.naive_us.median) slower.push_back("train_step");
     if (eval.fast_us.median > eval.naive_us.median) slower.push_back("eval_forward");
     for (const std::string& name : slower) {
         std::cerr << "micro_kernels: FAIL " << name
                   << ": production path slower than its reference twin\n";
     }
-    // Gate: every market kernel must reproduce its reference bit for bit.
+    // Gate: the Dense forward and the sliced evaluation pass must reproduce
+    // the code they replaced bit for bit, and every market kernel its
+    // reference.
     bool identical = true;
+    if (!dense.identical) {
+        identical = false;
+        std::cerr << "micro_kernels: FAIL dense: output differs from the old layout\n";
+    }
+    if (!eval_pass.identical) {
+        identical = false;
+        std::cerr << "micro_kernels: FAIL eval_batches: sliced records differ from the "
+                     "whole-batch pass\n";
+    }
     for (const MarketRow& m : market) {
         if (m.identical) continue;
         identical = false;

@@ -25,6 +25,10 @@ public:
     [[nodiscard]] std::size_t out_features() const { return out_; }
 
 private:
+    /// Rows per transposed panel of the forward: one 16-float register
+    /// block of `gemm_acc` (its vectorized j), and the zoo's training batch.
+    static constexpr std::size_t kLanes = 16;
+
     std::size_t in_;
     std::size_t out_;
     std::vector<float> weight_;      // [out, in]
@@ -32,7 +36,10 @@ private:
     std::vector<float> weight_grad_;
     std::vector<float> bias_grad_;
     Tensor cached_input_;
-    std::vector<float> wt_;          // W^T scratch for the forward GEMM
+    /// The forward's transposed panel, [in, kLanes]: a batch of at most
+    /// kLanes rows (followed by its [out, kLanes] outputs) or kLanes rows
+    /// of W. Bounded by the layer's shape, whatever the batch.
+    std::vector<float> relayout_;
 };
 
 } // namespace fmore::ml

@@ -23,10 +23,20 @@ struct EvalStats {
 };
 
 /// Evaluation minibatch size. One definition shared by `Model::evaluate`
-/// and the coordinator's parallel evaluator: batch boundaries are part of
-/// the serial-vs-parallel bit-identity contract, so the partitioning must
-/// never fork.
+/// and the coordinator's parallel evaluator. Batches fix the reduction:
+/// each batch's mean loss is one term `reduce_eval_batches` sums, and batch
+/// boundaries are part of the serial-vs-parallel bit-identity contract, so
+/// the partitioning must never fork.
 inline constexpr std::size_t kEvalBatch = 128;
+
+/// Rows per forward call inside an evaluation batch: the default training
+/// minibatch (`CoordinatorConfig::batch_size`). Slices fix the footprint:
+/// `Model::evaluate_batches` runs a batch through the model in slices of at
+/// most this many rows, so evaluating grows no activation slot, layer cache
+/// or gathered batch past what training already holds. Every layer computes
+/// each sample's row on its own, so the slices' logits are the whole
+/// batch's, bit for bit.
+inline constexpr std::size_t kEvalSlice = 16;
 
 /// Raw sums of one evaluation minibatch — the parallel evaluator's unit of
 /// work. Batch records are reduced in fixed batch order so totals are
@@ -91,7 +101,10 @@ public:
     /// `out[batch_lo..batch_hi)`. `evaluate` == evaluate_batches over the
     /// whole range + `reduce_eval_batches`; coordinators call this from
     /// several workers (each with its own model clone) over disjoint
-    /// chunks.
+    /// chunks. Each batch runs forward in `kEvalSlice`-row slices whose
+    /// logits are copied into one [batch, classes] buffer, and the loss
+    /// sees that buffer once: the record equals a whole-batch forward's
+    /// bit for bit.
     void evaluate_batches(const Dataset& data, const std::vector<std::size_t>& indices,
                           std::size_t batch_size, std::size_t batch_lo,
                           std::size_t batch_hi, EvalBatch* out);
@@ -113,13 +126,15 @@ private:
     /// Persistent activation slots (one per layer) and input-gradient slots
     /// (one per layer after the first), reused across forward/backward
     /// calls, plus the training and evaluation loops' shuffled order,
-    /// gathered batch and labels. Pure scratch: moves carry it along,
-    /// clones start fresh.
+    /// gathered batch and labels, and the logits of the evaluation batch
+    /// its slices fill. Pure scratch: moves carry it along, clones start
+    /// fresh.
     std::vector<Tensor> acts_;
     std::vector<Tensor> grads_;
     std::vector<std::size_t> order_;
     Tensor batch_;
     std::vector<int> batch_labels_;
+    Tensor eval_logits_;
 };
 
 /// Fold per-batch eval records (in batch order) into totals — the exact

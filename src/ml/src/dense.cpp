@@ -1,5 +1,6 @@
 #include "fmore/ml/dense.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -33,22 +34,55 @@ void Dense::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
     const float* x = input.data();
     float* y = out.data();
 
-    // y = bias; y += x * W^T. A one-off transpose of W keeps the GEMM's
-    // vectorized dimension (out) unit-stride in its B operand; it costs
-    // O(in*out) against the O(batch*in*out) multiply.
-    wt_.resize(in_ * out_);
-    for (std::size_t o = 0; o < out_; ++o) {
-        const float* wrow = weight_.data() + o * in_;
-        for (std::size_t i = 0; i < in_; ++i) wt_[i * out_ + o] = wrow[i];
+    // The GEMM's vectorized dimension must be unit-stride, so one operand
+    // is transposed, kLanes rows at a time, into an [in, kLanes] panel: the
+    // batch's rows for y^T = b + W x^T, or W's rows for y = b + x W^T. Both
+    // add each output's products w*x over ascending inputs to its bias
+    // (IEEE multiplication commutes), so both give the bits of
+    // `reference::NaiveDense`, and the scratch never grows with the batch.
+    // W x^T takes a batch that fills more than half of a panel's lanes, so
+    // a training minibatch or an evaluation slice never transposes W. Fewer
+    // rows would leave most lanes padding, and more would need several
+    // panels of the batch, each a full pass over W.
+    if (batch > kLanes / 2 && batch <= kLanes) {
+        relayout_.resize((in_ + out_) * kLanes);
+        float* xt = relayout_.data();
+        float* yt = xt + in_ * kLanes;
+        for (std::size_t i = 0; i < in_; ++i) {
+            float* lanes = xt + i * kLanes;
+            for (std::size_t r = 0; r < batch; ++r) lanes[r] = x[r * in_ + i];
+            for (std::size_t r = batch; r < kLanes; ++r) lanes[r] = 0.0F;  // pad lanes
+        }
+        for (std::size_t o = 0; o < out_; ++o) {
+            for (std::size_t r = 0; r < kLanes; ++r) yt[o * kLanes + r] = bias_[o];
+        }
+        gemm_acc(out_, kLanes, in_,
+                 weight_.data(), static_cast<std::ptrdiff_t>(in_), 1,
+                 xt, static_cast<std::ptrdiff_t>(kLanes),
+                 yt, static_cast<std::ptrdiff_t>(kLanes));
+        for (std::size_t r = 0; r < batch; ++r) {
+            for (std::size_t o = 0; o < out_; ++o) y[r * out_ + o] = yt[o * kLanes + r];
+        }
+        return;
     }
+
     for (std::size_t b = 0; b < batch; ++b) {
         float* yb = y + b * out_;
         for (std::size_t o = 0; o < out_; ++o) yb[o] = bias_[o];
     }
-    gemm_acc(batch, out_, in_,
-             x, static_cast<std::ptrdiff_t>(in_), 1,
-             wt_.data(), static_cast<std::ptrdiff_t>(out_),
-             y, static_cast<std::ptrdiff_t>(out_));
+    relayout_.resize(in_ * kLanes);
+    float* wt = relayout_.data();
+    for (std::size_t o0 = 0; o0 < out_; o0 += kLanes) {
+        const std::size_t n = std::min(kLanes, out_ - o0);
+        for (std::size_t o = 0; o < n; ++o) {
+            const float* wrow = weight_.data() + (o0 + o) * in_;
+            for (std::size_t i = 0; i < in_; ++i) wt[i * n + o] = wrow[i];
+        }
+        gemm_acc(batch, n, in_,
+                 x, static_cast<std::ptrdiff_t>(in_), 1,
+                 wt, static_cast<std::ptrdiff_t>(n),
+                 y + o0, static_cast<std::ptrdiff_t>(out_));
+    }
 }
 
 void Dense::backward_into(const Tensor& grad_output, Tensor& grad_input) {

@@ -19,7 +19,8 @@ Model::Model(Model&& other) noexcept
       grads_(std::move(other.grads_)),
       order_(std::move(other.order_)),
       batch_(std::move(other.batch_)),
-      batch_labels_(std::move(other.batch_labels_)) {
+      batch_labels_(std::move(other.batch_labels_)),
+      eval_logits_(std::move(other.eval_logits_)) {
     reattach_layers();
 }
 
@@ -34,6 +35,7 @@ Model& Model::operator=(Model&& other) noexcept {
         order_ = std::move(other.order_);
         batch_ = std::move(other.batch_);
         batch_labels_ = std::move(other.batch_labels_);
+        eval_logits_ = std::move(other.eval_logits_);
         reattach_layers();
     }
     return *this;
@@ -184,11 +186,18 @@ void Model::evaluate_batches(const Dataset& data, const std::vector<std::size_t>
         if (start >= indices.size()) break;
         const std::size_t* batch_idx = indices.data() + start;
         const std::size_t count = std::min(indices.size() - start, batch_size);
-        data.gather_into(batch_idx, count, batch_);
         data.gather_labels_into(batch_idx, count, batch_labels_);
-        const Tensor& logits = forward(batch_, /*training=*/false);
+        for (std::size_t lo = 0; lo < count; lo += kEvalSlice) {
+            const std::size_t rows = std::min(count - lo, kEvalSlice);
+            data.gather_into(batch_idx + lo, rows, batch_);
+            const Tensor& logits = forward(batch_, /*training=*/false);
+            const std::size_t classes = logits.size() / rows;
+            if (lo == 0) eval_logits_.reshape_to({count, classes});
+            std::copy(logits.data(), logits.data() + logits.size(),
+                      eval_logits_.data() + lo * classes);
+        }
         EvalBatch record;
-        record.mean_loss = loss_.forward(logits, batch_labels_);
+        record.mean_loss = loss_.forward(eval_logits_, batch_labels_);
         record.hits = loss_.hits();
         record.samples = count;
         out[bi] = record;

@@ -7,11 +7,13 @@
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_bytes{0};
 
 } // namespace
 
 void* operator new(std::size_t size) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
     if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
     throw std::bad_alloc();
 }
@@ -21,5 +23,7 @@ void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
 namespace fmore {
 
 std::size_t allocation_count() { return g_allocations.load(); }
+
+std::size_t allocated_bytes() { return g_bytes.load(); }
 
 } // namespace fmore

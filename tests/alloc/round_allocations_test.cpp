@@ -111,9 +111,12 @@ private:
 /// helpers, two kinds of one-off event land in single rounds: the pool's
 /// job queue takes a new node once per 16 queued jobs (about every third
 /// round at 6 jobs a round), and a clone grows its scratch the first time
-/// its slot trains and the first time it evaluates (at most twice per slot),
-/// which depends on how the pool hands out work; under load a helper can
-/// sit out several rounds. Nine measured rounds leave clean ones.
+/// its slot trains and again the first time it evaluates (at most twice per
+/// slot), which depends on how the pool hands out work; under load a helper
+/// can sit out several rounds. Evaluation runs in training-sized slices, so
+/// that second growth is only the [kEvalBatch, classes] logits and the
+/// loss's buffers (EvalFootprint bounds it). Nine measured rounds leave
+/// clean ones.
 std::size_t steady_round_allocations(const Workload& w, std::size_t threads,
                                      std::size_t samples, std::size_t eval_batches) {
     const std::size_t rounds = kWarmupRounds + (threads == 1 ? 2 : 9) + 1;

@@ -13,6 +13,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fmore/ml/conv2d.hpp"
@@ -396,6 +397,26 @@ TEST(KernelEquivalenceTest, DenseMatchesNaiveOnRandomShapes) {
                                  "dense " + std::to_string(c.in) + "->"
                                      + std::to_string(c.out),
                                  rng);
+    }
+    // The zoo's hidden layers (make_cnn_deep 256->96, make_cnn 200->64) at
+    // row counts that reach both forward orientations and every GEMM tail
+    // of each: x W^T for 1, 3 and 7 rows and for more rows than one 16-row
+    // panel (17, 33, 128), W x^T for 9 (the fewest it takes), 15 and 16.
+    // One layer per shape runs them all in turn, so each call also reuses
+    // the scratch the last one left.
+    for (const auto& [in, out] : std::vector<std::pair<std::size_t, std::size_t>>{
+             {256, 96}, {200, 64}}) {
+        Dense layer(in, out);
+        reference::NaiveDense naive(in, out);
+        layer.initialize(rng);
+        for (const std::size_t batch : {1, 3, 7, 9, 15, 16, 17, 33, 128}) {
+            const Tensor input = random_tensor({batch, in}, rng);
+            expect_layer_equivalence(layer, naive, input,
+                                     "dense " + std::to_string(in) + "->"
+                                         + std::to_string(out) + " x"
+                                         + std::to_string(batch),
+                                     rng);
+        }
     }
 }
 
