@@ -9,18 +9,20 @@
 //  (3) one training step (forward + loss + backward + SGD) of the deep CNN
 //      on a CIFAR-shaped minibatch against its reference twin
 //      (`reference::naive_cnn_deep`), with the sparse gradients ReLU and
-//      Dropout really produce, one evaluation forward of both models on a
-//      B128 batch (the evaluation batch), and the pass a coordinator runs
-//      over one such batch (`Model::evaluate_batches`, in 16-row slices)
-//      against the whole-batch pass it replaced,
+//      Dropout really produce, the evaluation of one B128 batch (the
+//      evaluation batch) by both models as a round runs it
+//      (`Model::evaluate_batches`, forward in 16-row slices), and the
+//      model's sliced pass against the whole-batch pass it replaced,
 //  (4) the market's shard pass on one 250k-row shard of the `wire_1m`
 //      world (N = 1M over 4 shards, alpha=25 scaled product over data and
 //      category, additive cost, theta ~ U[0.5, 1.5], K = 32), on the
 //      narrowed slice a forked worker holds (theta, data size and its cap,
 //      category, draw bytes): the drift, collect and head row kernels next
-//      to their per-row references, and a worker's whole head pass next to
-//      the frame composition that prices every row; each row reports the
-//      median and quartiles of its repetitions,
+//      to their per-row references, a worker's whole head pass next to
+//      the frame composition that prices every row, and a worker's round
+//      (drift inside the head pass) next to the two-pass round (the whole
+//      shard drifted, then the head pass); each row reports the median and
+//      quartiles of its repetitions,
 //  (5) the world builds of the benchmark lanes, `wire_1m`'s 1M-node store
 //      and `fl_cifar`'s 10,500-sample image set, on the pool
 //      (`stats::draw_in_chunks`) against the serial loops they replaced
@@ -36,7 +38,7 @@
 //   micro_kernels [--smoke] [--out path.json]
 //
 // --smoke shrinks repetitions (CI); the JSON is written either way. Exits 1
-// when a `layers` row, the `dense` row, the training step or the
+// when a `layers` row, the `dense` row, the training step or the sliced
 // evaluation forward has a production path slower than its reference twin
 // at the median (the elementwise row compares two APIs, not two kernels,
 // and is not gated), or when the `dense` row, the sliced evaluation pass, a
@@ -359,25 +361,31 @@ ModelPassResult bench_train_step(std::size_t reps) {
     return out;
 }
 
-/// One evaluation forward (`training=false`) of the fl_cifar model and of
-/// its reference twin on a B128 batch, the evaluation batch size: conv,
-/// ReLU, MaxPool2d and Dense forward with no backward, as in every round's
-/// evaluation.
+/// One evaluation batch of the fl_cifar model as a round runs it:
+/// `Model::evaluate_batches` over one `kEvalBatch` batch, gathered and run
+/// forward (`training=false`) in `kEvalSlice`-row slices, for the model and
+/// for its reference twin (`reference::naive_cnn_deep`) on the same slices,
+/// alternating; cycles through 8 batches of a synthetic CIFAR set.
 ModelPassResult bench_eval_forward(std::size_t reps) {
-    stats::Rng rng(14);
-    const std::vector<ml::Tensor> inputs = random_inputs({ml::kEvalBatch, 3, 14, 14}, rng);
-    std::size_t next = 0;
+    stats::Rng data_rng(14);
+    const ml::Dataset data = ml::make_synthetic_images(
+        ml::cifar10_spec(kDistinctInputs * ml::kEvalBatch), data_rng);
+    std::vector<std::size_t> idx(data.size());
+    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
 
     ModelPassResult out;
-    out.shape = "cnn_deep B128 3x14x14 eval";
-    const ml::ImageSpec image{3, 14, 14, 10};
-    for (const bool naive : {true, false}) {
-        ml::Model model =
-            naive ? reference::naive_cnn_deep(image, 17) : ml::make_cnn_deep(image, 17);
-        (naive ? out.naive_us : out.fast_us) = spread_us(reps, [&] {
-            (void)model.forward(inputs[next++ % kDistinctInputs], /*training=*/false);
-        });
-    }
+    out.shape = "cnn_deep B128 3x14x14 eval, 16-row slices";
+    const ml::ImageSpec image{3, 14, 14, data.num_classes};
+    ml::Model naive = reference::naive_cnn_deep(image, 17);
+    ml::Model fast = ml::make_cnn_deep(image, 17);
+    std::vector<ml::EvalBatch> records(kDistinctInputs);
+    const auto evaluate = [&](ml::Model& model, std::size_t r) {
+        const std::size_t b = r % kDistinctInputs;
+        model.evaluate_batches(data, idx, ml::kEvalBatch, b, b + 1, records.data());
+    };
+    std::tie(out.naive_us, out.fast_us) =
+        alternate_us(reps, [&](std::size_t r) { evaluate(naive, r); },
+                     [&](std::size_t r) { evaluate(fast, r); });
     return out;
 }
 
@@ -727,7 +735,42 @@ std::vector<MarketRow> bench_market(std::size_t reps, std::size_t& shard_rows) {
         head_pass.identical = head_pass.identical && same_heads(kernel_head, reference_head);
     }
     head_pass.priced_rows = priced;
-    return {drift, collect, head, head_pass};
+
+    // A worker's round as `worker_main` runs it, one pass in which each
+    // block of rows drifts just before its quote, against the two-pass
+    // round it replaced (the whole shard drifted, then the head pass), on
+    // twin shards given the same salts. Both must end with the same head,
+    // columns and salt history.
+    MarketRow worker_round{"worker_round", "evolve_with_salt, then collect_head_rows"};
+    mec::PopulationStore twin = shard;
+    stats::Rng salt_rng(0x5a175ULL);
+    set_env("FMORE_ROUND_THREADS", "1");
+    for (std::size_t r = 0; r < reps; ++r) {
+        const std::uint64_t salt = salt_rng.engine()();
+        time_ms(worker_round.kernel_ms, [&] {
+            mec::collect_head_rows(shard, salt, layout, strategy, scoring, true,
+                                   auction::PaymentMethod::integral, banned, nullptr, keys,
+                                   kWinners + 1, columns, merge, kernel_head);
+        });
+        time_ms(worker_round.reference_ms, [&] {
+            twin.evolve_with_salt(salt);
+            mec::collect_head_rows(twin, layout, strategy, scoring, true,
+                                   auction::PaymentMethod::integral, banned, nullptr, keys,
+                                   kWinners + 1, columns, merge, reference_head);
+        });
+        worker_round.identical =
+            worker_round.identical && same_heads(kernel_head, reference_head);
+    }
+    set_env("FMORE_ROUND_THREADS", "0");
+    worker_round.identical =
+        worker_round.identical && shard.salt_history() == twin.salt_history()
+        && same_bits(shard.thetas().data(), twin.thetas().data(), shard.size());
+    for (const mec::ResourceDim dim : layout) {
+        worker_round.identical =
+            worker_round.identical
+            && same_bits(shard.column(dim).data(), twin.column(dim).data(), shard.size());
+    }
+    return {drift, collect, head, head_pass, worker_round};
 }
 
 /// One world row: a world build and its serial reference (the loop it
@@ -900,9 +943,10 @@ int main(int argc, char** argv) {
                 step.shape.c_str(), step.naive_us.median, step.fast_us.median,
                 step.naive_us.median / step.fast_us.median);
     const ModelPassResult eval = bench_eval_forward(reps);
-    std::printf("\nevaluation forward (%s, median):\n"
-                "  naive %8.1f us   fast %8.1f us   (%.2fx)\n",
-                eval.shape.c_str(), eval.naive_us.median, eval.fast_us.median,
+    std::printf("\nevaluation forward (%s, gather+forward+loss, median [quartiles]):\n"
+                "  naive %8.1f [%.1f-%.1f] us   fast %8.1f [%.1f-%.1f] us   (%.2fx)\n",
+                eval.shape.c_str(), eval.naive_us.median, eval.naive_us.q1, eval.naive_us.q3,
+                eval.fast_us.median, eval.fast_us.q1, eval.fast_us.q3,
                 eval.naive_us.median / eval.fast_us.median);
     const EvalPassResult eval_pass = bench_eval_batches(reps);
     std::printf("\nevaluation pass (%s, gather+forward+loss, median [quartiles]):\n"
@@ -923,13 +967,13 @@ int main(int argc, char** argv) {
     for (const MarketRow& m : market) {
         const Spread kernel = spread_of(m.kernel_ms);
         const Spread reference = spread_of(m.reference_ms);
-        std::printf("  %-9s %8.3f [%.3f-%.3f] -> %8.3f [%.3f-%.3f] (%.2fx)  %s\n"
-                    "            [reference: %s]\n",
+        std::printf("  %-12s %8.3f [%.3f-%.3f] -> %8.3f [%.3f-%.3f] (%.2fx)  %s\n"
+                    "               [reference: %s]\n",
                     m.name.c_str(), reference.median, reference.q1, reference.q3,
                     kernel.median, kernel.q1, kernel.q3, reference.median / kernel.median,
                     m.identical ? "bit-identical" : "MISMATCH", m.reference.c_str());
         if (m.priced_rows > 0)
-            std::printf("            %zu of %zu rows priced\n", m.priced_rows, shard_rows);
+            std::printf("               %zu of %zu rows priced\n", m.priced_rows, shard_rows);
     }
 
     // (5) The world builds: serial loop against the pooled build.

@@ -143,7 +143,11 @@ public:
     ///
     /// Blocks are column-major: dimension d of row r sits at q[d * n + r].
 
-    /// Row twin of `quality_into`: q[d * n + r] = q^s(theta[r])_d.
+    /// Row twin of `quality_into`: q[d * n + r] = q^s(theta[r])_d. A
+    /// dimension whose curve is flat (every knot the same finite, nonzero
+    /// bits; the solver decides it once) writes that value without a
+    /// lookup: a lerp between equal knots returns the knot, and a NaN theta
+    /// still gives NaN.
     void quality_rows(const double* theta, std::size_t n, double* q) const;
 
     /// The first half of `quote_span` over `n` rows of `dimensions()`
@@ -198,6 +202,9 @@ private:
     bool degenerate_ = false; // all types share one score; zero markup
     // theta-indexed tables
     std::vector<std::unique_ptr<numeric::LinearInterpolator>> quality_curves_;
+    /// Per dimension, the quality curve's value when it is flat (every knot
+    /// the same finite, nonzero bits), else 0: `quality_rows` writes it.
+    std::vector<double> flat_quality_;
     std::unique_ptr<numeric::LinearInterpolator> surplus_curve_;   // theta -> u0
     std::unique_ptr<numeric::LinearInterpolator> score_cdf_curve_; // u -> H(u)
     // u-indexed tables

@@ -1,6 +1,7 @@
 #include "fmore/auction/equilibrium.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -13,6 +14,31 @@ namespace fmore::auction {
 namespace {
 
 constexpr double k_tiny_prob = 1e-12;
+
+/// A quality curve's one value when every knot holds the same finite,
+/// nonzero bits c, else 0 (the curve moves, or the shortcut is not exact).
+/// The lerp between two such knots, c + t * (c - c), is c for every finite
+/// weight t: c - c is +0 and c + (+-0) is c. It is not for an infinite c
+/// (c - c is NaN) nor for c = -0 (-0 + +0 is +0).
+double flat_value(const std::vector<double>& knots) {
+    const double c = knots.front();
+    if (!std::isfinite(c) || c == 0.0) return 0.0;
+    const auto bits = std::bit_cast<std::uint64_t>(c);
+    for (const double y : knots)
+        if (std::bit_cast<std::uint64_t>(y) != bits) return 0.0;
+    return c;
+}
+
+/// A flat curve's rows: its value, and NaN for a NaN theta, as the lerp
+/// gives (the NaN quieted, as the lerp's arithmetic quiets it). Theta past
+/// either end, +-inf included, takes the end value, which is the same c.
+void flat_rows(const double* __restrict theta, std::size_t n, double c,
+               double* __restrict q) {
+    for (std::size_t r = 0; r < n; ++r) {
+        const double v = theta[r];
+        q[r] = v == v ? c : v + c;
+    }
+}
 
 } // namespace
 
@@ -112,15 +138,23 @@ EquilibriumStrategy::SealedQuote EquilibriumStrategy::quote_span(
 void EquilibriumStrategy::quality_rows(const double* theta, std::size_t n,
                                        double* q) const {
     // quality_into per row: one lookup on the shared theta grid gives the
-    // segment and lerp weight every dimension's curve uses.
+    // segment and lerp weight every moving curve uses; a flat curve writes
+    // its value, which is what its lerp returns (`flat_quality_`), with no
+    // lookup, division or gather.
     std::int32_t hi[numeric::kRowBlock];
     double t[numeric::kRowBlock];
     const numeric::LinearInterpolator& first = *quality_curves_[0];
+    const bool moves =
+        std::find(flat_quality_.begin(), flat_quality_.end(), 0.0) != flat_quality_.end();
     for (std::size_t r0 = 0; r0 < n; r0 += numeric::kRowBlock) {
         const std::size_t rows = std::min(numeric::kRowBlock, n - r0);
-        first.weight_rows(theta + r0, rows, hi, t);
+        if (moves) first.weight_rows(theta + r0, rows, hi, t);
         for (std::size_t d = 0; d < quality_curves_.size(); ++d) {
-            quality_curves_[d]->lerp_rows(hi, t, theta + r0, rows, q + d * n + r0);
+            double* out = q + d * n + r0;
+            if (flat_quality_[d] != 0.0)
+                flat_rows(theta + r0, rows, flat_quality_[d], out);
+            else
+                quality_curves_[d]->lerp_rows(hi, t, theta + r0, rows, out);
         }
     }
 }
@@ -262,6 +296,7 @@ EquilibriumStrategy EquilibriumSolver::solve() const {
     for (std::size_t d = 0; d < dims; ++d) {
         std::vector<double> qd(g);
         for (std::size_t j = 0; j < g; ++j) qd[j] = table.qualities[j][d];
+        strategy.flat_quality_.push_back(flat_value(qd));
         strategy.quality_curves_.push_back(std::make_unique<numeric::LinearInterpolator>(
             table.thetas, std::move(qd)));
     }

@@ -142,15 +142,17 @@ double ScaledProductScoring::quality_score_span(const double* q, std::size_t n) 
 void ScaledProductScoring::quality_score_rows(const double* __restrict q, std::size_t n,
                                               double* __restrict out) const {
     // quality_score_span per row, vectorized across rows: each row's
-    // product starts at alpha and takes its factors in dimension order.
+    // product starts at alpha and takes its factors in dimension order,
+    // each normalized as `transform` does (`transform_rows` leaves out only
+    // the arithmetic that changes no bit).
     for (std::size_t r = 0; r < n; ++r) out[r] = alpha_;
     for (std::size_t d = 0; d < dims_; ++d) {
         const double* column = q + d * n;
         if (normalizers_.empty()) {
             for (std::size_t r = 0; r < n; ++r) out[r] *= column[r];
         } else {
-            const stats::MinMaxNormalizer norm = normalizers_[d];
-            for (std::size_t r = 0; r < n; ++r) out[r] *= norm.transform(column[r]);
+            normalizers_[d].transform_rows(column, n,
+                                           [out](std::size_t r, double y) { out[r] *= y; });
         }
     }
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -87,6 +88,26 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
 /// @throws std::invalid_argument when `check_bid_layout` rejects the
 ///         layout, strategy and rule
 std::size_t collect_head_rows(const PopulationStore& store, const QualityLayout& layout,
+                              const auction::EquilibriumStrategy& strategy,
+                              const auction::ScoringRule& scoring,
+                              bool strategy_scores_broadcast_rule,
+                              auction::PaymentMethod payment_method,
+                              const Blacklist& blacklist, const wire::StreamExtra* cut,
+                              const auction::TieKeys& keys, std::size_t limit,
+                              std::vector<const double*>& columns,
+                              auction::StreamingHeadMerge& head, auction::ShardHead& out);
+
+/// A forked shard worker's round in one pass: `store.evolve_with_salt(
+/// drift_salt)` followed by the call above, bit for bit, with each block of
+/// rows drifted just before it is quoted. The salt is recorded and the
+/// theta bounds checked before any row moves, as `evolve_with_salt` does,
+/// and after the layout check; a row's drift reads only the row and its
+/// (salt, global id) stream, so no quote sees a row drifted out of turn.
+/// @throws std::invalid_argument when `check_bid_layout` rejects the
+///         layout, strategy and rule (the store untouched), or on bad theta
+///         bounds
+std::size_t collect_head_rows(PopulationStore& store, std::uint64_t drift_salt,
+                              const QualityLayout& layout,
                               const auction::EquilibriumStrategy& strategy,
                               const auction::ScoringRule& scoring,
                               bool strategy_scores_broadcast_rule,

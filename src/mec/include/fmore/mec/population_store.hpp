@@ -187,6 +187,32 @@ public:
     /// same salt reproduce the unsplit store's `evolve` bit-identically.
     void evolve_with_salt(std::uint64_t salt);
 
+    /// One round of `evolve_with_salt`'s drift, applied a range of rows at
+    /// a time: what a pass that drifts each block of rows just before it
+    /// reads them holds (`collect_head_rows`' drifting overload). Made by
+    /// `begin_drift`; valid while its store lives, and not across another
+    /// round.
+    class RowDrift {
+    public:
+        /// Drifts rows [lo, hi) as `evolve_with_salt` drifts them, on the
+        /// calling thread. A row's drift reads only the row and its (salt,
+        /// global id) stream, so drifting every row once, in any ranges and
+        /// any order, leaves the store as `evolve_with_salt(salt)` does.
+        void operator()(std::size_t lo, std::size_t hi) const;
+
+    private:
+        friend class PopulationStore;
+        RowDrift(PopulationStore& store, std::uint64_t salt) : store_(&store), salt_(salt) {}
+        PopulationStore* store_;
+        std::uint64_t salt_;
+    };
+
+    /// Starts a round of drift under `salt`: checks the theta bounds and
+    /// records the salt, as `evolve_with_salt` does before any row moves,
+    /// and returns the drift, which the caller applies to every row once.
+    /// @throws std::invalid_argument on bad theta bounds (nothing recorded)
+    [[nodiscard]] RowDrift begin_drift(std::uint64_t salt);
+
     /// Every round salt this store has applied, in order — what the shard
     /// supervisor replays into a respawned worker, and what the durable-run
     /// checkpoint records so a resumed coordinator can prove provenance.
@@ -316,7 +342,7 @@ private:
     void build_rows(std::size_t n, std::size_t uniforms_per_row,
                     const stats::Distribution& theta_dist, stats::Rng& rng,
                     const std::function<void(stats::Rng&, std::size_t, std::size_t)>& draw_rows);
-    /// Theta-bounds check and salt history, shared by both drift paths.
+    /// Theta-bounds check and salt history, shared by every drift path.
     void begin_round(std::uint64_t salt);
     void evolve_node(std::size_t i, std::uint64_t salt);
 

@@ -243,18 +243,16 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
     }
 }
 
-std::size_t collect_head_rows(const PopulationStore& store, const QualityLayout& layout,
-                              const auction::EquilibriumStrategy& strategy,
-                              const auction::ScoringRule& scoring,
-                              bool strategy_scores_broadcast_rule,
-                              auction::PaymentMethod payment_method,
-                              const Blacklist& blacklist, const wire::StreamExtra* cut,
-                              const auction::TieKeys& keys, std::size_t limit,
-                              std::vector<const double*>& columns,
-                              auction::StreamingHeadMerge& head, auction::ShardHead& out) {
-    const BlockQuoter quoter(store, layout, strategy, scoring, strategy_scores_broadcast_rule,
-                             payment_method, blacklist, columns);
-    const std::size_t dims = layout.size();
+namespace {
+
+/// `collect_head_rows`' pass over `store`'s rows through `quoter`, each
+/// block of rows first drifted by `drift` when it is set.
+std::size_t head_pass(const PopulationStore& store, const PopulationStore::RowDrift* drift,
+                      const BlockQuoter& quoter, std::size_t dims,
+                      const auction::EquilibriumStrategy& strategy,
+                      auction::PaymentMethod payment_method, const wire::StreamExtra* cut,
+                      const auction::TieKeys& keys, std::size_t limit,
+                      auction::StreamingHeadMerge& head, auction::ShardHead& out) {
     const std::size_t rows = store.size();
     // With no ask below cost, fl(c + m) >= c, so a row's score
     // fl(s - fl(c + m)) is at most its at-cost bound fl(s - c) (rounding is
@@ -267,6 +265,9 @@ std::size_t collect_head_rows(const PopulationStore& store, const QualityLayout&
     QuoteBlock b;
     for (std::size_t blo = 0; blo < rows; blo += quoter.block_rows()) {
         const std::size_t n = std::min(quoter.block_rows(), rows - blo);
+        // The block's drift lands just before its quote reads it, while its
+        // rows are still in cache; banned rows drift too.
+        if (drift != nullptr) (*drift)(blo, blo + n);
         const std::size_t live = quoter.cost(blo, n, b);
         if (live == 0 || (bound_by_cost && rejects_at_cost(head, b, n, live < n))) continue;
         quoter.price(n, b);
@@ -290,6 +291,41 @@ std::size_t collect_head_rows(const PopulationStore& store, const QualityLayout&
     }
     head.finish(out);
     return priced;
+}
+
+} // namespace
+
+std::size_t collect_head_rows(const PopulationStore& store, const QualityLayout& layout,
+                              const auction::EquilibriumStrategy& strategy,
+                              const auction::ScoringRule& scoring,
+                              bool strategy_scores_broadcast_rule,
+                              auction::PaymentMethod payment_method,
+                              const Blacklist& blacklist, const wire::StreamExtra* cut,
+                              const auction::TieKeys& keys, std::size_t limit,
+                              std::vector<const double*>& columns,
+                              auction::StreamingHeadMerge& head, auction::ShardHead& out) {
+    const BlockQuoter quoter(store, layout, strategy, scoring, strategy_scores_broadcast_rule,
+                             payment_method, blacklist, columns);
+    return head_pass(store, nullptr, quoter, layout.size(), strategy, payment_method, cut, keys,
+                     limit, head, out);
+}
+
+std::size_t collect_head_rows(PopulationStore& store, std::uint64_t drift_salt,
+                              const QualityLayout& layout,
+                              const auction::EquilibriumStrategy& strategy,
+                              const auction::ScoringRule& scoring,
+                              bool strategy_scores_broadcast_rule,
+                              auction::PaymentMethod payment_method,
+                              const Blacklist& blacklist, const wire::StreamExtra* cut,
+                              const auction::TieKeys& keys, std::size_t limit,
+                              std::vector<const double*>& columns,
+                              auction::StreamingHeadMerge& head, auction::ShardHead& out) {
+    // The quoter checks the layout before the drift records its salt.
+    const BlockQuoter quoter(store, layout, strategy, scoring, strategy_scores_broadcast_rule,
+                             payment_method, blacklist, columns);
+    const PopulationStore::RowDrift drift = store.begin_drift(drift_salt);
+    return head_pass(store, &drift, quoter, layout.size(), strategy, payment_method, cut, keys,
+                     limit, head, out);
 }
 
 fl::SelectionRecord assemble_selection_record(

@@ -392,21 +392,29 @@ void PopulationStore::begin_round(std::uint64_t salt) {
     salt_history_.push_back(salt);
 }
 
-void PopulationStore::evolve_with_salt(std::uint64_t salt) {
+PopulationStore::RowDrift PopulationStore::begin_drift(std::uint64_t salt) {
     begin_round(salt);
-    const std::size_t n = size();
-    const unsigned held_columns = (bandwidth_.size() == n ? kDrawBandwidth : 0)
-                                  | (cpu_.size() == n ? kDrawCpu : 0)
-                                  | (data_size_.size() == n ? kDrawData : 0);
-    const DriftKernel kernel = drift_kernel(dynamics_, held_columns);
+    return RowDrift(*this, salt);
+}
+
+void PopulationStore::RowDrift::operator()(std::size_t lo, std::size_t hi) const {
+    PopulationStore& s = *store_;
+    const std::size_t n = s.size();
+    const unsigned held_columns = (s.bandwidth_.size() == n ? kDrawBandwidth : 0)
+                                  | (s.cpu_.size() == n ? kDrawCpu : 0)
+                                  | (s.data_size_.size() == n ? kDrawData : 0);
+    const DriftKernel kernel = drift_kernel(s.dynamics_, held_columns);
     if (kernel == nullptr) return;
-    const DriftParams params{node_offset_, dynamics_.resource_jitter,
-                             dynamics_.theta_jitter, theta_lo_, theta_hi_};
-    const auto drift = [&](std::size_t lo, std::size_t hi) {
-        kernel(params, salt, lo, hi, theta_.data(), data_size_.data(), bandwidth_.data(),
-               cpu_.data(), data_cap_.data(), bandwidth_cap_.data(), cpu_cap_.data(),
-               draw_bits_.data());
-    };
+    const DriftParams params{s.node_offset_, s.dynamics_.resource_jitter,
+                             s.dynamics_.theta_jitter, s.theta_lo_, s.theta_hi_};
+    kernel(params, salt_, lo, hi, s.theta_.data(), s.data_size_.data(), s.bandwidth_.data(),
+           s.cpu_.data(), s.data_cap_.data(), s.bandwidth_cap_.data(), s.cpu_cap_.data(),
+           s.draw_bits_.data());
+}
+
+void PopulationStore::evolve_with_salt(std::uint64_t salt) {
+    const RowDrift drift = begin_drift(salt);
+    const std::size_t n = size();
     const std::size_t chunks = (n + kEvolveChunk - 1) / kEvolveChunk;
     const std::size_t workers = chunks <= 1 ? 1 : util::resolve_round_threads(0, chunks);
     if (workers <= 1) {

@@ -304,19 +304,25 @@ namespace {
             && fault.seconds > 0.0)
             ::usleep(static_cast<useconds_t>(fault.seconds * 1e6));
 
-        if (req.round > 1) shard.evolve_with_salt(req.evolve_salt);
-
-        // Streaming rounds keep only the bids inside the coordinator-resolved
-        // close cut: a bid outside (close_time, boundary) never made the
-        // round. Arrival times are pure in (salt, global id), so this is the
-        // same arrived set every other party computes. Both request types
-        // are answered with one `head` frame.
+        // One pass over the shard: from round 2 on, each block of rows
+        // drifts under the round's salt just before it is quoted. Streaming
+        // rounds keep only the bids inside the coordinator-resolved close
+        // cut: a bid outside (close_time, boundary) never made the round.
+        // Arrival times are pure in (salt, global id), so this is the same
+        // arrived set every other party computes. Both request types are
+        // answered with one `head` frame.
         auction::TieKeys keys;
         keys.salted = true;
         keys.salt = req.tie_salt;
-        collect_head_rows(shard, layout, strategy, scoring, strategy_scores_broadcast_rule,
-                          payment_method, banned, streaming ? &extra : nullptr, keys,
-                          req.limit, columns, head_merge, head);
+        const StreamExtra* cut = streaming ? &extra : nullptr;
+        if (req.round > 1)
+            collect_head_rows(shard, req.evolve_salt, layout, strategy, scoring,
+                              strategy_scores_broadcast_rule, payment_method, banned, cut,
+                              keys, req.limit, columns, head_merge, head);
+        else
+            collect_head_rows(shard, layout, strategy, scoring, strategy_scores_broadcast_rule,
+                              payment_method, banned, cut, keys, req.limit, columns,
+                              head_merge, head);
         clean.clear();
         head.serialize(clean);
 

@@ -1,11 +1,28 @@
 #include "fmore/stats/normalizer.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace fmore::stats {
 
-MinMaxNormalizer::MinMaxNormalizer(double lo, double hi) : lo_(lo), hi_(hi) {
+namespace {
+
+/// 1 / span when span is a finite power of two and its reciprocal a double
+/// (then exact), else 0. An overflowed span (inf) and a subnormal span
+/// below 2^-1023, whose reciprocal overflows, keep the division.
+double exact_inverse(double span) {
+    int exponent = 0;
+    if (!std::isfinite(span) || !(span > 0.0) || std::frexp(span, &exponent) != 0.5)
+        return 0.0;
+    const double inverse = 1.0 / span;
+    return std::isfinite(inverse) ? inverse : 0.0;
+}
+
+} // namespace
+
+MinMaxNormalizer::MinMaxNormalizer(double lo, double hi)
+    : lo_(lo), hi_(hi), inverse_span_(exact_inverse(hi - lo)) {
     if (!(lo < hi)) throw std::invalid_argument("MinMaxNormalizer: lo must be < hi");
 }
 

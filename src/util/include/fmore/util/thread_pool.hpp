@@ -127,6 +127,9 @@ private:
 /// the pool's locks, and the destructor leaves the workers alone.
 class ThreadPool {
 public:
+    /// Starts `workers` threads (fewer when thread creation hits a resource
+    /// limit, none only by throwing) and returns once each has started, so
+    /// a fork right after it inherits no lock a starting thread held.
     explicit ThreadPool(std::size_t workers);
     ~ThreadPool();
     ThreadPool(const ThreadPool&) = delete;

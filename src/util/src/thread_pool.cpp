@@ -175,8 +175,16 @@ struct ThreadPool::Impl {
     std::mutex mutex;
     std::condition_variable cv;
     bool stop = false;
+    /// Workers that have finished starting (guarded by `mutex`).
+    std::size_t started = 0;
+    std::condition_variable started_cv;
 
     void worker_loop() {
+        {
+            const std::lock_guard<std::mutex> lock(mutex);
+            ++started;
+        }
+        started_cv.notify_all();
         for (;;) {
             std::function<void()> job;
             {
@@ -201,6 +209,13 @@ ThreadPool::ThreadPool(std::size_t workers) : impl_(std::make_unique<Impl>()) {
         // Thread creation hit a resource limit: run with what started.
         if (impl_->workers.empty()) throw;
     }
+    // Return only once every worker has started: a thread still starting
+    // can hold a lock of the allocator or the runtime, and a process that
+    // forks right after starting the pool (`ProcessShardAggregator`) would
+    // hand its child that lock held, and the child would hang on its first
+    // allocation (seen under AddressSanitizer).
+    std::unique_lock<std::mutex> lock(impl_->mutex);
+    impl_->started_cv.wait(lock, [this] { return impl_->started == impl_->workers.size(); });
 }
 
 ThreadPool::~ThreadPool() {

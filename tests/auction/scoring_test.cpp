@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "fmore/auction/scoring.hpp"
 #include "fmore/stats/rng.hpp"
@@ -106,6 +112,49 @@ TEST_P(ScoringMonotonicity, QualityScoreIsMonotone) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, ScoringMonotonicity, ::testing::Values(0, 1, 2, 3));
+
+// The scaled product's row kernel normalizes through
+// `MinMaxNormalizer::transform_rows`, which skips a subtraction of +0 and
+// multiplies by an exact power-of-two reciprocal. Each row must still equal
+// quality_score_span's in every bit, for ranges that take either shortcut,
+// both, or neither, on qualities with +-0, subnormals, +-inf and NaN.
+TEST(ScaledProductRows, RowKernelMatchesTheSpanCallBitForBit) {
+    using stats::MinMaxNormalizer;
+    const std::vector<std::vector<MinMaxNormalizer>> sets{
+        {},
+        {MinMaxNormalizer(0.0, 150.0), MinMaxNormalizer(0.0, 1.0)},
+        {MinMaxNormalizer(-3.0, -1.0), MinMaxNormalizer(0.0, 0.5)},
+        {MinMaxNormalizer(5.0, 8.0), MinMaxNormalizer(-0.0, 1.0)},
+        {MinMaxNormalizer(0.0, std::ldexp(1.0, 40)),
+         MinMaxNormalizer(1.0, 1.0 + std::ldexp(1.0, -40))},
+    };
+    const double odd[] = {0.0,
+                          -0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()};
+    stats::Rng rng(142);
+    for (std::size_t set = 0; set < sets.size(); ++set) {
+        const ScaledProductScoring rule(25.0, 2, sets[set]);
+        for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{256},
+                                    std::size_t{300}}) {
+            SCOPED_TRACE("normalizer set " + std::to_string(set) + ", " + std::to_string(n)
+                         + " rows");
+            std::vector<double> q(2 * n);
+            for (std::size_t c = 0; c < q.size(); ++c)
+                q[c] = c % 5 == 3 ? odd[(c / 5) % 6] : rng.uniform(-20.0, 200.0);
+            std::vector<double> out(n);
+            rule.quality_score_rows(q.data(), n, out.data());
+            for (std::size_t r = 0; r < n; ++r) {
+                const double row[2] = {q[r], q[n + r]};
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(out[r]),
+                          std::bit_cast<std::uint64_t>(rule.quality_score_span(row, 2)))
+                    << "row " << r << ": (" << row[0] << ", " << row[1] << ")";
+            }
+        }
+    }
+}
 
 } // namespace
 } // namespace fmore::auction

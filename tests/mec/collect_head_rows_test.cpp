@@ -445,5 +445,148 @@ TEST(CollectHeadRows, RejectsABadLayout) {
                  std::invalid_argument);
 }
 
+// A forked worker's round is one pass: `collect_head_rows` with the round's
+// drift salt drifts each block of rows just before quoting it. It must land
+// exactly where the two-pass round it replaced lands, the whole shard drifted
+// by `evolve_with_salt` and then quoted: the same heads, columns and salt
+// history, round after round.
+
+/// The rows [kShardLo, kShardHi) of a 9000-node store whose thetas and
+/// resources drift as `wire_1m`'s do, narrowed to the layout as a forked
+/// worker holds them (the left-out caps kept as draw bytes), or at full
+/// width. Quoted against the simulator's market.
+constexpr std::size_t kShardLo = 3000;
+constexpr std::size_t kShardHi = 6000;
+
+const PopulationStore& drifting_world() {
+    static const PopulationStore world = [] {
+        PopulationSpec spec;
+        spec.dynamics.resource_jitter = 0.08;
+        spec.dynamics.theta_jitter = 0.02;
+        SyntheticDataSpec data;
+        data.data_lo = 20.0;
+        data.data_hi = kDataHi;
+        stats::Rng rng(0x0e9a55);
+        return PopulationStore(9000, data, market().theta, spec, rng);
+    }();
+    return world;
+}
+
+PopulationStore worker_shard(bool narrowed) {
+    return narrowed ? drifting_world().slice(kShardLo, kShardHi, layout())
+                    : drifting_world().slice(kShardLo, kShardHi);
+}
+
+void expect_stores_equal(const PopulationStore& expected, const PopulationStore& got) {
+    EXPECT_EQ(got.salt_history(), expected.salt_history());
+    ASSERT_EQ(got.size(), expected.size());
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        differing += bits(got.theta(i)) != bits(expected.theta(i)) ? 1 : 0;
+        for (const ResourceDim dim : layout())
+            differing += bits(got.column(dim)[i]) != bits(expected.column(dim)[i]) ? 1 : 0;
+    }
+    EXPECT_EQ(differing, 0u);
+}
+
+TEST(OnePassWorkerRound, MatchesEvolveThenCollectOverManyRounds) {
+    const Market& m = market();
+    constexpr std::size_t kRounds = 24;
+    constexpr std::size_t kRespawnAt = 13;  // the worker dies after round 12
+    for (const bool narrowed : {true, false}) {
+        for (const auction::ScoringRule* broadcast :
+             {static_cast<const auction::ScoringRule*>(&m.product),
+              static_cast<const auction::ScoringRule*>(&m.additive)}) {
+            const bool own_rule = m.strategy->scoring_rule() == broadcast;
+            PopulationStore one_pass = worker_shard(narrowed);
+            PopulationStore two_pass = worker_shard(narrowed);
+            const std::size_t offset = one_pass.node_offset();
+            ASSERT_EQ(offset, kShardLo);
+            // Bans as a worker hears them, one set more every few rounds:
+            // a run across the first block boundary, a whole block and lone
+            // rows.
+            Blacklist bans(offset);
+            std::vector<const double*> columns;
+            auction::StreamingHeadMerge merge;
+            auction::ShardHead head;
+            auction::ShardHead expected;
+            stats::Rng salts(0x5a175 + (narrowed ? 1 : 0) + (own_rule ? 2 : 0));
+            std::size_t filled = 0;
+            for (std::size_t round = 1; round <= kRounds; ++round) {
+                SCOPED_TRACE(std::string(narrowed ? "narrowed" : "full width")
+                             + (own_rule ? "" : ", other rule") + ", round "
+                             + std::to_string(round));
+                if (round == 4)
+                    for (std::size_t i = 250; i < 262; ++i) bans.ban(offset + i);
+                if (round == 9)
+                    for (std::size_t i = 1024; i < 1280; ++i) bans.ban(offset + i);
+                if (round % 5 == 0) bans.ban(offset + (round * 337) % one_pass.size());
+
+                if (round == kRespawnAt) {
+                    // A respawned worker: a fresh slice replays the salt
+                    // history through the whole-store drift (the `sync`
+                    // frame), then goes on with one-pass rounds.
+                    const std::vector<std::uint64_t> history = one_pass.salt_history();
+                    one_pass = worker_shard(narrowed);
+                    for (const std::uint64_t salt : history) one_pass.evolve_with_salt(salt);
+                    expect_stores_equal(two_pass, one_pass);
+                }
+
+                const std::uint64_t salt = salts.engine()();
+                const std::uint64_t arrival_salt = salts.engine()();
+                // Every third round streams, cut at a quarter of the horizon;
+                // every seventh keeps every row, so every block is priced.
+                const wire::StreamExtra cut{arrival_salt, kHorizonS, 0.25 * kHorizonS,
+                                            kStreamBoundaryAny};
+                const wire::StreamExtra* streaming = round % 3 == 0 ? &cut : nullptr;
+                const std::size_t limit =
+                    round % 7 == 0 ? std::numeric_limits<std::size_t>::max() : 9;
+                auction::TieKeys keys;
+                keys.salted = true;
+                keys.salt = salt ^ 0x7e1e;
+
+                // Round 1 quotes the stores as built, as a worker does.
+                if (round > 1) {
+                    two_pass.evolve_with_salt(salt);
+                    collect_head_rows(one_pass, salt, layout(), *m.strategy, *broadcast,
+                                      own_rule, auction::PaymentMethod::integral, bans,
+                                      streaming, keys, limit, columns, merge, head);
+                } else {
+                    collect_head_rows(one_pass, layout(), *m.strategy, *broadcast, own_rule,
+                                      auction::PaymentMethod::integral, bans, streaming, keys,
+                                      limit, columns, merge, head);
+                }
+                collect_head_rows(two_pass, layout(), *m.strategy, *broadcast, own_rule,
+                                  auction::PaymentMethod::integral, bans, streaming, keys,
+                                  limit, columns, merge, expected);
+                expect_heads_equal(expected, head);
+                filled += head.rows.empty() ? 0 : 1;
+            }
+            expect_stores_equal(two_pass, one_pass);
+            EXPECT_EQ(one_pass.salt_history().size(), kRounds - 1);
+            EXPECT_EQ(filled, kRounds);
+        }
+    }
+}
+
+TEST(OnePassWorkerRound, ABadLayoutThrowsBeforeAnyRowDrifts) {
+    const Market& m = market();
+    PopulationStore shard = worker_shard(/*narrowed=*/false);
+    const PopulationStore untouched = worker_shard(/*narrowed=*/false);
+    const QualityLayout three{ResourceDim::data_size, ResourceDim::category_proportion,
+                              ResourceDim::cpu};
+    auction::TieKeys keys;
+    keys.salted = true;
+    std::vector<const double*> columns;
+    auction::StreamingHeadMerge merge;
+    auction::ShardHead head;
+    EXPECT_THROW(collect_head_rows(shard, 0x5a17, three, *m.strategy, m.product, true,
+                                   auction::PaymentMethod::integral, Blacklist{}, nullptr,
+                                   keys, 4, columns, merge, head),
+                 std::invalid_argument);
+    EXPECT_TRUE(shard.salt_history().empty());
+    expect_stores_equal(untouched, shard);
+}
+
 } // namespace
 } // namespace fmore::mec
