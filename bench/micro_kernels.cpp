@@ -2,7 +2,9 @@
 //  (1) the ml::gemm micro-kernel against the naive triple loop (GFLOP/s),
 //  (2) Conv2d / Dense / Lstm forward+backward at the paper's MNIST/CIFAR/
 //      HPNews shapes, against the textbook loops of the reference layers
-//      (fmore_reference, fmore/reference/naive_layers.hpp),
+//      (fmore_reference, fmore/reference/naive_layers.hpp), with each conv
+//      row's backward also timed as its two kernels, the weight gradient
+//      and the input gradient,
 //  (2c) the Dense forward of the fl_cifar model's hidden layer (256 -> 96)
 //      on a 16-row minibatch, y^T = W x^T, against the old layout it
 //      replaced there (W transposed every call, then x W^T),
@@ -41,9 +43,9 @@
 // when a `layers` row, the `dense` row, the training step or the sliced
 // evaluation forward has a production path slower than its reference twin
 // at the median (the elementwise row compares two APIs, not two kernels,
-// and is not gated), or when the `dense` row, the sliced evaluation pass, a
-// `market` kernel or a pooled world build differs from its reference in any
-// bit, the world's generator state included. Market, world and sliced
+// and is not gated), or when a `layers` row, the `dense` row, the sliced
+// evaluation pass, a `market` kernel or a pooled world build differs from
+// its reference in any bit, the world's generator state included. Market, world and sliced
 // evaluation speed are recorded, not gated. The drift loop vectorizes only
 // with 64-bit vector multiplies (AVX-512DQ's `vpmullq`), and the
 // `FMORE_NATIVE_ARCH` build gives the row kernels 64-byte vectors only
@@ -67,6 +69,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -229,10 +232,49 @@ struct LayerResult {
     std::string shape;
     Spread fwd_naive, fwd_gemm;
     Spread bwd_naive, bwd_gemm;
+    /// Conv2d rows: backward's two kernels timed apart, the weight gradient
+    /// (`backward_params`) and the input gradient (`conv2d_input_grad` on
+    /// the layer's weights).
+    std::optional<Spread> wgrad_gemm, igrad_gemm;
+    /// One fresh forward + backward of both layers from zeroed gradients:
+    /// output, input gradient and parameter gradients equal in every bit.
+    bool identical = false;
 };
 
+bool same_floats(const float* a, const float* b, std::size_t n) {
+    return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+/// Whether `fast` and `naive` (holding the same parameters) give the same
+/// output, input gradient and parameter gradients for one pass over
+/// `input` with output gradient `gy`, every gradient starting at zero.
+bool same_pass(ml::Layer& fast, ml::Layer& naive, const ml::Tensor& input,
+               const ml::Tensor& gy) {
+    std::vector<ml::Tensor> outs;
+    std::vector<ml::Tensor> grads;
+    std::vector<std::vector<float>> params;
+    for (ml::Layer* layer : {&fast, &naive}) {
+        for (const ml::ParamBlock& block : layer->parameters())
+            std::fill(block.grads->begin(), block.grads->end(), 0.0F);
+        outs.push_back(layer->forward(input, true));
+        grads.push_back(layer->backward(gy));
+        for (const ml::ParamBlock& block : layer->parameters()) params.push_back(*block.grads);
+    }
+    bool same = outs[0].shape() == outs[1].shape()
+                && same_floats(outs[0].data(), outs[1].data(), outs[0].size())
+                && grads[0].shape() == grads[1].shape()
+                && same_floats(grads[0].data(), grads[1].data(), grads[0].size());
+    const std::size_t blocks = params.size() / 2;
+    for (std::size_t p = 0; p < blocks; ++p) {
+        same = same && params[p].size() == params[blocks + p].size()
+               && same_floats(params[p].data(), params[blocks + p].data(), params[p].size());
+    }
+    return same;
+}
+
 /// Forward+backward timings of one production layer and of its reference
-/// twin holding the same parameters.
+/// twin holding the same parameters, on the same input and output
+/// gradient, and whether one pass of the two agrees in every bit.
 template <typename Layer, typename NaiveLayer, typename... Args>
 LayerResult bench_layer(const std::string& name, const std::string& shape,
                         const std::vector<std::size_t>& in_shape, std::size_t reps,
@@ -245,18 +287,38 @@ LayerResult bench_layer(const std::string& name, const std::string& shape,
     ml::Tensor input(in_shape);
     for (std::size_t i = 0; i < input.size(); ++i)
         input[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    ml::Tensor gy(fast_layer.forward(input, true).shape());
+    for (std::size_t i = 0; i < gy.size(); ++i)
+        gy[i] = static_cast<float>(rng.uniform(-0.1, 0.1));
 
-    LayerResult out{name, shape, {}, {}, {}, {}};
+    LayerResult out;
+    out.name = name;
+    out.shape = shape;
+    out.identical = same_pass(fast_layer, naive_layer, input, gy);
     for (const bool naive : {true, false}) {
         ml::Layer& layer = naive ? static_cast<ml::Layer&>(naive_layer) : fast_layer;
-        ml::Tensor y = layer.forward(input, true);
-        ml::Tensor gy(y.shape());
-        for (std::size_t i = 0; i < gy.size(); ++i)
-            gy[i] = static_cast<float>(rng.uniform(-0.1, 0.1));
+        ml::Tensor y;
         (naive ? out.fwd_naive : out.fwd_gemm) =
             spread_us(reps, [&] { y = layer.forward(input, true); });
         (naive ? out.bwd_naive : out.bwd_gemm) =
             spread_us(reps, [&] { ml::Tensor gx = layer.backward(gy); });
+    }
+    if constexpr (std::is_same_v<Layer, ml::Conv2d>) {
+        const auto [in_c, out_c, k] = std::tuple{args...};
+        ml::ConvShape conv;
+        conv.in_c = in_c;
+        conv.h = in_shape[2];
+        conv.w = in_shape[3];
+        conv.kh = k;
+        conv.kw = k;
+        const std::vector<float>& weight = *fast_layer.parameters()[0].values;
+        std::vector<float> scratch;
+        std::vector<float> gx(input.size());
+        out.wgrad_gemm = spread_us(reps, [&] { fast_layer.backward_params(gy); });
+        out.igrad_gemm = spread_us(reps, [&] {
+            ml::conv2d_input_grad(gy.data(), weight.data(), out_c, conv, in_shape[0], scratch,
+                                  gx.data());
+        });
     }
     return out;
 }
@@ -914,10 +976,17 @@ int main(int argc, char** argv) {
         "lstm", "B16 T16 E16 H32", {16, 16, 16}, reps, 16, 32));
     std::cout << "\nlayers (microseconds per call, median, naive -> gemm):\n";
     for (const LayerResult& l : layers) {
-        std::printf("  %-12s %-22s fwd %8.1f -> %8.1f (%.2fx)   bwd %8.1f -> %8.1f (%.2fx)\n",
+        std::printf("  %-12s %-22s fwd %8.1f -> %8.1f (%.2fx)   bwd %8.1f -> %8.1f (%.2fx)  %s\n",
                     l.name.c_str(), l.shape.c_str(), l.fwd_naive.median, l.fwd_gemm.median,
                     l.fwd_naive.median / l.fwd_gemm.median, l.bwd_naive.median,
-                    l.bwd_gemm.median, l.bwd_naive.median / l.bwd_gemm.median);
+                    l.bwd_gemm.median, l.bwd_naive.median / l.bwd_gemm.median,
+                    l.identical ? "bit-identical" : "MISMATCH");
+        if (l.wgrad_gemm && l.igrad_gemm) {
+            std::printf("  %-12s %-22s bwd: weight grad %8.1f [%.1f-%.1f], input grad "
+                        "%8.1f [%.1f-%.1f]\n",
+                        "", "", l.wgrad_gemm->median, l.wgrad_gemm->q1, l.wgrad_gemm->q3,
+                        l.igrad_gemm->median, l.igrad_gemm->q1, l.igrad_gemm->q3);
+        }
     }
 
     // (2b) The elementwise stack: allocating API vs the in-place arena.
@@ -1027,16 +1096,22 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  ],\n  \"layers\": [\n");
     for (std::size_t i = 0; i < layers.size(); ++i) {
         const LayerResult& l = layers[i];
+        const std::string split =
+            l.wgrad_gemm && l.igrad_gemm
+                ? ", " + spread_json("wgrad_gemm", *l.wgrad_gemm) + ", "
+                      + spread_json("igrad_gemm", *l.igrad_gemm)
+                : "";
         std::fprintf(f,
                      "    {\"name\": \"%s\", \"shape\": \"%s\", %s, %s, \"fwd_speedup\": %.4g, "
-                     "%s, %s, \"bwd_speedup\": %.4g}%s\n",
+                     "%s, %s, \"bwd_speedup\": %.4g%s, \"bit_identical\": %s}%s\n",
                      l.name.c_str(), l.shape.c_str(),
                      spread_json("fwd_naive", l.fwd_naive).c_str(),
                      spread_json("fwd_gemm", l.fwd_gemm).c_str(),
                      l.fwd_naive.median / l.fwd_gemm.median,
                      spread_json("bwd_naive", l.bwd_naive).c_str(),
                      spread_json("bwd_gemm", l.bwd_gemm).c_str(),
-                     l.bwd_naive.median / l.bwd_gemm.median, i + 1 < layers.size() ? "," : "");
+                     l.bwd_naive.median / l.bwd_gemm.median, split.c_str(),
+                     l.identical ? "true" : "false", i + 1 < layers.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"elementwise\": {\"shape\": \"%s\", %s, %s, \"speedup\": %.4g},\n",
                  elementwise.shape.c_str(), spread_json("alloc", elementwise.alloc_us).c_str(),
@@ -1127,10 +1202,16 @@ int main(int argc, char** argv) {
         std::cerr << "micro_kernels: FAIL " << name
                   << ": production path slower than its reference twin\n";
     }
-    // Gate: the Dense forward and the sliced evaluation pass must reproduce
-    // the code they replaced bit for bit, and every market kernel its
-    // reference.
+    // Gate: every layer must reproduce its reference twin, the Dense
+    // forward and the sliced evaluation pass the code they replaced, bit
+    // for bit, and every market kernel its reference.
     bool identical = true;
+    for (const LayerResult& l : layers) {
+        if (l.identical) continue;
+        identical = false;
+        std::cerr << "micro_kernels: FAIL " << l.name
+                  << ": a pass differs from its reference twin\n";
+    }
     if (!dense.identical) {
         identical = false;
         std::cerr << "micro_kernels: FAIL dense: output differs from the old layout\n";

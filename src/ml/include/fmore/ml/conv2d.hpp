@@ -37,9 +37,10 @@ private:
     std::vector<float> weight_grad_;
     std::vector<float> bias_grad_;
     Tensor cached_input_;
-    std::vector<float> w_blocks_;    // re-laid-out weights and bias (forward)
-    std::vector<float> gy_t_;        // transposed output gradient (weight grad)
-    std::vector<float> gy_pad_;      // zero-padded output gradient (input grad)
+    // Kernel scratch, kept in the layer so a steady round allocates none.
+    std::vector<float> w_blocks_;    // weights and bias in output-channel lanes (forward)
+    std::vector<float> gy_t_;        // output gradient, output channels in the lanes (weight grad)
+    std::vector<float> gy_lanes_;    // output gradient, images in the lanes (input grad)
 };
 
 } // namespace fmore::ml

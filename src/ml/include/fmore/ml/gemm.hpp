@@ -22,26 +22,51 @@
 /// the reference layers serve as an exact equivalence oracle in tests, and
 /// keeps every experiment's metrics unchanged by the kernels.
 ///
+/// Tile shapes. A vector lane is always one output element, so the shapes
+/// change only speed:
+///   - GEMM: 8 rows x 16 lanes (one zmm register on AVX-512), then a 4-row
+///     and 1-row tail; 8- and 4-wide tiles, then scalar elements, for the
+///     j tail. Eight rows in flight keep eight independent multiply-add
+///     chains, enough to hide the add latency that -ffp-contract=off
+///     exposes.
+///   - Convolution forward and weight gradient: output channels in the
+///     lanes, 16 wide for a layer of at least 16 channels and 8 below it
+///     (a narrow layer would spend half of every 16-lane vector on padding
+///     lanes). The width follows from out_c; nothing selects it.
+///   - Convolution input gradient: images in the lanes, 16 at a time (every
+///     step and evaluation slice a round runs has at most 16 rows; a larger
+///     batch runs in groups of 16), up to 8 input channels per tile.
+///
 /// The forward kernel reproduces the reference loops' two-level sum. Each
 /// output starts as its bias; for each input channel in ascending order a
 /// partial sum starts at +0 and adds weight * input over the taps in
 /// ascending (ky, kx) order, then is added to the output. A register tile
-/// holds up to 8 output pixels x 8 output channels, one output channel per
-/// vector lane, so every lane is its own element and no sum is split or
-/// reordered. The partial must start at +0, not at its first product: with
-/// a -0 bias and products that are all -0, the reference ends on +0.
+/// holds up to 8 output pixels x 8 or 16 output channels, so every lane is
+/// its own element and no sum is split or reordered. The partial must start
+/// at +0, not at its first product: with a -0 bias and products that are
+/// all -0, the reference ends on +0.
+///
+/// The input-gradient kernel holds, for one input pixel, one accumulator
+/// per (input channel, image) and walks only the pixel's valid (output
+/// channel, output pixel) pairs, those whose window covers it: output
+/// channel ascending, then output pixel ascending. That is the order in
+/// which the reference scatter loops reach the element, one tap per output
+/// pixel. Each accumulator starts at +0, as the reference's zero-filled
+/// gradient does.
 ///
 /// The two convolution gradient kernels add terms the reference loops do
 /// not: the reference skips output-gradient entries equal to zero, and the
-/// input-gradient kernel also reads a zero-padded copy of the output
-/// gradient. Every such extra term is a product with an exact zero: +0 or
-/// -0 for finite operands. Adding ±0 to a nonzero value leaves it
-/// unchanged, and adding ±0 to +0 gives +0. A running sum that starts at
-/// +0 never becomes -0 under round-to-nearest (x + y is -0 only when both
-/// are -0). So any sum that does not start at -0 ends on the same bits
-/// with or without the extra zero terms. The input-gradient accumulators
-/// therefore start at +0, and parameter gradients start from
-/// `Model::zero_grad`'s +0 or from sums built on it.
+/// padding lanes of the kernels carry zeros. Every such extra term is a
+/// product with an exact zero: +0 or -0 for finite operands. Adding ±0 to a
+/// nonzero value leaves it unchanged, and adding ±0 to +0 gives +0. A
+/// running sum that starts at +0 never becomes -0 under round-to-nearest
+/// (x + y is -0 only when both are -0). So any sum that does not start at
+/// -0 ends on the same bits with or without the extra zero terms. The
+/// input-gradient accumulators therefore start at +0, and parameter
+/// gradients start from `Model::zero_grad`'s +0 or from sums built on it.
+/// The same argument is why the input-gradient kernel may drop the terms a
+/// zero-padded plane would add at invalid taps: each would be a product
+/// with an exact zero, and none can move a sum that starts at +0.
 ///
 /// The weight-gradient kernel keeps one register tile of (taps x output
 /// channels) live across the whole minibatch. Each element of the tile is
@@ -89,24 +114,25 @@ struct ConvShape {
 /// Convolution forward for a minibatch: x[batch][in_c][h][w],
 /// weight[out_c][in_c][kh][kw] and bias[out_c] give
 /// y[batch][out_c][oh][ow], which is overwritten. The weights and bias are
-/// re-laid out into `scratch` once per call as [oc block of 8][ic][ky][kx]
-/// [lane] with zero lanes past out_c; x is read in place. A register tile
-/// of (up to 8 output pixels x 8 output channels) follows the reference
-/// order above: bias, then per input channel a +0-seeded partial over the
-/// taps ascending. `scratch` is resized as needed.
+/// re-laid out into `scratch` once per call as [oc block of 8 or 16][ic]
+/// [ky][kx][lane] with zero lanes past out_c; x is read in place. A
+/// register tile of (up to 8 output pixels x one block of output channels)
+/// follows the reference order above: bias, then per input channel a
+/// +0-seeded partial over the taps ascending. `scratch` is resized as
+/// needed.
 void conv2d_forward(const float* x, const float* weight, const float* bias,
                     std::size_t out_c, const ConvShape& s, std::size_t batch,
                     std::vector<float>& scratch, float* y);
 
 /// Convolution input gradient for a minibatch: gy[batch][out_c][oh][ow]
 /// and weight[out_c][in_c][kh][kw] give gx[batch][in_c][h][w], which is
-/// overwritten. Each output channel's gradient plane is copied into
-/// `scratch` with zero padding, at the input's row width, so every
-/// (oc, tap) pair is one contiguous multiply-add over the whole h*w input
-/// plane. A register tile of (input channels x input pixels) starts at +0
-/// and walks oc ascending, then taps in descending (ky, kx) order — the
-/// ascending output-pixel order of the reference scatter loops. `scratch`
-/// is resized as needed.
+/// overwritten. Each group of up to 16 images is copied into `scratch` as
+/// [oc][output pixel][image], zero past the batch, so one output
+/// gradient is one vector across the group. For each input pixel a
+/// register tile of (up to 8 input channels x 16 images) starts at +0 and
+/// walks only the valid (output channel, output pixel) pairs, channel
+/// ascending, then output pixel ascending — the reference scatter order.
+/// `scratch` is resized as needed.
 void conv2d_input_grad(const float* gy, const float* weight, std::size_t out_c,
                        const ConvShape& s, std::size_t batch,
                        std::vector<float>& scratch, float* gx);

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+
 #include "fmore/ml/layer.hpp"
 
 namespace fmore::ml {
@@ -10,7 +12,9 @@ namespace fmore::ml {
 /// bottom-right, and a slot wins only when strictly greater than the best
 /// so far: ties keep the first slot, a NaN never replaces the best, and a
 /// NaN in the first slot stays. The scan uses selects instead of branches,
-/// so fresh activations cost no mispredictions.
+/// so fresh activations cost no mispredictions, and runs as one vector loop
+/// over every window of the batch, gathering each window's corners by
+/// index, so narrow rows still fill whole vectors.
 class MaxPool2d final : public Layer {
 public:
     void forward_into(const Tensor& input, Tensor& out, bool training) override;
@@ -22,7 +26,13 @@ public:
 
 private:
     std::vector<std::size_t> cached_shape_;
-    std::vector<std::size_t> argmax_; // flat index into the input per output cell
+    /// Flat input index of each output cell's top-left corner, rebuilt
+    /// when the input shape changes.
+    std::vector<std::int32_t> corner_;
+    /// The winning slot of each output cell's window (0 top-left, 1
+    /// top-right, 2 bottom-left, 3 bottom-right): one byte a cell, which
+    /// backward adds to the corner to rebuild the winner's flat index.
+    std::vector<std::uint8_t> slot_;
 };
 
 } // namespace fmore::ml

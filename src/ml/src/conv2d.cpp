@@ -82,7 +82,7 @@ void Conv2d::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     conv2d_weight_grad(cached_input_.data(), gy, out_c_, shape, batch, gy_t_,
                        weight_grad_.data(), bias_grad_.data());
     // The input-gradient kernel overwrites gx.
-    conv2d_input_grad(gy, weight_.data(), out_c_, shape, batch, gy_pad_,
+    conv2d_input_grad(gy, weight_.data(), out_c_, shape, batch, gy_lanes_,
                       grad_input.data());
 }
 

@@ -67,9 +67,16 @@ PoolReference textbook_pool(const Tensor& x, const Tensor& gy) {
 TEST(ElementwiseKernelTest, MaxPool2dMatchesTextbookScan) {
     const float nan = std::numeric_limits<float>::quiet_NaN();
     stats::Rng rng(61);
+    // One layer for every shape: each new shape must replace the window
+    // corners the last one left.
+    MaxPool2d pool;
+    // The fl_cifar pool (B16 8x12x12), odd trailing rows and columns at a
+    // batch whose windows do not fill the last vector, and small shapes.
     for (const auto& shape : {std::vector<std::size_t>{2, 3, 7, 9},
                               std::vector<std::size_t>{3, 2, 8, 6},
-                              std::vector<std::size_t>{1, 1, 3, 2}}) {
+                              std::vector<std::size_t>{1, 1, 3, 2},
+                              std::vector<std::size_t>{16, 8, 12, 12},
+                              std::vector<std::size_t>{5, 3, 13, 11}}) {
         Tensor x(shape);
         const std::size_t planes = shape[0] * shape[1];
         const std::size_t h = shape[2];
@@ -117,7 +124,6 @@ TEST(ElementwiseKernelTest, MaxPool2dMatchesTextbookScan) {
 
         // Reused, dirty buffers: a forward of another input first, and a
         // gradient slot full of garbage.
-        MaxPool2d pool;
         Tensor out;
         Tensor gx(shape);
         gx.fill(7.0F);

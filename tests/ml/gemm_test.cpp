@@ -69,12 +69,18 @@ void expect_bit_identical(const Tensor& a, const Tensor& b, const std::string& w
 
 TEST(GemmKernelTest, MatchesScalarReferenceOnRandomShapes) {
     stats::Rng rng(31);
-    // Shapes chosen to hit every tile path: full 4x16 tiles, 8/4-wide
-    // tails, scalar tails, 1-3 row tails, tiny and skinny extremes.
-    const std::vector<std::array<std::size_t, 3>> shapes = {
+    // Shapes chosen to hit every tile path: full 8x16 tiles, 4-row and
+    // 1-3 row tails, 8/4-wide and scalar j tails, tiny and skinny extremes.
+    std::vector<std::array<std::size_t, 3>> shapes = {
         {4, 16, 8},  {8, 100, 9}, {5, 17, 3},  {3, 7, 11},  {1, 1, 1},
         {2, 37, 64}, {16, 9, 100}, {7, 23, 5}, {13, 52, 21}, {4, 4, 200},
     };
+    // Every row split of the 8-row tile (8, 8+1, 8+4, 8+4+3, 8+8+1, twelve
+    // tiles) at the widths the models run: one 16-lane tile (a B16
+    // minibatch in W x^T) and sixteen (dense1's 256 inputs).
+    for (const std::size_t m : {8, 9, 12, 15, 17, 96}) {
+        for (const std::size_t n : {16, 256}) shapes.push_back({m, n, 19});
+    }
     for (const auto& [m, n, k] : shapes) {
         std::vector<float> a(m * k);
         std::vector<float> b(k * n);
@@ -198,10 +204,12 @@ TEST(KernelEquivalenceTest, Conv2dMatchesNaiveOnRandomShapes) {
         bool mostly_zero = false;
     };
     // The forward kernel tiles up to 8 output pixels (flat, across output
-    // rows) x 8 output channels; the gradient kernels tile 8 output
-    // channels x up to 8 taps (weight gradient) and up to 8 input channels
-    // x 8 input pixels (input gradient). The cases below reach every tail
-    // of all three.
+    // rows) x 8 or 16 output channels (16 from out_c = 16 up); the weight
+    // gradient tiles the same output-channel lanes x up to 8 taps; the
+    // input gradient puts 16 images in the lanes, up to 8 input channels
+    // per tile. The cases below reach every tail of all three: partial
+    // lane groups of images (batches 1-15, 17, 33), 16-lane channel blocks
+    // with 1, 8 and 16 real lanes, and 8-lane blocks below 16 channels.
     const std::vector<Case> cases = {
         {16, 1, 8, 3, 12, 12},         // MNIST layer
         {4, 3, 8, 3, 14, 14},          // CIFAR layer, 27 taps
@@ -221,8 +229,15 @@ TEST(KernelEquivalenceTest, Conv2dMatchesNaiveOnRandomShapes) {
         {128, 3, 8, 3, 14, 14},        // fl_cifar eval batch, conv1
         {128, 8, 16, 3, 6, 6},         // fl_cifar eval batch, conv2
         {2, 1, 8, 3, 28, 28},          // output row 26 wide: three tiles + 2
-        {3, 4, 24, 3, 7, 8},           // 24 output channels: three blocks
+        {3, 4, 24, 3, 7, 8},           // 24 output channels: 16 + 8 lanes
         {1, 3, 1, 3, 5, 5},            // one output channel at batch 1
+        {15, 8, 16, 3, 6, 6},          // deep CIFAR layer, one lane group short
+        {17, 8, 16, 3, 6, 6},          // deep CIFAR layer, 16 + 1 images
+        {33, 8, 16, 3, 6, 6},          // deep CIFAR layer, 16 + 16 + 1 images
+        {17, 5, 16, 3, 7, 6},          // 5 input channels, odd width, 16 + 1 images
+        {15, 3, 32, 3, 9, 8},          // 32 output channels: two full 16-lane blocks
+        {16, 8, 17, 3, 6, 6},          // 17 output channels: 16 + 1 lanes
+        {17, 8, 16, 3, 6, 6, true},    // deep CIFAR layer, 16 + 1 images, mostly-zero gradient
     };
     for (const Case& c : cases) {
         Conv2d layer(c.in_c, c.out_c, c.k);
@@ -379,6 +394,67 @@ TEST(KernelEquivalenceTest, ConvKernelsRejectBadGeometry) {
                                           gx.data()));
         EXPECT_NO_THROW(conv2d_weight_grad(x.data(), gy.data(), out_c, s, 1, scratch,
                                            wgrad.data(), bgrad.data()));
+    }
+}
+
+TEST(KernelEquivalenceTest, ConvKernelsWriteNothingPastTheirOutputs) {
+    // The kernels compute padding lanes (output channels past out_c in a
+    // forward or weight-gradient block, images past the batch in an
+    // input-gradient lane group) and must never store them. Each output
+    // sits in a buffer with a guard band after it, wide enough to take a
+    // whole extra block, at 17 output channels (a 16-lane block with one
+    // real lane), 9 (an 8-lane block with one) and 17 images (a lane group
+    // with one real image). The guards must come back untouched.
+    stats::Rng rng(48);
+    const float canary = -7.0F;
+    ConvShape s;
+    s.in_c = 3;
+    s.h = 6;
+    s.w = 5;
+    s.kh = 3;
+    s.kw = 3;
+    const std::size_t batch = 17;
+    const auto random_values = [&](std::size_t n) {
+        std::vector<float> v(n);
+        for (float& e : v) e = static_cast<float>(rng.uniform(-1.0, 1.0));
+        return v;
+    };
+    const auto guarded = [&](std::size_t n, std::size_t guard) {
+        std::vector<float> v(n + guard, canary);
+        std::fill(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(n), 0.0F);
+        return v;
+    };
+    const auto expect_guard = [&](const std::vector<float>& v, std::size_t n,
+                                  const std::string& what) {
+        for (std::size_t i = n; i < v.size(); ++i) {
+            ASSERT_EQ(v[i], canary) << what << " wrote " << i - n << " past its end";
+        }
+    };
+    for (const std::size_t out_c : {9, 17}) {
+        const std::string tag = " out_c " + std::to_string(out_c);
+        const std::size_t image = s.in_c * s.h * s.w;
+        const std::size_t y_image = out_c * s.out_pixels();
+        const std::vector<float> x = random_values(batch * image);
+        const std::vector<float> weight = random_values(out_c * s.taps());
+        const std::vector<float> bias = random_values(out_c);
+        const std::vector<float> gy = random_values(batch * y_image);
+        std::vector<float> scratch;
+
+        std::vector<float> y = guarded(batch * y_image, 16 * s.out_pixels());
+        conv2d_forward(x.data(), weight.data(), bias.data(), out_c, s, batch, scratch,
+                       y.data());
+        expect_guard(y, batch * y_image, "conv2d_forward" + tag);
+
+        std::vector<float> wgrad = guarded(out_c * s.taps(), 16 * s.taps());
+        std::vector<float> bgrad = guarded(out_c, 16);
+        conv2d_weight_grad(x.data(), gy.data(), out_c, s, batch, scratch, wgrad.data(),
+                           bgrad.data());
+        expect_guard(wgrad, out_c * s.taps(), "conv2d_weight_grad weights" + tag);
+        expect_guard(bgrad, out_c, "conv2d_weight_grad bias" + tag);
+
+        std::vector<float> gx = guarded(batch * image, 16 * image);
+        conv2d_input_grad(gy.data(), weight.data(), out_c, s, batch, scratch, gx.data());
+        expect_guard(gx, batch * image, "conv2d_input_grad" + tag);
     }
 }
 
