@@ -5,6 +5,9 @@
 //      (fmore_reference, fmore/reference/naive_layers.hpp), with each conv
 //      row's backward also timed as its two kernels, the weight gradient
 //      and the input gradient,
+//  (2b) the elementwise stack (ReLU, pool, dropout) through both layer
+//      APIs, and ReLU alone, forward and backward apart, against the
+//      textbook rule,
 //  (2c) the Dense forward of the fl_cifar model's hidden layer (256 -> 96)
 //      on a 16-row minibatch, y^T = W x^T, against the old layout it
 //      replaced there (W transposed every call, then x W^T),
@@ -43,20 +46,21 @@
 // when a `layers` row, the `dense` row, the training step or the sliced
 // evaluation forward has a production path slower than its reference twin
 // at the median (the elementwise row compares two APIs, not two kernels,
-// and is not gated), or when a `layers` row, the `dense` row, the sliced
-// evaluation pass, a `market` kernel or a pooled world build differs from
-// its reference in any bit, the world's generator state included. Market, world and sliced
-// evaluation speed are recorded, not gated. The drift loop vectorizes only
-// with 64-bit vector multiplies (AVX-512DQ's `vpmullq`), and the
-// `FMORE_NATIVE_ARCH` build gives the row kernels 64-byte vectors only
-// where the host has AVX-512; elsewhere they run narrower (the drift
-// scalar), and a row may read slower than its per-row reference. A world
-// build on one core resolves one round thread and runs its serial loop.
+// and is not gated), or when a `layers` row, the `relu` row, the `dense`
+// row, the sliced evaluation pass, a `market` kernel or a pooled world
+// build differs from its reference in any bit, the world's generator state
+// included. Market, world, relu and sliced evaluation speed are recorded,
+// not gated. The drift loop vectorizes only with 64-bit vector multiplies
+// (AVX-512DQ's `vpmullq`), and the `FMORE_NATIVE_ARCH` build gives the row
+// kernels 64-byte vectors only where the host has AVX-512; elsewhere they
+// run narrower (the drift scalar), and a row may read slower than its
+// per-row reference. A world build on one core resolves one round thread
+// and runs its serial loop.
 //
-// The elementwise and evaluation rows cycle through 8 distinct inputs: on
-// one fixed input the branch predictor learns a data-dependent pattern
-// (MaxPool2d's window winners, Dropout's mask) and the row under-reports
-// what a fresh minibatch costs.
+// The elementwise, relu and evaluation rows cycle through 8 distinct
+// inputs: on one fixed input the branch predictor learns a data-dependent
+// pattern (MaxPool2d's window winners, Dropout's mask) and the row
+// under-reports what a fresh minibatch costs.
 
 #include <algorithm>
 #include <bit>
@@ -65,6 +69,8 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <iterator>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -384,6 +390,51 @@ ElementwiseResult bench_elementwise(std::size_t reps) {
         pool.backward_into(gc, gb);
         relu.backward_into(gb, ga);
     });
+    return out;
+}
+
+struct ReluResult {
+    std::string shape;
+    Spread fwd_us{};
+    Spread bwd_us{};
+    /// One pass on an input holding -0, +0, infinities and NaNs gives the
+    /// textbook rule's bits: x < 0 ? 0 : x forward, x <= 0 ? 0 : g back.
+    bool identical = false;
+};
+
+/// ReLU alone at the fl_cifar model's first ReLU (B16 8x12x12), forward
+/// and backward timed apart, each cycling through distinct inputs.
+ReluResult bench_relu(std::size_t reps) {
+    stats::Rng rng(13);
+    const std::vector<ml::Tensor> inputs = random_inputs({16, 8, 12, 12}, rng);
+    const std::vector<ml::Tensor> grads = random_inputs({16, 8, 12, 12}, rng);
+    ml::ReLU relu;
+    ml::Tensor y;
+    ml::Tensor gx;
+
+    ReluResult out;
+    out.shape = "B16 8x12x12";
+    ml::Tensor x = inputs[0];
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float specials[] = {-0.0F, 0.0F, inf, -inf, nan, -nan};
+    for (std::size_t i = 0; i < std::size(specials); ++i) x[i * 97] = specials[i];
+    const ml::Tensor& g = grads[0];
+    relu.forward_into(x, y, true);
+    relu.backward_into(g, gx);
+    bool same = y.size() == x.size() && gx.size() == x.size();
+    for (std::size_t i = 0; same && i < x.size(); ++i) {
+        const float want_y = x[i] < 0 ? 0.0F : x[i];
+        const float want_gx = x[i] <= 0 ? 0.0F : g[i];
+        same = same_floats(&y[i], &want_y, 1) && same_floats(&gx[i], &want_gx, 1);
+    }
+    out.identical = same;
+
+    std::size_t next = 0;
+    out.fwd_us = spread_us(reps, [&] {
+        relu.forward_into(inputs[next++ % kDistinctInputs], y, true);
+    });
+    out.bwd_us = spread_us(reps, [&] { relu.backward_into(grads[next++ % kDistinctInputs], gx); });
     return out;
 }
 
@@ -996,6 +1047,12 @@ int main(int argc, char** argv) {
                 elementwise.alloc_us.median, elementwise.arena_us.median,
                 elementwise.alloc_us.median / elementwise.arena_us.median);
 
+    const ReluResult relu = bench_relu(reps * 25);
+    std::printf("  relu (%s) fwd %6.2f [%.2f-%.2f] us   bwd %6.2f [%.2f-%.2f] us  %s\n",
+                relu.shape.c_str(), relu.fwd_us.median, relu.fwd_us.q1, relu.fwd_us.q3,
+                relu.bwd_us.median, relu.bwd_us.q1, relu.bwd_us.q3,
+                relu.identical ? "bit-identical" : "MISMATCH");
+
     // (2c) The fl_cifar model's hidden Dense forward against the old layout.
     const DenseResult dense = bench_dense(reps * 25);
     std::printf("\ndense forward (%s, median [quartiles]):\n"
@@ -1117,6 +1174,9 @@ int main(int argc, char** argv) {
                  elementwise.shape.c_str(), spread_json("alloc", elementwise.alloc_us).c_str(),
                  spread_json("arena", elementwise.arena_us).c_str(),
                  elementwise.alloc_us.median / elementwise.arena_us.median);
+    std::fprintf(f, "  \"relu\": {\"shape\": \"%s\", %s, %s, \"bit_identical\": %s},\n",
+                 relu.shape.c_str(), spread_json("fwd", relu.fwd_us).c_str(),
+                 spread_json("bwd", relu.bwd_us).c_str(), relu.identical ? "true" : "false");
     std::fprintf(f,
                  "  \"dense\": {\"shape\": \"%s\", %s, %s, \"speedup\": %.4g, "
                  "\"bit_identical\": %s},\n",
@@ -1211,6 +1271,10 @@ int main(int argc, char** argv) {
         identical = false;
         std::cerr << "micro_kernels: FAIL " << l.name
                   << ": a pass differs from its reference twin\n";
+    }
+    if (!relu.identical) {
+        identical = false;
+        std::cerr << "micro_kernels: FAIL relu: a pass differs from the textbook rule\n";
     }
     if (!dense.identical) {
         identical = false;

@@ -1,10 +1,14 @@
 #pragma once
 
+#include <cstdint>
+
 #include "fmore/ml/layer.hpp"
 
 namespace fmore::ml {
 
-/// Elementwise rectified linear unit.
+/// Elementwise rectified linear unit: x < 0 ? +0 : x forward, so -0 and
+/// NaN pass through, and g where x > 0 or x is NaN, else +0, backward.
+/// Each pass is one vector loop of selects.
 class ReLU final : public Layer {
 public:
     void forward_into(const Tensor& input, Tensor& out, bool training) override;
@@ -15,7 +19,9 @@ public:
     [[nodiscard]] std::string name() const override { return "ReLU"; }
 
 private:
-    Tensor cached_input_;
+    /// !(x <= 0) of the last forward's input, one byte an element: all
+    /// backward needs of it. Kept by every forward, training or not.
+    std::vector<std::uint8_t> mask_;
 };
 
 /// Flatten [B, ...] to [B, volume].

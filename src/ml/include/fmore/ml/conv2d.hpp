@@ -7,8 +7,9 @@ namespace fmore::ml {
 /// 2-D convolution, stride 1, valid padding. Input [B, C, H, W], kernel
 /// [OC, C, KH, KW], output [B, OC, H-KH+1, W-KW+1]. Runs three
 /// register-tiled kernels over the whole minibatch (gemm.hpp):
-/// `conv2d_forward` reads the input in place against weights re-laid out
-/// once per call, and backward runs `conv2d_weight_grad` and
+/// `conv2d_forward` runs against weights re-laid out once per call, with
+/// output channels in the vector lanes from 16 channels up and output
+/// pixels in them below, and backward runs `conv2d_weight_grad` and
 /// `conv2d_input_grad`. They match the direct loops of
 /// `reference::NaiveConv2d` bit for bit. Each kernel's scratch is a member,
 /// so every model clone owns its own.
@@ -38,7 +39,10 @@ private:
     std::vector<float> bias_grad_;
     Tensor cached_input_;
     // Kernel scratch, kept in the layer so a steady round allocates none.
-    std::vector<float> w_blocks_;    // weights and bias in output-channel lanes (forward)
+    // Forward: weights and bias per block of output channels; below 16
+    // channels also one image's staged input planes and one block's grid
+    // rows. Sized by the layer's shape, not the batch.
+    std::vector<float> w_blocks_;
     std::vector<float> gy_t_;        // output gradient, output channels in the lanes (weight grad)
     std::vector<float> gy_lanes_;    // output gradient, images in the lanes (input grad)
 };

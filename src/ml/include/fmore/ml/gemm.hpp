@@ -29,22 +29,52 @@
 ///     j tail. Eight rows in flight keep eight independent multiply-add
 ///     chains, enough to hide the add latency that -ffp-contract=off
 ///     exposes.
-///   - Convolution forward and weight gradient: output channels in the
-///     lanes, 16 wide for a layer of at least 16 channels and 8 below it
-///     (a narrow layer would spend half of every 16-lane vector on padding
-///     lanes). The width follows from out_c; nothing selects it.
+///   - Convolution forward, wide (out_c >= 16): output channels in the
+///     lanes, 16 at a time, up to 8 output pixels per tile.
+///   - Convolution forward, narrow (out_c < 16): output pixels in the
+///     lanes, 16 grid positions at a time (below), up to 8 output channels
+///     per block, so the 8-channel first layers of the model zoo fill whole
+///     16-lane vectors instead of half of each.
+///   - Convolution weight gradient: output channels in the lanes, 16 wide
+///     for a layer of at least 16 channels and 8 below it (a narrow layer
+///     would spend half of every 16-lane vector on padding lanes).
 ///   - Convolution input gradient: images in the lanes, 16 at a time (every
 ///     step and evaluation slice a round runs has at most 16 rows; a larger
 ///     batch runs in groups of 16), up to 8 input channels per tile.
+/// Every width and path follows from the layer's shape; nothing selects
+/// it. The convolution kernels compile the kernel extents in when they are
+/// 3x3 (every `Conv2d` of the model zoo) and read them at run time
+/// otherwise: one kernel source with the extents as a template parameter,
+/// so both instantiations do the same arithmetic in the same order. A
+/// 3x3 weight-gradient tile holds one input channel's 9 taps, other
+/// extents up to 8 flat taps.
 ///
 /// The forward kernel reproduces the reference loops' two-level sum. Each
 /// output starts as its bias; for each input channel in ascending order a
 /// partial sum starts at +0 and adds weight * input over the taps in
-/// ascending (ky, kx) order, then is added to the output. A register tile
-/// holds up to 8 output pixels x 8 or 16 output channels, so every lane is
-/// its own element and no sum is split or reordered. The partial must start
-/// at +0, not at its first product: with a -0 bias and products that are
-/// all -0, the reference ends on +0.
+/// ascending (ky, kx) order, then is added to the output. Every lane of a
+/// register tile is its own output element, so no sum is split or
+/// reordered. The partial must start at +0, not at its first product: with
+/// a -0 bias and products that are all -0, the reference ends on +0.
+///
+/// The narrow forward's lanes are 16 consecutive positions q = oy * w + ox
+/// of the *input-width* grid: position q is output (oy, ox) when
+/// ox < out_w. At tap (ky, kx) the inputs of the 16 positions are then one
+/// contiguous run of the input plane, at q + ky * w + kx; no im2col, no
+/// transpose. Lanes with ox >= out_w, and positions past the last output
+/// ((out_h - 1) * w + out_w of them hold every output), compute values
+/// that are never stored: each block goes to a grid row in scratch, and
+/// only each output row's out_w valid positions are copied out. A junk lane
+/// shares no accumulator with a valid one, so it cannot move a stored bit.
+/// The last block's shifted loads reach up to (kh - 1) * w + kw - 1 floats
+/// past its last position, which for the last image could lie past the
+/// input tensor. So each image is first copied into staged planes of
+/// max(h * w, 16 * blocks + (kh - 1) * w + kw - 1) floats, zero past
+/// h * w. The copy is exact, every valid position reads only its own
+/// window, which lies inside h * w, and the zeros reach junk lanes only.
+/// An output row is copied out in whole vectors when the floats it writes
+/// past its out_w land on rows copied after it, and exactly otherwise, so
+/// nothing past the output is ever written.
 ///
 /// The input-gradient kernel holds, for one input pixel, one accumulator
 /// per (input channel, image) and walks only the pixel's valid (output
@@ -74,7 +104,8 @@
 /// the reference's image loop is outermost, so walking the batch inside
 /// the tile visits that element's terms in exactly the reference order.
 /// Only the interleaving *between* elements changes, which no element's
-/// sum can observe.
+/// sum can observe. The bias gradient is one more such sum per channel,
+/// walked inside the first tile of its block of output channels.
 
 #include <cstddef>
 #include <vector>
@@ -114,12 +145,15 @@ struct ConvShape {
 /// Convolution forward for a minibatch: x[batch][in_c][h][w],
 /// weight[out_c][in_c][kh][kw] and bias[out_c] give
 /// y[batch][out_c][oh][ow], which is overwritten. The weights and bias are
-/// re-laid out into `scratch` once per call as [oc block of 8 or 16][ic]
-/// [ky][kx][lane] with zero lanes past out_c; x is read in place. A
-/// register tile of (up to 8 output pixels x one block of output channels)
-/// follows the reference order above: bias, then per input channel a
-/// +0-seeded partial over the taps ascending. `scratch` is resized as
-/// needed.
+/// re-laid out into `scratch` once per call, per block of output channels
+/// as [ic][ky][kx][channel], then the block's biases. From 16 output
+/// channels up a block is 16 lanes, zero past out_c, x is read in place and
+/// a register tile holds up to 8 output pixels x one block. Below 16 a
+/// block is up to 8 channels, and `scratch` also holds one image's staged
+/// input planes and one block's grid rows: a register tile holds 16 grid
+/// positions x one block (see the contract above). Either follows the
+/// reference order: bias, then per input channel a +0-seeded partial over
+/// the taps ascending. `scratch` is resized as needed.
 void conv2d_forward(const float* x, const float* weight, const float* bias,
                     std::size_t out_c, const ConvShape& s, std::size_t batch,
                     std::vector<float>& scratch, float* y);
@@ -142,7 +176,8 @@ void conv2d_input_grad(const float* gy, const float* weight, std::size_t out_c,
 /// element, a running sum seeded from its current value over (image,
 /// output pixel) ascending, the reference loops' order. gy is transposed
 /// once into `scratch` (pixel-major, output channels unit stride) and x is
-/// read in place. `scratch` is resized as needed.
+/// read in place. The bias sums ride the first tile of each block of
+/// output channels. `scratch` is resized as needed.
 void conv2d_weight_grad(const float* x, const float* gy, std::size_t out_c,
                         const ConvShape& s, std::size_t batch,
                         std::vector<float>& scratch, float* weight_grad,

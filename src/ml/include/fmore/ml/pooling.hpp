@@ -27,7 +27,9 @@ public:
 private:
     std::vector<std::size_t> cached_shape_;
     /// Flat input index of each output cell's top-left corner, rebuilt
-    /// when the input shape changes.
+    /// when (c, h, w) changes or the batch outgrows it. A smaller batch at
+    /// the same (c, h, w) reads a prefix, so a client's ragged last batch
+    /// costs no rebuild.
     std::vector<std::int32_t> corner_;
     /// The winning slot of each output cell's window (0 top-left, 1
     /// top-right, 2 bottom-left, 3 bottom-right): one byte a cell, which

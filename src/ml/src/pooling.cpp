@@ -29,9 +29,14 @@ void MaxPool2d::forward_into(const Tensor& input, Tensor& out, bool /*training*/
         throw std::invalid_argument("MaxPool2d::forward: input too small to pool");
     if (input.size() > static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()))
         throw std::length_error("MaxPool2d::forward: input exceeds 32-bit indexing");
-    if (input.shape() != cached_shape_) {
-        cached_shape_ = input.shape();
-        corner_.resize(batch * c * oh * ow);
+    // A smaller batch at the same (c, h, w) reads a prefix of the table:
+    // rebuild only when the image shape changes or the batch outgrows it.
+    const bool same_image = cached_shape_.size() == 4 && cached_shape_[1] == c
+                            && cached_shape_[2] == h && cached_shape_[3] == w;
+    cached_shape_ = input.shape();
+    const std::size_t cells = batch * c * oh * ow;
+    if (!same_image || cells > corner_.size()) {
+        corner_.resize(cells);
         std::int32_t* corner = corner_.data();
         for (std::size_t row = 0; row < batch * c * oh; ++row) {
             const std::size_t top = (row / oh * h + 2 * (row % oh)) * w;
@@ -42,7 +47,7 @@ void MaxPool2d::forward_into(const Tensor& input, Tensor& out, bool /*training*/
     }
 
     out.reshape_to({batch, c, oh, ow});
-    slot_.resize(out.size());
+    slot_.resize(cells);
     const float* x = input.data();
     const std::int32_t* corner = corner_.data();
     const auto wi = static_cast<std::int32_t>(w);

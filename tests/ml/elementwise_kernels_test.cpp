@@ -1,11 +1,13 @@
-// MaxPool2d and Dropout against references written here, compared byte for
-// byte: a textbook 2x2 window scan (strict >, first slot wins ties) and a
-// lazy per-element dropout loop on a copy of the model generator. Both
-// layers run without data-dependent branches; these tests pin that they
-// still make exactly the choices and draws of the plain loops.
+// ReLU, MaxPool2d and Dropout against references written here, compared
+// byte for byte: the textbook ReLU rule, a textbook 2x2 window scan (strict
+// >, first slot wins ties) and a lazy per-element dropout loop on a copy of
+// the model generator. The layers run without data-dependent branches;
+// these tests pin that they still make exactly the choices and draws of
+// the plain loops.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "fmore/ml/activations.hpp"
 #include "fmore/ml/dropout.hpp"
 #include "fmore/ml/pooling.hpp"
 #include "fmore/ml/tensor.hpp"
@@ -27,6 +30,49 @@ void expect_bytes_equal(const std::vector<float>& got, const std::vector<float>&
     for (std::size_t i = 0; i < got.size(); ++i) {
         ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(float)), 0)
             << what << " element " << i << ": " << got[i] << " vs " << want[i];
+    }
+}
+
+TEST(ElementwiseKernelTest, ReLUMatchesTextbookRule) {
+    // Forward x < 0 ? 0 : x and backward x <= 0 ? 0 : g, bit for bit: -0
+    // and NaN (either payload) pass forward unchanged, both zeros stop the
+    // gradient, a NaN input lets it through. 67 elements fill whole vectors
+    // and leave a tail.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float denormal = std::numeric_limits<float>::denorm_min() * 3.0F;
+    const float nan_a = std::bit_cast<float>(0x7fc00001U);
+    const float nan_b = std::bit_cast<float>(0xffc12345U);
+    const std::vector<float> specials = {-0.0F, 0.0F,  inf,   -inf, denormal,
+                                         -denormal, nan_a, nan_b, 1.0F, -1.0F};
+    stats::Rng rng(63);
+    Tensor x({1, 67});
+    Tensor g({1, 67});
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        x[i] = i % 3 == 0 ? static_cast<float>(rng.uniform(-1.0, 1.0))
+                          : specials[i % specials.size()];
+        g[i] = i % 5 == 0 ? -0.0F : static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    g[7] = nan_b;
+    std::vector<float> want_y(x.size());
+    std::vector<float> want_gx(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        want_y[i] = x[i] < 0 ? 0.0F : x[i];
+        want_gx[i] = x[i] <= 0 ? 0.0F : g[i];
+    }
+    ReLU relu;
+    Tensor y;
+    Tensor gx({1, 67});
+    gx.fill(7.0F);
+    Tensor other({1, 67});
+    other.fill(2.0F);
+    for (const bool training : {true, false}) {
+        const std::string what = training ? "training" : "eval";
+        relu.forward_into(other, y, training); // a mask of all ones first
+        relu.forward_into(x, y, training);
+        relu.backward_into(g, gx);
+        EXPECT_EQ(y.shape(), x.shape()) << what;
+        expect_bytes_equal(y.storage(), want_y, what + " forward");
+        expect_bytes_equal(gx.storage(), want_gx, what + " backward");
     }
 }
 
@@ -67,15 +113,19 @@ PoolReference textbook_pool(const Tensor& x, const Tensor& gy) {
 TEST(ElementwiseKernelTest, MaxPool2dMatchesTextbookScan) {
     const float nan = std::numeric_limits<float>::quiet_NaN();
     stats::Rng rng(61);
-    // One layer for every shape: each new shape must replace the window
-    // corners the last one left.
+    // One layer for every shape: each new (c, h, w) must replace the
+    // window corners the last one left, a smaller batch at the same one
+    // reads their prefix, and a larger one must grow them.
     MaxPool2d pool;
-    // The fl_cifar pool (B16 8x12x12), odd trailing rows and columns at a
-    // batch whose windows do not fill the last vector, and small shapes.
+    // The fl_cifar pool (B16 8x12x12, then a ragged B5 and a B17), odd
+    // trailing rows and columns at a batch whose windows do not fill the
+    // last vector, and small shapes.
     for (const auto& shape : {std::vector<std::size_t>{2, 3, 7, 9},
                               std::vector<std::size_t>{3, 2, 8, 6},
                               std::vector<std::size_t>{1, 1, 3, 2},
                               std::vector<std::size_t>{16, 8, 12, 12},
+                              std::vector<std::size_t>{5, 8, 12, 12},
+                              std::vector<std::size_t>{17, 8, 12, 12},
                               std::vector<std::size_t>{5, 3, 13, 11}}) {
         Tensor x(shape);
         const std::size_t planes = shape[0] * shape[1];

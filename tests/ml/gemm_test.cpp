@@ -203,13 +203,18 @@ TEST(KernelEquivalenceTest, Conv2dMatchesNaiveOnRandomShapes) {
         std::size_t batch, in_c, out_c, k, h, w;
         bool mostly_zero = false;
     };
-    // The forward kernel tiles up to 8 output pixels (flat, across output
-    // rows) x 8 or 16 output channels (16 from out_c = 16 up); the weight
-    // gradient tiles the same output-channel lanes x up to 8 taps; the
-    // input gradient puts 16 images in the lanes, up to 8 input channels
-    // per tile. The cases below reach every tail of all three: partial
-    // lane groups of images (batches 1-15, 17, 33), 16-lane channel blocks
-    // with 1, 8 and 16 real lanes, and 8-lane blocks below 16 channels.
+    // From out_c = 16 up the forward tiles up to 8 output pixels (flat,
+    // across output rows) x 16 output channels; below 16 it puts 16 grid
+    // positions in the lanes, up to 8 output channels per block, and the
+    // last block's shifted loads reach past the image into the staged
+    // planes' zeros. The weight gradient tiles 8 or 16 output-channel lanes
+    // x one input channel's 9 taps (3x3) or up to 8 taps (other kernels);
+    // the input gradient puts 16 images in the lanes, up to 8 input
+    // channels per tile. The cases below reach every tail of all three:
+    // partial lane groups of images (batches 1-15, 17, 33), 16-lane channel
+    // blocks with 1, 8 and 16 real lanes, 8-lane blocks below 16 channels,
+    // narrow blocks of 8 channels and of fewer, and grids of exactly 16 and
+    // 17 positions ((oh - 1) * w + ow).
     const std::vector<Case> cases = {
         {16, 1, 8, 3, 12, 12},         // MNIST layer
         {4, 3, 8, 3, 14, 14},          // CIFAR layer, 27 taps
@@ -238,6 +243,11 @@ TEST(KernelEquivalenceTest, Conv2dMatchesNaiveOnRandomShapes) {
         {15, 3, 32, 3, 9, 8},          // 32 output channels: two full 16-lane blocks
         {16, 8, 17, 3, 6, 6},          // 17 output channels: 16 + 1 lanes
         {17, 8, 16, 3, 6, 6, true},    // deep CIFAR layer, 16 + 1 images, mostly-zero gradient
+        {3, 2, 15, 3, 8, 8},           // 15 output channels: narrow blocks of 8 + 7
+        {2, 3, 5, 3, 5, 6},            // grid of exactly 16 positions: one block
+        {3, 2, 7, 3, 3, 19},           // grid of 17 positions, a 7-channel block alone
+        {15, 3, 8, 3, 14, 14},         // CIFAR layer, one lane group short
+        {17, 3, 8, 3, 14, 14},         // CIFAR layer, 16 + 1 images
     };
     for (const Case& c : cases) {
         Conv2d layer(c.in_c, c.out_c, c.k);
@@ -398,13 +408,16 @@ TEST(KernelEquivalenceTest, ConvKernelsRejectBadGeometry) {
 }
 
 TEST(KernelEquivalenceTest, ConvKernelsWriteNothingPastTheirOutputs) {
-    // The kernels compute padding lanes (output channels past out_c in a
-    // forward or weight-gradient block, images past the batch in an
-    // input-gradient lane group) and must never store them. Each output
+    // The kernels compute lanes they never store: output channels past
+    // out_c in a wide-forward or weight-gradient block, grid positions past
+    // an output row or past the last output in a narrow-forward block, and
+    // images past the batch in an input-gradient lane group. Each output
     // sits in a buffer with a guard band after it, wide enough to take a
     // whole extra block, at 17 output channels (a 16-lane block with one
-    // real lane), 9 (an 8-lane block with one) and 17 images (a lane group
-    // with one real image). The guards must come back untouched.
+    // real lane), 9 (an 8-lane weight-gradient block with one; narrow
+    // blocks of 8 + 1), 8 (one full narrow block), 3 (a narrow tail block
+    // alone) and 17 images (a lane group with one real image). The guards
+    // must come back untouched.
     stats::Rng rng(48);
     const float canary = -7.0F;
     ConvShape s;
@@ -430,7 +443,7 @@ TEST(KernelEquivalenceTest, ConvKernelsWriteNothingPastTheirOutputs) {
             ASSERT_EQ(v[i], canary) << what << " wrote " << i - n << " past its end";
         }
     };
-    for (const std::size_t out_c : {9, 17}) {
+    for (const std::size_t out_c : {3, 8, 9, 17}) {
         const std::string tag = " out_c " + std::to_string(out_c);
         const std::size_t image = s.in_c * s.h * s.w;
         const std::size_t y_image = out_c * s.out_pixels();
