@@ -832,9 +832,10 @@ std::vector<MarketRow> bench_market(std::size_t reps, std::size_t& shard_rows) {
     for (std::size_t r = 0; r < reps; ++r) {
         shard.evolve(head_rng);
         time_ms(head_pass.kernel_ms, [&] {
-            priced = mec::collect_head_rows(shard, layout, strategy, scoring, true,
-                                            auction::PaymentMethod::integral, banned, nullptr,
-                                            keys, kWinners + 1, columns, merge, kernel_head);
+            priced = mec::collect_head_rows(shard, 0, shard.size(), layout, strategy, scoring,
+                                            true, auction::PaymentMethod::integral, banned,
+                                            nullptr, keys, kWinners + 1, columns, merge,
+                                            kernel_head);
         });
         time_ms(head_pass.reference_ms, [&] {
             frame.reset(shard.size(), layout.size());
@@ -867,7 +868,7 @@ std::vector<MarketRow> bench_market(std::size_t reps, std::size_t& shard_rows) {
         });
         time_ms(worker_round.reference_ms, [&] {
             twin.evolve_with_salt(salt);
-            mec::collect_head_rows(twin, layout, strategy, scoring, true,
+            mec::collect_head_rows(twin, 0, twin.size(), layout, strategy, scoring, true,
                                    auction::PaymentMethod::integral, banned, nullptr, keys,
                                    kWinners + 1, columns, merge, reference_head);
         });

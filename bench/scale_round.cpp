@@ -5,8 +5,8 @@
 // ClassicAuctionSelector from tests/reference, the pre-SoA round shape:
 // per-node walk, one QualityVector per bid, a WinnerDetermination rebuilt
 // per round) AND against the sharded
-// marketplace (ShardedAuctionSelector, 8 owned shards, bounded-head
-// merge). Winners and payments are asserted bit-identical between the
+// marketplace (ShardedAuctionSelector, 8 shards of one population,
+// bounded-head merge). Winners and payments are asserted bit-identical between the
 // monolithic legs every round, AND between the fused and sharded legs,
 // and the fused leg's steady-state allocation count is measured with a
 // global operator-new hook (the contract is ZERO per round once buffers
@@ -246,9 +246,9 @@ LegResult run_leg(std::size_t n, const Market& market, bool legacy, std::size_t 
     return out;
 }
 
-/// The sharded marketplace over the SAME market and seed: the store split
-/// into kShards contiguous ranges, per-shard fused collect+score+top-K,
-/// bounded-head merge. `run_auction_round` consumes the generator exactly
+/// The sharded marketplace over the SAME market and seed: the population
+/// cut into kShards contiguous ranges, per-shard one-pass head
+/// (`collect_head_rows`), bounded-head merge. `run_auction_round` consumes the generator exactly
 /// like the monolithic round (one drift salt, one global tie permutation),
 /// so its winners must match the fused leg's bit for bit — the per-row
 /// `sharded_winners_bit_identical` assertion.
@@ -257,11 +257,11 @@ LegResult run_sharded_leg(std::size_t n, const Market& market, std::size_t round
     auction::WinnerDeterminationConfig wd;
     wd.num_winners = kWinners;
     wd.full_ranking = false;
+    mec::MecPopulation population = make_population(n, market, seed);
     mec::ShardedAuctionSelector selector(
-        make_store(n, market, seed).split_even(kShards), *market.scoring,
-        *market.strategy, wd,
+        population, *market.scoring, *market.strategy, wd,
         {mec::ResourceDim::data_size, mec::ResourceDim::category_proportion},
-        /*data_dimension=*/0);
+        /*data_dimension=*/0, kShards);
 
     stats::Rng rng(seed ^ 0xf00dULL);
     LegResult out;

@@ -1,12 +1,12 @@
 // Sharded market: the FMore auction partitioned over S contiguous node
 // ranges — the execution strategy behind the scale/10m preset. One
-// coordinator draws the round's drift salt, every shard runs the fused
-// collect + score + top-K pass over its own rows, and the S bounded heads
-// merge under the market's strict total order. Same winners, same
+// coordinator draws the round's drift salt, every shard quotes its own rows
+// straight into a bounded top-K head in one pass, and the S heads merge
+// under the market's strict total order. Same winners, same
 // payments, bit for bit — sharding changes where the work runs, never
 // what the market decides.
 //
-// Shows: owned-mode ShardedAuctionSelector over PopulationStore::split,
+// Shows: ShardedAuctionSelector over S contiguous ranges of one population,
 // per-round equality against the monolithic AuctionSelector, graceful
 // degradation when a shard misses its bid deadline (the K winners are
 // refilled from the responsive shards and the drop is reported), and the
@@ -49,8 +49,8 @@ int main() {
         auction::EquilibriumSolver(scoring, cost, theta, {1.0, 0.05}, {150.0, 1.0}, eq)
             .solve();
 
-    // Two independently built but identically seeded populations: one stays
-    // whole for the monolithic selector, one is split into 6 shard stores.
+    // Two independently built but identically seeded populations: one for
+    // the monolithic selector, one the sharded selector cuts into 6 ranges.
     // Per-node drift streams are keyed by (salt, GLOBAL node id), so a
     // shard is the market restricted to its range — never a different one.
     auto make_store = [&](std::uint64_t seed) {
@@ -67,16 +67,17 @@ int main() {
 
     auction::WinnerDeterminationConfig wd;
     wd.num_winners = kWinners;
-    wd.full_ranking = false; // fused O(N log K) per shard
+    wd.full_ranking = false; // bounded O(N log K) heads per shard
 
     mec::MecPopulation population(make_store(kSeed));
     mec::AuctionSelector monolithic(population, scoring, strategy, wd,
                                     mec::data_category_extractor(),
                                     /*data_dimension=*/0);
+    mec::MecPopulation sharded_population(make_store(kSeed));
     mec::ShardedAuctionSelector sharded(
-        make_store(kSeed).split_even(kShards), scoring, strategy, wd,
+        sharded_population, scoring, strategy, wd,
         {mec::ResourceDim::data_size, mec::ResourceDim::category_proportion},
-        /*data_dimension=*/0);
+        /*data_dimension=*/0, kShards);
 
     std::cout << "Monolithic vs sharded market, N=" << kNodes << ", K=" << kWinners
               << ", S=" << kShards << ":\n";

@@ -65,13 +65,15 @@ struct ShardHead {
 };
 
 /// Fused score + bounded top-`limit` pass over one shard's collected
-/// frame (local rows, `frame.scored()` required): the shard-side half of
-/// the market. Writes at most `limit` rows into `out`, sorted best-first
-/// under the market order, nodes translated to global ids via
-/// `node_offset`. `limit` must be the GLOBAL ranking cutoff (or the shard
-/// active count if smaller): any row in the global top-cutoff is in its
-/// own shard's top-cutoff, so the union of such heads always contains the
-/// global head.
+/// frame (local rows, `frame.scored()` required): the shard-side half of a
+/// market that already holds its bids in a frame (the streaming close). A
+/// shard that quotes straight from a store uses `mec::collect_head_rows`,
+/// which builds the same head with no frame. Writes at most `limit` rows
+/// into `out`, sorted best-first under the market order, nodes translated
+/// to global ids via `node_offset`. `limit` must be the GLOBAL ranking
+/// cutoff (or the shard active count if smaller): any row in the global
+/// top-cutoff is in its own shard's top-cutoff, so the union of such heads
+/// always contains the global head.
 /// @throws std::logic_error when the frame's score column is not filled
 void collect_shard_head(const BidFrame& frame, std::size_t node_offset,
                         const TieKeys& keys, std::size_t limit, ShardHead& out);
@@ -156,5 +158,11 @@ private:
 /// @throws std::invalid_argument when non-empty heads disagree on dims
 void merge_heads(const std::vector<ShardHead>& heads, std::size_t cutoff,
                  std::vector<ScoredBid>& ranking);
+
+/// The same merge folded into `merge`, which the caller owns and reuses
+/// round after round, so a warm merge allocates nothing.
+/// @throws std::invalid_argument when non-empty heads disagree on dims
+void merge_heads(const std::vector<ShardHead>& heads, std::size_t cutoff,
+                 StreamingHeadMerge& merge, std::vector<ScoredBid>& ranking);
 
 } // namespace fmore::auction

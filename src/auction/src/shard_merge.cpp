@@ -181,13 +181,18 @@ void StreamingHeadMerge::finish(ShardHead& head) {
 
 void merge_heads(const std::vector<ShardHead>& heads, std::size_t cutoff,
                  std::vector<ScoredBid>& ranking) {
+    StreamingHeadMerge merge;
+    merge_heads(heads, cutoff, merge, ranking);
+}
+
+void merge_heads(const std::vector<ShardHead>& heads, std::size_t cutoff,
+                 StreamingHeadMerge& merge, std::vector<ScoredBid>& ranking) {
     std::size_t dims = 0;
     std::size_t rows = 0;
     for (const ShardHead& head : heads) {
         if (rows == 0) dims = head.dims;
         rows += head.rows.size();
     }
-    StreamingHeadMerge merge;
     merge.open(dims, std::min(cutoff, rows));
     for (const ShardHead& head : heads) merge.ingest(head);
     merge.finish(ranking);

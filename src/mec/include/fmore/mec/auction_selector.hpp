@@ -66,15 +66,18 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
                       auction::BidFrame& frame, std::size_t frame_base,
                       std::vector<const double*>& columns, bool parallel);
 
-/// A shard's half of a round in one pass over `store`, with no frame: each
-/// row is quoted exactly as `collect_bid_rows` quotes it and, unless banned
-/// or (when `cut` is set) outside the streaming round's arrival cut, offered
-/// straight to `head`, a bounded head of at most `limit` rows under the
-/// market order. `out` is the head `collect_shard_head` builds from the
-/// frame `collect_bid_rows` fills, bit for bit: every row's arithmetic is
-/// the same, and the head is the top `limit` of a strict total order, which
-/// the order rows are offered in cannot change. Global ids are
-/// `store.node_offset() + row`, for the blacklist, the cut and `keys`.
+/// A shard's half of a round in one pass over store rows [lo, hi), with no
+/// frame: each row is quoted exactly as `collect_bid_rows` quotes it and,
+/// unless banned or (when `cut` is set) outside the streaming round's
+/// arrival cut, offered straight to `head`, a bounded head of at most
+/// `limit` rows under the market order. `out` is the head
+/// `collect_shard_head` builds from the frame `collect_bid_rows` fills over
+/// the same rows, bit for bit: every row's arithmetic is the same, and the
+/// head is the top `limit` of a strict total order, which the order rows
+/// are offered in cannot change. Global ids are `store.node_offset() +
+/// row`, for the blacklist, the cut and `keys`. A forked worker passes its
+/// whole store; the in-process sharded market passes each shard's range of
+/// the population's store.
 /// A block of rows is priced (markup, ask, score) only when the head does
 /// not reject one of its live rows' at-cost bound s - c: with
 /// `strategy.ask_covers_cost(payment_method)` no ask undercuts its cost, so
@@ -86,8 +89,10 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
 /// @returns the rows of the blocks it priced (all rows but those of
 ///          all-banned blocks when the head never fills)
 /// @throws std::invalid_argument when `check_bid_layout` rejects the
-///         layout, strategy and rule
-std::size_t collect_head_rows(const PopulationStore& store, const QualityLayout& layout,
+///         layout, strategy and rule, or when [lo, hi) is not a range of
+///         the store
+std::size_t collect_head_rows(const PopulationStore& store, std::size_t lo, std::size_t hi,
+                              const QualityLayout& layout,
                               const auction::EquilibriumStrategy& strategy,
                               const auction::ScoringRule& scoring,
                               bool strategy_scores_broadcast_rule,
@@ -98,11 +103,12 @@ std::size_t collect_head_rows(const PopulationStore& store, const QualityLayout&
                               auction::StreamingHeadMerge& head, auction::ShardHead& out);
 
 /// A forked shard worker's round in one pass: `store.evolve_with_salt(
-/// drift_salt)` followed by the call above, bit for bit, with each block of
-/// rows drifted just before it is quoted. The salt is recorded and the
-/// theta bounds checked before any row moves, as `evolve_with_salt` does,
-/// and after the layout check; a row's drift reads only the row and its
-/// (salt, global id) stream, so no quote sees a row drifted out of turn.
+/// drift_salt)` followed by the call above over the whole store, bit for
+/// bit, with each block of rows drifted just before it is quoted. The salt
+/// is recorded and the theta bounds checked before any row moves, as
+/// `evolve_with_salt` does, and after the layout check; a row's drift reads
+/// only the row and its (salt, global id) stream, so no quote sees a row
+/// drifted out of turn.
 /// @throws std::invalid_argument when `check_bid_layout` rejects the
 ///         layout, strategy and rule (the store untouched), or on bad theta
 ///         bounds

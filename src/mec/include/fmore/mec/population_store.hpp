@@ -15,13 +15,15 @@
 /// the serial reference — replays bit-identical drift, and the caller's
 /// generator advances by exactly one step per round regardless of N.
 ///
-/// The same property is what makes the store SHARDABLE: `split` cuts the
-/// columns into S contiguous-range shard stores, each remembering its
-/// `node_offset()` so local row i keeps the global stream (salt,
+/// The same property is what makes the store SHARDABLE: `slice` copies a
+/// contiguous row range into a shard store that remembers its
+/// `node_offset()`, so local row i keeps the global stream (salt,
 /// offset + i). Shards handed the same round salt (`evolve_with_salt`)
 /// therefore drift bit-identically to the unsplit store — in any process,
 /// on any machine — which is the partitioning invariant the sharded
-/// auction market is built on (see ARCHITECTURE.md "Sharding the market").
+/// auction markets are built on (see ARCHITECTURE.md "Sharding the
+/// market"): a forked worker drifts its slice, and the in-process market
+/// drifts the whole store once and reads each shard's row range of it.
 ///
 /// A forked shard worker holds a NARROWED shard (`slice` and
 /// `slice_and_release` with a bid layout): theta, the layout's columns and
@@ -132,9 +134,8 @@ public:
     [[nodiscard]] std::size_t size() const { return theta_.size(); }
 
     /// Global id of local row 0 (0 for an unsplit store). Shard stores
-    /// produced by `slice` or `split` keep drawing from the (salt, global
-    /// id) streams, so `node_offset() + i` is row i's identity in the whole
-    /// market.
+    /// produced by `slice` keep drawing from the (salt, global id) streams,
+    /// so `node_offset() + i` is row i's identity in the whole market.
     [[nodiscard]] std::size_t node_offset() const { return node_offset_; }
 
     // Scalar reads of the current state (wall-clock queries, tests). On a
@@ -287,20 +288,10 @@ public:
     [[nodiscard]] std::vector<util::ByteRange>
     bytes_outside(std::size_t lo, std::size_t hi, const std::vector<ResourceDim>& layout) const;
 
-    /// Partition the store into `boundaries.size() + 1` contiguous shards,
-    /// each the `slice` between neighbouring cut points: cut points are
-    /// local row indices, strictly increasing, in (0, size()).
-    /// @throws std::invalid_argument on unsorted/duplicate/out-of-range cuts
-    [[nodiscard]] std::vector<PopulationStore>
-    split(const std::vector<std::size_t>& boundaries) const;
-
-    /// Even partition into `num_shards` contiguous shards (the first
-    /// size() % num_shards shards get one extra node).
-    /// @throws std::invalid_argument when num_shards is 0 or > size()
-    [[nodiscard]] std::vector<PopulationStore> split_even(std::size_t num_shards) const;
-
-    /// The cut points `split_even` uses (exposed so callers can map a
-    /// global node id back to its shard).
+    /// The `num_shards - 1` cut points of an even partition of `size` rows
+    /// into contiguous ranges, the first size % num_shards one row longer:
+    /// how both sharded markets cut a store by default.
+    /// @throws std::invalid_argument when num_shards is 0 or > size
     [[nodiscard]] static std::vector<std::size_t>
     even_boundaries(std::size_t size, std::size_t num_shards);
 

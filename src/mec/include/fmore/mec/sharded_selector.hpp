@@ -6,19 +6,24 @@
 /// payment-bit-identical to the monolithic market (see ARCHITECTURE.md
 /// "Sharding the market" and tests/auction/shard_equivalence_test).
 ///
-/// Each round the coordinator
-///  1. draws ONE drift salt and has every shard evolve its rows from the
-///     per-node (salt, global id) streams — bit-identical to evolving the
-///     unsplit store;
-///  2. has every shard run the fused collect + score + bounded top-K pass
-///     over ITS rows, producing a `ShardHead` of at most `ranking_cutoff`
-///     rows (not N bids);
+/// Shards are contiguous row ranges of ONE population's store: even ranges
+/// (`num_shards`) or explicit cut points (uneven splits). Each round the
+/// coordinator
+///  1. draws ONE drift salt and evolves the population with it — what
+///     every shard evolving its own rows from the per-node (salt, global
+///     id) streams would compute, bit for bit;
+///  2. has every live shard run `collect_head_rows` over ITS rows — the
+///     forked shard worker's one-pass quote into a bounded head of at most
+///     `ranking_cutoff` rows (not N bids), with no bid frame between — the
+///     shards spread over the shared pool, each pool slot with its own
+///     scratch;
 ///  3. merges the S heads under the market's strict total order
 ///     (score desc, tie key asc, node asc) and truncates at the monolithic
 ///     cutoff — the containment argument in shard_merge.hpp makes the
 ///     merged head equal the monolithic ranking head exactly;
 ///  4. runs selection and pricing on the merged head with the SAME
-///     mechanism and the SAME generator draws the monolithic round uses.
+///     mechanism and the SAME generator draws the monolithic round uses;
+///     a winner's promised data volume is its row of the merged head.
 ///
 /// Tie-break keys follow `MechanismSpec::tie_break`: in `shuffle` mode the
 /// coordinator replays the monolithic round's global Fisher-Yates
@@ -28,9 +33,10 @@
 /// multi-process `ProcessShardAggregator` ships over its pipes.
 ///
 /// Mechanisms that are not the exact built-in score-auction engine take
-/// the GATHER lane instead: shard frames are reassembled into one global
-/// frame and the mechanism's own `run_frame` runs on it — exact semantics
-/// for every registered mechanism, including wholesale `run` overrides.
+/// the GATHER lane instead: every live shard collects its rows into one
+/// global bid frame and the mechanism's own `run_frame` runs on it — exact
+/// semantics for every registered mechanism, including wholesale `run`
+/// overrides.
 ///
 /// Degradation: with a `shard_timeout_s` deadline and a latency model
 /// installed (`set_virtual_latency`, a deterministic virtual clock — no
@@ -58,12 +64,11 @@ namespace fmore::mec {
 
 class ShardedAuctionSelector final : public fl::ClientSelector {
 public:
-    /// View mode (the experiment engines): shard `population`'s store into
-    /// `num_shards` contiguous even ranges WITHOUT copying it. The
+    /// `num_shards` contiguous even ranges of `population`'s store
+    /// (`PopulationStore::even_boundaries`), WITHOUT copying it. The
     /// population remains the single source of truth — drift is applied to
-    /// it once per round (identical to what per-shard copies would
-    /// compute), so engine components reading it (the wall-clock model,
-    /// inspection APIs) see exactly the monolithic state.
+    /// it once per round, so engine components reading it (the wall-clock
+    /// model, inspection APIs) see exactly the monolithic state.
     ShardedAuctionSelector(MecPopulation& population,
                            const auction::ScoringRule& scoring,
                            const auction::EquilibriumStrategy& strategy,
@@ -73,15 +78,17 @@ public:
                            auction::PaymentMethod payment_method
                            = auction::PaymentMethod::integral);
 
-    /// Owned mode (benches, equivalence tests, uneven splits): adopt
-    /// already-split shard stores (from `PopulationStore::split`). Shards
-    /// must be contiguous: sorted by `node_offset()`, first at 0, each
-    /// starting where the previous ended.
-    ShardedAuctionSelector(std::vector<PopulationStore> shards,
+    /// `cuts.size() + 1` shards cut at `cuts`: local row indices of the
+    /// population's store, strictly increasing, in (0, size()), so no shard
+    /// is empty. No cut is one shard.
+    /// @throws std::invalid_argument on an unsorted, duplicate or
+    ///         out-of-range cut
+    ShardedAuctionSelector(MecPopulation& population,
                            const auction::ScoringRule& scoring,
                            const auction::EquilibriumStrategy& strategy,
                            auction::WinnerDeterminationConfig wd_config,
                            QualityLayout layout, std::size_t data_dimension,
+                           const std::vector<std::size_t>& cuts,
                            auction::PaymentMethod payment_method
                            = auction::PaymentMethod::integral);
 
@@ -104,7 +111,7 @@ public:
                                                                    std::size_t k,
                                                                    stats::Rng& rng);
 
-    [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
+    [[nodiscard]] std::size_t num_shards() const { return starts_.size() - 1; }
     [[nodiscard]] std::size_t population_size() const { return starts_.back(); }
 
     void set_compliance(const ComplianceSpec& spec) { compliance_ = spec; }
@@ -139,7 +146,7 @@ public:
 
     /// Durable-run hooks: like the monolithic selector, the only
     /// cross-round state here is the blacklist — the drifting columns live
-    /// in the trial-owned population (view mode, the experiment engines).
+    /// in the trial-owned population.
     void save_checkpoint(fl::SelectorCheckpoint& ckpt) const override {
         for (std::size_t node : blacklist_.banned_ids())
             ckpt.banned_nodes.push_back(node);
@@ -152,30 +159,19 @@ public:
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
 private:
-    /// One shard = a contiguous local row range of some store. View mode:
-    /// all ranges point at the population's store; owned mode: each range
-    /// covers one adopted shard store entirely.
-    struct Range {
-        const PopulationStore* store = nullptr;
-        std::size_t lo = 0;    ///< local row range [lo, hi) within *store
-        std::size_t hi = 0;
-        std::size_t base = 0;  ///< global id of local row `lo`
+    /// Per pool slot: the head pass's column pointers and bounded head.
+    struct HeadScratch {
+        std::vector<const double*> columns;
+        auction::StreamingHeadMerge head;
     };
 
-    void init_shards_from_boundaries(const PopulationStore& store,
-                                     std::size_t num_shards);
-    void validate_config();
-    void evolve_shards(stats::Rng& rng);
     void refresh_dropped(std::size_t round);
     const auction::Mechanism* mechanism_for(std::size_t k);
-    void run_fused_sharded(const auction::ScoreAuctionMechanism& engine,
-                           std::size_t k, stats::Rng& rng);
+    void run_fused_sharded(const auction::ScoreAuctionMechanism& engine, stats::Rng& rng);
     void run_gathered(const auction::Mechanism& mechanism, stats::Rng& rng);
     [[nodiscard]] double bid_quality(auction::NodeId node, std::size_t dim) const;
 
-    MecPopulation* population_ = nullptr;   ///< view mode only
-    std::vector<PopulationStore> owned_;    ///< owned mode only
-    std::vector<Range> shards_;
+    MecPopulation& population_;
     std::vector<std::size_t> starts_;       ///< S+1 global range bounds
 
     const auction::ScoringRule& scoring_;
@@ -196,10 +192,11 @@ private:
     std::vector<std::uint8_t> dropped_flag_;
 
     // Per-round buffers, reused.
-    std::vector<auction::BidFrame> frames_;      ///< one per shard (fused lane)
-    std::vector<auction::ShardHead> heads_;
+    std::vector<auction::ShardHead> heads_;      ///< one per shard
+    std::vector<HeadScratch> head_scratch_;      ///< one per pool slot
+    auction::StreamingHeadMerge merge_;          ///< the heads' merge
     auction::BidFrame gather_frame_;             ///< gather lane
-    std::vector<const double*> columns_;
+    std::vector<const double*> columns_;         ///< gather lane
     auction::RankScratch scratch_;
     auction::AuctionOutcome outcome_;
 

@@ -245,15 +245,14 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
 
 namespace {
 
-/// `collect_head_rows`' pass over `store`'s rows through `quoter`, each
-/// block of rows first drifted by `drift` when it is set.
-std::size_t head_pass(const PopulationStore& store, const PopulationStore::RowDrift* drift,
-                      const BlockQuoter& quoter, std::size_t dims,
-                      const auction::EquilibriumStrategy& strategy,
+/// `collect_head_rows`' pass over `store` rows [lo, hi) through `quoter`,
+/// each block of rows first drifted by `drift` when it is set.
+std::size_t head_pass(const PopulationStore& store, std::size_t lo, std::size_t hi,
+                      const PopulationStore::RowDrift* drift, const BlockQuoter& quoter,
+                      std::size_t dims, const auction::EquilibriumStrategy& strategy,
                       auction::PaymentMethod payment_method, const wire::StreamExtra* cut,
                       const auction::TieKeys& keys, std::size_t limit,
                       auction::StreamingHeadMerge& head, auction::ShardHead& out) {
-    const std::size_t rows = store.size();
     // With no ask below cost, fl(c + m) >= c, so a row's score
     // fl(s - fl(c + m)) is at most its at-cost bound fl(s - c) (rounding is
     // monotone, infinities included). A block whose live rows' bounds the
@@ -261,10 +260,10 @@ std::size_t head_pass(const PopulationStore& store, const PopulationStore::RowDr
     // never rejected.
     const bool bound_by_cost = strategy.ask_covers_cost(payment_method);
     std::size_t priced = 0;
-    head.open(dims, std::min(limit, rows));
+    head.open(dims, std::min(limit, hi - lo));
     QuoteBlock b;
-    for (std::size_t blo = 0; blo < rows; blo += quoter.block_rows()) {
-        const std::size_t n = std::min(quoter.block_rows(), rows - blo);
+    for (std::size_t blo = lo; blo < hi; blo += quoter.block_rows()) {
+        const std::size_t n = std::min(quoter.block_rows(), hi - blo);
         // The block's drift lands just before its quote reads it, while its
         // rows are still in cache; banned rows drift too.
         if (drift != nullptr) (*drift)(blo, blo + n);
@@ -295,7 +294,8 @@ std::size_t head_pass(const PopulationStore& store, const PopulationStore::RowDr
 
 } // namespace
 
-std::size_t collect_head_rows(const PopulationStore& store, const QualityLayout& layout,
+std::size_t collect_head_rows(const PopulationStore& store, std::size_t lo, std::size_t hi,
+                              const QualityLayout& layout,
                               const auction::EquilibriumStrategy& strategy,
                               const auction::ScoringRule& scoring,
                               bool strategy_scores_broadcast_rule,
@@ -304,10 +304,14 @@ std::size_t collect_head_rows(const PopulationStore& store, const QualityLayout&
                               const auction::TieKeys& keys, std::size_t limit,
                               std::vector<const double*>& columns,
                               auction::StreamingHeadMerge& head, auction::ShardHead& out) {
+    if (lo > hi || hi > store.size())
+        throw std::invalid_argument("collect_head_rows: rows [" + std::to_string(lo) + ", "
+                                    + std::to_string(hi) + ") outside a "
+                                    + std::to_string(store.size()) + "-row store");
     const BlockQuoter quoter(store, layout, strategy, scoring, strategy_scores_broadcast_rule,
                              payment_method, blacklist, columns);
-    return head_pass(store, nullptr, quoter, layout.size(), strategy, payment_method, cut, keys,
-                     limit, head, out);
+    return head_pass(store, lo, hi, nullptr, quoter, layout.size(), strategy, payment_method,
+                     cut, keys, limit, head, out);
 }
 
 std::size_t collect_head_rows(PopulationStore& store, std::uint64_t drift_salt,
@@ -324,8 +328,8 @@ std::size_t collect_head_rows(PopulationStore& store, std::uint64_t drift_salt,
     const BlockQuoter quoter(store, layout, strategy, scoring, strategy_scores_broadcast_rule,
                              payment_method, blacklist, columns);
     const PopulationStore::RowDrift drift = store.begin_drift(drift_salt);
-    return head_pass(store, &drift, quoter, layout.size(), strategy, payment_method, cut, keys,
-                     limit, head, out);
+    return head_pass(store, 0, store.size(), &drift, quoter, layout.size(), strategy,
+                     payment_method, cut, keys, limit, head, out);
 }
 
 fl::SelectionRecord assemble_selection_record(

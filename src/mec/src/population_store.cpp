@@ -569,29 +569,6 @@ PopulationStore::bytes_outside(std::size_t lo, std::size_t hi,
     return ranges;
 }
 
-std::vector<PopulationStore>
-PopulationStore::split(const std::vector<std::size_t>& boundaries) const {
-    const std::size_t n = size();
-    for (std::size_t b = 0; b < boundaries.size(); ++b) {
-        if (boundaries[b] == 0 || boundaries[b] >= n)
-            throw std::invalid_argument(
-                "PopulationStore::split: boundary " + std::to_string(boundaries[b])
-                + " outside (0, " + std::to_string(n) + ")");
-        if (b > 0 && boundaries[b] <= boundaries[b - 1])
-            throw std::invalid_argument(
-                "PopulationStore::split: boundaries must be strictly increasing");
-    }
-    std::vector<PopulationStore> shards;
-    shards.reserve(boundaries.size() + 1);
-    std::size_t lo = 0;
-    for (std::size_t b = 0; b <= boundaries.size(); ++b) {
-        const std::size_t hi = b < boundaries.size() ? boundaries[b] : n;
-        shards.push_back(slice(lo, hi));
-        lo = hi;
-    }
-    return shards;
-}
-
 std::vector<std::size_t> PopulationStore::even_boundaries(std::size_t size,
                                                           std::size_t num_shards) {
     if (num_shards == 0 || num_shards > size)
@@ -609,10 +586,6 @@ std::vector<std::size_t> PopulationStore::even_boundaries(std::size_t size,
         cuts.push_back(at);
     }
     return cuts;
-}
-
-std::vector<PopulationStore> PopulationStore::split_even(std::size_t num_shards) const {
-    return split(even_boundaries(size(), num_shards));
 }
 
 } // namespace fmore::mec

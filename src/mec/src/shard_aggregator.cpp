@@ -103,6 +103,7 @@ struct ProcessShardAggregator::Impl {
     const auction::ScoreAuctionMechanism* engine = nullptr;
     std::vector<std::uint8_t> request;  ///< this round's request payload
     std::vector<auction::ShardHead> heads;
+    auction::StreamingHeadMerge merge;  ///< the heads' merge, reused every round
     auction::RankScratch scratch;
     auction::AuctionOutcome outcome;
 
@@ -320,9 +321,9 @@ namespace {
                               strategy_scores_broadcast_rule, payment_method, banned, cut,
                               keys, req.limit, columns, head_merge, head);
         else
-            collect_head_rows(shard, layout, strategy, scoring, strategy_scores_broadcast_rule,
-                              payment_method, banned, cut, keys, req.limit, columns,
-                              head_merge, head);
+            collect_head_rows(shard, 0, shard.size(), layout, strategy, scoring,
+                              strategy_scores_broadcast_rule, payment_method, banned, cut,
+                              keys, req.limit, columns, head_merge, head);
         clean.clear();
         head.serialize(clean);
 
@@ -593,7 +594,7 @@ const auction::AuctionOutcome& ProcessShardAggregator::Impl::run(
               "shard_timeout_s, lower min_live_shards, or investigate the "
               "evictions recorded in lifetime_health()");
 
-    auction::merge_heads(heads, req.limit, outcome.ranking);
+    auction::merge_heads(heads, req.limit, merge, outcome.ranking);
     round_engine.select_into(outcome.ranking, rng, scratch.chosen);
     round_engine.price_into(scoring, outcome.ranking, scratch.chosen, outcome.winners);
     return outcome;

@@ -128,8 +128,9 @@ void expect_records_equal(const fl::SelectionRecord& mono,
 }
 
 /// Run `rounds` auction rounds on the monolithic selector and the sharded
-/// one — SAME initial population (independently built from `seed`), SAME
-/// generator seed — and compare every outcome bit-for-bit.
+/// one cut at `boundaries` — SAME initial population (independently built
+/// from `seed`), SAME generator seed — and compare every outcome
+/// bit-for-bit.
 void check_equivalence(const auction::WinnerDeterminationConfig& wd, std::size_t n,
                        std::size_t k, const std::vector<std::size_t>& boundaries,
                        std::size_t rounds, std::uint64_t seed) {
@@ -137,8 +138,9 @@ void check_equivalence(const auction::WinnerDeterminationConfig& wd, std::size_t
     MecPopulation population(make_store(n, seed));
     AuctionSelector mono(population, *m.scoring, *m.strategy, wd,
                          data_category_extractor(), /*data_dimension=*/0);
-    ShardedAuctionSelector sharded(make_store(n, seed).split(boundaries), *m.scoring,
-                                   *m.strategy, wd, layout(), /*data_dimension=*/0);
+    MecPopulation sharded_population(make_store(n, seed));
+    ShardedAuctionSelector sharded(sharded_population, *m.scoring, *m.strategy, wd, layout(),
+                                   /*data_dimension=*/0, boundaries);
     ASSERT_EQ(sharded.num_shards(), boundaries.size() + 1);
     ASSERT_EQ(sharded.population_size(), n);
 
@@ -295,9 +297,10 @@ TEST(ShardEquivalence, SelectionRecordsAndBlacklistStayIdentical) {
         AuctionSelector mono(population, *m.scoring, *m.strategy, wd,
                              data_category_extractor(), /*data_dimension=*/0);
         stats::Rng cuts(21);
-        ShardedAuctionSelector sharded(
-            make_store(n, seed).split(random_boundaries(n, 6, cuts)), *m.scoring,
-            *m.strategy, wd, layout(), /*data_dimension=*/0);
+        MecPopulation sharded_population(make_store(n, seed));
+        ShardedAuctionSelector sharded(sharded_population, *m.scoring, *m.strategy, wd,
+                                       layout(), /*data_dimension=*/0,
+                                       random_boundaries(n, 6, cuts));
         ComplianceSpec compliance;
         compliance.defect_probability = 0.35;
         mono.set_compliance(compliance);
@@ -317,29 +320,32 @@ TEST(ShardEquivalence, SelectionRecordsAndBlacklistStayIdentical) {
     }
 }
 
-TEST(ShardEquivalence, ViewModeOverPopulationMatchesOwnedSplit) {
-    // The engine configuration (view mode over one MecPopulation) and the
-    // bench configuration (owned split stores) are the same market.
+TEST(ShardEquivalence, RejectsBadBoundaries) {
+    // Cut points are local rows strictly inside the store: a cut at either
+    // edge, a duplicate or an unsorted pair would leave a shard empty or
+    // the shards out of order, and a cut past the end names no row.
     const Market& m = market();
-    const std::uint64_t seed = 0x11aaULL;
-    const std::size_t n = 64;
-    const std::size_t k = 8;
     auction::WinnerDeterminationConfig wd;
-    wd.num_winners = k;
-    wd.full_ranking = false;
-
-    MecPopulation population(make_store(n, seed));
-    ShardedAuctionSelector view(population, *m.scoring, *m.strategy, wd, layout(),
-                                /*data_dimension=*/0, /*num_shards=*/4);
-    ShardedAuctionSelector owned(make_store(n, seed).split_even(4), *m.scoring,
-                                 *m.strategy, wd, layout(), /*data_dimension=*/0);
-    stats::Rng view_rng(seed);
-    stats::Rng owned_rng(seed);
-    for (std::size_t round = 1; round <= 4; ++round) {
-        SCOPED_TRACE("round " + std::to_string(round));
-        expect_outcomes_equal(view.run_auction_round(round, k, view_rng),
-                              owned.run_auction_round(round, k, owned_rng));
-    }
+    wd.num_winners = 4;
+    MecPopulation population(make_store(50, 0xb0dULL));
+    const auto make = [&](const std::vector<std::size_t>& cuts) {
+        return ShardedAuctionSelector(population, *m.scoring, *m.strategy, wd, layout(),
+                                      /*data_dimension=*/0, cuts);
+    };
+    EXPECT_THROW((void)make({0}), std::invalid_argument);       // at the edge
+    EXPECT_THROW((void)make({50}), std::invalid_argument);      // past the edge
+    EXPECT_THROW((void)make({3, 77}), std::invalid_argument);   // out of range
+    EXPECT_THROW((void)make({10, 10}), std::invalid_argument);  // duplicate
+    EXPECT_THROW((void)make({20, 10}), std::invalid_argument);  // unsorted
+    EXPECT_EQ(make({}).num_shards(), 1u);                       // the whole store
+    std::vector<std::size_t> every(49);
+    std::iota(every.begin(), every.end(), std::size_t{1});
+    EXPECT_EQ(make(every).num_shards(), 50u);                   // one node per shard
+    for (const std::size_t shards : {std::size_t{0}, std::size_t{51}})
+        EXPECT_THROW(ShardedAuctionSelector(population, *m.scoring, *m.strategy, wd, layout(),
+                                            /*data_dimension=*/0, shards),
+                     std::invalid_argument)
+            << shards << " shards";
 }
 
 TEST(ShardEquivalence, HeavyScoreTiesDecidedByKey) {

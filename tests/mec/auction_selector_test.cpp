@@ -168,8 +168,8 @@ TEST_F(AuctionSelectorTest, EverySelectorRejectsABadLayoutAtConstruction) {
     EXPECT_THROW(ShardedAuctionSelector(*population_, broadcast, *strategy_, wd, layout, 0,
                                         /*num_shards=*/2),
                  std::invalid_argument);
-    EXPECT_THROW(ShardedAuctionSelector(population_->store().split_even(2), broadcast,
-                                        *strategy_, wd, layout, 0),
+    EXPECT_THROW(ShardedAuctionSelector(*population_, broadcast, *strategy_, wd, layout, 0,
+                                        std::vector<std::size_t>{7}),
                  std::invalid_argument);
     EXPECT_THROW(StreamingAuctionSelector(*population_, broadcast, *strategy_, wd, layout, 0,
                                           StreamingRoundConfig{}),

@@ -141,13 +141,13 @@ TEST(CollectBidRows, BatchedMatchesPerRowQuote) {
     const auto plain_strategy = solve(plain_scoring, plain_cost, theta);
     const auto degenerate_strategy = solve(product, free_cost, theta);
 
-    // The second shard of a split: global ids start above 0.
+    // The second half of a larger store: global ids start above 0.
     PopulationSpec spec;
     stats::Rng rng(31);
     SyntheticDataSpec data;
     data.data_hi = 150.0;
     const PopulationStore whole(2 * (2 * 4096 + 300), data, theta, spec, rng);
-    PopulationStore store = whole.split_even(2)[1];
+    PopulationStore store = whole.slice(whole.size() / 2, whole.size());
     ASSERT_GT(store.node_offset(), 0u);
 
     // Thetas below, at and above the grid ends, on knots and either side

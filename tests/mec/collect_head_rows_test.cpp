@@ -5,7 +5,8 @@
 // quoted row under MarketOrder, and each kept row to the per-row quote
 // (quality_into, the cap clamp, quote_span), over short and uneven blocks,
 // heavy score ties, bans, every kind of limit, both arrival cuts, both
-// tie-key modes and a strategy solved against another rule.
+// tie-key modes and a strategy solved against another rule; and a row
+// range of a store to the slice of those rows.
 
 #include <gtest/gtest.h>
 
@@ -77,7 +78,7 @@ PopulationStore make_shard(std::size_t rows, bool tied) {
     data.data_hi = kDataHi;
     stats::Rng rng(41 + rows);
     const PopulationStore whole(2 * rows, data, market().theta, spec, rng);
-    PopulationStore shard = whole.split_even(2)[1];
+    PopulationStore shard = whole.slice(rows, 2 * rows);
     if (tied) {
         PopulationSnapshot planted = shard.snapshot();
         const double thetas[] = {0.6, 0.9, 0.9, 1.3};
@@ -233,9 +234,9 @@ TEST(CollectHeadRows, MatchesFrameCompositionAndFullSort) {
                                          + cut_names[c]
                                          + (keys->salted ? ", salted" : ", shuffled")
                                          + ", limit " + std::to_string(limit));
-                            collect_head_rows(shard, cols, *m.strategy, *broadcast, own_rule,
-                                              auction::PaymentMethod::integral, bans, cut,
-                                              *keys, limit, columns, merge, head);
+                            collect_head_rows(shard, 0, rows, cols, *m.strategy, *broadcast,
+                                              own_rule, auction::PaymentMethod::integral, bans,
+                                              cut, *keys, limit, columns, merge, head);
 
                             auction::ShardHead composed;
                             auction::collect_shard_head(frame, offset, *keys, limit,
@@ -356,9 +357,9 @@ TEST(CollectHeadRows, NonFiniteRowsEveryMethodAndAZeroMarkupStrategy) {
                                      + std::to_string(static_cast<int>(method))
                                      + (banned != nullptr ? ", bans" : "") + ", limit "
                                      + std::to_string(limit));
-                        collect_head_rows(shard, layout(), *c.strategy, *c.broadcast,
-                                          own_rule, method, b, nullptr, keys, limit, columns,
-                                          merge, head);
+                        collect_head_rows(shard, 0, rows, layout(), *c.strategy,
+                                          *c.broadcast, own_rule, method, b, nullptr, keys,
+                                          limit, columns, merge, head);
                         composed_head(shard, *c.strategy, *c.broadcast, method, b, keys,
                                       limit, composed);
                         expect_heads_equal(composed, head);
@@ -383,8 +384,8 @@ TEST(CollectHeadRows, PricesOnlyBlocksWhoseAtCostBoundCanEnter) {
     auction::ShardHead composed;
     const auto pass = [&](const Blacklist& bans, std::size_t limit) {
         const std::size_t priced = collect_head_rows(
-            shard, layout(), *m.strategy, m.product, true, auction::PaymentMethod::integral,
-            bans, nullptr, keys, limit, columns, merge, head);
+            shard, 0, kRows, layout(), *m.strategy, m.product, true,
+            auction::PaymentMethod::integral, bans, nullptr, keys, limit, columns, merge, head);
         composed_head(shard, *m.strategy, m.product, auction::PaymentMethod::integral, bans,
                       keys, limit, composed);
         expect_heads_equal(composed, head);
@@ -414,7 +415,7 @@ TEST(CollectHeadRows, EveryRowBannedOrOutsideTheCutLeavesAnEmptyHead) {
     std::vector<const double*> columns;
     auction::StreamingHeadMerge merge;
     auction::ShardHead head;
-    collect_head_rows(shard, layout(), *m.strategy, m.product, true,
+    collect_head_rows(shard, 0, shard.size(), layout(), *m.strategy, m.product, true,
                       auction::PaymentMethod::integral, bans, nullptr, keys, 10, columns,
                       merge, head);
     EXPECT_EQ(head.dims, 2u);
@@ -423,10 +424,86 @@ TEST(CollectHeadRows, EveryRowBannedOrOutsideTheCutLeavesAnEmptyHead) {
 
     // Nothing arrives before time 0.
     const wire::StreamExtra before_any{1, kHorizonS, -1.0, kStreamBoundaryAny};
-    collect_head_rows(shard, layout(), *m.strategy, m.product, true,
+    collect_head_rows(shard, 0, shard.size(), layout(), *m.strategy, m.product, true,
                       auction::PaymentMethod::integral, Blacklist{}, &before_any, keys, 10,
                       columns, merge, head);
     EXPECT_TRUE(head.rows.empty());
+}
+
+TEST(CollectHeadRows, RowRangeMatchesTheSliceOfThoseRows) {
+    // The in-process sharded market quotes each shard's row range of the
+    // population's store, where a forked worker quotes its slice of the
+    // same rows: both hand up the same head. Ranges start and end inside
+    // quote blocks, cross the whole banned block and lie inside it.
+    const Market& m = market();
+    constexpr std::size_t kRows = 1000;
+    constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
+    const PopulationStore store = make_shard(kRows, /*tied=*/false);
+    const Blacklist bans = make_bans(store);
+    const std::size_t offset = store.node_offset();
+
+    std::vector<std::uint32_t> pos(offset + kRows);
+    std::iota(pos.begin(), pos.end(), 0u);
+    stats::Rng shuffle_rng(kRows);
+    std::shuffle(pos.begin(), pos.end(), shuffle_rng.engine());
+    auction::TieKeys shuffled;
+    shuffled.pos = pos.data();
+    auction::TieKeys salted;
+    salted.salted = true;
+    salted.salt = 0x4a9eULL;
+    const wire::StreamExtra time_cut{0xc07ULL, kHorizonS, 0.5 * kHorizonS,
+                                     kStreamBoundaryAny};
+
+    std::vector<const double*> columns;
+    auction::StreamingHeadMerge merge;
+    auction::ShardHead head;
+    auction::ShardHead sliced;
+    using Range = std::pair<std::size_t, std::size_t>;
+    for (const auto& [lo, hi] : {Range{0, kRows}, Range{0, 1}, Range{37, 300},
+                                 Range{255, 769}, Range{256, 512}, Range{999, kRows}}) {
+        const PopulationStore slice = store.slice(lo, hi);
+        const bool all_banned = lo == 256 && hi == 512;
+        for (const wire::StreamExtra* cut : {static_cast<const wire::StreamExtra*>(nullptr),
+                                             &time_cut}) {
+            for (const auction::TieKeys* keys : {&salted, &shuffled}) {
+                for (const std::size_t limit : {std::size_t{1}, std::size_t{7},
+                                                std::size_t{33}, kAll}) {
+                    SCOPED_TRACE("rows [" + std::to_string(lo) + ", " + std::to_string(hi)
+                                 + ")" + (cut != nullptr ? ", cut" : "")
+                                 + (keys->salted ? ", salted" : ", shuffled") + ", limit "
+                                 + std::to_string(limit));
+                    collect_head_rows(store, lo, hi, layout(), *m.strategy, m.product, true,
+                                      auction::PaymentMethod::integral, bans, cut, *keys,
+                                      limit, columns, merge, head);
+                    collect_head_rows(slice, 0, slice.size(), layout(), *m.strategy,
+                                      m.product, true, auction::PaymentMethod::integral, bans,
+                                      cut, *keys, limit, columns, merge, sliced);
+                    expect_heads_equal(sliced, head);
+                    if (all_banned) {
+                        EXPECT_TRUE(head.rows.empty());
+                    }
+                    for (const auction::HeadRow& row : head.rows) {
+                        EXPECT_GE(row.node, offset + lo);
+                        EXPECT_LT(row.node, offset + hi);
+                    }
+                }
+            }
+        }
+    }
+
+    // An empty range quotes nothing; a range past the store is refused.
+    collect_head_rows(store, 500, 500, layout(), *m.strategy, m.product, true,
+                      auction::PaymentMethod::integral, bans, nullptr, salted, 7, columns,
+                      merge, head);
+    EXPECT_TRUE(head.rows.empty());
+    EXPECT_THROW(collect_head_rows(store, 10, kRows + 1, layout(), *m.strategy, m.product,
+                                   true, auction::PaymentMethod::integral, bans, nullptr,
+                                   salted, 7, columns, merge, head),
+                 std::invalid_argument);
+    EXPECT_THROW(collect_head_rows(store, 11, 10, layout(), *m.strategy, m.product, true,
+                                   auction::PaymentMethod::integral, bans, nullptr, salted, 7,
+                                   columns, merge, head),
+                 std::invalid_argument);
 }
 
 TEST(CollectHeadRows, RejectsABadLayout) {
@@ -439,9 +516,9 @@ TEST(CollectHeadRows, RejectsABadLayout) {
     std::vector<const double*> columns;
     auction::StreamingHeadMerge merge;
     auction::ShardHead head;
-    EXPECT_THROW(collect_head_rows(shard, three, *m.strategy, m.product, true,
-                                   auction::PaymentMethod::integral, Blacklist{}, nullptr,
-                                   keys, 4, columns, merge, head),
+    EXPECT_THROW(collect_head_rows(shard, 0, shard.size(), three, *m.strategy, m.product,
+                                   true, auction::PaymentMethod::integral, Blacklist{},
+                                   nullptr, keys, 4, columns, merge, head),
                  std::invalid_argument);
 }
 
@@ -552,13 +629,13 @@ TEST(OnePassWorkerRound, MatchesEvolveThenCollectOverManyRounds) {
                                       own_rule, auction::PaymentMethod::integral, bans,
                                       streaming, keys, limit, columns, merge, head);
                 } else {
-                    collect_head_rows(one_pass, layout(), *m.strategy, *broadcast, own_rule,
-                                      auction::PaymentMethod::integral, bans, streaming, keys,
-                                      limit, columns, merge, head);
+                    collect_head_rows(one_pass, 0, one_pass.size(), layout(), *m.strategy,
+                                      *broadcast, own_rule, auction::PaymentMethod::integral,
+                                      bans, streaming, keys, limit, columns, merge, head);
                 }
-                collect_head_rows(two_pass, layout(), *m.strategy, *broadcast, own_rule,
-                                  auction::PaymentMethod::integral, bans, streaming, keys,
-                                  limit, columns, merge, expected);
+                collect_head_rows(two_pass, 0, two_pass.size(), layout(), *m.strategy,
+                                  *broadcast, own_rule, auction::PaymentMethod::integral, bans,
+                                  streaming, keys, limit, columns, merge, expected);
                 expect_heads_equal(expected, head);
                 filled += head.rows.empty() ? 0 : 1;
             }

@@ -264,7 +264,7 @@ TEST(PopulationStore, DriftKernelMatchesPerNodeReference) {
     // reference. Rows with non-positive or NaN caps take no draw for that
     // resource, which shifts where every later draw of the row sits in its
     // stream, so caps are planted in all eight (bandwidth, cpu, data)
-    // patterns. The store is the second shard of a split, so global
+    // patterns. The store is the second half of a larger one, so global
     // stream ids start above 0, and it spans several evolve chunks.
     const stats::UniformDistribution theta(0.5, 1.5);
     for (const double resource_jitter : {0.0, 0.12}) {
@@ -275,7 +275,7 @@ TEST(PopulationStore, DriftKernelMatchesPerNodeReference) {
             stats::Rng rng(23);
             const PopulationStore whole(2 * (3 * 4096 + 77), SyntheticDataSpec{}, theta,
                                         spec, rng);
-            PopulationStore shard = whole.split_even(2)[1];
+            PopulationStore shard = whole.slice(whole.size() / 2, whole.size());
             ASSERT_GT(shard.node_offset(), 0u);
 
             PopulationSnapshot planted = shard.snapshot();
@@ -373,7 +373,6 @@ void expect_narrowed_drift_like_full(const PopulationStore& store, std::size_t l
     stats::Rng serial_rng(41);
     EXPECT_THROW(narrow.evolve_serial(serial_rng), std::logic_error);
     EXPECT_THROW((void)narrow.slice(0, 1), std::logic_error);
-    EXPECT_THROW((void)narrow.split_even(2), std::logic_error);
     EXPECT_THROW((void)narrow.bytes_outside(0, 1, layout), std::logic_error);
 
     // The child's copy takes the parent's draw bytes, exactly as many as

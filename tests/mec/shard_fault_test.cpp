@@ -119,12 +119,12 @@ bool any_winner_in(const std::vector<auction::Winner>& winners, std::size_t lo,
 // In-process: deterministic virtual-clock degradation
 // ---------------------------------------------------------------------------
 
-ShardedAuctionSelector make_sharded(std::vector<PopulationStore> shards) {
+/// `shards` even shards over `population`, which must outlive the selector.
+ShardedAuctionSelector make_sharded(MecPopulation& population, std::size_t shards) {
     auction::WinnerDeterminationConfig wd;
     wd.num_winners = 8;
-    return ShardedAuctionSelector(std::move(shards), *market().scoring,
-                                  *market().strategy, wd, layout(),
-                                  /*data_dimension=*/0);
+    return ShardedAuctionSelector(population, *market().scoring, *market().strategy, wd,
+                                  layout(), /*data_dimension=*/0, shards);
 }
 
 TEST(ShardFault, VirtualLatencyDropsShardsDeterministically) {
@@ -137,7 +137,8 @@ TEST(ShardFault, VirtualLatencyDropsShardsDeterministically) {
         return shard == 2 && round >= 2 ? 5.0 : 0.01;
     };
     auto run = [&](std::vector<std::vector<auction::Winner>>& winners_out) {
-        ShardedAuctionSelector sharded = make_sharded(make_store(n, 5).split_even(shards));
+        MecPopulation population(make_store(n, 5));
+        ShardedAuctionSelector sharded = make_sharded(population, shards);
         sharded.set_shard_timeout(1.0);
         sharded.set_virtual_latency(latency);
         stats::Rng rng(77);
@@ -174,7 +175,8 @@ TEST(ShardFault, VirtualLatencyDropsShardsDeterministically) {
 }
 
 TEST(ShardFault, DroppedShardsSurfaceInSelectionRecord) {
-    ShardedAuctionSelector sharded = make_sharded(make_store(40, 9).split_even(4));
+    MecPopulation population(make_store(40, 9));
+    ShardedAuctionSelector sharded = make_sharded(population, 4);
     sharded.set_shard_timeout(0.5);
     sharded.set_virtual_latency(
         [](std::size_t shard, std::size_t) { return shard == 1 ? 2.0 : 0.0; });
@@ -185,7 +187,8 @@ TEST(ShardFault, DroppedShardsSurfaceInSelectionRecord) {
 }
 
 TEST(ShardFault, ZeroTimeoutDisablesDropping) {
-    ShardedAuctionSelector sharded = make_sharded(make_store(40, 9).split_even(4));
+    MecPopulation population(make_store(40, 9));
+    ShardedAuctionSelector sharded = make_sharded(population, 4);
     sharded.set_virtual_latency([](std::size_t, std::size_t) { return 1e9; });
     // No timeout installed: even absurd latencies drop nothing.
     stats::Rng rng(4);
@@ -269,9 +272,10 @@ TEST(ShardFault, EveryMechanismRejoinsBitIdenticalInProcess) {
         wd.full_ranking = false;
         if (name == "budget_feasible") wd.budget = 500.0;
         auto run = [&](bool faulty) {
-            ShardedAuctionSelector sharded(make_store(n, 31).split_even(4),
-                                           *market().scoring, *market().strategy,
-                                           wd, layout(), /*data_dimension=*/0);
+            MecPopulation population(make_store(n, 31));
+            ShardedAuctionSelector sharded(population, *market().scoring,
+                                           *market().strategy, wd, layout(),
+                                           /*data_dimension=*/0, /*num_shards=*/4);
             if (faulty) {
                 sharded.set_shard_timeout(1.0);
                 sharded.set_fault_injector(plan);
@@ -311,7 +315,8 @@ TEST(ShardFault, EveryMechanismRejoinsBitIdenticalInProcess) {
 }
 
 TEST(ShardFault, InProcessQuorumFailsFast) {
-    ShardedAuctionSelector sharded = make_sharded(make_store(40, 9).split_even(4));
+    MecPopulation population(make_store(40, 9));
+    ShardedAuctionSelector sharded = make_sharded(population, 4);
     sharded.set_shard_timeout(0.5);
     sharded.set_fault_injector(util::FaultInjector::from_events(
         {{0, 2, util::FaultKind::stall, 9.0}, {1, 2, util::FaultKind::stall, 9.0},
@@ -515,7 +520,8 @@ TEST(ShardFault, LateShardIsEvictedWhateverWasReadBeforeIt) {
             EXPECT_LT(w.node, hi);
         }
     }
-    ShardedAuctionSelector sharded = make_sharded(make_store(n, 26).split_even(shards));
+    MecPopulation population(make_store(n, 26));
+    ShardedAuctionSelector sharded = make_sharded(population, shards);
     sharded.set_shard_timeout(1.0);
     sharded.set_fault_injector(util::FaultInjector::from_events(plan));
     stats::Rng rng(26);

@@ -1,12 +1,13 @@
-// The partitioning invariant under the sharded market: a PopulationStore
-// split at ARBITRARY boundaries, with each shard evolved under the same
-// round salt, reproduces the unsplit store's drift bit-identically — for
-// any worker count, any nesting of splits, over many rounds. Per-node
+// The partitioning invariant under the sharded markets: a PopulationStore
+// cut into slices at ARBITRARY boundaries, with each slice evolved under
+// the same round salt, reproduces the unsplit store's drift bit-identically
+// — for any worker count, any nesting of slices, over many rounds. Per-node
 // streams are keyed by (salt, GLOBAL node id), so a shard is the market,
 // restricted — never a different market.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -58,6 +59,19 @@ std::vector<std::size_t> random_boundaries(std::size_t n, std::size_t shards,
     return cuts;
 }
 
+/// The `slice`s of `store` between neighbouring cut points.
+std::vector<PopulationStore> slices(const PopulationStore& store,
+                                    const std::vector<std::size_t>& cuts) {
+    std::vector<PopulationStore> shards;
+    std::size_t lo = 0;
+    for (std::size_t b = 0; b <= cuts.size(); ++b) {
+        const std::size_t hi = b < cuts.size() ? cuts[b] : store.size();
+        shards.push_back(store.slice(lo, hi));
+        lo = hi;
+    }
+    return shards;
+}
+
 /// Shard row i must equal whole-store row `shard.node_offset() + i` in
 /// every column, bit for bit.
 void expect_is_slice(const PopulationStore& whole, const PopulationStore& shard) {
@@ -75,7 +89,7 @@ void expect_is_slice(const PopulationStore& whole, const PopulationStore& shard)
 
 TEST(StoreSplit, ShardsAreExactSlicesWithGlobalOffsets) {
     const PopulationStore whole = make_store(97);
-    const std::vector<PopulationStore> shards = whole.split({13, 14, 60});
+    const std::vector<PopulationStore> shards = slices(whole, {13, 14, 60});
     ASSERT_EQ(shards.size(), 4u);
     std::size_t expect_offset = 0;
     for (const PopulationStore& shard : shards) {
@@ -98,7 +112,7 @@ TEST(StoreSplit, SaltedShardEvolveMatchesWholeStoreEvolve) {
         SCOPED_TRACE("trial " + std::to_string(trial) + ": n=" + std::to_string(n)
                      + " s=" + std::to_string(s));
         PopulationStore whole = make_store(n, 100 + static_cast<std::uint64_t>(trial));
-        std::vector<PopulationStore> shards = whole.split(random_boundaries(n, s, meta));
+        std::vector<PopulationStore> shards = slices(whole, random_boundaries(n, s, meta));
         stats::Rng rounds(0xabcULL + static_cast<std::uint64_t>(trial));
         for (int round = 0; round < 3; ++round) {
             const std::uint64_t salt = rounds.engine()();
@@ -114,7 +128,7 @@ TEST(StoreSplit, ShardEvolveBitIdenticalAcrossWorkerCounts) {
     // including counts exceeding the shard size — replays the serial
     // reference exactly.
     PopulationStore reference = make_store(120);
-    std::vector<PopulationStore> ref_shards = reference.split({7, 40, 41, 90});
+    std::vector<PopulationStore> ref_shards = slices(reference, {7, 40, 41, 90});
     const std::uint64_t salt = 0xfeedULL;
     {
         const ScopedEnv env("FMORE_ROUND_THREADS", "1");
@@ -122,7 +136,7 @@ TEST(StoreSplit, ShardEvolveBitIdenticalAcrossWorkerCounts) {
     }
     for (const char* threads : {"2", "3", "8", "64"}) {
         SCOPED_TRACE(std::string("FMORE_ROUND_THREADS=") + threads);
-        std::vector<PopulationStore> shards = make_store(120).split({7, 40, 41, 90});
+        std::vector<PopulationStore> shards = slices(make_store(120), {7, 40, 41, 90});
         const ScopedEnv env("FMORE_ROUND_THREADS", threads);
         for (std::size_t i = 0; i < shards.size(); ++i) {
             shards[i].evolve_with_salt(salt);
@@ -137,11 +151,11 @@ TEST(StoreSplit, ShardEvolveBitIdenticalAcrossWorkerCounts) {
 }
 
 TEST(StoreSplit, NestedSplitKeepsGlobalStreams) {
-    // Splitting a shard again composes offsets, so a shard-of-a-shard
+    // Slicing a shard again composes offsets, so a shard-of-a-shard
     // still drifts as its global rows.
     PopulationStore whole = make_store(80);
-    std::vector<PopulationStore> outer = whole.split({30});
-    std::vector<PopulationStore> inner = outer[1].split({20, 35});
+    std::vector<PopulationStore> outer = slices(whole, {30});
+    std::vector<PopulationStore> inner = slices(outer[1], {20, 35});
     EXPECT_EQ(inner[0].node_offset(), 30u);
     EXPECT_EQ(inner[1].node_offset(), 50u);
     EXPECT_EQ(inner[2].node_offset(), 65u);
@@ -186,11 +200,11 @@ void expect_rows_of(const PopulationStore& whole, const PopulationStore& part) {
             << "column " << c;
 }
 
-TEST(StoreSplit, SliceMatchesSplit) {
-    // `split` is a loop over `slice`, and the forked market's workers call
-    // `slice` directly: for random cut points each slice is the matching
-    // split shard and holds its rows of the whole store, before and after
-    // drift under the same salts.
+TEST(StoreSplit, SliceHoldsItsRowsThroughDrift) {
+    // The forked market's workers drift their slices, the in-process one
+    // the whole store: for random cut points each slice holds exactly its
+    // rows of the whole store in all nine columns, before and after drift
+    // under the same salts, and records the same salts.
     stats::Rng meta(0x511ceULL);
     for (int trial = 0; trial < 6; ++trial) {
         const std::size_t n = static_cast<std::size_t>(meta.uniform_int(5, 300));
@@ -199,19 +213,13 @@ TEST(StoreSplit, SliceMatchesSplit) {
         SCOPED_TRACE("trial " + std::to_string(trial) + ": n=" + std::to_string(n)
                      + " s=" + std::to_string(s));
         PopulationStore whole = make_store(n, 300 + static_cast<std::uint64_t>(trial));
-        const std::vector<std::size_t> cuts = random_boundaries(n, s, meta);
-        std::vector<PopulationStore> shards = whole.split(cuts);
-        std::vector<PopulationStore> slices;
-        std::size_t lo = 0;
-        for (std::size_t b = 0; b <= cuts.size(); ++b) {
-            const std::size_t hi = b < cuts.size() ? cuts[b] : n;
-            slices.push_back(whole.slice(lo, hi));
-            lo = hi;
-        }
-        ASSERT_EQ(slices.size(), shards.size());
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-            expect_same_store(slices[i], shards[i]);
-            expect_rows_of(whole, slices[i]);
+        std::vector<PopulationStore> shards = slices(whole, random_boundaries(n, s, meta));
+        std::size_t offset = 0;
+        for (const PopulationStore& shard : shards) {
+            EXPECT_EQ(shard.node_offset(), offset);
+            EXPECT_TRUE(shard.salt_history().empty());
+            expect_rows_of(whole, shard);
+            offset += shard.size();
         }
 
         stats::Rng rounds(0x5a17ULL + static_cast<std::uint64_t>(trial));
@@ -219,23 +227,21 @@ TEST(StoreSplit, SliceMatchesSplit) {
             const std::uint64_t salt = rounds.engine()();
             whole.evolve_with_salt(salt);
             for (PopulationStore& shard : shards) shard.evolve_with_salt(salt);
-            for (PopulationStore& slice : slices) slice.evolve_with_salt(salt);
         }
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-            expect_same_store(slices[i], shards[i]);
-            expect_rows_of(whole, slices[i]);
+        for (const PopulationStore& shard : shards) {
+            EXPECT_EQ(shard.salt_history(), whole.salt_history());
+            expect_rows_of(whole, shard);
         }
     }
 
     // A slice of a shard nests the offsets: it is the whole store's slice
-    // of the same global rows, and the outer shard's split shard.
+    // of the same global rows.
     PopulationStore whole = make_store(80);
     const PopulationStore outer = whole.slice(30, 80);
     PopulationStore inner = outer.slice(20, 35);
     EXPECT_EQ(inner.node_offset(), 50u);
     EXPECT_EQ(inner.size(), 15u);
     expect_same_store(inner, whole.slice(50, 65));
-    expect_same_store(inner, outer.split({20, 35})[1]);
     const std::uint64_t salt = 0x51ceULL;
     whole.evolve_with_salt(salt);
     inner.evolve_with_salt(salt);
@@ -251,7 +257,8 @@ TEST(StoreSplit, SliceMatchesSplit) {
 
 TEST(StoreSplit, SplitEvenBalancesAndTiles) {
     const PopulationStore whole = make_store(103);
-    const std::vector<PopulationStore> shards = whole.split_even(8);
+    const std::vector<PopulationStore> shards =
+        slices(whole, PopulationStore::even_boundaries(whole.size(), 8));
     ASSERT_EQ(shards.size(), 8u);
     std::size_t offset = 0;
     for (std::size_t s = 0; s < shards.size(); ++s) {
@@ -261,19 +268,10 @@ TEST(StoreSplit, SplitEvenBalancesAndTiles) {
         offset += shards[s].size();
     }
     EXPECT_EQ(offset, whole.size());
-}
-
-TEST(StoreSplit, RejectsBadBoundaries) {
-    const PopulationStore whole = make_store(50);
-    EXPECT_THROW((void)whole.split({0}), std::invalid_argument);       // at the edge
-    EXPECT_THROW((void)whole.split({50}), std::invalid_argument);      // past the edge
-    EXPECT_THROW((void)whole.split({3, 77}), std::invalid_argument);   // out of range
-    EXPECT_THROW((void)whole.split({10, 10}), std::invalid_argument);  // duplicate
-    EXPECT_THROW((void)whole.split({20, 10}), std::invalid_argument);  // unsorted
-    EXPECT_THROW((void)whole.split_even(0), std::invalid_argument);
-    EXPECT_THROW((void)whole.split_even(51), std::invalid_argument);
-    EXPECT_NO_THROW((void)whole.split({}));        // one shard = the whole store
-    EXPECT_NO_THROW((void)whole.split_even(50));   // one node per shard
+    EXPECT_TRUE(PopulationStore::even_boundaries(50, 1).empty());  // one shard
+    EXPECT_EQ(PopulationStore::even_boundaries(50, 50).size(), 49u);  // one node each
+    EXPECT_THROW((void)PopulationStore::even_boundaries(50, 0), std::invalid_argument);
+    EXPECT_THROW((void)PopulationStore::even_boundaries(50, 51), std::invalid_argument);
 }
 
 } // namespace
