@@ -327,7 +327,7 @@ int main(int argc, char** argv) {
                         print_health(std::cout, policy, t, runs[t].health());
             }
 
-            if (run_spec.timing.enabled) {
+            if (run_spec.kind == core::ExperimentKind::testbed) {
                 std::cout << "\ncumulative training time by round (seconds):\n";
                 std::vector<std::string> headers{"round"};
                 for (const core::NamedSeries& s : all) headers.push_back(s.name + "_s");

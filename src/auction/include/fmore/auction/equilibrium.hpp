@@ -98,11 +98,6 @@ public:
     /// `quality`.
     void quality_into(double theta, double* out) const;
 
-    /// `payment_for` over a span — bit-identical to the vector overload.
-    [[nodiscard]] double payment_for_span(const double* q, std::size_t n, double theta,
-                                          PaymentMethod method
-                                          = PaymentMethod::integral) const;
-
     /// One sealed quote: the equilibrium payment plus the s(q) evaluated on
     /// the way (each bit-identical to the individual calls). The fused
     /// collector prices the bid AND scores it from one pass over q.

@@ -68,9 +68,6 @@ struct MechanismSpec {
     /// probability psi should be identical or distinct for each node" open —
     /// this knob implements the distinct variant.
     std::vector<double> psi_per_node;
-    /// Safety valve for tiny psi: after this many full passes the remaining
-    /// slots are filled deterministically in score order.
-    std::size_t max_psi_passes = 64;
     /// Aggregator budget B (extension; the paper's conclusion lists the
     /// budget constraint as future work). Winners are admitted in selection
     /// order only while the running payment total stays within B; 0 means

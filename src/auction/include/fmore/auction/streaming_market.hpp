@@ -64,10 +64,6 @@ struct StreamingRoundSpec {
     /// Number of bids that will be offered this round; 0 means one per
     /// frame row. Reaching it closes the round as `exhausted`.
     std::size_t expected_bids = 0;
-    /// Capacity of the live provisional head kept for churn statistics;
-    /// 0 derives K from the mechanism spec when the built-in engine is
-    /// driving (otherwise churn tracking is off).
-    std::size_t head_k = 0;
 };
 
 /// Long-lived ingestion service over one mechanism: open a round, offer

@@ -120,13 +120,6 @@ void EquilibriumStrategy::quality_into(double theta, double* out) const {
     }
 }
 
-double EquilibriumStrategy::payment_for_span(const double* q, std::size_t n, double theta,
-                                             PaymentMethod method) const {
-    const double c = cost_->cost_span(q, n, theta);
-    const double u = scoring_->quality_score_span(q, n) - c;
-    return c + markup_at_score(u, method);
-}
-
 EquilibriumStrategy::SealedQuote EquilibriumStrategy::quote_span(
     const double* q, std::size_t n, double theta, PaymentMethod method) const {
     const double c = cost_->cost_span(q, n, theta);

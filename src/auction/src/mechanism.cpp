@@ -60,6 +60,10 @@ void ScoreAuctionMechanism::run_frame(const ScoringRule& scoring, const BidFrame
 
 namespace {
 
+/// Safety valve for tiny psi: after this many full passes the remaining
+/// slots are filled deterministically in score order.
+constexpr std::size_t kMaxPsiPasses = 64;
+
 void check_probability(double value, const std::string& what) {
     if (!(value > 0.0 && value <= 1.0) || std::isnan(value))
         throw std::invalid_argument(what + " = " + std::to_string(value)
@@ -276,7 +280,7 @@ void ScoreAuctionMechanism::select_into(const std::vector<ScoredBid>& ranking,
     thread_local std::vector<std::uint8_t> taken;
     taken.assign(ranking.size(), 0);
     std::size_t passes = 0;
-    while (chosen.size() < want && passes < spec_.max_psi_passes) {
+    while (chosen.size() < want && passes < kMaxPsiPasses) {
         for (std::size_t i = 0; i < ranking.size() && chosen.size() < want; ++i) {
             if (taken[i] != 0) continue;
             if (rng.bernoulli(psi_for(ranking[i].bid.node))) {

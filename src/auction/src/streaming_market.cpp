@@ -78,9 +78,9 @@ void StreamingMarket::open_round(std::size_t rows, std::size_t dims,
                         + (ms.payment_rule == PaymentRule::second_price ? 1 : 0);
         }
     }
-    head_cap_ = round_.head_k != 0 ? round_.head_k
-                : engine_ != nullptr ? engine_->spec().num_winners
-                                     : 0;
+    // The churn head holds K rows when the built-in engine drives; churn
+    // tracking is off otherwise.
+    head_cap_ = engine_ != nullptr ? engine_->spec().num_winners : 0;
 }
 
 void StreamingMarket::track_head(const Candidate& cand) {

@@ -150,14 +150,11 @@ struct TrainingSpec {
 };
 
 /// The wall-clock model (testbed experiments; see mec::ClusterTimeConfig)
-/// plus the round-coordination discipline built on it.
-/// `enabled` is kind-implied — the testbed always models wall-clock time
-/// and the simulator never does — and validation rejects a mismatch so the
-/// knob cannot silently disagree with what the engine actually runs.
-/// Likewise `round_mode != sync` needs the clock, so async/semi-sync specs
-/// must be `kind = testbed`.
+/// plus the round-coordination discipline built on it. The kind decides
+/// whether the clock runs: the testbed always models wall-clock time and
+/// the simulator never does. `round_mode != sync` needs the clock, so
+/// async/semi-sync specs must be `kind = testbed`.
 struct TimingSpec {
-    bool enabled = false;
     double model_bytes = 1.7e7;
     double seconds_per_sample_core = 0.05;
     double round_overhead_s = 1.0;

@@ -90,7 +90,6 @@ ExperimentSpec default_testbed_experiment() {
     spec.training.dataset = DatasetKind::cifar10;
     spec.training.train_samples = 7000;
     spec.training.test_samples = 1200;
-    spec.timing.enabled = true;
     return spec;
 }
 
@@ -257,13 +256,7 @@ std::vector<std::string> validate(const ExperimentSpec& spec) {
         fail("training.learning_rate = " + num(train.learning_rate) + ": must be > 0");
 
     const TimingSpec& timing = spec.timing;
-    if (spec.kind == ExperimentKind::testbed && !timing.enabled)
-        fail("timing.enabled = false on a testbed spec: the testbed engine always "
-             "models wall-clock time (it cannot be switched off); leave it true");
-    if (spec.kind == ExperimentKind::simulation && timing.enabled)
-        fail("timing.enabled = true on a simulation spec: the simulator has no "
-             "wall-clock model; use kind = testbed for timed experiments");
-    if (timing.enabled) {
+    if (spec.kind == ExperimentKind::testbed) {
         if (bad(timing.model_bytes) || !(timing.model_bytes > 0.0))
             fail("timing.model_bytes = " + num(timing.model_bytes) + ": must be > 0");
         if (bad(timing.seconds_per_sample_core)
@@ -587,13 +580,6 @@ const std::vector<Field>& fields() {
         FMORE_FIELD_SIZE("training.batch_size", training.batch_size),
         FMORE_FIELD_DOUBLE("training.learning_rate", training.learning_rate),
         FMORE_FIELD_SIZE("training.eval_cap", training.eval_cap),
-        Field{"timing.enabled",
-              [](const ExperimentSpec& s) {
-                  return std::string(s.timing.enabled ? "true" : "false");
-              },
-              [](ExperimentSpec& s, const std::string& v) {
-                  s.timing.enabled = parse_bool("timing.enabled", v);
-              }},
         FMORE_FIELD_DOUBLE("timing.model_bytes", timing.model_bytes),
         FMORE_FIELD_DOUBLE("timing.seconds_per_sample_core",
                            timing.seconds_per_sample_core),

@@ -46,8 +46,8 @@ void check_bid_layout(const QualityLayout& layout,
 /// equilibrium quality clipped to the row's available columns, the sealed
 /// ask, and the aggregator score, written into frame rows
 /// `frame_base + (i - lo)`. Blacklist lookups use GLOBAL node ids
-/// (`store.node_offset() + i`), so the same pass serves the monolithic
-/// selector (offset 0, whole store) and every shard of the sharded market.
+/// (`store.node_offset() + i`), so the same pass serves a whole store (the
+/// frame collect of `MarketSelector`) and any shard's range of it alike.
 /// `columns` is caller-owned scratch (column pointers, reused across
 /// rounds). Chunk-parallel over idle pool workers when `parallel`; inside
 /// a chunk, rows are quoted in blocks through the strategy's row kernels
@@ -128,13 +128,117 @@ std::size_t collect_head_rows(PopulationStore& store, std::uint64_t drift_salt,
 /// compliance rolls (defectors banned in `blacklist`, shortfalls reflected
 /// in `train_samples`). `promised_quality(node)` resolves a winner's bid
 /// data volume; pass a null function when no data dimension is priced.
-/// Shared by AuctionSelector and the sharded selectors so every market
+/// Every market selector assembles its record here, so every market
 /// engine assembles records — and consumes compliance RNG draws — in
 /// exactly the same order.
 [[nodiscard]] fl::SelectionRecord assemble_selection_record(
     const auction::AuctionOutcome& outcome, std::size_t population_size,
     const std::function<double(auction::NodeId)>& promised_quality,
     const ComplianceSpec& compliance, Blacklist& blacklist, stats::Rng& rng);
+
+/// The shell of FMore's round (Algorithm 1) that every market shares:
+/// broadcast the rules, collect the sealed bids, pick and price the top K,
+/// then roll compliance and pay on delivery. It owns the market's rules
+/// (checked by `check_bid_layout` at construction), the compliance model,
+/// the blacklist and its checkpoint hooks, the mechanism cache, the one
+/// frame collect and the record assembly; a market supplies only its round
+/// (`run_auction_round`) and what that round adds to the record.
+///
+/// The frame's rows are global node ids: the collect writes store row i
+/// into frame row `store.node_offset() + i`, and ids below the offset hold
+/// no bid. Every selector is built over a whole population (offset 0),
+/// where ids and store rows coincide.
+class MarketSelector : public fl::ClientSelector {
+public:
+    ~MarketSelector() override = default;
+    MarketSelector& operator=(const MarketSelector&) = delete;
+    MarketSelector& operator=(MarketSelector&&) = delete;
+
+    /// Run the round, then assemble its record: each winner's promised data
+    /// volume, compliance rolls and bans, then the market's own fields.
+    [[nodiscard]] fl::SelectionRecord select(std::size_t round, std::size_t k,
+                                             stats::Rng& rng) final;
+    /// Every market has the display name of its mechanism: sharding and
+    /// streaming are execution strategies, not different mechanisms.
+    [[nodiscard]] std::string name() const override {
+        return wd_config_.psi < 1.0 ? "psi-FMore" : "FMore";
+    }
+    /// Winners train on the data volume they bid (when a data dimension is
+    /// configured) — the signal wall-clock models key round timing on.
+    [[nodiscard]] bool contracts_data_volume() const final {
+        return data_dimension_ != npos;
+    }
+
+    /// One auction-only round over the reused buffers: no compliance rolls
+    /// and no SelectionRecord assembly. The returned outcome is owned by
+    /// the selector and overwritten by the next round.
+    [[nodiscard]] virtual const auction::AuctionOutcome&
+    run_auction_round(std::size_t round, std::size_t k, stats::Rng& rng) = 0;
+
+    /// Enable the contract-compliance model (Section III.A step 4): winners
+    /// may under-deliver; detected defectors are blacklisted and excluded
+    /// from all later auctions.
+    void set_compliance(const ComplianceSpec& spec) { compliance_ = spec; }
+    [[nodiscard]] const Blacklist& blacklist() const { return blacklist_; }
+
+    /// Durable-run hooks: the shell's only cross-round state is the
+    /// blacklist (the population is trial-owned and snapshotted there).
+    void save_checkpoint(fl::SelectorCheckpoint& ckpt) const override;
+    /// @throws std::invalid_argument on a banned id outside the population
+    void restore_checkpoint(const fl::SelectorCheckpoint& ckpt) override;
+
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+protected:
+    /// `data_dimension` indexes which quality dimension is the data size
+    /// (caps the samples a winner trains on); pass npos when the scoring
+    /// rule prices no data dimension.
+    /// @throws std::invalid_argument when `check_bid_layout` rejects the
+    ///         layout, strategy and rule
+    MarketSelector(MecPopulation& population, const auction::ScoringRule& scoring,
+                   const auction::EquilibriumStrategy& strategy,
+                   auction::WinnerDeterminationConfig wd_config, QualityLayout layout,
+                   std::size_t data_dimension, auction::PaymentMethod payment_method);
+    /// A market is built in place or moved as a whole, never sliced.
+    MarketSelector(const MarketSelector&) = default;
+    MarketSelector(MarketSelector&&) = default;
+
+    /// One past the largest node id of the market.
+    [[nodiscard]] std::size_t node_ids() const {
+        return population_.store().node_offset() + population_.size();
+    }
+    /// The mechanism for K winners. It is pure configuration, rebuilt only
+    /// when K changes (in practice: once).
+    [[nodiscard]] const std::shared_ptr<const auction::Mechanism>& mechanism_for(std::size_t k);
+    /// Every node's sealed bid into `frame_`, banned nodes inactive.
+    void collect_frame();
+    /// The bid a winner of the last round sealed (its quality row); by
+    /// default its row of `frame_`.
+    [[nodiscard]] virtual const double* winner_quality(auction::NodeId node) const {
+        return frame_.quality_row(node);
+    }
+    /// The fields only this market's round adds to the record.
+    virtual void annotate(fl::SelectionRecord&) const {}
+
+    MecPopulation& population_;
+    const auction::ScoringRule& scoring_;
+    const auction::EquilibriumStrategy& strategy_;
+    auction::WinnerDeterminationConfig wd_config_;
+    QualityLayout layout_;
+    std::size_t data_dimension_;
+    auction::PaymentMethod payment_method_;
+    /// True when `strategy_` was solved against `scoring_` itself, letting
+    /// the collector reuse the quote's s(q) as the aggregator score.
+    bool strategy_scores_broadcast_rule_;
+    ComplianceSpec compliance_;
+    Blacklist blacklist_;
+    auction::BidFrame frame_;
+
+private:
+    std::vector<const double*> columns_;
+    std::shared_ptr<const auction::Mechanism> mechanism_;
+    std::size_t mechanism_k_ = npos;
+};
 
 /// FMore's bid-ask / bid-collection / winner-determination loop as an
 /// fl::ClientSelector (steps 1-3 of Section III.A). Each round:
@@ -165,11 +269,8 @@ std::size_t collect_head_rows(PopulationStore& store, std::uint64_t drift_salt,
 /// the complete Fig. 8 score board in each round's SelectionRecord; false
 /// uses the O(N log K) fused partial path (winners bit-identical, the
 /// recorded board truncated to what selection needed).
-class AuctionSelector final : public fl::ClientSelector {
+class AuctionSelector final : public MarketSelector {
 public:
-    /// `data_dimension` indexes which quality dimension is the data size
-    /// (caps the samples a winner trains on); pass npos when the scoring
-    /// rule prices no data dimension.
     /// @throws std::invalid_argument when `check_bid_layout` rejects the
     ///         layout, strategy and rule
     AuctionSelector(MecPopulation& population,
@@ -180,72 +281,21 @@ public:
                     auction::PaymentMethod payment_method
                     = auction::PaymentMethod::integral);
 
-    [[nodiscard]] fl::SelectionRecord select(std::size_t round, std::size_t k,
-                                             stats::Rng& rng) override;
-    [[nodiscard]] std::string name() const override {
-        return wd_config_.psi < 1.0 ? "psi-FMore" : "FMore";
-    }
-    /// Winners train on the data volume they bid (when a data dimension is
-    /// configured) — the signal wall-clock models key round timing on.
-    [[nodiscard]] bool contracts_data_volume() const override {
-        return data_dimension_ != npos;
-    }
-
     /// One auction-only round over the reused buffers: drift (round > 1),
-    /// collect, rank, select, price — no compliance rolls and no
-    /// SelectionRecord assembly. This is the entry `bench/scale_round`
-    /// times; a steady-state call allocates nothing. The returned outcome
-    /// is owned by the selector and overwritten by the next round.
+    /// collect, rank, select, price. This is the entry `bench/scale_round`
+    /// times; a steady-state call allocates nothing.
     [[nodiscard]] const auction::AuctionOutcome& run_auction_round(std::size_t round,
                                                                    std::size_t k,
-                                                                   stats::Rng& rng);
+                                                                   stats::Rng& rng) override;
 
     /// The sealed bids of the most recent round (inspection/benches),
     /// materialized lazily from the frame.
     [[nodiscard]] const std::vector<auction::Bid>& last_bids() const;
 
-    /// Enable the contract-compliance model (Section III.A step 4): winners
-    /// may under-deliver; detected defectors are blacklisted and excluded
-    /// from all later auctions.
-    void set_compliance(const ComplianceSpec& spec) { compliance_ = spec; }
-    [[nodiscard]] const Blacklist& blacklist() const { return blacklist_; }
-
-    /// Durable-run hooks: the selector's only cross-round state is the
-    /// blacklist (the population is trial-owned and snapshotted there).
-    void save_checkpoint(fl::SelectorCheckpoint& ckpt) const override {
-        for (std::size_t node : blacklist_.banned_ids())
-            ckpt.banned_nodes.push_back(node);
-    }
-    /// @throws std::invalid_argument on a banned id outside the population
-    void restore_checkpoint(const fl::SelectorCheckpoint& ckpt) override {
-        restore_bans(blacklist_, ckpt.banned_nodes, population_.size());
-    }
-
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
 private:
-    void collect_frame();
-
-    MecPopulation& population_;
-    const auction::ScoringRule& scoring_;
-    const auction::EquilibriumStrategy& strategy_;
-    auction::WinnerDeterminationConfig wd_config_;
-    QualityLayout layout_;
-    std::size_t data_dimension_;
-    auction::PaymentMethod payment_method_;
-    ComplianceSpec compliance_;
-    Blacklist blacklist_;
-    /// True when `strategy_` was solved against `scoring_` itself, letting
-    /// the collector reuse the quote's s(q) as the aggregator score.
-    bool strategy_scores_broadcast_rule_ = false;
-
     // Round state, reused across rounds.
-    auction::BidFrame frame_;
     auction::RankScratch scratch_;
     auction::AuctionOutcome outcome_;
-    std::vector<const double*> columns_;
-    std::shared_ptr<const auction::Mechanism> mechanism_;
-    std::size_t mechanism_k_ = npos;
 
     // The lazy `last_bids()` cache.
     mutable std::vector<auction::Bid> last_bids_;

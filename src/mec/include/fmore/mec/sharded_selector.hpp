@@ -4,7 +4,10 @@
 /// The sharded FMore marketplace: the auction round of `AuctionSelector`
 /// partitioned over S contiguous node-range shards, proven winner- and
 /// payment-bit-identical to the monolithic market (see ARCHITECTURE.md
-/// "Sharding the market" and tests/auction/shard_equivalence_test).
+/// "Sharding the market" and tests/auction/shard_equivalence_test). It is
+/// one round on the market shell `MarketSelector` (auction_selector.hpp),
+/// which holds the rules, bans, mechanism cache, frame and record assembly
+/// every market shares; a sharded record adds the dropped shards.
 ///
 /// Shards are contiguous row ranges of ONE population's store: even ranges
 /// (`num_shards`) or explicit cut points (uneven splits). Each round the
@@ -33,10 +36,10 @@
 /// multi-process `ProcessShardAggregator` ships over its pipes.
 ///
 /// Mechanisms that are not the exact built-in score-auction engine take
-/// the GATHER lane instead: every live shard collects its rows into one
-/// global bid frame and the mechanism's own `run_frame` runs on it — exact
-/// semantics for every registered mechanism, including wholesale `run`
-/// overrides.
+/// the GATHER lane instead: the market's one frame collect
+/// (`MarketSelector`) with the dropped shards' rows deactivated, then the
+/// mechanism's own `run_frame` on it — exact semantics for every
+/// registered mechanism, including wholesale `run` overrides.
 ///
 /// Degradation: with a `shard_timeout_s` deadline and a latency model
 /// installed (`set_virtual_latency`, a deterministic virtual clock — no
@@ -48,21 +51,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "fmore/auction/bid_frame.hpp"
 #include "fmore/auction/shard_merge.hpp"
 #include "fmore/auction/winner_determination.hpp"
-#include "fmore/fl/selection.hpp"
 #include "fmore/mec/auction_selector.hpp"
-#include "fmore/mec/blacklist.hpp"
-#include "fmore/mec/population.hpp"
 #include "fmore/util/fault_injector.hpp"
 
 namespace fmore::mec {
 
-class ShardedAuctionSelector final : public fl::ClientSelector {
+class ShardedAuctionSelector final : public MarketSelector {
 public:
     /// `num_shards` contiguous even ranges of `population`'s store
     /// (`PopulationStore::even_boundaries`), WITHOUT copying it. The
@@ -92,30 +90,15 @@ public:
                            auction::PaymentMethod payment_method
                            = auction::PaymentMethod::integral);
 
-    [[nodiscard]] fl::SelectionRecord select(std::size_t round, std::size_t k,
-                                             stats::Rng& rng) override;
-    /// Same display names as the monolithic selector on purpose — sharding
-    /// is an execution strategy, not a different mechanism.
-    [[nodiscard]] std::string name() const override {
-        return wd_config_.psi < 1.0 ? "psi-FMore" : "FMore";
-    }
-    [[nodiscard]] bool contracts_data_volume() const override {
-        return data_dimension_ != npos;
-    }
-
     /// One auction-only round (drift, per-shard heads, merge, select,
     /// price) over the reused buffers — the entry `bench/scale_round`
-    /// times. The returned outcome is owned by the selector and
-    /// overwritten by the next round.
+    /// times.
     [[nodiscard]] const auction::AuctionOutcome& run_auction_round(std::size_t round,
                                                                    std::size_t k,
-                                                                   stats::Rng& rng);
+                                                                   stats::Rng& rng) override;
 
     [[nodiscard]] std::size_t num_shards() const { return starts_.size() - 1; }
     [[nodiscard]] std::size_t population_size() const { return starts_.back(); }
-
-    void set_compliance(const ComplianceSpec& spec) { compliance_ = spec; }
-    [[nodiscard]] const Blacklist& blacklist() const { return blacklist_; }
 
     /// Bid deadline per shard, in (virtual) seconds; 0 disables dropping.
     void set_shard_timeout(double seconds);
@@ -144,20 +127,6 @@ public:
         return last_dropped_;
     }
 
-    /// Durable-run hooks: like the monolithic selector, the only
-    /// cross-round state here is the blacklist — the drifting columns live
-    /// in the trial-owned population.
-    void save_checkpoint(fl::SelectorCheckpoint& ckpt) const override {
-        for (std::size_t node : blacklist_.banned_ids())
-            ckpt.banned_nodes.push_back(node);
-    }
-    /// @throws std::invalid_argument on a banned id outside the population
-    void restore_checkpoint(const fl::SelectorCheckpoint& ckpt) override {
-        restore_bans(blacklist_, ckpt.banned_nodes, starts_.back());
-    }
-
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
 private:
     /// Per pool slot: the head pass's column pointers and bounded head.
     struct HeadScratch {
@@ -166,23 +135,15 @@ private:
     };
 
     void refresh_dropped(std::size_t round);
-    const auction::Mechanism* mechanism_for(std::size_t k);
     void run_fused_sharded(const auction::ScoreAuctionMechanism& engine, stats::Rng& rng);
     void run_gathered(const auction::Mechanism& mechanism, stats::Rng& rng);
-    [[nodiscard]] double bid_quality(auction::NodeId node, std::size_t dim) const;
+    /// The fused lane's winners are rows of the merged head; the gather
+    /// lane's are rows of the frame.
+    [[nodiscard]] const double* winner_quality(auction::NodeId node) const override;
+    /// The dropped shards and the live count.
+    void annotate(fl::SelectionRecord& record) const override;
 
-    MecPopulation& population_;
     std::vector<std::size_t> starts_;       ///< S+1 global range bounds
-
-    const auction::ScoringRule& scoring_;
-    const auction::EquilibriumStrategy& strategy_;
-    auction::WinnerDeterminationConfig wd_config_;
-    QualityLayout layout_;
-    std::size_t data_dimension_;
-    auction::PaymentMethod payment_method_;
-    ComplianceSpec compliance_;
-    Blacklist blacklist_;
-    bool strategy_scores_broadcast_rule_ = false;
     bool gather_lane_ = false;  ///< which lane the last round took
 
     double shard_timeout_s_ = 0.0;
@@ -195,13 +156,8 @@ private:
     std::vector<auction::ShardHead> heads_;      ///< one per shard
     std::vector<HeadScratch> head_scratch_;      ///< one per pool slot
     auction::StreamingHeadMerge merge_;          ///< the heads' merge
-    auction::BidFrame gather_frame_;             ///< gather lane
-    std::vector<const double*> columns_;         ///< gather lane
     auction::RankScratch scratch_;
     auction::AuctionOutcome outcome_;
-
-    std::shared_ptr<const auction::Mechanism> mechanism_;
-    std::size_t mechanism_k_ = npos;
 };
 
 } // namespace fmore::mec

@@ -3,15 +3,17 @@
 /// @file streaming_selector.hpp
 /// The streaming marketplace as a client selector: FMore's bid-ask /
 /// bid-collection / winner-determination loop where the collection step is
-/// a LIVE ARRIVAL FEED instead of a batch. Bids are collected through the
-/// same fused `collect_bid_rows` pass, then replayed one at a time into an
-/// `auction::StreamingMarket` on the virtual clock an `ArrivalModel`
-/// supplies; the round closes on `deadline_s` expiry or `quorum` arrivals,
-/// whichever fires first, and the emitted `SelectionRecord` over the
-/// arrived set is bit-identical to the batch `AuctionSelector` over that
-/// same set. Because this is an `fl::ClientSelector`, the closed rounds
-/// feed `fl::Coordinator` and `fl::AsyncCoordinator` unchanged — streaming
-/// selection composes with sync, semi_sync and async training.
+/// a LIVE ARRIVAL FEED instead of a batch. It is one round on the market
+/// shell `MarketSelector` (auction_selector.hpp): bids are collected by the
+/// shell's one frame collect, then replayed one at a time out of that
+/// frame into an `auction::StreamingMarket` on the virtual clock an
+/// `ArrivalModel` supplies; the round closes on `deadline_s` expiry or
+/// `quorum` arrivals, whichever fires first, and the emitted
+/// `SelectionRecord` over the arrived set is bit-identical to the batch
+/// `AuctionSelector` over that same set. Because this is an
+/// `fl::ClientSelector`, the closed rounds feed `fl::Coordinator` and
+/// `fl::AsyncCoordinator` unchanged — streaming selection composes with
+/// sync, semi_sync and async training.
 
 #include <cstddef>
 #include <memory>
@@ -55,14 +57,15 @@ struct StreamingRoundConfig {
     bool adaptive_quorum = false;
 };
 
-/// Streaming twin of `AuctionSelector` (same construction surface, same
-/// compliance/blacklist semantics), driving an `auction::StreamingMarket`
-/// per round. Under `ArrivalProcess::latency` the selector consumes exactly
-/// the generator stream the batch selector would, so a deadline-free,
-/// quorum-free streaming round reproduces the batch round bit for bit —
-/// the invariant streaming_equivalence_test pins.
-class StreamingAuctionSelector final : public fl::ClientSelector {
+/// Streaming twin of `AuctionSelector` on the same market shell, driving
+/// an `auction::StreamingMarket` per round. Under `ArrivalProcess::latency`
+/// the selector consumes exactly the generator stream the batch selector
+/// would, so a deadline-free, quorum-free streaming round reproduces the
+/// batch round bit for bit — the invariant streaming_equivalence_test pins.
+class StreamingAuctionSelector final : public MarketSelector {
 public:
+    /// @throws std::invalid_argument when `check_bid_layout` rejects the
+    ///         layout, strategy and rule, or on an unusable `streaming`
     StreamingAuctionSelector(MecPopulation& population,
                              const auction::ScoringRule& scoring,
                              const auction::EquilibriumStrategy& strategy,
@@ -72,17 +75,13 @@ public:
                              auction::PaymentMethod payment_method =
                                  auction::PaymentMethod::integral);
 
-    [[nodiscard]] fl::SelectionRecord select(std::size_t round, std::size_t k,
-                                             stats::Rng& rng) override;
     [[nodiscard]] std::string name() const override { return "FMore-stream"; }
-    [[nodiscard]] bool contracts_data_volume() const override {
-        return data_dimension_ != npos;
-    }
 
     /// Run one streaming auction round (collect, replay arrivals, close)
     /// without assembling a selection record.
-    const auction::AuctionOutcome& run_auction_round(std::size_t round, std::size_t k,
-                                                     stats::Rng& rng);
+    [[nodiscard]] const auction::AuctionOutcome& run_auction_round(std::size_t round,
+                                                                   std::size_t k,
+                                                                   stats::Rng& rng) override;
 
     /// Why the last round stopped accepting bids.
     [[nodiscard]] auction::CloseReason last_close_reason() const;
@@ -103,42 +102,23 @@ public:
         return adaptive_ ? adaptive_->schedule() : std::vector<std::size_t>{};
     }
 
-    void set_compliance(const ComplianceSpec& spec) { compliance_ = spec; }
-    [[nodiscard]] const Blacklist& blacklist() const { return blacklist_; }
-
-    /// Durable-run hooks: bans plus — under `adaptive_quorum` — the close
-    /// telemetry replay that reconstructs the controller's schedule state
-    /// (the controller is a pure function of its observation sequence, so
-    /// replaying the tape restores it exactly).
-    void save_checkpoint(fl::SelectorCheckpoint& ckpt) const override;
+    /// Durable-run hooks: bans (the shell's) plus — under `adaptive_quorum`
+    /// — the close telemetry replay that reconstructs the controller's
+    /// schedule state (the controller is a pure function of its observation
+    /// sequence, so replaying the tape restores it exactly). The replay is
+    /// not saved here: the trial rebuilds it from the checkpointed metrics
+    /// tape, where every closed round's reason and time already ride its
+    /// SelectionRecord.
     /// @throws std::invalid_argument on a banned id outside the population
     void restore_checkpoint(const fl::SelectorCheckpoint& ckpt) override;
 
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
 private:
-    void ensure_market(std::size_t k);
     void ensure_adaptive(std::size_t population_size);
+    /// The close telemetry: reason, time, arrivals and opening quorum.
+    void annotate(fl::SelectionRecord& record) const override;
 
-    MecPopulation& population_;
-    const auction::ScoringRule& scoring_;
-    const auction::EquilibriumStrategy& strategy_;
-    auction::WinnerDeterminationConfig wd_config_;
-    QualityLayout layout_;
-    std::size_t data_dimension_;
     StreamingRoundConfig streaming_;
-    auction::PaymentMethod payment_method_;
-    bool strategy_scores_broadcast_rule_ = false;
-
-    ComplianceSpec compliance_;
-    Blacklist blacklist_;
-
-    /// Batch-collected bids awaiting their arrival times; the market's own
-    /// frame holds the arrived subset.
-    auction::BidFrame staging_;
-    std::vector<const double*> columns_;
     std::unique_ptr<auction::StreamingMarket> market_;
-    std::size_t market_k_ = 0;
     /// Closed-loop schedules do not change between rounds; built once.
     std::optional<ArrivalModel> latency_arrivals_;
     /// Virtual-shard cut points of the sharded close (shards > 1).

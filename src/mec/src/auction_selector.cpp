@@ -160,12 +160,12 @@ QualityLayout cpu_bandwidth_data_extractor() {
     return {ResourceDim::cpu, ResourceDim::bandwidth, ResourceDim::data_size};
 }
 
-AuctionSelector::AuctionSelector(MecPopulation& population,
-                                 const auction::ScoringRule& scoring,
-                                 const auction::EquilibriumStrategy& strategy,
-                                 auction::WinnerDeterminationConfig wd_config,
-                                 QualityLayout layout, std::size_t data_dimension,
-                                 auction::PaymentMethod payment_method)
+MarketSelector::MarketSelector(MecPopulation& population,
+                               const auction::ScoringRule& scoring,
+                               const auction::EquilibriumStrategy& strategy,
+                               auction::WinnerDeterminationConfig wd_config,
+                               QualityLayout layout, std::size_t data_dimension,
+                               auction::PaymentMethod payment_method)
     : population_(population),
       scoring_(scoring),
       strategy_(strategy),
@@ -362,14 +362,57 @@ fl::SelectionRecord assemble_selection_record(
     return record;
 }
 
-void AuctionSelector::collect_frame() {
+void MarketSelector::save_checkpoint(fl::SelectorCheckpoint& ckpt) const {
+    for (std::size_t node : blacklist_.banned_ids()) ckpt.banned_nodes.push_back(node);
+}
+
+void MarketSelector::restore_checkpoint(const fl::SelectorCheckpoint& ckpt) {
+    restore_bans(blacklist_, ckpt.banned_nodes, node_ids());
+}
+
+const std::shared_ptr<const auction::Mechanism>& MarketSelector::mechanism_for(std::size_t k) {
+    if (!mechanism_ || mechanism_k_ != k) {
+        auction::WinnerDeterminationConfig wd = wd_config_;
+        wd.num_winners = k;
+        mechanism_ = auction::make_mechanism(wd);
+        mechanism_k_ = k;
+    }
+    return mechanism_;
+}
+
+void MarketSelector::collect_frame() {
     const PopulationStore& store = population_.store();
-    frame_.reset(store.size(), layout_.size());
+    frame_.reset(node_ids(), layout_.size());
+    for (std::size_t id = 0; id < store.node_offset(); ++id) frame_.set_active(id, false);
     collect_bid_rows(store, 0, store.size(), layout_, strategy_, scoring_,
-                     strategy_scores_broadcast_rule_, payment_method_, blacklist_,
-                     frame_, 0, columns_, /*parallel=*/true);
+                     strategy_scores_broadcast_rule_, payment_method_, blacklist_, frame_,
+                     store.node_offset(), columns_, /*parallel=*/true);
     frame_.set_scored(true);
 }
+
+fl::SelectionRecord MarketSelector::select(std::size_t round, std::size_t k,
+                                           stats::Rng& rng) {
+    const auction::AuctionOutcome& outcome = run_auction_round(round, k, rng);
+    std::function<double(auction::NodeId)> promised;
+    if (data_dimension_ != npos) {
+        promised = [this](auction::NodeId node) {
+            return winner_quality(node)[data_dimension_];
+        };
+    }
+    fl::SelectionRecord record = assemble_selection_record(outcome, node_ids(), promised,
+                                                           compliance_, blacklist_, rng);
+    annotate(record);
+    return record;
+}
+
+AuctionSelector::AuctionSelector(MecPopulation& population,
+                                 const auction::ScoringRule& scoring,
+                                 const auction::EquilibriumStrategy& strategy,
+                                 auction::WinnerDeterminationConfig wd_config,
+                                 QualityLayout layout, std::size_t data_dimension,
+                                 auction::PaymentMethod payment_method)
+    : MarketSelector(population, scoring, strategy, std::move(wd_config), std::move(layout),
+                     data_dimension, payment_method) {}
 
 const auction::AuctionOutcome& AuctionSelector::run_auction_round(std::size_t round,
                                                                   std::size_t k,
@@ -377,17 +420,9 @@ const auction::AuctionOutcome& AuctionSelector::run_auction_round(std::size_t ro
     // Round 1 bids on the initial resource state; drift applies afterwards.
     if (round > 1) population_.evolve(rng);
     collect_frame();
-    // The mechanism is pure configuration — rebuild only when K changes
-    // (in practice: once), not on every round.
-    if (!mechanism_ || mechanism_k_ != k) {
-        auction::WinnerDeterminationConfig wd = wd_config_;
-        wd.num_winners = k;
-        mechanism_ = auction::make_mechanism(wd);
-        mechanism_k_ = k;
-    }
     // The outcome-level virtual keeps custom mechanisms — including ones
     // that override run() wholesale — semantically exact on frame rounds.
-    mechanism_->run_frame(scoring_, frame_, rng, scratch_, outcome_);
+    mechanism_for(k)->run_frame(scoring_, frame_, rng, scratch_, outcome_);
     last_bids_stale_ = true;
     return outcome_;
 }
@@ -398,20 +433,6 @@ const std::vector<auction::Bid>& AuctionSelector::last_bids() const {
         last_bids_stale_ = false;
     }
     return last_bids_;
-}
-
-fl::SelectionRecord AuctionSelector::select(std::size_t round, std::size_t k,
-                                            stats::Rng& rng) {
-    (void)run_auction_round(round, k, rng);
-    // Every bid stays addressable by NodeId in the frame.
-    std::function<double(auction::NodeId)> promised;
-    if (data_dimension_ != npos) {
-        promised = [this](auction::NodeId node) {
-            return frame_.quality_row(node)[data_dimension_];
-        };
-    }
-    return assemble_selection_record(outcome_, population_.size(), promised,
-                                     compliance_, blacklist_, rng);
 }
 
 } // namespace fmore::mec

@@ -32,15 +32,8 @@ ShardedAuctionSelector::ShardedAuctionSelector(MecPopulation& population,
                                                std::size_t data_dimension,
                                                const std::vector<std::size_t>& cuts,
                                                auction::PaymentMethod payment_method)
-    : population_(population),
-      scoring_(scoring),
-      strategy_(strategy),
-      wd_config_(std::move(wd_config)),
-      layout_(std::move(layout)),
-      data_dimension_(data_dimension),
-      payment_method_(payment_method),
-      strategy_scores_broadcast_rule_(strategy_.scoring_rule() == &scoring_) {
-    check_bid_layout(layout_, strategy_, scoring_, strategy_scores_broadcast_rule_);
+    : MarketSelector(population, scoring, strategy, std::move(wd_config), std::move(layout),
+                     data_dimension, payment_method) {
     // Together the shards must tile the store in order, none of them empty
     // — that is what makes "the same market, sharded" a meaningful claim.
     const std::size_t n = population.size();
@@ -88,16 +81,6 @@ void ShardedAuctionSelector::refresh_dropped(std::size_t round) {
             + std::to_string(min_live_shards_)
             + " (auction.shard_quorum) — raise auction.shard_timeout_s, lower "
               "the quorum, or fix the failing shards");
-}
-
-const auction::Mechanism* ShardedAuctionSelector::mechanism_for(std::size_t k) {
-    if (!mechanism_ || mechanism_k_ != k) {
-        auction::WinnerDeterminationConfig wd = wd_config_;
-        wd.num_winners = k;
-        mechanism_ = auction::make_mechanism(wd);
-        mechanism_k_ = k;
-    }
-    return mechanism_.get();
 }
 
 void ShardedAuctionSelector::run_fused_sharded(const auction::ScoreAuctionMechanism& engine,
@@ -155,25 +138,15 @@ void ShardedAuctionSelector::run_fused_sharded(const auction::ScoreAuctionMechan
 
 void ShardedAuctionSelector::run_gathered(const auction::Mechanism& mechanism,
                                           stats::Rng& rng) {
-    // Gather lane: collect every live shard's rows into one global frame
-    // and let the mechanism's own run_frame drive the round — exact
-    // semantics for any registered mechanism, including wholesale run()
-    // overrides, at O(N) shipping cost. Only the exact built-in engine gets
+    // Gather lane: the market's one frame collect, the dropped shards' rows
+    // deactivated, and the mechanism's own run_frame drives the round —
+    // exact semantics for any registered mechanism, including wholesale
+    // run() overrides, at O(N) cost. Only the exact built-in engine gets
     // the bounded-head fast lane.
-    gather_frame_.reset(starts_.back(), layout_.size());
-    for (std::size_t s = 0; s < num_shards(); ++s) {
-        if (dropped_flag_[s] != 0) {
-            for (std::size_t g = starts_[s]; g < starts_[s + 1]; ++g)
-                gather_frame_.set_active(g, false);
-            continue;
-        }
-        collect_bid_rows(population_.store(), starts_[s] - starts_[0],
-                         starts_[s + 1] - starts_[0], layout_, strategy_, scoring_,
-                         strategy_scores_broadcast_rule_, payment_method_, blacklist_,
-                         gather_frame_, starts_[s], columns_, /*parallel=*/true);
-    }
-    gather_frame_.set_scored(true);
-    mechanism.run_frame(scoring_, gather_frame_, rng, scratch_, outcome_);
+    collect_frame();
+    for (const std::size_t s : last_dropped_)
+        for (std::size_t g = starts_[s]; g < starts_[s + 1]; ++g) frame_.set_active(g, false);
+    mechanism.run_frame(scoring_, frame_, rng, scratch_, outcome_);
 }
 
 const auction::AuctionOutcome&
@@ -187,42 +160,28 @@ ShardedAuctionSelector::run_auction_round(std::size_t round, std::size_t k,
     // nodes keep living, they just miss the deadline.
     if (round > 1) population_.evolve_with_salt(rng.engine()());
     refresh_dropped(round);
-    const auction::Mechanism* mechanism = mechanism_for(k);
-    const auto* engine = dynamic_cast<const auction::ScoreAuctionMechanism*>(mechanism);
-    const bool exact =
-        engine != nullptr && typeid(*mechanism) == typeid(auction::ScoreAuctionMechanism);
-    gather_lane_ = !exact;
-    if (exact) {
-        run_fused_sharded(*engine, rng);
+    const auction::Mechanism& mechanism = *mechanism_for(k);
+    gather_lane_ = typeid(mechanism) != typeid(auction::ScoreAuctionMechanism);
+    if (gather_lane_) {
+        run_gathered(mechanism, rng);
     } else {
-        run_gathered(*mechanism, rng);
+        run_fused_sharded(static_cast<const auction::ScoreAuctionMechanism&>(mechanism), rng);
     }
     return outcome_;
 }
 
-double ShardedAuctionSelector::bid_quality(auction::NodeId node, std::size_t dim) const {
-    if (gather_lane_) return gather_frame_.quality_row(node)[dim];
+const double* ShardedAuctionSelector::winner_quality(auction::NodeId node) const {
+    if (gather_lane_) return MarketSelector::winner_quality(node);
     // A winner is one of the merged head's rows `select_into` chose.
     for (const std::size_t i : scratch_.chosen)
-        if (outcome_.ranking[i].bid.node == node) return outcome_.ranking[i].bid.quality[dim];
+        if (outcome_.ranking[i].bid.node == node) return outcome_.ranking[i].bid.quality.data();
     throw std::logic_error("ShardedAuctionSelector: node " + std::to_string(node)
                            + " is no winner of the round");
 }
 
-fl::SelectionRecord ShardedAuctionSelector::select(std::size_t round, std::size_t k,
-                                                   stats::Rng& rng) {
-    (void)run_auction_round(round, k, rng);
-    std::function<double(auction::NodeId)> promised;
-    if (data_dimension_ != npos) {
-        promised = [this](auction::NodeId node) {
-            return bid_quality(node, data_dimension_);
-        };
-    }
-    fl::SelectionRecord record = assemble_selection_record(
-        outcome_, starts_.back(), promised, compliance_, blacklist_, rng);
+void ShardedAuctionSelector::annotate(fl::SelectionRecord& record) const {
     record.dropped_shards = last_dropped_;
     record.shard_health.live_shards = num_shards() - last_dropped_.size();
-    return record;
 }
 
 } // namespace fmore::mec

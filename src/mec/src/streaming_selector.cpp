@@ -1,6 +1,6 @@
 #include "fmore/mec/streaming_selector.hpp"
 
-#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -14,16 +14,9 @@ StreamingAuctionSelector::StreamingAuctionSelector(
     auction::WinnerDeterminationConfig wd_config, QualityLayout layout,
     std::size_t data_dimension, StreamingRoundConfig streaming,
     auction::PaymentMethod payment_method)
-    : population_(population),
-      scoring_(scoring),
-      strategy_(strategy),
-      wd_config_(std::move(wd_config)),
-      layout_(std::move(layout)),
-      data_dimension_(data_dimension),
-      streaming_(std::move(streaming)),
-      payment_method_(payment_method) {
-    strategy_scores_broadcast_rule_ = strategy_.scoring_rule() == &scoring_;
-    check_bid_layout(layout_, strategy_, scoring_, strategy_scores_broadcast_rule_);
+    : MarketSelector(population, scoring, strategy, std::move(wd_config), std::move(layout),
+                     data_dimension, payment_method),
+      streaming_(std::move(streaming)) {
     if (streaming_.process == ArrivalProcess::poisson
         && !(streaming_.arrival_rate_hz > 0.0))
         throw std::invalid_argument(
@@ -38,32 +31,18 @@ StreamingAuctionSelector::StreamingAuctionSelector(
     last_quorum_ = streaming_.quorum;
 }
 
-void StreamingAuctionSelector::ensure_market(std::size_t k) {
-    if (market_ && market_k_ == k) return;
-    auction::WinnerDeterminationConfig wd = wd_config_;
-    wd.num_winners = k;
-    market_ = std::make_unique<auction::StreamingMarket>(
-        std::shared_ptr<const auction::Mechanism>(auction::make_mechanism(wd)),
-        scoring_);
-    market_k_ = k;
-}
-
 const auction::AuctionOutcome& StreamingAuctionSelector::run_auction_round(
     std::size_t round, std::size_t k, stats::Rng& rng) {
     // Round 1 bids on the initial resource state; drift applies afterwards
     // — the batch selector's convention, so the generator streams align.
     if (round > 1) population_.evolve(rng);
-    const PopulationStore& store = population_.store();
-    const std::size_t n = store.size();
-    staging_.reset(n, layout_.size());
-    collect_bid_rows(store, 0, n, layout_, strategy_, scoring_,
-                     strategy_scores_broadcast_rule_, payment_method_, blacklist_,
-                     staging_, 0, columns_, /*parallel=*/true);
-    staging_.set_scored(true);
-    std::size_t expected = 0;
-    for (std::size_t i = 0; i < n; ++i) expected += staging_.active(i) ? 1 : 0;
+    collect_frame();
+    const std::size_t n = node_ids();
+    const std::size_t expected = frame_.active_count();
 
-    ensure_market(k);
+    const std::shared_ptr<const auction::Mechanism>& mechanism = mechanism_for(k);
+    if (!market_ || &market_->mechanism() != mechanism.get())
+        market_ = std::make_unique<auction::StreamingMarket>(mechanism, scoring_);
 
     // The arrival schedule. Poisson draws BEFORE the round opens (one
     // shuffle + one uniform per node, a fixed sequence); closed-loop
@@ -96,10 +75,10 @@ const auction::AuctionOutcome& StreamingAuctionSelector::run_auction_round(
     market_->open_round(n, layout_.size(), spec, rng);
     for (const Arrival& arrival : arrivals->schedule()) {
         // Blacklisted defaulters never bid; their schedule slots lapse.
-        if (!staging_.active(arrival.node)) continue;
-        if (!market_->offer(arrival.node, staging_.quality_row(arrival.node),
-                            staging_.payment(arrival.node),
-                            staging_.score(arrival.node), arrival.seconds))
+        if (!frame_.active(arrival.node)) continue;
+        if (!market_->offer(arrival.node, frame_.quality_row(arrival.node),
+                            frame_.payment(arrival.node), frame_.score(arrival.node),
+                            arrival.seconds))
             break; // the round closed (quorum or deadline) — the feed stops
     }
     // Sharded close: the same virtual-shard cuts the sharded batch selector
@@ -121,19 +100,7 @@ const auction::AuctionOutcome& StreamingAuctionSelector::run_auction_round(
     return *outcome;
 }
 
-fl::SelectionRecord StreamingAuctionSelector::select(std::size_t round, std::size_t k,
-                                                     stats::Rng& rng) {
-    (void)run_auction_round(round, k, rng);
-    std::function<double(auction::NodeId)> promised;
-    if (data_dimension_ != npos) {
-        // Winners arrived, so their bids are addressable by NodeId in the
-        // market's frame — the fused selector's resolution rule.
-        promised = [this](auction::NodeId node) {
-            return market_->frame().quality_row(node)[data_dimension_];
-        };
-    }
-    fl::SelectionRecord record = assemble_selection_record(
-        market_->outcome(), population_.size(), promised, compliance_, blacklist_, rng);
+void StreamingAuctionSelector::annotate(fl::SelectionRecord& record) const {
     // Close telemetry rides the record into RoundMetrics, so a whole run's
     // close-reason mix is summarizable via RunResult::health() — the seed
     // for tuning timing.min_updates adaptively.
@@ -141,7 +108,6 @@ fl::SelectionRecord StreamingAuctionSelector::select(std::size_t round, std::siz
     record.close_time_s = market_->close_time_s();
     record.arrived_bids = market_->arrived();
     record.bid_quorum = last_quorum_;
-    return record;
 }
 
 auction::CloseReason StreamingAuctionSelector::last_close_reason() const {
@@ -170,19 +136,11 @@ void StreamingAuctionSelector::ensure_adaptive(std::size_t population_size) {
     }
 }
 
-void StreamingAuctionSelector::save_checkpoint(fl::SelectorCheckpoint& ckpt) const {
-    for (std::size_t node : blacklist_.banned_ids())
-        ckpt.banned_nodes.push_back(node);
-    // The close replay is NOT recorded here: the trial rebuilds it from the
-    // checkpointed metrics tape (every closed round's reason/time already
-    // rides its SelectionRecord), keeping one source of truth.
-}
-
 void StreamingAuctionSelector::restore_checkpoint(const fl::SelectorCheckpoint& ckpt) {
-    restore_bans(blacklist_, ckpt.banned_nodes, population_.size());
+    MarketSelector::restore_checkpoint(ckpt);
     if (streaming_.adaptive_quorum && !ckpt.close_replay.empty()) {
         adaptive_.reset();
-        ensure_adaptive(population_.size());
+        ensure_adaptive(node_ids());
         for (const auto& [reason, close_time_s] : ckpt.close_replay)
             adaptive_->observe(reason, close_time_s);
         last_quorum_ = adaptive_->quorum();

@@ -527,7 +527,6 @@ TEST(Scenarios, PaperPresetsAreRegisteredAndValid) {
     }
     EXPECT_EQ(named_scenario("paper/fig04").training.dataset, DatasetKind::mnist_o);
     EXPECT_EQ(named_scenario("paper/fig12").kind, ExperimentKind::testbed);
-    EXPECT_TRUE(named_scenario("paper/fig12").timing.enabled);
     EXPECT_EQ(named_scenario("straggler/heavy").timing.round_mode,
               fl::RoundMode::async);
     EXPECT_GT(named_scenario("straggler/heavy").timing.latency_spread, 0.0);
