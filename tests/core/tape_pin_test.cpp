@@ -2,10 +2,11 @@
 // path to recorded constants: the monolithic selector on the simulator and
 // on the testbed's wall clock, the sharded market's fused lane (with a shard
 // dropped by its fault plan) and its gather lane, the streaming selector
-// with its sharded close and adaptive quorum, psi-FMore, and a run resumed
-// from a checkpoint. DeterminismGolden and CrashResume compare a run with
-// its own twin, so a change that moves both twins at once (a tie-break, a
-// draw order, a summation order) passes them; it fails here.
+// with its sharded close and adaptive quorum, psi-FMore, second-score
+// payments, and a run resumed from a checkpoint. DeterminismGolden and
+// CrashResume compare a run with its own twin, so a change that moves both
+// twins at once (a tie-break, a draw order, a summation order) passes
+// them; it fails here.
 //
 // The digest covers each round's metrics and SelectionRecord, doubles by
 // bit pattern; not the spec text and no file. The runs draw through
@@ -127,6 +128,7 @@ constexpr std::uint64_t kFaultsChurn = 0xf2a5e075b03de8aeULL;
 constexpr std::uint64_t kFaultsChurnGather = 0x0b2a689ec80d2552ULL;
 constexpr std::uint64_t kStreamSharded = 0x910058b6d9fe1a8aULL;
 constexpr std::uint64_t kFig11PsiFmore = 0x319d0b9295f47279ULL;
+constexpr std::uint64_t kSecondScore = 0x155c62e19b425190ULL;
 
 TEST(TapePin, SimDefaultMonolithicSelector) {
     EXPECT_EQ(hex(kSimDefault), hex(run_digest(preset("sim/default", 2))));
@@ -162,6 +164,10 @@ TEST(TapePin, StreamShardedCloseAndAdaptiveQuorum) {
 
 TEST(TapePin, Fig11UnderPsiFmore) {
     EXPECT_EQ(hex(kFig11PsiFmore), hex(run_digest(preset("paper/fig11", 2), "psi_fmore")));
+}
+
+TEST(TapePin, SecondScoreAblation) {
+    EXPECT_EQ(hex(kSecondScore), hex(run_digest(preset("ablation/second_score", 2))));
 }
 
 TEST(TapePin, ResumedRunReadsTheUninterruptedConstant) {
