@@ -362,7 +362,7 @@ ScaleRow bench_scale(std::size_t n, std::size_t rounds, bool with_legacy) {
 // ---------------------------------------------------------------------------
 
 /// Write the ledger by SPLICING: this bench owns the grid scalars and the
-/// `scale` rows; the `faults` / `streaming` / `streaming_sharded` sections
+/// `scale` rows; the `faults` / `streaming` / `streaming_adaptive` sections
 /// the other benches splice into the same file survive a rewrite verbatim
 /// (historically this writer truncated the whole file, so a scale rerun
 /// silently dropped every other bench's section).

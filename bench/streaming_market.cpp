@@ -16,16 +16,13 @@
 //   - the quorum-vs-deadline close mix under Poisson traffic tuned so the
 //     two triggers race at even odds.
 //
-// A second leg runs the SHARDED streaming service: every round closed
-// through `close_round_sharded` (the StreamingHeadMerge composition the
-// cross-process aggregator runs over its pipes) and compared bit for bit
-// against the monolithic close, with the adaptive quorum controller
-// (`timing.adaptive_quorum`) raced against a fixed quorum over identical
-// Poisson traffic — the recorded close-time improvement and the
-// byte-identity of the quorum schedule across two replays are what CI
-// gates on.
+// A second leg races the adaptive quorum controller
+// (`timing.adaptive_quorum`) against a fixed quorum over identical Poisson
+// traffic, every round closed by `close_round` — the recorded close-time
+// improvement and the byte-identity of the quorum schedule across two
+// replays are what CI gates on.
 //
-// Results land in the `streaming` and `streaming_sharded` sections of
+// Results land in the `streaming` and `streaming_adaptive` sections of
 // BENCH_scale.json, spliced section-bounded via util/json_ledger.hpp (each
 // section replaced in place wherever it sits, so the co-owning benches can
 // run in any order; a standalone file is written when the target does not
@@ -60,7 +57,6 @@
 #include "fmore/auction/streaming_market.hpp"
 #include "fmore/fl/adaptive_quorum.hpp"
 #include "fmore/mec/arrival_model.hpp"
-#include "fmore/mec/population_store.hpp"
 #include "fmore/stats/normalizer.hpp"
 #include "fmore/stats/rng.hpp"
 #include "fmore/util/json_ledger.hpp"
@@ -356,20 +352,18 @@ void bench_close_mix(std::size_t n, std::size_t rounds, std::uint64_t seed,
     }
 }
 
-/// Leg 5 (the `streaming_sharded` section): the sharded streaming service.
-/// Every round ingests Poisson traffic and closes through
-/// `close_round_sharded` at S=8 — the per-shard-head + StreamingHeadMerge
-/// composition the cross-process aggregator runs — checked bit for bit
-/// against a monolithic twin fed the identical traffic. On top of the same
-/// traffic, an `fl::AdaptiveQuorumController` (the engine behind
+/// Leg 5 (the `streaming_adaptive` section): the streaming service under
+/// the adaptive quorum. Every round ingests Poisson traffic and closes with
+/// `close_round`. An `fl::AdaptiveQuorumController` (the engine behind
 /// `timing.adaptive_quorum`) races a fixed quorum deliberately set above
-/// what the arrival process delivers by the deadline: the fixed service
-/// waits out the full deadline every round, while the controller walks the
-/// quorum down until the quorum trigger fires early again. Close times are
-/// virtual (arrival-clock) seconds, so both the improvement ratio and the
-/// schedule are exactly reproducible; the schedule byte-identity flag
-/// replays the adaptive run from scratch and compares rendered schedules.
-struct ShardedStreamingRow {
+/// what the arrival process delivers by the deadline over the same traffic:
+/// the fixed service waits out the full deadline every round, while the
+/// controller walks the quorum down until the quorum trigger fires early
+/// again. Close times are virtual (arrival-clock) seconds, so both the
+/// improvement ratio and the schedule are exactly reproducible; the
+/// schedule byte-identity flag replays the adaptive run from scratch and
+/// compares rendered schedules.
+struct AdaptiveStreamingRow {
     std::size_t n = 0;
     std::size_t rounds = 0;
     std::size_t fixed_quorum = 0;     ///< both runs open round 1 with this
@@ -377,7 +371,6 @@ struct ShardedStreamingRow {
     double fixed_close_s_mean = 0.0;
     double adaptive_close_s_mean = 0.0;
     double improvement = 0.0;         ///< fixed mean / adaptive mean
-    bool sharded_identical = false;   ///< close_round_sharded == close_round
     bool schedule_identical = false;  ///< byte-equal schedule across replays
     std::size_t quorum_closes = 0;    ///< adaptive run's close mix
     std::size_t deadline_closes = 0;
@@ -390,8 +383,8 @@ std::string render_schedule(const std::vector<std::size_t>& schedule) {
     return out.str();
 }
 
-void bench_sharded_streaming(std::size_t n, std::size_t rounds,
-                             std::uint64_t seed, ShardedStreamingRow& row) {
+void bench_adaptive_streaming(std::size_t n, std::size_t rounds, std::uint64_t seed,
+                              AdaptiveStreamingRow& row) {
     auction::MechanismSpec spec;
     spec.num_winners = kWinners;
     spec.full_ranking = false;
@@ -410,10 +403,6 @@ void bench_sharded_streaming(std::size_t n, std::size_t rounds,
         traffic.push_back(
             mec::ArrivalModel::poisson(n, static_cast<double>(n), traffic_rng));
 
-    std::vector<std::size_t> starts{0};
-    for (const std::size_t cut : mec::PopulationStore::even_boundaries(n, kShards))
-        starts.push_back(cut);
-
     const double deadline_s = 0.5;
     // Quorum 7n/8 at rate n bids/s wants ~0.875 s — hopeless against the
     // 0.5 s deadline, so the fixed service deadline-closes every round.
@@ -429,11 +418,8 @@ void bench_sharded_streaming(std::size_t n, std::size_t rounds,
     acfg.deadline_s = deadline_s;
 
     // One service pass over the traffic tape. `controller` == nullptr runs
-    // the fixed quorum; `sharded` picks the close path. Returns per-round
-    // close times and outcomes so callers can compare twins bit for bit.
-    auto run = [&](fl::AdaptiveQuorumController* controller, bool sharded,
-                   std::vector<double>& close_s,
-                   std::vector<auction::AuctionOutcome>* outcomes,
+    // the fixed quorum. Returns per-round close times.
+    auto run = [&](fl::AdaptiveQuorumController* controller, std::vector<double>& close_s,
                    std::size_t* quorum_closes, std::size_t* deadline_closes) {
         auction::StreamingMarket market(mech, scoring());
         stats::Rng round_rng(seed ^ 0xc105eULL);
@@ -450,11 +436,8 @@ void bench_sharded_streaming(std::size_t n, std::size_t rounds,
                                   arrival.seconds))
                     break;
             }
-            const auction::AuctionOutcome& got =
-                sharded ? market.close_round_sharded(round_rng, starts)
-                        : market.close_round(round_rng);
+            (void)market.close_round(round_rng);
             close_s.push_back(market.close_time_s());
-            if (outcomes != nullptr) outcomes->push_back(got);
             if (market.close_reason() == auction::CloseReason::quorum) {
                 if (quorum_closes != nullptr) ++*quorum_closes;
             } else if (market.close_reason() == auction::CloseReason::deadline) {
@@ -470,30 +453,19 @@ void bench_sharded_streaming(std::size_t n, std::size_t rounds,
     row.rounds = rounds;
     row.fixed_quorum = fixed_quorum;
 
-    // Fixed twins: monolithic close vs sharded close over identical rounds.
     std::vector<double> fixed_close_s;
-    std::vector<auction::AuctionOutcome> mono_outcomes;
-    std::vector<auction::AuctionOutcome> shard_outcomes;
-    {
-        std::vector<double> ignored;
-        run(nullptr, false, fixed_close_s, &mono_outcomes, nullptr, nullptr);
-        run(nullptr, true, ignored, &shard_outcomes, nullptr, nullptr);
-    }
-    row.sharded_identical = mono_outcomes.size() == shard_outcomes.size();
-    for (std::size_t r = 0; row.sharded_identical && r < mono_outcomes.size(); ++r)
-        row.sharded_identical = outcomes_equal(mono_outcomes[r], shard_outcomes[r]);
+    run(nullptr, fixed_close_s, nullptr, nullptr);
 
-    // Adaptive run (sharded close path), replayed from scratch for the
-    // schedule byte-identity flag.
+    // Adaptive run, replayed from scratch for the schedule byte-identity
+    // flag.
     std::vector<double> adaptive_close_s;
     fl::AdaptiveQuorumController controller(acfg);
-    run(&controller, true, adaptive_close_s, nullptr, &row.quorum_closes,
-        &row.deadline_closes);
+    run(&controller, adaptive_close_s, &row.quorum_closes, &row.deadline_closes);
     row.adaptive_final = controller.quorum();
     {
         std::vector<double> replay_close_s;
         fl::AdaptiveQuorumController replay(acfg);
-        run(&replay, true, replay_close_s, nullptr, nullptr, nullptr);
+        run(&replay, replay_close_s, nullptr, nullptr);
         row.schedule_identical = render_schedule(controller.schedule())
                                  == render_schedule(replay.schedule());
     }
@@ -564,15 +536,14 @@ std::string render_section(const std::vector<StreamingRow>& rows, bool smoke,
     return out.str();
 }
 
-std::string render_sharded_section(const ShardedStreamingRow& row, bool smoke) {
+std::string render_adaptive_section(const AdaptiveStreamingRow& row, bool smoke) {
     std::ostringstream out;
     char buf[768];
     std::snprintf(buf, sizeof buf,
-                  "\"streaming_sharded\": {\n"
+                  "\"streaming_adaptive\": {\n"
                   "    \"smoke\": %s,\n"
                   "    \"n\": %zu,\n"
                   "    \"k\": %zu,\n"
-                  "    \"shards\": %zu,\n"
                   "    \"rounds\": %zu,\n"
                   "    \"deadline_s\": 0.5,\n"
                   "    \"fixed_quorum\": %zu,\n"
@@ -582,25 +553,23 @@ std::string render_sharded_section(const ShardedStreamingRow& row, bool smoke) {
                   "    \"adaptive_close_improvement\": %.6g,\n"
                   "    \"quorum_closes\": %zu,\n"
                   "    \"deadline_closes\": %zu,\n"
-                  "    \"sharded_close_bit_identical\": %s,\n"
                   "    \"schedule_replay_identical\": %s\n"
                   "  }",
-                  smoke ? "true" : "false", row.n, kWinners, kShards, row.rounds,
-                  row.fixed_quorum, row.adaptive_final, row.fixed_close_s_mean,
-                  row.adaptive_close_s_mean, row.improvement, row.quorum_closes,
-                  row.deadline_closes, row.sharded_identical ? "true" : "false",
+                  smoke ? "true" : "false", row.n, kWinners, row.rounds, row.fixed_quorum,
+                  row.adaptive_final, row.fixed_close_s_mean, row.adaptive_close_s_mean,
+                  row.improvement, row.quorum_closes, row.deadline_closes,
                   row.schedule_identical ? "true" : "false");
     out << buf;
     return out.str();
 }
 
-/// Write the ledger: splice the `streaming` and `streaming_sharded`
+/// Write the ledger: splice the `streaming` and `streaming_adaptive`
 /// sections into the shared JSON object via the section-bounded helpers —
 /// each section replaced in place wherever it sits, every other byte
 /// preserved verbatim (the co-owning benches can run in any order). A
 /// standalone object is emitted when the target does not exist yet.
 void write_ledger(const std::string& path, const std::string& section,
-                  const std::string& sharded_section) {
+                  const std::string& adaptive_section) {
     std::string text;
     {
         std::ifstream in(path);
@@ -611,8 +580,8 @@ void write_ledger(const std::string& path, const std::string& section,
         }
     }
     text = util::splice_ledger_section(std::move(text), "streaming", section);
-    text = util::splice_ledger_section(std::move(text), "streaming_sharded",
-                                       sharded_section);
+    text = util::splice_ledger_section(std::move(text), "streaming_adaptive",
+                                       adaptive_section);
 
     std::ofstream out(path, std::ios::trunc);
     if (!out) {
@@ -620,7 +589,7 @@ void write_ledger(const std::string& path, const std::string& section,
         std::exit(1);
     }
     out << text;
-    std::cout << "\nwrote the streaming + streaming_sharded sections of " << path
+    std::cout << "\nwrote the streaming + streaming_adaptive sections of " << path
               << '\n';
 }
 
@@ -637,7 +606,7 @@ bool extract_number(const std::string& text, const std::string& key, double* out
 /// single-threaded on the same machine, so it transfers across runners the
 /// same way scale_round's speedup does.
 bool check_against(const std::string& text, const std::vector<StreamingRow>& rows,
-                   const ShardedStreamingRow& sharded) {
+                   const AdaptiveStreamingRow& adaptive) {
     const std::string section = util::extract_ledger_section(text, "streaming");
     if (section.empty()) {
         std::cerr << "streaming_market --check: committed ledger has no"
@@ -715,51 +684,44 @@ bool check_against(const std::string& text, const std::vector<StreamingRow>& row
             ok = false;
         }
     }
-    // The streaming_sharded gates are semantic, not timing: the close
+    // The streaming_adaptive gates are semantic, not timing: the close
     // times are virtual (arrival-clock) seconds, so the improvement ratio
     // is exactly reproducible and must not shrink below break-even.
-    const std::string sharded_section =
-        util::extract_ledger_section(text, "streaming_sharded");
-    if (sharded_section.empty()) {
+    const std::string adaptive_section =
+        util::extract_ledger_section(text, "streaming_adaptive");
+    if (adaptive_section.empty()) {
         std::cerr << "streaming_market --check: committed ledger has no"
-                     " \"streaming_sharded\" section\n";
+                     " \"streaming_adaptive\" section\n";
         ok = false;
     } else {
         double committed_improvement = 0.0;
-        if (!extract_number(sharded_section, "adaptive_close_improvement",
+        if (!extract_number(adaptive_section, "adaptive_close_improvement",
                             &committed_improvement)
             || !(committed_improvement > 1.0)) {
-            std::cerr << "streaming_market --check: committed streaming_sharded"
+            std::cerr << "streaming_market --check: committed streaming_adaptive"
                          " section lacks an adaptive_close_improvement > 1\n";
             ok = false;
         }
-        if (sharded_section.find("\"sharded_close_bit_identical\": true")
-                == std::string::npos
-            || sharded_section.find("\"schedule_replay_identical\": true")
-                   == std::string::npos) {
-            std::cerr << "streaming_market --check: committed streaming_sharded"
-                         " section lacks both identity flags\n";
+        if (adaptive_section.find("\"schedule_replay_identical\": true")
+            == std::string::npos) {
+            std::cerr << "streaming_market --check: committed streaming_adaptive"
+                         " section lacks the schedule identity flag\n";
             ok = false;
         }
     }
-    if (!sharded.sharded_identical) {
-        std::cerr << "streaming_market --check: fresh close_round_sharded diverged"
-                     " from close_round at N=" << sharded.n << '\n';
-        ok = false;
-    }
-    if (!sharded.schedule_identical) {
+    if (!adaptive.schedule_identical) {
         std::cerr << "streaming_market --check: fresh adaptive quorum schedule was"
                      " not byte-identical across two replays\n";
         ok = false;
     }
-    if (!(sharded.improvement > 1.0)) {
+    if (!(adaptive.improvement > 1.0)) {
         std::cerr << "streaming_market --check: fresh adaptive close-time"
-                     " improvement is " << sharded.improvement
+                     " improvement is " << adaptive.improvement
                   << "x (expected > 1)\n";
         ok = false;
     }
     if (ok)
-        std::cout << "--check: streaming + streaming_sharded sections present, no"
+        std::cout << "--check: streaming + streaming_adaptive sections present, no"
                      " regression beyond tolerance\n";
     return ok;
 }
@@ -831,22 +793,21 @@ int main(int argc, char** argv) {
         rows.push_back(row);
     }
 
-    const std::size_t sharded_n = smoke ? 10'000 : 100'000;
-    const std::size_t sharded_rounds = smoke ? 16 : 32;
-    ShardedStreamingRow sharded;
-    bench_sharded_streaming(sharded_n, sharded_rounds,
-                            0x5ca1e000ULL + sharded_n, sharded);
-    std::printf("\nsharded streaming service: N=%zu S=%zu rounds=%zu  "
+    const std::size_t adaptive_n = smoke ? 10'000 : 100'000;
+    const std::size_t adaptive_rounds = smoke ? 16 : 32;
+    AdaptiveStreamingRow adaptive;
+    bench_adaptive_streaming(adaptive_n, adaptive_rounds, 0x5ca1e000ULL + adaptive_n,
+                             adaptive);
+    std::printf("\nadaptive streaming service: N=%zu rounds=%zu  "
                 "fixed close %.3f s -> adaptive %.3f s (%.2fx, quorum %zu -> %zu)"
-                "  %s, schedule replay %s\n",
-                sharded.n, kShards, sharded.rounds, sharded.fixed_close_s_mean,
-                sharded.adaptive_close_s_mean, sharded.improvement,
-                sharded.fixed_quorum, sharded.adaptive_final,
-                sharded.sharded_identical ? "bit-identical" : "DIVERGED",
-                sharded.schedule_identical ? "byte-identical" : "DIVERGED");
+                "  schedule replay %s\n",
+                adaptive.n, adaptive.rounds, adaptive.fixed_close_s_mean,
+                adaptive.adaptive_close_s_mean, adaptive.improvement,
+                adaptive.fixed_quorum, adaptive.adaptive_final,
+                adaptive.schedule_identical ? "byte-identical" : "DIVERGED");
 
     write_ledger(out_path, render_section(rows, smoke, rounds, mix_rounds),
-                 render_sharded_section(sharded, smoke));
+                 render_adaptive_section(adaptive, smoke));
 
     for (const StreamingRow& row : rows) {
         if (!row.identical) {
@@ -860,11 +821,11 @@ int main(int argc, char** argv) {
             return 1;
         }
     }
-    if (!sharded.sharded_identical || !sharded.schedule_identical) {
-        std::cerr << "streaming_market: sharded streaming leg diverged\n";
+    if (!adaptive.schedule_identical) {
+        std::cerr << "streaming_market: adaptive quorum schedule diverged\n";
         return 1;
     }
-    if (!check_path.empty() && !check_against(committed_text, rows, sharded))
+    if (!check_path.empty() && !check_against(committed_text, rows, adaptive))
         return 1;
     return 0;
 }

@@ -1,14 +1,14 @@
 // Streaming market: the FMore auction as a long-lived ingestion service.
 // Instead of collecting one batch of sealed bids, the aggregator opens a
-// round, bids trickle in one at a time on a virtual clock, a running top-K
-// is maintained incrementally, and the round closes on deadline expiry or
-// bid quorum — whichever fires first. Closing emits exactly what the batch
-// market would emit over the same arrived set, bit for bit.
+// round, bids trickle in one at a time on a virtual clock, and the round
+// closes on deadline expiry or bid quorum — whichever fires first. Closing
+// emits exactly what the batch market would emit over the same arrived
+// set, bit for bit.
 //
 // Shows: StreamingAuctionSelector vs the batch AuctionSelector (equality
 // per round under closed-loop arrivals), a deadline cutting off the
-// straggler tail, and a Poisson-arrival round racing a quorum against the
-// deadline.
+// straggler tail, a Poisson-arrival round racing a quorum against the
+// deadline, and the adaptive quorum controller retuning that quorum.
 
 #include <iostream>
 
@@ -81,8 +81,8 @@ int main() {
 
     std::cout << "Batch vs streaming market, N=" << kNodes << ", K=" << kWinners
               << " (closed-loop arrivals, no close trigger):\n";
-    core::TablePrinter table(std::cout, {"round", "arrived", "close_s", "churn",
-                                         "top_score", "winners_equal"});
+    core::TablePrinter table(std::cout,
+                             {"round", "arrived", "close_s", "top_score", "winners_equal"});
     stats::Rng batch_rng(kSeed ^ 0xf00dULL);
     stats::Rng stream_rng(kSeed ^ 0xf00dULL);
     for (std::size_t round = 1; round <= 4; ++round) {
@@ -97,9 +97,8 @@ int main() {
         }
         table.row({static_cast<double>(round),
                    static_cast<double>(streaming.last_arrived()),
-                   streaming.last_close_time_s(),
-                   static_cast<double>(streaming.last_head_churn()),
-                   b.winners.front().score, equal ? 1.0 : 0.0},
+                   streaming.last_close_time_s(), b.winners.front().score,
+                   equal ? 1.0 : 0.0},
                   3);
     }
 
@@ -144,21 +143,17 @@ int main() {
                   << service.last_arrived() << " bids\n";
     }
 
-    // 4. Sharded streaming with the adaptive quorum controller: 4 market
-    // shards close each round through the virtual carve + head merge (the
-    // same composition the cross-process aggregator streams over its
-    // pipes, bit-identical to the monolithic close), while the controller
-    // walks an over-ambitious 256-bid quorum down from the deadline-close
-    // telemetry — the schedule is a pure function of the close reasons, so
-    // a replay reproduces it byte for byte.
-    mec::MecPopulation sharded_pop(make_store(kSeed));
-    mec::StreamingRoundConfig sharded = traffic;
-    sharded.quorum = 256;
-    sharded.shards = 4;
-    sharded.adaptive_quorum = true;
-    mec::StreamingAuctionSelector tuned(sharded_pop, scoring, strategy, wd, layout,
-                                        /*data_dimension=*/0, sharded);
-    std::cout << "\nSharded streaming (4 shards) with timing.adaptive_quorum:\n";
+    // 4. The adaptive quorum controller on the same traffic: it walks an
+    // over-ambitious 256-bid quorum down from the deadline-close telemetry
+    // — the schedule is a pure function of the close reasons, so a replay
+    // reproduces it byte for byte.
+    mec::MecPopulation tuned_pop(make_store(kSeed));
+    mec::StreamingRoundConfig adaptive = traffic;
+    adaptive.quorum = 256;
+    adaptive.adaptive_quorum = true;
+    mec::StreamingAuctionSelector tuned(tuned_pop, scoring, strategy, wd, layout,
+                                        /*data_dimension=*/0, adaptive);
+    std::cout << "\nStreaming with timing.adaptive_quorum:\n";
     stats::Rng tuned_rng(kSeed ^ 0xadaULL);
     for (std::size_t round = 1; round <= 10; ++round) {
         (void)tuned.run_auction_round(round, kWinners, tuned_rng);

@@ -66,25 +66,16 @@ struct ShardHead {
 
 /// Fused score + bounded top-`limit` pass over one shard's collected
 /// frame (local rows, `frame.scored()` required): the shard-side half of a
-/// market that already holds its bids in a frame (the streaming close). A
-/// shard that quotes straight from a store uses `mec::collect_head_rows`,
-/// which builds the same head with no frame. Writes at most `limit` rows
-/// into `out`, sorted best-first under the market order, nodes translated
-/// to global ids via `node_offset`. `limit` must be the GLOBAL ranking
-/// cutoff (or the shard active count if smaller): any row in the global
-/// top-cutoff is in its own shard's top-cutoff, so the union of such heads
-/// always contains the global head.
+/// market that holds each shard's bids in a frame of its own. A shard that
+/// quotes straight from a store uses `mec::collect_head_rows`, which builds
+/// the same head with no frame. Writes at most `limit` rows into `out`,
+/// sorted best-first under the market order, nodes translated to global
+/// ids via `node_offset`. `limit` must be the GLOBAL ranking cutoff (or the
+/// shard active count if smaller): any row in the global top-cutoff is in
+/// its own shard's top-cutoff, so the union of such heads always contains
+/// the global head.
 /// @throws std::logic_error when the frame's score column is not filled
 void collect_shard_head(const BidFrame& frame, std::size_t node_offset,
-                        const TieKeys& keys, std::size_t limit, ShardHead& out);
-
-/// Row-range variant: the shard is rows `[begin_row, end_row)` of a frame
-/// that holds the WHOLE market (the in-process sharded-streaming lane,
-/// where one arrived frame is carved into virtual shards). Global ids are
-/// `node_offset + row` exactly as above, so the two overloads produce the
-/// same head for the same rows.
-void collect_shard_head(const BidFrame& frame, std::size_t begin_row,
-                        std::size_t end_row, std::size_t node_offset,
                         const TieKeys& keys, std::size_t limit, ShardHead& out);
 
 /// The coordinator's head merge, fed shard heads (or single head rows) ONE

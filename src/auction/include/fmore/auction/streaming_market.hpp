@@ -30,9 +30,9 @@
 #include <vector>
 
 #include "fmore/auction/bid_frame.hpp"
+#include "fmore/auction/market_order.hpp"
 #include "fmore/auction/mechanism.hpp"
 #include "fmore/auction/scoring.hpp"
-#include "fmore/auction/shard_merge.hpp"
 #include "fmore/auction/types.hpp"
 #include "fmore/stats/rng.hpp"
 
@@ -113,21 +113,6 @@ public:
     /// calling again returns the finalized outcome without consuming `rng`.
     const AuctionOutcome& close_round(stats::Rng& rng);
 
-    /// Sharded close: carve the ARRIVED frame into `shard_starts.size()`
-    /// contiguous virtual shards (shard s covers rows
-    /// `[shard_starts[s], shard_starts[s+1])`), collect each shard's
-    /// bounded head and fold the heads through a `StreamingHeadMerge` —
-    /// the exact composition the cross-process aggregator runs over its
-    /// pipes. Bit-identical to `close_round` over the same arrived set:
-    /// the salted lane's sort-and-truncate and the head merge cut the same
-    /// strict total order at the same cutoff. Mechanisms outside the
-    /// salted incremental lane (shuffle ties, custom types) fall back to
-    /// `close_round`'s batch replay, which is already exact per mechanism.
-    /// @throws std::invalid_argument on an empty or unsorted shard_starts,
-    ///         or a first shard not starting at row 0
-    const AuctionOutcome& close_round_sharded(
-        stats::Rng& rng, const std::vector<std::size_t>& shard_starts);
-
     [[nodiscard]] const AuctionOutcome& outcome() const { return outcome_; }
     /// The arrived set as a frame (active rows = accepted bids).
     [[nodiscard]] const BidFrame& frame() const { return frame_; }
@@ -168,10 +153,6 @@ private:
     std::vector<RankScratch::Candidate> head_;
     std::size_t head_cap_ = 0;
     std::size_t head_churn_ = 0;
-
-    /// The sharded close's per-shard head and head merge.
-    ShardHead shard_head_;
-    StreamingHeadMerge shard_merge_;
 };
 
 } // namespace fmore::auction

@@ -83,12 +83,6 @@ ShardHead ShardHead::deserialize(const std::uint8_t* data, std::size_t size) {
 
 void collect_shard_head(const BidFrame& frame, std::size_t node_offset,
                         const TieKeys& keys, std::size_t limit, ShardHead& out) {
-    collect_shard_head(frame, 0, frame.rows(), node_offset, keys, limit, out);
-}
-
-void collect_shard_head(const BidFrame& frame, std::size_t begin_row,
-                        std::size_t end_row, std::size_t node_offset,
-                        const TieKeys& keys, std::size_t limit, ShardHead& out) {
     if (!frame.scored())
         throw std::logic_error(
             "collect_shard_head: frame must carry the aggregator score column");
@@ -101,9 +95,9 @@ void collect_shard_head(const BidFrame& frame, std::size_t begin_row,
     // its tie key is derived (a splitmix finalize in salted mode). Rows
     // tying the worst's score, and NaN on either side, take the full
     // comparison, so the head is the one an eager-key loop keeps.
-    out.rows.reserve(std::min(limit, end_row - begin_row));
+    out.rows.reserve(std::min(limit, frame.rows()));
     BoundedTopK<HeadRow> heap(out.rows, limit);
-    for (NodeId row = begin_row; row < end_row; ++row) {
+    for (NodeId row = 0; row < frame.rows(); ++row) {
         if (!frame.active(row)) continue;
         const double score = frame.score(row);
         if (heap.full() && score < heap.worst().score) continue;

@@ -1,6 +1,5 @@
 #include "fmore/auction/streaming_market.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <typeinfo>
@@ -135,42 +134,6 @@ bool StreamingMarket::offer(NodeId node, const double* quality, double payment,
         close_time_s_ = arrival_s;
     }
     return true;
-}
-
-const AuctionOutcome& StreamingMarket::close_round_sharded(
-    stats::Rng& rng, const std::vector<std::size_t>& shard_starts) {
-    if (finalized_) return outcome_;
-    if (shard_starts.empty() || shard_starts.front() != 0
-        || !std::is_sorted(shard_starts.begin(), shard_starts.end())
-        || shard_starts.back() > frame_.rows())
-        throw std::invalid_argument(
-            "StreamingMarket: shard_starts must be sorted, begin at row 0 and "
-            "stay inside the bid arena");
-    if (!salted_incremental_) return close_round(rng);  // batch replay is exact
-    if (reason_ == CloseReason::open) {
-        reason_ = CloseReason::exhausted;
-        close_time_s_ = last_arrival_s_;
-    }
-    // Per virtual shard: the same bounded head collection the forked
-    // workers run, over this shard's slice of the arrived frame; then the
-    // incremental merge. Both sides of the equivalence truncate the same
-    // strict total order at the same cutoff, so the ranking — and the
-    // selection and pricing over it — matches close_round bit for bit.
-    const std::size_t cutoff = engine_->ranking_cutoff(arrived_);
-    shard_merge_.open(frame_.dims(), cutoff);
-    for (std::size_t s = 0; s < shard_starts.size(); ++s) {
-        const std::size_t begin = shard_starts[s];
-        const std::size_t end =
-            s + 1 < shard_starts.size() ? shard_starts[s + 1] : frame_.rows();
-        collect_shard_head(frame_, begin, end, 0, tie_keys_, cutoff, shard_head_);
-        shard_merge_.ingest(shard_head_);
-    }
-    shard_merge_.finish(outcome_.ranking);
-    engine_->select_into(outcome_.ranking, rng, scratch_.chosen);
-    engine_->price_into(scoring_, outcome_.ranking, scratch_.chosen,
-                        outcome_.winners);
-    finalized_ = true;
-    return outcome_;
 }
 
 const AuctionOutcome& StreamingMarket::close_round(stats::Rng& rng) {

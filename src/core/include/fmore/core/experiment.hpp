@@ -102,7 +102,9 @@ struct AuctionSpec {
     /// bounded heads under the market's strict total order. Winners,
     /// payments and every metric are bit-identical to S = 1 by
     /// construction (asserted by tests/auction/shard_equivalence_test);
-    /// sharding is an execution strategy, not a different mechanism.
+    /// sharding is an execution strategy, not a different mechanism. A
+    /// streaming market (`timing.streaming`) ranks its arrived bids in one
+    /// frame, so it takes shards = 1.
     std::size_t shards = 1;
     /// Bid deadline per shard, in seconds; shards that miss it contribute
     /// no bids that round (the round degrades to the responsive shards and
@@ -190,12 +192,12 @@ struct TimingSpec {
     /// Probability a semi_sync/async dispatch never reports; sync rounds
     /// have no failure handling and ignore it (see ClusterTimeConfig).
     double dropout_prob = 0.0;
-    /// Run each auction round as a STREAMING market (testbed only): bids
-    /// arrive one at a time on the virtual clock per `arrival_process`, the
-    /// top-K folds incrementally, and the round closes on
-    /// `round_deadline_s` expiry or `min_updates` arrivals — whichever
-    /// fires first (both 0 = wait for every bid). Winners over the arrived
-    /// set are bit-identical to the batch selector over that set.
+    /// Run each auction round as a STREAMING market (testbed only, one
+    /// market shard): bids arrive one at a time on the virtual clock per
+    /// `arrival_process`, and the round closes on `round_deadline_s` expiry
+    /// or `min_updates` arrivals — whichever fires first (both 0 = wait for
+    /// every bid). Winners over the arrived set are bit-identical to the
+    /// batch selector over that set.
     bool streaming = false;
     /// Virtual-clock arrival process of the streaming market: "latency"
     /// replays each node's expected bid latency (straggler factor x

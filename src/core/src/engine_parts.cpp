@@ -63,16 +63,13 @@ std::unique_ptr<fl::ClientSelector> make_market_selector(
     if (spec.timing.streaming) {
         // Streaming market: bids trickle in on the virtual clock and the
         // round closes on deadline/quorum; the closed set ranks exactly as
-        // the batch selector would (streaming_equivalence_test). Sharded
-        // streaming closes through the head-merge composition, bit-identical
-        // to the monolithic close.
+        // the batch selector would (streaming_equivalence_test).
         mec::StreamingRoundConfig sc;
         sc.deadline_s = spec.timing.round_deadline_s;
         sc.quorum = spec.timing.min_updates;
         sc.process = spec.timing.arrival_process;
         sc.arrival_rate_hz = spec.timing.arrival_rate_hz;
         sc.bid_latencies_s = bid_latencies();
-        sc.shards = auc.shards;
         sc.adaptive_quorum = spec.timing.adaptive_quorum;
         return std::make_unique<mec::StreamingAuctionSelector>(
             population, *solved.scoring, solved.strategy, wd, std::move(layout),

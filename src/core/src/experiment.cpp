@@ -187,8 +187,8 @@ std::vector<std::string> validate(const ExperimentSpec& spec) {
         fail("auction.latency_discount = " + num(auc.latency_discount)
              + ": must be finite and >= 0 (0 disables latency-discounted "
                "pricing)");
-    bool plan_has_shard_faults = false;
     if (!auc.fault_plan.empty()) {
+        bool plan_has_shard_faults = false;
         try {
             plan_has_shard_faults =
                 util::FaultInjector::from_spec(auc.fault_plan).has_shard_faults();
@@ -296,32 +296,11 @@ std::vector<std::string> validate(const ExperimentSpec& spec) {
     if (timing.streaming && spec.kind != ExperimentKind::testbed)
         fail("timing.streaming = true on a simulation spec: the streaming market "
              "runs on the testbed's virtual clock; use kind = testbed");
-    // timing.streaming with auction.shards > 1 is a supported composition:
-    // the trial engine closes each streaming round through the sharded
-    // head merge (StreamingMarket::close_round_sharded), bit-identical to
-    // the monolithic close — and the cross-process aggregator streams the
-    // same composition over its pipes. The shard-SUPERVISION knobs stay
-    // batch-only, though: the in-process streaming close has no shard-drop
-    // machinery (late bids are the deadline's job, not a shard timeout's).
-    if (timing.streaming && auc.shards > 1) {
-        if (auc.shard_timeout_s > 0.0)
-            fail("auction.shard_timeout_s = " + num(auc.shard_timeout_s)
-                 + " with timing.streaming = true: a streaming round closes on "
-                   "timing.round_deadline_s / timing.min_updates, not on a "
-                   "per-shard timeout; drop shard_timeout_s (the cross-process "
-                   "aggregator's real-time read deadline is separate)");
-        if (plan_has_shard_faults)
-            fail("auction.fault_plan = '" + auc.fault_plan
-                 + "' with timing.streaming = true: shard-fault injection drives "
-                   "the batch shard supervisor; streaming trials have no "
-                   "in-process shard-drop path — unset timing.streaming or the "
-                   "fault plan (coordinator-only ckill/ckill_mid plans are fine)");
-        if (auc.shard_quorum > 0)
-            fail("auction.shard_quorum = " + std::to_string(auc.shard_quorum)
-                 + " with timing.streaming = true: the SHARD quorum guards the "
-                   "batch supervisor; a streaming round's quorum is the BID "
-                   "quorum timing.min_updates");
-    }
+    if (timing.streaming && auc.shards > 1)
+        fail("timing.streaming = true with auction.shards = " + std::to_string(auc.shards)
+             + ": the streaming market ranks its arrived bids in one frame; set "
+               "auction.shards = 1, or unset timing.streaming for the sharded "
+               "batch market");
     if (timing.adaptive_quorum) {
         if (!timing.streaming)
             fail("timing.adaptive_quorum = true without timing.streaming: the "

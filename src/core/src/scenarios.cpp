@@ -271,10 +271,9 @@ ScenarioRegistry::ScenarioRegistry() : impl_(std::make_shared<Impl>()) {
             spec.timing.min_updates = 64;
             return spec;
         });
-    add_builtin("stream/sharded",
-        "Sharded streaming market with the adaptive quorum controller: "
-        "4 market shards close each round through the virtual carve + head "
-        "merge (bit-identical to the monolithic close), while "
+    add_builtin("stream/adaptive",
+        "Streaming market with the adaptive quorum controller: Poisson "
+        "arrivals at 400 bids/s against a 120 ms deadline, while "
         "timing.adaptive_quorum walks the 72-bid quorum down from deadline "
         "telemetry under a bounded step",
         [stream_preset] {
@@ -284,7 +283,6 @@ ScenarioRegistry::ScenarioRegistry() : impl_(std::make_shared<Impl>()) {
             spec.timing.round_deadline_s = 0.12;
             spec.timing.min_updates = 72;
             spec.timing.adaptive_quorum = true;
-            spec.auction.shards = 4;
             return spec;
         });
     add_builtin("stream/quorum",

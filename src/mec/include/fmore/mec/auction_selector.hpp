@@ -141,8 +141,9 @@ std::size_t collect_head_rows(PopulationStore& store, std::uint64_t drift_salt,
 /// then roll compliance and pay on delivery. It owns the market's rules
 /// (checked by `check_bid_layout` at construction), the compliance model,
 /// the blacklist and its checkpoint hooks, the mechanism cache, the one
-/// frame collect and the record assembly; a market supplies only its round
-/// (`run_auction_round`) and what that round adds to the record.
+/// frame collect, the round's ranking scratch and outcome, and the record
+/// assembly; a market supplies only its round (`run_auction_round`) and
+/// what that round adds to the record.
 ///
 /// The frame's rows are global node ids: the collect writes store row i
 /// into frame row `store.node_offset() + i`, and ids below the offset hold
@@ -233,6 +234,9 @@ protected:
     ComplianceSpec compliance_;
     Blacklist blacklist_;
     auction::BidFrame frame_;
+    /// The round's ranking scratch and outcome, reused across rounds.
+    auction::RankScratch scratch_;
+    auction::AuctionOutcome outcome_;
 
 private:
     std::vector<const double*> columns_;
@@ -293,10 +297,6 @@ public:
     [[nodiscard]] const std::vector<auction::Bid>& last_bids() const;
 
 private:
-    // Round state, reused across rounds.
-    auction::RankScratch scratch_;
-    auction::AuctionOutcome outcome_;
-
     // The lazy `last_bids()` cache.
     mutable std::vector<auction::Bid> last_bids_;
     mutable bool last_bids_stale_ = false;

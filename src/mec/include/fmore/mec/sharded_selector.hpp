@@ -156,8 +156,6 @@ private:
     std::vector<auction::ShardHead> heads_;      ///< one per shard
     std::vector<HeadScratch> head_scratch_;      ///< one per pool slot
     auction::StreamingHeadMerge merge_;          ///< the heads' merge
-    auction::RankScratch scratch_;
-    auction::AuctionOutcome outcome_;
 };
 
 } // namespace fmore::mec

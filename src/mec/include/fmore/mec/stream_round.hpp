@@ -57,7 +57,9 @@ inline constexpr std::uint64_t kStreamBoundaryAny = ~std::uint64_t{0};
     return node <= boundary_node;
 }
 
-/// The coordinator's close decision for one streaming round.
+/// The close decision for one streaming round: the forked market's
+/// coordinator resolves it from the arrival clock (`resolve_stream_close`),
+/// the in-process `StreamingAuctionSelector` from its arrival schedule.
 struct StreamCloseDecision {
     auction::CloseReason reason = auction::CloseReason::exhausted;
     /// Virtual time of the close: the q-th arrival for quorum closes, the

@@ -2,28 +2,30 @@
 
 /// @file streaming_selector.hpp
 /// The streaming marketplace as a client selector: FMore's bid-ask /
-/// bid-collection / winner-determination loop where the collection step is
-/// a LIVE ARRIVAL FEED instead of a batch. It is one round on the market
-/// shell `MarketSelector` (auction_selector.hpp): bids are collected by the
-/// shell's one frame collect, then replayed one at a time out of that
-/// frame into an `auction::StreamingMarket` on the virtual clock an
-/// `ArrivalModel` supplies; the round closes on `deadline_s` expiry or
-/// `quorum` arrivals, whichever fires first, and the emitted
-/// `SelectionRecord` over the arrived set is bit-identical to the batch
-/// `AuctionSelector` over that same set. Because this is an
-/// `fl::ClientSelector`, the closed rounds feed `fl::Coordinator` and
-/// `fl::AsyncCoordinator` unchanged — streaming selection composes with
-/// sync, semi_sync and async training.
+/// bid-collection / winner-determination loop where the aggregator "waits
+/// a given time interval" for sealed bids (Section III.A steps 2-3) on the
+/// virtual clock an `ArrivalModel` supplies. It is one round on the market
+/// shell `MarketSelector` (auction_selector.hpp): the shell's frame collect
+/// quotes every node, one walk of the arrival schedule resolves the close
+/// (`deadline_s` expiry, `quorum` arrivals or the last bid, whichever comes
+/// first) and deactivates every row that missed it, and the mechanism's
+/// `run_frame` ranks the rows that arrived, the same call the batch
+/// `AuctionSelector` makes. The emitted `SelectionRecord` is therefore the
+/// batch market's over the arrived set, bit for bit. The walk keeps the
+/// trigger semantics of `auction::StreamingMarket`, the per-bid ingestion
+/// service; streaming_equivalence_test replays the selector's rounds
+/// through one. Because this is an `fl::ClientSelector`, the closed rounds
+/// feed `fl::Coordinator` and `fl::AsyncCoordinator` unchanged — streaming
+/// selection composes with sync, semi_sync and async training.
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "fmore/auction/streaming_market.hpp"
 #include "fmore/fl/adaptive_quorum.hpp"
 #include "fmore/mec/arrival_model.hpp"
 #include "fmore/mec/auction_selector.hpp"
+#include "fmore/mec/stream_round.hpp"
 
 namespace fmore::mec {
 
@@ -43,12 +45,9 @@ struct StreamingRoundConfig {
     /// indexed by NodeId; missing entries arrive at t = 0. Typically
     /// `ClusterTimeModel::latency_factor(i) * auction_overhead_s`.
     std::vector<double> bid_latencies_s;
-    /// Market shards (`auction.shards`): > 1 closes each round through
-    /// `StreamingMarket::close_round_sharded` — the arrived frame is
-    /// carved at `PopulationStore::even_boundaries` cuts, per-shard heads
-    /// fold through a `StreamingHeadMerge`, and the outcome is
-    /// bit-identical to the monolithic close (the same composition the
-    /// cross-process `ProcessShardAggregator` streams over its pipes).
+    /// Must be 1: the round ranks its arrived set in the shell's one frame.
+    /// A sharded streaming close is the cross-process
+    /// `ProcessShardAggregator`'s.
     std::size_t shards = 1;
     /// Tune the bid quorum per round with an `fl::AdaptiveQuorumController`
     /// seeded from `quorum` (`timing.adaptive_quorum`): the running
@@ -57,15 +56,18 @@ struct StreamingRoundConfig {
     bool adaptive_quorum = false;
 };
 
-/// Streaming twin of `AuctionSelector` on the same market shell, driving
-/// an `auction::StreamingMarket` per round. Under `ArrivalProcess::latency`
-/// the selector consumes exactly the generator stream the batch selector
-/// would, so a deadline-free, quorum-free streaming round reproduces the
-/// batch round bit for bit — the invariant streaming_equivalence_test pins.
+/// Streaming twin of `AuctionSelector` on the same market shell. Under
+/// `ArrivalProcess::latency` the selector consumes exactly the generator
+/// stream the batch selector would, so a deadline-free, quorum-free
+/// streaming round reproduces the batch round bit for bit — the invariant
+/// streaming_equivalence_test pins.
 class StreamingAuctionSelector final : public MarketSelector {
 public:
     /// @throws std::invalid_argument when `check_bid_layout` rejects the
-    ///         layout, strategy and rule, or on an unusable `streaming`
+    ///         layout, strategy and rule, or on an unusable `streaming`: a
+    ///         negative or NaN deadline, Poisson arrivals without a positive
+    ///         rate, shards other than 1, or an adaptive quorum with no
+    ///         starting quorum
     StreamingAuctionSelector(MecPopulation& population,
                              const auction::ScoringRule& scoring,
                              const auction::EquilibriumStrategy& strategy,
@@ -77,20 +79,19 @@ public:
 
     [[nodiscard]] std::string name() const override { return "FMore-stream"; }
 
-    /// Run one streaming auction round (collect, replay arrivals, close)
-    /// without assembling a selection record.
+    /// Run one streaming auction round (collect, close on the arrival
+    /// schedule, rank the arrived rows) without assembling a selection
+    /// record.
     [[nodiscard]] const auction::AuctionOutcome& run_auction_round(std::size_t round,
                                                                    std::size_t k,
                                                                    stats::Rng& rng) override;
 
-    /// Why the last round stopped accepting bids.
-    [[nodiscard]] auction::CloseReason last_close_reason() const;
+    /// Why the last round stopped accepting bids (`open` before the first).
+    [[nodiscard]] auction::CloseReason last_close_reason() const { return close_.reason; }
     /// Bids that made it into the last round.
-    [[nodiscard]] std::size_t last_arrived() const;
+    [[nodiscard]] std::size_t last_arrived() const { return close_.arrived; }
     /// Virtual time at which the last round closed.
-    [[nodiscard]] double last_close_time_s() const;
-    /// Top-K evictions during the last round's ingestion.
-    [[nodiscard]] std::size_t last_head_churn() const;
+    [[nodiscard]] double last_close_time_s() const { return close_.close_time_s; }
     /// Bid quorum the last round opened with (== the config's quorum when
     /// the adaptive controller is off).
     [[nodiscard]] std::size_t last_quorum() const { return last_quorum_; }
@@ -114,17 +115,18 @@ public:
 
 private:
     void ensure_adaptive(std::size_t population_size);
+    /// Resolve the round's close in one walk of `schedule` over the frame
+    /// and deactivate every row that missed it.
+    void resolve_close(const std::vector<Arrival>& schedule);
     /// The close telemetry: reason, time, arrivals and opening quorum.
     void annotate(fl::SelectionRecord& record) const override;
 
     StreamingRoundConfig streaming_;
-    std::unique_ptr<auction::StreamingMarket> market_;
     /// Closed-loop schedules do not change between rounds; built once.
     std::optional<ArrivalModel> latency_arrivals_;
-    /// Virtual-shard cut points of the sharded close (shards > 1).
-    std::vector<std::size_t> shard_starts_;
     std::optional<fl::AdaptiveQuorumController> adaptive_;
     std::size_t last_quorum_ = 0;
+    StreamCloseDecision close_{auction::CloseReason::open};
 };
 
 } // namespace fmore::mec

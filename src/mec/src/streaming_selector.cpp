@@ -1,10 +1,8 @@
 #include "fmore/mec/streaming_selector.hpp"
 
-#include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
-
-#include "fmore/mec/population_store.hpp"
 
 namespace fmore::mec {
 
@@ -17,13 +15,19 @@ StreamingAuctionSelector::StreamingAuctionSelector(
     : MarketSelector(population, scoring, strategy, std::move(wd_config), std::move(layout),
                      data_dimension, payment_method),
       streaming_(std::move(streaming)) {
+    if (!(streaming_.deadline_s >= 0.0))
+        throw std::invalid_argument("StreamingAuctionSelector: deadline_s = "
+                                    + std::to_string(streaming_.deadline_s)
+                                    + ": must be >= 0 (0 waits for every bid)");
     if (streaming_.process == ArrivalProcess::poisson
         && !(streaming_.arrival_rate_hz > 0.0))
         throw std::invalid_argument(
             "StreamingAuctionSelector: poisson arrivals need arrival_rate_hz > 0");
-    if (streaming_.shards == 0)
+    if (streaming_.shards != 1)
         throw std::invalid_argument(
-            "StreamingAuctionSelector: shards = 0 (1 = the monolithic close)");
+            "StreamingAuctionSelector: shards = " + std::to_string(streaming_.shards)
+            + ": the streaming round ranks its arrived bids in one frame; set "
+              "shards = 1 (a sharded streaming close is ProcessShardAggregator's)");
     if (streaming_.adaptive_quorum && streaming_.quorum == 0)
         throw std::invalid_argument(
             "StreamingAuctionSelector: adaptive_quorum needs a starting "
@@ -38,13 +42,8 @@ const auction::AuctionOutcome& StreamingAuctionSelector::run_auction_round(
     if (round > 1) population_.evolve(rng);
     collect_frame();
     const std::size_t n = node_ids();
-    const std::size_t expected = frame_.active_count();
 
-    const std::shared_ptr<const auction::Mechanism>& mechanism = mechanism_for(k);
-    if (!market_ || &market_->mechanism() != mechanism.get())
-        market_ = std::make_unique<auction::StreamingMarket>(mechanism, scoring_);
-
-    // The arrival schedule. Poisson draws BEFORE the round opens (one
+    // The arrival schedule. Poisson draws before the round is ranked (one
     // shuffle + one uniform per node, a fixed sequence); closed-loop
     // latencies consume nothing and are built once.
     const ArrivalModel* arrivals = nullptr;
@@ -68,62 +67,51 @@ const auction::AuctionOutcome& StreamingAuctionSelector::run_auction_round(
     ensure_adaptive(n);
     last_quorum_ = adaptive_ ? adaptive_->quorum() : streaming_.quorum;
 
-    auction::StreamingRoundSpec spec;
-    spec.deadline_s = streaming_.deadline_s;
-    spec.quorum = last_quorum_;
-    spec.expected_bids = expected;
-    market_->open_round(n, layout_.size(), spec, rng);
-    for (const Arrival& arrival : arrivals->schedule()) {
-        // Blacklisted defaulters never bid; their schedule slots lapse.
-        if (!frame_.active(arrival.node)) continue;
-        if (!market_->offer(arrival.node, frame_.quality_row(arrival.node),
-                            frame_.payment(arrival.node), frame_.score(arrival.node),
-                            arrival.seconds))
-            break; // the round closed (quorum or deadline) — the feed stops
-    }
-    // Sharded close: the same virtual-shard cuts the sharded batch selector
-    // uses, folded through the head merge — bit-identical to the monolithic
-    // close (streaming_equivalence_test pins this).
-    const auction::AuctionOutcome* outcome;
-    if (streaming_.shards > 1) {
-        shard_starts_.assign(1, 0);
-        const std::vector<std::size_t> cuts =
-            PopulationStore::even_boundaries(n, streaming_.shards);
-        shard_starts_.insert(shard_starts_.end(), cuts.begin(), cuts.end());
-        outcome = &market_->close_round_sharded(rng, shard_starts_);
-    } else {
-        outcome = &market_->close_round(rng);
-    }
+    resolve_close(arrivals->schedule());
+    // The frame's active rows are now the arrived set; the walk consumed no
+    // draws, so the ranking draws what the batch pass over that set draws.
+    mechanism_for(k)->run_frame(scoring_, frame_, rng, scratch_, outcome_);
     if (adaptive_)
-        adaptive_->observe(auction::to_string(market_->close_reason()),
-                           market_->close_time_s());
-    return *outcome;
+        adaptive_->observe(auction::to_string(close_.reason), close_.close_time_s);
+    return outcome_;
+}
+
+void StreamingAuctionSelector::resolve_close(const std::vector<Arrival>& schedule) {
+    // The schedule names every node once, in replay order. A banned row
+    // never bids; the first bid strictly past the deadline closes the round
+    // at the deadline; quorum is checked on each accepted bid, so it
+    // outranks exhaustion when the last bid fills it; a walk that runs out
+    // of bids closes exhausted at the last one.
+    close_ = StreamCloseDecision{};
+    std::size_t next = 0;
+    for (; next < schedule.size(); ++next) {
+        const Arrival& arrival = schedule[next];
+        if (!frame_.active(arrival.node)) continue;
+        if (streaming_.deadline_s > 0.0 && arrival.seconds > streaming_.deadline_s) {
+            close_.reason = auction::CloseReason::deadline;
+            close_.close_time_s = streaming_.deadline_s;
+            break;
+        }
+        ++close_.arrived;
+        close_.close_time_s = arrival.seconds;
+        if (last_quorum_ > 0 && close_.arrived >= last_quorum_) {
+            close_.reason = auction::CloseReason::quorum;
+            close_.boundary_node = arrival.node;
+            ++next;
+            break;
+        }
+    }
+    for (; next < schedule.size(); ++next) frame_.set_active(schedule[next].node, false);
 }
 
 void StreamingAuctionSelector::annotate(fl::SelectionRecord& record) const {
     // Close telemetry rides the record into RoundMetrics, so a whole run's
     // close-reason mix is summarizable via RunResult::health() — the seed
     // for tuning timing.min_updates adaptively.
-    record.close_reason = auction::to_string(market_->close_reason());
-    record.close_time_s = market_->close_time_s();
-    record.arrived_bids = market_->arrived();
+    record.close_reason = auction::to_string(close_.reason);
+    record.close_time_s = close_.close_time_s;
+    record.arrived_bids = close_.arrived;
     record.bid_quorum = last_quorum_;
-}
-
-auction::CloseReason StreamingAuctionSelector::last_close_reason() const {
-    return market_ ? market_->close_reason() : auction::CloseReason::open;
-}
-
-std::size_t StreamingAuctionSelector::last_arrived() const {
-    return market_ ? market_->arrived() : 0;
-}
-
-double StreamingAuctionSelector::last_close_time_s() const {
-    return market_ ? market_->close_time_s() : 0.0;
-}
-
-std::size_t StreamingAuctionSelector::last_head_churn() const {
-    return market_ ? market_->head_churn() : 0;
 }
 
 void StreamingAuctionSelector::ensure_adaptive(std::size_t population_size) {

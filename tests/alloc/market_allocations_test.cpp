@@ -1,5 +1,5 @@
 // Allocation-count suite for the market's steady state: once their buffers
-// have grown, a sharded streaming close, a shard worker's head pass and an
+// have grown, a streaming market's close, a shard worker's head pass and an
 // in-process sharded auction round make no heap allocation. Counts through
 // the replaced global operator new (counting_new.hpp).
 
@@ -96,9 +96,9 @@ private:
     std::string previous_;
 };
 
-TEST(MarketAllocations, SteadyShardedCloseAllocatesNothing) {
-    // The streaming selector's close whenever auction.shards > 1: salted
-    // ties, K = 32, S = 4 virtual shards over 10k arrived bids.
+TEST(MarketAllocations, SteadyStreamingCloseAllocatesNothing) {
+    // The streaming market's close on its salted lane: K = 32 over 10k
+    // arrived bids.
     constexpr std::size_t kBids = 10'000;
     auction::MechanismSpec spec;
     spec.num_winners = kWinners;
@@ -107,7 +107,6 @@ TEST(MarketAllocations, SteadyShardedCloseAllocatesNothing) {
     auction::StreamingMarket market(std::shared_ptr<const auction::Mechanism>(
                                         auction::make_mechanism(spec)),
                                     scoring());
-    const std::vector<std::size_t> shard_starts{0, 2'500, 5'000, 7'500};
 
     stats::Rng bids_rng(3);
     std::vector<double> quality(2 * kBids);
@@ -128,7 +127,7 @@ TEST(MarketAllocations, SteadyShardedCloseAllocatesNothing) {
             ASSERT_TRUE(market.offer(i, &quality[2 * i], payment[i], score[i],
                                      1e-4 * static_cast<double>(i)));
         const std::size_t before = allocation_count();
-        const auction::AuctionOutcome& outcome = market.close_round_sharded(rng, shard_starts);
+        const auction::AuctionOutcome& outcome = market.close_round(rng);
         close_allocations.push_back(allocation_count() - before);
         ASSERT_EQ(outcome.winners.size(), kWinners);
     }

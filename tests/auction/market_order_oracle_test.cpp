@@ -162,6 +162,21 @@ std::vector<std::size_t> random_starts(std::size_t n, stats::Rng& rng) {
     return starts;
 }
 
+/// Rows [lo, hi) of `frame` in a frame of their own, as a shard holds its
+/// bids: local rows, node ids `lo + row`.
+BidFrame shard_frame(const BidFrame& frame, std::size_t lo, std::size_t hi) {
+    BidFrame local(hi - lo, frame.dims());
+    for (NodeId row = 0; row < hi - lo; ++row) {
+        local.set_active(row, frame.active(lo + row));
+        const double* q = frame.quality_row(lo + row);
+        std::copy(q, q + frame.dims(), local.quality_row(row));
+        local.payment(row) = frame.payment(lo + row);
+        local.score(row) = frame.score(lo + row);
+    }
+    local.set_scored(true);
+    return local;
+}
+
 std::vector<Row> active_rows(const BidFrame& frame, const TieKeys& keys) {
     std::vector<Row> rows;
     for (NodeId row = 0; row < frame.rows(); ++row) {
@@ -296,7 +311,8 @@ TEST(MarketOrderOracle, ShardHeadsMergeToTheFullSortCut) {
         std::vector<ShardHead> heads(starts.size());
         for (std::size_t s = 0; s < starts.size(); ++s) {
             const std::size_t end = s + 1 < starts.size() ? starts[s + 1] : n;
-            collect_shard_head(frame, starts[s], end, 0, keys, cap, heads[s]);
+            collect_shard_head(shard_frame(frame, starts[s], end), starts[s], keys, cap,
+                               heads[s]);
             std::vector<Row> shard_rows;
             for (const Row& row : active_rows(frame, keys))
                 if (row.node >= starts[s] && row.node < end) shard_rows.push_back(row);
@@ -343,8 +359,6 @@ TEST(MarketOrderOracle, StreamingCloseIsTheFullSortCut) {
         const MechanismSpec spec = edge_spec(m, salted, gen);
         const auto engine = std::make_shared<const ScoreAuctionMechanism>(spec);
         const std::uint64_t seed = gen.engine()();
-        const bool sharded = gen.bernoulli(0.5);
-        const std::vector<std::size_t> starts = random_starts(n, gen);
 
         // Bids arrive in a random order; the arrived set is the active rows.
         std::vector<NodeId> arrival;
@@ -366,8 +380,7 @@ TEST(MarketOrderOracle, StreamingCloseIsTheFullSortCut) {
                                      bids.score(node), clock));
             clock += 0.001;
         }
-        const AuctionOutcome& outcome =
-            sharded ? market.close_round_sharded(rng, starts) : market.close_round(rng);
+        const AuctionOutcome& outcome = market.close_round(rng);
 
         // Salted rounds draw their salt at open; shuffle rounds replay the
         // batch pass at close. Either way the first draw is the coin flip.
@@ -376,7 +389,7 @@ TEST(MarketOrderOracle, StreamingCloseIsTheFullSortCut) {
                                                            stats::Rng(seed), keys);
         if (!salted) keys.pos = pos.data();
         SCOPED_TRACE("trial " + std::to_string(trial) + ", n " + std::to_string(n)
-                     + (salted ? ", salted" : ", shuffle") + (sharded ? ", sharded" : ""));
+                     + (salted ? ", salted" : ", shuffle"));
         expect_ranking(outcome.ranking, sorted_cut(active_rows(bids, keys), spec_cut(spec, m)),
                        bids);
     }

@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fmore/auction/cost.hpp"
@@ -358,76 +360,6 @@ TEST(StreamingEquivalence, QuorumOnTheFinalExpectedBidOutranksExhaustion) {
     EXPECT_EQ(market.close_time_s(), 0.05 * static_cast<double>(n - 1));
 }
 
-TEST(StreamingEquivalence, ShardedCloseMatchesMonolithicBothTieModes) {
-    // close_round_sharded carves the arrived frame into virtual shards,
-    // collects each shard's bounded head and folds them through a
-    // StreamingHeadMerge — the composition the cross-process aggregator
-    // runs over its pipes. Whatever the carve, the outcome must be
-    // bit-identical to close_round over the same arrived set, in both tie
-    // modes (shuffle takes the batch-replay fallback).
-    const std::size_t n = 60;
-    for (const TieBreak tie : {TieBreak::shuffle, TieBreak::salted}) {
-        for (const bool full_ranking : {false, true}) {
-            SCOPED_TRACE(std::string(tie == TieBreak::salted ? "salted" : "shuffle")
-                         + (full_ranking ? " full" : " truncated"));
-            MechanismSpec spec;
-            spec.num_winners = 7;
-            spec.tie_break = tie;
-            spec.full_ranking = full_ranking;
-            const std::shared_ptr<const Mechanism> mech(make_mechanism(spec));
-            stats::Rng data_rng(0x5aadULL);
-            const BidFrame frame = random_frame(n, data_rng);
-            for (const std::vector<std::size_t>& starts :
-                 {std::vector<std::size_t>{0}, {0, 20, 40}, {0, 1, 59},
-                  {0, 15, 30, 45}}) {
-                StreamingMarket mono(mech, scoring());
-                StreamingMarket sharded(mech, scoring());
-                stats::Rng mono_rng(0x31ULL);
-                stats::Rng shard_rng(0x31ULL);
-                StreamingRoundSpec round;
-                round.quorum = 41;  // close mid-stream: a partial frame
-                mono.open_round(n, 2, round, mono_rng);
-                sharded.open_round(n, 2, round, shard_rng);
-                for (NodeId node = 0; node < n; ++node) {
-                    const double at = 0.01 * static_cast<double>(node);
-                    if (!mono.offer(node, frame.quality_row(node),
-                                    frame.payment(node), frame.score(node), at))
-                        break;
-                    (void)sharded.offer(node, frame.quality_row(node),
-                                        frame.payment(node), frame.score(node), at);
-                }
-                expect_outcomes_equal(mono.close_round(mono_rng),
-                                      sharded.close_round_sharded(shard_rng, starts));
-                EXPECT_EQ(mono.close_reason(), sharded.close_reason());
-            }
-        }
-    }
-}
-
-TEST(StreamingEquivalence, ShardedCloseValidatesShardStarts) {
-    MechanismSpec spec;
-    spec.num_winners = 3;
-    spec.tie_break = TieBreak::salted;
-    spec.full_ranking = false;
-    StreamingMarket market(std::shared_ptr<const Mechanism>(make_mechanism(spec)),
-                           scoring());
-    stats::Rng rng(9);
-    stats::Rng data_rng(10);
-    const BidFrame frame = random_frame(8, data_rng);
-    market.open_round(8, 2, {}, rng);
-    for (NodeId node = 0; node < 8; ++node)
-        (void)market.offer(node, frame.quality_row(node), frame.payment(node),
-                           frame.score(node), 0.0);
-    EXPECT_THROW((void)market.close_round_sharded(rng, {}), std::invalid_argument);
-    EXPECT_THROW((void)market.close_round_sharded(rng, {0, 5, 3}),
-                 std::invalid_argument);
-    EXPECT_THROW((void)market.close_round_sharded(rng, {2, 5}),
-                 std::invalid_argument);
-    // A valid carve still closes the round after the rejected attempts.
-    const AuctionOutcome& out = market.close_round_sharded(rng, {0, 4});
-    EXPECT_EQ(out.winners.size(), 3u);
-}
-
 // ---------------------------------------------------------------------------
 // Shard streams: StreamingHeadMerge must reproduce merge_heads — and through
 // it the monolithic head — for any shard count, heads arriving one at a time.
@@ -759,45 +691,163 @@ TEST(StreamingSelectorEquivalence, QuorumAndDeadlineTruncateTheRound) {
     }
 }
 
-TEST(StreamingSelectorEquivalence, ShardedRoundsMatchMonolithicRounds) {
-    // `auction.shards > 1` only changes HOW the round closes (the virtual
-    // carve + head merge), never what it selects: a sharded selector and a
-    // monolithic one over the same population and seed stay bit-identical,
-    // with quorum/deadline truncation in play.
+/// The reference for the streaming selector's round: the same drift and
+/// collect into a frame of its own, the same arrival schedule offered bid
+/// by bid to an `auction::StreamingMarket`, whose triggers and close decide
+/// the round, and the winners' compliance rolls. It shares the selector's
+/// rules and draw order, and no code of its close walk.
+class MarketReplay {
+public:
+    MarketReplay(PopulationStore store, const auction::WinnerDeterminationConfig& wd,
+                 StreamingRoundConfig sc)
+        : population_(std::move(store)),
+          sc_(std::move(sc)),
+          market_(std::shared_ptr<const auction::Mechanism>(auction::make_mechanism(wd)),
+                  *market().scoring) {}
+
+    /// One round: drift (round > 1), collect, arrivals, ingest, close.
+    const auction::StreamingMarket& run_round(std::size_t round, stats::Rng& rng) {
+        const Market& m = market();
+        if (round > 1) population_.evolve(rng);
+        const std::size_t n = population_.size();
+        frame_.reset(n, 2);
+        collect_bid_rows(population_.store(), 0, n, data_category_extractor(), *m.strategy,
+                         *m.scoring, m.strategy->scoring_rule() == m.scoring.get(),
+                         auction::PaymentMethod::integral, bans_, frame_, 0, columns_,
+                         /*parallel=*/true);
+        frame_.set_scored(true);
+        const ArrivalModel arrivals =
+            sc_.process == ArrivalProcess::poisson
+                ? ArrivalModel::poisson(n, sc_.arrival_rate_hz, rng)
+                : ArrivalModel::closed_loop(sc_.bid_latencies_s);
+        auction::StreamingRoundSpec spec;
+        spec.deadline_s = sc_.deadline_s;
+        spec.quorum = sc_.quorum;
+        spec.expected_bids = frame_.active_count();
+        market_.open_round(n, 2, spec, rng);
+        for (const Arrival& arrival : arrivals.schedule()) {
+            if (!frame_.active(arrival.node)) continue;
+            if (!market_.offer(arrival.node, frame_.quality_row(arrival.node),
+                               frame_.payment(arrival.node), frame_.score(arrival.node),
+                               arrival.seconds))
+                break;
+        }
+        (void)market_.close_round(rng);
+        return market_;
+    }
+
+    /// The winners' compliance rolls; defectors are banned from later
+    /// rounds.
+    void settle(const ComplianceSpec& compliance, stats::Rng& rng) {
+        (void)assemble_selection_record(
+            market_.outcome(), population_.size(),
+            [this](auction::NodeId node) { return market_.frame().quality_row(node)[0]; },
+            compliance, bans_, rng);
+    }
+
+private:
+    MecPopulation population_;
+    StreamingRoundConfig sc_;
+    auction::StreamingMarket market_;
+    Blacklist bans_;
+    auction::BidFrame frame_;
+    std::vector<const double*> columns_;
+};
+
+TEST(StreamingSelectorEquivalence, CloseMatchesStreamingMarketReplay) {
+    // The selector resolves its close in one walk of the schedule and ranks
+    // the arrived rows with run_frame; the replay offers the same bids one
+    // at a time to a StreamingMarket and closes it. Every round must agree
+    // on the outcome, the close reason and time, the arrived count and the
+    // draws consumed, over both tie modes, first-score, second-score and
+    // psi < 1, closed-loop and Poisson arrivals, and every trigger, with
+    // compliance bans thinning the market round by round.
     const Market& m = market();
-    const std::size_t n = 72;
+    const std::size_t n = 60;
     const std::size_t k = 6;
-    auction::WinnerDeterminationConfig wd;
-    wd.num_winners = k;
-    wd.tie_break = auction::TieBreak::salted;
-    wd.full_ranking = false;
-    for (const std::size_t shards : {2u, 5u}) {
-        SCOPED_TRACE("shards " + std::to_string(shards));
-        MecPopulation mono_pop(make_store(n, 0xabcULL));
-        MecPopulation shard_pop(make_store(n, 0xabcULL));
-        StreamingRoundConfig mono_sc = staggered_arrivals(n);
-        mono_sc.quorum = 30;
-        StreamingRoundConfig shard_sc = mono_sc;
-        shard_sc.shards = shards;
-        StreamingAuctionSelector mono(
-            mono_pop, *m.scoring, *m.strategy, wd,
+    ComplianceSpec compliance;
+    compliance.defect_probability = 0.3;
+    std::size_t closes[4] = {};  // by CloseReason
+    std::size_t bans = 0;
+    std::uint64_t seed = 0xc105e0ULL;
+
+    const auto check = [&](const auction::WinnerDeterminationConfig& wd,
+                           const StreamingRoundConfig& sc) {
+        ++seed;
+        MecPopulation pop(make_store(n, seed));
+        StreamingAuctionSelector selector(
+            pop, *m.scoring, *m.strategy, wd,
             {ResourceDim::data_size, ResourceDim::category_proportion},
-            /*data_dimension=*/0, mono_sc);
-        StreamingAuctionSelector sharded(
-            shard_pop, *m.scoring, *m.strategy, wd,
-            {ResourceDim::data_size, ResourceDim::category_proportion},
-            /*data_dimension=*/0, shard_sc);
-        stats::Rng mono_rng(3);
-        stats::Rng shard_rng(3);
-        for (std::size_t round = 1; round <= 4; ++round) {
+            /*data_dimension=*/0, sc);
+        MarketReplay replay(make_store(n, seed), wd, sc);
+        stats::Rng rng(seed);
+        stats::Rng replay_rng(seed);
+        for (std::size_t round = 1; round <= 5; ++round) {
             SCOPED_TRACE("round " + std::to_string(round));
-            auction::expect_outcomes_equal(
-                mono.run_auction_round(round, k, mono_rng),
-                sharded.run_auction_round(round, k, shard_rng));
-            EXPECT_EQ(sharded.last_close_reason(), mono.last_close_reason());
-            EXPECT_EQ(sharded.last_close_time_s(), mono.last_close_time_s());
+            const auction::AuctionOutcome& got = selector.run_auction_round(round, k, rng);
+            const auction::StreamingMarket& want = replay.run_round(round, replay_rng);
+            auction::expect_outcomes_equal(want.outcome(), got);
+            EXPECT_EQ(selector.last_close_reason(), want.close_reason());
+            EXPECT_EQ(selector.last_close_time_s(), want.close_time_s());
+            EXPECT_EQ(selector.last_arrived(), want.arrived());
+            EXPECT_TRUE(rng.engine() == replay_rng.engine()) << "the rounds drew differently";
+            ++closes[static_cast<std::size_t>(selector.last_close_reason())];
+
+            // Compliance on both sides: the replay bans through its record,
+            // the selector through its checkpoint hook, as a resumed run
+            // restores its bans.
+            replay.settle(compliance, replay_rng);
+            Blacklist selector_bans = selector.blacklist();
+            (void)assemble_selection_record(
+                got, n,
+                [&got](auction::NodeId node) {
+                    for (const auction::ScoredBid& sb : got.ranking)
+                        if (sb.bid.node == node) return sb.bid.quality[0];
+                    throw std::logic_error("not a ranked node");
+                },
+                compliance, selector_bans, rng);
+            fl::SelectorCheckpoint ckpt;
+            for (const std::size_t node : selector_bans.banned_ids())
+                ckpt.banned_nodes.push_back(node);
+            selector.restore_checkpoint(ckpt);
+        }
+        bans += selector.blacklist().size();
+    };
+
+    for (const auction::TieBreak tie : {auction::TieBreak::shuffle, auction::TieBreak::salted}) {
+        for (const std::string mechanism : {"first_score", "second_score", "psi_fmore"}) {
+            auction::WinnerDeterminationConfig wd;
+            wd.num_winners = k;
+            wd.tie_break = tie;
+            wd.full_ranking = false;
+            if (mechanism == "second_score")
+                wd.payment_rule = auction::PaymentRule::second_price;
+            if (mechanism == "psi_fmore") wd.psi = 0.6;
+            for (const bool poisson : {false, true}) {
+                for (const std::string trigger : {"none", "quorum", "deadline", "both"}) {
+                    SCOPED_TRACE(mechanism
+                                 + (tie == auction::TieBreak::salted ? " salted" : " shuffle")
+                                 + (poisson ? " poisson " : " closed-loop ") + trigger);
+                    StreamingRoundConfig sc = staggered_arrivals(n);
+                    if (poisson) {
+                        sc.process = ArrivalProcess::poisson;
+                        sc.arrival_rate_hz = 1000.0;  // all 60 bids in about 60 ms
+                    }
+                    if (trigger == "quorum" || trigger == "both") sc.quorum = 25;
+                    // Closed-loop latencies repeat, so nodes 1, 24 and 47
+                    // arrive exactly at this deadline, and count.
+                    if (trigger == "deadline" || trigger == "both")
+                        sc.deadline_s = poisson ? 0.03 : sc.bid_latencies_s[1];
+                    check(wd, sc);
+                }
+            }
         }
     }
+    // Every close reason fired, and bans thinned the market.
+    EXPECT_GT(closes[static_cast<std::size_t>(auction::CloseReason::quorum)], 0u);
+    EXPECT_GT(closes[static_cast<std::size_t>(auction::CloseReason::deadline)], 0u);
+    EXPECT_GT(closes[static_cast<std::size_t>(auction::CloseReason::exhausted)], 0u);
+    EXPECT_GT(bans, 0u);
 }
 
 TEST(StreamingSelectorEquivalence, AdaptiveQuorumRetunesAndReplaysByteIdentical) {

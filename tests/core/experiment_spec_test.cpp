@@ -348,21 +348,15 @@ TEST(ExperimentSpecValidate, StreamingRulesAreEnforced) {
     spec.timing.arrival_rate_hz = 0.0;
     spec.timing.arrival_process = mec::ArrivalProcess::latency;
 
-    // Sharded streaming is a supported composition (the round closes
-    // through the sharded head merge, bit-identical to the monolithic
-    // close) — but the batch shard-SUPERVISION knobs do not apply to it.
+    // The streaming market ranks its arrived bids in one frame: a sharded
+    // streaming spec is refused with the fix named, and one shard passes.
     spec.auction.shards = 8;
-    EXPECT_TRUE(validate(spec).empty());
-    spec.auction.shard_timeout_s = 0.5;
-    EXPECT_TRUE(mentions(validate(spec), "timing.round_deadline_s"));
-    spec.auction.shard_timeout_s = 0.0;
-    spec.auction.fault_plan = "seed=7,crash=0.05";
-    EXPECT_TRUE(mentions(validate(spec), "auction.fault_plan"));
-    spec.auction.fault_plan.clear();
-    spec.auction.shard_quorum = 4;
-    EXPECT_TRUE(mentions(validate(spec), "auction.shard_quorum"));
-    spec.auction.shard_quorum = 0;
+    const std::vector<std::string> sharded = validate(spec);
+    ASSERT_EQ(sharded.size(), 1u);
+    EXPECT_TRUE(mentions(sharded, "timing.streaming = true with auction.shards = 8"));
+    EXPECT_TRUE(mentions(sharded, "set auction.shards = 1"));
     spec.auction.shards = 1;
+    EXPECT_TRUE(validate(spec).empty());
 
     // Adaptive quorum needs the full streaming close policy to tune.
     spec.timing.adaptive_quorum = true;
@@ -394,7 +388,6 @@ TEST(ExperimentSpecText, StreamingKnobsRoundTripAndRejectTypos) {
     spec.timing.adaptive_quorum = true;
     spec.timing.min_updates = 9;
     spec.timing.round_deadline_s = 1.5;
-    spec.auction.shards = 4;
     const ExperimentSpec parsed = parse_experiment_spec(to_text(spec));
     EXPECT_TRUE(parsed == spec);
 

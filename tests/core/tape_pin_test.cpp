@@ -1,12 +1,12 @@
 // Pins short 1-trial tapes of the presets that cover each engine and market
 // path to recorded constants: the monolithic selector on the simulator and
 // on the testbed's wall clock, the sharded market's fused lane (with a shard
-// dropped by its fault plan) and its gather lane, the streaming selector
-// with its sharded close and adaptive quorum, psi-FMore, second-score
-// payments, and a run resumed from a checkpoint. DeterminismGolden and
-// CrashResume compare a run with its own twin, so a change that moves both
-// twins at once (a tie-break, a draw order, a summation order) passes
-// them; it fails here.
+// dropped by its fault plan) and its gather lane, the streaming selector's
+// three closes (deadline under the adaptive quorum, exhaustion, and quorum
+// on closed-loop arrivals), psi-FMore, second-score payments, and a run
+// resumed from a checkpoint. DeterminismGolden and CrashResume compare a
+// run with its own twin, so a change that moves both twins at once (a
+// tie-break, a draw order, a summation order) passes them; it fails here.
 //
 // The digest covers each round's metrics and SelectionRecord, doubles by
 // bit pattern; not the spec text and no file. The runs draw through
@@ -126,7 +126,9 @@ constexpr std::uint64_t kSimDefault = 0x562e3009c82cc6d8ULL;
 constexpr std::uint64_t kTestbedDefault = 0xa344615aff858f9eULL;
 constexpr std::uint64_t kFaultsChurn = 0xf2a5e075b03de8aeULL;
 constexpr std::uint64_t kFaultsChurnGather = 0x0b2a689ec80d2552ULL;
-constexpr std::uint64_t kStreamSharded = 0x910058b6d9fe1a8aULL;
+constexpr std::uint64_t kStreamAdaptive = 0x910058b6d9fe1a8aULL;
+constexpr std::uint64_t kStreamLight = 0xa0fa728656e12864ULL;
+constexpr std::uint64_t kStreamQuorum = 0x8a09ab998b206d68ULL;
 constexpr std::uint64_t kFig11PsiFmore = 0x319d0b9295f47279ULL;
 constexpr std::uint64_t kSecondScore = 0x155c62e19b425190ULL;
 
@@ -158,8 +160,29 @@ TEST(TapePin, FaultsChurnGatherLaneDropsAShard) {
     EXPECT_EQ(hex(kFaultsChurnGather), hex(tape_digest(churn_run("0.5"))));
 }
 
-TEST(TapePin, StreamShardedCloseAndAdaptiveQuorum) {
-    EXPECT_EQ(hex(kStreamSharded), hex(run_digest(preset("stream/sharded", 2))));
+/// Two rounds of a streaming preset, each of which must close for `reason`.
+fl::RunResult stream_run(const std::string& name, const std::string& reason) {
+    ExperimentTrial trial(preset(name, 2), 0);
+    fl::RunResult run = trial.run("fmore");
+    for (const fl::RoundMetrics& m : run.rounds)
+        EXPECT_EQ(m.selection.close_reason, reason) << name << " round " << m.round;
+    return run;
+}
+
+TEST(TapePin, StreamAdaptiveQuorum) {
+    EXPECT_EQ(hex(kStreamAdaptive),
+              hex(tape_digest(stream_run("stream/adaptive", "deadline"))));
+}
+
+TEST(TapePin, StreamLightClosesOnExhaustion) {
+    EXPECT_EQ(hex(kStreamLight),
+              hex(tape_digest(stream_run("stream/light", "exhausted"))));
+}
+
+/// Closed-loop arrivals on each node's straggler latency.
+TEST(TapePin, StreamQuorumClosesOnQuorum) {
+    EXPECT_EQ(hex(kStreamQuorum),
+              hex(tape_digest(stream_run("stream/quorum", "quorum"))));
 }
 
 TEST(TapePin, Fig11UnderPsiFmore) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -174,6 +175,39 @@ TEST_F(AuctionSelectorTest, EverySelectorRejectsABadLayoutAtConstruction) {
     EXPECT_THROW(StreamingAuctionSelector(*population_, broadcast, *strategy_, wd, layout, 0,
                                           StreamingRoundConfig{}),
                  std::invalid_argument);
+}
+
+TEST_F(AuctionSelectorTest, StreamingSelectorRejectsAnUnusableCloseAtConstruction) {
+    // The streaming round's deadline and shard count are checked before the
+    // first round: a negative or NaN deadline can never be compared, and
+    // the round ranks its arrived bids in one frame.
+    auction::WinnerDeterminationConfig wd;
+    wd.num_winners = 6;
+    const QualityLayout layout = data_category_extractor();
+    const auto refusal = [&](const StreamingRoundConfig& sc) -> std::string {
+        try {
+            (void)StreamingAuctionSelector(*population_, scoring_, *strategy_, wd, layout, 0,
+                                           sc);
+        } catch (const std::invalid_argument& e) {
+            return e.what();
+        }
+        return "";
+    };
+    StreamingRoundConfig sc;
+    sc.deadline_s = -0.5;
+    EXPECT_NE(refusal(sc).find("deadline_s"), std::string::npos);
+    sc.deadline_s = std::nan("");
+    EXPECT_NE(refusal(sc).find("deadline_s"), std::string::npos);
+    sc.deadline_s = 0.0;
+    for (const std::size_t shards : {std::size_t{0}, std::size_t{4}}) {
+        sc.shards = shards;
+        const std::string what = refusal(sc);
+        EXPECT_NE(what.find("shards = " + std::to_string(shards)), std::string::npos) << what;
+        EXPECT_NE(what.find("set shards = 1"), std::string::npos) << what;
+    }
+    sc.shards = 1;
+    sc.deadline_s = 2.5;
+    EXPECT_EQ(refusal(sc), "");
 }
 
 TEST_F(AuctionSelectorTest, EverySelectorRejectsABanOutsideThePopulation) {

@@ -232,8 +232,8 @@ TEST(StreamRound, BannedNodesNeverArrive) {
 }
 
 // ---------------------------------------------------------------------------
-// The in-process twin: StreamingMarket + close_round_sharded over the same
-// store, draws, and arrival clock as the cross-process aggregator
+// The in-process twin: StreamingMarket + close_round over the same store,
+// draws, and arrival clock as the cross-process aggregator
 // ---------------------------------------------------------------------------
 
 /// Drives one in-process streaming round per call, consuming exactly the
@@ -242,17 +242,11 @@ TEST(StreamRound, BannedNodesNeverArrive) {
 class InProcessTwin {
 public:
     InProcessTwin(std::size_t n, std::uint64_t store_seed,
-                  const auction::WinnerDeterminationConfig& wd,
-                  std::size_t num_shards)
+                  const auction::WinnerDeterminationConfig& wd)
         : store_(make_store(n, store_seed)),
           layout_(layout()),
           mechanism_(auction::make_mechanism(wd)),
-          market_(mechanism_, *market().scoring),
-          shard_starts_{0} {
-        for (const std::size_t cut :
-             PopulationStore::even_boundaries(n, num_shards))
-            shard_starts_.push_back(cut);
-    }
+          market_(mechanism_, *market().scoring) {}
 
     void ban(auction::NodeId node) { banned_.ban(node); }
 
@@ -293,7 +287,7 @@ public:
                                frame_.payment(node), frame_.score(node), sec))
                 break;
         }
-        return market_.close_round_sharded(rng, shard_starts_);
+        return market_.close_round(rng);
     }
 
     [[nodiscard]] const auction::StreamingMarket& market_state() const {
@@ -308,7 +302,6 @@ private:
     Blacklist banned_;
     auction::BidFrame frame_;
     std::vector<const double*> columns_;
-    std::vector<std::size_t> shard_starts_;
 };
 
 /// The round policies the equivalence runs cycle through: a deadline
@@ -346,7 +339,7 @@ TEST(StreamRound, CrossProcessRoundMatchesInProcessCompositionEveryMechanism) {
         ProcessShardAggregator aggregator(make_store(n, seed), *m.scoring,
                                           *m.strategy, wd, layout(), shards,
                                           /*shard_timeout_s=*/30.0);
-        InProcessTwin twin(n, seed, wd, shards);
+        InProcessTwin twin(n, seed, wd);
         stats::Rng agg_rng(seed);
         stats::Rng twin_rng(seed);
         std::size_t eligible = n;
@@ -404,7 +397,7 @@ TEST(StreamRound, CrossProcessStreamingSurvivesCrashRespawnBitIdentical) {
         ProcessShardAggregator faulty(make_store(n, seed), *m.scoring,
                                       *m.strategy, wd, layout(), shards,
                                       /*shard_timeout_s=*/30.0, sup);
-        InProcessTwin twin(n, seed, wd, shards);
+        InProcessTwin twin(n, seed, wd);
         stats::Rng rng_clean(seed);
         stats::Rng rng_faulty(seed);
         stats::Rng rng_twin(seed);
