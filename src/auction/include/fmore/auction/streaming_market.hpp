@@ -24,6 +24,13 @@
 /// routes through their own overrides — the equivalence holds for EVERY
 /// registered mechanism, not just the built-ins
 /// (streaming_equivalence_test).
+///
+/// No production path runs `StreamingMarket`: in a trial,
+/// `mec::StreamingAuctionSelector` resolves the same close in one walk of
+/// its arrival schedule and ranks the arrived rows in place, and the
+/// equivalence suite replays its rounds through this class. The streaming
+/// bench and perfbench's `stream_1m` twin drive it too; the twin is why it
+/// is still in the library and not in `fmore_reference`.
 
 #include <cstdint>
 #include <memory>

@@ -65,8 +65,10 @@ struct StreamCloseDecision {
     /// Virtual time of the close: the q-th arrival for quorum closes, the
     /// deadline for deadline closes, the last arrival for exhaustion.
     double close_time_s = 0.0;
-    /// Lexicographic tie-break of the cut: the quorum-filling node for
-    /// quorum closes, kStreamBoundaryAny for time-only cuts.
+    /// Lexicographic tie-break of the forked market's cut: the
+    /// quorum-filling node for quorum closes, kStreamBoundaryAny for
+    /// time-only cuts. The in-process selector cuts its schedule directly
+    /// and leaves it unset.
     std::uint64_t boundary_node = kStreamBoundaryAny;
     /// Bids inside the cut — the arrived set's size.
     std::size_t arrived = 0;

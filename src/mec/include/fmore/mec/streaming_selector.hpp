@@ -45,9 +45,11 @@ struct StreamingRoundConfig {
     /// indexed by NodeId; missing entries arrive at t = 0. Typically
     /// `ClusterTimeModel::latency_factor(i) * auction_overhead_s`.
     std::vector<double> bid_latencies_s;
-    /// Must be 1: the round ranks its arrived set in the shell's one frame.
-    /// A sharded streaming close is the cross-process
-    /// `ProcessShardAggregator`'s.
+    /// Read by nothing: the round ranks its arrived set in the shell's one
+    /// frame whatever this holds (the virtual-shard close it once chose
+    /// ranked that set bit for bit the same). It stays only while
+    /// perfbench's `stream_1m` lane assigns it; a sharded streaming close
+    /// is the cross-process `ProcessShardAggregator`'s.
     std::size_t shards = 1;
     /// Tune the bid quorum per round with an `fl::AdaptiveQuorumController`
     /// seeded from `quorum` (`timing.adaptive_quorum`): the running
@@ -66,8 +68,7 @@ public:
     /// @throws std::invalid_argument when `check_bid_layout` rejects the
     ///         layout, strategy and rule, or on an unusable `streaming`: a
     ///         negative or NaN deadline, Poisson arrivals without a positive
-    ///         rate, shards other than 1, or an adaptive quorum with no
-    ///         starting quorum
+    ///         rate, or an adaptive quorum with no starting quorum
     StreamingAuctionSelector(MecPopulation& population,
                              const auction::ScoringRule& scoring,
                              const auction::EquilibriumStrategy& strategy,

@@ -23,11 +23,6 @@ StreamingAuctionSelector::StreamingAuctionSelector(
         && !(streaming_.arrival_rate_hz > 0.0))
         throw std::invalid_argument(
             "StreamingAuctionSelector: poisson arrivals need arrival_rate_hz > 0");
-    if (streaming_.shards != 1)
-        throw std::invalid_argument(
-            "StreamingAuctionSelector: shards = " + std::to_string(streaming_.shards)
-            + ": the streaming round ranks its arrived bids in one frame; set "
-              "shards = 1 (a sharded streaming close is ProcessShardAggregator's)");
     if (streaming_.adaptive_quorum && streaming_.quorum == 0)
         throw std::invalid_argument(
             "StreamingAuctionSelector: adaptive_quorum needs a starting "
@@ -96,7 +91,6 @@ void StreamingAuctionSelector::resolve_close(const std::vector<Arrival>& schedul
         close_.close_time_s = arrival.seconds;
         if (last_quorum_ > 0 && close_.arrived >= last_quorum_) {
             close_.reason = auction::CloseReason::quorum;
-            close_.boundary_node = arrival.node;
             ++next;
             break;
         }

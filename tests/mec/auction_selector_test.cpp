@@ -178,9 +178,8 @@ TEST_F(AuctionSelectorTest, EverySelectorRejectsABadLayoutAtConstruction) {
 }
 
 TEST_F(AuctionSelectorTest, StreamingSelectorRejectsAnUnusableCloseAtConstruction) {
-    // The streaming round's deadline and shard count are checked before the
-    // first round: a negative or NaN deadline can never be compared, and
-    // the round ranks its arrived bids in one frame.
+    // The streaming round's deadline is checked before the first round: a
+    // negative or NaN deadline can never be compared.
     auction::WinnerDeterminationConfig wd;
     wd.num_winners = 6;
     const QualityLayout layout = data_category_extractor();
@@ -198,14 +197,6 @@ TEST_F(AuctionSelectorTest, StreamingSelectorRejectsAnUnusableCloseAtConstructio
     EXPECT_NE(refusal(sc).find("deadline_s"), std::string::npos);
     sc.deadline_s = std::nan("");
     EXPECT_NE(refusal(sc).find("deadline_s"), std::string::npos);
-    sc.deadline_s = 0.0;
-    for (const std::size_t shards : {std::size_t{0}, std::size_t{4}}) {
-        sc.shards = shards;
-        const std::string what = refusal(sc);
-        EXPECT_NE(what.find("shards = " + std::to_string(shards)), std::string::npos) << what;
-        EXPECT_NE(what.find("set shards = 1"), std::string::npos) << what;
-    }
-    sc.shards = 1;
     sc.deadline_s = 2.5;
     EXPECT_EQ(refusal(sc), "");
 }
