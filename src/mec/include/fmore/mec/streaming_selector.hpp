@@ -46,8 +46,7 @@ struct StreamingRoundConfig {
     /// `ClusterTimeModel::latency_factor(i) * auction_overhead_s`.
     std::vector<double> bid_latencies_s;
     /// Read by nothing: the round ranks its arrived set in the shell's one
-    /// frame whatever this holds (the virtual-shard close it once chose
-    /// ranked that set bit for bit the same). It stays only while
+    /// frame, and any value closes it as 1 does. It stays only while
     /// perfbench's `stream_1m` lane assigns it; a sharded streaming close
     /// is the cross-process `ProcessShardAggregator`'s.
     std::size_t shards = 1;
